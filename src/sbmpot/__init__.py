@@ -16,7 +16,6 @@ from .bernstein import (
     conjugate,
     default_catalog,
     eval_levy_density,
-    eval_phi,
     geometric_like,
     killed_shift,
     levy_tail,
@@ -79,7 +78,6 @@ from .ladder import (
     interval_green_mass_bound,
     ladder_density_v,
     ladder_exponent_chi,
-    ladder_objects,
     renewal_function_V,
 )
 from .montecarlo import (
@@ -92,7 +90,6 @@ from .montecarlo import (
     exit_distribution_histogram,
     exit_time_bounds_check,
     hitting_before_exit,
-    sample_exit,
     sample_subordinator_increment,
     scaled_config,
     simulate_exits,
@@ -106,7 +103,7 @@ __all__ = [
     "montecarlo", "harnack",
     "CompleteBernsteinFunction", "stable", "relativistic_stable",
     "sum_of_stables", "log_perturbed_up", "log_perturbed_down",
-    "geometric_like", "conjugate", "killed_shift", "eval_phi",
+    "geometric_like", "conjugate", "killed_shift",
     "eval_levy_density", "levy_tail", "check_levy_shift_bound",
     "reg_var_profile", "check_complete_monotonicity", "check_bernstein",
     "phi_from_json", "phi_to_json", "default_catalog",
@@ -120,9 +117,8 @@ __all__ = [
     "SANDWICH_LO", "SANDWICH_HI", "ladder_exponent_chi",
     "chi_sandwich_check", "chi_is_cbf_check", "ladder_density_v",
     "renewal_function_V", "halfline_green", "interval_green_mass_bound",
-    "ladder_objects",
     "PathConfig", "scaled_config", "McEstimate", "Interval", "Ball",
-    "sample_subordinator_increment", "simulate_exits", "sample_exit",
+    "sample_subordinator_increment", "simulate_exits",
     "exceedance_probability", "exit_time_bounds_check",
     "exit_distribution_histogram", "hitting_before_exit",
     "epsilon_refinement_check",

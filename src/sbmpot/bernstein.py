@@ -30,6 +30,8 @@ from .errors import ConstructionError, EvaluationDomainError, UnsupportedKindErr
 
 __all__ = [
     "CompleteBernsteinFunction",
+    "KINDS",
+    "JSON_KINDS",
     "stable",
     "relativistic_stable",
     "sum_of_stables",
@@ -38,7 +40,6 @@ __all__ = [
     "geometric_like",
     "conjugate",
     "killed_shift",
-    "eval_phi",
     "eval_levy_density",
     "levy_tail",
     "check_levy_shift_bound",
@@ -51,17 +52,6 @@ __all__ = [
     "phi_to_json",
     "default_catalog",
 ]
-
-_KINDS = (
-    "stable",
-    "relativistic",
-    "sum",
-    "log_up",
-    "log_down",
-    "geometric_example",
-    "conjugate",
-    "killed_shift",
-)
 
 
 @dataclass(frozen=True)
@@ -100,34 +90,7 @@ class CompleteBernsteinFunction:
         return complex(val) if scalar and np.iscomplexobj(val) else (float(val) if scalar else val)
 
     def _eval(self, x):
-        k = self.kind
-        if k == "stable":
-            return x ** (self.alpha_param / 2.0)
-        if k == "relativistic":
-            theta = self.m ** (2.0 / self.alpha_param)
-            # expm1/log1p keeps precision near 0, where the direct formula
-            # cancels catastrophically; complex arguments (inversion contours
-            # scale them towards 0 for large t) need the same care
-            if np.iscomplexobj(x):
-                return self.m * _cexpm1((self.alpha_param / 2.0) * _clog1p(x / theta))
-            return self.m * np.expm1((self.alpha_param / 2.0) * np.log1p(x / theta))
-        if k == "sum":
-            return x ** (self.alpha_param / 2.0) + x ** (self.beta / 2.0)
-        if k == "log_up":
-            lg = _clog1p(x) if np.iscomplexobj(x) else np.log1p(x)
-            return x ** (self.alpha_param / 2.0) * lg ** (self.log_exponent / 2.0)
-        if k == "log_down":
-            lg = _clog1p(x) if np.iscomplexobj(x) else np.log1p(x)
-            with np.errstate(divide="ignore"):
-                return x ** (self.alpha_param / 2.0) * lg ** (-self.beta / 2.0)
-        if k == "geometric_example":
-            w, b = _geometric_terms(self.alpha_param, self.n_terms)
-            return 1.0 / np.sum(w / (x[..., None] + b), axis=-1)
-        if k == "conjugate":
-            return x / self.inner._eval(x)
-        if k == "killed_shift":
-            return self.inner._eval(x) + self.shift
-        raise UnsupportedKindError(f"unknown kind {k!r}")
+        return _entry(self.kind).evaluate(self, x)
 
     # ---- structural data -----------------------------------------------
 
@@ -138,79 +101,39 @@ class CompleteBernsteinFunction:
     @property
     def small_exponent(self) -> float | None:
         """Known power behaviour of phi at 0+, or None when unavailable."""
-        k = self.kind
-        if k == "stable":
-            return self.alpha_param / 2.0
-        if k == "relativistic":
-            return 1.0
-        if k == "sum":
-            return self.beta / 2.0
-        if k == "log_up":
-            # log(1+lam) ~ lam at 0, so the log factor adds a full power
-            return (self.alpha_param + self.log_exponent) / 2.0
-        if k == "log_down":
-            return (self.alpha_param - self.beta) / 2.0
-        if k == "geometric_example" or self.killing > 0.0:
+        if self.killing > 0.0:
             return 0.0
-        if k == "conjugate":
-            e = self.inner.small_exponent
-            return None if e is None else 1.0 - e
-        if k == "killed_shift":
-            return 0.0 if self.shift > 0.0 else self.inner.small_exponent
-        return None
+        return _entry(self.kind).small_exponent(self)
 
     def levy_density_closed(self, t) -> np.ndarray | None:
         """Closed-form Levy density, or None when only numeric is available."""
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "stable":
-            return _stable_levy(self.alpha_param, t)
-        if k == "relativistic":
-            theta = self.m ** (2.0 / self.alpha_param)
-            return _stable_levy(self.alpha_param, t) * np.exp(-theta * t)
-        if k == "sum":
-            return _stable_levy(self.alpha_param, t) + _stable_levy(self.beta, t)
-        if k == "killed_shift":
-            return self.inner.levy_density_closed(t)
-        return None
+        closed = _entry(self.kind).levy_density
+        return None if closed is None else closed(self, np.asarray(t, dtype=float))
 
     def levy_tail_closed(self, t) -> np.ndarray | None:
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "stable":
-            return t ** (-self.alpha_param / 2.0) / gamma_fn(1.0 - self.alpha_param / 2.0)
-        if k == "sum":
-            return t ** (-self.alpha_param / 2.0) / gamma_fn(1.0 - self.alpha_param / 2.0) + t ** (
-                -self.beta / 2.0
-            ) / gamma_fn(1.0 - self.beta / 2.0)
-        if k == "killed_shift":
-            return self.inner.levy_tail_closed(t)
-        return None
+        closed = _entry(self.kind).levy_tail
+        return None if closed is None else closed(self, np.asarray(t, dtype=float))
 
     def label(self) -> str:
-        k = self.kind
-        if k == "stable":
-            return f"stable(alpha={self.alpha_param:g})"
-        if k == "relativistic":
-            return f"relativistic(alpha={self.alpha_param:g}, m={self.m:g})"
-        if k == "sum":
-            return f"sum(alpha={self.alpha_param:g}, beta={self.beta:g})"
-        if k == "log_up":
-            return f"log_up(alpha={self.alpha_param:g}, gamma={self.log_exponent:g})"
-        if k == "log_down":
-            return f"log_down(alpha={self.alpha_param:g}, beta={self.beta:g})"
-        if k == "geometric_example":
-            return f"geometric_example(alpha={self.alpha_param:g}, n={self.n_terms})"
-        if k == "conjugate":
-            return f"conjugate[{self.inner.label()}]"
-        if k == "killed_shift":
-            return f"killed_shift[{self.inner.label()}, a={self.shift:g}]"
-        return k
+        entry = _entry(self.kind)
+        parts = [f"{p.name}={format(getattr(self, p.field), 'g' if p.coerce is float else '')}"
+                 for p in entry.params]
+        if entry.composite:
+            return f"{self.kind}[{', '.join([self.inner.label(), *parts])}]"
+        return f"{self.kind}({', '.join(parts)})"
 
 
 def _stable_levy(alpha: float, t):
     c = (alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0)
     return c * t ** (-1.0 - alpha / 2.0)
+
+
+def _stable_tail(alpha: float, t):
+    return t ** (-alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0)
+
+
+def _log1p(x):
+    return _clog1p(x) if np.iscomplexobj(x) else np.log1p(x)
 
 
 def _clog1p(z):
@@ -232,6 +155,9 @@ def _cexpm1(w):
     return np.where(small, series, np.exp(np.where(small, 0.0, w)) - 1.0)
 
 
+# 2.0**1024 overflows, so the geometric weights 2**n stay finite up to here
+GEOMETRIC_MAX_TERMS = 1023
+
 _GEOM_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -239,7 +165,10 @@ def _geometric_terms(alpha_param: float, n_terms: int):
     key = (alpha_param, n_terms)
     if key not in _GEOM_CACHE:
         n = np.arange(1, n_terms + 1, dtype=float)
-        _GEOM_CACHE[key] = (2.0 ** n, 2.0 ** (2.0 * n / alpha_param))
+        # a pole past the float range is inf and gives an exact zero term
+        with np.errstate(over="ignore"):
+            poles = 2.0 ** (2.0 * n / alpha_param)
+        _GEOM_CACHE[key] = (2.0 ** n, poles)
     return _GEOM_CACHE[key]
 
 
@@ -301,11 +230,11 @@ def default_truncation(alpha_param: float) -> int:
 
     The dropped terms sum to about q**(N+1)/(1-q) with q = 2**(1 - 2/alpha);
     pick N so that this is below 1e-12 relative to the leading term, with a
-    floor of 64.
+    floor of 64.  Uncapped: geometric_like refuses N past GEOMETRIC_MAX_TERMS.
     """
     q = 2.0 ** (1.0 - 2.0 / alpha_param)
     n = int(math.ceil(math.log(1e-12 * (1.0 - q)) / math.log(q)))
-    return min(max(n, 64), 4096)
+    return max(n, 64)
 
 
 def geometric_like(alpha: float, n_terms: int | None = None) -> CompleteBernsteinFunction:
@@ -314,13 +243,17 @@ def geometric_like(alpha: float, n_terms: int | None = None) -> CompleteBernstei
     phi(lam) = 1 / sum_{n=1}^{N} 2**n / (lam + 2**(2n/alpha)).  Comparable to
     lam**(1 - alpha/2) at infinity but not regularly varying, so the profile
     index is 2 - alpha.  The full sum stays finite at 0, i.e. the entry
-    carries a killing term phi(0+) = 1/g(0) > 0.
+    carries a killing term phi(0+) = 1/g(0) > 0.  N is at most
+    GEOMETRIC_MAX_TERMS, which refuses the default N for alpha above ~1.915.
     """
     if not 0.0 < alpha < 2.0:
         raise ConstructionError("construction index must lie in (0, 2)")
     n = default_truncation(alpha) if n_terms is None else int(n_terms)
     if n < 1:
         raise ConstructionError("truncation must be positive")
+    if n > GEOMETRIC_MAX_TERMS:
+        raise ConstructionError(f"truncation must be at most {GEOMETRIC_MAX_TERMS}, not {n}: "
+                                "2**n overflows past it")
     w, b = _geometric_terms(alpha, n)
     killing = 1.0 / float(np.sum(w / b))
     return CompleteBernsteinFunction(
@@ -378,6 +311,142 @@ def killed_shift(phi: CompleteBernsteinFunction, a: float) -> CompleteBernsteinF
     )
 
 
+# ---- kind registry ---------------------------------------------------------
+#
+# Everything that differs between kinds lives in KINDS; the methods of
+# CompleteBernsteinFunction, the JSON schema, labels and the CLI's --kind
+# all read it.  A new kind is one constructor plus one entry here.
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One construction parameter: JSON key (also label name and CLI flag) and field."""
+
+    name: str
+    field: str
+    coerce: type = float
+    optional: bool = False
+
+
+@dataclass(frozen=True)
+class _Kind:
+    build: Callable  # the constructor, called with the parameters in order
+    params: tuple[_Param, ...]
+    evaluate: Callable  # (phi, x) -> phi(x), x real or complex
+    small_exponent: Callable  # phi -> power of phi at 0+ (unkilled), or None
+    levy_density: Callable | None = None  # (phi, t) -> mu(t) in closed form
+    levy_tail: Callable | None = None  # (phi, t) -> mu(t, inf) in closed form
+    composite: bool = False  # wraps ``inner``; no JSON form
+
+
+def _phi_relativistic(phi, x):
+    theta = phi.m ** (2.0 / phi.alpha_param)
+    # expm1/log1p keeps precision near 0, where the direct formula cancels
+    # catastrophically; complex arguments (inversion contours scale them
+    # towards 0 for large t) need the same care
+    if np.iscomplexobj(x):
+        return phi.m * _cexpm1((phi.alpha_param / 2.0) * _clog1p(x / theta))
+    return phi.m * np.expm1((phi.alpha_param / 2.0) * np.log1p(x / theta))
+
+
+def _phi_log_up(phi, x):
+    # the log factor first: on an inversion batch a temporary is a large
+    # complex array, and computing the power first keeps one more alive
+    lg = _log1p(x)
+    return x ** (phi.alpha_param / 2.0) * lg ** (phi.log_exponent / 2.0)
+
+
+def _phi_log_down(phi, x):
+    lg = _log1p(x)
+    with np.errstate(divide="ignore"):
+        return x ** (phi.alpha_param / 2.0) * lg ** (-phi.beta / 2.0)
+
+
+def _phi_geometric(phi, x):
+    w, b = _geometric_terms(phi.alpha_param, phi.n_terms)
+    return 1.0 / np.sum(w / (x[..., None] + b), axis=-1)
+
+
+def _conjugate_small_exponent(phi):
+    e = phi.inner.small_exponent
+    return None if e is None else 1.0 - e
+
+
+_ALPHA = _Param("alpha", "alpha_param")
+
+KINDS: dict[str, _Kind] = {
+    "stable": _Kind(
+        stable,
+        (_ALPHA,),
+        lambda phi, x: x ** (phi.alpha_param / 2.0),
+        lambda phi: phi.alpha_param / 2.0,
+        levy_density=lambda phi, t: _stable_levy(phi.alpha_param, t),
+        levy_tail=lambda phi, t: _stable_tail(phi.alpha_param, t),
+    ),
+    "relativistic": _Kind(
+        relativistic_stable,
+        (_ALPHA, _Param("m", "m")),
+        _phi_relativistic,
+        lambda phi: 1.0,
+        levy_density=lambda phi, t: (
+            _stable_levy(phi.alpha_param, t) * np.exp(-phi.m ** (2.0 / phi.alpha_param) * t)),
+    ),
+    "sum": _Kind(
+        sum_of_stables,
+        (_ALPHA, _Param("beta", "beta")),
+        lambda phi, x: x ** (phi.alpha_param / 2.0) + x ** (phi.beta / 2.0),
+        lambda phi: phi.beta / 2.0,
+        levy_density=lambda phi, t: _stable_levy(phi.alpha_param, t) + _stable_levy(phi.beta, t),
+        levy_tail=lambda phi, t: _stable_tail(phi.alpha_param, t) + _stable_tail(phi.beta, t),
+    ),
+    "log_up": _Kind(
+        log_perturbed_up,
+        (_ALPHA, _Param("gamma", "log_exponent")),
+        _phi_log_up,
+        # log(1+lam) ~ lam at 0, so the log factor adds a full power
+        lambda phi: (phi.alpha_param + phi.log_exponent) / 2.0,
+    ),
+    "log_down": _Kind(
+        log_perturbed_down,
+        (_ALPHA, _Param("beta", "beta")),
+        _phi_log_down,
+        lambda phi: (phi.alpha_param - phi.beta) / 2.0,
+    ),
+    "geometric_example": _Kind(
+        geometric_like,
+        (_ALPHA, _Param("n", "n_terms", int, optional=True)),
+        _phi_geometric,
+        lambda phi: 0.0,
+    ),
+    "conjugate": _Kind(
+        conjugate,
+        (),
+        lambda phi, x: x / phi.inner._eval(x),
+        _conjugate_small_exponent,
+        composite=True,
+    ),
+    "killed_shift": _Kind(
+        killed_shift,
+        (_Param("a", "shift"),),
+        lambda phi, x: phi.inner._eval(x) + phi.shift,
+        lambda phi: 0.0,
+        levy_density=lambda phi, t: phi.inner.levy_density_closed(t),
+        levy_tail=lambda phi, t: phi.inner.levy_tail_closed(t),
+        composite=True,
+    ),
+}
+
+# the kinds phi_from_json builds and the CLI's --kind offers, in table order
+JSON_KINDS = tuple(k for k, entry in KINDS.items() if not entry.composite)
+
+
+def _entry(kind: str) -> _Kind:
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise UnsupportedKindError(f"unknown kind {kind!r}") from None
+
+
 def default_catalog() -> list[CompleteBernsteinFunction]:
     """The instances exercised by the check suites."""
     return [
@@ -395,14 +464,6 @@ def default_catalog() -> list[CompleteBernsteinFunction]:
 # ---- pointwise operations ------------------------------------------------
 
 
-def eval_phi(phi: CompleteBernsteinFunction, lam):
-    """Evaluate phi; thin functional wrapper over ``phi(lam)``."""
-    out = phi(lam)
-    if not np.all(np.isfinite(np.atleast_1d(out))):
-        raise EvaluationDomainError(f"non-finite value of {phi.label()}")
-    return out
-
-
 def eval_levy_density(phi: CompleteBernsteinFunction, t, nodes: int = 32):
     """Levy density mu(t) of phi.
 
@@ -416,13 +477,7 @@ def eval_levy_density(phi: CompleteBernsteinFunction, t, nodes: int = 32):
     closed = phi.levy_density_closed(t)
     if closed is not None:
         return float(closed) if np.ndim(t) == 0 else closed
-    vals = -talbot_safe(phi, t, nodes)
-    return vals
-
-
-def talbot_safe(transform, t, nodes: int = 32):
-    vals = laplace.talbot_inversion(transform, t, nodes=nodes)
-    return vals
+    return -laplace.talbot_inversion(phi, t, nodes=nodes)
 
 
 def levy_tail(phi: CompleteBernsteinFunction, t, decades: float = 14.0):
@@ -606,9 +661,9 @@ def check_bernstein(f: Callable, order: int = 3, grid=None, rel_step: float = 1e
 
 
 def phi_from_json(spec) -> CompleteBernsteinFunction:
-    """Build a catalog entry from its JSON description.
+    """Build a catalog entry from its JSON description (a dict or a JSON string).
 
-    Accepted forms::
+    Accepted forms, one per kind of ``JSON_KINDS``::
 
         {"kind": "stable", "alpha": 0.5}
         {"kind": "relativistic", "alpha": 1.0, "m": 1.0}
@@ -616,42 +671,35 @@ def phi_from_json(spec) -> CompleteBernsteinFunction:
         {"kind": "log_up", "alpha": 1.0, "gamma": 0.5}
         {"kind": "log_down", "alpha": 1.0, "beta": 0.5}
         {"kind": "geometric_example", "alpha": 1.0, "n": 64}
+
+    "n" may be left out for ``default_truncation(alpha)``; keys the kind does
+    not take are ignored.  Malformed input raises :class:`ConstructionError`.
     """
     if isinstance(spec, (str, bytes)):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ConstructionError(f"catalog JSON does not parse: {exc}") from None
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConstructionError("catalog JSON must be an object with a 'kind' field")
     kind = spec["kind"]
+    if kind not in JSON_KINDS:
+        raise ConstructionError(
+            f"unknown catalog kind {kind!r}; JSON kinds are {', '.join(JSON_KINDS)}")
+    params = KINDS[kind].params
     try:
-        if kind == "stable":
-            return stable(float(spec["alpha"]))
-        if kind == "relativistic":
-            return relativistic_stable(float(spec["alpha"]), float(spec["m"]))
-        if kind == "sum":
-            return sum_of_stables(float(spec["alpha"]), float(spec["beta"]))
-        if kind == "log_up":
-            return log_perturbed_up(float(spec["alpha"]), float(spec["gamma"]))
-        if kind == "log_down":
-            return log_perturbed_down(float(spec["alpha"]), float(spec["beta"]))
-        if kind == "geometric_example":
-            return geometric_like(float(spec["alpha"]), int(spec["n"]) if "n" in spec else None)
+        args = [None if p.optional and p.name not in spec else p.coerce(spec[p.name])
+                for p in params]
     except KeyError as missing:
         raise ConstructionError(f"kind {kind!r} is missing parameter {missing}") from None
-    raise ConstructionError(f"unknown catalog kind {kind!r}")
+    except (TypeError, ValueError, OverflowError):
+        names = ", ".join(p.name for p in params)
+        raise ConstructionError(f"kind {kind!r} takes numbers for {names}, got {spec}") from None
+    return KINDS[kind].build(*args)
 
 
 def phi_to_json(phi: CompleteBernsteinFunction) -> dict:
-    k = phi.kind
-    if k == "stable":
-        return {"kind": "stable", "alpha": phi.alpha_param}
-    if k == "relativistic":
-        return {"kind": "relativistic", "alpha": phi.alpha_param, "m": phi.m}
-    if k == "sum":
-        return {"kind": "sum", "alpha": phi.alpha_param, "beta": phi.beta}
-    if k == "log_up":
-        return {"kind": "log_up", "alpha": phi.alpha_param, "gamma": phi.log_exponent}
-    if k == "log_down":
-        return {"kind": "log_down", "alpha": phi.alpha_param, "beta": phi.beta}
-    if k == "geometric_example":
-        return {"kind": "geometric_example", "alpha": phi.alpha_param, "n": phi.n_terms}
-    raise UnsupportedKindError(f"kind {k!r} has no JSON form")
+    entry = _entry(phi.kind)
+    if entry.composite:
+        raise UnsupportedKindError(f"kind {phi.kind!r} has no JSON form")
+    return {"kind": phi.kind, **{p.name: getattr(phi, p.field) for p in entry.params}}

@@ -19,16 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bernstein import (
-    eval_levy_density,
-    geometric_like,
-    log_perturbed_down,
-    log_perturbed_up,
-    phi_from_json,
-    relativistic_stable,
-    stable,
-    sum_of_stables,
-)
+from .bernstein import JSON_KINDS, KINDS, phi_from_json
 from .densities import (
     ZAHLE_BOUND,
     density_table,
@@ -70,7 +61,6 @@ _USAGE_ERRORS = (
     EvaluationDomainError,
     UndecidableError,
     NotTransientError,
-    json.JSONDecodeError,
 )
 
 
@@ -126,31 +116,20 @@ def _emit(records: list[dict], args, argv: list[str]) -> None:
 
 def _phi_from_args(args):
     if getattr(args, "phi", None):
-        return phi_from_json(json.loads(args.phi))
+        return phi_from_json(args.phi)
     kind = getattr(args, "kind", None)
     if kind is None:
         raise ConstructionError("provide --kind or --phi <json>")
-    if args.alpha is None:
-        raise ConstructionError("--alpha is required with --kind")
-    a = args.alpha
-    if kind == "stable":
-        return stable(a)
-    if kind == "relativistic":
-        return relativistic_stable(a, args.m)
-    if kind == "sum":
-        return sum_of_stables(a, args.beta)
-    if kind == "log_up":
-        return log_perturbed_up(a, args.gamma)
-    if kind == "log_down":
-        return log_perturbed_down(a, args.beta)
-    if kind == "geometric_example":
-        return geometric_like(a, args.n)
-    raise UnsupportedKindError(f"unknown kind {kind!r}")
+    # every catalog parameter has a flag of the same name
+    spec = {"kind": kind}
+    for p in KINDS[kind].params:
+        if getattr(args, p.name) is not None:
+            spec[p.name] = getattr(args, p.name)
+    return phi_from_json(spec)
 
 
 def _add_phi_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=["stable", "relativistic", "sum", "log_up",
-                                      "log_down", "geometric_example"])
+    p.add_argument("--kind", choices=JSON_KINDS)
     p.add_argument("--phi", help="JSON catalog entry, alternative to --kind")
     p.add_argument("--alpha", type=float)
     p.add_argument("--m", type=float, default=1.0)

@@ -57,7 +57,8 @@ class DensityEvaluator:
     mode 'auto' uses the closed form for the pure stable kind and the Talbot
     contour otherwise; 'talbot' and 'stehfest' force the numeric routes
     (stehfest exists as an independent cross-check).  With ``check_residual``
-    the Talbot route compares 32- against 48-node rules and raises
+    the Talbot route compares the ``nodes``-node rule against a
+    ``max(nodes - 8, 16)``-node one (32 against 24 by default) and raises
     :class:`NumericAccuracyError` when they disagree beyond ``rtol``.
     """
 

@@ -44,8 +44,6 @@ __all__ = [
     "halfline_green",
     "interval_green_mass_bound",
     "IntervalGreenBound",
-    "LadderObjects",
-    "ladder_objects",
     "SANDWICH_LO",
     "SANDWICH_HI",
 ]
@@ -217,23 +215,4 @@ def interval_green_mass_bound(
         min_form=min_form,
         symmetric_form=symmetric,
         note="plain/min_form bound the interval (0,r); symmetric_form bounds (-r,r) at x",
-    )
-
-
-@dataclass(frozen=True)
-class LadderObjects:
-    """Bundle of the ladder quantities for one exponent."""
-
-    phi: CompleteBernsteinFunction
-    chi_eval: Callable
-    ladder_density_eval: Callable
-    renewal_eval: Callable
-
-
-def ladder_objects(phi: CompleteBernsteinFunction) -> LadderObjects:
-    return LadderObjects(
-        phi=phi,
-        chi_eval=lambda lam: ladder_exponent_chi(phi, lam),
-        ladder_density_eval=lambda t: ladder_density_v(phi, t),
-        renewal_eval=lambda t: renewal_function_V(phi, t),
     )

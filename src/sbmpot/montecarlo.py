@@ -42,7 +42,6 @@ __all__ = [
     "Ball",
     "scaled_config",
     "sample_subordinator_increment",
-    "sample_exit",
     "simulate_exits",
     "exceedance_probability",
     "ExceedanceReport",
@@ -271,7 +270,7 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     return rate, max(drift, 0.0), log_u, log_x, None
 
 
-def _jump_sizes(tables, u: np.ndarray, epsilon: float, phi) -> np.ndarray:
+def _jump_sizes(tables, u: np.ndarray, epsilon: float) -> np.ndarray:
     rate, _, log_u, log_x, inv_exp = tables
     if inv_exp is not None:
         return epsilon * u**inv_exp
@@ -331,7 +330,7 @@ def sample_subordinator_increment(
     for slot in range(int(counts.max()) if counts.size else 0):
         has = counts > slot
         ua, _ = stream.uniform_pair(rng.CH_JUMP_BASE + 2 * slot, step, ids[has])
-        out[has] += _jump_sizes(tables, ua, cfg.epsilon, phi)
+        out[has] += _jump_sizes(tables, ua, cfg.epsilon)
     return out
 
 
@@ -405,7 +404,7 @@ def _simulate_batch(phi, domain, starts, ids, cfg, method, observer=None):
                     continue
                 pid_s = ids[sel]
                 ua, _ = stream.uniform_pair(rng.CH_JUMP_BASE + 2 * slot, k, pid_s)
-                sizes = _jump_sizes(tables, ua, cfg.epsilon, phi)
+                sizes = _jump_sizes(tables, ua, cfg.epsilon)
                 zj = stream.normals(k, pid_s, d, base_channel=rng.CH_JUMP_BASE + 2 * slot + 1)
                 x[sel] += np.sqrt(2.0 * sizes)[:, None] * zj
                 if observer is not None:
@@ -470,13 +469,6 @@ def simulate_exits(phi, domain, x0, cfg: PathConfig) -> ExitSample:
         censored=int((~ok).sum()),
         requested=cfg.paths,
     )
-
-
-def sample_exit(phi, d: int, domain, x0, cfg: PathConfig) -> ExitSample:
-    """Spec-shaped wrapper; d must match the domain's dimension."""
-    if d != domain.d:
-        raise EvaluationDomainError("dimension does not match the domain")
-    return simulate_exits(phi, domain, x0, cfg)
 
 
 # ---------------------------------------------------------------------------

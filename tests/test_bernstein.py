@@ -1,10 +1,12 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sbmpot import bernstein
-from sbmpot.errors import ConstructionError
+from sbmpot.errors import ConstructionError, UnsupportedKindError
 
 
 def test_stable_closed_values():
@@ -66,6 +68,50 @@ def test_geometric_truncation_stability():
     base = bernstein.geometric_like(1.0, 64)
     deeper = bernstein.geometric_like(1.0, 72)
     np.testing.assert_allclose(base(lam), deeper(lam), rtol=1e-6)
+
+
+# phi(0.5), phi(2), phi(1000) and the killing rate, as float.hex
+GEOMETRIC_BITS = {
+    (1.0, 64): ("0x1.119304fa0c44ep+0", "0x1.3f83ebb9b8d35p+0", "0x1.cb589f3752849p+3",
+                "0x1.0000000000000p+0"),
+    (0.6, 64): ("0x1.0cf12bd478f8bp+2", "0x1.2b2f370c57c84p+2", "0x1.602ecddcd31efp+6",
+                "0x1.028a2f98d728bp+2"),
+    (1.5, 1023): ("0x1.18ba6f365152dp-2", "0x1.39eb26157acc3p-2", "0x1.2c2981341c976p+0",
+                  "0x1.0a28be635ca2bp-2"),
+    (1.25, None): ("0x1.19d4ecc93cb4dp-1", "0x1.4541f0fc053ccp-1", "0x1.18ca6fcb09e85p+2",
+                   "0x1.080c0076560d9p-1"),
+    (0.1, None): ("0x1.ffffcffffc000p+18", "0x1.fffffffff0000p+18", "0x1.003e5ff05e193p+19",
+                  "0x1.ffffc00000000p+18"),
+    (1.9, None): ("0x1.34ab0c466b695p-5", "0x1.3d482588d2e7cp-5", "0x1.a4745483d9613p-5",
+                  "0x1.305fc698e3f50p-5"),
+}
+
+
+@pytest.mark.parametrize("alpha, n", list(GEOMETRIC_BITS))
+def test_geometric_bits_below_the_overflow_limit(alpha, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = bernstein.geometric_like(alpha, n)
+        got = [float(phi(lam)).hex() for lam in (0.5, 2.0, 1e3)] + [phi.killing.hex()]
+        # complex arguments (the inversion contours) meet the same infinite poles
+        assert np.isfinite(phi(2.0 + 1.0j))
+    assert tuple(got) == GEOMETRIC_BITS[alpha, n]
+    assert phi.n_terms <= bernstein.GEOMETRIC_MAX_TERMS
+
+
+def test_geometric_refuses_overflowing_truncation():
+    assert bernstein.GEOMETRIC_MAX_TERMS == 1023
+    bernstein.geometric_like(1.0, 1023)
+    for n in (1024, 5000):
+        with pytest.raises(ConstructionError):
+            bernstein.geometric_like(1.0, n)
+    # the default truncation crosses the limit near alpha = 1.915
+    assert bernstein.default_truncation(1.9) < 1024 < bernstein.default_truncation(1.95)
+    for alpha in (1.95, 1.99):
+        with pytest.raises(ConstructionError):
+            bernstein.geometric_like(alpha)
+    with pytest.raises(ConstructionError):
+        bernstein.phi_from_json({"kind": "geometric_example", "alpha": 1.99})
 
 
 def test_geometric_killing_positive():
@@ -137,13 +183,69 @@ def test_bernstein_probes():
 
 
 def test_json_round_trip(catalog):
-    lam = np.geomspace(0.1, 10.0, 7)
     for phi in catalog:
         spec = bernstein.phi_to_json(phi)
-        back = bernstein.phi_from_json(spec)
-        np.testing.assert_allclose(
-            np.atleast_1d(back(lam)), np.atleast_1d(phi(lam)), rtol=1e-14,
-            err_msg=phi.label())
+        assert bernstein.phi_from_json(spec) == phi, phi.label()
+        assert bernstein.phi_from_json(json.dumps(spec)) == phi, phi.label()
+
+
+def test_composites_have_no_json_form(catalog):
+    for phi in (bernstein.conjugate(catalog[4]), bernstein.killed_shift(catalog[0], 0.5)):
+        with pytest.raises(UnsupportedKindError):
+            bernstein.phi_to_json(phi)
+        with pytest.raises(ConstructionError):
+            bernstein.phi_from_json({"kind": phi.kind, "alpha": 1.0})
+
+
+def test_json_ignores_parameters_the_kind_does_not_take():
+    extra = {"m": 1.0, "beta": 0.5, "gamma": 0.5}
+    for kind in ("stable", "geometric_example"):
+        spec = {"kind": kind, "alpha": 1.0, **extra}
+        assert bernstein.phi_from_json(spec) == bernstein.phi_from_json(
+            {"kind": kind, "alpha": 1.0})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "stable", "alpha": "x"},
+    {"kind": "stable", "alpha": None},
+    {"kind": "stable", "alpha": [1.0]},
+    {"kind": "stable"},
+    {"kind": "geometric_example", "alpha": 1.0, "n": "a"},
+    {"kind": "geometric_example", "alpha": 1.0, "n": float("inf")},
+    {"kind": ["stable"], "alpha": 1.0},
+    "stable",
+    '"stable"',
+    "{not json",
+])
+def test_json_malformed_spec_is_construction_error(spec):
+    with pytest.raises(ConstructionError):
+        bernstein.phi_from_json(spec)
+
+
+def test_phi_from_json_docstring_lists_every_json_kind():
+    forms = [json.loads(line) for line in bernstein.phi_from_json.__doc__.splitlines()
+             if line.strip().startswith('{"kind"')]
+    assert [f["kind"] for f in forms] == list(bernstein.JSON_KINDS)
+    for form in forms:
+        phi = bernstein.phi_from_json(form)
+        assert bernstein.phi_to_json(phi) == form
+
+
+def test_labels_pinned(catalog):
+    # labels name exponents in error messages and kernel-table ids
+    assert [phi.label() for phi in catalog] == [
+        "stable(alpha=0.5)",
+        "stable(alpha=1)",
+        "stable(alpha=1.5)",
+        "relativistic(alpha=1, m=1)",
+        "sum(alpha=1, beta=0.5)",
+        "log_up(alpha=1, gamma=0.5)",
+        "log_down(alpha=1, beta=0.5)",
+        "geometric_example(alpha=1, n=64)",
+    ]
+    assert bernstein.conjugate(catalog[4]).label() == "conjugate[sum(alpha=1, beta=0.5)]"
+    assert (bernstein.killed_shift(catalog[5], 0.25).label()
+            == "killed_shift[log_up(alpha=1, gamma=0.5), a=0.25]")
 
 
 def test_json_rejects_unknown_kind():

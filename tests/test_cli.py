@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sbmpot import cli
+from sbmpot import bernstein, cli
 
 GOLD_U1 = 0.5641895835477563       # 1/sqrt(pi)
 GOLD_G3 = 0.05066059182116889      # 1/(2 pi^2)
@@ -180,6 +180,60 @@ def test_from_manifest_missing_file(capsys):
 def test_malformed_phi_json_is_usage_error(capsys):
     rc, _ = _run(capsys, ["phi", "--phi", "{not json", "--lambda", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "stable", "alpha": "x"}',
+    '{"kind": "stable", "alpha": null}',
+    '{"kind": "geometric_example", "alpha": 1.0, "n": "a"}',
+    '"stable"',
+    '[1, 2]',
+])
+def test_malformed_phi_entry_is_usage_error(capsys, spec):
+    rc, out = _run(capsys, ["phi", "--phi", spec, "--lambda", "1"])
+    assert rc == 2 and out == ""
+
+
+def test_phi_string_reports_object_error(capsys):
+    assert cli.main(["phi", "--phi", '"stable"', "--lambda", "1"]) == 2
+    assert "must be an object" in capsys.readouterr().err
+
+
+def test_geometric_overflowing_truncation_is_usage_error(capsys):
+    rc, out = _run(capsys, ["phi", "--kind", "geometric_example", "--alpha", "1",
+                            "--n", "100000"])
+    assert rc == 2 and out == ""
+    rc, out = _run(capsys, ["phi", "--kind", "geometric_example", "--alpha", "1.99"])
+    assert rc == 2 and out == ""
+
+
+# one --kind command line per JSON kind, with the --phi entry it must match
+KIND_FLAGS = {
+    "stable": (["--alpha", "0.7"], {"alpha": 0.7}),
+    "relativistic": (["--alpha", "1.2", "--m", "0.3"], {"alpha": 1.2, "m": 0.3}),
+    "sum": (["--alpha", "1.3", "--beta", "0.4"], {"alpha": 1.3, "beta": 0.4}),
+    "log_up": (["--alpha", "0.9", "--gamma", "0.6"], {"alpha": 0.9, "gamma": 0.6}),
+    "log_down": (["--alpha", "1.1"], {"alpha": 1.1, "beta": 0.5}),
+    "geometric_example": (["--alpha", "0.8", "--n", "70"], {"alpha": 0.8, "n": 70}),
+}
+
+
+@pytest.mark.parametrize("kind", list(KIND_FLAGS))
+def test_kind_flags_match_phi_json(capsys, kind):
+    flags, params = KIND_FLAGS[kind]
+    grid = ["--lmin", "0.01", "--lmax", "100", "--points", "7"]
+    rc1, by_kind = _run(capsys, ["phi", "--kind", kind, *flags, *grid])
+    rc2, by_json = _run(capsys, ["phi", "--phi", json.dumps({"kind": kind, **params}), *grid])
+    assert rc1 == rc2 == 0
+    assert by_kind == by_json
+
+
+def test_kind_choices_come_from_the_registry():
+    assert list(KIND_FLAGS) == list(bernstein.JSON_KINDS)
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    for name, sub in subparsers.items():
+        kind = [a for a in sub._actions if "--kind" in a.option_strings]
+        assert len(kind) == 1 and tuple(kind[0].choices) == bernstein.JSON_KINDS, name
 
 
 def test_unknown_kind_in_phi_json(capsys):

@@ -88,14 +88,3 @@ def test_interval_green_mass_bound_limits():
     # expected exit time vanishes at the boundary
     near_zero = ladder.interval_green_mass_bound(phi, 1.0, 1e-9)
     assert near_zero.plain < 1e-3
-
-
-def test_ladder_objects_bundle():
-    phi = bernstein.stable(1.0)
-    objs = ladder.ladder_objects(phi)
-    lam = np.array([1.0, 4.0])
-    np.testing.assert_allclose(np.atleast_1d(objs.chi_eval(lam)), np.sqrt(lam), rtol=1e-8)
-    t = np.array([0.5, 1.0])
-    np.testing.assert_allclose(
-        np.atleast_1d(objs.renewal_eval(t)),
-        np.atleast_1d(ladder.renewal_function_V(phi, t)), rtol=1e-10)
