@@ -132,22 +132,22 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig):
     whole probe family, and path ids restart at zero for each start, so
     every grid point sees identical driving noise (common random numbers).
     Ratios of the resulting means are far less noisy than with independent
-    paths, while each mean stays an unbiased standalone estimate.
+    paths, while each mean stays an unbiased standalone estimate.  All
+    starts march in one run, so the straggler tail is paid once per batch
+    rather than once per start.
     """
     grid = _as_points(grid, domain.d)
     m, n = grid.shape[0], cfg.paths
-    vals = np.full((m, n, len(datas)), np.nan)
-    censored = 0
-    for i in range(m):
-        starts = np.tile(grid[i], (n, 1))
-        parts = _run_batches(phi, domain, starts, cfg)
-        tau = np.concatenate([p[0] for p in parts])
-        pos = np.concatenate([p[1] for p in parts])
-        ok = ~np.isnan(tau)
-        for k, data in enumerate(datas):
-            vals[i, ok, k] = data(pos[ok])
-        censored += int((~ok).sum())
-    return vals, censored
+    starts = np.repeat(grid, n, axis=0)
+    ids = np.tile(np.arange(n, dtype=np.uint64), m)
+    parts = _run_batches(phi, domain, starts, cfg, ids_all=ids)
+    tau = np.concatenate([p[0] for p in parts])
+    pos = np.concatenate([p[1] for p in parts])
+    ok = ~np.isnan(tau)
+    vals = np.full((m * n, len(datas)), np.nan)
+    for k, data in enumerate(datas):
+        vals[ok, k] = data(pos[ok])
+    return vals.reshape(m, n, len(datas)), int((~ok).sum())
 
 
 def _family_means(vals: np.ndarray, n_use: int):

@@ -429,11 +429,18 @@ def _simulate_batch(phi, domain, starts, ids, cfg, method, observer=None):
     return tau, pos, byj
 
 
-def _run_batches(phi, domain, starts_all, cfg, observer_factory=None):
+def _run_batches(phi, domain, starts_all, cfg, observer_factory=None, ids_all=None):
+    """March every row of ``starts_all`` to exit, cfg.batch_size rows at a time.
+
+    Row i draws its noise from path id ``ids_all[i]`` (default i); a path's
+    record depends only on its start and its id, never on the batching.
+    """
     method = _resolve_method(phi, cfg)
     n = starts_all.shape[0]
+    if ids_all is None:
+        ids_all = np.arange(n, dtype=np.uint64)
     edges = list(range(0, n, cfg.batch_size)) + [n]
-    jobs = [(np.arange(lo, hi, dtype=np.uint64), starts_all[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    jobs = [(ids_all[lo:hi], starts_all[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
 
     def work(job):
         ids, st = job

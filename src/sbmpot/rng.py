@@ -31,12 +31,13 @@ CH_SUB = 0
 CH_GAUSS = 1
 CH_JUMP_BASE = 8
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
 _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
 _U32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
+# the Philox multipliers (M0, M1), in the order of the lanes (c2, c0) they
+# meet in _rounds
+_M_SWAPPED = np.array([[0xCD9E8D57], [0xD2511F53]], dtype=np.uint64)
 
 
 def _round_keys(key_lo: int, key_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,18 +47,35 @@ def _round_keys(key_lo: int, key_hi: int) -> tuple[np.ndarray, np.ndarray]:
     return rk0, rk1
 
 
+def _stacked_keys(rk0, rk1) -> np.ndarray:
+    """Round keys as a (10, 2, 1) uint64 array: (rk0[j], rk1[j]) for round j."""
+    return np.stack([rk0, rk1], axis=1).astype(np.uint64)[:, :, None]
+
+
+def _rounds(x: np.ndarray, y: np.ndarray, keys: np.ndarray) -> None:
+    """Ten Philox rounds in place on x = (c0, c2) and y = (c1, c3).
+
+    x and y are (2, n) uint64 arrays holding 32-bit words, so one product
+    array carries both multiplications of a round and a round is five
+    array operations whatever the batch size.
+    """
+    p = np.empty_like(x)
+    swapped = x[::-1]
+    for k in keys:
+        np.multiply(_M_SWAPPED, swapped, out=p)  # (M1 * c2, M0 * c0)
+        np.right_shift(p, _U32, out=x)
+        x ^= y
+        x ^= k
+        np.bitwise_and(p, _MASK32, out=y)
+
+
 def philox4x32(c0, c1, c2, c3, rk0, rk1):
     """Ten Philox rounds on uint32 counter lanes; returns the four lanes."""
-    for j in range(10):
-        p0 = _M0 * c0.astype(np.uint64)
-        p1 = _M1 * c2.astype(np.uint64)
-        c0, c1, c2, c3 = (
-            (p1 >> _U32).astype(np.uint32) ^ c1 ^ rk0[j],
-            p1.astype(np.uint32),
-            (p0 >> _U32).astype(np.uint32) ^ c3 ^ rk1[j],
-            p0.astype(np.uint32),
-        )
-    return c0, c1, c2, c3
+    x = np.stack([c0, c2]).astype(np.uint64)
+    y = np.stack([c1, c3]).astype(np.uint64)
+    _rounds(x, y, _stacked_keys(rk0, rk1))
+    x, y = x.astype(np.uint32), y.astype(np.uint32)
+    return x[0], y[0], x[1], y[1]
 
 
 class PhiloxStream:
@@ -67,14 +85,27 @@ class PhiloxStream:
         seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.seed = seed
         self._rk = _round_keys(seed & 0xFFFFFFFF, seed >> 32)
+        self._keys = _stacked_keys(*self._rk)
+
+    def _lanes(self, channel: int, step: int, path_ids: np.ndarray):
+        """Philox output for the counters (channel, step, path_lo, path_hi).
+
+        Returns x = (c0, c2) and y = (c1, c3) as (2, n) uint64 arrays.
+        """
+        ids = np.asarray(path_ids, dtype=np.uint64)
+        x = np.empty((2,) + ids.shape, dtype=np.uint64)
+        y = np.empty_like(x)
+        x[0] = np.uint32(channel)
+        np.bitwise_and(ids, _MASK32, out=x[1])
+        y[0] = np.uint32(step & 0xFFFFFFFF)
+        np.right_shift(ids, _U32, out=y[1])
+        _rounds(x, y, self._keys)
+        return x, y
 
     def _block(self, channel: int, step: int, path_ids: np.ndarray):
-        ids = np.asarray(path_ids, dtype=np.uint64)
-        c0 = np.full(ids.shape, np.uint32(channel), dtype=np.uint32)
-        c1 = np.full(ids.shape, np.uint32(step & 0xFFFFFFFF), dtype=np.uint32)
-        c2 = ids.astype(np.uint32)
-        c3 = (ids >> _U32).astype(np.uint32)
-        return philox4x32(c0, c1, c2, c3, *self._rk)
+        x, y = self._lanes(channel, step, path_ids)
+        x, y = x.astype(np.uint32), y.astype(np.uint32)
+        return x[0], y[0], x[1], y[1]
 
     def uniform_pair(self, channel: int, step: int, path_ids) -> tuple[np.ndarray, np.ndarray]:
         """Two independent uniforms in (0,1) per path id.
@@ -82,12 +113,15 @@ class PhiloxStream:
         Each uniform packs two output lanes into 53 mantissa bits with a
         half-ulp offset, so 0 and 1 are unreachable and ndtri is safe.
         """
-        a, b, c, d = self._block(channel, step, np.atleast_1d(path_ids))
-        h1 = (a.astype(np.uint64) << _U32) | b.astype(np.uint64)
-        h2 = (c.astype(np.uint64) << _U32) | d.astype(np.uint64)
-        u0 = ((h1 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        u1 = ((h2 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return u0, u1
+        h, lo = self._lanes(channel, step, np.atleast_1d(path_ids))
+        # h = (c0 << 32 | c1, c2 << 32 | c3), then its top 53 bits
+        h <<= _U32
+        h |= lo
+        h >>= np.uint64(11)
+        u = h.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u[0], u[1]
 
     def normal_pair(self, channel: int, step: int, path_ids) -> tuple[np.ndarray, np.ndarray]:
         u0, u1 = self.uniform_pair(channel, step, path_ids)
