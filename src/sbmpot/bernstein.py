@@ -480,17 +480,32 @@ def eval_levy_density(phi: CompleteBernsteinFunction, t, nodes: int = 32):
     return -laplace.talbot_inversion(phi, t, nodes=nodes)
 
 
+def _log_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing nodes z and weights w of 10-point Gauss-Legendre panels on [lo, hi]."""
+    xg, wg = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    z = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
+    return z, w
+
+
+_TAIL_BLOCK = 64  # points of t per inversion batch in levy_tail
+
+
 def levy_tail(phi: CompleteBernsteinFunction, t, decades: float = 14.0):
     """Tail mass mu(t, inf): closed form where available, else quadrature of mu.
 
     The density is integrated over log s with a fixed composite
-    Gauss-Legendre rule covering ``decades`` decades past t, evaluated in a
-    single vectorised inversion batch.  mu is completely monotone, hence
-    decreasing, so a running minimum clamps the round-off noise the
-    inversion produces once an exponentially decaying density has died.
-    The mass beyond the last node is restored from the locally measured
-    power-law slope of mu; the slowest catalog tails lose a few 1e-4 of
-    relative mass to truncation and the correction recovers it to ~1e-6.
+    Gauss-Legendre rule covering ``decades`` decades past t, inverted in
+    batches of _TAIL_BLOCK points of t, which bounds the memory of a long
+    grid.  mu is completely monotone, hence decreasing, so a running minimum
+    clamps the round-off noise the inversion produces once an exponentially
+    decaying density has died.  The mass beyond the last node is restored
+    from the locally measured power-law slope of mu; the slowest catalog
+    tails lose a few 1e-4 of relative mass to truncation and the correction
+    recovers it to ~1e-6.
     """
     closed = phi.levy_tail_closed(t)
     if closed is not None:
@@ -499,32 +514,26 @@ def levy_tail(phi: CompleteBernsteinFunction, t, decades: float = 14.0):
     ts = np.atleast_1d(np.asarray(t, dtype=float))
 
     span = decades * math.log(10.0)
-    panels = int(round(6 * decades))
-    xg, wg = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, span, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    z = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    order = np.argsort(z)
-    z, w = z[order], w[order]
+    z, w = _log_panels(0.0, span, int(round(6 * decades)))
+    ez = np.exp(z)
+    lo_idx = min(int(np.searchsorted(z, span - 2.0)), z.size - 1)
+    out = np.empty(ts.size)
+    # a last block of one row would round as a dot product, not as a row of
+    # a matrix-vector product, so that row joins the block before it
+    for lo in range(0, max(ts.size - 1, 1), _TAIL_BLOCK):
+        rows = slice(lo, lo + _TAIL_BLOCK if lo + _TAIL_BLOCK < ts.size - 1 else None)
+        s = ts[rows, None] * ez[None, :]
+        mu = np.asarray(eval_levy_density(phi, s.ravel())).reshape(s.shape)
+        mu = np.minimum.accumulate(np.maximum(mu, 0.0), axis=-1)
 
-    s = ts[:, None] * np.exp(z)[None, :]
-    mu = np.asarray(eval_levy_density(phi, s.ravel())).reshape(s.shape)
-    mu = np.minimum.accumulate(np.maximum(mu, 0.0), axis=-1)
-    out = (mu * s) @ w
-
-    # power-law continuation for the mass past the last node
-    tail_t = ts * math.exp(span)
-    mu_hi = mu[:, -1]
-    mu_lo_idx = np.searchsorted(z, span - 2.0)
-    mu_lo = mu[:, min(mu_lo_idx, mu.shape[1] - 1)]
-    gap = span - z[min(mu_lo_idx, mu.shape[1] - 1)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.log(mu_lo / mu_hi) / gap
-    ok = np.isfinite(p) & (p > 1.05) & (mu_hi > 0.0)
-    corr = np.where(ok, mu_hi * tail_t / np.maximum(p - 1.0, 1e-12), 0.0)
-    out = out + corr
+        # power-law continuation for the mass past the last node
+        tail_t = ts[rows] * math.exp(span)
+        mu_hi = mu[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.log(mu[:, lo_idx] / mu_hi) / (span - z[lo_idx])
+        ok = np.isfinite(p) & (p > 1.05) & (mu_hi > 0.0)
+        corr = np.where(ok, mu_hi * tail_t / np.maximum(p - 1.0, 1e-12), 0.0)
+        out[rows] = (mu * s) @ w + corr
     return float(out[0]) if scalar else out
 
 

@@ -1,9 +1,9 @@
 """Command-line interface: evaluate, tabulate, check, simulate.
 
 Every command is a pure function of (flags, seed): outputs are bit-identical
-across re-runs and thread counts.  When --output is given a manifest JSON
-(command, flags, seed, artifact_version, timestamp) is written alongside the
-artifact, and --from-manifest replays the stored flags verbatim.
+across re-runs.  When --output is given a manifest JSON (command, flags,
+seed, artifact_version, timestamp) is written alongside the artifact, and
+--from-manifest replays the stored flags verbatim.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or configuration error,
 3 numeric-accuracy failure.
@@ -141,7 +141,6 @@ def _add_phi_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None)
-    p.add_argument("--threads", type=int, default=0)
 
 
 def _grid(args, lo_name, hi_name, single_name, default_lo, default_hi):
@@ -258,7 +257,7 @@ def _cmd_check(args, argv) -> int:
         return _cmd_check_asym(args, argv)
     elif which == "harnack":
         cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=1.0, step=1e-3,
-                         epsilon=args.eps, threads=args.threads)
+                         epsilon=args.eps)
         rep = harnack_ratio(phi, args.dim, args.r, cfg)
         passed = rep.passed
         records = [{"check": "harnack", "dim": args.dim, "r": args.r,
@@ -268,7 +267,7 @@ def _cmd_check(args, argv) -> int:
     else:
         d = 1 if args.domain == "interval" else 2
         cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=1.0, step=1e-3,
-                         epsilon=args.eps, threads=args.threads)
+                         epsilon=args.eps)
         rep = bhp_ratio_check(phi, d, args.r, cfg, domain=args.domain)
         passed = rep.passed
         records = [{"check": "bhp", "domain": args.domain, "r": args.r,
@@ -305,11 +304,11 @@ def _cmd_simulate(args, argv) -> int:
     if len(x0) != d:
         raise ConstructionError("--x0 must supply one coordinate per dimension")
     base = scaled_config(phi, args.radius, args.paths, args.seed,
-                         epsilon=args.eps, method=args.method, threads=args.threads)
+                         epsilon=args.eps, method=args.method)
     step = args.step if args.step is not None else base.step
     horizon = args.horizon if args.horizon is not None else base.horizon
     cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=horizon, step=step,
-                     epsilon=args.eps, method=args.method, threads=args.threads)
+                     epsilon=args.eps, method=args.method)
     domain = Ball(center=(0.0,) * d, radius=args.radius)
     sample = simulate_exits(phi, domain, x0, cfg)
     if args.format == "csv":

@@ -223,8 +223,7 @@ def harnack_ratio(
         grid[:, 0] = fine
     run_cfg = scaled_config(
         phi, big_r, 4 * cfg.paths, cfg.seed,
-        epsilon=cfg.epsilon, method=cfg.method,
-        batch_size=cfg.batch_size, threads=cfg.threads,
+        epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
     )
     vals, censored = _family_values(phi, domain, grid, data_family, run_cfg)
     coarse_idx = np.arange(0, 13, 2)
@@ -300,8 +299,7 @@ def carleson_check(
     grid = np.concatenate([xs, [a_pt]])[:, None]
     run_cfg = scaled_config(
         phi, r, cfg.paths, cfg.seed, step_frac=1e-2,
-        epsilon=cfg.epsilon, method=cfg.method,
-        batch_size=cfg.batch_size, threads=cfg.threads,
+        epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
     )
     vals, _ = _family_values(phi, interval, grid, datas, run_cfg)
     means, ses = _family_means(vals, cfg.paths)
@@ -394,8 +392,7 @@ def bhp_ratio_check(
         u_data, v_data = probes
     run_cfg = scaled_config(
         phi, 2.0 * r, 4 * cfg.paths, cfg.seed,
-        epsilon=cfg.epsilon, method=cfg.method,
-        batch_size=cfg.batch_size, threads=cfg.threads,
+        epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
     )
     vals, censored = _family_values(phi, sim_domain, grid, [u_data, v_data], run_cfg)
     means_base, _ = _family_means(vals, cfg.paths)

@@ -14,15 +14,13 @@ increment samplers are available:
 
 Every random draw is addressed by (seed, channel, step, path id) through a
 counter-based generator, so estimates are bit-identical for a given seed and
-config no matter how paths are batched or how many worker threads run.
-Estimators reduce over arrays assembled in path order.
+config no matter how paths are batched.  Estimators reduce over arrays
+assembled in path order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -30,7 +28,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import rng
-from .bernstein import CompleteBernsteinFunction, levy_tail
+from .bernstein import CompleteBernsteinFunction, _log_panels, levy_tail
 from .errors import ConstructionError, EvaluationDomainError
 from .ladder import renewal_function_V
 
@@ -67,7 +65,6 @@ class PathConfig:
     epsilon: float = 1e-4
     method: str = "auto"
     batch_size: int = 16384
-    threads: int = 0
 
     def __post_init__(self):
         if self.paths <= 0:
@@ -82,12 +79,6 @@ class PathConfig:
             raise ConstructionError(f"method must be one of {_METHODS}")
         if self.batch_size <= 0:
             raise ConstructionError("batch_size must be positive")
-
-    def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("SBM_THREADS", "")
-        return max(int(env), 1) if env.isdigit() else 1
 
 
 def scaled_config(
@@ -228,8 +219,6 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     u = mu(x, inf)/mu(eps, inf) on 1024 knots over twelve decades; draws
     deeper than the table continue along the locally measured power slope.
     """
-    if phi.killing > 0.0:
-        raise ConstructionError("compound sampler needs an unkilled exponent")
     eps = float(epsilon)
     if phi.kind == "stable":
         e = phi.alpha_param / 2.0
@@ -252,16 +241,12 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
 
     # drift: int_0^eps s mu = int_0^eps tail - eps*tail(eps), head integral
     # by log-space panels plus a power continuation below the lowest node
-    xg, wg = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(math.log(eps) - 30.0, math.log(eps), 121)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    z = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    z_lo = math.log(eps) - 30.0
+    z, w = _log_panels(z_lo, math.log(eps), 120)
     s = np.exp(z)
     tail_s = np.asarray(levy_tail(phi, s), dtype=float)
     head_int = float((tail_s * s) @ w)
-    s_lo = math.exp(edges[0])
+    s_lo = math.exp(z_lo)
     t_lo = float(levy_tail(phi, s_lo))
     t_lo2 = float(levy_tail(phi, s_lo * math.e**2))
     q = max(math.log(t_lo / max(t_lo2, 1e-300)) / 2.0, 0.0)
@@ -284,9 +269,20 @@ def _jump_sizes(tables, u: np.ndarray, epsilon: float) -> np.ndarray:
     return np.exp(out)
 
 
+_POISSON_MAX_TERMS = 400
+
+
 def _poisson_cdf(rate: float) -> np.ndarray:
+    """CDF of the Poisson(rate) jump count up to 1 - 1e-15, never truncated:
+    past a truncated table every draw would get the largest count."""
     terms = [math.exp(-rate)]
-    while sum(terms) < 1.0 - 1e-15 and len(terms) < 400:
+    while sum(terms) < 1.0 - 1e-15:
+        if len(terms) == _POISSON_MAX_TERMS:
+            raise ConstructionError(
+                f"{rate:g} expected jumps per step (rate*dt) exceed the "
+                f"{_POISSON_MAX_TERMS}-term Poisson table; use a smaller --step "
+                "or a larger --eps"
+            )
         terms.append(terms[-1] * rate / len(terms))
     return np.cumsum(terms)
 
@@ -302,6 +298,43 @@ def _resolve_method(phi: CompleteBernsteinFunction, cfg: PathConfig) -> str:
     return method
 
 
+class _Increments:
+    """Subordinator draws for skeleton steps of length dt, by path id.
+
+    The only reader of the subordinator channels: step k of a path takes its
+    Kanter pair (exact method) or its Poisson jump count (compound method)
+    from rng.CH_SUB, and the size and Gaussian direction of its jump in slot
+    j from rng.CH_JUMP_BASE + 2j and the channels from CH_JUMP_BASE + 2j + 1.
+    """
+
+    def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
+        self.method = _resolve_method(phi, cfg)
+        self.stream = rng.PhiloxStream(cfg.seed)
+        if self.method == "exact":
+            self.rho = phi.alpha_param / 2.0
+            self.dt_pow = dt ** (1.0 / self.rho)
+        else:
+            self.epsilon = cfg.epsilon
+            self.tables = _compound_tables(phi, cfg.epsilon)
+            self.cdf = _poisson_cdf(self.tables[0] * dt)
+            self.drift = self.tables[1] * dt  # mean of the discarded small jumps
+
+    def exact(self, step: int, ids: np.ndarray) -> np.ndarray:
+        u, w = self.stream.uniform_pair(rng.CH_SUB, step, ids)
+        return self.dt_pow * _kanter(self.rho, u, -np.log(w))
+
+    def jump_counts(self, step: int, ids: np.ndarray) -> np.ndarray:
+        u0, _ = self.stream.uniform_pair(rng.CH_SUB, step, ids)
+        return np.searchsorted(self.cdf, u0)
+
+    def jump(self, slot: int, step: int, ids: np.ndarray, d: int):
+        """Sizes of the slot-th jump of the step and (n, d) normals to spread it."""
+        channel = rng.CH_JUMP_BASE + 2 * slot
+        u, _ = self.stream.uniform_pair(channel, step, ids)
+        sizes = _jump_sizes(self.tables, u, self.epsilon)
+        return sizes, self.stream.normals(step, ids, d, base_channel=channel + 1)
+
+
 def sample_subordinator_increment(
     phi: CompleteBernsteinFunction, dt: float, cfg: PathConfig, step: int = 0
 ) -> np.ndarray:
@@ -312,25 +345,18 @@ def sample_subordinator_increment(
     """
     if dt < 0.0:
         raise EvaluationDomainError("dt must be nonnegative")
-    method = _resolve_method(phi, cfg)
-    ids = np.arange(cfg.paths, dtype=np.uint64)
     if dt == 0.0:
+        _resolve_method(phi, cfg)
         return np.zeros(cfg.paths)
-    stream = rng.PhiloxStream(cfg.seed)
-    if method == "exact":
-        rho = phi.alpha_param / 2.0
-        u, w = stream.uniform_pair(rng.CH_SUB, step, ids)
-        return dt ** (1.0 / rho) * _kanter(rho, u, -np.log(w))
-    tables = _compound_tables(phi, cfg.epsilon)
-    rate, drift = tables[0], tables[1]
-    cdf = _poisson_cdf(rate * dt)
-    u0, _ = stream.uniform_pair(rng.CH_SUB, step, ids)
-    counts = np.searchsorted(cdf, u0)
-    out = np.full(cfg.paths, drift * dt)
-    for slot in range(int(counts.max()) if counts.size else 0):
+    inc = _Increments(phi, cfg, dt)
+    ids = np.arange(cfg.paths, dtype=np.uint64)
+    if inc.method == "exact":
+        return inc.exact(step, ids)
+    counts = inc.jump_counts(step, ids)
+    out = np.full(cfg.paths, inc.drift)
+    for slot in range(int(counts.max())):
         has = counts > slot
-        ua, _ = stream.uniform_pair(rng.CH_JUMP_BASE + 2 * slot, step, ids[has])
-        out[has] += _jump_sizes(tables, ua, cfg.epsilon)
+        out[has] += inc.jump(slot, step, ids[has], 0)[0]
     return out
 
 
@@ -338,94 +364,67 @@ def sample_subordinator_increment(
 # exit simulation engine
 
 
-def _simulate_batch(phi, domain, starts, ids, cfg, method, observer=None):
+def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
     """March one batch of paths to exit; returns per-path records.
 
     ``starts`` has one row per path.  ``observer(x, ids_alive)`` is called
     after every position update (jump epochs and grid epochs) and may be
     used to track hitting times on the same paths.
     """
-    stream = rng.PhiloxStream(cfg.seed)
     d = domain.d
     n = ids.size
+    exact = inc.method == "exact"
     x = np.array(starts, dtype=float, copy=True)
     tau = np.full(n, np.nan)
     pos = np.full((n, d), np.nan)
     byj = np.zeros(n, dtype=bool)
     alive = ~domain.outside(x)
-    if not np.all(alive):
-        done = ~alive
-        tau[done] = 0.0
-        pos[done] = x[done]
-    nsteps = int(math.ceil(cfg.horizon / cfg.step))
-    if method == "exact":
-        rho = phi.alpha_param / 2.0
-        dt_pow = cfg.step ** (1.0 / rho)
-    else:
-        tables = _compound_tables(phi, cfg.epsilon)
-        rate, drift = tables[0], tables[1]
-        cdf = _poisson_cdf(rate * cfg.step)
-        sigma_drift = math.sqrt(2.0 * drift * cfg.step)
+    tau[~alive] = 0.0
+    pos[~alive] = x[~alive]
+    counts = np.zeros(n, dtype=np.intp)  # jumps of each path in the current step
 
-    def settle(local_idx, t_exit, jump_flag):
-        tau[local_idx] = t_exit
-        pos[local_idx] = x[local_idx]
-        byj[local_idx] = jump_flag
-        alive[local_idx] = False
+    def move(sel, dx, k, slot=None):
+        """Move paths ``sel`` by ``dx`` in step k and settle those now outside.
 
-    for k in range(nsteps):
+        A path that leaves on the jump in ``slot`` exits by a jump at the
+        fraction (slot + 1)/(counts + 1) of the step.  Any other move exits
+        at the end of the step; an exact increment cannot be split into jump
+        and drift, so there a strict overshoot marks an exit by a jump.
+        """
+        x[sel] += dx
+        if observer is not None:
+            observer(x, sel)
+        out = domain.outside(x[sel])
+        if not out.any():
+            return
+        hit = sel[out]
+        if slot is not None:
+            tau[hit] = k * cfg.step + cfg.step * ((slot + 1.0) / (counts[hit] + 1.0))
+            byj[hit] = True
+        else:
+            tau[hit] = (k + 1) * cfg.step
+            byj[hit] = exact and domain.strictly_outside(x[hit])
+        pos[hit] = x[hit]
+        alive[hit] = False
+
+    for k in range(int(math.ceil(cfg.horizon / cfg.step))):
         live = np.nonzero(alive)[0]
         if live.size == 0:
             break
-        pid = ids[live]
-        if method == "exact":
-            u, w = stream.uniform_pair(rng.CH_SUB, k, pid)
-            ds = dt_pow * _kanter(rho, u, -np.log(w))
-            z = stream.normals(k, pid, d)
-            x[live] += np.sqrt(2.0 * ds)[:, None] * z
-            if observer is not None:
-                observer(x, live)
-            out = domain.outside(x[live])
-            if out.any():
-                hit = live[out]
-                strict = domain.strictly_outside(x[hit])
-                tau[hit] = (k + 1) * cfg.step
-                pos[hit] = x[hit]
-                byj[hit] = strict
-                alive[hit] = False
-        else:
-            u0, _ = stream.uniform_pair(rng.CH_SUB, k, pid)
-            counts = np.searchsorted(cdf, u0)
-            kmax = int(counts.max()) if counts.size else 0
-            for slot in range(kmax):
-                live_s = np.nonzero(alive)[0]
-                sel = live_s[counts[np.searchsorted(live, live_s)] > slot]
-                if sel.size == 0:
-                    continue
-                pid_s = ids[sel]
-                ua, _ = stream.uniform_pair(rng.CH_JUMP_BASE + 2 * slot, k, pid_s)
-                sizes = _jump_sizes(tables, ua, cfg.epsilon)
-                zj = stream.normals(k, pid_s, d, base_channel=rng.CH_JUMP_BASE + 2 * slot + 1)
-                x[sel] += np.sqrt(2.0 * sizes)[:, None] * zj
-                if observer is not None:
-                    observer(x, sel)
-                out = domain.outside(x[sel])
-                if out.any():
-                    hit = sel[out]
-                    frac = (slot + 1.0) / (counts[np.searchsorted(live, hit)] + 1.0)
-                    settle(hit, k * cfg.step + cfg.step * frac, True)
-            live2 = np.nonzero(alive)[0]
-            if live2.size == 0:
-                continue
-            pid2 = ids[live2]
-            z = stream.normals(k, pid2, d)
-            x[live2] += sigma_drift * z
-            if observer is not None:
-                observer(x, live2)
-            out = domain.outside(x[live2])
-            if out.any():
-                hit = live2[out]
-                settle(hit, (k + 1) * cfg.step, False)
+        if exact:
+            pid = ids[live]
+            ds = inc.exact(k, pid)
+            move(live, np.sqrt(2.0 * ds)[:, None] * inc.stream.normals(k, pid, d), k)
+            continue
+        counts[live] = inc.jump_counts(k, ids[live])
+        for slot in range(int(counts[live].max())):
+            sel = live[(counts[live] > slot) & alive[live]]
+            if sel.size:
+                sizes, z = inc.jump(slot, k, ids[sel], d)
+                move(sel, np.sqrt(2.0 * sizes)[:, None] * z, k, slot)
+        live = live[alive[live]]
+        if live.size:
+            move(live, math.sqrt(2.0 * inc.drift) * inc.stream.normals(k, ids[live], d), k)
     return tau, pos, byj
 
 
@@ -434,26 +433,21 @@ def _run_batches(phi, domain, starts_all, cfg, observer_factory=None, ids_all=No
 
     Row i draws its noise from path id ``ids_all[i]`` (default i); a path's
     record depends only on its start and its id, never on the batching.
+    With an ``observer_factory(ids) -> (observe, collect)`` each batch's
+    result is paired with what its ``collect()`` returns after the march.
     """
-    method = _resolve_method(phi, cfg)
+    inc = _Increments(phi, cfg, cfg.step)
     n = starts_all.shape[0]
     if ids_all is None:
         ids_all = np.arange(n, dtype=np.uint64)
-    edges = list(range(0, n, cfg.batch_size)) + [n]
-    jobs = [(ids_all[lo:hi], starts_all[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
-
-    def work(job):
-        ids, st = job
-        obs = observer_factory(ids) if observer_factory is not None else None
-        res = _simulate_batch(phi, domain, st, ids, cfg, method, observer=None if obs is None else obs[0])
-        return res if obs is None else (res, obs[1]())
-
-    workers = cfg.resolved_threads()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    results = []
+    for lo in range(0, n, cfg.batch_size):
+        ids, starts = ids_all[lo : lo + cfg.batch_size], starts_all[lo : lo + cfg.batch_size]
+        if observer_factory is None:
+            results.append(_simulate_batch(inc, domain, starts, ids, cfg))
+        else:
+            observe, collect = observer_factory(ids)
+            results.append((_simulate_batch(inc, domain, starts, ids, cfg, observe), collect()))
     return results
 
 
@@ -533,7 +527,6 @@ def exit_time_bounds_check(
     r_grid,
     cfg: PathConfig,
     offsets=(0.0, 0.5, 0.9),
-    use_scaled_config: bool = True,
 ) -> ExitTimeBoundsReport:
     """Exit-time comparisons on centered balls B(0, r).
 
@@ -541,7 +534,8 @@ def exit_time_bounds_check(
     positive window.  At starting offsets x = beta*r the mean must stay
     under the renewal-function bound 2 V(2r) V(r - |x|) plus three standard
     errors (the explicit factor 2 makes this an assertable inequality; the
-    window constants are existence-only and therefore only reported).
+    window constants are existence-only and therefore only reported).  Each
+    r runs on scaled_config's step and horizon for that radius.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
@@ -553,14 +547,9 @@ def exit_time_bounds_check(
     bounds = np.empty_like(off_means)
     censored = 0
     for i, r in enumerate(r_grid):
-        run_cfg = (
-            scaled_config(
-                phi, r, cfg.paths, cfg.seed,
-                epsilon=cfg.epsilon, method=cfg.method,
-                batch_size=cfg.batch_size, threads=cfg.threads,
-            )
-            if use_scaled_config
-            else cfg
+        run_cfg = scaled_config(
+            phi, r, cfg.paths, cfg.seed,
+            epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
         )
         domain = Ball(center=(0.0,) * d, radius=float(r))
         for j, beta in enumerate(offsets):

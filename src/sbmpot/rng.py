@@ -1,10 +1,10 @@
 """Counter-based random streams for reproducible parallel simulation.
 
 Every variate is a pure function of (seed, channel, step, path index), so a
-path's stream never depends on batching, thread count, or evaluation order.
-The block cipher is Philox4x32-10: the 128-bit counter is laid out as
-(channel, step, path_lo, path_hi), the 64-bit key is the user seed, and one
-invocation yields two 53-bit uniforms.
+path's stream never depends on batching or evaluation order.  The block
+cipher is Philox4x32-10: the 128-bit counter is laid out as (channel, step,
+path_lo, path_hi), the 64-bit key is the user seed, and one invocation
+yields two 53-bit uniforms.
 
 Channel map used by the samplers:
 

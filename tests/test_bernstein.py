@@ -141,6 +141,17 @@ def test_levy_tail_matches_transform_inversion():
     assert np.all(np.diff(closed) < 0.0)
 
 
+def test_levy_tail_blocks_are_invisible():
+    # 150 points make three inversion blocks; the blocks share no state, so
+    # two calls split at a block boundary give the same bits as one call
+    phi = bernstein.log_perturbed_up(1.0, 0.5)
+    t = np.geomspace(1e-3, 1e2, 150)
+    whole = bernstein.levy_tail(phi, t)
+    cut = bernstein._TAIL_BLOCK
+    split = np.concatenate([bernstein.levy_tail(phi, t[:cut]), bernstein.levy_tail(phi, t[cut:])])
+    assert np.array_equal(whole, split)
+
+
 def test_tail_additivity_for_sum():
     phi = bernstein.sum_of_stables(1.0, 0.5)
     a = bernstein.stable(1.0)

@@ -148,12 +148,14 @@ def test_simulate_csv_deterministic(capsys):
     assert header == "path,tau,x1,exited_by_jump"
 
 
-def test_thread_count_does_not_change_output(capsys):
-    base = ["simulate", "exit", "--kind", "stable", "--alpha", "1",
-            "--paths", "300", "--seed", "4", "--threads"]
-    _, out1 = _run(capsys, base + ["1"])
-    _, out4 = _run(capsys, base + ["4"])
-    assert out1 == out4
+def test_simulate_refuses_truncated_poisson_table(capsys):
+    # rate*dt is about 646 here: past the 400-term table, so exit 2, not
+    # 400 jumps per step for every path
+    rc = cli.main(["simulate", "exit", "--kind", "sum", "--alpha", "1", "--paths", "5",
+                   "--seed", "1", "--step", "10", "--horizon", "20", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "rate*dt" in captured.err and "--step" in captured.err
 
 
 def test_output_manifest_and_replay(tmp_path, capsys):
