@@ -30,7 +30,6 @@ from .bernstein import (
 )
 from .densities import (
     ZAHLE_BOUND,
-    DensityEvaluator,
     ScalingWitness,
     ZahleReport,
     find_scaling_constant,
@@ -107,7 +106,7 @@ __all__ = [
     "eval_levy_density", "levy_tail", "check_levy_shift_bound",
     "reg_var_profile", "check_complete_monotonicity", "check_bernstein",
     "phi_from_json", "phi_to_json", "default_catalog",
-    "ZAHLE_BOUND", "DensityEvaluator", "potential_density_u",
+    "ZAHLE_BOUND", "potential_density_u",
     "zahle_upper_check", "ZahleReport", "ScalingWitness",
     "find_scaling_constant", "verify_scaling_condition",
     "u_asymptotic_ratio", "mu_asymptotic_ratio", "tail_vs_conjugate_potential",

@@ -105,14 +105,18 @@ class CompleteBernsteinFunction:
             return 0.0
         return _entry(self.kind).small_exponent(self)
 
-    def levy_density_closed(self, t) -> np.ndarray | None:
-        """Closed-form Levy density, or None when only numeric is available."""
-        closed = _entry(self.kind).levy_density
-        return None if closed is None else closed(self, np.asarray(t, dtype=float))
+    def closed_form(self, name: str, t):
+        """Closed form ``name`` of the kind at t, or None when there is none.
 
-    def levy_tail_closed(self, t) -> np.ndarray | None:
-        closed = _entry(self.kind).levy_tail
-        return None if closed is None else closed(self, np.asarray(t, dtype=float))
+        ``name`` is one of the optional forms of the kind registry:
+        ``potential_density``, ``levy_density``, ``levy_tail``,
+        ``ladder_density`` or ``renewal_function``.  A scalar t gives a float.
+        """
+        form = getattr(_entry(self.kind), name)
+        vals = None if form is None else form(self, np.asarray(t, dtype=float))
+        if vals is None:
+            return None
+        return float(vals) if np.ndim(t) == 0 else vals
 
     def label(self) -> str:
         entry = _entry(self.kind)
@@ -130,6 +134,24 @@ def _stable_levy(alpha: float, t):
 
 def _stable_tail(alpha: float, t):
     return t ** (-alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0)
+
+
+def _stable_potential(alpha: float, t):
+    # inverse transform of lam**(-alpha/2): the potential density of the
+    # stable subordinator, and the ladder density too (chi = lam**(alpha/2))
+    return t ** (alpha / 2.0 - 1.0) / gamma_fn(alpha / 2.0)
+
+
+def _stable_renewal(alpha: float, t):
+    return t ** (alpha / 2.0) / gamma_fn(1.0 + alpha / 2.0)
+
+
+def _geometric_potential(phi, t):
+    # 1/phi is a finite sum of simple poles, so u is an exact exponential
+    # sum; the Talbot contour would sit near those poles and lose digits
+    w, poles = _geometric_terms(phi.alpha_param, phi.n_terms)
+    with np.errstate(over="ignore"):  # inf * (-1) -> exp gives the right 0
+        return np.sum(w * np.exp(-np.multiply.outer(t, poles)), axis=-1)
 
 
 def _log1p(x):
@@ -334,8 +356,12 @@ class _Kind:
     params: tuple[_Param, ...]
     evaluate: Callable  # (phi, x) -> phi(x), x real or complex
     small_exponent: Callable  # phi -> power of phi at 0+ (unkilled), or None
-    levy_density: Callable | None = None  # (phi, t) -> mu(t) in closed form
-    levy_tail: Callable | None = None  # (phi, t) -> mu(t, inf) in closed form
+    # closed forms (phi, t) -> value, read through phi.closed_form(name, t)
+    potential_density: Callable | None = None  # u(t), inverse transform of 1/phi
+    levy_density: Callable | None = None  # mu(t)
+    levy_tail: Callable | None = None  # mu(t, inf)
+    ladder_density: Callable | None = None  # v(t), inverse transform of 1/chi
+    renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
     composite: bool = False  # wraps ``inner``; no JSON form
 
 
@@ -362,9 +388,18 @@ def _phi_log_down(phi, x):
         return x ** (phi.alpha_param / 2.0) * lg ** (-phi.beta / 2.0)
 
 
+_GEOM_BLOCK = 8192  # arguments per block of the (arguments, terms) temporary
+
+
 def _phi_geometric(phi, x):
+    # in blocks: one inversion batch holds millions of arguments, and the
+    # temporary is n_terms times larger than the batch
     w, b = _geometric_terms(phi.alpha_param, phi.n_terms)
-    return 1.0 / np.sum(w / (x[..., None] + b), axis=-1)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.result_type(flat, b))
+    for lo in range(0, flat.size, _GEOM_BLOCK):
+        out[lo:lo + _GEOM_BLOCK] = 1.0 / np.sum(w / (flat[lo:lo + _GEOM_BLOCK, None] + b), axis=-1)
+    return out.reshape(x.shape)
 
 
 def _conjugate_small_exponent(phi):
@@ -380,8 +415,11 @@ KINDS: dict[str, _Kind] = {
         (_ALPHA,),
         lambda phi, x: x ** (phi.alpha_param / 2.0),
         lambda phi: phi.alpha_param / 2.0,
+        potential_density=lambda phi, t: _stable_potential(phi.alpha_param, t),
         levy_density=lambda phi, t: _stable_levy(phi.alpha_param, t),
         levy_tail=lambda phi, t: _stable_tail(phi.alpha_param, t),
+        ladder_density=lambda phi, t: _stable_potential(phi.alpha_param, t),
+        renewal_function=lambda phi, t: _stable_renewal(phi.alpha_param, t),
     ),
     "relativistic": _Kind(
         relativistic_stable,
@@ -417,6 +455,7 @@ KINDS: dict[str, _Kind] = {
         (_ALPHA, _Param("n", "n_terms", int, optional=True)),
         _phi_geometric,
         lambda phi: 0.0,
+        potential_density=_geometric_potential,
     ),
     "conjugate": _Kind(
         conjugate,
@@ -430,8 +469,8 @@ KINDS: dict[str, _Kind] = {
         (_Param("a", "shift"),),
         lambda phi, x: phi.inner._eval(x) + phi.shift,
         lambda phi: 0.0,
-        levy_density=lambda phi, t: phi.inner.levy_density_closed(t),
-        levy_tail=lambda phi, t: phi.inner.levy_tail_closed(t),
+        levy_density=lambda phi, t: phi.inner.closed_form("levy_density", t),
+        levy_tail=lambda phi, t: phi.inner.closed_form("levy_tail", t),
         composite=True,
     ),
 }
@@ -464,7 +503,7 @@ def default_catalog() -> list[CompleteBernsteinFunction]:
 # ---- pointwise operations ------------------------------------------------
 
 
-def eval_levy_density(phi: CompleteBernsteinFunction, t, nodes: int = 32):
+def eval_levy_density(phi: CompleteBernsteinFunction, t):
     """Levy density mu(t) of phi.
 
     Closed form where the catalog has one.  Otherwise mu(t) is recovered as
@@ -474,10 +513,10 @@ def eval_levy_density(phi: CompleteBernsteinFunction, t, nodes: int = 32):
     function, so the integrand is analytic off the negative reals and the
     Talbot contour applies.
     """
-    closed = phi.levy_density_closed(t)
+    closed = phi.closed_form("levy_density", t)
     if closed is not None:
-        return float(closed) if np.ndim(t) == 0 else closed
-    return -laplace.talbot_inversion(phi, t, nodes=nodes)
+        return closed
+    return -laplace.talbot_inversion(phi, t)
 
 
 def _log_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -492,13 +531,14 @@ def _log_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarr
 
 
 _TAIL_BLOCK = 64  # points of t per inversion batch in levy_tail
+_TAIL_DECADES = 14.0  # decades past t that the tail quadrature covers
 
 
-def levy_tail(phi: CompleteBernsteinFunction, t, decades: float = 14.0):
+def levy_tail(phi: CompleteBernsteinFunction, t):
     """Tail mass mu(t, inf): closed form where available, else quadrature of mu.
 
     The density is integrated over log s with a fixed composite
-    Gauss-Legendre rule covering ``decades`` decades past t, inverted in
+    Gauss-Legendre rule covering _TAIL_DECADES decades past t, inverted in
     batches of _TAIL_BLOCK points of t, which bounds the memory of a long
     grid.  mu is completely monotone, hence decreasing, so a running minimum
     clamps the round-off noise the inversion produces once an exponentially
@@ -507,14 +547,14 @@ def levy_tail(phi: CompleteBernsteinFunction, t, decades: float = 14.0):
     tails lose a few 1e-4 of relative mass to truncation and the correction
     recovers it to ~1e-6.
     """
-    closed = phi.levy_tail_closed(t)
+    closed = phi.closed_form("levy_tail", t)
     if closed is not None:
-        return float(closed) if np.ndim(t) == 0 else closed
+        return closed
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
 
-    span = decades * math.log(10.0)
-    z, w = _log_panels(0.0, span, int(round(6 * decades)))
+    span = _TAIL_DECADES * math.log(10.0)
+    z, w = _log_panels(0.0, span, int(round(6 * _TAIL_DECADES)))
     ez = np.exp(z)
     lo_idx = min(int(np.searchsorted(z, span - 2.0)), z.size - 1)
     out = np.empty(ts.size)

@@ -143,18 +143,25 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None)
 
 
-def _grid(args, lo_name, hi_name, single_name, default_lo, default_hi):
-    single = getattr(args, single_name, None)
+def _grid(args, single, lo_name, hi_name, default_lo=None, default_hi=None):
+    """[single] when given, else points geometric between --<lo_name> and --<hi_name>."""
     if single is not None:
+        if not single > 0.0:
+            raise ConstructionError(f"the point must be positive, not {single:g}")
         return np.array([single])
-    lo = getattr(args, lo_name) or default_lo
-    hi = getattr(args, hi_name) or default_hi
+    lo, hi = getattr(args, lo_name), getattr(args, hi_name)
+    lo = default_lo if lo is None else lo
+    hi = default_hi if hi is None else hi
+    if not 0.0 < lo < hi:
+        raise ConstructionError(f"need 0 < --{lo_name} < --{hi_name}, got {lo:g} and {hi:g}")
+    if args.points < 1:
+        raise ConstructionError("--points must be at least 1")
     return np.geomspace(lo, hi, args.points)
 
 
 def _cmd_phi(args, argv) -> int:
     phi = _phi_from_args(args)
-    grid = _grid(args, "lmin", "lmax", "lam", 1e-2, 1e2)
+    grid = _grid(args, args.lam, "lmin", "lmax", 1e-2, 1e2)
     vals = np.atleast_1d(phi(grid))
     records = [
         {
@@ -171,7 +178,7 @@ def _cmd_phi(args, argv) -> int:
 
 def _cmd_density(args, argv) -> int:
     phi = _phi_from_args(args)
-    grid = _grid(args, "tmin", "tmax", "t", 1e-3, 1.0)
+    grid = _grid(args, args.t, "tmin", "tmax", 1e-3, 1.0)
     cols = density_table(phi, grid)
     records = [
         {k: float(cols[k][i]) for k in ("t", "u", "mu", "tail", "u_ratio", "mu_ratio")}
@@ -192,7 +199,9 @@ def _cmd_kernel(args, argv) -> int:
         records = [{"r": r, "G": g, "J": j,
                     "g_ratio": g * r**d * pr, "j_ratio": j * r**d / pr}]
     else:
-        table = build_kernel_table(phi, d, args.rmin or 1e-2, args.rmax or 1.0, args.points)
+        r_min = 1e-2 if args.rmin is None else args.rmin
+        r_max = 1.0 if args.rmax is None else args.rmax
+        table = build_kernel_table(phi, d, r_min, r_max, args.points)
         cols = table.columns(phi)
         records = [
             {k: float(cols[k][i]) for k in ("r", "G", "J", "g_ratio", "j_ratio")}
@@ -205,7 +214,7 @@ def _cmd_kernel(args, argv) -> int:
 def _cmd_ladder(args, argv) -> int:
     phi = _phi_from_args(args)
     if args.which == "chi":
-        grid = _grid(args, "lmin", "lmax", "lam", 1e-2, 1e2)
+        grid = _grid(args, args.lam, "lmin", "lmax", 1e-2, 1e2)
         chi = np.atleast_1d(ladder_exponent_chi(phi, grid))
         ref = np.sqrt(np.atleast_1d(phi(grid**2)))
         records = [
@@ -214,7 +223,7 @@ def _cmd_ladder(args, argv) -> int:
             for l, c, s in zip(grid, chi, ref)
         ]
     elif args.which == "v":
-        grid = _grid(args, "tmin", "tmax", "t", 1e-2, 1.0)
+        grid = _grid(args, args.t, "tmin", "tmax", 1e-2, 1.0)
         v = np.atleast_1d(ladder_density_v(phi, grid))
         big_v = np.atleast_1d(renewal_function_V(phi, grid))
         records = [
@@ -224,9 +233,8 @@ def _cmd_ladder(args, argv) -> int:
     else:
         if args.x is None or args.y is None:
             raise ConstructionError("halfline needs --x and --y")
-        ys = (np.geomspace(args.ymin, args.ymax, args.points)
-              if args.ymin is not None and args.ymax is not None
-              else np.array([args.y]))
+        both = args.ymin is not None and args.ymax is not None
+        ys = _grid(args, None if both else args.y, "ymin", "ymax")
         records = [
             {"x": args.x, "y": float(y), "G_halfline": halfline_green(phi, args.x, float(y))}
             for y in ys

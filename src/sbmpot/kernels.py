@@ -9,9 +9,11 @@ The integrand peaks near t of order r**2, so the quadrature splits there:
 t = r**2/(4s) on the head (turning the Gaussian factor into exp(-s)) and
 t = r**2 * exp(y) on the tail.
 
-The same engine, fed with an external decreasing weight, doubles as the
-power-weight limit check: for w(t) = t**(-beta) the integral is exactly
-Gamma(d/2 + beta - 1) / (4**(1-beta) * pi**(d/2)) * r**(2 - d - 2*beta).
+Every entry point sets G up through ``_green`` (transience check, tail
+exponent in d <= 2, potential weight) and j through ``_jump`` (Levy
+weight).  A weight is the kind's closed form where the registry has one,
+else a log-log spline of the inverted density tabulated once for the whole
+radius range.
 """
 
 from __future__ import annotations
@@ -22,18 +24,15 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .bernstein import CompleteBernsteinFunction
 from .densities import RatioWindow, spline_levy_evaluator, spline_potential_evaluator
-from .errors import NotTransientError, NumericAccuracyError, UndecidableError
+from .errors import EvaluationDomainError, NotTransientError, NumericAccuracyError, UndecidableError
 
 __all__ = [
     "heat_kernel",
     "transience_check",
     "subordination_integral",
-    "power_weight_limit",
-    "power_weight_limit_constant",
     "green_function",
     "jump_kernel",
     "g_asymptotic_ratio",
@@ -62,7 +61,7 @@ def transience_check(phi: CompleteBernsteinFunction, d: int, gamma: float | None
     without one, the catalog's known small-lambda exponent decides.
     """
     if d < 1:
-        raise ValueError("dimension must be a positive integer")
+        raise EvaluationDomainError("dimension must be a positive integer")
     if d >= 3:
         return True
     if gamma is not None:
@@ -85,36 +84,35 @@ def transience_check(phi: CompleteBernsteinFunction, d: int, gamma: float | None
     return e < d / 2.0
 
 
-def _panel(f, a, b, epsabs, epsrel):
-    val, err, info = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=500, full_output=1)[:3]
-    if err > max(epsabs, epsrel * abs(val)) * 50.0:
+# absolute and relative targets of each quad panel of a subordination integral
+_EPSABS, _EPSREL = 1e-9, 1e-7
+
+
+def _panel(f, a, b):
+    val, err, info = quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=500, full_output=1)[:3]
+    if err > max(_EPSABS, _EPSREL * abs(val)) * 50.0:
         raise NumericAccuracyError(
-            f"subordination quadrature achieved {err:.2e} against target {epsabs:.0e}/{epsrel:.0e}",
+            f"subordination quadrature achieved {err:.2e} against target {_EPSABS:.0e}/{_EPSREL:.0e}",
             residual=err,
         )
     return val, err
 
 
-def subordination_integral(
-    w: Callable,
-    d: int,
-    r: float,
-    gamma: float | None = None,
-    epsabs: float = 1e-9,
-    epsrel: float = 1e-7,
-) -> float:
+def subordination_integral(w: Callable, d: int, r: float, gamma: float | None = None) -> float:
     """int_0^inf (4 pi t)**(-d/2) exp(-r**2/(4t)) w(t) dt for decreasing w.
 
     In d <= 2 the tail only converges under a declared decay w(t) <= c*t**(gamma-1)
     with gamma < d/2, so the caller must state gamma there.
     """
+    if d < 1:
+        raise EvaluationDomainError("dimension must be a positive integer")
     if r <= 0.0:
-        raise ValueError("radius must be positive")
+        raise EvaluationDomainError("radius must be positive")
     if d <= 2:
         if gamma is None:
             raise UndecidableError("d <= 2 requires a declared tail exponent gamma < d/2")
         if gamma >= d / 2.0:
-            raise ValueError("tail exponent must satisfy gamma < d/2")
+            raise EvaluationDomainError("tail exponent must satisfy gamma < d/2")
     r2 = r * r
     log_r2 = math.log(r2)
 
@@ -135,108 +133,72 @@ def subordination_integral(
         t = math.exp(log_r2 + y)
         return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-0.25 * math.exp(-y)) * w(t) * t
 
-    head_val, _ = _panel(head, 0.25, np.inf, epsabs, epsrel)
-    tail_val, _ = _panel(tail, 0.0, np.inf, epsabs, epsrel)
+    head_val, _ = _panel(head, 0.25, np.inf)
+    tail_val, _ = _panel(tail, 0.0, np.inf)
     return head_val + tail_val
 
 
-def power_weight_limit_constant(d: int, beta: float) -> float:
-    """Closed-form value of I(r) * r**(d + 2*beta - 2) for the weight t**(-beta)."""
-    if d / 2.0 + beta <= 1.0:
-        raise ValueError("need d/2 + beta > 1 for the integral to converge")
-    return gamma_fn(d / 2.0 + beta - 1.0) / (4.0 ** (1.0 - beta) * math.pi ** (d / 2.0))
+def _weight_span(r_lo: float, r_hi: float) -> tuple[float, float]:
+    """Times t a weight is tabulated on for radii in [r_lo, r_hi]."""
+    if not r_lo > 0.0:
+        raise EvaluationDomainError("radius must be positive")
+    return r_lo ** 2 / 1e4, r_hi ** 2 * 1e12
 
 
-def power_weight_limit(d: int, beta: float, r: float = 1e-3) -> float:
-    """Measured I(r) * r**(d + 2*beta - 2) for w(t) = t**(-beta); exact for pure powers."""
-    val = subordination_integral(lambda t: t ** (-beta), d, r, gamma=1.0 - beta)
-    return val * r ** (d + 2.0 * beta - 2.0)
+def _green(phi: CompleteBernsteinFunction, d: int, r_lo: float, r_hi: float,
+           gamma: float | None = None) -> Callable[[float], float]:
+    """r -> G(r) for radii in [r_lo, r_hi], once transience is established.
 
-
-def _weight_for_green(phi, r_lo: float, r_hi: float) -> Callable:
-    if phi.kind == "stable":
-        a = phi.alpha_param
-        c = 1.0 / gamma_fn(a / 2.0)
-        return lambda t: c * t ** (a / 2.0 - 1.0)
-    return spline_potential_evaluator(phi, r_lo ** 2 / 1e4, r_hi ** 2 * 1e12)
-
-
-def _weight_for_jump(phi, r_lo: float, r_hi: float) -> Callable:
-    closed = phi.levy_density_closed(np.asarray(1.0))
-    if closed is not None:
-        return lambda t: float(phi.levy_density_closed(np.asarray(t)))
-    return spline_levy_evaluator(phi, r_lo ** 2 / 1e4, r_hi ** 2 * 1e12)
-
-
-def green_function(
-    phi: CompleteBernsteinFunction,
-    d: int,
-    r: float,
-    gamma: float | None = None,
-    u_eval: Callable | None = None,
-    epsabs: float = 1e-9,
-    epsrel: float = 1e-7,
-) -> float:
-    """G(x) at |x| = r: subordination integral of the potential density."""
+    In d <= 2 the tail exponent is the supplied gamma, else phi's power at 0+.
+    """
     if not transience_check(phi, d, gamma):
         raise NotTransientError(f"{phi.label()} is not transient in d={d}")
-    w = u_eval if u_eval is not None else _weight_for_green(phi, r, r)
     tail_gamma = None
     if d <= 2:
         tail_gamma = gamma if gamma is not None else phi.small_exponent
-    return subordination_integral(w, d, r, gamma=tail_gamma, epsabs=epsabs, epsrel=epsrel)
+    w = spline_potential_evaluator(phi, *_weight_span(r_lo, r_hi))
+    return lambda r: subordination_integral(w, d, r, gamma=tail_gamma)
 
 
-def jump_kernel(
-    phi: CompleteBernsteinFunction,
-    d: int,
-    r: float,
-    mu_eval: Callable | None = None,
-    epsabs: float = 1e-9,
-    epsrel: float = 1e-7,
-) -> float:
-    """j(r): subordination integral of the Levy density; no transience needed.
+def _jump(phi: CompleteBernsteinFunction, d: int, r_lo: float, r_hi: float) -> Callable[[float], float]:
+    """r -> j(r) for radii in [r_lo, r_hi].
 
     The Levy density is integrable at infinity, so its tail decays faster
     than 1/t and gamma = 0 always works in low dimension.
     """
-    w = mu_eval if mu_eval is not None else _weight_for_jump(phi, r, r)
-    return subordination_integral(w, d, r, gamma=0.0 if d <= 2 else None, epsabs=epsabs, epsrel=epsrel)
+    w = spline_levy_evaluator(phi, *_weight_span(r_lo, r_hi))
+    tail_gamma = 0.0 if d <= 2 else None
+    return lambda r: subordination_integral(w, d, r, gamma=tail_gamma)
 
 
-def _ratio_window(grid, values):
-    values = np.asarray(values, dtype=float)
-    return RatioWindow(grid=grid, ratios=values, lo=float(np.min(values)), hi=float(np.max(values)))
+def green_function(phi: CompleteBernsteinFunction, d: int, r: float, gamma: float | None = None) -> float:
+    """G(x) at |x| = r: subordination integral of the potential density."""
+    return _green(phi, d, r, r, gamma)(r)
+
+
+def jump_kernel(phi: CompleteBernsteinFunction, d: int, r: float) -> float:
+    """j(r): subordination integral of the Levy density; no transience needed."""
+    return _jump(phi, d, r, r)(r)
+
+
+def _small_radii(r_grid) -> np.ndarray:
+    return np.asarray(r_grid if r_grid is not None else np.geomspace(1e-3, 1.0, 30), dtype=float)
 
 
 def g_asymptotic_ratio(
     phi: CompleteBernsteinFunction, d: int, r_grid=None, gamma: float | None = None
 ) -> RatioWindow:
     """G(r) * r**d * phi(r**-2) over a small-r window; bounded spread is the claim."""
-    grid = np.asarray(r_grid if r_grid is not None else np.geomspace(1e-3, 1.0, 30), dtype=float)
-    if not transience_check(phi, d, gamma):
-        raise NotTransientError(f"{phi.label()} is not transient in d={d}")
-    w = _weight_for_green(phi, float(grid.min()), float(grid.max()))
-    tail_gamma = None
-    if d <= 2:
-        tail_gamma = gamma if gamma is not None else phi.small_exponent
-    vals = [
-        subordination_integral(w, d, r, gamma=tail_gamma) * r ** d * float(phi(r ** -2.0))
-        for r in grid
-    ]
-    return _ratio_window(grid, vals)
+    grid = _small_radii(r_grid)
+    g = _green(phi, d, float(grid.min()), float(grid.max()), gamma)
+    return RatioWindow.of(grid, [g(r) * r ** d * float(phi(r ** -2.0)) for r in grid])
 
 
 def j_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> RatioWindow:
     """j(r) * r**d / phi(r**-2) over a small-r window."""
-    grid = np.asarray(r_grid if r_grid is not None else np.geomspace(1e-3, 1.0, 30), dtype=float)
-    w = _weight_for_jump(phi, float(grid.min()), float(grid.max()))
-    tail_gamma = 0.0 if d <= 2 else None
-    vals = [
-        subordination_integral(w, d, r, gamma=tail_gamma) * r ** d / float(phi(r ** -2.0))
-        for r in grid
-    ]
-    return _ratio_window(grid, vals)
+    grid = _small_radii(r_grid)
+    j = _jump(phi, d, float(grid.min()), float(grid.max()))
+    return RatioWindow.of(grid, [j(r) * r ** d / float(phi(r ** -2.0)) for r in grid])
 
 
 def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tuple[float, float]:
@@ -245,17 +207,13 @@ def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tu
     Returns (max of j(r)/j(2r) on (0,K), max of j(r)/j(r+1) on (1, 10K)).
     """
     if K <= 0.0:
-        raise ValueError("K must be positive")
+        raise EvaluationDomainError("K must be positive")
     r_small = np.geomspace(K * 1e-3, K * 0.999, 40)
     r_large = np.geomspace(1.001, 10.0 * K if 10.0 * K > 1.1 else 1.1, 40)
     lo = min(float(r_small.min()), float(r_large.min()))
     hi = max(2.0 * float(r_small.max()), float(r_large.max()) + 1.0)
-    w = _weight_for_jump(phi, lo, hi)
-    tail_gamma = 0.0 if d <= 2 else None
-
-    def j(r):
-        return subordination_integral(w, d, float(r), gamma=tail_gamma)
-
+    jump = _jump(phi, d, lo, hi)
+    j = lambda r: jump(float(r))
     c4 = max(j(r) / j(2.0 * r) for r in r_small)
     c5 = max(j(r) / j(r + 1.0) for r in r_large)
     return float(c4), float(c5)
@@ -296,18 +254,12 @@ def build_kernel_table(
     gamma: float | None = None,
 ) -> RadialKernelTable:
     if not 0.0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
+        raise EvaluationDomainError("need 0 < r_min < r_max")
     if points < 2:
-        raise ValueError("need at least two radii")
+        raise EvaluationDomainError("need at least two radii")
     radii = np.geomspace(r_min, r_max, points)
-    if not transience_check(phi, d, gamma):
-        raise NotTransientError(f"{phi.label()} is not transient in d={d}")
-    w_u = _weight_for_green(phi, r_min, r_max)
-    w_mu = _weight_for_jump(phi, r_min, r_max)
-    green_gamma = None
-    if d <= 2:
-        green_gamma = gamma if gamma is not None else phi.small_exponent
-    jump_gamma = 0.0 if d <= 2 else None
-    g_vals = np.array([subordination_integral(w_u, d, float(r), gamma=green_gamma) for r in radii])
-    j_vals = np.array([subordination_integral(w_mu, d, float(r), gamma=jump_gamma) for r in radii])
+    g = _green(phi, d, r_min, r_max, gamma)
+    j = _jump(phi, d, r_min, r_max)
+    g_vals = np.array([g(float(r)) for r in radii])
+    j_vals = np.array([j(float(r)) for r in radii])
     return RadialKernelTable(d=d, radii=radii, g_values=g_vals, j_values=j_vals, phi_id=phi.label())

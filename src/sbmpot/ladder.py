@@ -17,7 +17,9 @@ rule written so that both endpoints stay resolved in floating point.  The
 inversions use the Gaver-Stehfest rule: it samples the transform on the
 positive real axis only, where the chi integral representation is valid (on
 a complex contour lam^2 leaves the principal branch, so the Talbot route
-used elsewhere does not apply).
+used elsewhere does not apply).  Kinds whose v and V have closed forms
+(the stable kind, where chi(lam) = lam^(alpha/2)) take them from the kind
+registry instead.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
-from scipy.special import gamma as gamma_fn
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
+from .errors import EvaluationDomainError
 
 __all__ = [
     "ladder_exponent_chi",
@@ -77,17 +78,20 @@ def _log_slowly_varying(phi: CompleteBernsteinFunction, z: np.ndarray) -> np.nda
     return np.log(phi._eval(z)) - (phi.alpha / 2.0) * np.log(z)
 
 
-def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam, n_nodes: int = 128):
+_CHI_NODES = 128  # half-width of the DE rule: about 2*_CHI_NODES nodes per lam
+
+
+def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):
     """Laplace exponent chi of the ladder-height subordinator of X.
 
     Vectorized over lam of any shape; each value costs one fixed-rule sweep
-    of about 2*n_nodes nodes.
+    of about 2*_CHI_NODES nodes.
     """
     scalar = np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float)).ravel()
     if np.any(lam_arr <= 0.0):
-        raise ValueError("chi needs lam > 0")
-    tansq, w = _de_rule(n_nodes, 3.9 / n_nodes)
+        raise EvaluationDomainError("chi needs lam > 0")
+    tansq, w = _de_rule(_CHI_NODES, 3.9 / _CHI_NODES)
     z = (lam_arr ** 2)[:, None] * tansq[None, :]
     corr = (_log_slowly_varying(phi, z) @ w) / math.pi
     out = lam_arr ** (phi.alpha / 2.0) * np.exp(corr)
@@ -127,54 +131,40 @@ def chi_is_cbf_check(phi_or_chi, grid=None, order: int = 3) -> MonotonicityRepor
     return check_complete_monotonicity(lambda lam: chi(lam) / lam, order=order, grid=g)
 
 
-def ladder_density_v(phi: CompleteBernsteinFunction, t, rtol: float = 1e-4):
+def ladder_density_v(phi: CompleteBernsteinFunction, t):
     """Renewal (ladder potential) density v(t), the inverse transform of 1/chi."""
-    if phi.kind == "stable":
-        a = phi.alpha_param
-        ts = np.asarray(t, dtype=float)
-        vals = ts ** (a / 2.0 - 1.0) / gamma_fn(a / 2.0)
-        return float(vals) if np.ndim(t) == 0 else vals
-    vals, _ = laplace.stehfest_with_residual(
-        lambda s: 1.0 / ladder_exponent_chi(phi, s), t, rtol=rtol
-    )
+    closed = phi.closed_form("ladder_density", t)
+    if closed is not None:
+        return closed
+    vals, _ = laplace.stehfest_with_residual(lambda s: 1.0 / ladder_exponent_chi(phi, s), t)
     return vals
 
 
-def renewal_function_V(phi: CompleteBernsteinFunction, t, rtol: float = 1e-4):
+def renewal_function_V(phi: CompleteBernsteinFunction, t):
     """Renewal function V(t) = int_0^t v; inverse transform of 1/(lam*chi(lam))."""
-    if phi.kind == "stable":
-        a = phi.alpha_param
-        ts = np.asarray(t, dtype=float)
-        vals = ts ** (a / 2.0) / gamma_fn(1.0 + a / 2.0)
-        return float(vals) if np.ndim(t) == 0 else vals
-    vals, _ = laplace.stehfest_with_residual(
-        lambda s: 1.0 / (s * ladder_exponent_chi(phi, s)), t, rtol=rtol
-    )
+    closed = phi.closed_form("renewal_function", t)
+    if closed is not None:
+        return closed
+    vals, _ = laplace.stehfest_with_residual(lambda s: 1.0 / (s * ladder_exponent_chi(phi, s)), t)
     return vals
 
 
-def halfline_green(
-    phi: CompleteBernsteinFunction,
-    x: float,
-    y: float,
-    v_eval: Callable | None = None,
-) -> float:
+def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
     """Green function of (0, inf) at (x, y) via the renewal-density convolution.
 
     Returns +inf on the diagonal when the convolution integral genuinely
     diverges there (alpha <= 1); that is a value, not an error.
     """
     if x <= 0.0 or y <= 0.0:
-        raise ValueError("halfline Green needs x, y > 0")
+        raise EvaluationDomainError("halfline Green needs x, y > 0")
     lo, gap = (x, y - x) if x <= y else (y, x - y)
     if gap == 0.0 and phi.alpha <= 1.0:
         return math.inf
-    v = v_eval if v_eval is not None else (lambda z: ladder_density_v(phi, z))
 
     def integrand(s):
         # z = lo * s^2 resolves the z^(alpha/2-1) endpoint singularity
         z = lo * s * s
-        return float(v(z)) * float(v(gap + z)) * 2.0 * lo * s
+        return float(ladder_density_v(phi, z)) * float(ladder_density_v(phi, gap + z)) * 2.0 * lo * s
 
     val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
     return val
@@ -204,7 +194,7 @@ def interval_green_mass_bound(
                 form used on balls B(0, r) at offset |x'| < r
     """
     if not 0.0 < x < r:
-        raise ValueError("need 0 < x < r")
+        raise EvaluationDomainError("need 0 < x < r")
     V = lambda t: float(renewal_function_V(phi, t))
     v_r, v_x, v_rx = V(r), V(x), V(r - x)
     plain = 2.0 * v_x * v_r

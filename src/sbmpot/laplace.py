@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericAccuracyError
+from .errors import EvaluationDomainError, NumericAccuracyError
 
 __all__ = [
     "talbot_inversion",
@@ -53,7 +53,7 @@ def talbot_inversion(transform: Callable, t, nodes: int = 32) -> np.ndarray:
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0.0):
-        raise ValueError("inversion times must be positive")
+        raise EvaluationDomainError("inversion times must be positive")
     base, gamma = _talbot_weights(nodes)
     s = base[None, :] / t_arr[:, None]
     vals = np.real(transform(s) @ gamma) * (2.0 / (5.0 * t_arr))
@@ -126,7 +126,7 @@ def gaver_stehfest(transform: Callable, t, terms: int = 14) -> np.ndarray:
     """Gaver-Stehfest inversion using real-axis samples only."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0.0):
-        raise ValueError("inversion times must be positive")
+        raise EvaluationDomainError("inversion times must be positive")
     w = _stehfest_weights(terms)
     ln2 = math.log(2.0)
     lam = np.arange(1, terms + 1)[None, :] * (ln2 / t_arr[:, None])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,6 +151,42 @@ def test_levy_tail_blocks_are_invisible():
     cut = bernstein._TAIL_BLOCK
     split = np.concatenate([bernstein.levy_tail(phi, t[:cut]), bernstein.levy_tail(phi, t[cut:])])
     assert np.array_equal(whole, split)
+
+
+def test_geometric_levy_tail_memory_is_bounded():
+    # phi is evaluated in blocks of arguments, so the (arguments, terms)
+    # temporary of an inversion batch stays small (212 MB unblocked)
+    phi = bernstein.geometric_like(1.0)
+    tracemalloc.start()
+    try:
+        tail = bernstein.levy_tail(phi, np.geomspace(1e-3, 1e2, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.all(tail >= 0.0)
+
+
+def test_geometric_blocks_are_invisible():
+    phi = bernstein.geometric_like(1.0)
+    n = bernstein._GEOM_BLOCK
+    z = np.geomspace(1e-3, 1e3, 3 * n // 2) * (1.0 + 0.5j)
+    split = np.concatenate([phi(z[:n]), phi(z[n:])])
+    assert np.array_equal(phi(z), split)
+    assert np.array_equal(phi(z.reshape(2, -1)), phi(z).reshape(2, -1))
+
+
+def test_closed_form_accessor():
+    phi = bernstein.stable(1.0)
+    assert isinstance(phi.closed_form("levy_tail", 2.0), float)
+    assert phi.closed_form("renewal_function", np.array([1.0, 4.0])).shape == (2,)
+    log_up = bernstein.log_perturbed_up(1.0, 0.5)
+    assert log_up.closed_form("levy_density", 2.0) is None
+    # an added killing rate keeps the Levy measure but changes u, v and V
+    killed = bernstein.killed_shift(phi, 0.5)
+    assert killed.closed_form("levy_density", 2.0) == phi.closed_form("levy_density", 2.0)
+    assert killed.closed_form("potential_density", 2.0) is None
+    assert bernstein.killed_shift(log_up, 0.5).closed_form("levy_tail", 2.0) is None
 
 
 def test_tail_additivity_for_sum():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -268,3 +269,30 @@ def test_missing_alpha_is_usage_error(capsys):
 
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmin", "2", "--rmax", "1"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--points", "1"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "0"],
+    ["kernel", "--kind", "relativistic", "--alpha", "1", "--dim", "3", "--r", "0"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "0", "--r", "1"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmin", "0"],
+    ["ladder", "halfline", "--kind", "stable", "--alpha", "1", "--x", "-1", "--y", "1"],
+    ["ladder", "halfline", "--kind", "stable", "--alpha", "1", "--x", "1", "--y", "1",
+     "--ymin", "0", "--ymax", "1"],
+    ["phi", "--kind", "stable", "--alpha", "1", "--lmin", "0"],
+    ["phi", "--kind", "stable", "--alpha", "1", "--points", "0"],
+    ["density", "--kind", "stable", "--alpha", "1", "--tmin", "0"],
+    ["density", "--kind", "stable", "--alpha", "1", "--t", "-1"],
+    ["ladder", "v", "--kind", "stable", "--alpha", "1", "--tmin", "1", "--tmax", "0.5"],
+    ["check", "doubling", "--kind", "stable", "--alpha", "1", "--dim", "0"],
+])
+def test_out_of_range_input_is_usage_error(capsys, argv):
+    # exit 2 with a one-line message: no traceback, and no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ")
+    assert "Traceback" not in err and "Warning" not in err

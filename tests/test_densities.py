@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbmpot import bernstein, densities
+from sbmpot.errors import UnsupportedKindError
 
 
 def test_stable_potential_density_closed_form():
@@ -15,22 +16,46 @@ def test_stable_potential_density_closed_form():
             densities.potential_density_u(phi, t), expected, rtol=1e-9)
 
 
-def test_potential_density_inversion_route_agrees():
-    # mode="invert" bypasses closed forms; cross-validates the Talbot path
-    phi = bernstein.stable(1.0)
-    t = np.geomspace(1e-2, 10.0, 15)
+@pytest.mark.parametrize("phi, t, rtol", [
+    (bernstein.stable(1.0), np.geomspace(1e-2, 10.0, 15), 1e-8),
+    # the truncated-series potential density is exact
+    (bernstein.geometric_like(1.0, 64), np.geomspace(1e-2, 1.0, 11), 1e-7),
+], ids=["stable", "geometric_example"])
+def test_closed_potential_density_matches_talbot(phi, t, rtol):
+    # mode="talbot" bypasses the closed form; cross-validates the Talbot path
     closed = densities.potential_density_u(phi, t, mode="closed")
     inverted = densities.potential_density_u(phi, t, mode="talbot")
-    np.testing.assert_allclose(inverted, closed, rtol=1e-8)
+    np.testing.assert_allclose(inverted, closed, rtol=rtol)
 
 
-def test_geometric_potential_closed_series():
-    # the truncated-series potential density is exact; the Talbot route must agree
-    phi = bernstein.geometric_like(1.0, 64)
-    t = np.geomspace(1e-2, 1.0, 11)
-    closed = densities.potential_density_u(phi, t, mode="closed")
-    inverted = densities.potential_density_u(phi, t, mode="talbot")
-    np.testing.assert_allclose(inverted, closed, rtol=1e-7)
+KIND_EXAMPLES = {
+    "stable": bernstein.stable(1.0),
+    "relativistic": bernstein.relativistic_stable(1.0, 1.0),
+    "sum": bernstein.sum_of_stables(1.0, 0.5),
+    "log_up": bernstein.log_perturbed_up(1.0, 0.5),
+    "log_down": bernstein.log_perturbed_down(1.0, 0.5),
+    "geometric_example": bernstein.geometric_like(1.0, 64),
+    "conjugate": bernstein.conjugate(bernstein.stable(1.0)),
+    "killed_shift": bernstein.killed_shift(bernstein.stable(1.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", list(bernstein.KINDS))
+def test_closed_mode_raises_exactly_without_a_closed_form(kind):
+    phi = KIND_EXAMPLES[kind]
+    t = np.array([0.1, 1.0])
+    if bernstein.KINDS[kind].potential_density is None:
+        with pytest.raises(UnsupportedKindError):
+            densities.potential_density_u(phi, t, mode="closed")
+    else:
+        closed = densities.potential_density_u(phi, t, mode="closed")
+        assert np.array_equal(closed, densities.potential_density_u(phi, t))
+        assert isinstance(densities.potential_density_u(phi, 0.5, mode="closed"), float)
+
+
+def test_unknown_density_mode_is_refused():
+    with pytest.raises(ValueError):
+        densities.potential_density_u(bernstein.stable(1.0), 1.0, mode="stehfest")
 
 
 def test_u_decreasing_and_convex(catalog):
@@ -82,12 +107,11 @@ def test_asymptotic_ratio_windows(catalog):
             assert win.hi / win.lo < 1e3, phi.label()
 
 
-def test_density_evaluator_batches_match_scalars():
+def test_potential_density_batches_match_scalars():
     phi = bernstein.relativistic_stable(1.0, 1.0)
-    ev = densities.DensityEvaluator(phi)
     t = np.array([0.05, 0.3, 2.0])
-    batch = np.atleast_1d(ev.u(t))
-    singles = np.array([float(ev.u(float(x))) for x in t])
+    batch = np.atleast_1d(densities.potential_density_u(phi, t))
+    singles = np.array([densities.potential_density_u(phi, float(x)) for x in t])
     np.testing.assert_allclose(batch, singles, rtol=1e-10)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -97,3 +98,41 @@ def test_subordination_integral_heat_identity():
     phi = bernstein.stable(1.0)
     g_direct = kernels.green_function(phi, 3, 0.3)
     assert g_direct == pytest.approx(_riesz_green_constant(3, 1.0) * 0.3**-2, rel=1e-6)
+
+
+@pytest.mark.parametrize("d, beta", [(1, 0.75), (2, 0.5), (3, 0.5), (3, 0.0)])
+def test_subordination_integral_power_weight(d, beta):
+    # for w(t) = t**(-beta) the integral is Gamma(d/2 + beta - 1) / (4**(1-beta) pi**(d/2))
+    # times r**(2 - d - 2*beta), exactly
+    const = math.gamma(d / 2.0 + beta - 1.0) / (4.0 ** (1.0 - beta) * math.pi ** (d / 2.0))
+    for r in (1e-3, 1.0):
+        val = kernels.subordination_integral(lambda t: t ** (-beta), d, r, gamma=1.0 - beta)
+        assert val * r ** (d + 2.0 * beta - 2.0) == pytest.approx(const, rel=1e-6)
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# the one G/j set-up of every entry point, pinned bit for bit on kinds whose
+# weights are inverted and splined
+@pytest.mark.parametrize("phi, sha", [
+    (bernstein.relativistic_stable(1.0, 1.0),
+     "f12f4c11d078e02f6dd384b7e5fafd1f4b21f7f4912a0bc37262b27a15722a2b"),
+    (bernstein.sum_of_stables(1.0, 0.5),
+     "0bfbc5dafa28db97be38326fdcbef1bca983d97fe542deadc2a73889a2ff2a10"),
+], ids=["relativistic", "sum"])
+def test_kernel_table_bits_pinned(phi, sha):
+    table = kernels.build_kernel_table(phi, 3, 1e-2, 1.0, 8)
+    assert _sha(table.g_values, table.j_values) == sha
+
+
+def test_kernel_ratio_windows_bits_pinned():
+    phi = bernstein.log_perturbed_up(1.0, 0.5)
+    assert (_sha(kernels.g_asymptotic_ratio(phi, 3).ratios)
+            == "f6a8a920fd2eaaf52e6511c49335c862f01911545f10534db3cfd958f432c198")
+    assert (_sha(kernels.j_asymptotic_ratio(phi, 3).ratios)
+            == "b4198aad84dc35f3eaba9383a83dc3da0c0517dcaea357ae04b9dd45072396db")
