@@ -211,6 +211,8 @@ def harnack_ratio(
     The probe family defaults to eight dyadic shells (d = 1) or eight
     annular sectors (d = 2), all supported outside the harmonicity ball.
     """
+    if d < 1:
+        raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
     big_r = 17.0 * r
     domain = Ball(center=(0.0,) * d, radius=big_r)
     if data_family is None:

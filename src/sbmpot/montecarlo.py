@@ -16,6 +16,16 @@ Every random draw is addressed by (seed, channel, step, path id) through a
 counter-based generator, so estimates are bit-identical for a given seed and
 config no matter how paths are batched.  Estimators reduce over arrays
 assembled in path order.
+
+Exact paths march in chunks: one Philox call per channel draws m skeleton
+steps of every live path, m being about cfg.batch_size over the live count
+(at most _MAX_CHUNK_STEPS), so chunks lengthen as paths exit and the
+straggler tail costs a few calls instead of one per step.  A sequential
+cumsum of the live positions and the m increments gives every intermediate
+position bit for bit as repeated += would, and the first step outside
+settles each exit; draws past a path's exit within its chunk are discarded.
+Compound paths march one step at a time, since the draws of a step depend on
+its jump count.
 """
 
 from __future__ import annotations
@@ -319,7 +329,9 @@ class _Increments:
             self.cdf = _poisson_cdf(self.tables[0] * dt)
             self.drift = self.tables[1] * dt  # mean of the discarded small jumps
 
-    def exact(self, step: int, ids: np.ndarray) -> np.ndarray:
+    def exact(self, step, ids: np.ndarray) -> np.ndarray:
+        """Increments of the counters (step, ids); step may be an array, as in
+        rng.PhiloxStream.uniform_pair."""
         u, w = self.stream.uniform_pair(rng.CH_SUB, step, ids)
         return self.dt_pow * _kanter(self.rho, u, -np.log(w))
 
@@ -364,16 +376,24 @@ def sample_subordinator_increment(
 # exit simulation engine
 
 
+# Most skeleton steps an exact chunk draws for each live path: a path that
+# exits early in a chunk wastes the draws of the steps after its exit.
+_MAX_CHUNK_STEPS = 256
+
+
 def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
     """March one batch of paths to exit; returns per-path records.
 
-    ``starts`` has one row per path.  ``observer(x, ids_alive)`` is called
-    after every position update (jump epochs and grid epochs) and may be
-    used to track hitting times on the same paths.
+    ``starts`` has one row per path.  ``observer(path, live, moved)`` is
+    called after every block of position updates: ``path`` holds the
+    positions of the batch rows ``live`` after m consecutive moves, shape
+    (m, live.size, d), and ``moved[j, i]`` is True when row live[i] was still
+    inside as move j began, so masked positions are exactly the ones a path
+    reached up to and including its exit.  It may be used to track hitting
+    times on the same paths.
     """
     d = domain.d
     n = ids.size
-    exact = inc.method == "exact"
     x = np.array(starts, dtype=float, copy=True)
     tau = np.full(n, np.nan)
     pos = np.full((n, d), np.nan)
@@ -381,41 +401,65 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
     alive = ~domain.outside(x)
     tau[~alive] = 0.0
     pos[~alive] = x[~alive]
+    n_steps = int(math.ceil(cfg.horizon / cfg.step))
+
+    def settle(hit, t, by_jump):
+        tau[hit] = t
+        pos[hit] = x[hit]
+        byj[hit] = by_jump
+        alive[hit] = False
+
+    if inc.method == "exact":
+        # chunks of m steps (see the module docstring); an exact increment
+        # cannot be split into jump and drift, so a strict overshoot past the
+        # closed boundary marks an exit by a jump
+        k = 0
+        while k < n_steps and alive.any():
+            live = np.nonzero(alive)[0]
+            m = min(max(cfg.batch_size // live.size, 1), _MAX_CHUNK_STEPS, n_steps - k)
+            steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
+            grid = np.broadcast_to(ids[live], (m, live.size))
+            block = np.empty((m + 1, live.size, d))
+            block[0] = x[live]
+            block[1:] = np.sqrt(2.0 * inc.exact(steps, grid))[..., None] * inc.stream.normals(
+                steps, grid, d)
+            path = np.cumsum(block, axis=0)[1:]
+            out = domain.outside(path.reshape(-1, d)).reshape(m, live.size)
+            first = np.where(out.any(axis=0), out.argmax(axis=0), m)
+            if observer is not None:
+                observer(path, live, np.arange(m)[:, None] <= first)
+            x[live] = path[np.minimum(first, m - 1), np.arange(live.size)]
+            gone = first < m
+            hit = live[gone]
+            settle(hit, (k + first[gone] + 1) * cfg.step, domain.strictly_outside(x[hit]))
+            k += m
+        return tau, pos, byj
+
     counts = np.zeros(n, dtype=np.intp)  # jumps of each path in the current step
 
     def move(sel, dx, k, slot=None):
         """Move paths ``sel`` by ``dx`` in step k and settle those now outside.
 
         A path that leaves on the jump in ``slot`` exits by a jump at the
-        fraction (slot + 1)/(counts + 1) of the step.  Any other move exits
-        at the end of the step; an exact increment cannot be split into jump
-        and drift, so there a strict overshoot marks an exit by a jump.
+        fraction (slot + 1)/(counts + 1) of the step; the drift move exits at
+        the end of the step.
         """
         x[sel] += dx
         if observer is not None:
-            observer(x, sel)
+            observer(x[sel][None], sel, np.ones((1, sel.size), dtype=bool))
         out = domain.outside(x[sel])
         if not out.any():
             return
         hit = sel[out]
-        if slot is not None:
-            tau[hit] = k * cfg.step + cfg.step * ((slot + 1.0) / (counts[hit] + 1.0))
-            byj[hit] = True
+        if slot is None:
+            settle(hit, (k + 1) * cfg.step, False)
         else:
-            tau[hit] = (k + 1) * cfg.step
-            byj[hit] = exact and domain.strictly_outside(x[hit])
-        pos[hit] = x[hit]
-        alive[hit] = False
+            settle(hit, k * cfg.step + cfg.step * ((slot + 1.0) / (counts[hit] + 1.0)), True)
 
-    for k in range(int(math.ceil(cfg.horizon / cfg.step))):
+    for k in range(n_steps):
         live = np.nonzero(alive)[0]
         if live.size == 0:
             break
-        if exact:
-            pid = ids[live]
-            ds = inc.exact(k, pid)
-            move(live, np.sqrt(2.0 * ds)[:, None] * inc.stream.normals(k, pid, d), k)
-            continue
         counts[live] = inc.jump_counts(k, ids[live])
         for slot in range(int(counts[live].max())):
             sel = live[(counts[live] > slot) & alive[live]]
@@ -640,10 +684,9 @@ def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) 
     def factory(ids):
         hits = np.zeros(ids.size, dtype=bool)
 
-        def observe(x, live_idx):
-            inside = target.contains(x[live_idx])
-            if inside.any():
-                hits[live_idx[inside]] = True
+        def observe(path, live, moved):
+            inside = target.contains(path.reshape(-1, d)).reshape(moved.shape) & moved
+            hits[live[inside.any(axis=0)]] = True
 
         return observe, lambda: hits
 

@@ -87,19 +87,21 @@ class PhiloxStream:
         self._rk = _round_keys(seed & 0xFFFFFFFF, seed >> 32)
         self._keys = _stacked_keys(*self._rk)
 
-    def _lanes(self, channel: int, step: int, path_ids: np.ndarray):
+    def _lanes(self, channel: int, step, path_ids: np.ndarray):
         """Philox output for the counters (channel, step, path_lo, path_hi).
 
-        Returns x = (c0, c2) and y = (c1, c3) as (2, n) uint64 arrays.
+        ``step`` is an int or an integer array that broadcasts to the shape
+        of ``path_ids``; the counter keeps its low 32 bits.  Returns
+        x = (c0, c2) and y = (c1, c3) as (2, *path_ids.shape) uint64 arrays.
         """
         ids = np.asarray(path_ids, dtype=np.uint64)
         x = np.empty((2,) + ids.shape, dtype=np.uint64)
         y = np.empty_like(x)
         x[0] = np.uint32(channel)
         np.bitwise_and(ids, _MASK32, out=x[1])
-        y[0] = np.uint32(step & 0xFFFFFFFF)
+        y[0] = step & 0xFFFFFFFF
         np.right_shift(ids, _U32, out=y[1])
-        _rounds(x, y, self._keys)
+        _rounds(x.reshape(2, -1), y.reshape(2, -1), self._keys)
         return x, y
 
     def _block(self, channel: int, step: int, path_ids: np.ndarray):
@@ -107,8 +109,12 @@ class PhiloxStream:
         x, y = x.astype(np.uint32), y.astype(np.uint32)
         return x[0], y[0], x[1], y[1]
 
-    def uniform_pair(self, channel: int, step: int, path_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Two independent uniforms in (0,1) per path id.
+    def uniform_pair(self, channel: int, step, path_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Two independent uniforms in (0,1) per (step, path id) counter.
+
+        ``step`` is an int or an integer array that broadcasts to the shape
+        of ``path_ids``: a (K, 1) column of steps with a (K, n) grid of ids
+        draws K steps of n paths in one call, bit for bit as K calls would.
 
         Each uniform packs two output lanes into 53 mantissa bits with a
         half-ulp offset, so 0 and 1 are unreachable and ndtri is safe.
@@ -127,13 +133,14 @@ class PhiloxStream:
         u0, u1 = self.uniform_pair(channel, step, path_ids)
         return ndtri(u0), ndtri(u1)
 
-    def normals(self, step: int, path_ids, d: int, base_channel: int = CH_GAUSS) -> np.ndarray:
-        """(n, d) standard normals from consecutive channels starting at base."""
+    def normals(self, step, path_ids, d: int, base_channel: int = CH_GAUSS) -> np.ndarray:
+        """(*path_ids.shape, d) standard normals from consecutive channels
+        starting at base; ``step`` broadcasts as in uniform_pair."""
         ids = np.atleast_1d(path_ids)
-        out = np.empty((ids.shape[0], d))
+        out = np.empty(ids.shape + (d,))
         for j in range((d + 1) // 2):
             u0, u1 = self.uniform_pair(base_channel + j, step, ids)
-            out[:, 2 * j] = ndtri(u0)
+            out[..., 2 * j] = ndtri(u0)
             if 2 * j + 1 < d:
-                out[:, 2 * j + 1] = ndtri(u1)
+                out[..., 2 * j + 1] = ndtri(u1)
         return out

@@ -287,6 +287,7 @@ def test_version_flag(capsys):
     ["density", "--kind", "stable", "--alpha", "1", "--t", "-1"],
     ["ladder", "v", "--kind", "stable", "--alpha", "1", "--tmin", "1", "--tmax", "0.5"],
     ["check", "doubling", "--kind", "stable", "--alpha", "1", "--dim", "0"],
+    ["check", "harnack", "--kind", "stable", "--alpha", "1", "--dim", "0", "--paths", "10"],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way

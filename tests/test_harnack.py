@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -76,6 +77,18 @@ def test_mc_harmonic_dimension_mismatch():
     probe = harnack.HarmonicProbe(lambda x: np.ones(x.shape[0]), dom, np.array([[0.0]]))
     with pytest.raises(EvaluationDomainError):
         harnack.mc_harmonic(phi, 2, probe, _cfg(10))
+
+
+def test_family_values_bits_pinned():
+    # all starts march in one run with path ids repeated per start; captured
+    # before the exact march drew its steps in chunks
+    vals, censored = harnack._family_values(
+        bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1.0),
+        np.array([[-0.5, 0.0], [0.0, 0.0], [0.3, 0.2]]), harnack.sector_probes_2d(1.0),
+        _cfg(300, seed=43, horizon=50.0, step=1e-2))
+    assert censored == 0
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+        "fa0c9bccb8aa6566508d68248f4e71563faf1d066fca6f20f34e3612478bc729")
 
 
 def test_harnack_ratio_stable_passes():
@@ -160,6 +173,13 @@ def test_bhp_bad_domain_rejected():
     phi = bernstein.stable(1.0)
     with pytest.raises(EvaluationDomainError):
         harnack.bhp_ratio_check(phi, 3, 0.05, _cfg(10), domain="interval")
+    with pytest.raises(EvaluationDomainError):
+        harnack.bhp_ratio_check(phi, 0, 0.05, _cfg(10))
+
+
+def test_harnack_ratio_refuses_dimension_below_one():
+    with pytest.raises(EvaluationDomainError, match="dimension"):
+        harnack.harnack_ratio(bernstein.stable(1.0), 0, 0.05, _cfg(10))
 
 
 def test_halfdisk_geometry():

@@ -111,6 +111,32 @@ def test_exact_march_bits_pinned():
         "6c3d6fcd237a534ca14cfc9f85451fd0dca98c78f292024ae1aabb32d862e5fa")
 
 
+@pytest.mark.parametrize("alpha, x0, paths, seed, digest", [
+    (0.5, (0.1, 0.0, -0.2), 2500, 31,
+     "067e72d71100406faf79e4ec4ca494332eb7294e2d8c6e386aa1b636b87e8a27"),
+    (1.5, (0.0, 0.4), 2000, 37,
+     "4b866c6a7d89e2300c5842867209ce11be908e22498709fd2dea2964b8f98260"),
+])
+def test_exact_chunked_march_bits_pinned(alpha, x0, paths, seed, digest):
+    # thousands of paths in one batch, so the chunk length grows several
+    # times as they exit; captured while the march drew one step per call
+    d = len(x0)
+    sample = mc.simulate_exits(bernstein.stable(alpha), mc.Ball(center=(0.0,) * d, radius=1.0),
+                               list(x0), _cfg(paths=paths, seed=seed, step=1e-2))
+    assert _sample_digest(sample) == digest
+
+
+def test_exact_chunk_length_is_invisible():
+    # a batch of 1 path draws one step per Philox call, batches of 7 draw 1
+    # to 7 steps, and one batch of 40 paths draws up to _MAX_CHUNK_STEPS
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    for batch_size in (1, 7, 16384):
+        sample = mc.simulate_exits(bernstein.stable(1.0), ball, [0.3],
+                                   _cfg(paths=40, seed=47, step=1e-2, batch_size=batch_size))
+        assert _sample_digest(sample) == (
+            "7014be469de500580164e26c034c0573b6d2be820b96af05b4ae83c6dd4956d7"), batch_size
+
+
 def test_compound_march_bits_pinned():
     # at d = 3 a jump's direction draws share a channel with the next jump's
     # size; a stream layout that separates them changes this digest on purpose
@@ -222,6 +248,15 @@ def test_hitting_before_exit_monotone():
     p_small = mc.hitting_before_exit(phi, 1, small, [0.0], enclosing, cfg)
     p_big = mc.hitting_before_exit(phi, 1, big, [0.0], enclosing, cfg)
     assert 0.0 < p_small.mean <= p_big.mean <= 1.0
+
+
+def test_hitting_before_exit_bits_pinned():
+    # the observer sees every position up to and including each exit;
+    # captured while the march drew one step per call
+    est = mc.hitting_before_exit(bernstein.stable(1.0), 1, mc.Ball(center=(2.0,), radius=0.5),
+                                 [0.0], mc.Ball(center=(0.0,), radius=4.0),
+                                 _cfg(paths=1500, seed=41, step=1e-2))
+    assert (est.mean.hex(), est.std_error.hex()) == ("0x1.a9fbe76c8b439p-2", "0x1.a128d9586e38dp-7")
 
 
 def test_hitting_trivial_cases():

@@ -70,3 +70,21 @@ def test_channel_independence():
     b = st.normals(0, ids, 1, base_channel=rng.CH_JUMP_BASE)[:, 0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
+
+
+def test_step_grid_matches_scalar_steps():
+    # one call on a (K, n) counter grid gives the bits of K calls with
+    # scalar steps; the counter keeps the low 32 bits of a step
+    st = rng.PhiloxStream(99)
+    ids = np.array([0, 5, 2**33 + 7, 2**64 - 1], dtype=np.uint64)
+    steps = np.array([0, 1, 2**32 + 3, 3], dtype=np.uint64)[:, None]
+    grid = np.broadcast_to(ids, (steps.shape[0], ids.size))
+    u0, u1 = st.uniform_pair(rng.CH_SUB, steps, grid)
+    z = st.normals(steps, grid, 3)
+    assert u0.shape == grid.shape and z.shape == grid.shape + (3,)
+    for i, step in enumerate(steps[:, 0].tolist()):
+        v0, v1 = st.uniform_pair(rng.CH_SUB, step, ids)
+        assert np.array_equal(u0[i], v0) and np.array_equal(u1[i], v1)
+        assert np.array_equal(z[i], st.normals(step, ids, 3))
+    assert np.array_equal(u0[2], u0[3]) and np.array_equal(z[2], z[3])
+    assert not np.array_equal(u0[2], u0[1])
