@@ -51,7 +51,6 @@ from .errors import (
 from .harnack import (
     BhpReport,
     CarlesonReport,
-    FatnessSpec,
     HarmonicProbe,
     HarnackReport,
     bhp_ratio_check,
@@ -121,7 +120,7 @@ __all__ = [
     "exceedance_probability", "exit_time_bounds_check",
     "exit_distribution_histogram", "hitting_before_exit",
     "epsilon_refinement_check",
-    "HarmonicProbe", "FatnessSpec", "mc_harmonic", "harnack_ratio",
+    "HarmonicProbe", "mc_harmonic", "harnack_ratio",
     "HarnackReport", "carleson_check", "CarlesonReport", "bhp_ratio_check",
     "BhpReport",
     "ConstructionError", "UnsupportedKindError", "EvaluationDomainError",

@@ -8,6 +8,10 @@ comparisons reuse the same paths: the base estimate reads the first quarter
 of each path block, the paths-refined estimate reads all of it, and the
 grid-refined estimate adds the interleaved start points.
 
+The Carleson and boundary Harnack checks compare u(x) near a boundary point
+Q with u at the corkscrew point A_r(Q) = Q +- r/2, the point at distance r/2
+from Q on the inward axis.
+
 Constants here are existence-only, so nothing asserts a particular ratio
 value; the checks measure the ratio and require it to be finite and stable
 under refinement, and each boolean verdict carries a three-sigma margin.
@@ -22,12 +26,11 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import CompleteBernsteinFunction
-from .errors import ConstructionError, EvaluationDomainError
-from .montecarlo import Ball, Interval, McEstimate, PathConfig, _as_points, _run_batches, scaled_config
+from .errors import EvaluationDomainError
+from .montecarlo import Ball, Interval, McEstimate, PathConfig, _as_points, _run_batches, _scaled_like
 
 __all__ = [
     "HarmonicProbe",
-    "FatnessSpec",
     "HalfDisk",
     "shell_probes_1d",
     "sector_probes_2d",
@@ -48,22 +51,11 @@ class HarmonicProbe:
     boundary_data: Callable
     domain: object
     grid: np.ndarray
-    label: str = ""
 
 
-@dataclass(frozen=True)
-class FatnessSpec:
-    """Interior corkscrew geometry: B(A_r(Q), kappa*r) inside D cap B(Q, r)."""
-
-    kappa: float
-    R: float
-    corkscrew: Callable
-
-    def __post_init__(self):
-        if not 0.0 < self.kappa <= 0.5:
-            raise ConstructionError("kappa must lie in (0, 1/2]")
-        if self.R <= 0.0:
-            raise ConstructionError("R must be positive")
+# largest relative change of a ratio under path or grid refinement that
+# still counts as stable
+_STABILITY_TOL = 0.2
 
 
 @dataclass(frozen=True)
@@ -81,9 +73,6 @@ class HalfDisk:
 
     def strictly_outside(self, x: np.ndarray) -> np.ndarray:
         return (np.linalg.norm(x, axis=1) > self.radius) | (x[:, 1] < 0.0)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        return ~self.outside(x)
 
 
 def shell_probes_1d(R: float, side_of: float = 0.0) -> list:
@@ -160,6 +149,15 @@ def _family_means(vals: np.ndarray, n_use: int):
     return means, ses
 
 
+def _base_and_refined_means(phi, domain, grid, datas, run_cfg: PathConfig):
+    """Family means over the first quarter of each start's paths (base) and
+    over all of them (paths-refined), from one run; plus the censored count."""
+    vals, censored = _family_values(phi, domain, grid, datas, run_cfg)
+    means_base, _ = _family_means(vals, run_cfg.paths // 4)
+    means_full, _ = _family_means(vals, run_cfg.paths)
+    return means_base, means_full, censored
+
+
 def mc_harmonic(phi, d: int, probe: HarmonicProbe, cfg: PathConfig) -> list:
     """E_x[data(X_tau)] with std errors, one McEstimate per grid point."""
     if d != probe.domain.d:
@@ -168,7 +166,7 @@ def mc_harmonic(phi, d: int, probe: HarmonicProbe, cfg: PathConfig) -> list:
     out = []
     for i in range(vals.shape[0]):
         v = vals[i, :, 0]
-        out.append(McEstimate.from_values(v[~np.isnan(v)], cfg.seed))
+        out.append(McEstimate.from_values(v[~np.isnan(v)]))
     return out
 
 
@@ -201,37 +199,30 @@ def harnack_ratio(
     d: int,
     r: float,
     cfg: PathConfig,
-    data_family=None,
-    stability_tol: float = 0.2,
 ) -> HarnackReport:
     """Measured sup/inf ratio over B(0, r) for probes harmonic in B(0, 17r).
 
     cfg.paths is the base path count per start; the simulation runs 4x that
     so the paths-refined and grid-refined ratios come from the same paths.
-    The probe family defaults to eight dyadic shells (d = 1) or eight
-    annular sectors (d = 2), all supported outside the harmonicity ball.
+    The probes are eight dyadic shells (d = 1) or eight annular sectors
+    (d >= 2), all supported outside the harmonicity ball.
     """
     if d < 1:
         raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
     big_r = 17.0 * r
+    run_cfg = _scaled_like(phi, big_r, 4 * cfg.paths, cfg)
     domain = Ball(center=(0.0,) * d, radius=big_r)
-    if data_family is None:
-        data_family = shell_probes_1d(big_r) if d == 1 else sector_probes_2d(big_r)
+    datas = shell_probes_1d(big_r) if d == 1 else sector_probes_2d(big_r)
     fine = np.linspace(-0.75 * r, 0.75 * r, 13)
     if d == 1:
         grid = fine[:, None]
     else:
         grid = np.zeros((13, d))
         grid[:, 0] = fine
-    run_cfg = scaled_config(
-        phi, big_r, 4 * cfg.paths, cfg.seed,
-        epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
-    )
-    vals, censored = _family_values(phi, domain, grid, data_family, run_cfg)
+    means_base, means_full, censored = _base_and_refined_means(
+        phi, domain, grid, datas, run_cfg)
     coarse_idx = np.arange(0, 13, 2)
     fine_idx = np.arange(13)
-    means_base, _ = _family_means(vals, cfg.paths)
-    means_full, _ = _family_means(vals, 4 * cfg.paths)
     r_base = _sup_inf_ratio(means_base, coarse_idx)
     r_paths = _sup_inf_ratio(means_full, coarse_idx)
     r_grid = _sup_inf_ratio(means_base, fine_idx)
@@ -241,7 +232,7 @@ def harnack_ratio(
         math.isfinite(r_base)
         and math.isfinite(r_paths)
         and math.isfinite(r_grid)
-        and max(d_paths, d_grid) < stability_tol
+        and max(d_paths, d_grid) < _STABILITY_TOL
     )
     return HarnackReport(
         ratio=r_base,
@@ -269,11 +260,11 @@ def carleson_check(
     Q: float,
     r: float,
     cfg: PathConfig,
-    fatness: FatnessSpec | None = None,
 ) -> CarlesonReport:
     """Floor of u(A_r(Q))/u(x) over x near Q, for data vanishing on D^c near Q.
 
-    D is the interval, Q one of its endpoints.  Probes vanish on D^c
+    D is the interval, Q one of its endpoints, and A_r(Q) the corkscrew
+    point at distance r/2 inside D.  Probes vanish on D^c
     intersected with B(Q, 2r): dyadic shells outside Q beyond distance 2r,
     the deepest extended to a full tail so its hit count stays usable.
     Wide confidence intervals (tiny r or few paths) yield
@@ -282,10 +273,7 @@ def carleson_check(
     if not (Q == interval.lo or Q == interval.hi):
         raise EvaluationDomainError("Q must be an endpoint of the interval")
     inward = 1.0 if Q == interval.lo else -1.0
-    if fatness is None:
-        fatness = FatnessSpec(kappa=0.5, R=(interval.hi - interval.lo) / 2.0,
-                              corkscrew=lambda q, rr: q + inward * rr / 2.0)
-    a_pt = fatness.corkscrew(Q, r)
+    a_pt = Q + inward * r / 2.0
 
     datas = []
     for lo_m, hi_m in [(2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, math.inf)]:
@@ -299,10 +287,7 @@ def carleson_check(
 
     xs = Q + inward * np.linspace(r / 6.0, r, 6)
     grid = np.concatenate([xs, [a_pt]])[:, None]
-    run_cfg = scaled_config(
-        phi, r, cfg.paths, cfg.seed, step_frac=1e-2,
-        epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
-    )
+    run_cfg = _scaled_like(phi, r, cfg.paths, cfg, step_frac=1e-2)
     vals, _ = _family_values(phi, interval, grid, datas, run_cfg)
     means, ses = _family_means(vals, cfg.paths)
     u_a, se_a = means[-1, :], ses[-1, :]
@@ -349,7 +334,6 @@ def bhp_ratio_check(
     cfg: PathConfig,
     domain: str = "interval",
     probes=None,
-    stability_tol: float = 0.2,
 ) -> BhpReport:
     """Spread of (u(x)/v(x)) * (v(A)/u(A)) over x in D near the boundary point.
 
@@ -360,6 +344,7 @@ def bhp_ratio_check(
     Harnack principle requires.  cfg.paths is the base count; 4x runs and
     the paths-refined spread reuses the same simulation.
     """
+    run_cfg = _scaled_like(phi, 2.0 * r, 4 * cfg.paths, cfg)
     if d == 1 and domain == "interval":
         sim_domain = Interval(0.0, 2.0 * r)
 
@@ -392,17 +377,12 @@ def bhp_ratio_check(
         raise EvaluationDomainError("domain must be 'interval' (d=1) or 'halfdisk' (d=2)")
     if probes is not None:
         u_data, v_data = probes
-    run_cfg = scaled_config(
-        phi, 2.0 * r, 4 * cfg.paths, cfg.seed,
-        epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
-    )
-    vals, censored = _family_values(phi, sim_domain, grid, [u_data, v_data], run_cfg)
-    means_base, _ = _family_means(vals, cfg.paths)
-    means_full, _ = _family_means(vals, 4 * cfg.paths)
+    means_base, means_full, censored = _base_and_refined_means(
+        phi, sim_domain, grid, [u_data, v_data], run_cfg)
     s_base = _bhp_from_means(means_base)
     s_full = _bhp_from_means(means_full)
     delta = abs(s_full - s_base) / s_base if math.isfinite(s_base) else math.inf
-    passed = math.isfinite(s_base) and math.isfinite(s_full) and delta < stability_tol
+    passed = math.isfinite(s_base) and math.isfinite(s_full) and delta < _STABILITY_TOL
     return BhpReport(
         spread=s_base,
         spread_paths_refined=s_full,

@@ -60,24 +60,19 @@ def talbot_inversion(transform: Callable, t, nodes: int = 32) -> np.ndarray:
     return vals if np.ndim(t) else float(vals[0])
 
 
-def talbot_with_residual(
-    transform: Callable,
-    t,
-    nodes: int = 32,
-    check_nodes: int = 24,
-    rtol: float = 1e-6,
-    raise_on_fail: bool = True,
-):
+_TALBOT_CHECK_NODES = 24
+
+
+def talbot_with_residual(transform: Callable, t, nodes: int = 32, rtol: float = 1e-6):
     """Talbot inversion with an internal accuracy estimate.
 
     The residual is the relative difference between the ``nodes``- and
-    ``check_nodes``-point rules.  The cross-check rule is *smaller*: the
+    _TALBOT_CHECK_NODES-point rules.  The cross-check rule is *smaller*: the
     contour weights grow like exp(2m/5), so past the double-precision sweet
     spot adding nodes amplifies round-off instead of reducing truncation (a
     48-node rule can sit 1e-5 off while 24/32-node rules agree with each
     other and with Gaver-Stehfest to 1e-8).  If the residual exceeds
-    ``rtol`` a :class:`NumericAccuracyError` carrying it is raised (or the
-    values are returned anyway when ``raise_on_fail`` is false).
+    ``rtol`` a :class:`NumericAccuracyError` carrying it is raised.
 
     The absolute round-off floor of the rule is about 1e-12 times the peak
     magnitude in the batch, so relative accuracy ``rtol`` is only attainable
@@ -85,7 +80,7 @@ def talbot_with_residual(
     tail below that floor are returned but excluded from certification.
     """
     vals_main = np.atleast_1d(talbot_inversion(transform, t, nodes))
-    vals_check = np.atleast_1d(talbot_inversion(transform, t, check_nodes))
+    vals_check = np.atleast_1d(talbot_inversion(transform, t, _TALBOT_CHECK_NODES))
     mags = np.abs(vals_main)
     vmax = float(np.max(mags)) if mags.size else 0.0
     floor = min(1e-12 / max(rtol, 1e-300), 1e-3) * vmax
@@ -94,7 +89,7 @@ def talbot_with_residual(
         residual = float(np.max(np.abs(vals_main - vals_check)[live] / mags[live]))
     else:
         residual = 0.0
-    if residual > rtol and raise_on_fail:
+    if residual > rtol:
         raise NumericAccuracyError(
             f"Laplace inversion residual {residual:.3e} exceeds tolerance {rtol:.1e}",
             residual=residual,
@@ -134,25 +129,22 @@ def gaver_stehfest(transform: Callable, t, terms: int = 14) -> np.ndarray:
     return vals if np.ndim(t) else float(vals[0])
 
 
-def stehfest_with_residual(
-    transform: Callable,
-    t,
-    terms: int = 14,
-    check_terms: int = 12,
-    rtol: float = 1e-4,
-    raise_on_fail: bool = True,
-):
+_STEHFEST_CHECK_TERMS = 12
+
+
+def stehfest_with_residual(transform: Callable, t, terms: int = 14, rtol: float = 1e-4):
     """Gaver-Stehfest with a two-rule residual estimate.
 
     Going above ~16 terms amplifies round-off, so the cross-check uses a
-    *smaller* rule; the residual mixes truncation of the small rule with
-    round-off of the large one, which is the honest resolution limit.
+    *smaller* rule of _STEHFEST_CHECK_TERMS terms; the residual mixes
+    truncation of the small rule with round-off of the large one, which is
+    the honest resolution limit.
     """
     a = np.atleast_1d(gaver_stehfest(transform, t, terms))
-    b = np.atleast_1d(gaver_stehfest(transform, t, check_terms))
+    b = np.atleast_1d(gaver_stehfest(transform, t, _STEHFEST_CHECK_TERMS))
     scale = np.maximum(np.abs(a), np.finfo(float).tiny)
     residual = float(np.max(np.abs(a - b) / scale))
-    if residual > rtol and raise_on_fail:
+    if residual > rtol:
         raise NumericAccuracyError(
             f"Gaver-Stehfest residual {residual:.3e} exceeds tolerance {rtol:.1e}",
             residual=residual,

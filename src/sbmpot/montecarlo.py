@@ -26,6 +26,9 @@ position bit for bit as repeated += would, and the first step outside
 settles each exit; draws past a path's exit within its chunk are discarded.
 Compound paths march one step at a time, since the draws of a step depend on
 its jump count.
+
+Hitting probabilities are exit problems too: P_x(T_A < tau_D) marches to the
+first exit from D minus A and asks whether the exit position lies in A.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ class PathConfig:
     def __post_init__(self):
         if self.paths <= 0:
             raise ConstructionError("paths must be positive")
-        if self.step <= 0.0 or self.horizon <= 0.0:
-            raise ConstructionError("step and horizon must be positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.horizon < math.inf):
+            raise ConstructionError("step and horizon must be positive and finite")
         if self.step > self.horizon:
             raise ConstructionError("step must not exceed horizon")
         if not 0.0 < self.epsilon < 1.0:
@@ -91,24 +94,35 @@ class PathConfig:
             raise ConstructionError("batch_size must be positive")
 
 
+_HORIZON_MULT = 50.0
+
+
 def scaled_config(
     phi: CompleteBernsteinFunction,
     r: float,
     paths: int,
     seed: int,
     step_frac: float = 1e-3,
-    horizon_mult: float = 50.0,
     **kw,
 ) -> PathConfig:
     """Config with step and horizon tied to the exit-time scale 1/phi(r^-2).
 
-    The skeleton step is step_frac of the target tau scale and the horizon a
-    large multiple of it, keeping the censoring rate far below 1%.
+    The skeleton step is step_frac of the target tau scale and the horizon
+    _HORIZON_MULT times it, keeping the censoring rate far below 1%.
     """
+    if not 0.0 < r < math.inf:
+        raise EvaluationDomainError(f"radius must lie in (0, inf), got {r:g}")
     scale = 1.0 / float(phi(r**-2))
     return PathConfig(
-        paths=paths, seed=seed, horizon=horizon_mult * scale, step=step_frac * scale, **kw
+        paths=paths, seed=seed, horizon=_HORIZON_MULT * scale, step=step_frac * scale, **kw
     )
+
+
+def _scaled_like(phi, r: float, paths: int, cfg: PathConfig, step_frac: float = 1e-3) -> PathConfig:
+    """scaled_config for radius r and ``paths`` paths, with cfg's seed,
+    epsilon, method and batch size."""
+    return scaled_config(phi, r, paths, cfg.seed, step_frac,
+                         epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size)
 
 
 @dataclass(frozen=True)
@@ -116,16 +130,15 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
-    seed: int
 
     @staticmethod
-    def from_values(vals: np.ndarray, seed: int) -> "McEstimate":
+    def from_values(vals: np.ndarray) -> "McEstimate":
         vals = np.asarray(vals, dtype=float)
         n = vals.size
         if n == 0:
-            return McEstimate(math.nan, math.nan, 0, seed)
+            return McEstimate(math.nan, math.nan, 0)
         se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-        return McEstimate(float(vals.mean()), se, n, seed)
+        return McEstimate(float(vals.mean()), se, n)
 
 
 @dataclass(frozen=True)
@@ -145,8 +158,8 @@ class ExitSample:
     censored: int
     requested: int
 
-    def mean_tau(self, seed: int = 0) -> McEstimate:
-        return McEstimate.from_values(self.tau, seed)
+    def mean_tau(self) -> McEstimate:
+        return McEstimate.from_values(self.tau)
 
 
 @dataclass(frozen=True)
@@ -170,10 +183,6 @@ class Interval:
         x0 = x[:, 0]
         return (x0 < self.lo) | (x0 > self.hi)
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x0 = x[:, 0]
-        return (x0 > self.lo) & (x0 < self.hi)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -196,9 +205,6 @@ class Ball:
 
     def strictly_outside(self, x: np.ndarray) -> np.ndarray:
         return self._dist(x) > self.radius
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        return self._dist(x) < self.radius
 
 
 def _as_points(x0, d: int) -> np.ndarray:
@@ -381,16 +387,11 @@ def sample_subordinator_increment(
 _MAX_CHUNK_STEPS = 256
 
 
-def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
+def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     """March one batch of paths to exit; returns per-path records.
 
-    ``starts`` has one row per path.  ``observer(path, live, moved)`` is
-    called after every block of position updates: ``path`` holds the
-    positions of the batch rows ``live`` after m consecutive moves, shape
-    (m, live.size, d), and ``moved[j, i]`` is True when row live[i] was still
-    inside as move j began, so masked positions are exactly the ones a path
-    reached up to and including its exit.  It may be used to track hitting
-    times on the same paths.
+    ``starts`` has one row per path.  Returns (tau, exit position, exited by
+    jump), with tau NaN for paths still inside at the horizon.
     """
     d = domain.d
     n = ids.size
@@ -426,8 +427,6 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
             path = np.cumsum(block, axis=0)[1:]
             out = domain.outside(path.reshape(-1, d)).reshape(m, live.size)
             first = np.where(out.any(axis=0), out.argmax(axis=0), m)
-            if observer is not None:
-                observer(path, live, np.arange(m)[:, None] <= first)
             x[live] = path[np.minimum(first, m - 1), np.arange(live.size)]
             gone = first < m
             hit = live[gone]
@@ -445,8 +444,6 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
         the end of the step.
         """
         x[sel] += dx
-        if observer is not None:
-            observer(x[sel][None], sel, np.ones((1, sel.size), dtype=bool))
         out = domain.outside(x[sel])
         if not out.any():
             return
@@ -472,13 +469,12 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg, observer=None):
     return tau, pos, byj
 
 
-def _run_batches(phi, domain, starts_all, cfg, observer_factory=None, ids_all=None):
+def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
     """March every row of ``starts_all`` to exit, cfg.batch_size rows at a time.
 
     Row i draws its noise from path id ``ids_all[i]`` (default i); a path's
     record depends only on its start and its id, never on the batching.
-    With an ``observer_factory(ids) -> (observe, collect)`` each batch's
-    result is paired with what its ``collect()`` returns after the march.
+    Returns one _simulate_batch record per batch.
     """
     inc = _Increments(phi, cfg, cfg.step)
     n = starts_all.shape[0]
@@ -487,11 +483,7 @@ def _run_batches(phi, domain, starts_all, cfg, observer_factory=None, ids_all=No
     results = []
     for lo in range(0, n, cfg.batch_size):
         ids, starts = ids_all[lo : lo + cfg.batch_size], starts_all[lo : lo + cfg.batch_size]
-        if observer_factory is None:
-            results.append(_simulate_batch(inc, domain, starts, ids, cfg))
-        else:
-            observe, collect = observer_factory(ids)
-            results.append((_simulate_batch(inc, domain, starts, ids, cfg, observe), collect()))
+        results.append(_simulate_batch(inc, domain, starts, ids, cfg))
     return results
 
 
@@ -499,6 +491,8 @@ def simulate_exits(phi, domain, x0, cfg: PathConfig) -> ExitSample:
     """Exit samples for cfg.paths paths all started at x0."""
     d = domain.d
     start = _as_points(x0, d)[0]
+    if not np.all(np.isfinite(start)):
+        raise EvaluationDomainError("start point must be finite")
     if bool(domain.strictly_outside(start[None, :])[0]):
         raise EvaluationDomainError("start point lies outside the domain")
     starts = np.tile(start, (cfg.paths, 1))
@@ -537,13 +531,13 @@ def exceedance_probability(phi, d: int, r: float, t: float, cfg: PathConfig) -> 
     if t < 0.0:
         raise EvaluationDomainError("t must be nonnegative")
     if t == 0.0:
-        return ExceedanceReport(McEstimate(0.0, 0.0, cfg.paths, cfg.seed), 0.0, t, r)
+        return ExceedanceReport(McEstimate(0.0, 0.0, cfg.paths), 0.0, t, r)
     domain = Ball(center=(0.0,) * d, radius=r)
     run_cfg = replace(cfg, horizon=t, step=min(cfg.step, t))
     parts = _run_batches(phi, domain, np.zeros((cfg.paths, d)), run_cfg)
     tau = np.concatenate([p[0] for p in parts])
     exceed = (~np.isnan(tau)) & (tau <= t)
-    est = McEstimate.from_values(exceed.astype(float), cfg.seed)
+    est = McEstimate.from_values(exceed.astype(float))
     ratio = est.mean / (float(phi(r**-2)) * t)
     return ExceedanceReport(est, float(ratio), t, r)
 
@@ -565,13 +559,12 @@ class ExitTimeBoundsReport:
         return math.isfinite(self.window[1]) and self.window[0] > 0.0
 
 
-def exit_time_bounds_check(
-    phi,
-    d: int,
-    r_grid,
-    cfg: PathConfig,
-    offsets=(0.0, 0.5, 0.9),
-) -> ExitTimeBoundsReport:
+# starting offsets beta of exit_time_bounds_check, as fractions of r; 0 gives
+# the centred mean behind the product window
+_BOUND_OFFSETS = (0.0, 0.5, 0.9)
+
+
+def exit_time_bounds_check(phi, d: int, r_grid, cfg: PathConfig) -> ExitTimeBoundsReport:
     """Exit-time comparisons on centered balls B(0, r).
 
     For each r the product E_0[tau_B(0,r)] * phi(r^-2) must land in a
@@ -582,26 +575,21 @@ def exit_time_bounds_check(
     r runs on scaled_config's step and horizon for that radius.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    if not np.any(offsets == 0.0):
-        offsets = np.concatenate([[0.0], offsets])
+    offsets = np.array(_BOUND_OFFSETS)
     products = np.empty(r_grid.size)
     off_means = np.empty((r_grid.size, offsets.size))
     off_ses = np.empty_like(off_means)
     bounds = np.empty_like(off_means)
     censored = 0
     for i, r in enumerate(r_grid):
-        run_cfg = scaled_config(
-            phi, r, cfg.paths, cfg.seed,
-            epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size,
-        )
+        run_cfg = _scaled_like(phi, r, cfg.paths, cfg)
         domain = Ball(center=(0.0,) * d, radius=float(r))
         for j, beta in enumerate(offsets):
             x0 = np.zeros(d)
             x0[0] = beta * r
             sample = simulate_exits(phi, domain, x0, run_cfg)
             censored += sample.censored
-            est = sample.mean_tau(cfg.seed)
+            est = sample.mean_tau()
             off_means[i, j] = est.mean
             off_ses[i, j] = est.std_error
             bounds[i, j] = 2.0 * float(renewal_function_V(phi, 2.0 * r)) * float(
@@ -665,44 +653,53 @@ def exit_distribution_histogram(
     )
 
 
+@dataclass(frozen=True)
+class _Punctured:
+    """The enclosing domain minus the target, which may poke out of it."""
+
+    enclosing: object
+    target: object
+
+    @property
+    def d(self) -> int:
+        return self.enclosing.d
+
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        return self.enclosing.outside(x) | ~self.target.outside(x)
+
+    def strictly_outside(self, x: np.ndarray) -> np.ndarray:
+        return self.enclosing.strictly_outside(x) | ~self.target.outside(x)
+
+
 def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) -> McEstimate:
     """P_start(T_target < tau_enclosing), target checked at every epoch.
 
-    ``target`` is an Interval/Ball inside the enclosing domain, or None for
-    the empty set (probability exactly zero).  Monotone in the target on
-    matched seeds: the trajectory of each path id is the same, so nested
-    targets give nested hitting events.
+    ``target`` is an Interval/Ball, or None for the empty set (probability
+    exactly zero).  A path hits when its first exit from enclosing minus
+    target lands in the target; censored paths count for neither.  Monotone
+    in the target on matched seeds: each path id follows one trajectory, so
+    nested targets give nested hitting events.
     """
     if target is None:
-        return McEstimate(0.0, 0.0, cfg.paths, cfg.seed)
+        return McEstimate(0.0, 0.0, cfg.paths)
     if d != enclosing.d:
         raise EvaluationDomainError("dimension does not match the enclosing domain")
     start_pt = _as_points(start, d)
-    if bool(target.contains(start_pt)[0]):
-        return McEstimate(1.0, 0.0, cfg.paths, cfg.seed)
-
-    def factory(ids):
-        hits = np.zeros(ids.size, dtype=bool)
-
-        def observe(path, live, moved):
-            inside = target.contains(path.reshape(-1, d)).reshape(moved.shape) & moved
-            hits[live[inside.any(axis=0)]] = True
-
-        return observe, lambda: hits
-
-    starts = np.tile(_as_points(start, d)[0], (cfg.paths, 1))
-    parts = _run_batches(phi, enclosing, starts, cfg, observer_factory=factory)
-    tau = np.concatenate([p[0][0] for p in parts])
-    hits = np.concatenate([p[1] for p in parts])
-    ok = ~np.isnan(tau) | hits
-    return McEstimate.from_values(hits[ok].astype(float), cfg.seed)
+    if not bool(target.outside(start_pt)[0]):
+        return McEstimate(1.0, 0.0, cfg.paths)
+    starts = np.tile(start_pt[0], (cfg.paths, 1))
+    parts = _run_batches(phi, _Punctured(enclosing, target), starts, cfg)
+    tau = np.concatenate([p[0] for p in parts])
+    pos = np.concatenate([p[1] for p in parts])
+    stopped = ~np.isnan(tau)
+    return McEstimate.from_values(~target.outside(pos[stopped]))
 
 
 def epsilon_refinement_check(phi, domain, x0, cfg: PathConfig) -> dict:
     """Mean exit time at epsilon and epsilon/2; delta must be < 3 combined SE."""
     a = simulate_exits(phi, domain, x0, cfg)
     b = simulate_exits(phi, domain, x0, replace(cfg, epsilon=cfg.epsilon / 2.0))
-    ea, eb = a.mean_tau(cfg.seed), b.mean_tau(cfg.seed)
+    ea, eb = a.mean_tau(), b.mean_tau()
     combined = math.hypot(ea.std_error, eb.std_error)
     return {
         "mean": ea.mean,

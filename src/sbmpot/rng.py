@@ -104,11 +104,6 @@ class PhiloxStream:
         _rounds(x.reshape(2, -1), y.reshape(2, -1), self._keys)
         return x, y
 
-    def _block(self, channel: int, step: int, path_ids: np.ndarray):
-        x, y = self._lanes(channel, step, path_ids)
-        x, y = x.astype(np.uint32), y.astype(np.uint32)
-        return x[0], y[0], x[1], y[1]
-
     def uniform_pair(self, channel: int, step, path_ids) -> tuple[np.ndarray, np.ndarray]:
         """Two independent uniforms in (0,1) per (step, path id) counter.
 
@@ -128,10 +123,6 @@ class PhiloxStream:
         u += 0.5
         u *= 2.0**-53
         return u[0], u[1]
-
-    def normal_pair(self, channel: int, step: int, path_ids) -> tuple[np.ndarray, np.ndarray]:
-        u0, u1 = self.uniform_pair(channel, step, path_ids)
-        return ndtri(u0), ndtri(u1)
 
     def normals(self, step, path_ids, d: int, base_channel: int = CH_GAUSS) -> np.ndarray:
         """(*path_ids.shape, d) standard normals from consecutive channels

@@ -288,6 +288,12 @@ def test_version_flag(capsys):
     ["ladder", "v", "--kind", "stable", "--alpha", "1", "--tmin", "1", "--tmax", "0.5"],
     ["check", "doubling", "--kind", "stable", "--alpha", "1", "--dim", "0"],
     ["check", "harnack", "--kind", "stable", "--alpha", "1", "--dim", "0", "--paths", "10"],
+    ["check", "harnack", "--kind", "stable", "--alpha", "1", "--r", "nan", "--paths", "10"],
+    ["check", "harnack", "--kind", "stable", "--alpha", "1", "--r", "inf", "--paths", "10"],
+    ["check", "bhp", "--kind", "stable", "--alpha", "1", "--r", "inf", "--paths", "10"],
+    *[["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10", flag, value]
+      for flag, value in (("--radius", "0"), ("--radius", "nan"), ("--radius", "inf"),
+                          ("--step", "nan"), ("--horizon", "nan"), ("--x0", "nan"))],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way

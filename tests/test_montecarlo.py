@@ -26,6 +26,9 @@ def test_config_validation():
         mc.PathConfig(paths=0, seed=1, horizon=1.0, step=1e-3)
     with pytest.raises(ConstructionError):
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=2.0)
+    for step, horizon in ((math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
+        with pytest.raises(ConstructionError):
+            mc.PathConfig(paths=10, seed=1, horizon=horizon, step=step)
     with pytest.raises(ConstructionError):
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, epsilon=1.5)
     with pytest.raises(ConstructionError):
@@ -62,7 +65,7 @@ def test_exact_exit_time_oracle_d1():
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     sample = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=20000))
-    est = sample.mean_tau(11)
+    est = sample.mean_tau()
     exact = _exact_ball_mean_tau(1, 1.0, 1.0, 0.0)
     assert abs(est.mean - exact) < 4.0 * est.std_error + 0.01 * exact
     assert sample.censored == 0
@@ -73,7 +76,7 @@ def test_compound_matches_exact_route():
     ball = mc.Ball(center=(0.0,), radius=1.0)
     a = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000, method="exact"))
     b = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000, method="compound"))
-    ea, eb = a.mean_tau(11), b.mean_tau(11)
+    ea, eb = a.mean_tau(), b.mean_tau()
     assert abs(ea.mean - eb.mean) < 4.0 * math.hypot(ea.std_error, eb.std_error)
 
 
@@ -251,12 +254,29 @@ def test_hitting_before_exit_monotone():
 
 
 def test_hitting_before_exit_bits_pinned():
-    # the observer sees every position up to and including each exit;
-    # captured while the march drew one step per call
+    # a hit is an exit into the target; captured while the march drew one
+    # step per call and a hit was any marched position inside the target
     est = mc.hitting_before_exit(bernstein.stable(1.0), 1, mc.Ball(center=(2.0,), radius=0.5),
                                  [0.0], mc.Ball(center=(0.0,), radius=4.0),
                                  _cfg(paths=1500, seed=41, step=1e-2))
     assert (est.mean.hex(), est.std_error.hex()) == ("0x1.a9fbe76c8b439p-2", "0x1.a128d9586e38dp-7")
+
+
+@pytest.mark.parametrize("target, enclosing, mean, se, n", [
+    (mc.Ball(center=(1.0,), radius=0.4), mc.Ball(center=(0.0,), radius=2.0),
+     "0x1.d555555555555p-1", "0x1.5e690615229d8p-6", 168),
+    # the target straddles the enclosing boundary
+    (mc.Interval(0.8, 1.5), mc.Interval(-1.0, 1.0),
+     "0x1.314abba098a56p-1", "0x1.3dc2066d750bap-5", 161),
+])
+def test_compound_hitting_bits_pinned(target, enclosing, mean, se, n):
+    # compound mode with most paths censored: a path counts once it hits the
+    # target or leaves the enclosing domain; captured while hits were
+    # tracked along the whole path to its exit from the enclosing domain
+    cfg = mc.PathConfig(paths=400, seed=5, horizon=1.0, step=1e-2)
+    est = mc.hitting_before_exit(bernstein.relativistic_stable(1.0, 1.0), 1, target, [0.0],
+                                 enclosing, cfg)
+    assert (est.mean.hex(), est.std_error.hex(), est.n) == (mean, se, n)
 
 
 def test_hitting_trivial_cases():
@@ -299,6 +319,6 @@ def test_d2_ball_oracle():
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0, 0.0), radius=1.0)
     sample = mc.simulate_exits(phi, ball, [0.0, 0.0], _cfg(paths=12000))
-    est = sample.mean_tau(11)
+    est = sample.mean_tau()
     exact = _exact_ball_mean_tau(2, 1.0, 1.0, 0.0)
     assert abs(est.mean - exact) < 4.0 * est.std_error + 0.01 * exact

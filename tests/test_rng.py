@@ -3,10 +3,6 @@ import numpy as np
 from sbmpot import rng
 
 
-def _raw_block(stream, channel, step, ids):
-    return stream._block(channel, step, ids)
-
-
 def test_philox_known_answer_zeros():
     c = [np.zeros(1, dtype=np.uint32) for _ in range(4)]
     rk0, rk1 = rng._round_keys(0, 0)
