@@ -12,7 +12,9 @@ the object.
 
 Evaluation accepts real positive or complex arguments (principal branches,
 analytic off the negative real axis), which is what the contour-based Laplace
-inversion in :mod:`sbmpot.densities` needs.
+inversion needs.  Without drift, phi(0+) + mu(t, inf) has Laplace transform
+phi(lam)/lam, so Levy densities and tails without a closed form are Talbot
+inversions of phi itself.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammaincc
 
 from . import laplace
 from .errors import ConstructionError, EvaluationDomainError, UnsupportedKindError
@@ -136,6 +139,14 @@ def _stable_tail(alpha: float, t):
     return t ** (-alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0)
 
 
+def _relativistic_tail(phi, t):
+    # (a/Gamma(1-a)) theta**a Gamma(-a, theta*t), a = alpha/2, rewritten by
+    # Gamma(-a, x) = (x**(-a) exp(-x) - Gamma(1-a, x))/a
+    a = phi.alpha_param / 2.0
+    theta = phi.m ** (2.0 / phi.alpha_param)
+    return t ** (-a) * np.exp(-theta * t) / gamma_fn(1.0 - a) - theta**a * gammaincc(1.0 - a, theta * t)
+
+
 def _stable_potential(alpha: float, t):
     # inverse transform of lam**(-alpha/2): the potential density of the
     # stable subordinator, and the ladder density too (chi = lam**(alpha/2))
@@ -146,12 +157,35 @@ def _stable_renewal(alpha: float, t):
     return t ** (alpha / 2.0) / gamma_fn(1.0 + alpha / 2.0)
 
 
+def _exp_sum(weights, rates, t):
+    with np.errstate(over="ignore"):  # inf * (-1) -> exp gives the right 0
+        return np.sum(weights * np.exp(-np.multiply.outer(t, rates)), axis=-1)
+
+
 def _geometric_potential(phi, t):
     # 1/phi is a finite sum of simple poles, so u is an exact exponential
     # sum; the Talbot contour would sit near those poles and lose digits
-    w, poles = _geometric_terms(phi.alpha_param, phi.n_terms)
-    with np.errstate(over="ignore"):  # inf * (-1) -> exp gives the right 0
-        return np.sum(w * np.exp(-np.multiply.outer(t, poles)), axis=-1)
+    return _exp_sum(*_geometric_terms(phi.alpha_param, phi.n_terms), t)
+
+
+@lru_cache(maxsize=16)
+def _geometric_tail_terms(alpha_param: float, n_terms: int):
+    # phi(lam)/lam = 1/(lam g(lam)) has a simple pole at 0 (the killing) and
+    # one at each zero -z of g, between consecutive poles -b of g, with
+    # residue 1/(z sum w/(b - z)**2), written below in b/z so that it cannot
+    # overflow.  The tail is the exponential sum of these residues; all are
+    # positive, so it stays exact where it is exponentially small.  g(-z)
+    # rises from -inf to inf between consecutive poles.
+    w, b = _geometric_terms(alpha_param, n_terms)
+    w, b = w[np.isfinite(b)], b[np.isfinite(b)]
+    lo, hi = np.log(b[:-1]), np.log(b[1:])
+    for _ in range(64):  # bisection in log z, to full precision
+        mid = (lo + hi) / 2.0
+        below = np.sum(w / (b - np.exp(mid)[:, None]), axis=-1) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    z = np.exp((lo + hi) / 2.0)
+    with np.errstate(over="ignore"):  # far poles: an inf square is a zero term
+        return z / np.sum(w / (b / z[:, None] - 1.0) ** 2, axis=-1), z
 
 
 def _log1p(x):
@@ -180,18 +214,14 @@ def _cexpm1(w):
 # 2.0**1024 overflows, so the geometric weights 2**n stay finite up to here
 GEOMETRIC_MAX_TERMS = 1023
 
-_GEOM_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=16)
 def _geometric_terms(alpha_param: float, n_terms: int):
-    key = (alpha_param, n_terms)
-    if key not in _GEOM_CACHE:
-        n = np.arange(1, n_terms + 1, dtype=float)
-        # a pole past the float range is inf and gives an exact zero term
-        with np.errstate(over="ignore"):
-            poles = 2.0 ** (2.0 * n / alpha_param)
-        _GEOM_CACHE[key] = (2.0 ** n, poles)
-    return _GEOM_CACHE[key]
+    n = np.arange(1, n_terms + 1, dtype=float)
+    # a pole past the float range is inf and gives an exact zero term
+    with np.errstate(over="ignore"):
+        poles = 2.0 ** (2.0 * n / alpha_param)
+    return 2.0 ** n, poles
 
 
 # ---- constructors -------------------------------------------------------
@@ -428,6 +458,7 @@ KINDS: dict[str, _Kind] = {
         lambda phi: 1.0,
         levy_density=lambda phi, t: (
             _stable_levy(phi.alpha_param, t) * np.exp(-phi.m ** (2.0 / phi.alpha_param) * t)),
+        levy_tail=_relativistic_tail,
     ),
     "sum": _Kind(
         sum_of_stables,
@@ -456,6 +487,7 @@ KINDS: dict[str, _Kind] = {
         _phi_geometric,
         lambda phi: 0.0,
         potential_density=_geometric_potential,
+        levy_tail=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t),
     ),
     "conjugate": _Kind(
         conjugate,
@@ -519,62 +551,18 @@ def eval_levy_density(phi: CompleteBernsteinFunction, t):
     return -laplace.talbot_inversion(phi, t)
 
 
-def _log_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Increasing nodes z and weights w of 10-point Gauss-Legendre panels on [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    z = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return z, w
-
-
-_TAIL_BLOCK = 64  # points of t per inversion batch in levy_tail
-_TAIL_DECADES = 14.0  # decades past t that the tail quadrature covers
-
-
 def levy_tail(phi: CompleteBernsteinFunction, t):
-    """Tail mass mu(t, inf): closed form where available, else quadrature of mu.
+    """Tail mass mu(t, inf): closed form where available, else one inversion.
 
-    The density is integrated over log s with a fixed composite
-    Gauss-Legendre rule covering _TAIL_DECADES decades past t, inverted in
-    batches of _TAIL_BLOCK points of t, which bounds the memory of a long
-    grid.  mu is completely monotone, hence decreasing, so a running minimum
-    clamps the round-off noise the inversion produces once an exponentially
-    decaying density has died.  The mass beyond the last node is restored
-    from the locally measured power-law slope of mu; the slowest catalog
-    tails lose a few 1e-4 of relative mass to truncation and the correction
-    recovers it to ~1e-6.
+    Every catalog phi is drift-free, so killing + mu(t, inf) has Laplace
+    transform phi(lam)/lam and the tail is the inverse transform of
+    (phi(lam) - phi(0+))/lam.  The Talbot rule is certified against its
+    smaller cross-check rule and raises NumericAccuracyError past 1e-6.
     """
     closed = phi.closed_form("levy_tail", t)
     if closed is not None:
         return closed
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-
-    span = _TAIL_DECADES * math.log(10.0)
-    z, w = _log_panels(0.0, span, int(round(6 * _TAIL_DECADES)))
-    ez = np.exp(z)
-    lo_idx = min(int(np.searchsorted(z, span - 2.0)), z.size - 1)
-    out = np.empty(ts.size)
-    # a last block of one row would round as a dot product, not as a row of
-    # a matrix-vector product, so that row joins the block before it
-    for lo in range(0, max(ts.size - 1, 1), _TAIL_BLOCK):
-        rows = slice(lo, lo + _TAIL_BLOCK if lo + _TAIL_BLOCK < ts.size - 1 else None)
-        s = ts[rows, None] * ez[None, :]
-        mu = np.asarray(eval_levy_density(phi, s.ravel())).reshape(s.shape)
-        mu = np.minimum.accumulate(np.maximum(mu, 0.0), axis=-1)
-
-        # power-law continuation for the mass past the last node
-        tail_t = ts[rows] * math.exp(span)
-        mu_hi = mu[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.log(mu[:, lo_idx] / mu_hi) / (span - z[lo_idx])
-        ok = np.isfinite(p) & (p > 1.05) & (mu_hi > 0.0)
-        corr = np.where(ok, mu_hi * tail_t / np.maximum(p - 1.0, 1e-12), 0.0)
-        out[rows] = (mu * s) @ w + corr
-    return float(out[0]) if scalar else out
+    return laplace.talbot_with_residual(lambda s: (phi._eval(s) - phi.killing) / s, t)[0]
 
 
 @dataclass(frozen=True)

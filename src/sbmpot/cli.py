@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -146,14 +147,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def _grid(args, single, lo_name, hi_name, default_lo=None, default_hi=None):
     """[single] when given, else points geometric between --<lo_name> and --<hi_name>."""
     if single is not None:
-        if not single > 0.0:
-            raise ConstructionError(f"the point must be positive, not {single:g}")
+        if not 0.0 < single < math.inf:
+            raise ConstructionError(f"the point must lie in (0, inf), not {single:g}")
         return np.array([single])
     lo, hi = getattr(args, lo_name), getattr(args, hi_name)
     lo = default_lo if lo is None else lo
     hi = default_hi if hi is None else hi
-    if not 0.0 < lo < hi:
-        raise ConstructionError(f"need 0 < --{lo_name} < --{hi_name}, got {lo:g} and {hi:g}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ConstructionError(f"need 0 < --{lo_name} < --{hi_name} < inf, got {lo:g} and {hi:g}")
     if args.points < 1:
         raise ConstructionError("--points must be at least 1")
     return np.geomspace(lo, hi, args.points)
@@ -308,7 +309,10 @@ def _cmd_check_asym(args, argv) -> int:
 def _cmd_simulate(args, argv) -> int:
     phi = _phi_from_args(args)
     d = args.dim
-    x0 = [float(s) for s in str(args.x0).split(",")]
+    try:
+        x0 = [float(s) for s in str(args.x0).split(",")]
+    except ValueError:
+        raise ConstructionError(f"--x0 takes comma-separated numbers, got {args.x0!r}") from None
     if len(x0) != d:
         raise ConstructionError("--x0 must supply one coordinate per dimension")
     base = scaled_config(phi, args.radius, args.paths, args.seed,

@@ -246,11 +246,10 @@ def tail_vs_conjugate_potential(phi: CompleteBernsteinFunction, t_grid=None) -> 
 
     The Laplace transform of a + mu(t, inf) is phi(lam)/lam, which is 1 over
     the conjugate exponent (a is the killing constant of phi, zero for
-    conservative entries); the two routes are therefore equal and comparing
-    them is a genuine consistency check, tail quadrature on one side,
-    inversion of the conjugate on the other.  Grid points where the tail has
-    fallen below 1e-6 of its peak sit under the inversion's round-off floor
-    and are skipped.
+    conservative entries).  Both sides invert that transform in effect, so
+    the check covers the killing bookkeeping and the conjugate kind, not the
+    inversion.  Grid points where the tail has fallen below 1e-6 of its peak
+    sit under the inversion's round-off floor and are skipped.
     """
     grid = np.asarray(t_grid if t_grid is not None else np.geomspace(1e-2, 10.0, 20), dtype=float)
     tail = np.atleast_1d(levy_tail(phi, grid)) + phi.killing

@@ -27,7 +27,8 @@ import numpy as np
 
 from .bernstein import CompleteBernsteinFunction
 from .errors import EvaluationDomainError
-from .montecarlo import Ball, Interval, McEstimate, PathConfig, _as_points, _run_batches, _scaled_like
+from .montecarlo import (Ball, Interval, McEstimate, PathConfig, _as_points, _check_radius, _run_batches,
+                         _scaled_like)
 
 __all__ = [
     "HarmonicProbe",
@@ -63,6 +64,9 @@ class HalfDisk:
     """Upper half-disk {|x| < radius, x_2 > 0}; boundary point of interest 0."""
 
     radius: float
+
+    def __post_init__(self):
+        _check_radius(self.radius)
 
     @property
     def d(self) -> int:
@@ -209,6 +213,7 @@ def harnack_ratio(
     """
     if d < 1:
         raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
+    _check_radius(r)
     big_r = 17.0 * r
     run_cfg = _scaled_like(phi, big_r, 4 * cfg.paths, cfg)
     domain = Ball(center=(0.0,) * d, radius=big_r)
@@ -344,6 +349,7 @@ def bhp_ratio_check(
     Harnack principle requires.  cfg.paths is the base count; 4x runs and
     the paths-refined spread reuses the same simulation.
     """
+    _check_radius(r)
     run_cfg = _scaled_like(phi, 2.0 * r, 4 * cfg.paths, cfg)
     if d == 1 and domain == "interval":
         sim_domain = Interval(0.0, 2.0 * r)

@@ -106,8 +106,8 @@ def subordination_integral(w: Callable, d: int, r: float, gamma: float | None = 
     """
     if d < 1:
         raise EvaluationDomainError("dimension must be a positive integer")
-    if r <= 0.0:
-        raise EvaluationDomainError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise EvaluationDomainError(f"radius must lie in (0, inf), got {r:g}")
     if d <= 2:
         if gamma is None:
             raise UndecidableError("d <= 2 requires a declared tail exponent gamma < d/2")
@@ -206,8 +206,8 @@ def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tu
 
     Returns (max of j(r)/j(2r) on (0,K), max of j(r)/j(r+1) on (1, 10K)).
     """
-    if K <= 0.0:
-        raise EvaluationDomainError("K must be positive")
+    if not 0.0 < K < math.inf:
+        raise EvaluationDomainError(f"K must lie in (0, inf), got {K:g}")
     r_small = np.geomspace(K * 1e-3, K * 0.999, 40)
     r_large = np.geomspace(1.001, 10.0 * K if 10.0 * K > 1.1 else 1.1, 40)
     lo = min(float(r_small.min()), float(r_large.min()))
@@ -253,8 +253,8 @@ def build_kernel_table(
     points: int,
     gamma: float | None = None,
 ) -> RadialKernelTable:
-    if not 0.0 < r_min < r_max:
-        raise EvaluationDomainError("need 0 < r_min < r_max")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise EvaluationDomainError("need 0 < r_min < r_max < inf")
     if points < 2:
         raise EvaluationDomainError("need at least two radii")
     radii = np.geomspace(r_min, r_max, points)

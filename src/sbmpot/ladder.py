@@ -155,8 +155,8 @@ def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
     Returns +inf on the diagonal when the convolution integral genuinely
     diverges there (alpha <= 1); that is a value, not an error.
     """
-    if x <= 0.0 or y <= 0.0:
-        raise EvaluationDomainError("halfline Green needs x, y > 0")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise EvaluationDomainError(f"halfline Green needs x, y in (0, inf), got {x:g} and {y:g}")
     lo, gap = (x, y - x) if x <= y else (y, x - y)
     if gap == 0.0 and phi.alpha <= 1.0:
         return math.inf

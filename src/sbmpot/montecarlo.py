@@ -40,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from . import rng
-from .bernstein import CompleteBernsteinFunction, _log_panels, levy_tail
+from . import laplace, rng
+from .bernstein import CompleteBernsteinFunction, levy_tail
 from .errors import ConstructionError, EvaluationDomainError
 from .ladder import renewal_function_V
 
@@ -97,6 +97,11 @@ class PathConfig:
 _HORIZON_MULT = 50.0
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ConstructionError(f"radius must lie in (0, inf), got {radius:g}")
+
+
 def scaled_config(
     phi: CompleteBernsteinFunction,
     r: float,
@@ -110,8 +115,7 @@ def scaled_config(
     The skeleton step is step_frac of the target tau scale and the horizon
     _HORIZON_MULT times it, keeping the censoring rate far below 1%.
     """
-    if not 0.0 < r < math.inf:
-        raise EvaluationDomainError(f"radius must lie in (0, inf), got {r:g}")
+    _check_radius(r)
     scale = 1.0 / float(phi(r**-2))
     return PathConfig(
         paths=paths, seed=seed, horizon=_HORIZON_MULT * scale, step=step_frac * scale, **kw
@@ -190,8 +194,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ConstructionError("ball radius must be positive")
+        _check_radius(self.radius)
 
     @property
     def d(self) -> int:
@@ -255,18 +258,9 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     log_x = np.log(x[keep])
     log_u = np.log(tail[keep] / rate)
 
-    # drift: int_0^eps s mu = int_0^eps tail - eps*tail(eps), head integral
-    # by log-space panels plus a power continuation below the lowest node
-    z_lo = math.log(eps) - 30.0
-    z, w = _log_panels(z_lo, math.log(eps), 120)
-    s = np.exp(z)
-    tail_s = np.asarray(levy_tail(phi, s), dtype=float)
-    head_int = float((tail_s * s) @ w)
-    s_lo = math.exp(z_lo)
-    t_lo = float(levy_tail(phi, s_lo))
-    t_lo2 = float(levy_tail(phi, s_lo * math.e**2))
-    q = max(math.log(t_lo / max(t_lo2, 1e-300)) / 2.0, 0.0)
-    head_int += t_lo * s_lo / max(1.0 - q, 1e-2) if q < 1.0 else 0.0
+    # drift: int_0^eps s mu = int_0^eps tail - eps*tail(eps), and the head
+    # integral of the tail has Laplace transform (phi(lam) - phi(0+))/lam**2
+    head_int = laplace.talbot_with_residual(lambda s: (phi._eval(s) - phi.killing) / s**2, eps)[0]
     drift = head_int - eps * rate
     return rate, max(drift, 0.0), log_u, log_x, None
 

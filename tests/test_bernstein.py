@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from sbmpot import bernstein
 from sbmpot.errors import ConstructionError, UnsupportedKindError
+from sbmpot.montecarlo import _compound_tables
 
 
 def test_stable_closed_values():
@@ -131,7 +133,7 @@ def test_stable_levy_density_closed_form():
 
 def test_levy_tail_matches_transform_inversion():
     # L[killing + tail](s) = phi(s)/s for drift-free phi; invert the right side
-    # with the independent Talbot route and compare against the quadrature tail
+    # and compare against the closed stable tail
     from sbmpot import laplace
 
     phi = bernstein.stable(1.2)
@@ -142,29 +144,35 @@ def test_levy_tail_matches_transform_inversion():
     assert np.all(np.diff(closed) < 0.0)
 
 
-def test_levy_tail_blocks_are_invisible():
-    # 150 points make three inversion blocks; the blocks share no state, so
-    # two calls split at a block boundary give the same bits as one call
-    phi = bernstein.log_perturbed_up(1.0, 0.5)
-    t = np.geomspace(1e-3, 1e2, 150)
-    whole = bernstein.levy_tail(phi, t)
-    cut = bernstein._TAIL_BLOCK
-    split = np.concatenate([bernstein.levy_tail(phi, t[:cut]), bernstein.levy_tail(phi, t[cut:])])
-    assert np.array_equal(whole, split)
+def test_levy_tail_matches_mpmath_fixture():
+    # tails and compound rates and drifts at 30 digits from mpmath, which
+    # writes each phi out again; regenerate with tests/fixtures/levy_tail_mpmath.py
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "levy_tail_mpmath.json")) as fh:
+        ref = json.load(fh)
+    for case in ref["tails"]:
+        phi = bernstein.phi_from_json(case["phi"])
+        np.testing.assert_allclose(bernstein.levy_tail(phi, np.array(case["t"])), case["tail"],
+                                   rtol=1e-6, err_msg=case["label"])
+    for case in ref["compound"]:
+        rate, drift = _compound_tables(bernstein.phi_from_json(case["phi"]), case["epsilon"])[:2]
+        np.testing.assert_allclose([rate, drift], [case["rate"], case["drift"]],
+                                   rtol=1e-6, err_msg=case["label"])
 
 
 def test_geometric_levy_tail_memory_is_bounded():
     # phi is evaluated in blocks of arguments, so the (arguments, terms)
-    # temporary of an inversion batch stays small (212 MB unblocked)
+    # temporary of an inversion batch stays small: 3360 points of the Levy
+    # density are 107k Talbot nodes, 213 MB unblocked; the tail is closed
     phi = bernstein.geometric_like(1.0)
     tracemalloc.start()
     try:
+        mu = bernstein.eval_levy_density(phi, np.geomspace(1e-3, 1e-1, 3360))
         tail = bernstein.levy_tail(phi, np.geomspace(1e-3, 1e2, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert np.all(tail >= 0.0)
+    assert np.all(mu > 0.0) and np.all(tail >= 0.0)
 
 
 def test_geometric_blocks_are_invisible():
@@ -187,6 +195,11 @@ def test_closed_form_accessor():
     assert killed.closed_form("levy_density", 2.0) == phi.closed_form("levy_density", 2.0)
     assert killed.closed_form("potential_density", 2.0) is None
     assert bernstein.killed_shift(log_up, 0.5).closed_form("levy_tail", 2.0) is None
+    # the relativistic tail is closed, and an added killing rate keeps it
+    rel = bernstein.relativistic_stable(1.0, 1.0)
+    assert rel.closed_form("levy_tail", 1.0) == pytest.approx(
+        math.exp(-1.0) / math.sqrt(math.pi) - math.erfc(1.0), rel=1e-14)
+    assert bernstein.killed_shift(rel, 0.5).closed_form("levy_tail", 1.0) == rel.closed_form("levy_tail", 1.0)
 
 
 def test_tail_additivity_for_sum():

@@ -293,7 +293,18 @@ def test_version_flag(capsys):
     ["check", "bhp", "--kind", "stable", "--alpha", "1", "--r", "inf", "--paths", "10"],
     *[["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10", flag, value]
       for flag, value in (("--radius", "0"), ("--radius", "nan"), ("--radius", "inf"),
-                          ("--step", "nan"), ("--horizon", "nan"), ("--x0", "nan"))],
+                          ("--step", "nan"), ("--horizon", "nan"), ("--x0", "nan"),
+                          ("--x0", "abc"))],
+    ["phi", "--kind", "stable", "--alpha", "1", "--lambda", "inf"],
+    ["density", "--kind", "stable", "--alpha", "1", "--t", "inf"],
+    ["ladder", "chi", "--kind", "stable", "--alpha", "1", "--lambda", "inf"],
+    ["ladder", "v", "--kind", "stable", "--alpha", "1", "--t", "inf"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "inf"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmax", "inf"],
+    ["check", "doubling", "--kind", "stable", "--alpha", "1", "--K", "inf"],
+    *[["ladder", "halfline", "--kind", "stable", "--alpha", "1", "--x", x, "--y", y]
+      for x, y in (("nan", "1"), ("inf", "1"), ("1", "inf"))],
+    ["check", "bhp", "--kind", "stable", "--alpha", "1", "--r", "-1", "--paths", "10"],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way
@@ -303,3 +314,11 @@ def test_out_of_range_input_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: ")
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_radius_message_names_the_given_radius(capsys):
+    # the checks scale r to 2r or 17r; the refusal reports r itself
+    for which in ("bhp", "harnack"):
+        rc = cli.main(["check", which, "--kind", "stable", "--alpha", "1", "--r", "-1", "--paths", "10"])
+        assert rc == 2
+        assert "got -1" in capsys.readouterr().err

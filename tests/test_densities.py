@@ -94,7 +94,9 @@ def test_find_scaling_constant_stable():
 
 
 def test_tail_vs_conjugate_potential_identity(catalog):
-    # two independent routes to the Levy tail must agree on live points
+    # both sides invert phi(lam)/lam in effect (the tail directly, u of the
+    # conjugate as 1/(lam/phi)), so this checks the killing bookkeeping and
+    # the conjugate kind, not the inversion itself
     for phi in catalog:
         gap = densities.tail_vs_conjugate_potential(phi)
         assert gap < 1e-4, f"{phi.label()}: {gap:.3e}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbmpot import bernstein, harnack, montecarlo as mc
-from sbmpot.errors import EvaluationDomainError
+from sbmpot.errors import ConstructionError, EvaluationDomainError
 
 
 def _cfg(paths, seed=11, **kw):
@@ -180,3 +180,6 @@ def test_halfdisk_geometry():
     pts = np.array([[0.0, 0.5], [0.0, -0.5], [2.0, 0.5], [0.0, 0.0]])
     np.testing.assert_array_equal(~hd.outside(pts), [True, False, False, False])
     np.testing.assert_array_equal(hd.strictly_outside(pts), [False, True, True, False])
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConstructionError):
+            harnack.HalfDisk(radius)

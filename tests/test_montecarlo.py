@@ -33,6 +33,9 @@ def test_config_validation():
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, epsilon=1.5)
     with pytest.raises(ConstructionError):
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, method="magic")
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConstructionError):
+            mc.Ball(center=(0.0,), radius=radius)
 
 
 def test_boundary_start_exits_immediately():
@@ -142,12 +145,13 @@ def test_exact_chunk_length_is_invisible():
 
 def test_compound_march_bits_pinned():
     # at d = 3 a jump's direction draws share a channel with the next jump's
-    # size; a stream layout that separates them changes this digest on purpose
+    # size; a stream layout that separates them changes this digest on purpose.
+    # The drift of the sum kind is an inversion, 4e-12 off its closed form
     sample = mc.simulate_exits(bernstein.sum_of_stables(1.0, 0.5),
                                mc.Ball(center=(0.0,) * 3, radius=1.0), [0.2, -0.1, 0.0],
                                _cfg(paths=300, seed=29, step=2e-3))
     assert _sample_digest(sample) == (
-        "7063a93a297e996c40b8291d218a7978aa0cbaaff315fe427a62200342454de5")
+        "7dc45ad2755dd09feec257f61244fca2b40e536936bb9998965504ea91d6866f")
 
 
 def test_poisson_table_refuses_truncation():
