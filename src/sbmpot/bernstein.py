@@ -1,11 +1,11 @@
 """Catalog of complete Bernstein functions and their Levy data.
 
-Every entry is the Laplace exponent phi of a (possibly killed) subordinator
-with zero drift,
+Every entry is the Laplace exponent phi of a (possibly killed) subordinator,
 
-    phi(lam) = a + integral_0^inf (1 - exp(-lam*t)) mu(t) dt,
+    phi(lam) = a + b*lam + integral_0^inf (1 - exp(-lam*t)) mu(t) dt,
 
-whose Levy density mu is completely monotone.  All catalog entries satisfy a
+whose Levy density mu is completely monotone.  The drift b is zero but for
+the truncated geometric example.  All catalog entries satisfy a
 power-comparability profile at infinity: phi(lam) is comparable to
 lam**(alpha/2) times a slowly varying factor on [1, inf), with alpha stored on
 the object.
@@ -66,7 +66,7 @@ class CompleteBernsteinFunction:
     example the construction parameter ``alpha_param`` differs from the
     profile index: the Stieltjes transform flips it to ``2 - alpha_param``.
     ``killing`` is phi(0+), nonzero only for entries whose subordinator is
-    killed.  Drift is zero for every entry, by construction.
+    killed.  ``drift`` is zero but for the truncated geometric example.
     """
 
     kind: str
@@ -99,7 +99,7 @@ class CompleteBernsteinFunction:
 
     @property
     def drift(self) -> float:
-        return 0.0
+        return _entry(self.kind).drift(self)
 
     @property
     def small_exponent(self) -> float | None:
@@ -229,7 +229,7 @@ def _geometric_terms(alpha_param: float, n_terms: int):
 
 def stable(alpha: float) -> CompleteBernsteinFunction:
     """phi(lam) = lam**(alpha/2); the rotationally symmetric alpha-stable case."""
-    # alpha = 2 would be pure drift, which the zero-drift catalog excludes
+    # alpha = 2 would be pure drift, which the catalog excludes
     if not 0.0 < alpha < 2.0:
         raise ConstructionError("stable index must lie in (0, 2)")
     return CompleteBernsteinFunction(kind="stable", alpha=alpha, alpha_param=alpha)
@@ -295,7 +295,8 @@ def geometric_like(alpha: float, n_terms: int | None = None) -> CompleteBernstei
     phi(lam) = 1 / sum_{n=1}^{N} 2**n / (lam + 2**(2n/alpha)).  Comparable to
     lam**(1 - alpha/2) at infinity but not regularly varying, so the profile
     index is 2 - alpha.  The full sum stays finite at 0, i.e. the entry
-    carries a killing term phi(0+) = 1/g(0) > 0.  N is at most
+    carries a killing term phi(0+) = 1/g(0) > 0.  The truncated sum decays
+    like sum 2**n / lam, so phi keeps a drift 1/(2**(N+1) - 2).  N is at most
     GEOMETRIC_MAX_TERMS, which refuses the default N for alpha above ~1.915.
     """
     if not 0.0 < alpha < 2.0:
@@ -392,6 +393,7 @@ class _Kind:
     levy_tail: Callable | None = None  # mu(t, inf)
     ladder_density: Callable | None = None  # v(t), inverse transform of 1/chi
     renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
+    drift: Callable = lambda phi: 0.0  # lim phi(lam)/lam
     composite: bool = False  # wraps ``inner``; no JSON form
 
 
@@ -488,6 +490,7 @@ KINDS: dict[str, _Kind] = {
         lambda phi: 0.0,
         potential_density=_geometric_potential,
         levy_tail=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t),
+        drift=lambda phi: 0.5 / (2.0**phi.n_terms - 1.0),  # 1/(2**(N+1) - 2)
     ),
     "conjugate": _Kind(
         conjugate,
@@ -503,6 +506,7 @@ KINDS: dict[str, _Kind] = {
         lambda phi: 0.0,
         levy_density=lambda phi, t: phi.inner.closed_form("levy_density", t),
         levy_tail=lambda phi, t: phi.inner.closed_form("levy_tail", t),
+        drift=lambda phi: phi.inner.drift,
         composite=True,
     ),
 }
@@ -554,9 +558,9 @@ def eval_levy_density(phi: CompleteBernsteinFunction, t):
 def levy_tail(phi: CompleteBernsteinFunction, t):
     """Tail mass mu(t, inf): closed form where available, else one inversion.
 
-    Every catalog phi is drift-free, so killing + mu(t, inf) has Laplace
-    transform phi(lam)/lam and the tail is the inverse transform of
-    (phi(lam) - phi(0+))/lam.  The Talbot rule is certified against its
+    Every kind without a closed tail is drift-free, so killing + mu(t, inf)
+    has Laplace transform phi(lam)/lam and the tail is the inverse transform
+    of (phi(lam) - phi(0+))/lam.  The Talbot rule is certified against its
     smaller cross-check rule and raises NumericAccuracyError past 1e-6.
     """
     closed = phi.closed_form("levy_tail", t)

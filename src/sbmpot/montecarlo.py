@@ -17,15 +17,15 @@ counter-based generator, so estimates are bit-identical for a given seed and
 config no matter how paths are batched.  Estimators reduce over arrays
 assembled in path order.
 
-Exact paths march in chunks: one Philox call per channel draws m skeleton
-steps of every live path, m being about cfg.batch_size over the live count
-(at most _MAX_CHUNK_STEPS), so chunks lengthen as paths exit and the
-straggler tail costs a few calls instead of one per step.  A sequential
-cumsum of the live positions and the m increments gives every intermediate
-position bit for bit as repeated += would, and the first step outside
-settles each exit; draws past a path's exit within its chunk are discarded.
-Compound paths march one step at a time, since the draws of a step depend on
-its jump count.
+Paths march in chunks, one loop for both samplers: one Philox call per
+channel draws m skeleton steps of every live path, m being about
+cfg.batch_size over the live count times the sub-moves per step (at most
+_MAX_CHUNK_STEPS).  A compound step's sub-moves are its jumps in order,
+padding of -0.0 (the exact additive identity) up to the step's largest jump
+count, and the drift move; an exact step has one.  Running sums of the live
+positions and the sub-moves give every intermediate position bit for bit as
+repeated += would, and the first sub-move outside settles each exit; draws
+past a path's exit within its chunk are discarded.
 
 Hitting probabilities are exit problems too: P_x(T_A < tau_D) marches to the
 first exit from D minus A and asks whether the exit position lies in A.
@@ -331,16 +331,16 @@ class _Increments:
 
     def exact(self, step, ids: np.ndarray) -> np.ndarray:
         """Increments of the counters (step, ids); step may be an array, as in
-        rng.PhiloxStream.uniform_pair."""
+        rng.PhiloxStream.uniform_pair, here and in jump_counts and jump."""
         u, w = self.stream.uniform_pair(rng.CH_SUB, step, ids)
         return self.dt_pow * _kanter(self.rho, u, -np.log(w))
 
-    def jump_counts(self, step: int, ids: np.ndarray) -> np.ndarray:
+    def jump_counts(self, step, ids: np.ndarray) -> np.ndarray:
         u0, _ = self.stream.uniform_pair(rng.CH_SUB, step, ids)
         return np.searchsorted(self.cdf, u0)
 
-    def jump(self, slot: int, step: int, ids: np.ndarray, d: int):
-        """Sizes of the slot-th jump of the step and (n, d) normals to spread it."""
+    def jump(self, slot: int, step, ids: np.ndarray, d: int):
+        """Sizes of the slot-th jumps at (step, ids) and normals to spread them."""
         channel = rng.CH_JUMP_BASE + 2 * slot
         u, _ = self.stream.uniform_pair(channel, step, ids)
         sizes = _jump_sizes(self.tables, u, self.epsilon)
@@ -376,9 +376,13 @@ def sample_subordinator_increment(
 # exit simulation engine
 
 
-# Most skeleton steps an exact chunk draws for each live path: a path that
-# exits early in a chunk wastes the draws of the steps after its exit.
+# Most skeleton steps a chunk draws for each live path: a path that exits
+# early in a chunk wastes the draws of the steps after its exit.
 _MAX_CHUNK_STEPS = 256
+
+# Row length (live paths times d) from which adding a chunk's rows one by one
+# beats np.cumsum, whose axis-0 accumulate loops over the columns
+_ROW_ADD_MIN = 384
 
 
 def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
@@ -397,69 +401,59 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     tau[~alive] = 0.0
     pos[~alive] = x[~alive]
     n_steps = int(math.ceil(cfg.horizon / cfg.step))
-
-    def settle(hit, t, by_jump):
-        tau[hit] = t
-        pos[hit] = x[hit]
-        byj[hit] = by_jump
-        alive[hit] = False
-
-    if inc.method == "exact":
-        # chunks of m steps (see the module docstring); an exact increment
-        # cannot be split into jump and drift, so a strict overshoot past the
-        # closed boundary marks an exit by a jump
-        k = 0
-        while k < n_steps and alive.any():
-            live = np.nonzero(alive)[0]
-            m = min(max(cfg.batch_size // live.size, 1), _MAX_CHUNK_STEPS, n_steps - k)
-            steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
-            grid = np.broadcast_to(ids[live], (m, live.size))
-            block = np.empty((m + 1, live.size, d))
-            block[0] = x[live]
-            block[1:] = np.sqrt(2.0 * inc.exact(steps, grid))[..., None] * inc.stream.normals(
-                steps, grid, d)
-            path = np.cumsum(block, axis=0)[1:]
-            out = domain.outside(path.reshape(-1, d)).reshape(m, live.size)
-            first = np.where(out.any(axis=0), out.argmax(axis=0), m)
-            x[live] = path[np.minimum(first, m - 1), np.arange(live.size)]
-            gone = first < m
-            hit = live[gone]
-            settle(hit, (k + first[gone] + 1) * cfg.step, domain.strictly_outside(x[hit]))
-            k += m
-        return tau, pos, byj
-
-    counts = np.zeros(n, dtype=np.intp)  # jumps of each path in the current step
-
-    def move(sel, dx, k, slot=None):
-        """Move paths ``sel`` by ``dx`` in step k and settle those now outside.
-
-        A path that leaves on the jump in ``slot`` exits by a jump at the
-        fraction (slot + 1)/(counts + 1) of the step; the drift move exits at
-        the end of the step.
-        """
-        x[sel] += dx
-        out = domain.outside(x[sel])
-        if not out.any():
-            return
-        hit = sel[out]
-        if slot is None:
-            settle(hit, (k + 1) * cfg.step, False)
-        else:
-            settle(hit, k * cfg.step + cfg.step * ((slot + 1.0) / (counts[hit] + 1.0)), True)
-
-    for k in range(n_steps):
+    compound = inc.method == "compound"
+    # chunks of m steps, step s being sub-moves begin[s] .. ends[s] - 1; the
+    # last chunk's mean width sizes the next one's count draw
+    k, mean_width = 0, 1.0
+    while k < n_steps and alive.any():
         live = np.nonzero(alive)[0]
-        if live.size == 0:
-            break
-        counts[live] = inc.jump_counts(k, ids[live])
-        for slot in range(int(counts[live].max())):
-            sel = live[(counts[live] > slot) & alive[live]]
-            if sel.size:
-                sizes, z = inc.jump(slot, k, ids[sel], d)
-                move(sel, np.sqrt(2.0 * sizes)[:, None] * z, k, slot)
-        live = live[alive[live]]
-        if live.size:
-            move(live, math.sqrt(2.0 * inc.drift) * inc.stream.normals(k, ids[live], d), k)
+        budget = max(cfg.batch_size // live.size, 1)  # sub-moves per path
+        m = min(max(int(budget / mean_width), 1), _MAX_CHUNK_STEPS, n_steps - k)
+        steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
+        grid = np.broadcast_to(ids[live], (m, live.size))
+        if compound:
+            counts = inc.jump_counts(steps, grid)
+            m = max(int(np.searchsorted(np.cumsum(counts.max(axis=1) + 1), budget, "right")), 1)
+            counts, steps, grid = counts[:m], steps[:m], grid[:m]
+            scale = math.sqrt(2.0 * inc.drift)
+        else:  # no jump slots: the one sub-move moves by the Kanter increment
+            counts = np.zeros((m, live.size), dtype=np.intp)
+            scale = np.sqrt(2.0 * inc.exact(steps, grid))[..., None]
+        widths = counts.max(axis=1) + 1
+        ends = np.cumsum(widths)
+        begin, rows = ends - widths, int(ends[-1])
+        mean_width = rows / m
+        path = np.empty((rows + 1, live.size, d))
+        path[0] = x[live]
+        moves = path[1:]
+        moves[:] = -0.0  # padding after a step's last jump: x + -0.0 is x
+        for j in range(int(widths.max()) - 1):
+            s, p = np.nonzero(counts > j)
+            sizes, z = inc.jump(j, steps[s, 0], grid[s, p], d)
+            moves[begin[s] + j, p] = np.sqrt(2.0 * sizes)[:, None] * z
+        moves[ends - 1] = scale * inc.stream.normals(steps, grid, d)
+        if live.size * d < _ROW_ADD_MIN:
+            np.cumsum(path, axis=0, out=path)
+        else:  # the same sums, in order
+            for i in range(1, rows + 1):
+                path[i] += path[i - 1]
+        out = domain.outside(moves.reshape(-1, d)).reshape(rows, live.size)
+        first = np.where(out.any(axis=0), out.argmax(axis=0), rows)
+        x[live] = moves[np.minimum(first, rows - 1), np.arange(live.size)]
+        col = np.nonzero(first < rows)[0]
+        hit, r = live[col], first[col]
+        s = np.searchsorted(ends, r, side="right")  # the step of sub-move r
+        # sub-moves before a step's last are its jumps j = r - begin[s], at
+        # fraction (j + 1)/(count + 1) of the step
+        jump = r + 1 < ends[s]
+        t_jump = (k + s) * cfg.step + cfg.step * ((r - begin[s] + 1.0) / (counts[s, col] + 1.0))
+        tau[hit] = np.where(jump, t_jump, (k + s + 1) * cfg.step)
+        pos[hit] = x[hit]
+        # an exact increment cannot be split into jump and drift, so there a
+        # strict overshoot past the closed boundary marks a jump
+        byj[hit] = jump if compound else domain.strictly_outside(x[hit])
+        alive[hit] = False
+        k += m
     return tau, pos, byj
 
 
@@ -522,6 +516,7 @@ def exceedance_probability(phi, d: int, r: float, t: float, cfg: PathConfig) -> 
     The supremum is evaluated on the skeleton epochs, a documented
     underestimate of the true running supremum.
     """
+    _check_radius(r)
     if t < 0.0:
         raise EvaluationDomainError("t must be nonnegative")
     if t == 0.0:

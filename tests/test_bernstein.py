@@ -123,6 +123,22 @@ def test_geometric_killing_positive():
     assert phi(0.0) == pytest.approx(phi.killing, rel=1e-12)
 
 
+def test_geometric_drift():
+    # the truncated Stieltjes sum g decays like sum 2**n / lam, so phi = 1/g
+    # keeps the drift 1/(2**(N+1) - 2); one term is pure drift plus killing
+    one = bernstein.geometric_like(1.0, 1)
+    assert one.drift == 0.5 and one.killing == 2.0
+    assert one(3.0) == 3.5 == one.drift * 3.0 + one.killing
+    for n in (1, 3, 10, 64):
+        phi = bernstein.geometric_like(1.0, n)
+        assert phi.drift == 1.0 / (2.0 ** (n + 1) - 2.0)
+        lam = 1e8 * 4.0**n  # far past the largest pole 2**(2n/alpha)
+        assert phi(lam) / lam == pytest.approx(phi.drift, rel=1e-6)
+    assert bernstein.geometric_like(1.0, bernstein.GEOMETRIC_MAX_TERMS).drift == 2.0**-1024
+    assert bernstein.killed_shift(one, 0.5).drift == 0.5
+    assert bernstein.stable(1.0).drift == 0.0
+
+
 def test_stable_levy_density_closed_form():
     alpha = 1.0
     phi = bernstein.stable(alpha)

@@ -143,15 +143,39 @@ def test_exact_chunk_length_is_invisible():
             "7014be469de500580164e26c034c0573b6d2be820b96af05b4ae83c6dd4956d7"), batch_size
 
 
-def test_compound_march_bits_pinned():
+@pytest.mark.parametrize("make_phi, x0, paths, seed, step, digest", [
     # at d = 3 a jump's direction draws share a channel with the next jump's
-    # size; a stream layout that separates them changes this digest on purpose.
-    # The drift of the sum kind is an inversion, 4e-12 off its closed form
-    sample = mc.simulate_exits(bernstein.sum_of_stables(1.0, 0.5),
-                               mc.Ball(center=(0.0,) * 3, radius=1.0), [0.2, -0.1, 0.0],
-                               _cfg(paths=300, seed=29, step=2e-3))
-    assert _sample_digest(sample) == (
-        "7dc45ad2755dd09feec257f61244fca2b40e536936bb9998965504ea91d6866f")
+    # size; a stream layout that separates them changes this digest on
+    # purpose. The drift of the sum kind is an inversion, 4e-12 off its
+    # closed form
+    (lambda: bernstein.sum_of_stables(1.0, 0.5), (0.2, -0.1, 0.0), 300, 29, 2e-3,
+     "7dc45ad2755dd09feec257f61244fca2b40e536936bb9998965504ea91d6866f"),
+    # rate*dt about 3.6 and 3.7: steps carry ten jumps and more, so the
+    # first chunks of a few hundred paths hold only three to six steps
+    (lambda: bernstein.relativistic_stable(1.0, 1.0), (0.1, -0.3), 300, 41, 0.065,
+     "fa1793459c8cc9ba6ed5fef2952134851cedd87876964dcbeac951a416c1142d"),
+    (lambda: bernstein.log_perturbed_up(1.0, 0.5), (0.25,), 400, 43, 0.04,
+     "3524af8a3b03d2a4369c6f24123c5f9cfb756234d9bc80835ffe1cbfcd40fd93"),
+], ids=["sum-d3", "relativistic-d2", "log_up-d1"])
+def test_compound_march_bits_pinned(make_phi, x0, paths, seed, step, digest):
+    d = len(x0)
+    sample = mc.simulate_exits(make_phi(), mc.Ball(center=(0.0,) * d, radius=1.0), list(x0),
+                               _cfg(paths=paths, seed=seed, step=step))
+    assert 0.0 < sample.exited_by_jump.mean() < 1.0
+    assert _sample_digest(sample) == digest
+
+
+def test_compound_chunk_length_is_invisible():
+    # batches of 1 path march one step per chunk, batches of 7 one to three,
+    # one batch of 40 paths dozens up to _MAX_CHUNK_STEPS; paths exit on
+    # jumps and on the continuous move
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    for batch_size in (1, 7, 16384):
+        sample = mc.simulate_exits(bernstein.relativistic_stable(1.0, 1.0), ball, [0.9],
+                                   _cfg(paths=40, seed=53, step=0.05, batch_size=batch_size))
+        assert 0.0 < sample.exited_by_jump.mean() < 1.0
+        assert _sample_digest(sample) == (
+            "d03f49dfce5d8642b75d8246fd58ab5162941c3e04a5f272d57ab6ac3e2181aa"), batch_size
 
 
 def test_poisson_table_refuses_truncation():
@@ -220,6 +244,10 @@ def test_exceedance_ratio_bounded():
         rep = mc.exceedance_probability(phi, 1, 1.0, t, cfg)
         ratios.append(rep.ratio)
     assert mc.exceedance_probability(phi, 1, 1.0, 0.0, cfg).ratio == 0.0
+    for r in (math.nan, 0.0, -1.0, math.inf):
+        for t in (0.0, 0.1):
+            with pytest.raises(ConstructionError):
+                mc.exceedance_probability(phi, 1, r, t, cfg)
     ratios = np.array(ratios)
     assert np.all(ratios > 0.05) and np.all(ratios < 20.0)
     assert ratios.max() / ratios.min() < 4.0
