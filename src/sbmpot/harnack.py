@@ -27,12 +27,11 @@ import numpy as np
 
 from .bernstein import CompleteBernsteinFunction
 from .errors import EvaluationDomainError
-from .montecarlo import (Ball, Interval, McEstimate, PathConfig, _as_points, _check_radius, _run_batches,
-                         _scaled_like)
+from .montecarlo import (Ball, HalfDisk, Interval, McEstimate, PathConfig, _as_points, _check_radius,
+                         _run_batches, _scaled_like)
 
 __all__ = [
     "HarmonicProbe",
-    "HalfDisk",
     "shell_probes_1d",
     "sector_probes_2d",
     "mc_harmonic",
@@ -59,63 +58,54 @@ class HarmonicProbe:
 _STABILITY_TOL = 0.2
 
 
-@dataclass(frozen=True)
-class HalfDisk:
-    """Upper half-disk {|x| < radius, x_2 > 0}; boundary point of interest 0."""
+def _band(*limits) -> Callable:
+    """Boundary data: the indicator that lo <= coord(x) < hi for every
+    (coord, lo, hi) in limits."""
 
-    radius: float
+    def data(x):
+        inside = np.ones(x.shape[0], dtype=bool)
+        for coord, lo, hi in limits:
+            c = coord(x)
+            inside &= (c >= lo) & (c < hi)
+        return inside.astype(float)
 
-    def __post_init__(self):
-        _check_radius(self.radius)
-
-    @property
-    def d(self) -> int:
-        return 2
-
-    def outside(self, x: np.ndarray) -> np.ndarray:
-        return (np.linalg.norm(x, axis=1) >= self.radius) | (x[:, 1] <= 0.0)
-
-    def strictly_outside(self, x: np.ndarray) -> np.ndarray:
-        return (np.linalg.norm(x, axis=1) > self.radius) | (x[:, 1] < 0.0)
+    return data
 
 
-def shell_probes_1d(R: float, side_of: float = 0.0) -> list:
-    """Eight one-sided probes outside [-R, R] around side_of.
+def _axis(j: int) -> Callable:
+    return lambda x: x[:, j]
 
-    Three dyadic shells plus the far tail beyond 8R on each side; the tail
-    replaces ever-thinner shells whose hit counts would be too noisy.
-    """
-    datas = []
+
+def _radius(x):
+    return np.linalg.norm(x, axis=1)
+
+
+def _angle(x):
+    return np.arctan2(x[:, 1], x[:, 0])
+
+
+def _shells(R: float, coord: Callable) -> list:
+    """Three dyadic shells R*[1, 2), [2, 4), [4, 8) of coord plus the far
+    tail beyond 8R; the tail replaces ever-thinner shells whose hit counts
+    would be too noisy."""
     bands = [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, math.inf)]
-    for lo_m, hi_m in bands:
-        lo, hi = R * lo_m, R * hi_m
+    return [_band((coord, R * lo_m, R * hi_m)) for lo_m, hi_m in bands]
 
-        def right(x, lo=lo, hi=hi):
-            y = x[:, 0] - side_of
-            return ((y >= lo) & (y < hi)).astype(float)
 
-        def left(x, lo=lo, hi=hi):
-            y = x[:, 0] - side_of
-            return ((y <= -lo) & (y > -hi)).astype(float)
-
-        datas.append(right)
-        datas.append(left)
-    return datas
+def shell_probes_1d(R: float) -> list:
+    """Eight one-sided probes outside [-R, R]: the shells on each side,
+    alternating right and left, nearest first."""
+    right = _shells(R, _axis(0))
+    # negation is exact: -y in [lo, hi) is y in (-hi, -lo]
+    left = _shells(R, lambda x: -x[:, 0])
+    return [p for pair in zip(right, left) for p in pair]
 
 
 def sector_probes_2d(R: float) -> list:
     """Eight angular-sector indicators of the annulus [R, 4R)."""
-    datas = []
-    for k in range(8):
-        a, b = k * math.pi / 4.0 - math.pi, (k + 1) * math.pi / 4.0 - math.pi
-
-        def sector(x, a=a, b=b):
-            rad = np.linalg.norm(x, axis=1)
-            th = np.arctan2(x[:, 1], x[:, 0])
-            return ((rad >= R) & (rad < 4.0 * R) & (th >= a) & (th < b)).astype(float)
-
-        datas.append(sector)
-    return datas
+    return [_band((_radius, R, 4.0 * R),
+                  (_angle, k * math.pi / 4.0 - math.pi, (k + 1) * math.pi / 4.0 - math.pi))
+            for k in range(8)]
 
 
 def _family_values(phi, domain, grid, datas, cfg: PathConfig):
@@ -133,9 +123,7 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig):
     m, n = grid.shape[0], cfg.paths
     starts = np.repeat(grid, n, axis=0)
     ids = np.tile(np.arange(n, dtype=np.uint64), m)
-    parts = _run_batches(phi, domain, starts, cfg, ids_all=ids)
-    tau = np.concatenate([p[0] for p in parts])
-    pos = np.concatenate([p[1] for p in parts])
+    tau, pos, _ = map(np.concatenate, zip(*_run_batches(phi, domain, starts, cfg, ids_all=ids)))
     ok = ~np.isnan(tau)
     vals = np.full((m * n, len(datas)), np.nan)
     for k, data in enumerate(datas):
@@ -172,6 +160,13 @@ def mc_harmonic(phi, d: int, probe: HarmonicProbe, cfg: PathConfig) -> list:
         v = vals[i, :, 0]
         out.append(McEstimate.from_values(v[~np.isnan(v)]))
     return out
+
+
+def _refinement(base: float, *refined: float):
+    """Relative changes of the refined ratios from the base one, and whether
+    all are under _STABILITY_TOL (a non-finite ratio makes a delta fail)."""
+    deltas = [abs(ref - base) / base if math.isfinite(base) else math.inf for ref in refined]
+    return deltas, all(delta < _STABILITY_TOL for delta in deltas)
 
 
 def _sup_inf_ratio(means: np.ndarray, idx) -> float:
@@ -231,14 +226,7 @@ def harnack_ratio(
     r_base = _sup_inf_ratio(means_base, coarse_idx)
     r_paths = _sup_inf_ratio(means_full, coarse_idx)
     r_grid = _sup_inf_ratio(means_base, fine_idx)
-    d_paths = abs(r_paths - r_base) / r_base if math.isfinite(r_base) else math.inf
-    d_grid = abs(r_grid - r_base) / r_base if math.isfinite(r_base) else math.inf
-    passed = (
-        math.isfinite(r_base)
-        and math.isfinite(r_paths)
-        and math.isfinite(r_grid)
-        and max(d_paths, d_grid) < _STABILITY_TOL
-    )
+    (d_paths, d_grid), passed = _refinement(r_base, r_paths, r_grid)
     return HarnackReport(
         ratio=r_base,
         ratio_paths_refined=r_paths,
@@ -269,27 +257,17 @@ def carleson_check(
     """Floor of u(A_r(Q))/u(x) over x near Q, for data vanishing on D^c near Q.
 
     D is the interval, Q one of its endpoints, and A_r(Q) the corkscrew
-    point at distance r/2 inside D.  Probes vanish on D^c
-    intersected with B(Q, 2r): dyadic shells outside Q beyond distance 2r,
-    the deepest extended to a full tail so its hit count stays usable.
-    Wide confidence intervals (tiny r or few paths) yield
-    inconclusive=True rather than a failure.
+    point at distance r/2 inside D.  Probes vanish on D^c intersected with
+    B(Q, 2r): dyadic shells outside Q beyond distance 2r, the deepest
+    extended to a full tail so its hit count stays usable.  Wide confidence
+    intervals (tiny r or few paths) yield inconclusive=True rather than a
+    failure.
     """
     if not (Q == interval.lo or Q == interval.hi):
         raise EvaluationDomainError("Q must be an endpoint of the interval")
     inward = 1.0 if Q == interval.lo else -1.0
     a_pt = Q + inward * r / 2.0
-
-    datas = []
-    for lo_m, hi_m in [(2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, math.inf)]:
-        lo, hi = r * lo_m, r * hi_m
-
-        def shell(x, lo=lo, hi=hi):
-            y = inward * (x[:, 0] - Q)
-            return ((y <= -lo) & (y > -hi)).astype(float)
-
-        datas.append(shell)
-
+    datas = _shells(2.0 * r, lambda x: -inward * (x[:, 0] - Q))
     xs = Q + inward * np.linspace(r / 6.0, r, 6)
     grid = np.concatenate([xs, [a_pt]])[:, None]
     run_cfg = _scaled_like(phi, r, cfg.paths, cfg, step_frac=1e-2)
@@ -338,57 +316,41 @@ def bhp_ratio_check(
     r: float,
     cfg: PathConfig,
     domain: str = "interval",
-    probes=None,
 ) -> BhpReport:
     """Spread of (u(x)/v(x)) * (v(A)/u(A)) over x in D near the boundary point.
 
     The interval case takes D = (0, inf) localised to (0, 2r) with Q = 0;
     the halfdisk case takes the upper half-plane localised to the upper
-    half-disk of radius 2r.  Default probes are indicators of [2r, 8r) and
-    [8r, 32r) on the inward axis, vanishing on D^c near Q as the boundary
-    Harnack principle requires.  cfg.paths is the base count; 4x runs and
-    the paths-refined spread reuses the same simulation.
+    half-disk of radius 2r.  The probes u and v are indicators of [2r, 8r)
+    and [8r, 32r) on the inward axis (radially, in the upper half-plane, for
+    the half-disk), vanishing on D^c near Q as the boundary Harnack principle
+    requires.  cfg.paths is the base count; 4x runs and the paths-refined
+    spread reuses the same simulation.
     """
     _check_radius(r)
     run_cfg = _scaled_like(phi, 2.0 * r, 4 * cfg.paths, cfg)
     if d == 1 and domain == "interval":
         sim_domain = Interval(0.0, 2.0 * r)
-
-        def u_data(x):
-            y = x[:, 0]
-            return ((y >= 2.0 * r) & (y < 8.0 * r)).astype(float)
-
-        def v_data(x):
-            y = x[:, 0]
-            return ((y >= 8.0 * r) & (y < 32.0 * r)).astype(float)
-
+        depth, side = _axis(0), ()
         xs = np.linspace(r / 12.0, r / 2.0, 6)
         grid = np.concatenate([xs, [r / 2.0]])[:, None]
     elif d == 2 and domain == "halfdisk":
         sim_domain = HalfDisk(radius=2.0 * r)
-
-        def u_data(x):
-            rad = np.linalg.norm(x, axis=1)
-            return ((rad >= 2.0 * r) & (rad < 8.0 * r) & (x[:, 1] > 0.0)).astype(float)
-
-        def v_data(x):
-            rad = np.linalg.norm(x, axis=1)
-            return ((rad >= 8.0 * r) & (rad < 32.0 * r) & (x[:, 1] > 0.0)).astype(float)
-
+        # x_2 > 0 is x_2 >= the smallest positive float
+        depth, side = _radius, ((_axis(1), math.ulp(0.0), math.inf),)
         heights = np.linspace(r / 12.0, r / 2.0, 6)
         grid = np.zeros((7, 2))
         grid[:6, 1] = heights
         grid[6, 1] = r / 2.0
     else:
         raise EvaluationDomainError("domain must be 'interval' (d=1) or 'halfdisk' (d=2)")
-    if probes is not None:
-        u_data, v_data = probes
+    u_data = _band((depth, 2.0 * r, 8.0 * r), *side)
+    v_data = _band((depth, 8.0 * r, 32.0 * r), *side)
     means_base, means_full, censored = _base_and_refined_means(
         phi, sim_domain, grid, [u_data, v_data], run_cfg)
     s_base = _bhp_from_means(means_base)
     s_full = _bhp_from_means(means_full)
-    delta = abs(s_full - s_base) / s_base if math.isfinite(s_base) else math.inf
-    passed = math.isfinite(s_base) and math.isfinite(s_full) and delta < _STABILITY_TOL
+    (delta,), passed = _refinement(s_base, s_full)
     return BhpReport(
         spread=s_base,
         spread_paths_refined=s_full,

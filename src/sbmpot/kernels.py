@@ -7,7 +7,7 @@ Both kernels are subordination integrals of the Gaussian heat kernel,
 with u the potential density and mu the Levy density of the subordinator.
 The integrand peaks near t of order r**2, so the quadrature splits there:
 t = r**2/(4s) on the head (turning the Gaussian factor into exp(-s)) and
-t = r**2 * exp(y) on the tail.
+t = r**2 * exp(y) on the tail, whose rest past t = e^690 is closed.
 
 Every entry point sets G up through ``_green`` (transience check, tail
 exponent in d <= 2, potential weight) and j through ``_jump`` (Levy
@@ -125,17 +125,31 @@ def subordination_integral(w: Callable, d: int, r: float, gamma: float | None = 
         t = r2 / (4.0 * s)
         return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-s) * w(t) * r2 / (4.0 * s * s)
 
-    def tail(y):
-        # t = r^2 e^y, y in [0, inf); cut where t leaves the float range
-        # (the integrand is ~ t^(gamma - d/2) there, far below any tolerance)
-        if log_r2 + y > 690.0:
-            return 0.0
+    def tail_at(y):
+        # t = r^2 e^y, y in [0, inf)
         t = math.exp(log_r2 + y)
         return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-0.25 * math.exp(-y)) * w(t) * t
 
+    # the panel stops at y_cut, where t nears the top of the float range; past
+    # it the integrand is ~ t^(gamma - d/2) (t^(1 - d/2) for a decreasing w in
+    # d >= 3), a geometric decay in y whose rate the last unit step measures,
+    # so the rest is closed
+    y_cut = max(690.0 - log_r2, 0.0)
     head_val, _ = _panel(head, 0.25, np.inf)
-    tail_val, _ = _panel(tail, 0.0, np.inf)
-    return head_val + tail_val
+    tail_val, _ = _panel(lambda y: 0.0 if log_r2 + y > 690.0 else tail_at(y), 0.0, np.inf)
+    f_cut = tail_at(y_cut)
+    if f_cut == 0.0:
+        return head_val + tail_val
+    declared = d / 2.0 - gamma if d <= 2 else d / 2.0 - 1.0
+    rate = math.log(tail_at(y_cut - 1.0) / f_cut)
+    # a tabulated weight is continued with its end slope, which need not have
+    # reached the limit (0.87 of the declared rate for sum_of_stables(0.9,
+    # 0.85) in d = 1), so only a rate under half the declared one is refused
+    if not rate >= 0.5 * declared:
+        raise NumericAccuracyError(
+            f"subordination integrand decays past t = e^690 at rate {rate:.3g} in log t, "
+            f"under half the declared {declared:.3g}")
+    return head_val + tail_val + f_cut / rate
 
 
 def _weight_span(r_lo: float, r_hi: float) -> tuple[float, float]:

@@ -27,8 +27,14 @@ positions and the sub-moves give every intermediate position bit for bit as
 repeated += would, and the first sub-move outside settles each exit; draws
 past a path's exit within its chunk are discarded.
 
+Every domain answers one geometric question, its signed gap to the
+boundary: gap(x) > 0 strictly inside, <= 0 on the closed complement and < 0
+strictly outside (the sign of an IEEE difference is exact).  A path exits at
+its first position with gap <= 0.
+
 Hitting probabilities are exit problems too: P_x(T_A < tau_D) marches to the
-first exit from D minus A and asks whether the exit position lies in A.
+first exit from D minus the closed target A and asks whether the exit
+position lies in A.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "ExitSample",
     "Interval",
     "Ball",
+    "HalfDisk",
     "scaled_config",
     "sample_subordinator_increment",
     "simulate_exits",
@@ -172,20 +179,15 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ConstructionError("interval endpoints must be ordered")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ConstructionError("interval endpoints must be finite and ordered")
 
     @property
     def d(self) -> int:
         return 1
 
-    def outside(self, x: np.ndarray) -> np.ndarray:
-        x0 = x[:, 0]
-        return (x0 <= self.lo) | (x0 >= self.hi)
-
-    def strictly_outside(self, x: np.ndarray) -> np.ndarray:
-        x0 = x[:, 0]
-        return (x0 < self.lo) | (x0 > self.hi)
+    def gap(self, x: np.ndarray) -> np.ndarray:
+        return np.minimum(x[:, 0] - self.lo, self.hi - x[:, 0])
 
 
 @dataclass(frozen=True)
@@ -200,20 +202,33 @@ class Ball:
     def d(self) -> int:
         return len(self.center)
 
-    def _dist(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x - np.asarray(self.center)[None, :], axis=1)
+    def gap(self, x: np.ndarray) -> np.ndarray:
+        return self.radius - np.linalg.norm(x - np.asarray(self.center)[None, :], axis=1)
 
-    def outside(self, x: np.ndarray) -> np.ndarray:
-        return self._dist(x) >= self.radius
 
-    def strictly_outside(self, x: np.ndarray) -> np.ndarray:
-        return self._dist(x) > self.radius
+@dataclass(frozen=True)
+class HalfDisk:
+    """Upper half-disk {|x| < radius, x_2 > 0}; boundary point of interest 0."""
+
+    radius: float
+
+    def __post_init__(self):
+        _check_radius(self.radius)
+
+    @property
+    def d(self) -> int:
+        return 2
+
+    def gap(self, x: np.ndarray) -> np.ndarray:
+        return np.minimum(self.radius - np.linalg.norm(x, axis=1), x[:, 1])
 
 
 def _as_points(x0, d: int) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(x0, dtype=float))
     if arr.shape[1] != d:
         arr = arr.reshape(-1, d)
+    if not np.all(np.isfinite(arr)):
+        raise EvaluationDomainError("start point must be finite")
     return arr
 
 
@@ -314,7 +329,7 @@ class _Increments:
     The only reader of the subordinator channels: step k of a path takes its
     Kanter pair (exact method) or its Poisson jump count (compound method)
     from rng.CH_SUB, and the size and Gaussian direction of its jump in slot
-    j from rng.CH_JUMP_BASE + 2j and the channels from CH_JUMP_BASE + 2j + 1.
+    j from rng.jump_channel(j, d) and the channels after it.
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
@@ -341,7 +356,7 @@ class _Increments:
 
     def jump(self, slot: int, step, ids: np.ndarray, d: int):
         """Sizes of the slot-th jumps at (step, ids) and normals to spread them."""
-        channel = rng.CH_JUMP_BASE + 2 * slot
+        channel = rng.jump_channel(slot, d)
         u, _ = self.stream.uniform_pair(channel, step, ids)
         sizes = _jump_sizes(self.tables, u, self.epsilon)
         return sizes, self.stream.normals(step, ids, d, base_channel=channel + 1)
@@ -397,7 +412,7 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     tau = np.full(n, np.nan)
     pos = np.full((n, d), np.nan)
     byj = np.zeros(n, dtype=bool)
-    alive = ~domain.outside(x)
+    alive = domain.gap(x) > 0.0
     tau[~alive] = 0.0
     pos[~alive] = x[~alive]
     n_steps = int(math.ceil(cfg.horizon / cfg.step))
@@ -437,7 +452,7 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
         else:  # the same sums, in order
             for i in range(1, rows + 1):
                 path[i] += path[i - 1]
-        out = domain.outside(moves.reshape(-1, d)).reshape(rows, live.size)
+        out = (domain.gap(moves.reshape(-1, d)) <= 0.0).reshape(rows, live.size)
         first = np.where(out.any(axis=0), out.argmax(axis=0), rows)
         x[live] = moves[np.minimum(first, rows - 1), np.arange(live.size)]
         col = np.nonzero(first < rows)[0]
@@ -451,7 +466,7 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
         pos[hit] = x[hit]
         # an exact increment cannot be split into jump and drift, so there a
         # strict overshoot past the closed boundary marks a jump
-        byj[hit] = jump if compound else domain.strictly_outside(x[hit])
+        byj[hit] = jump if compound else domain.gap(x[hit]) < 0.0
         alive[hit] = False
         k += m
     return tau, pos, byj
@@ -477,17 +492,11 @@ def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
 
 def simulate_exits(phi, domain, x0, cfg: PathConfig) -> ExitSample:
     """Exit samples for cfg.paths paths all started at x0."""
-    d = domain.d
-    start = _as_points(x0, d)[0]
-    if not np.all(np.isfinite(start)):
-        raise EvaluationDomainError("start point must be finite")
-    if bool(domain.strictly_outside(start[None, :])[0]):
+    start = _as_points(x0, domain.d)[0]
+    if domain.gap(start[None, :])[0] < 0.0:
         raise EvaluationDomainError("start point lies outside the domain")
     starts = np.tile(start, (cfg.paths, 1))
-    parts = _run_batches(phi, domain, starts, cfg)
-    tau = np.concatenate([p[0] for p in parts])
-    pos = np.concatenate([p[1] for p in parts])
-    byj = np.concatenate([p[2] for p in parts])
+    tau, pos, byj = map(np.concatenate, zip(*_run_batches(phi, domain, starts, cfg)))
     ok = ~np.isnan(tau)
     return ExitSample(
         tau=tau[ok],
@@ -644,7 +653,7 @@ def exit_distribution_histogram(
 
 @dataclass(frozen=True)
 class _Punctured:
-    """The enclosing domain minus the target, which may poke out of it."""
+    """The enclosing domain minus the closed target, which may poke out of it."""
 
     enclosing: object
     target: object
@@ -653,19 +662,17 @@ class _Punctured:
     def d(self) -> int:
         return self.enclosing.d
 
-    def outside(self, x: np.ndarray) -> np.ndarray:
-        return self.enclosing.outside(x) | ~self.target.outside(x)
-
-    def strictly_outside(self, x: np.ndarray) -> np.ndarray:
-        return self.enclosing.strictly_outside(x) | ~self.target.outside(x)
+    def gap(self, x: np.ndarray) -> np.ndarray:
+        return np.minimum(self.enclosing.gap(x), -self.target.gap(x))
 
 
 def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) -> McEstimate:
     """P_start(T_target < tau_enclosing), target checked at every epoch.
 
     ``target`` is an Interval/Ball, or None for the empty set (probability
-    exactly zero).  A path hits when its first exit from enclosing minus
-    target lands in the target; censored paths count for neither.  Monotone
+    exactly zero).  The target is closed: a start in it gives probability
+    exactly one, and a path hits when its first exit from enclosing minus
+    target lands in it; censored paths count for neither.  Monotone
     in the target on matched seeds: each path id follows one trajectory, so
     nested targets give nested hitting events.
     """
@@ -674,14 +681,13 @@ def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) 
     if d != enclosing.d:
         raise EvaluationDomainError("dimension does not match the enclosing domain")
     start_pt = _as_points(start, d)
-    if not bool(target.outside(start_pt)[0]):
+    if target.gap(start_pt)[0] >= 0.0:
         return McEstimate(1.0, 0.0, cfg.paths)
     starts = np.tile(start_pt[0], (cfg.paths, 1))
     parts = _run_batches(phi, _Punctured(enclosing, target), starts, cfg)
-    tau = np.concatenate([p[0] for p in parts])
-    pos = np.concatenate([p[1] for p in parts])
+    tau, pos, _ = map(np.concatenate, zip(*parts))
     stopped = ~np.isnan(tau)
-    return McEstimate.from_values(~target.outside(pos[stopped]))
+    return McEstimate.from_values(target.gap(pos[stopped]) >= 0.0)
 
 
 def epsilon_refinement_check(phi, domain, x0, cfg: PathConfig) -> dict:

@@ -6,13 +6,14 @@ cipher is Philox4x32-10: the 128-bit counter is laid out as (channel, step,
 path_lo, path_hi), the 64-bit key is the user seed, and one invocation
 yields two 53-bit uniforms.
 
-Channel map used by the samplers:
+Channel map used by the samplers in dimension d, disjoint for every d:
 
 * 0: subordinator increment draws (Kanter pair, or the Poisson count),
-* 1..7: Gaussian pairs for the continuous component (one pair per channel,
-  enough for dimensions up to 14),
-* 8 + 2k, 9 + 2k: size and direction draws of the k-th jump inside one
-  skeleton step (compound mode, dimensions up to 3).
+* 1 .. ceil(d/2): Gaussian pairs for the continuous component (one pair per
+  channel; 1..7 stay reserved for them),
+* jump_channel(k, d) and the ceil(d/2) channels after it: size and direction
+  draws of the k-th jump inside one skeleton step (compound mode; 8 + 2k
+  and 9 + 2k for d <= 2).
 """
 
 from __future__ import annotations
@@ -23,13 +24,20 @@ from scipy.special import ndtri
 __all__ = [
     "CH_SUB",
     "CH_GAUSS",
-    "CH_JUMP_BASE",
+    "jump_channel",
     "PhiloxStream",
 ]
 
 CH_SUB = 0
 CH_GAUSS = 1
-CH_JUMP_BASE = 8
+
+
+def jump_channel(slot: int, d: int) -> int:
+    """Size channel of jump slot ``slot`` in dimension d; the slot's direction
+    pairs take the ceil(d/2) channels after it.  At least one pair is
+    reserved, so size-only draws (d = 0) keep the d <= 2 layout."""
+    pairs = max((d + 1) // 2, 1)
+    return CH_GAUSS + max(7, pairs) + (1 + pairs) * slot
 
 _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)

@@ -130,22 +130,15 @@ def test_carleson_interior_q_rejected():
 
 
 def test_bhp_trivial_and_symmetry():
-    phi = bernstein.stable(1.0)
-    cfg = _cfg(400, seed=7)
-
-    def u_data(x):
-        y = x[:, 0]
-        return ((y >= 0.1) & (y < 0.4)).astype(float)
-
-    def v_data(x):
-        y = x[:, 0]
-        return ((y >= 0.4) & (y < 1.6)).astype(float)
-
-    same = harnack.bhp_ratio_check(phi, 1, 0.05, cfg, probes=(u_data, u_data))
-    assert same.spread == 1.0 and same.delta_paths == 0.0
-    a = harnack.bhp_ratio_check(phi, 1, 0.05, cfg, probes=(u_data, v_data))
-    b = harnack.bhp_ratio_check(phi, 1, 0.05, cfg, probes=(v_data, u_data))
-    assert a.spread == pytest.approx(b.spread, rel=1e-12)
+    # columns u and v of family means at six points and the corkscrew point:
+    # identical probes give spread exactly one and no refinement change, and
+    # swapping the probes inverts every ratio but keeps the spread
+    means = np.random.default_rng(7).uniform(0.05, 1.0, size=(7, 2))
+    same = harnack._bhp_from_means(means[:, [0, 0]])
+    assert same == 1.0 and harnack._refinement(same, same) == ([0.0], True)
+    spread = harnack._bhp_from_means(means)
+    assert spread > 1.0
+    assert harnack._bhp_from_means(means[:, ::-1]) == pytest.approx(spread, rel=1e-12)
 
 
 def test_bhp_interval_passes():
@@ -176,10 +169,12 @@ def test_harnack_ratio_refuses_dimension_below_one():
 
 
 def test_halfdisk_geometry():
-    hd = harnack.HalfDisk(radius=1.0)
+    hd = mc.HalfDisk(radius=1.0)
     pts = np.array([[0.0, 0.5], [0.0, -0.5], [2.0, 0.5], [0.0, 0.0]])
-    np.testing.assert_array_equal(~hd.outside(pts), [True, False, False, False])
-    np.testing.assert_array_equal(hd.strictly_outside(pts), [False, True, True, False])
+    gap = hd.gap(pts)
+    np.testing.assert_allclose(gap, [0.5, -0.5, 1.0 - math.sqrt(4.25), 0.0], rtol=1e-15)
+    np.testing.assert_array_equal(gap > 0.0, [True, False, False, False])
+    np.testing.assert_array_equal(gap < 0.0, [False, True, True, False])
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConstructionError):
-            harnack.HalfDisk(radius)
+            mc.HalfDisk(radius)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbmpot import bernstein, kernels
-from sbmpot.errors import NotTransientError
+from sbmpot.errors import NotTransientError, NumericAccuracyError
 
 
 def _riesz_green_constant(d: int, alpha: float) -> float:
@@ -98,6 +98,26 @@ def test_subordination_integral_heat_identity():
     phi = bernstein.stable(1.0)
     g_direct = kernels.green_function(phi, 3, 0.3)
     assert g_direct == pytest.approx(_riesz_green_constant(3, 1.0) * 0.3**-2, rel=1e-6)
+
+
+@pytest.mark.parametrize("d, alpha, r", [
+    (1, 0.95, 0.3),
+    (1, 0.9938235677851865, 0.05772396153673417),
+    (1, 0.999, 1.0),
+    (2, 1.9, 0.1),
+])
+def test_green_function_riesz_near_alpha_d(d, alpha, r):
+    # the integrand decays like exp(-(d - alpha) y / 2) in y = log t, so a
+    # large share of G lies past t = e^690 and comes from the closed rest
+    g = kernels.green_function(bernstein.stable(alpha), d, r)
+    assert g == pytest.approx(_riesz_green_constant(d, alpha) * r ** (alpha - d), rel=1e-6)
+
+
+def test_subordination_integral_refuses_slower_decay_than_declared():
+    # gamma = 0.3 declares a decay rate of 0.2 in log t; w = t^-0.55 decays at
+    # 0.05, so the declaration is broken and the rest cannot be trusted
+    with pytest.raises(NumericAccuracyError, match="under half the declared"):
+        kernels.subordination_integral(lambda t: t ** -0.55, 1, 1.0, gamma=0.3)
 
 
 @pytest.mark.parametrize("d, beta", [(1, 0.75), (2, 0.5), (3, 0.5), (3, 0.0)])

@@ -36,6 +36,23 @@ def test_config_validation():
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConstructionError):
             mc.Ball(center=(0.0,), radius=radius)
+    for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 0.0)):
+        with pytest.raises(ConstructionError):
+            mc.Interval(lo, hi)
+
+
+@pytest.mark.parametrize("domain, point", [
+    (mc.Ball(center=(0.0, 0.0), radius=5.0), (3.0, -4.0)),
+    (mc.Interval(-1.0, 2.0), (-1.0,)),
+    (mc.Interval(-1.0, 2.0), (2.0,)),
+    # on the enclosing boundary, and on the boundary of the (closed) target
+    (mc._Punctured(mc.Ball(center=(0.0,), radius=4.0), mc.Interval(1.0, 2.0)), (4.0,)),
+    (mc._Punctured(mc.Ball(center=(0.0,), radius=4.0), mc.Interval(1.0, 2.0)), (1.0,)),
+], ids=["ball", "interval-lo", "interval-hi", "punctured-outer", "punctured-target"])
+def test_boundary_point_has_gap_zero(domain, point):
+    # on the boundary: outside (gap <= 0), but not strictly (gap < 0)
+    gap = domain.gap(np.array([point]))
+    assert gap[0] == 0.0 and not gap[0] < 0.0
 
 
 def test_boundary_start_exits_immediately():
@@ -144,12 +161,11 @@ def test_exact_chunk_length_is_invisible():
 
 
 @pytest.mark.parametrize("make_phi, x0, paths, seed, step, digest", [
-    # at d = 3 a jump's direction draws share a channel with the next jump's
-    # size; a stream layout that separates them changes this digest on
-    # purpose. The drift of the sum kind is an inversion, 4e-12 off its
-    # closed form
+    # at d = 3 a jump slot takes three channels, its size and two direction
+    # pairs (rng.jump_channel), so no slot reads another's draws. The drift
+    # of the sum kind is an inversion, 4e-12 off its closed form
     (lambda: bernstein.sum_of_stables(1.0, 0.5), (0.2, -0.1, 0.0), 300, 29, 2e-3,
-     "7dc45ad2755dd09feec257f61244fca2b40e536936bb9998965504ea91d6866f"),
+     "26d550ce53b79547e9aae3149d1bc5de0bea94ad4ecc7dfb55d7861f46d4d00b"),
     # rate*dt about 3.6 and 3.7: steps carry ten jumps and more, so the
     # first chunks of a few hundred paths hold only three to six steps
     (lambda: bernstein.relativistic_stable(1.0, 1.0), (0.1, -0.3), 300, 41, 0.065,
@@ -320,6 +336,12 @@ def test_hitting_trivial_cases():
     inside = mc.hitting_before_exit(
         phi, 1, mc.Ball(center=(0.1,), radius=0.5), [0.0], enclosing, cfg)
     assert inside.mean == 1.0 and inside.std_error == 0.0
+    with pytest.raises(EvaluationDomainError, match="finite"):
+        mc.hitting_before_exit(phi, 1, mc.Ball(center=(2.0,), radius=0.5), [math.nan], enclosing, cfg)
+    # the target is closed: a start on its boundary has already hit it
+    for target in (mc.Ball(center=(1.0,), radius=1.0), mc.Interval(0.0, 1.0)):
+        on_edge = mc.hitting_before_exit(phi, 1, target, [0.0], enclosing, cfg)
+        assert on_edge.mean == 1.0 and on_edge.std_error == 0.0
 
 
 def test_epsilon_refinement():

@@ -63,9 +63,28 @@ def test_channel_independence():
     st = rng.PhiloxStream(5)
     ids = np.arange(100_000, dtype=np.uint64)
     a = st.normals(0, ids, 1, base_channel=rng.CH_GAUSS)[:, 0]
-    b = st.normals(0, ids, 1, base_channel=rng.CH_JUMP_BASE)[:, 0]
+    b = st.normals(0, ids, 1, base_channel=rng.jump_channel(0, 1))[:, 0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
+
+
+def test_channel_layout_disjoint():
+    # the subordinator draw, the Gaussian pairs and every jump slot (its size
+    # channel, then the (d + 1) // 2 direction pairs normals() reads) take
+    # increasing, non-overlapping channel ranges inside the 32-bit channel word
+    for d in range(65):
+        pairs = (d + 1) // 2
+        assert rng.CH_SUB < rng.CH_GAUSS
+        assert rng.jump_channel(0, d) > rng.CH_GAUSS + pairs - 1
+        for k in range(1000):
+            assert rng.jump_channel(k, d) + pairs < rng.jump_channel(k + 1, d)
+        assert rng.jump_channel(1000, d) + pairs < 2**32
+
+
+def test_low_dimension_channels_unchanged():
+    # d <= 2 (and size-only draws, d = 0) keep slot k on channels 8 + 2k, 9 + 2k
+    for d in (0, 1, 2):
+        assert [rng.jump_channel(k, d) for k in range(4)] == [8, 10, 12, 14]
 
 
 def test_step_grid_matches_scalar_steps():
