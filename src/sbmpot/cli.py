@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 check failed, 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -339,7 +340,10 @@ def _cmd_simulate(args, argv) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args keeps
+    no state between calls, each one starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sbmpot",
         description="Potential-theoretic quantities of subordinate Brownian motion",

@@ -34,7 +34,7 @@ from scipy.special import expit
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
-from .errors import EvaluationDomainError
+from .errors import EvaluationDomainError, NumericAccuracyError
 
 __all__ = [
     "ladder_exponent_chi",
@@ -149,6 +149,10 @@ def renewal_function_V(phi: CompleteBernsteinFunction, t):
     return vals
 
 
+# absolute and relative targets of the halfline convolution quadrature
+_HALFLINE_EPSABS, _HALFLINE_EPSREL = 1e-10, 1e-9
+
+
 def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
     """Green function of (0, inf) at (x, y) via the renewal-density convolution.
 
@@ -166,7 +170,14 @@ def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
         z = lo * s * s
         return float(ladder_density_v(phi, z)) * float(ladder_density_v(phi, gap + z)) * 2.0 * lo * s
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
+    # full_output keeps a stalled quad from warning; its abserr is held to the
+    # subordination panels' contract, 50 times the requested accuracy
+    val, err = quad(integrand, 0.0, 1.0, epsabs=_HALFLINE_EPSABS, epsrel=_HALFLINE_EPSREL,
+                    limit=300, full_output=1)[:2]
+    if err > max(_HALFLINE_EPSABS, _HALFLINE_EPSREL * abs(val)) * 50.0:
+        raise NumericAccuracyError(
+            f"halfline Green quadrature achieved {err:.2e} against target "
+            f"{_HALFLINE_EPSABS:.0e}/{_HALFLINE_EPSREL:.0e}", residual=err)
     return val
 
 

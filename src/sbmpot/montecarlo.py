@@ -341,7 +341,8 @@ class _Increments:
         else:
             self.epsilon = cfg.epsilon
             self.tables = _compound_tables(phi, cfg.epsilon)
-            self.cdf = _poisson_cdf(self.tables[0] * dt)
+            self.mean_jumps = self.tables[0] * dt  # rate*dt, jumps per step
+            self.cdf = _poisson_cdf(self.mean_jumps)
             self.drift = self.tables[1] * dt  # mean of the discarded small jumps
 
     def exact(self, step, ids: np.ndarray) -> np.ndarray:
@@ -418,8 +419,9 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     n_steps = int(math.ceil(cfg.horizon / cfg.step))
     compound = inc.method == "compound"
     # chunks of m steps, step s being sub-moves begin[s] .. ends[s] - 1; the
-    # last chunk's mean width sizes the next one's count draw
-    k, mean_width = 0, 1.0
+    # last chunk's mean width sizes the next one's count draw, and the first
+    # one's is the expected width, rate*dt jumps and the drift move
+    k, mean_width = 0, (inc.mean_jumps + 1.0 if compound else 1.0)
     while k < n_steps and alive.any():
         live = np.nonzero(alive)[0]
         budget = max(cfg.batch_size // live.size, 1)  # sub-moves per path

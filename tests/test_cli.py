@@ -176,6 +176,37 @@ def test_output_manifest_and_replay(tmp_path, capsys):
     assert art.read_bytes() == first
 
 
+def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
+    # each command first runs on a freshly built parser, then all run again
+    # in one sequence on the cached one, each after a call that set the flags
+    # it leaves at their defaults; the artifacts must not change by a byte
+    runs = [
+        ["phi", "--kind", "sum", "--alpha", "1", "--beta", "0.9", "--lambda", "2", "--format", "json"],
+        ["phi", "--kind", "sum", "--alpha", "1", "--lambda", "2"],
+        ["check", "sandwich", "--kind", "log_up", "--alpha", "1", "--gamma", "0.8"],
+        ["check", "sandwich", "--kind", "log_up", "--alpha", "1"],
+        ["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "50", "--seed", "4",
+         "--dim", "2", "--x0", "0.1,0.2", "--radius", "2"],
+        ["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "50"],
+        ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "0.5"],
+        ["density", "--kind", "stable", "--alpha", "1", "--t", "0.5"],
+    ]
+
+    def run(i, tag):
+        art = tmp_path / f"{tag}{i}.out"
+        assert cli.main(runs[i] + ["--output", str(art)]) == 0
+        return art.read_bytes()
+
+    first = []
+    for i in range(len(runs)):
+        cli._build_parser.cache_clear()
+        first.append(run(i, "first"))
+    assert first[0] != first[1] and first[2] != first[3] and first[4] != first[5]
+    for i in range(len(runs)):
+        assert run(i, "again") == first[i], runs[i]
+    assert capsys.readouterr().out == ""
+
+
 def test_from_manifest_missing_file(capsys):
     assert cli.main(["--from-manifest", "/nonexistent/m.json"]) == 2
 

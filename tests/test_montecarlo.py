@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sbmpot import bernstein, montecarlo as mc
+from sbmpot import bernstein, montecarlo as mc, rng
 from sbmpot.errors import ConstructionError, EvaluationDomainError
 
 
@@ -192,6 +192,28 @@ def test_compound_chunk_length_is_invisible():
         assert 0.0 < sample.exited_by_jump.mean() < 1.0
         assert _sample_digest(sample) == (
             "d03f49dfce5d8642b75d8246fd58ab5162941c3e04a5f272d57ab6ac3e2181aa"), batch_size
+
+
+def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
+    # one batch of 400 paths, budget 16384 // 400 = 40 sub-moves per path;
+    # at rate*dt = 2.77 the first count draw holds 40 // 3.77 = 10 steps,
+    # where one sub-move per step drew 40 and 32 826 CH_SUB elements in all
+    drawn = []
+    pair = rng.PhiloxStream.uniform_pair
+
+    def counting(self, channel, step, path_ids):
+        u, w = pair(self, channel, step, path_ids)
+        if channel == rng.CH_SUB:
+            drawn.append(u.size)
+        return u, w
+
+    monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", counting)
+    phi, cfg = bernstein.relativistic_stable(1.0, 1.0), _cfg(paths=400, seed=53, step=0.05)
+    assert mc._Increments(phi, cfg, cfg.step).mean_jumps == pytest.approx(2.77, abs=0.01)
+    drawn.clear()
+    mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], cfg)
+    assert drawn[0] == 10 * 400
+    assert sum(drawn) == 20826
 
 
 def test_poisson_table_refuses_truncation():
