@@ -2,8 +2,9 @@
 
 Harmonic functions are represented by boundary data and evaluated by exit
 sampling with shared driving noise across the evaluation grid, so the
-sup/inf ratios are far less noisy than the individual estimates.  Takes
-about half a minute.
+sup/inf ratios are far less noisy than the individual estimates.  The
+Harnack check walks on spheres and the boundary Harnack check marches.
+Takes about six seconds, nearly all of it the boundary Harnack march.
 """
 
 from sbmpot import PathConfig, bhp_ratio_check, harnack_ratio, stable

@@ -28,7 +28,7 @@ import numpy as np
 from .bernstein import CompleteBernsteinFunction
 from .errors import EvaluationDomainError
 from .montecarlo import (Ball, HalfDisk, Interval, McEstimate, PathConfig, _as_points, _check_radius,
-                         _run_batches, _scaled_like)
+                         _exit_positions, _run_batches, _scaled_like, _wos_by_default)
 
 __all__ = [
     "HarmonicProbe",
@@ -118,13 +118,18 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig):
     paths, while each mean stays an unbiased standalone estimate.  All
     starts march in one run, so the straggler tail is paid once per batch
     rather than once per start.
+
+    The march couples paths by shift: path i moves by the same increments
+    from every start.  Walk-on-spheres (cfg.method 'wos') couples them by
+    scale: sphere k of path i has the same radius multiple and direction,
+    but each sphere's radius is that start's own gap, so near a boundary,
+    where the gaps of nearby starts differ most, the coupling is weak.
     """
     grid = _as_points(grid, domain.d)
     m, n = grid.shape[0], cfg.paths
     starts = np.repeat(grid, n, axis=0)
     ids = np.tile(np.arange(n, dtype=np.uint64), m)
-    tau, pos, _ = map(np.concatenate, zip(*_run_batches(phi, domain, starts, cfg, ids_all=ids)))
-    ok = ~np.isnan(tau)
+    pos, ok = _exit_positions(phi, domain, starts, cfg, ids, march=_run_batches)
     vals = np.full((m * n, len(datas)), np.nan)
     for k, data in enumerate(datas):
         vals[ok, k] = data(pos[ok])
@@ -132,12 +137,18 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig):
 
 
 def _family_means(vals: np.ndarray, n_use: int):
+    """Means and standard errors per (start, probe) over the first n_use
+    paths, censored ones left out.  As in McEstimate.from_values, a start
+    with one uncensored path has se = inf and one with none mean and se NaN."""
     sub = vals[:, :n_use, :]
-    with np.errstate(invalid="ignore"):
-        means = np.nanmean(sub, axis=1)
-        stds = np.nanstd(sub, axis=1, ddof=1)
     counts = np.sum(~np.isnan(sub[:, :, 0]), axis=1)
-    ses = stds / np.sqrt(np.maximum(counts, 1))[:, None]
+    many, one = counts > 1, counts == 1
+    means = np.full((sub.shape[0], sub.shape[2]), np.nan)
+    ses = np.full_like(means, np.nan)
+    means[many] = np.nanmean(sub[many], axis=1)
+    ses[many] = np.nanstd(sub[many], axis=1, ddof=1) / np.sqrt(counts[many])[:, None]
+    means[one] = np.nansum(sub[one], axis=1)
+    ses[one] = math.inf
     return means, ses
 
 
@@ -151,7 +162,9 @@ def _base_and_refined_means(phi, domain, grid, datas, run_cfg: PathConfig):
 
 
 def mc_harmonic(phi, d: int, probe: HarmonicProbe, cfg: PathConfig) -> list:
-    """E_x[data(X_tau)] with std errors, one McEstimate per grid point."""
+    """E_x[data(X_tau)] with std errors, one McEstimate per grid point.
+
+    Method 'auto' marches; pass method 'wos' to walk on spheres."""
     if d != probe.domain.d:
         raise EvaluationDomainError("dimension does not match the probe domain")
     vals, _ = _family_values(phi, probe.domain, probe.grid, [probe.boundary_data], cfg)
@@ -204,13 +217,15 @@ def harnack_ratio(
     cfg.paths is the base path count per start; the simulation runs 4x that
     so the paths-refined and grid-refined ratios come from the same paths.
     The probes are eight dyadic shells (d = 1) or eight annular sectors
-    (d >= 2), all supported outside the harmonicity ball.
+    (d >= 2), all supported outside the harmonicity ball.  Method 'auto'
+    walks on spheres for the stable kind: the starts lie deep inside
+    B(0, 17r), where its coupling across starts is as good as the march's.
     """
     if d < 1:
         raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
     _check_radius(r)
     big_r = 17.0 * r
-    run_cfg = _scaled_like(phi, big_r, 4 * cfg.paths, cfg)
+    run_cfg = _wos_by_default(phi, _scaled_like(phi, big_r, 4 * cfg.paths, cfg))
     domain = Ball(center=(0.0,) * d, radius=big_r)
     datas = shell_probes_1d(big_r) if d == 1 else sector_probes_2d(big_r)
     fine = np.linspace(-0.75 * r, 0.75 * r, 13)
@@ -261,7 +276,8 @@ def carleson_check(
     B(Q, 2r): dyadic shells outside Q beyond distance 2r, the deepest
     extended to a full tail so its hit count stays usable.  Wide confidence
     intervals (tiny r or few paths) yield inconclusive=True rather than a
-    failure.
+    failure.  Method 'auto' marches: walk-on-spheres couples starts this
+    close to the boundary too weakly (see _family_values).
     """
     if not (Q == interval.lo or Q == interval.hi):
         raise EvaluationDomainError("Q must be an endpoint of the interval")
@@ -325,7 +341,8 @@ def bhp_ratio_check(
     and [8r, 32r) on the inward axis (radially, in the upper half-plane, for
     the half-disk), vanishing on D^c near Q as the boundary Harnack principle
     requires.  cfg.paths is the base count; 4x runs and the paths-refined
-    spread reuses the same simulation.
+    spread reuses the same simulation.  Method 'auto' marches, as in
+    carleson_check.
     """
     _check_radius(r)
     run_cfg = _scaled_like(phi, 2.0 * r, 4 * cfg.paths, cfg)

@@ -35,6 +35,16 @@ its first position with gap <= 0.
 Hitting probabilities are exit problems too: P_x(T_A < tau_D) marches to the
 first exit from D minus the closed target A and asks whether the exit
 position lies in A.
+
+Estimators that read exit positions only may instead walk on spheres
+(method "wos", stable kind only; Kyprianou, Osojnik & Shardlow, IMA J.
+Numer. Anal. 38, 2018).  From x, with rho = gap(x), the walk lands at
+Y = x + rho B^(-1/2) theta, B ~ Beta(alpha/2, 1 - alpha/2) by inversion and
+theta a normalised Gaussian vector: the exact exit law of the ball B(x, rho)
+from its centre.  It stops at the first Y with gap <= 0, after a few spheres
+and with no skeleton bias, but it gives no exit times.  Sphere k of a path
+draws from (seed, rng.CH_WOS and the channels after it, k, path id), and a
+path still inside after ceil(horizon/step) spheres is censored.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betaincinv
 from scipy.special import gamma as gamma_fn
 
 from . import laplace, rng
@@ -71,7 +82,7 @@ __all__ = [
     "epsilon_refinement_check",
 ]
 
-_METHODS = ("auto", "exact", "compound")
+_METHODS = ("auto", "exact", "compound", "wos")
 
 
 @dataclass(frozen=True)
@@ -232,6 +243,14 @@ def _as_points(x0, d: int) -> np.ndarray:
     return arr
 
 
+def _start_point(x0, domain) -> np.ndarray:
+    """The start x0 as a point of the closed domain."""
+    start = _as_points(x0, domain.d)[0]
+    if domain.gap(start[None, :])[0] < 0.0:
+        raise EvaluationDomainError("start point lies outside the domain")
+    return start
+
+
 # ---------------------------------------------------------------------------
 # increment samplers
 
@@ -318,9 +337,29 @@ def _resolve_method(phi: CompleteBernsteinFunction, cfg: PathConfig) -> str:
         method = "exact" if phi.kind == "stable" else "compound"
     if method == "exact" and phi.kind != "stable":
         raise ConstructionError("exact increments are available for the stable kind only")
+    if method == "wos" and phi.kind != "stable":
+        raise ConstructionError("walk-on-spheres is available for the stable kind only")
     if phi.killing > 0.0:
         raise ConstructionError("path sampling needs an unkilled exponent")
     return method
+
+
+def _march_method(phi: CompleteBernsteinFunction, cfg: PathConfig) -> str:
+    """_resolve_method for estimators that read exit times or increments,
+    which walk-on-spheres does not give."""
+    method = _resolve_method(phi, cfg)
+    if method == "wos":
+        raise ConstructionError(
+            "walk-on-spheres gives exit positions only; this estimator needs exit "
+            "times or increments (method 'exact' or 'compound')")
+    return method
+
+
+def _wos_by_default(phi: CompleteBernsteinFunction, cfg: PathConfig) -> PathConfig:
+    """cfg with 'auto' taken as 'wos' for the stable kind."""
+    if cfg.method == "auto" and phi.kind == "stable":
+        return replace(cfg, method="wos")
+    return cfg
 
 
 class _Increments:
@@ -333,7 +372,7 @@ class _Increments:
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
-        self.method = _resolve_method(phi, cfg)
+        self.method = _march_method(phi, cfg)
         self.stream = rng.PhiloxStream(cfg.seed)
         if self.method == "exact":
             self.rho = phi.alpha_param / 2.0
@@ -374,7 +413,7 @@ def sample_subordinator_increment(
     if dt < 0.0:
         raise EvaluationDomainError("dt must be nonnegative")
     if dt == 0.0:
-        _resolve_method(phi, cfg)
+        _march_method(phi, cfg)
         return np.zeros(cfg.paths)
     inc = _Increments(phi, cfg, dt)
     ids = np.arange(cfg.paths, dtype=np.uint64)
@@ -492,12 +531,55 @@ def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
     return results
 
 
+def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
+    """Walk every row of ``starts_all`` on spheres to its exit position,
+    cfg.batch_size rows at a time; ids as in _run_batches.
+
+    Returns (positions, stopped); a row not stopped was censored after
+    ceil(cfg.horizon/cfg.step) spheres.
+    """
+    a = phi.alpha_param / 2.0
+    stream = rng.PhiloxStream(cfg.seed)
+    x = np.array(starts_all, dtype=float, copy=True)
+    n = x.shape[0]
+    if ids_all is None:
+        ids_all = np.arange(n, dtype=np.uint64)
+    gap = domain.gap(x)
+    stopped = gap <= 0.0
+    n_spheres = int(math.ceil(cfg.horizon / cfg.step))
+    for lo in range(0, n, cfg.batch_size):
+        live = np.arange(lo, min(lo + cfg.batch_size, n))
+        live = live[~stopped[live]]
+        for k in range(n_spheres):
+            if live.size == 0:
+                break
+            ids = ids_all[live]
+            u, _ = stream.uniform_pair(rng.CH_WOS, k, ids)
+            z = stream.normals(k, ids, domain.d, base_channel=rng.CH_WOS + 1)
+            reach = gap[live] / np.sqrt(betaincinv(a, 1.0 - a, u))
+            x[live] += (reach / np.linalg.norm(z, axis=1))[:, None] * z
+            gap[live] = domain.gap(x[live])
+            stopped[live] = gap[live] <= 0.0
+            live = live[~stopped[live]]
+    return x, stopped
+
+
+def _exit_positions(phi, domain, starts_all, cfg, ids_all=None, march=None):
+    """Exit positions of every row of ``starts_all`` and the mask of rows
+    that stopped (the others were censored), for estimators that read no
+    exit time.  cfg.method 'wos' walks on spheres; any other marches with
+    ``march`` (default _run_batches), which the caller may pass as the name
+    it imported."""
+    if _resolve_method(phi, cfg) == "wos":
+        return _walk_on_spheres(phi, domain, starts_all, cfg, ids_all)
+    parts = (march or _run_batches)(phi, domain, starts_all, cfg, ids_all=ids_all)
+    tau, pos, _ = map(np.concatenate, zip(*parts))
+    return pos, ~np.isnan(tau)
+
+
 def simulate_exits(phi, domain, x0, cfg: PathConfig) -> ExitSample:
     """Exit samples for cfg.paths paths all started at x0."""
-    start = _as_points(x0, domain.d)[0]
-    if domain.gap(start[None, :])[0] < 0.0:
-        raise EvaluationDomainError("start point lies outside the domain")
-    starts = np.tile(start, (cfg.paths, 1))
+    starts = np.tile(_start_point(x0, domain), (cfg.paths, 1))
     tau, pos, byj = map(np.concatenate, zip(*_run_batches(phi, domain, starts, cfg)))
     ok = ~np.isnan(tau)
     return ExitSample(
@@ -528,6 +610,7 @@ def exceedance_probability(phi, d: int, r: float, t: float, cfg: PathConfig) -> 
     underestimate of the true running supremum.
     """
     _check_radius(r)
+    _march_method(phi, cfg)
     if t < 0.0:
         raise EvaluationDomainError("t must be nonnegative")
     if t == 0.0:
@@ -630,24 +713,27 @@ def exit_distribution_histogram(
     ``prob`` is the per-bin exit probability, ``density`` divides by the bin
     width, giving the quantity comparable to a radial Poisson-kernel profile
     (for d = 1 the two boundary sides are folded together; their separate
-    masses are reported for symmetry checks).
+    masses are reported for symmetry checks).  Method 'auto' walks on
+    spheres for the stable kind.
     """
     if d != ball.d:
         raise EvaluationDomainError("dimension does not match the ball")
-    sample = simulate_exits(phi, ball, x0, cfg)
+    starts = np.tile(_start_point(x0, ball), (cfg.paths, 1))
+    pos, stopped = _exit_positions(phi, ball, starts, _wos_by_default(phi, cfg))
+    pos = pos[stopped]
     edges = np.asarray(edges, dtype=float)
-    dist = np.linalg.norm(sample.exit_position - np.asarray(ball.center)[None, :], axis=1)
+    dist = np.linalg.norm(pos - np.asarray(ball.center)[None, :], axis=1)
     counts, _ = np.histogram(dist, bins=edges)
-    n = sample.tau.size
+    n = pos.shape[0]
     prob = counts / max(n, 1)
     width = np.diff(edges)
-    side = sample.exit_position[:, 0] - ball.center[0]
+    side = pos[:, 0] - ball.center[0]
     return ExitHistogram(
         edges=edges,
         prob=prob,
         density=prob / width,
         n=n,
-        censored=sample.censored,
+        censored=cfg.paths - n,
         mass_left=float(np.mean(side < 0.0)) if n else math.nan,
         mass_right=float(np.mean(side > 0.0)) if n else math.nan,
     )
@@ -676,7 +762,8 @@ def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) 
     exactly one, and a path hits when its first exit from enclosing minus
     target lands in it; censored paths count for neither.  Monotone
     in the target on matched seeds: each path id follows one trajectory, so
-    nested targets give nested hitting events.
+    nested targets give nested hitting events.  Method 'auto' marches; pass
+    method 'wos' to walk on spheres.
     """
     if target is None:
         return McEstimate(0.0, 0.0, cfg.paths)
@@ -686,9 +773,7 @@ def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) 
     if target.gap(start_pt)[0] >= 0.0:
         return McEstimate(1.0, 0.0, cfg.paths)
     starts = np.tile(start_pt[0], (cfg.paths, 1))
-    parts = _run_batches(phi, _Punctured(enclosing, target), starts, cfg)
-    tau, pos, _ = map(np.concatenate, zip(*parts))
-    stopped = ~np.isnan(tau)
+    pos, stopped = _exit_positions(phi, _Punctured(enclosing, target), starts, cfg)
     return McEstimate.from_values(target.gap(pos[stopped]) >= 0.0)
 
 

@@ -13,7 +13,10 @@ Channel map used by the samplers in dimension d, disjoint for every d:
   channel; 1..7 stay reserved for them),
 * jump_channel(k, d) and the ceil(d/2) channels after it: size and direction
   draws of the k-th jump inside one skeleton step (compound mode; 8 + 2k
-  and 9 + 2k for d <= 2).
+  and 9 + 2k for d <= 2),
+* CH_WOS = 2**31: the radius draw of a walk-on-spheres sphere, the sphere
+  index in the step slot; CH_WOS + 1 .. CH_WOS + ceil(d/2): its direction
+  pairs.  The marcher's channels stay far below 2**31.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from scipy.special import ndtri
 __all__ = [
     "CH_SUB",
     "CH_GAUSS",
+    "CH_WOS",
     "jump_channel",
     "PhiloxStream",
 ]
 
 CH_SUB = 0
 CH_GAUSS = 1
+CH_WOS = 2**31
 
 
 def jump_channel(slot: int, d: int) -> int:

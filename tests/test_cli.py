@@ -353,3 +353,19 @@ def test_radius_message_names_the_given_radius(capsys):
         rc = cli.main(["check", which, "--kind", "stable", "--alpha", "1", "--r", "-1", "--paths", "10"])
         assert rc == 2
         assert "got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "harnack", "--kind", "stable", "--alpha", "1", "--paths", "1", "--seed", "3"],
+    ["check", "harnack", "--kind", "stable", "--alpha", "1", "--paths", "1", "--seed", "3",
+     "--dim", "2"],
+    ["check", "bhp", "--kind", "stable", "--alpha", "1", "--paths", "1", "--seed", "3"],
+])
+def test_probe_check_with_one_path_leaks_no_warning(capsys, argv):
+    # one base path per start leaves one uncensored path in the base
+    # estimate: its standard error is infinite, not a NaN with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    assert rc in (0, 1)
+    assert capsys.readouterr().err == ""

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,61 @@ def test_family_values_bits_pinned():
     assert censored == 0
     assert hashlib.sha256(vals.tobytes()).hexdigest() == (
         "fa0c9bccb8aa6566508d68248f4e71563faf1d066fca6f20f34e3612478bc729")
+
+
+def test_family_values_wos_bits_pinned():
+    # the pinned march family above, walked on spheres
+    vals, censored = harnack._family_values(
+        bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1.0),
+        np.array([[-0.5, 0.0], [0.0, 0.0], [0.3, 0.2]]), harnack.sector_probes_2d(1.0),
+        _cfg(300, seed=43, horizon=50.0, step=1e-2, method="wos"))
+    assert censored == 0
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+        "72aee189a5f94837d60c8324735c33182003d03a9f1c04e547753080364e8686")
+
+
+def test_family_means_few_paths_without_warnings():
+    # starts with no, one, two and many uncensored paths: McEstimate's rule
+    # (mean NaN and se NaN for none, se inf for one) and no warning; starts
+    # with two or more keep the bits of nanmean/nanstd over the whole family
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(size=(4, 9, 3))
+    vals[0] = np.nan
+    vals[1, 1:] = np.nan
+    vals[2, 2:] = np.nan
+    vals[3, [2, 5]] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, ses = harnack._family_means(vals, 9)
+    assert np.all(np.isnan(means[0])) and np.all(np.isnan(ses[0]))
+    assert np.array_equal(means[1], vals[1, 0]) and np.all(ses[1] == math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref_means = np.nanmean(vals, axis=1)
+        ref_ses = np.nanstd(vals, axis=1, ddof=1) / np.sqrt([[1.0], [1.0], [2.0], [7.0]])
+    assert np.array_equal(means[2:], ref_means[2:]) and np.array_equal(ses[2:], ref_ses[2:])
+    many = rng.uniform(size=(5, 40, 2))
+    many[:, ::3] = np.nan
+    for n_use in (10, 40):
+        means, ses = harnack._family_means(many, n_use)
+        sub = many[:, :n_use]
+        assert np.array_equal(means, np.nanmean(sub, axis=1))
+        assert np.array_equal(ses, np.nanstd(sub, axis=1, ddof=1)
+                              / np.sqrt(np.sum(~np.isnan(sub[:, :, 0]), axis=1))[:, None])
+
+
+def test_auto_method_per_check():
+    # harnack_ratio walks on spheres for the stable kind; the boundary checks march
+    phi = bernstein.stable(1.0)
+    assert harnack.harnack_ratio(phi, 2, 0.05, _cfg(50)) == harnack.harnack_ratio(
+        phi, 2, 0.05, _cfg(50, method="wos"))
+    assert harnack.harnack_ratio(phi, 2, 0.05, _cfg(50)) != harnack.harnack_ratio(
+        phi, 2, 0.05, _cfg(50, method="exact", step=1e-2))
+    assert harnack.bhp_ratio_check(phi, 1, 0.05, _cfg(50)) == harnack.bhp_ratio_check(
+        phi, 1, 0.05, _cfg(50, method="exact"))
+    interval = mc.Interval(0.0, 1.0)
+    assert harnack.carleson_check(phi, interval, 0.0, 0.05, _cfg(50)) == harnack.carleson_check(
+        phi, interval, 0.0, 0.05, _cfg(50, method="exact"))
 
 
 def test_harnack_ratio_stable_passes():

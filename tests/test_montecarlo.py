@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import betainc
 
-from sbmpot import bernstein, montecarlo as mc, rng
+from sbmpot import bernstein, harnack, montecarlo as mc, rng
 from sbmpot.errors import ConstructionError, EvaluationDomainError
 
 
@@ -398,3 +400,173 @@ def test_d2_ball_oracle():
     est = sample.mean_tau()
     exact = _exact_ball_mean_tau(2, 1.0, 1.0, 0.0)
     assert abs(est.mean - exact) < 4.0 * est.std_error + 0.01 * exact
+
+
+# ---------------------------------------------------------------------------
+# walk-on-spheres
+
+
+def _wos(alpha, starts, paths, seed=5, ids=None, **kw):
+    """Exit positions and stopped mask of ``paths`` walks from each start."""
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    d = starts.shape[1]
+    cfg = _cfg(paths=paths, seed=seed, method="wos", **kw)
+    rows = np.repeat(starts, paths, axis=0)
+    return mc._exit_positions(bernstein.stable(alpha), mc.Ball(center=(0.0,) * d, radius=1.0),
+                              rows, cfg, ids)
+
+
+def _hemisphere_kernel(d, a, s):
+    """Integrals of |x - s w|^-d over the unit directions w with w . x >= 0
+    and w . x < 0, for |x| = a < s."""
+    if d == 1:
+        near = 1.0 / (s - a)
+        return near, 1.0 / (s + a)
+    if d == 2:
+        near = 4.0 * math.atan((s + a) / (s - a)) / (s * s - a * a)
+        return near, 2.0 * math.pi / (s * s - a * a) - near
+    near = 2.0 * math.pi / (s * a) * (1.0 / (s - a) - 1.0 / math.hypot(s, a))
+    return near, 4.0 * math.pi / (s * (s * s - a * a)) - near
+
+
+def _poisson_bin(d, alpha, a, lo, hi, near):
+    """Mass of the unit ball's Poisson kernel from x, |x| = a, on
+    lo <= |y| < hi, on x's side (near) or the other, by quadrature of
+    c ((1 - a^2)/(|y|^2 - 1))^(alpha/2) |x - y|^-d in polar coordinates."""
+    c = math.gamma(d / 2.0) * math.pi ** (-d / 2.0 - 1.0) * math.sin(math.pi * alpha / 2.0)
+    side = 0 if near else 1
+
+    def f(s):
+        return (c * ((1.0 - a * a) / (s * s - 1.0)) ** (alpha / 2.0) * s ** (d - 1)
+                * _hemisphere_kernel(d, a, s)[side])
+
+    return quad(f, lo, hi, limit=200)[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_wos_exit_law_matches_off_centre_poisson_kernel(d, alpha):
+    # radial bins on the start's side of the ball and on the other side,
+    # each within 4 sigma of the kernel's mass; the bins sum to one
+    a, paths = 0.5, 40_000
+    x0 = np.zeros(d)
+    x0[0] = a
+    pos, stopped = _wos(alpha, x0, paths, seed=61 + d)
+    assert stopped.all()
+    dist = np.linalg.norm(pos, axis=1)
+    edges = [1.0, 1.1, 1.3, 1.6, 2.2, 4.0, math.inf]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for near in (True, False):
+            p = _poisson_bin(d, alpha, a, lo, hi, near)
+            total += p
+            hit = (dist >= lo) & (dist < hi) & ((pos[:, 0] >= 0.0) == near)
+            sigma = math.sqrt(p * (1.0 - p) / paths)
+            assert abs(hit.mean() - p) < 4.0 * sigma, (lo, hi, near, hit.mean(), p)
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_wos_radial_law_from_centre_is_beta(d, alpha):
+    # from the centre one sphere reaches the boundary, and 1/|Y|^2 is
+    # Beta(alpha/2, 1 - alpha/2): ten bins of equal mass within 4 sigma
+    paths = 20_000
+    pos, stopped = _wos(alpha, np.zeros(d), paths, seed=71)
+    assert stopped.all()
+    cdf = betainc(alpha / 2.0, 1.0 - alpha / 2.0, 1.0 / np.sum(pos**2, axis=1))
+    counts = np.histogram(cdf, bins=np.linspace(0.0, 1.0, 11))[0] / paths
+    assert np.all(np.abs(counts - 0.1) < 4.0 * math.sqrt(0.09 / paths)), counts
+
+
+def test_wos_records_ignore_batching_and_extend_by_prefix():
+    # three starts sharing ids 0..n-1, as _family_values runs them: batch
+    # size changes no bit, and the first 50 ids of each start reproduce a
+    # 50-path run
+    starts = [[0.1, 0.0], [0.6, -0.3], [-0.2, 0.9]]
+    ids = np.tile(np.arange(200, dtype=np.uint64), 3)
+    base = _wos(1.5, starts, 200, seed=9, ids=ids)
+    for batch_size in (1, 7, 333):
+        alt = _wos(1.5, starts, 200, seed=9, ids=ids, batch_size=batch_size)
+        assert all(np.array_equal(u, v) for u, v in zip(base, alt)), batch_size
+    small = _wos(1.5, starts, 50, seed=9, ids=np.tile(np.arange(50, dtype=np.uint64), 3))
+    for i in range(3):
+        rows = slice(200 * i, 200 * i + 50)
+        assert np.array_equal(base[0][rows], small[0][50 * i: 50 * (i + 1)])
+        assert np.array_equal(base[1][rows], small[1][50 * i: 50 * (i + 1)])
+
+
+def test_wos_boundary_start_exits_at_start():
+    for start in ([1.0], [-1.0]):
+        pos, stopped = _wos(1.0, start, 20)
+        assert stopped.all() and np.all(pos == start[0])
+    pos, stopped = _wos(1.0, [0.6, 0.8], 20)
+    assert stopped.all() and np.array_equal(pos, np.tile([0.6, 0.8], (20, 1)))
+
+
+def test_wos_censors_after_the_sphere_budget():
+    # one sphere allowed: from off-centre starts some walks are still inside
+    pos, stopped = _wos(1.0, [0.5], 400, horizon=1.0, step=1.0)
+    assert 0 < np.count_nonzero(~stopped) < 400
+    hist = mc.exit_distribution_histogram(
+        bernstein.stable(1.0), 1, mc.Ball(center=(0.0,), radius=1.0), [0.5], [1.0, 2.0],
+        _cfg(paths=400, seed=5, horizon=1.0, step=1.0))
+    assert hist.censored == np.count_nonzero(~stopped) and hist.n == 400 - hist.censored
+
+
+def test_wos_refused_where_tau_is_read():
+    phi = bernstein.stable(1.0)
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    cfg = _cfg(paths=10, method="wos")
+    refusals = [
+        lambda: mc.simulate_exits(phi, ball, [0.0], cfg),
+        lambda: mc.exceedance_probability(phi, 1, 1.0, 0.1, cfg),
+        lambda: mc.exceedance_probability(phi, 1, 1.0, 0.0, cfg),
+        lambda: mc.exit_time_bounds_check(phi, 1, [1.0], cfg),
+        lambda: mc.epsilon_refinement_check(phi, ball, [0.0], cfg),
+        lambda: mc.sample_subordinator_increment(phi, 0.1, cfg),
+        lambda: mc.sample_subordinator_increment(phi, 0.0, cfg),
+    ]
+    for call in refusals:
+        with pytest.raises(ConstructionError, match="exit positions only"):
+            call()
+
+
+def test_wos_refused_for_other_kinds():
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    cfg = _cfg(paths=10, method="wos")
+    probe = harnack.HarmonicProbe(lambda x: np.ones(x.shape[0]), ball, np.array([[0.0]]))
+    for phi in (bernstein.relativistic_stable(1.0, 1.0), bernstein.sum_of_stables(1.0, 0.5)):
+        refusals = [
+            lambda: harnack.mc_harmonic(phi, 1, probe, cfg),
+            lambda: harnack.harnack_ratio(phi, 1, 0.05, cfg),
+            lambda: harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.0, 0.05, cfg),
+            lambda: harnack.bhp_ratio_check(phi, 1, 0.05, cfg),
+            lambda: mc.hitting_before_exit(phi, 1, mc.Ball(center=(2.0,), radius=0.5), [0.0],
+                                           mc.Ball(center=(0.0,), radius=4.0), cfg),
+            lambda: mc.exit_distribution_histogram(phi, 1, ball, [0.0], [1.0, 2.0], cfg),
+        ]
+        for call in refusals:
+            with pytest.raises(ConstructionError, match="stable kind only"):
+                call()
+
+
+def test_histogram_and_hitting_accept_both_samplers():
+    # the histogram walks on spheres by default for the stable kind and
+    # marches on request; hitting marches by default and walks on request
+    phi = bernstein.stable(1.0)
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    edges = [1.0, 1.5, 3.0]
+    auto = mc.exit_distribution_histogram(phi, 1, ball, [0.2], edges, _cfg(paths=300))
+    wos = mc.exit_distribution_histogram(phi, 1, ball, [0.2], edges, _cfg(paths=300, method="wos"))
+    exact = mc.exit_distribution_histogram(phi, 1, ball, [0.2], edges,
+                                           _cfg(paths=300, method="exact", step=1e-2))
+    assert np.array_equal(auto.prob, wos.prob) and auto.mass_left == wos.mass_left
+    assert not np.array_equal(auto.prob, exact.prob)
+    with pytest.raises(EvaluationDomainError, match="outside"):
+        mc.exit_distribution_histogram(phi, 1, ball, [1.5], edges, _cfg(paths=10))
+    target, enclosing = mc.Ball(center=(2.0,), radius=0.5), mc.Ball(center=(0.0,), radius=4.0)
+    hit = mc.hitting_before_exit(phi, 1, target, [0.0], enclosing, _cfg(paths=2000, method="wos"))
+    march = mc.hitting_before_exit(phi, 1, target, [0.0], enclosing,
+                                   _cfg(paths=2000, step=1e-2))
+    assert abs(hit.mean - march.mean) < 4.0 * math.hypot(hit.std_error, march.std_error)

@@ -69,16 +69,18 @@ def test_channel_independence():
 
 
 def test_channel_layout_disjoint():
-    # the subordinator draw, the Gaussian pairs and every jump slot (its size
-    # channel, then the (d + 1) // 2 direction pairs normals() reads) take
-    # increasing, non-overlapping channel ranges inside the 32-bit channel word
+    # the subordinator draw, the Gaussian pairs, every jump slot (its size
+    # channel, then the (d + 1) // 2 direction pairs normals() reads) and the
+    # walk-on-spheres radius and direction pairs take increasing,
+    # non-overlapping channel ranges inside the 32-bit channel word
     for d in range(65):
         pairs = (d + 1) // 2
         assert rng.CH_SUB < rng.CH_GAUSS
         assert rng.jump_channel(0, d) > rng.CH_GAUSS + pairs - 1
         for k in range(1000):
             assert rng.jump_channel(k, d) + pairs < rng.jump_channel(k + 1, d)
-        assert rng.jump_channel(1000, d) + pairs < 2**32
+        assert rng.jump_channel(1000, d) + pairs < rng.CH_WOS
+        assert rng.CH_WOS + pairs < 2**32
 
 
 def test_low_dimension_channels_unchanged():
