@@ -24,7 +24,7 @@ for x0 in (0.0, 0.5, 0.9):
           f"   exact={exact:.4f}")
 
 edges = np.array([1.1, 1.3, 1.5, 1.8, 2.1, 2.5, 3.0])
-hist = exit_distribution_histogram(phi, 1, ball, [0.0], edges, cfg)
+hist = exit_distribution_histogram(phi, ball, [0.0], edges, cfg)
 exact = (2.0 / math.pi) * np.diff(np.arccos(1.0 / edges))
 print("\nexit-position histogram from the center, radial bins")
 print(f"  {'bin':>12s} {'observed':>10s} {'exact':>10s} {'rel err':>9s}")

@@ -20,8 +20,8 @@ print(f"  with 2x grid         {rep.ratio_grid_refined:.4f}  (delta {rep.delta_g
 print(f"  stable under refinement: {rep.passed}")
 
 print("\nboundary Harnack spread near 0 for the interval (0, 2r)")
-bhp = bhp_ratio_check(phi, 1, 0.05, PathConfig(paths=2400, seed=11, horizon=1.0,
-                                               step=1e-3, epsilon=1e-4))
+bhp = bhp_ratio_check(phi, 0.05, PathConfig(paths=2400, seed=11, horizon=1.0,
+                                            step=1e-3, epsilon=1e-4))
 print(f"  spread of (u/v)(x) * (v/u)(corkscrew)  {bhp.spread:.4f}")
 print(f"  with 4x paths                          {bhp.spread_paths_refined:.4f}")
 print(f"  stable under refinement: {bhp.passed}")

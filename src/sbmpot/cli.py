@@ -275,10 +275,9 @@ def _cmd_check(args, argv) -> int:
                     "delta_paths": rep.delta_paths, "delta_grid": rep.delta_grid,
                     "pass": passed}]
     else:
-        d = 1 if args.domain == "interval" else 2
         cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=1.0, step=1e-3,
                          epsilon=args.eps)
-        rep = bhp_ratio_check(phi, d, args.r, cfg, domain=args.domain)
+        rep = bhp_ratio_check(phi, args.r, cfg, domain=args.domain)
         passed = rep.passed
         records = [{"check": "bhp", "domain": args.domain, "r": args.r,
                     "ratio": rep.spread, "refinement_delta": rep.refinement_delta,

@@ -28,7 +28,7 @@ import numpy as np
 from .bernstein import CompleteBernsteinFunction
 from .errors import EvaluationDomainError
 from .montecarlo import (Ball, HalfDisk, Interval, McEstimate, PathConfig, _as_points, _check_radius,
-                         _exit_positions, _run_batches, _scaled_like, _wos_by_default)
+                         _exit_positions, _run_batches, _scaled_like)
 
 __all__ = [
     "HarmonicProbe",
@@ -108,7 +108,7 @@ def sector_probes_2d(R: float) -> list:
             for k in range(8)]
 
 
-def _family_values(phi, domain, grid, datas, cfg: PathConfig):
+def _family_values(phi, domain, grid, datas, cfg: PathConfig, walk: bool = False):
     """Per-path data values for every (start, probe): shape (m, paths, K).
 
     NaN marks censored paths.  One simulation per start point serves the
@@ -120,16 +120,17 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig):
     rather than once per start.
 
     The march couples paths by shift: path i moves by the same increments
-    from every start.  Walk-on-spheres (cfg.method 'wos') couples them by
-    scale: sphere k of path i has the same radius multiple and direction,
-    but each sphere's radius is that start's own gap, so near a boundary,
-    where the gaps of nearby starts differ most, the coupling is weak.
+    from every start.  Walk-on-spheres (``walk``, taken by the stable kind
+    only) couples them by scale: sphere k of path i has the same radius
+    multiple and direction, but each sphere's radius is that start's own
+    gap, so near a boundary, where the gaps of nearby starts differ most,
+    the coupling is weak.
     """
     grid = _as_points(grid, domain.d)
     m, n = grid.shape[0], cfg.paths
     starts = np.repeat(grid, n, axis=0)
     ids = np.tile(np.arange(n, dtype=np.uint64), m)
-    pos, ok = _exit_positions(phi, domain, starts, cfg, ids, march=_run_batches)
+    pos, ok = _exit_positions(phi, domain, starts, cfg, ids, march=_run_batches, walk=walk)
     vals = np.full((m * n, len(datas)), np.nan)
     for k, data in enumerate(datas):
         vals[ok, k] = data(pos[ok])
@@ -152,21 +153,20 @@ def _family_means(vals: np.ndarray, n_use: int):
     return means, ses
 
 
-def _base_and_refined_means(phi, domain, grid, datas, run_cfg: PathConfig):
+def _base_and_refined_means(phi, domain, grid, datas, run_cfg: PathConfig, walk: bool = False):
     """Family means over the first quarter of each start's paths (base) and
     over all of them (paths-refined), from one run; plus the censored count."""
-    vals, censored = _family_values(phi, domain, grid, datas, run_cfg)
+    vals, censored = _family_values(phi, domain, grid, datas, run_cfg, walk)
     means_base, _ = _family_means(vals, run_cfg.paths // 4)
     means_full, _ = _family_means(vals, run_cfg.paths)
     return means_base, means_full, censored
 
 
-def mc_harmonic(phi, d: int, probe: HarmonicProbe, cfg: PathConfig) -> list:
+def mc_harmonic(phi, probe: HarmonicProbe, cfg: PathConfig) -> list:
     """E_x[data(X_tau)] with std errors, one McEstimate per grid point.
 
-    Method 'auto' marches; pass method 'wos' to walk on spheres."""
-    if d != probe.domain.d:
-        raise EvaluationDomainError("dimension does not match the probe domain")
+    The grid is one point of the probe domain's dimension d, shape (d,), or
+    several, shape (n, d).  Every kind marches."""
     vals, _ = _family_values(phi, probe.domain, probe.grid, [probe.boundary_data], cfg)
     out = []
     for i in range(vals.shape[0]):
@@ -217,15 +217,16 @@ def harnack_ratio(
     cfg.paths is the base path count per start; the simulation runs 4x that
     so the paths-refined and grid-refined ratios come from the same paths.
     The probes are eight dyadic shells (d = 1) or eight annular sectors
-    (d >= 2), all supported outside the harmonicity ball.  Method 'auto'
-    walks on spheres for the stable kind: the starts lie deep inside
-    B(0, 17r), where its coupling across starts is as good as the march's.
+    (d >= 2), all supported outside the harmonicity ball.  The stable kind
+    walks on spheres, where cfg.method does not apply: the starts lie deep
+    inside B(0, 17r), where its coupling across starts is as good as the
+    march's.  Every other kind marches.
     """
     if d < 1:
         raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
     _check_radius(r)
     big_r = 17.0 * r
-    run_cfg = _wos_by_default(phi, _scaled_like(phi, big_r, 4 * cfg.paths, cfg))
+    run_cfg = _scaled_like(phi, big_r, 4 * cfg.paths, cfg)
     domain = Ball(center=(0.0,) * d, radius=big_r)
     datas = shell_probes_1d(big_r) if d == 1 else sector_probes_2d(big_r)
     fine = np.linspace(-0.75 * r, 0.75 * r, 13)
@@ -235,7 +236,7 @@ def harnack_ratio(
         grid = np.zeros((13, d))
         grid[:, 0] = fine
     means_base, means_full, censored = _base_and_refined_means(
-        phi, domain, grid, datas, run_cfg)
+        phi, domain, grid, datas, run_cfg, walk=True)
     coarse_idx = np.arange(0, 13, 2)
     fine_idx = np.arange(13)
     r_base = _sup_inf_ratio(means_base, coarse_idx)
@@ -276,8 +277,8 @@ def carleson_check(
     B(Q, 2r): dyadic shells outside Q beyond distance 2r, the deepest
     extended to a full tail so its hit count stays usable.  Wide confidence
     intervals (tiny r or few paths) yield inconclusive=True rather than a
-    failure.  Method 'auto' marches: walk-on-spheres couples starts this
-    close to the boundary too weakly (see _family_values).
+    failure.  Every kind marches: walk-on-spheres couples starts this close
+    to the boundary too weakly (see _family_values).
     """
     if not (Q == interval.lo or Q == interval.hi):
         raise EvaluationDomainError("Q must be an endpoint of the interval")
@@ -328,7 +329,6 @@ def _bhp_from_means(means: np.ndarray) -> float:
 
 def bhp_ratio_check(
     phi: CompleteBernsteinFunction,
-    d: int,
     r: float,
     cfg: PathConfig,
     domain: str = "interval",
@@ -340,18 +340,19 @@ def bhp_ratio_check(
     half-disk of radius 2r.  The probes u and v are indicators of [2r, 8r)
     and [8r, 32r) on the inward axis (radially, in the upper half-plane, for
     the half-disk), vanishing on D^c near Q as the boundary Harnack principle
-    requires.  cfg.paths is the base count; 4x runs and the paths-refined
-    spread reuses the same simulation.  Method 'auto' marches, as in
-    carleson_check.
+    requires.  The domain gives the dimension: 1 for the interval, 2 for
+    the half-disk.  cfg.paths is the base count; 4x runs and the
+    paths-refined spread reuses the same simulation.  Every kind marches, as
+    in carleson_check.
     """
     _check_radius(r)
     run_cfg = _scaled_like(phi, 2.0 * r, 4 * cfg.paths, cfg)
-    if d == 1 and domain == "interval":
+    if domain == "interval":
         sim_domain = Interval(0.0, 2.0 * r)
         depth, side = _axis(0), ()
         xs = np.linspace(r / 12.0, r / 2.0, 6)
         grid = np.concatenate([xs, [r / 2.0]])[:, None]
-    elif d == 2 and domain == "halfdisk":
+    elif domain == "halfdisk":
         sim_domain = HalfDisk(radius=2.0 * r)
         # x_2 > 0 is x_2 >= the smallest positive float
         depth, side = _radius, ((_axis(1), math.ulp(0.0), math.inf),)
@@ -360,7 +361,7 @@ def bhp_ratio_check(
         grid[:6, 1] = heights
         grid[6, 1] = r / 2.0
     else:
-        raise EvaluationDomainError("domain must be 'interval' (d=1) or 'halfdisk' (d=2)")
+        raise EvaluationDomainError(f"domain must be 'interval' or 'halfdisk', got {domain!r}")
     u_data = _band((depth, 2.0 * r, 8.0 * r), *side)
     v_data = _band((depth, 8.0 * r, 32.0 * r), *side)
     means_base, means_full, censored = _base_and_refined_means(

@@ -51,35 +51,22 @@ def heat_kernel(d: int, t, r):
     return float(out) if out.ndim == 0 else out
 
 
-def transience_check(phi: CompleteBernsteinFunction, d: int, gamma: float | None = None) -> bool:
+def transience_check(phi: CompleteBernsteinFunction, d: int) -> bool:
     """Whether the subordinate Brownian motion in dimension d is transient.
 
     d >= 3 is always transient.  In d <= 2 the criterion is a small-lambda
-    growth floor: some gamma < d/2 with liminf phi(lam)/lam**gamma > 0.  A
-    supplied gamma is validated by the log-log slope of phi(lam)/lam**gamma
-    at the bottom of a [1e-8, 1] grid (decay towards 0 means liminf 0);
-    without one, the catalog's known small-lambda exponent decides.
+    growth floor: some gamma < d/2 with liminf phi(lam)/lam**gamma > 0,
+    decided by the catalog's known small-lambda exponent.
     """
     if d < 1:
         raise EvaluationDomainError("dimension must be a positive integer")
     if d >= 3:
         return True
-    if gamma is not None:
-        if not 0.0 <= gamma < d / 2.0:
-            return False
-        lam = np.geomspace(1e-8, 1.0, 33)
-        ratio = np.atleast_1d(phi(lam)) / lam ** gamma
-        if np.any(~np.isfinite(ratio)) or np.any(ratio <= 0.0):
-            return False
-        # slope over the lowest decade; positive slope means ratio -> 0
-        head = slice(0, 5)
-        slope = np.polyfit(np.log(lam[head]), np.log(ratio[head]), 1)[0]
-        return slope <= 1e-2
     e = phi.small_exponent
     if e is None:
         raise UndecidableError(
-            "transience in d <= 2 needs a growth exponent gamma; none supplied "
-            "and the catalog entry has no known small-lambda exponent"
+            "transience in d <= 2 needs a growth exponent gamma, and the catalog "
+            "entry has no known small-lambda exponent"
         )
     return e < d / 2.0
 
@@ -159,17 +146,14 @@ def _weight_span(r_lo: float, r_hi: float) -> tuple[float, float]:
     return r_lo ** 2 / 1e4, r_hi ** 2 * 1e12
 
 
-def _green(phi: CompleteBernsteinFunction, d: int, r_lo: float, r_hi: float,
-           gamma: float | None = None) -> Callable[[float], float]:
+def _green(phi: CompleteBernsteinFunction, d: int, r_lo: float, r_hi: float) -> Callable[[float], float]:
     """r -> G(r) for radii in [r_lo, r_hi], once transience is established.
 
-    In d <= 2 the tail exponent is the supplied gamma, else phi's power at 0+.
+    In d <= 2 the tail exponent is phi's power at 0+.
     """
-    if not transience_check(phi, d, gamma):
+    if not transience_check(phi, d):
         raise NotTransientError(f"{phi.label()} is not transient in d={d}")
-    tail_gamma = None
-    if d <= 2:
-        tail_gamma = gamma if gamma is not None else phi.small_exponent
+    tail_gamma = phi.small_exponent if d <= 2 else None
     w = spline_potential_evaluator(phi, *_weight_span(r_lo, r_hi))
     return lambda r: subordination_integral(w, d, r, gamma=tail_gamma)
 
@@ -185,9 +169,9 @@ def _jump(phi: CompleteBernsteinFunction, d: int, r_lo: float, r_hi: float) -> C
     return lambda r: subordination_integral(w, d, r, gamma=tail_gamma)
 
 
-def green_function(phi: CompleteBernsteinFunction, d: int, r: float, gamma: float | None = None) -> float:
+def green_function(phi: CompleteBernsteinFunction, d: int, r: float) -> float:
     """G(x) at |x| = r: subordination integral of the potential density."""
-    return _green(phi, d, r, r, gamma)(r)
+    return _green(phi, d, r, r)(r)
 
 
 def jump_kernel(phi: CompleteBernsteinFunction, d: int, r: float) -> float:
@@ -199,12 +183,10 @@ def _small_radii(r_grid) -> np.ndarray:
     return np.asarray(r_grid if r_grid is not None else np.geomspace(1e-3, 1.0, 30), dtype=float)
 
 
-def g_asymptotic_ratio(
-    phi: CompleteBernsteinFunction, d: int, r_grid=None, gamma: float | None = None
-) -> RatioWindow:
+def g_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> RatioWindow:
     """G(r) * r**d * phi(r**-2) over a small-r window; bounded spread is the claim."""
     grid = _small_radii(r_grid)
-    g = _green(phi, d, float(grid.min()), float(grid.max()), gamma)
+    g = _green(phi, d, float(grid.min()), float(grid.max()))
     return RatioWindow.of(grid, [g(r) * r ** d * float(phi(r ** -2.0)) for r in grid])
 
 
@@ -265,14 +247,13 @@ def build_kernel_table(
     r_min: float,
     r_max: float,
     points: int,
-    gamma: float | None = None,
 ) -> RadialKernelTable:
     if not 0.0 < r_min < r_max < math.inf:
         raise EvaluationDomainError("need 0 < r_min < r_max < inf")
     if points < 2:
         raise EvaluationDomainError("need at least two radii")
     radii = np.geomspace(r_min, r_max, points)
-    g = _green(phi, d, r_min, r_max, gamma)
+    g = _green(phi, d, r_min, r_max)
     j = _jump(phi, d, r_min, r_max)
     g_vals = np.array([g(float(r)) for r in radii])
     j_vals = np.array([j(float(r)) for r in radii])

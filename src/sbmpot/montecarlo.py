@@ -36,15 +36,17 @@ Hitting probabilities are exit problems too: P_x(T_A < tau_D) marches to the
 first exit from D minus the closed target A and asks whether the exit
 position lies in A.
 
-Estimators that read exit positions only may instead walk on spheres
-(method "wos", stable kind only; Kyprianou, Osojnik & Shardlow, IMA J.
-Numer. Anal. 38, 2018).  From x, with rho = gap(x), the walk lands at
-Y = x + rho B^(-1/2) theta, B ~ Beta(alpha/2, 1 - alpha/2) by inversion and
-theta a normalised Gaussian vector: the exact exit law of the ball B(x, rho)
-from its centre.  It stops at the first Y with gap <= 0, after a few spheres
-and with no skeleton bias, but it gives no exit times.  Sphere k of a path
-draws from (seed, rng.CH_WOS and the channels after it, k, path id), and a
-path still inside after ceil(horizon/step) spheres is censored.
+For the stable kind, exit_distribution_histogram and harnack_ratio walk on
+spheres instead (Kyprianou, Osojnik & Shardlow, IMA J. Numer. Anal. 38,
+2018); every other estimator, and every other kind, marches.  From x, with
+rho = gap(x), the walk lands at Y = x + rho B^(-1/2) theta,
+B ~ Beta(alpha/2, 1 - alpha/2) by inversion and theta a normalised Gaussian
+vector: the exact exit law of the ball B(x, rho) from its centre.  It stops
+at the first Y with gap <= 0, after a few spheres and with no skeleton bias,
+but it gives no exit times and reads no increments, so cfg.method does not
+apply to it.  Sphere k of a path draws from (seed, rng.CH_WOS and the
+channels after it, k, path id), and a path still inside after
+ceil(horizon/step) spheres is censored.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaincinv
-from scipy.special import gamma as gamma_fn
 
 from . import laplace, rng
 from .bernstein import CompleteBernsteinFunction, levy_tail
@@ -82,7 +83,7 @@ __all__ = [
     "epsilon_refinement_check",
 ]
 
-_METHODS = ("auto", "exact", "compound", "wos")
+_METHODS = ("auto", "exact", "compound")
 
 
 @dataclass(frozen=True)
@@ -234,18 +235,29 @@ class HalfDisk:
         return np.minimum(self.radius - np.linalg.norm(x, axis=1), x[:, 1])
 
 
-def _as_points(x0, d: int) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(x0, dtype=float))
-    if arr.shape[1] != d:
-        arr = arr.reshape(-1, d)
+def _as_points(x, d: int) -> np.ndarray:
+    """x as an (n, d) array of finite points: a point has shape (d,), a grid
+    shape (n, d); any other shape is refused, never reshaped."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (d,) and (arr.ndim != 2 or arr.shape[1] != d):
+        raise EvaluationDomainError(
+            f"points in dimension {d} need shape ({d},) or (n, {d}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise EvaluationDomainError("start point must be finite")
-    return arr
+        raise EvaluationDomainError("points must be finite")
+    return arr.reshape(-1, d)
+
+
+def _one_point(x, d: int) -> np.ndarray:
+    """x as one finite point of R^d."""
+    pts = _as_points(x, d)
+    if pts.shape[0] != 1:
+        raise EvaluationDomainError(f"a start is one point, got {pts.shape[0]}")
+    return pts[0]
 
 
 def _start_point(x0, domain) -> np.ndarray:
     """The start x0 as a point of the closed domain."""
-    start = _as_points(x0, domain.d)[0]
+    start = _one_point(x0, domain.d)
     if domain.gap(start[None, :])[0] < 0.0:
         raise EvaluationDomainError("start point lies outside the domain")
     return start
@@ -273,14 +285,6 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     deeper than the table continue along the locally measured power slope.
     """
     eps = float(epsilon)
-    if phi.kind == "stable":
-        e = phi.alpha_param / 2.0
-        rate = eps**-e / gamma_fn(1.0 - e)
-        # int_0^eps s mu(s) ds for mu = e/Gamma(1-e) s^{-1-e}
-        drift = e / gamma_fn(1.0 - e) * eps ** (1.0 - e) / (1.0 - e)
-        inv_exp = -1.0 / e
-        return rate, drift, None, None, inv_exp
-
     x = np.geomspace(eps, eps * 1e12, 1024)
     tail = np.asarray(levy_tail(phi, x), dtype=float)
     rate = float(tail[0])
@@ -296,13 +300,11 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     # integral of the tail has Laplace transform (phi(lam) - phi(0+))/lam**2
     head_int = laplace.talbot_with_residual(lambda s: (phi._eval(s) - phi.killing) / s**2, eps)[0]
     drift = head_int - eps * rate
-    return rate, max(drift, 0.0), log_u, log_x, None
+    return rate, max(drift, 0.0), log_u, log_x
 
 
-def _jump_sizes(tables, u: np.ndarray, epsilon: float) -> np.ndarray:
-    rate, _, log_u, log_x, inv_exp = tables
-    if inv_exp is not None:
-        return epsilon * u**inv_exp
+def _jump_sizes(tables, u: np.ndarray) -> np.ndarray:
+    _, _, log_u, log_x = tables
     lu = np.log(u)
     # knots run from log 1 = 0 downwards; interp wants increasing x
     out = np.interp(lu, log_u[::-1], log_x[::-1])
@@ -337,29 +339,9 @@ def _resolve_method(phi: CompleteBernsteinFunction, cfg: PathConfig) -> str:
         method = "exact" if phi.kind == "stable" else "compound"
     if method == "exact" and phi.kind != "stable":
         raise ConstructionError("exact increments are available for the stable kind only")
-    if method == "wos" and phi.kind != "stable":
-        raise ConstructionError("walk-on-spheres is available for the stable kind only")
     if phi.killing > 0.0:
         raise ConstructionError("path sampling needs an unkilled exponent")
     return method
-
-
-def _march_method(phi: CompleteBernsteinFunction, cfg: PathConfig) -> str:
-    """_resolve_method for estimators that read exit times or increments,
-    which walk-on-spheres does not give."""
-    method = _resolve_method(phi, cfg)
-    if method == "wos":
-        raise ConstructionError(
-            "walk-on-spheres gives exit positions only; this estimator needs exit "
-            "times or increments (method 'exact' or 'compound')")
-    return method
-
-
-def _wos_by_default(phi: CompleteBernsteinFunction, cfg: PathConfig) -> PathConfig:
-    """cfg with 'auto' taken as 'wos' for the stable kind."""
-    if cfg.method == "auto" and phi.kind == "stable":
-        return replace(cfg, method="wos")
-    return cfg
 
 
 class _Increments:
@@ -372,13 +354,12 @@ class _Increments:
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
-        self.method = _march_method(phi, cfg)
+        self.method = _resolve_method(phi, cfg)
         self.stream = rng.PhiloxStream(cfg.seed)
         if self.method == "exact":
             self.rho = phi.alpha_param / 2.0
             self.dt_pow = dt ** (1.0 / self.rho)
         else:
-            self.epsilon = cfg.epsilon
             self.tables = _compound_tables(phi, cfg.epsilon)
             self.mean_jumps = self.tables[0] * dt  # rate*dt, jumps per step
             self.cdf = _poisson_cdf(self.mean_jumps)
@@ -398,7 +379,7 @@ class _Increments:
         """Sizes of the slot-th jumps at (step, ids) and normals to spread them."""
         channel = rng.jump_channel(slot, d)
         u, _ = self.stream.uniform_pair(channel, step, ids)
-        sizes = _jump_sizes(self.tables, u, self.epsilon)
+        sizes = _jump_sizes(self.tables, u)
         return sizes, self.stream.normals(step, ids, d, base_channel=channel + 1)
 
 
@@ -413,7 +394,7 @@ def sample_subordinator_increment(
     if dt < 0.0:
         raise EvaluationDomainError("dt must be nonnegative")
     if dt == 0.0:
-        _march_method(phi, cfg)
+        _resolve_method(phi, cfg)
         return np.zeros(cfg.paths)
     inc = _Increments(phi, cfg, dt)
     ids = np.arange(cfg.paths, dtype=np.uint64)
@@ -564,13 +545,14 @@ def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
     return x, stopped
 
 
-def _exit_positions(phi, domain, starts_all, cfg, ids_all=None, march=None):
+def _exit_positions(phi, domain, starts_all, cfg, ids_all=None, march=None, walk=False):
     """Exit positions of every row of ``starts_all`` and the mask of rows
     that stopped (the others were censored), for estimators that read no
-    exit time.  cfg.method 'wos' walks on spheres; any other marches with
-    ``march`` (default _run_batches), which the caller may pass as the name
-    it imported."""
-    if _resolve_method(phi, cfg) == "wos":
+    exit time.  With ``walk`` set by the estimator, the stable kind walks on
+    spheres; otherwise, and for every other kind, it marches with ``march``
+    (default _run_batches), which the caller may pass as the name it
+    imported."""
+    if walk and phi.kind == "stable":
         return _walk_on_spheres(phi, domain, starts_all, cfg, ids_all)
     parts = (march or _run_batches)(phi, domain, starts_all, cfg, ids_all=ids_all)
     tau, pos, _ = map(np.concatenate, zip(*parts))
@@ -610,7 +592,7 @@ def exceedance_probability(phi, d: int, r: float, t: float, cfg: PathConfig) -> 
     underestimate of the true running supremum.
     """
     _check_radius(r)
-    _march_method(phi, cfg)
+    _resolve_method(phi, cfg)
     if t < 0.0:
         raise EvaluationDomainError("t must be nonnegative")
     if t == 0.0:
@@ -705,21 +687,17 @@ class ExitHistogram:
     mass_right: float
 
 
-def exit_distribution_histogram(
-    phi, d: int, ball: Ball, x0, edges, cfg: PathConfig
-) -> ExitHistogram:
+def exit_distribution_histogram(phi, ball: Ball, x0, edges, cfg: PathConfig) -> ExitHistogram:
     """Empirical exit-position histogram over radial bins |y - center|.
 
     ``prob`` is the per-bin exit probability, ``density`` divides by the bin
     width, giving the quantity comparable to a radial Poisson-kernel profile
     (for d = 1 the two boundary sides are folded together; their separate
-    masses are reported for symmetry checks).  Method 'auto' walks on
-    spheres for the stable kind.
+    masses are reported for symmetry checks).  The stable kind walks on
+    spheres, where cfg.method does not apply; every other kind marches.
     """
-    if d != ball.d:
-        raise EvaluationDomainError("dimension does not match the ball")
     starts = np.tile(_start_point(x0, ball), (cfg.paths, 1))
-    pos, stopped = _exit_positions(phi, ball, starts, _wos_by_default(phi, cfg))
+    pos, stopped = _exit_positions(phi, ball, starts, cfg, walk=True)
     pos = pos[stopped]
     edges = np.asarray(edges, dtype=float)
     dist = np.linalg.norm(pos - np.asarray(ball.center)[None, :], axis=1)
@@ -754,25 +732,26 @@ class _Punctured:
         return np.minimum(self.enclosing.gap(x), -self.target.gap(x))
 
 
-def hitting_before_exit(phi, d: int, target, start, enclosing, cfg: PathConfig) -> McEstimate:
+def hitting_before_exit(phi, target, start, enclosing, cfg: PathConfig) -> McEstimate:
     """P_start(T_target < tau_enclosing), target checked at every epoch.
 
-    ``target`` is an Interval/Ball, or None for the empty set (probability
-    exactly zero).  The target is closed: a start in it gives probability
-    exactly one, and a path hits when its first exit from enclosing minus
-    target lands in it; censored paths count for neither.  Monotone
-    in the target on matched seeds: each path id follows one trajectory, so
-    nested targets give nested hitting events.  Method 'auto' marches; pass
-    method 'wos' to walk on spheres.
+    ``target`` is an Interval/Ball of the enclosing domain's dimension, or
+    None for the empty set (probability exactly zero).  The target is
+    closed: a start in it gives probability exactly one, and a path hits
+    when its first exit from enclosing minus target lands in it; censored
+    paths count for neither.  Monotone in the target on matched seeds: each
+    path id follows one trajectory, so nested targets give nested hitting
+    events.  Every kind marches.
     """
     if target is None:
         return McEstimate(0.0, 0.0, cfg.paths)
-    if d != enclosing.d:
-        raise EvaluationDomainError("dimension does not match the enclosing domain")
-    start_pt = _as_points(start, d)
-    if target.gap(start_pt)[0] >= 0.0:
+    if target.d != enclosing.d:
+        raise EvaluationDomainError(
+            f"target of dimension {target.d} in an enclosing domain of dimension {enclosing.d}")
+    start_pt = _one_point(start, enclosing.d)
+    if target.gap(start_pt[None, :])[0] >= 0.0:
         return McEstimate(1.0, 0.0, cfg.paths)
-    starts = np.tile(start_pt[0], (cfg.paths, 1))
+    starts = np.tile(start_pt, (cfg.paths, 1))
     pos, stopped = _exit_positions(phi, _Punctured(enclosing, target), starts, cfg)
     return McEstimate.from_values(target.gap(pos[stopped]) >= 0.0)
 

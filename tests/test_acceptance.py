@@ -131,7 +131,7 @@ def test_criterion_08_poisson_kernel_oracle():
     phi = stable(1.0)
     edges = np.array([1.1, 1.3, 1.5, 1.8, 2.1, 2.5, 3.0])
     hist = exit_distribution_histogram(
-        phi, 1, Ball(center=(0.0,), radius=1.0), [0.0], edges,
+        phi, Ball(center=(0.0,), radius=1.0), [0.0], edges,
         scaled_config(phi, 1.0, 100_000, seed=12, epsilon=1e-4),
     )
     # exact exit law through the unit ball from 0: bin mass
@@ -169,7 +169,7 @@ def test_criterion_10_harnack_bhp_stability():
         assert math.isfinite(rep.ratio), (alpha, r)
         assert rep.delta_paths < 0.2 and rep.delta_grid < 0.2, (alpha, r)
     bhp = bhp_ratio_check(
-        stable(1.0), 1, 0.05,
+        stable(1.0), 0.05,
         PathConfig(paths=2400, seed=11, horizon=1.0, step=1e-3, epsilon=1e-4),
     )
     assert bhp.spread < 10.0

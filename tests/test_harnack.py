@@ -44,7 +44,7 @@ def test_constant_data_is_exactly_one():
         boundary_data=lambda x: np.ones(x.shape[0]),
         domain=dom,
         grid=np.array([[-0.4], [0.0], [0.3]]))
-    ests = harnack.mc_harmonic(phi, 1, probe, _cfg(300))
+    ests = harnack.mc_harmonic(phi, probe, _cfg(300))
     for est in ests:
         assert est.mean == 1.0 and est.std_error == 0.0
 
@@ -58,19 +58,28 @@ def test_mc_harmonic_linearity_on_shared_paths():
         return (x[:, 0] >= 1.0).astype(float)
 
     cfg = _cfg(400)
-    u = harnack.mc_harmonic(phi, 1, harnack.HarmonicProbe(base, dom, grid), cfg)
+    u = harnack.mc_harmonic(phi, harnack.HarmonicProbe(base, dom, grid), cfg)
     three = harnack.mc_harmonic(
-        phi, 1, harnack.HarmonicProbe(lambda x: 3.0 * base(x), dom, grid), cfg)
+        phi, harnack.HarmonicProbe(lambda x: 3.0 * base(x), dom, grid), cfg)
     for a, b in zip(u, three):
         assert b.mean == pytest.approx(3.0 * a.mean, rel=1e-14)
 
 
 def test_mc_harmonic_dimension_mismatch():
+    # the probe domain gives the dimension: a grid of 1-D points in a 2-D
+    # ball, or 2-D points in a 1-D one, is refused, never reshaped
     phi = bernstein.stable(1.0)
-    dom = mc.Ball(center=(0.0,), radius=1.0)
-    probe = harnack.HarmonicProbe(lambda x: np.ones(x.shape[0]), dom, np.array([[0.0]]))
-    with pytest.raises(EvaluationDomainError):
-        harnack.mc_harmonic(phi, 2, probe, _cfg(10))
+    one = lambda x: np.ones(x.shape[0])
+    for dom, grid in ((mc.Ball(center=(0.0, 0.0), radius=1.0), np.array([[0.1], [0.2]])),
+                      (mc.Ball(center=(0.0, 0.0), radius=1.0), np.array([0.1, 0.2, 0.3])),
+                      (mc.Ball(center=(0.0,), radius=1.0), np.array([[0.1, 0.2]])),
+                      (mc.Ball(center=(0.0,), radius=1.0), np.array([0.1, 0.2]))):
+        with pytest.raises(EvaluationDomainError, match="shape"):
+            harnack.mc_harmonic(phi, harnack.HarmonicProbe(one, dom, grid), _cfg(10))
+    one_point = harnack.mc_harmonic(
+        phi, harnack.HarmonicProbe(one, mc.Ball(center=(0.0, 0.0), radius=1.0), [0.1, 0.2]),
+        _cfg(10))
+    assert len(one_point) == 1 and one_point[0].mean == 1.0
 
 
 def test_family_values_bits_pinned():
@@ -90,7 +99,7 @@ def test_family_values_wos_bits_pinned():
     vals, censored = harnack._family_values(
         bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1.0),
         np.array([[-0.5, 0.0], [0.0, 0.0], [0.3, 0.2]]), harnack.sector_probes_2d(1.0),
-        _cfg(300, seed=43, horizon=50.0, step=1e-2, method="wos"))
+        _cfg(300, seed=43, horizon=50.0, step=1e-2), walk=True)
     assert censored == 0
     assert hashlib.sha256(vals.tobytes()).hexdigest() == (
         "72aee189a5f94837d60c8324735c33182003d03a9f1c04e547753080364e8686")
@@ -127,14 +136,14 @@ def test_family_means_few_paths_without_warnings():
 
 
 def test_auto_method_per_check():
-    # harnack_ratio walks on spheres for the stable kind; the boundary checks march
+    # harnack_ratio walks on spheres for the stable kind, so no march method
+    # or step changes a bit; the boundary checks march on the exact sampler
     phi = bernstein.stable(1.0)
-    assert harnack.harnack_ratio(phi, 2, 0.05, _cfg(50)) == harnack.harnack_ratio(
-        phi, 2, 0.05, _cfg(50, method="wos"))
-    assert harnack.harnack_ratio(phi, 2, 0.05, _cfg(50)) != harnack.harnack_ratio(
-        phi, 2, 0.05, _cfg(50, method="exact", step=1e-2))
-    assert harnack.bhp_ratio_check(phi, 1, 0.05, _cfg(50)) == harnack.bhp_ratio_check(
-        phi, 1, 0.05, _cfg(50, method="exact"))
+    walked = harnack.harnack_ratio(phi, 2, 0.05, _cfg(50))
+    for kw in ({"method": "exact", "step": 1e-2}, {"method": "compound"}):
+        assert harnack.harnack_ratio(phi, 2, 0.05, _cfg(50, **kw)) == walked, kw
+    assert harnack.bhp_ratio_check(phi, 0.05, _cfg(50)) == harnack.bhp_ratio_check(
+        phi, 0.05, _cfg(50, method="exact"))
     interval = mc.Interval(0.0, 1.0)
     assert harnack.carleson_check(phi, interval, 0.0, 0.05, _cfg(50)) == harnack.carleson_check(
         phi, interval, 0.0, 0.05, _cfg(50, method="exact"))
@@ -199,24 +208,23 @@ def test_bhp_trivial_and_symmetry():
 
 def test_bhp_interval_passes():
     phi = bernstein.stable(1.0)
-    rep = harnack.bhp_ratio_check(phi, 1, 0.05, _cfg(2400))
+    rep = harnack.bhp_ratio_check(phi, 0.05, _cfg(2400))
     assert rep.passed
     assert rep.spread < 10.0
 
 
 def test_bhp_halfdisk_passes():
     phi = bernstein.stable(1.0)
-    rep = harnack.bhp_ratio_check(phi, 2, 0.05, _cfg(1200, seed=7), domain="halfdisk")
+    rep = harnack.bhp_ratio_check(phi, 0.05, _cfg(1200, seed=7), domain="halfdisk")
     assert rep.passed
     assert rep.spread < 10.0
 
 
 def test_bhp_bad_domain_rejected():
     phi = bernstein.stable(1.0)
-    with pytest.raises(EvaluationDomainError):
-        harnack.bhp_ratio_check(phi, 3, 0.05, _cfg(10), domain="interval")
-    with pytest.raises(EvaluationDomainError):
-        harnack.bhp_ratio_check(phi, 0, 0.05, _cfg(10))
+    for domain in ("ball", "Interval", ""):
+        with pytest.raises(EvaluationDomainError, match="interval"):
+            harnack.bhp_ratio_check(phi, 0.05, _cfg(10), domain=domain)
 
 
 def test_harnack_ratio_refuses_dimension_below_one():

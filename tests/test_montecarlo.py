@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
+from scipy.special import gamma as gamma_fn
 
 from sbmpot import bernstein, harnack, montecarlo as mc, rng
 from sbmpot.errors import ConstructionError, EvaluationDomainError
@@ -33,8 +34,10 @@ def test_config_validation():
             mc.PathConfig(paths=10, seed=1, horizon=horizon, step=step)
     with pytest.raises(ConstructionError):
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, epsilon=1.5)
-    with pytest.raises(ConstructionError):
-        mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, method="magic")
+    # "wos" is no method: the estimator decides whether it walks on spheres
+    for method in ("magic", "wos"):
+        with pytest.raises(ConstructionError):
+            mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, method=method)
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConstructionError):
             mc.Ball(center=(0.0,), radius=radius)
@@ -69,6 +72,24 @@ def test_outside_start_rejected():
     ball = mc.Ball(center=(0.0,), radius=1.0)
     with pytest.raises(EvaluationDomainError):
         mc.simulate_exits(phi, ball, [1.5], _cfg(paths=10))
+
+
+def test_start_of_wrong_shape_rejected():
+    # a start is one point of the domain's dimension: a 2-D point in a 1-D
+    # ball, a 1-D point in a 2-D one and two points are refused, never
+    # reshaped into a start from their first coordinates
+    phi = bernstein.stable(1.0)
+    one, two = mc.Ball(center=(0.0,), radius=1.0), mc.Ball(center=(0.0, 0.0), radius=1.0)
+    for ball, x0, match in ((one, [0.9, 0.0], "shape"), (two, [0.1], "shape"),
+                            (one, [[0.1], [0.2]], "one point"), (one, 0.5, "shape")):
+        with pytest.raises(EvaluationDomainError, match=match):
+            mc.simulate_exits(phi, ball, x0, _cfg(paths=10))
+        with pytest.raises(EvaluationDomainError, match=match):
+            mc.exit_distribution_histogram(phi, ball, x0, [1.0, 2.0], _cfg(paths=10))
+    # (d,) and (1, d) are the same start
+    a = mc.simulate_exits(phi, two, [0.1, 0.2], _cfg(paths=20, step=1e-2))
+    b = mc.simulate_exits(phi, two, [[0.1, 0.2]], _cfg(paths=20, step=1e-2))
+    assert _sample_digest(a) == _sample_digest(b)
 
 
 def test_zero_increment():
@@ -306,7 +327,7 @@ def test_exit_histogram_symmetry_and_decay():
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     edges = np.array([1.0, 1.5, 2.0, 3.0, 5.0])
-    hist = mc.exit_distribution_histogram(phi, 1, ball, [0.0], edges, _cfg(paths=30000))
+    hist = mc.exit_distribution_histogram(phi, ball, [0.0], edges, _cfg(paths=30000))
     # symmetric start: the two boundary sides carry equal mass up to noise
     assert hist.mass_left == pytest.approx(hist.mass_right, abs=4.0 / math.sqrt(30000))
     assert hist.mass_left + hist.mass_right == pytest.approx(1.0, abs=1e-12)
@@ -320,15 +341,15 @@ def test_hitting_before_exit_monotone():
     small = mc.Ball(center=(2.0,), radius=0.25)
     big = mc.Ball(center=(2.0,), radius=0.75)
     cfg = _cfg(paths=3000)
-    p_small = mc.hitting_before_exit(phi, 1, small, [0.0], enclosing, cfg)
-    p_big = mc.hitting_before_exit(phi, 1, big, [0.0], enclosing, cfg)
+    p_small = mc.hitting_before_exit(phi, small, [0.0], enclosing, cfg)
+    p_big = mc.hitting_before_exit(phi, big, [0.0], enclosing, cfg)
     assert 0.0 < p_small.mean <= p_big.mean <= 1.0
 
 
 def test_hitting_before_exit_bits_pinned():
     # a hit is an exit into the target; captured while the march drew one
     # step per call and a hit was any marched position inside the target
-    est = mc.hitting_before_exit(bernstein.stable(1.0), 1, mc.Ball(center=(2.0,), radius=0.5),
+    est = mc.hitting_before_exit(bernstein.stable(1.0), mc.Ball(center=(2.0,), radius=0.5),
                                  [0.0], mc.Ball(center=(0.0,), radius=4.0),
                                  _cfg(paths=1500, seed=41, step=1e-2))
     assert (est.mean.hex(), est.std_error.hex()) == ("0x1.a9fbe76c8b439p-2", "0x1.a128d9586e38dp-7")
@@ -346,7 +367,7 @@ def test_compound_hitting_bits_pinned(target, enclosing, mean, se, n):
     # target or leaves the enclosing domain; captured while hits were
     # tracked along the whole path to its exit from the enclosing domain
     cfg = mc.PathConfig(paths=400, seed=5, horizon=1.0, step=1e-2)
-    est = mc.hitting_before_exit(bernstein.relativistic_stable(1.0, 1.0), 1, target, [0.0],
+    est = mc.hitting_before_exit(bernstein.relativistic_stable(1.0, 1.0), target, [0.0],
                                  enclosing, cfg)
     assert (est.mean.hex(), est.std_error.hex(), est.n) == (mean, se, n)
 
@@ -355,17 +376,32 @@ def test_hitting_trivial_cases():
     phi = bernstein.stable(1.0)
     enclosing = mc.Ball(center=(0.0,), radius=4.0)
     cfg = _cfg(paths=200)
-    none = mc.hitting_before_exit(phi, 1, None, [0.0], enclosing, cfg)
+    none = mc.hitting_before_exit(phi, None, [0.0], enclosing, cfg)
     assert none.mean == 0.0 and none.std_error == 0.0
     inside = mc.hitting_before_exit(
-        phi, 1, mc.Ball(center=(0.1,), radius=0.5), [0.0], enclosing, cfg)
+        phi, mc.Ball(center=(0.1,), radius=0.5), [0.0], enclosing, cfg)
     assert inside.mean == 1.0 and inside.std_error == 0.0
     with pytest.raises(EvaluationDomainError, match="finite"):
-        mc.hitting_before_exit(phi, 1, mc.Ball(center=(2.0,), radius=0.5), [math.nan], enclosing, cfg)
+        mc.hitting_before_exit(phi, mc.Ball(center=(2.0,), radius=0.5), [math.nan], enclosing, cfg)
     # the target is closed: a start on its boundary has already hit it
     for target in (mc.Ball(center=(1.0,), radius=1.0), mc.Interval(0.0, 1.0)):
-        on_edge = mc.hitting_before_exit(phi, 1, target, [0.0], enclosing, cfg)
+        on_edge = mc.hitting_before_exit(phi, target, [0.0], enclosing, cfg)
         assert on_edge.mean == 1.0 and on_edge.std_error == 0.0
+
+
+def test_hitting_refuses_target_of_another_dimension():
+    # a 2-D ball target in a 1-D ball, and an interval target (a slab, read
+    # on the first coordinate) in a 2-D ball, are refused, as is a start of
+    # the wrong dimension
+    phi = bernstein.stable(1.0)
+    cfg = _cfg(paths=28)
+    line, plane = mc.Ball(center=(0.0,), radius=4.0), mc.Ball(center=(0.0, 0.0), radius=4.0)
+    for target, enclosing, start in ((mc.Ball(center=(2.0, 0.0), radius=0.5), line, [0.0]),
+                                     (mc.Interval(1.0, 2.0), plane, [0.0, 0.0])):
+        with pytest.raises(EvaluationDomainError, match="dimension"):
+            mc.hitting_before_exit(phi, target, start, enclosing, cfg)
+    with pytest.raises(EvaluationDomainError, match="shape"):
+        mc.hitting_before_exit(phi, mc.Ball(center=(2.0,), radius=0.5), [0.0, 0.0], line, cfg)
 
 
 def test_epsilon_refinement():
@@ -410,10 +446,10 @@ def _wos(alpha, starts, paths, seed=5, ids=None, **kw):
     """Exit positions and stopped mask of ``paths`` walks from each start."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     d = starts.shape[1]
-    cfg = _cfg(paths=paths, seed=seed, method="wos", **kw)
+    cfg = _cfg(paths=paths, seed=seed, **kw)
     rows = np.repeat(starts, paths, axis=0)
     return mc._exit_positions(bernstein.stable(alpha), mc.Ball(center=(0.0,) * d, radius=1.0),
-                              rows, cfg, ids)
+                              rows, cfg, ids, walk=True)
 
 
 def _hemisphere_kernel(d, a, s):
@@ -509,64 +545,72 @@ def test_wos_censors_after_the_sphere_budget():
     pos, stopped = _wos(1.0, [0.5], 400, horizon=1.0, step=1.0)
     assert 0 < np.count_nonzero(~stopped) < 400
     hist = mc.exit_distribution_histogram(
-        bernstein.stable(1.0), 1, mc.Ball(center=(0.0,), radius=1.0), [0.5], [1.0, 2.0],
+        bernstein.stable(1.0), mc.Ball(center=(0.0,), radius=1.0), [0.5], [1.0, 2.0],
         _cfg(paths=400, seed=5, horizon=1.0, step=1.0))
     assert hist.censored == np.count_nonzero(~stopped) and hist.n == 400 - hist.censored
 
 
-def test_wos_refused_where_tau_is_read():
-    phi = bernstein.stable(1.0)
+def test_other_kinds_march_where_stable_walks():
+    # asked to walk, a kind other than stable marches: its records are the
+    # march's bits, while the stable kind's differ from its march
     ball = mc.Ball(center=(0.0,), radius=1.0)
-    cfg = _cfg(paths=10, method="wos")
-    refusals = [
-        lambda: mc.simulate_exits(phi, ball, [0.0], cfg),
-        lambda: mc.exceedance_probability(phi, 1, 1.0, 0.1, cfg),
-        lambda: mc.exceedance_probability(phi, 1, 1.0, 0.0, cfg),
-        lambda: mc.exit_time_bounds_check(phi, 1, [1.0], cfg),
-        lambda: mc.epsilon_refinement_check(phi, ball, [0.0], cfg),
-        lambda: mc.sample_subordinator_increment(phi, 0.1, cfg),
-        lambda: mc.sample_subordinator_increment(phi, 0.0, cfg),
-    ]
-    for call in refusals:
-        with pytest.raises(ConstructionError, match="exit positions only"):
-            call()
-
-
-def test_wos_refused_for_other_kinds():
-    ball = mc.Ball(center=(0.0,), radius=1.0)
-    cfg = _cfg(paths=10, method="wos")
-    probe = harnack.HarmonicProbe(lambda x: np.ones(x.shape[0]), ball, np.array([[0.0]]))
+    starts = np.repeat([[0.0], [0.5]], 60, axis=0)
+    ids = np.tile(np.arange(60, dtype=np.uint64), 2)
+    cfg = _cfg(paths=60, seed=13, horizon=5.0, step=1e-2)
     for phi in (bernstein.relativistic_stable(1.0, 1.0), bernstein.sum_of_stables(1.0, 0.5)):
-        refusals = [
-            lambda: harnack.mc_harmonic(phi, 1, probe, cfg),
-            lambda: harnack.harnack_ratio(phi, 1, 0.05, cfg),
-            lambda: harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.0, 0.05, cfg),
-            lambda: harnack.bhp_ratio_check(phi, 1, 0.05, cfg),
-            lambda: mc.hitting_before_exit(phi, 1, mc.Ball(center=(2.0,), radius=0.5), [0.0],
-                                           mc.Ball(center=(0.0,), radius=4.0), cfg),
-            lambda: mc.exit_distribution_histogram(phi, 1, ball, [0.0], [1.0, 2.0], cfg),
-        ]
-        for call in refusals:
-            with pytest.raises(ConstructionError, match="stable kind only"):
-                call()
+        walked = mc._exit_positions(phi, ball, starts, cfg, ids, walk=True)
+        marched = mc._exit_positions(phi, ball, starts, cfg, ids)
+        assert np.array_equal(walked[0], marched[0], equal_nan=True), phi.label()
+        assert np.array_equal(walked[1], marched[1]), phi.label()
+        grid, datas = np.array([[-0.3], [0.2]]), harnack.shell_probes_1d(1.0)
+        assert np.array_equal(harnack._family_values(phi, ball, grid, datas, cfg, walk=True)[0],
+                              harnack._family_values(phi, ball, grid, datas, cfg)[0],
+                              equal_nan=True), phi.label()
+    phi = bernstein.stable(1.0)
+    walked = mc._exit_positions(phi, ball, starts, cfg, ids, walk=True)
+    marched = mc._exit_positions(phi, ball, starts, cfg, ids)
+    assert not np.array_equal(walked[0], marched[0])
 
 
-def test_histogram_and_hitting_accept_both_samplers():
-    # the histogram walks on spheres by default for the stable kind and
-    # marches on request; hitting marches by default and walks on request
+def test_histogram_walks_and_hitting_marches():
+    # the stable histogram walks on spheres whatever the march method; the
+    # hitting probability marches, and a walk on the same punctured domain
+    # agrees with it
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     edges = [1.0, 1.5, 3.0]
-    auto = mc.exit_distribution_histogram(phi, 1, ball, [0.2], edges, _cfg(paths=300))
-    wos = mc.exit_distribution_histogram(phi, 1, ball, [0.2], edges, _cfg(paths=300, method="wos"))
-    exact = mc.exit_distribution_histogram(phi, 1, ball, [0.2], edges,
-                                           _cfg(paths=300, method="exact", step=1e-2))
-    assert np.array_equal(auto.prob, wos.prob) and auto.mass_left == wos.mass_left
-    assert not np.array_equal(auto.prob, exact.prob)
+    auto = mc.exit_distribution_histogram(phi, ball, [0.2], edges, _cfg(paths=300))
+    pos, stopped = _wos(1.0, [0.2], 300, seed=11)
+    assert stopped.all()
+    assert np.array_equal(auto.prob, np.histogram(np.abs(pos[:, 0]), bins=edges)[0] / 300)
+    for method in ("exact", "compound"):
+        other = mc.exit_distribution_histogram(phi, ball, [0.2], edges,
+                                               _cfg(paths=300, method=method, step=1e-2))
+        assert np.array_equal(auto.prob, other.prob) and auto.mass_left == other.mass_left
     with pytest.raises(EvaluationDomainError, match="outside"):
-        mc.exit_distribution_histogram(phi, 1, ball, [1.5], edges, _cfg(paths=10))
+        mc.exit_distribution_histogram(phi, ball, [1.5], edges, _cfg(paths=10))
     target, enclosing = mc.Ball(center=(2.0,), radius=0.5), mc.Ball(center=(0.0,), radius=4.0)
-    hit = mc.hitting_before_exit(phi, 1, target, [0.0], enclosing, _cfg(paths=2000, method="wos"))
-    march = mc.hitting_before_exit(phi, 1, target, [0.0], enclosing,
-                                   _cfg(paths=2000, step=1e-2))
+    cfg = _cfg(paths=2000, step=1e-2)
+    march = mc.hitting_before_exit(phi, target, [0.0], enclosing, cfg)
+    pos, stopped = mc._exit_positions(phi, mc._Punctured(enclosing, target),
+                                      np.zeros((2000, 1)), cfg, walk=True)
+    hit = mc.McEstimate.from_values(target.gap(pos[stopped]) >= 0.0)
     assert abs(hit.mean - march.mean) < 4.0 * math.hypot(hit.std_error, march.std_error)
+
+
+def test_stable_compound_tables_match_closed_forms():
+    # the stable kind tabulates its closed tail like every other kind: rate
+    # mu(eps, inf) bit for bit, the small-jump drift and jump sizes
+    # eps u^(-2/alpha) (the deep ones continued along the table's end slope)
+    # to 1e-10
+    u = np.geomspace(1e-40, 1.0, 801)
+    for alpha in (0.5, 1.0, 1.5):
+        e = alpha / 2.0
+        for eps in (5e-5, 1e-4, 2e-4):
+            tables = mc._compound_tables(bernstein.stable(alpha), eps)
+            rate, drift = tables[:2]
+            assert rate == eps**-e / gamma_fn(1.0 - e), (alpha, eps)
+            assert drift == pytest.approx(
+                e / gamma_fn(1.0 - e) * eps ** (1.0 - e) / (1.0 - e), rel=1e-10)
+            np.testing.assert_allclose(mc._jump_sizes(tables, u), eps * u ** (-1.0 / e),
+                                       rtol=1e-10, atol=0.0)
