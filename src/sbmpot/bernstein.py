@@ -328,26 +328,13 @@ def conjugate(phi: CompleteBernsteinFunction) -> CompleteBernsteinFunction:
     if phi.kind == "conjugate":
         # unwrap: lam / (lam/phi) = phi
         return phi.inner
-    killing = _conjugate_killing(phi)
     return CompleteBernsteinFunction(
         kind="conjugate",
         alpha=2.0 - phi.alpha,
         alpha_param=2.0 - phi.alpha,
-        killing=killing,
+        killing=_entry(phi.kind).conjugate_killing(phi),
         inner=phi,
     )
-
-
-def _conjugate_killing(phi: CompleteBernsteinFunction) -> float:
-    if phi.kind == "relativistic":
-        # phi'(0) = (alpha/2) * m**((2/alpha)(alpha/2 - 1)) in closed form
-        return (2.0 / phi.alpha_param) * phi.m ** ((2.0 / phi.alpha_param) * (1.0 - phi.alpha_param / 2.0))
-    e = phi.small_exponent
-    if e is not None and e < 1.0:
-        return 0.0
-    lam = 1e-12
-    val = lam / float(phi(lam))
-    return val if val > 1e-9 else 0.0
 
 
 def killed_shift(phi: CompleteBernsteinFunction, a: float) -> CompleteBernsteinFunction:
@@ -394,6 +381,9 @@ class _Kind:
     ladder_density: Callable | None = None  # v(t), inverse transform of 1/chi
     renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
     drift: Callable = lambda phi: 0.0  # lim phi(lam)/lam
+    # lim lam/phi(lam) as lam -> 0+, the conjugate's killing: 0 wherever the
+    # small exponent is below 1 or phi is killed
+    conjugate_killing: Callable = lambda phi: 0.0
     composite: bool = False  # wraps ``inner``; no JSON form
 
 
@@ -461,6 +451,9 @@ KINDS: dict[str, _Kind] = {
         levy_density=lambda phi, t: (
             _stable_levy(phi.alpha_param, t) * np.exp(-phi.m ** (2.0 / phi.alpha_param) * t)),
         levy_tail=_relativistic_tail,
+        # 1/phi'(0), phi'(0) = (alpha/2) * m**((2/alpha)(alpha/2 - 1))
+        conjugate_killing=lambda phi: (2.0 / phi.alpha_param) * phi.m ** (
+            (2.0 / phi.alpha_param) * (1.0 - phi.alpha_param / 2.0)),
     ),
     "sum": _Kind(
         sum_of_stables,

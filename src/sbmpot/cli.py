@@ -265,23 +265,21 @@ def _cmd_check(args, argv) -> int:
                     "doubling": doubling, "shift": shift, "pass": passed}]
     elif which == "asym":
         return _cmd_check_asym(args, argv)
-    elif which == "harnack":
+    else:  # harnack and bhp share one config
         cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=1.0, step=1e-3,
                          epsilon=args.eps)
-        rep = harnack_ratio(phi, args.dim, args.r, cfg)
+        if which == "harnack":
+            rep = harnack_ratio(phi, args.dim, args.r, cfg)
+            records = [{"check": "harnack", "dim": args.dim, "r": args.r,
+                        "ratio": rep.ratio, "refinement_delta": rep.refinement_delta,
+                        "delta_paths": rep.delta_paths, "delta_grid": rep.delta_grid,
+                        "pass": rep.passed}]
+        else:
+            rep = bhp_ratio_check(phi, args.r, cfg, domain=args.domain)
+            records = [{"check": "bhp", "domain": args.domain, "r": args.r,
+                        "ratio": rep.spread, "refinement_delta": rep.refinement_delta,
+                        "pass": rep.passed}]
         passed = rep.passed
-        records = [{"check": "harnack", "dim": args.dim, "r": args.r,
-                    "ratio": rep.ratio, "refinement_delta": rep.refinement_delta,
-                    "delta_paths": rep.delta_paths, "delta_grid": rep.delta_grid,
-                    "pass": passed}]
-    else:
-        cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=1.0, step=1e-3,
-                         epsilon=args.eps)
-        rep = bhp_ratio_check(phi, args.r, cfg, domain=args.domain)
-        passed = rep.passed
-        records = [{"check": "bhp", "domain": args.domain, "r": args.r,
-                    "ratio": rep.spread, "refinement_delta": rep.refinement_delta,
-                    "pass": passed}]
     _emit(records, args, argv)
     return 0 if passed else 1
 
@@ -315,12 +313,11 @@ def _cmd_simulate(args, argv) -> int:
         raise ConstructionError(f"--x0 takes comma-separated numbers, got {args.x0!r}") from None
     if len(x0) != d:
         raise ConstructionError("--x0 must supply one coordinate per dimension")
-    base = scaled_config(phi, args.radius, args.paths, args.seed,
-                         epsilon=args.eps, method=args.method)
+    base = scaled_config(phi, args.radius, args.paths, args.seed, epsilon=args.eps)
     step = args.step if args.step is not None else base.step
     horizon = args.horizon if args.horizon is not None else base.horizon
     cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=horizon, step=step,
-                     epsilon=args.eps, method=args.method)
+                     epsilon=args.eps)
     domain = Ball(center=(0.0,) * d, radius=args.radius)
     sample = simulate_exits(phi, domain, x0, cfg)
     if args.format == "csv":
@@ -421,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--method", choices=["auto", "exact", "compound"], default="auto")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

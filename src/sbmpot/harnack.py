@@ -28,7 +28,7 @@ import numpy as np
 from .bernstein import CompleteBernsteinFunction
 from .errors import EvaluationDomainError
 from .montecarlo import (Ball, HalfDisk, Interval, McEstimate, PathConfig, _as_points, _check_radius,
-                         _exit_positions, _run_batches, _scaled_like)
+                         _exit_positions, _run_batches, scaled_config)
 
 __all__ = [
     "HarmonicProbe",
@@ -217,16 +217,17 @@ def harnack_ratio(
     cfg.paths is the base path count per start; the simulation runs 4x that
     so the paths-refined and grid-refined ratios come from the same paths.
     The probes are eight dyadic shells (d = 1) or eight annular sectors
-    (d >= 2), all supported outside the harmonicity ball.  The stable kind
-    walks on spheres, where cfg.method does not apply: the starts lie deep
-    inside B(0, 17r), where its coupling across starts is as good as the
-    march's.  Every other kind marches.
+    (d >= 2), all supported outside the harmonicity ball.  Step and horizon
+    are scaled_config's at radius 17r; cfg gives paths, seed and epsilon.
+    The stable kind walks on spheres: the starts lie deep inside B(0, 17r),
+    where its coupling across starts is as good as the march's.  Every
+    other kind marches on the increments its kind picks.
     """
     if d < 1:
         raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
     _check_radius(r)
     big_r = 17.0 * r
-    run_cfg = _scaled_like(phi, big_r, 4 * cfg.paths, cfg)
+    run_cfg = scaled_config(phi, big_r, 4 * cfg.paths, cfg.seed, epsilon=cfg.epsilon)
     domain = Ball(center=(0.0,) * d, radius=big_r)
     datas = shell_probes_1d(big_r) if d == 1 else sector_probes_2d(big_r)
     fine = np.linspace(-0.75 * r, 0.75 * r, 13)
@@ -287,7 +288,7 @@ def carleson_check(
     datas = _shells(2.0 * r, lambda x: -inward * (x[:, 0] - Q))
     xs = Q + inward * np.linspace(r / 6.0, r, 6)
     grid = np.concatenate([xs, [a_pt]])[:, None]
-    run_cfg = _scaled_like(phi, r, cfg.paths, cfg, step_frac=1e-2)
+    run_cfg = scaled_config(phi, r, cfg.paths, cfg.seed, 1e-2, epsilon=cfg.epsilon)
     vals, _ = _family_values(phi, interval, grid, datas, run_cfg)
     means, ses = _family_means(vals, cfg.paths)
     u_a, se_a = means[-1, :], ses[-1, :]
@@ -346,7 +347,7 @@ def bhp_ratio_check(
     in carleson_check.
     """
     _check_radius(r)
-    run_cfg = _scaled_like(phi, 2.0 * r, 4 * cfg.paths, cfg)
+    run_cfg = scaled_config(phi, 2.0 * r, 4 * cfg.paths, cfg.seed, epsilon=cfg.epsilon)
     if domain == "interval":
         sim_domain = Interval(0.0, 2.0 * r)
         depth, side = _axis(0), ()

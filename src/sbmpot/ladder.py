@@ -190,9 +190,6 @@ class IntervalGreenBound:
     symmetric_form: float
     note: str
 
-    def tightest(self) -> float:
-        return min(self.plain, self.min_form, self.symmetric_form)
-
 
 def interval_green_mass_bound(
     phi: CompleteBernsteinFunction, r: float, x: float

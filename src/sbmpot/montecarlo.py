@@ -1,16 +1,16 @@
 """Path simulation for subordinate Brownian motions and exit-time checks.
 
 The process is X_t = B_{S_t}: run the subordinator S on a deterministic time
-skeleton and move the Brownian scaffold by N(0, 2 dS) per increment.  Two
-increment samplers are available:
+skeleton and move the Brownian scaffold by N(0, 2 dS) per increment.  The
+kind picks a march's increments (_exact_increments):
 
-* exact: the stable kind only, via Kanter's representation of the positive
+* exact, for the stable kind: Kanter's representation of the positive
   stable law (one uniform pair per step);
-* compound: jumps above the truncation level epsilon arrive at rate
-  mu(eps, inf), sizes come from tabulated quantiles of the normalised tail,
-  and the mean of the discarded small jumps is restored as a deterministic
-  drift int_0^eps s mu(s) ds per unit time.  The neglected small-jump
-  variance is the documented bias, checked by epsilon-refinement.
+* compound, for every other kind: jumps above the truncation level epsilon
+  arrive at rate mu(eps, inf), sizes come from tabulated quantiles of the
+  normalised tail, and the mean of the discarded small jumps is restored as
+  a deterministic drift int_0^eps s mu(s) ds per unit time.  The neglected
+  small-jump variance is the documented bias, checked by epsilon-refinement.
 
 Every random draw is addressed by (seed, channel, step, path id) through a
 counter-based generator, so estimates are bit-identical for a given seed and
@@ -19,7 +19,7 @@ assembled in path order.
 
 Paths march in chunks, one loop for both samplers: one Philox call per
 channel draws m skeleton steps of every live path, m being about
-cfg.batch_size over the live count times the sub-moves per step (at most
+_BATCH_SIZE over the live count times the sub-moves per step (at most
 _MAX_CHUNK_STEPS).  A compound step's sub-moves are its jumps in order,
 padding of -0.0 (the exact additive identity) up to the step's largest jump
 count, and the drift move; an exact step has one.  Running sums of the live
@@ -43,10 +43,9 @@ rho = gap(x), the walk lands at Y = x + rho B^(-1/2) theta,
 B ~ Beta(alpha/2, 1 - alpha/2) by inversion and theta a normalised Gaussian
 vector: the exact exit law of the ball B(x, rho) from its centre.  It stops
 at the first Y with gap <= 0, after a few spheres and with no skeleton bias,
-but it gives no exit times and reads no increments, so cfg.method does not
-apply to it.  Sphere k of a path draws from (seed, rng.CH_WOS and the
-channels after it, k, path id), and a path still inside after
-ceil(horizon/step) spheres is censored.
+but it gives no exit times and reads no increments.  Sphere k of a path
+draws from (seed, rng.CH_WOS and the channels after it, k, path id), and a
+path still inside after ceil(horizon/step) spheres is censored.
 """
 
 from __future__ import annotations
@@ -83,9 +82,6 @@ __all__ = [
     "epsilon_refinement_check",
 ]
 
-_METHODS = ("auto", "exact", "compound")
-
-
 @dataclass(frozen=True)
 class PathConfig:
     """Simulation parameters; validated on construction."""
@@ -95,8 +91,6 @@ class PathConfig:
     horizon: float
     step: float
     epsilon: float = 1e-4
-    method: str = "auto"
-    batch_size: int = 16384
 
     def __post_init__(self):
         if self.paths <= 0:
@@ -107,10 +101,6 @@ class PathConfig:
             raise ConstructionError("step must not exceed horizon")
         if not 0.0 < self.epsilon < 1.0:
             raise ConstructionError("epsilon must lie in (0, 1)")
-        if self.method not in _METHODS:
-            raise ConstructionError(f"method must be one of {_METHODS}")
-        if self.batch_size <= 0:
-            raise ConstructionError("batch_size must be positive")
 
 
 _HORIZON_MULT = 50.0
@@ -127,25 +117,18 @@ def scaled_config(
     paths: int,
     seed: int,
     step_frac: float = 1e-3,
-    **kw,
+    epsilon: float = 1e-4,
 ) -> PathConfig:
     """Config with step and horizon tied to the exit-time scale 1/phi(r^-2).
 
     The skeleton step is step_frac of the target tau scale and the horizon
-    _HORIZON_MULT times it, keeping the censoring rate far below 1%.
+    _HORIZON_MULT times it, keeping the censoring rate far below 1%;
+    epsilon is the compound sampler's truncation level.
     """
     _check_radius(r)
     scale = 1.0 / float(phi(r**-2))
-    return PathConfig(
-        paths=paths, seed=seed, horizon=_HORIZON_MULT * scale, step=step_frac * scale, **kw
-    )
-
-
-def _scaled_like(phi, r: float, paths: int, cfg: PathConfig, step_frac: float = 1e-3) -> PathConfig:
-    """scaled_config for radius r and ``paths`` paths, with cfg's seed,
-    epsilon, method and batch size."""
-    return scaled_config(phi, r, paths, cfg.seed, step_frac,
-                         epsilon=cfg.epsilon, method=cfg.method, batch_size=cfg.batch_size)
+    return PathConfig(paths=paths, seed=seed, horizon=_HORIZON_MULT * scale,
+                      step=step_frac * scale, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -179,7 +162,6 @@ class ExitSample:
     exit_position: np.ndarray
     exited_by_jump: np.ndarray
     censored: int
-    requested: int
 
     def mean_tau(self) -> McEstimate:
         return McEstimate.from_values(self.tau)
@@ -208,6 +190,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        if len(self.center) == 0 or not all(math.isfinite(c) for c in self.center):
+            raise ConstructionError(f"ball center must be a finite point, got {self.center}")
         _check_radius(self.radius)
 
     @property
@@ -247,20 +231,14 @@ def _as_points(x, d: int) -> np.ndarray:
     return arr.reshape(-1, d)
 
 
-def _one_point(x, d: int) -> np.ndarray:
-    """x as one finite point of R^d."""
-    pts = _as_points(x, d)
+def _start_point(x0, domain) -> np.ndarray:
+    """The start x0 as one finite point of the closed domain."""
+    pts = _as_points(x0, domain.d)
     if pts.shape[0] != 1:
         raise EvaluationDomainError(f"a start is one point, got {pts.shape[0]}")
-    return pts[0]
-
-
-def _start_point(x0, domain) -> np.ndarray:
-    """The start x0 as a point of the closed domain."""
-    start = _one_point(x0, domain.d)
-    if domain.gap(start[None, :])[0] < 0.0:
+    if domain.gap(pts)[0] < 0.0:
         raise EvaluationDomainError("start point lies outside the domain")
-    return start
+    return pts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +311,28 @@ def _poisson_cdf(rate: float) -> np.ndarray:
     return np.cumsum(terms)
 
 
-def _resolve_method(phi: CompleteBernsteinFunction, cfg: PathConfig) -> str:
-    method = cfg.method
-    if method == "auto":
-        method = "exact" if phi.kind == "stable" else "compound"
-    if method == "exact" and phi.kind != "stable":
-        raise ConstructionError("exact increments are available for the stable kind only")
+def _exact_increments(phi: CompleteBernsteinFunction) -> bool:
+    """Whether the kind's increments are exact (stable) or compound (every
+    other kind); a killed exponent is refused."""
     if phi.killing > 0.0:
         raise ConstructionError("path sampling needs an unkilled exponent")
-    return method
+    return phi.kind == "stable"
 
 
 class _Increments:
     """Subordinator draws for skeleton steps of length dt, by path id.
 
     The only reader of the subordinator channels: step k of a path takes its
-    Kanter pair (exact method) or its Poisson jump count (compound method)
-    from rng.CH_SUB, and the size and Gaussian direction of its jump in slot
-    j from rng.jump_channel(j, d) and the channels after it.
+    Kanter pair (the stable kind) or its Poisson jump count (``compound``,
+    every other kind) from rng.CH_SUB, and the size and Gaussian direction
+    of its jump in slot j from rng.jump_channel(j, d) and the channels after
+    it.
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
-        self.method = _resolve_method(phi, cfg)
+        self.compound = not _exact_increments(phi)
         self.stream = rng.PhiloxStream(cfg.seed)
-        if self.method == "exact":
+        if not self.compound:
             self.rho = phi.alpha_param / 2.0
             self.dt_pow = dt ** (1.0 / self.rho)
         else:
@@ -394,11 +370,11 @@ def sample_subordinator_increment(
     if dt < 0.0:
         raise EvaluationDomainError("dt must be nonnegative")
     if dt == 0.0:
-        _resolve_method(phi, cfg)
+        _exact_increments(phi)
         return np.zeros(cfg.paths)
     inc = _Increments(phi, cfg, dt)
     ids = np.arange(cfg.paths, dtype=np.uint64)
-    if inc.method == "exact":
+    if not inc.compound:
         return inc.exact(step, ids)
     counts = inc.jump_counts(step, ids)
     out = np.full(cfg.paths, inc.drift)
@@ -411,6 +387,9 @@ def sample_subordinator_increment(
 # ---------------------------------------------------------------------------
 # exit simulation engine
 
+
+# Paths a batch marches or walks at once; records do not depend on it
+_BATCH_SIZE = 16384
 
 # Most skeleton steps a chunk draws for each live path: a path that exits
 # early in a chunk wastes the draws of the steps after its exit.
@@ -437,14 +416,14 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     tau[~alive] = 0.0
     pos[~alive] = x[~alive]
     n_steps = int(math.ceil(cfg.horizon / cfg.step))
-    compound = inc.method == "compound"
+    compound = inc.compound
     # chunks of m steps, step s being sub-moves begin[s] .. ends[s] - 1; the
     # last chunk's mean width sizes the next one's count draw, and the first
     # one's is the expected width, rate*dt jumps and the drift move
     k, mean_width = 0, (inc.mean_jumps + 1.0 if compound else 1.0)
     while k < n_steps and alive.any():
         live = np.nonzero(alive)[0]
-        budget = max(cfg.batch_size // live.size, 1)  # sub-moves per path
+        budget = max(_BATCH_SIZE // live.size, 1)  # sub-moves per path
         m = min(max(int(budget / mean_width), 1), _MAX_CHUNK_STEPS, n_steps - k)
         steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
         grid = np.broadcast_to(ids[live], (m, live.size))
@@ -495,7 +474,7 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
 
 
 def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
-    """March every row of ``starts_all`` to exit, cfg.batch_size rows at a time.
+    """March every row of ``starts_all`` to exit, _BATCH_SIZE rows at a time.
 
     Row i draws its noise from path id ``ids_all[i]`` (default i); a path's
     record depends only on its start and its id, never on the batching.
@@ -506,15 +485,15 @@ def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
     if ids_all is None:
         ids_all = np.arange(n, dtype=np.uint64)
     results = []
-    for lo in range(0, n, cfg.batch_size):
-        ids, starts = ids_all[lo : lo + cfg.batch_size], starts_all[lo : lo + cfg.batch_size]
+    for lo in range(0, n, _BATCH_SIZE):
+        ids, starts = ids_all[lo : lo + _BATCH_SIZE], starts_all[lo : lo + _BATCH_SIZE]
         results.append(_simulate_batch(inc, domain, starts, ids, cfg))
     return results
 
 
 def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
     """Walk every row of ``starts_all`` on spheres to its exit position,
-    cfg.batch_size rows at a time; ids as in _run_batches.
+    _BATCH_SIZE rows at a time; ids as in _run_batches.
 
     Returns (positions, stopped); a row not stopped was censored after
     ceil(cfg.horizon/cfg.step) spheres.
@@ -528,8 +507,8 @@ def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
     gap = domain.gap(x)
     stopped = gap <= 0.0
     n_spheres = int(math.ceil(cfg.horizon / cfg.step))
-    for lo in range(0, n, cfg.batch_size):
-        live = np.arange(lo, min(lo + cfg.batch_size, n))
+    for lo in range(0, n, _BATCH_SIZE):
+        live = np.arange(lo, min(lo + _BATCH_SIZE, n))
         live = live[~stopped[live]]
         for k in range(n_spheres):
             if live.size == 0:
@@ -569,7 +548,6 @@ def simulate_exits(phi, domain, x0, cfg: PathConfig) -> ExitSample:
         exit_position=pos[ok],
         exited_by_jump=byj[ok],
         censored=int((~ok).sum()),
-        requested=cfg.paths,
     )
 
 
@@ -592,7 +570,7 @@ def exceedance_probability(phi, d: int, r: float, t: float, cfg: PathConfig) -> 
     underestimate of the true running supremum.
     """
     _check_radius(r)
-    _resolve_method(phi, cfg)
+    _exact_increments(phi)
     if t < 0.0:
         raise EvaluationDomainError("t must be nonnegative")
     if t == 0.0:
@@ -647,7 +625,7 @@ def exit_time_bounds_check(phi, d: int, r_grid, cfg: PathConfig) -> ExitTimeBoun
     bounds = np.empty_like(off_means)
     censored = 0
     for i, r in enumerate(r_grid):
-        run_cfg = _scaled_like(phi, r, cfg.paths, cfg)
+        run_cfg = scaled_config(phi, r, cfg.paths, cfg.seed, epsilon=cfg.epsilon)
         domain = Ball(center=(0.0,) * d, radius=float(r))
         for j, beta in enumerate(offsets):
             x0 = np.zeros(d)
@@ -694,7 +672,7 @@ def exit_distribution_histogram(phi, ball: Ball, x0, edges, cfg: PathConfig) -> 
     width, giving the quantity comparable to a radial Poisson-kernel profile
     (for d = 1 the two boundary sides are folded together; their separate
     masses are reported for symmetry checks).  The stable kind walks on
-    spheres, where cfg.method does not apply; every other kind marches.
+    spheres; every other kind marches on the increments its kind picks.
     """
     starts = np.tile(_start_point(x0, ball), (cfg.paths, 1))
     pos, stopped = _exit_positions(phi, ball, starts, cfg, walk=True)
@@ -735,20 +713,20 @@ class _Punctured:
 def hitting_before_exit(phi, target, start, enclosing, cfg: PathConfig) -> McEstimate:
     """P_start(T_target < tau_enclosing), target checked at every epoch.
 
-    ``target`` is an Interval/Ball of the enclosing domain's dimension, or
-    None for the empty set (probability exactly zero).  The target is
+    ``start`` is one point of the closed enclosing domain.  ``target`` is
+    an Interval/Ball of the enclosing domain's dimension, or None for the empty set (probability exactly zero).  The target is
     closed: a start in it gives probability exactly one, and a path hits
     when its first exit from enclosing minus target lands in it; censored
     paths count for neither.  Monotone in the target on matched seeds: each
     path id follows one trajectory, so nested targets give nested hitting
     events.  Every kind marches.
     """
+    start_pt = _start_point(start, enclosing)
     if target is None:
         return McEstimate(0.0, 0.0, cfg.paths)
     if target.d != enclosing.d:
         raise EvaluationDomainError(
             f"target of dimension {target.d} in an enclosing domain of dimension {enclosing.d}")
-    start_pt = _one_point(start, enclosing.d)
     if target.gap(start_pt[None, :])[0] >= 0.0:
         return McEstimate(1.0, 0.0, cfg.paths)
     starts = np.tile(start_pt, (cfg.paths, 1))

@@ -59,6 +59,23 @@ def test_conjugate_involution(catalog):
             err_msg=phi.label())
 
 
+def test_conjugate_killing_default_needs_a_small_exponent_below_one(catalog):
+    # a kind without a closed conjugate killing gets 0, which is the limit
+    # of lam/phi(lam) only if phi's small exponent is below 1 or phi is
+    # killed: check every catalog entry and its killed form (the conjugate
+    # of a conjugate unwraps and reads no killing)
+    default = bernstein._Kind.conjugate_killing
+    for phi in catalog + [bernstein.killed_shift(phi, 0.5) for phi in catalog]:
+        if bernstein.KINDS[phi.kind].conjugate_killing is default:
+            assert phi.small_exponent < 1.0 or phi.killing > 0.0, phi.label()
+            assert bernstein.conjugate(phi).killing == 0.0, phi.label()
+    assert bernstein.KINDS["relativistic"].conjugate_killing is not default
+    # relativistic: 1/phi'(0), here 2 m**(2/alpha - 1) = 2
+    rel = bernstein.relativistic_stable(1.0, 1.0)
+    assert bernstein.conjugate(rel).killing == 2.0
+    assert 1e-7 / float(rel(1e-7)) == pytest.approx(2.0, rel=1e-6)
+
+
 def test_conjugate_identity_product():
     phi = bernstein.sum_of_stables(1.0, 0.5)
     psi = bernstein.conjugate(phi)

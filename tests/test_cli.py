@@ -287,6 +287,14 @@ def test_unknown_flag_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_simulate_has_no_method_flag(capsys):
+    # the kind picks a march's increments; a manifest recorded with
+    # --method no longer replays
+    rc = cli.main(["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10",
+                   "--method", "exact"])
+    assert rc == 2
+
+
 def test_recurrent_kernel_is_usage_error(capsys):
     rc, _ = _run(capsys, ["kernel", "--kind", "stable", "--alpha", "1.5",
                           "--dim", "1", "--r", "1"])

@@ -135,18 +135,16 @@ def test_family_means_few_paths_without_warnings():
                               / np.sqrt(np.sum(~np.isnan(sub[:, :, 0]), axis=1))[:, None])
 
 
-def test_auto_method_per_check():
-    # harnack_ratio walks on spheres for the stable kind, so no march method
-    # or step changes a bit; the boundary checks march on the exact sampler
-    phi = bernstein.stable(1.0)
-    walked = harnack.harnack_ratio(phi, 2, 0.05, _cfg(50))
-    for kw in ({"method": "exact", "step": 1e-2}, {"method": "compound"}):
-        assert harnack.harnack_ratio(phi, 2, 0.05, _cfg(50, **kw)) == walked, kw
-    assert harnack.bhp_ratio_check(phi, 0.05, _cfg(50)) == harnack.bhp_ratio_check(
-        phi, 0.05, _cfg(50, method="exact"))
-    interval = mc.Interval(0.0, 1.0)
-    assert harnack.carleson_check(phi, interval, 0.0, 0.05, _cfg(50)) == harnack.carleson_check(
-        phi, interval, 0.0, 0.05, _cfg(50, method="exact"))
+def test_step_changes_no_bit_of_scaled_checks():
+    # the probe checks take step and horizon from scaled_config at their own
+    # radius, so cfg.step changes no bit, walked (Harnack, stable kind) or
+    # marched (boundary checks)
+    phi, interval = bernstein.stable(1.0), mc.Interval(0.0, 1.0)
+    fine, coarse = _cfg(50), _cfg(50, step=1e-2)
+    assert harnack.harnack_ratio(phi, 2, 0.05, fine) == harnack.harnack_ratio(phi, 2, 0.05, coarse)
+    assert harnack.bhp_ratio_check(phi, 0.05, fine) == harnack.bhp_ratio_check(phi, 0.05, coarse)
+    assert harnack.carleson_check(phi, interval, 0.0, 0.05, fine) == harnack.carleson_check(
+        phi, interval, 0.0, 0.05, coarse)
 
 
 def test_harnack_ratio_stable_passes():

@@ -34,10 +34,6 @@ def test_config_validation():
             mc.PathConfig(paths=10, seed=1, horizon=horizon, step=step)
     with pytest.raises(ConstructionError):
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, epsilon=1.5)
-    # "wos" is no method: the estimator decides whether it walks on spheres
-    for method in ("magic", "wos"):
-        with pytest.raises(ConstructionError):
-            mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, method=method)
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConstructionError):
             mc.Ball(center=(0.0,), radius=radius)
@@ -114,29 +110,32 @@ def test_exact_exit_time_oracle_d1():
     assert sample.censored == 0
 
 
-def test_compound_matches_exact_route():
+def test_compound_matches_exact_route(monkeypatch):
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
-    a = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000, method="exact"))
-    b = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000, method="compound"))
+    a = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000))
+    monkeypatch.setattr(mc, "_exact_increments", lambda phi: False)
+    b = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000))
     ea, eb = a.mean_tau(), b.mean_tau()
     assert abs(ea.mean - eb.mean) < 4.0 * math.hypot(ea.std_error, eb.std_error)
 
 
-def test_determinism_across_batches():
+def test_determinism_across_batches(monkeypatch):
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     base = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=3000))
-    alt = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=3000, batch_size=700))
+    monkeypatch.setattr(mc, "_BATCH_SIZE", 700)
+    alt = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=3000))
     assert np.array_equal(base.tau, alt.tau)
     assert np.array_equal(base.exit_position, alt.exit_position)
 
 
-def test_compound_determinism_across_batches():
+def test_compound_determinism_across_batches(monkeypatch):
     phi = bernstein.sum_of_stables(1.0, 0.5)
     ball = mc.Ball(center=(0.0,) * 3, radius=1.0)
     base = mc.simulate_exits(phi, ball, [0.0] * 3, _cfg(paths=1500, step=2e-3))
-    alt = mc.simulate_exits(phi, ball, [0.0] * 3, _cfg(paths=1500, step=2e-3, batch_size=700))
+    monkeypatch.setattr(mc, "_BATCH_SIZE", 700)
+    alt = mc.simulate_exits(phi, ball, [0.0] * 3, _cfg(paths=1500, step=2e-3))
     assert np.array_equal(base.tau, alt.tau)
     assert np.array_equal(base.exit_position, alt.exit_position)
     assert np.array_equal(base.exited_by_jump, alt.exited_by_jump)
@@ -172,13 +171,14 @@ def test_exact_chunked_march_bits_pinned(alpha, x0, paths, seed, digest):
     assert _sample_digest(sample) == digest
 
 
-def test_exact_chunk_length_is_invisible():
+def test_exact_chunk_length_is_invisible(monkeypatch):
     # a batch of 1 path draws one step per Philox call, batches of 7 draw 1
     # to 7 steps, and one batch of 40 paths draws up to _MAX_CHUNK_STEPS
     ball = mc.Ball(center=(0.0,), radius=1.0)
     for batch_size in (1, 7, 16384):
+        monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
         sample = mc.simulate_exits(bernstein.stable(1.0), ball, [0.3],
-                                   _cfg(paths=40, seed=47, step=1e-2, batch_size=batch_size))
+                                   _cfg(paths=40, seed=47, step=1e-2))
         assert _sample_digest(sample) == (
             "7014be469de500580164e26c034c0573b6d2be820b96af05b4ae83c6dd4956d7"), batch_size
 
@@ -204,14 +204,15 @@ def test_compound_march_bits_pinned(make_phi, x0, paths, seed, step, digest):
     assert _sample_digest(sample) == digest
 
 
-def test_compound_chunk_length_is_invisible():
+def test_compound_chunk_length_is_invisible(monkeypatch):
     # batches of 1 path march one step per chunk, batches of 7 one to three,
     # one batch of 40 paths dozens up to _MAX_CHUNK_STEPS; paths exit on
     # jumps and on the continuous move
     ball = mc.Ball(center=(0.0,), radius=1.0)
     for batch_size in (1, 7, 16384):
+        monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
         sample = mc.simulate_exits(bernstein.relativistic_stable(1.0, 1.0), ball, [0.9],
-                                   _cfg(paths=40, seed=53, step=0.05, batch_size=batch_size))
+                                   _cfg(paths=40, seed=53, step=0.05))
         assert 0.0 < sample.exited_by_jump.mean() < 1.0
         assert _sample_digest(sample) == (
             "d03f49dfce5d8642b75d8246fd58ab5162941c3e04a5f272d57ab6ac3e2181aa"), batch_size
@@ -266,11 +267,18 @@ def test_domain_monotonicity_matched_seeds():
     assert np.all(a.tau <= b.tau + 1e-12)
 
 
-def test_exact_mode_rejects_non_stable():
-    phi = bernstein.relativistic_stable(1.0, 1.0)
-    ball = mc.Ball(center=(0.0,), radius=1.0)
-    with pytest.raises(ConstructionError):
-        mc.simulate_exits(phi, ball, [0.0], _cfg(paths=10, method="exact"))
+def test_kind_picks_the_increments():
+    # the stable kind marches on exact Kanter increments, every other kind
+    # of the catalog on compound ones; a killed exponent is refused
+    cfg = _cfg(paths=10)
+    for phi in bernstein.default_catalog():
+        if phi.killing > 0.0:
+            with pytest.raises(ConstructionError, match="unkilled"):
+                mc._Increments(phi, cfg, cfg.step)
+        else:
+            assert mc._Increments(phi, cfg, cfg.step).compound == (phi.kind != "stable"), phi.label()
+    with pytest.raises(ConstructionError, match="unkilled"):
+        mc._Increments(bernstein.killed_shift(bernstein.stable(1.0), 0.5), cfg, cfg.step)
 
 
 def test_killed_phi_rejected():
@@ -389,6 +397,31 @@ def test_hitting_trivial_cases():
         assert on_edge.mean == 1.0 and on_edge.std_error == 0.0
 
 
+def test_hitting_refuses_start_outside_the_enclosing_domain():
+    # refused as simulate_exits refuses it, before the empty-target and
+    # in-target shortcuts
+    phi, enclosing = bernstein.stable(1.0), mc.Ball(center=(0.0,), radius=4.0)
+    cfg = mc.PathConfig(paths=50, seed=1, horizon=1.0, step=1e-2)
+    for target in (mc.Ball(center=(2.0,), radius=0.5), None, mc.Ball(center=(9.0,), radius=1.0)):
+        with pytest.raises(EvaluationDomainError, match="outside"):
+            mc.hitting_before_exit(phi, target, [9.0], enclosing, cfg)
+
+
+def test_ball_center_must_be_a_finite_point():
+    # an empty or non-finite center is refused on construction, so the
+    # estimators that build a ball of dimension d refuse d = 0
+    phi, cfg = bernstein.stable(1.0), _cfg(paths=10, step=1e-2)
+    for center in ((), (math.nan,), (0.0, math.inf)):
+        with pytest.raises(ConstructionError, match="center"):
+            mc.Ball(center=center, radius=1.0)
+    with pytest.raises(ConstructionError, match="center"):
+        mc.simulate_exits(phi, mc.Ball(center=(math.nan,), radius=1.0), [0.0], cfg)
+    with pytest.raises(ConstructionError, match="center"):
+        mc.exceedance_probability(phi, 0, 1.0, 0.1, cfg)
+    with pytest.raises(ConstructionError, match="center"):
+        mc.exit_time_bounds_check(phi, 0, [1.0], cfg)
+
+
 def test_hitting_refuses_target_of_another_dimension():
     # a 2-D ball target in a 1-D ball, and an interval target (a slab, read
     # on the first coordinate) in a 2-D ball, are refused, as is a start of
@@ -404,11 +437,13 @@ def test_hitting_refuses_target_of_another_dimension():
         mc.hitting_before_exit(phi, mc.Ball(center=(2.0,), radius=0.5), [0.0, 0.0], line, cfg)
 
 
-def test_epsilon_refinement():
+def test_epsilon_refinement(monkeypatch):
+    # the compound sampler on the stable kind, whose exact increments have
+    # no epsilon
+    monkeypatch.setattr(mc, "_exact_increments", lambda phi: False)
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
-    out = mc.epsilon_refinement_check(
-        phi, ball, [0.0], _cfg(paths=6000, method="compound", epsilon=2e-4))
+    out = mc.epsilon_refinement_check(phi, ball, [0.0], _cfg(paths=6000, epsilon=2e-4))
     assert out["passed"], out
     assert out["delta"] <= 3.0 * out["combined_se"] + 1e-12
 
@@ -515,7 +550,7 @@ def test_wos_radial_law_from_centre_is_beta(d, alpha):
     assert np.all(np.abs(counts - 0.1) < 4.0 * math.sqrt(0.09 / paths)), counts
 
 
-def test_wos_records_ignore_batching_and_extend_by_prefix():
+def test_wos_records_ignore_batching_and_extend_by_prefix(monkeypatch):
     # three starts sharing ids 0..n-1, as _family_values runs them: batch
     # size changes no bit, and the first 50 ids of each start reproduce a
     # 50-path run
@@ -523,8 +558,10 @@ def test_wos_records_ignore_batching_and_extend_by_prefix():
     ids = np.tile(np.arange(200, dtype=np.uint64), 3)
     base = _wos(1.5, starts, 200, seed=9, ids=ids)
     for batch_size in (1, 7, 333):
-        alt = _wos(1.5, starts, 200, seed=9, ids=ids, batch_size=batch_size)
+        monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
+        alt = _wos(1.5, starts, 200, seed=9, ids=ids)
         assert all(np.array_equal(u, v) for u, v in zip(base, alt)), batch_size
+    monkeypatch.undo()
     small = _wos(1.5, starts, 50, seed=9, ids=np.tile(np.arange(50, dtype=np.uint64), 3))
     for i in range(3):
         rows = slice(200 * i, 200 * i + 50)
@@ -572,10 +609,10 @@ def test_other_kinds_march_where_stable_walks():
     assert not np.array_equal(walked[0], marched[0])
 
 
-def test_histogram_walks_and_hitting_marches():
-    # the stable histogram walks on spheres whatever the march method; the
-    # hitting probability marches, and a walk on the same punctured domain
-    # agrees with it
+def test_histogram_walks_and_hitting_marches(monkeypatch):
+    # the stable histogram walks on spheres, so neither the step nor the
+    # march's increments change a bit; the hitting probability marches, and
+    # a walk on the same punctured domain agrees with it
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     edges = [1.0, 1.5, 3.0]
@@ -583,10 +620,12 @@ def test_histogram_walks_and_hitting_marches():
     pos, stopped = _wos(1.0, [0.2], 300, seed=11)
     assert stopped.all()
     assert np.array_equal(auto.prob, np.histogram(np.abs(pos[:, 0]), bins=edges)[0] / 300)
-    for method in ("exact", "compound"):
-        other = mc.exit_distribution_histogram(phi, ball, [0.2], edges,
-                                               _cfg(paths=300, method=method, step=1e-2))
-        assert np.array_equal(auto.prob, other.prob) and auto.mass_left == other.mass_left
+    with monkeypatch.context() as m:
+        for exact in (True, False):
+            m.setattr(mc, "_exact_increments", lambda phi, exact=exact: exact)
+            other = mc.exit_distribution_histogram(phi, ball, [0.2], edges,
+                                                   _cfg(paths=300, step=1e-2))
+            assert np.array_equal(auto.prob, other.prob) and auto.mass_left == other.mass_left
     with pytest.raises(EvaluationDomainError, match="outside"):
         mc.exit_distribution_histogram(phi, ball, [1.5], edges, _cfg(paths=10))
     target, enclosing = mc.Ball(center=(2.0,), radius=0.5), mc.Ball(center=(0.0,), radius=4.0)
