@@ -569,11 +569,9 @@ class ShiftBoundReport:
     max_ratio: float
 
 
-def check_levy_shift_bound(phi: CompleteBernsteinFunction, t_grid=None) -> ShiftBoundReport:
+def check_levy_shift_bound(phi: CompleteBernsteinFunction) -> ShiftBoundReport:
     """Ratios mu(t)/mu(t+1) on a grid in (1, inf); finite sup is the point."""
-    grid = np.asarray(t_grid if t_grid is not None else np.geomspace(2.0, 64.0, 12), dtype=float)
-    if np.any(grid <= 1.0):
-        raise ValueError("shift-bound grid must lie in (1, inf)")
+    grid = np.geomspace(2.0, 64.0, 12)
     num = np.atleast_1d(eval_levy_density(phi, grid))
     den = np.atleast_1d(eval_levy_density(phi, grid + 1.0))
     ratios = num / den
@@ -582,35 +580,21 @@ def check_levy_shift_bound(phi: CompleteBernsteinFunction, t_grid=None) -> Shift
 
 @dataclass(frozen=True)
 class RegVarProfile:
-    """Profile of phi against lam**(alpha/2) times a reference slowly varying factor."""
+    """phi as lam**(alpha/2) times the slowly varying factor ell."""
 
     alpha: float
     ell: Callable
-    c_profile: float
 
 
-def reg_var_profile(
-    phi: CompleteBernsteinFunction,
-    ell_ref: Callable | None = None,
-    lam_grid=None,
-) -> RegVarProfile:
-    """Extract (alpha, ell) with ell(lam) = phi(lam)/lam**(alpha/2).
-
-    ``c_profile`` is the smallest constant c with 1/c <= phi/(lam**(a/2) ell_ref)
-    <= c over the grid; it is 1 when ell_ref is the extracted ell itself.
-    """
+def reg_var_profile(phi: CompleteBernsteinFunction) -> RegVarProfile:
+    """Extract (alpha, ell) with ell(lam) = phi(lam)/lam**(alpha/2)."""
     alpha = phi.alpha
 
     def ell(lam):
         lam = np.asarray(lam, dtype=float)
         return phi(lam) / lam ** (alpha / 2.0)
 
-    if ell_ref is None:
-        return RegVarProfile(alpha=alpha, ell=ell, c_profile=1.0)
-    grid = np.asarray(lam_grid if lam_grid is not None else np.geomspace(1.0, 1e8, 120), dtype=float)
-    ratio = np.atleast_1d(phi(grid)) / (grid ** (alpha / 2.0) * np.asarray(ell_ref(grid), dtype=float))
-    c = float(max(np.max(ratio), 1.0 / np.min(ratio)))
-    return RegVarProfile(alpha=alpha, ell=ell, c_profile=c)
+    return RegVarProfile(alpha=alpha, ell=ell)
 
 
 # ---- complete monotonicity probes -----------------------------------------
@@ -621,36 +605,40 @@ class MonotonicityReport:
     passed: bool
     inconclusive_fraction: float
     worst_violation: float
-    order: int
 
 
-def _divided_difference_signs(f, grid, order, rel_step):
+# the probes check divided differences of orders 0 to _ORDER on stencils
+# x*(1 + h)^j, for h = _REL_STEP and h = _REL_STEP/2
+_ORDER, _REL_STEP = 3, 1e-2
+
+
+def _divided_difference_signs(f, grid, rel_step):
     """Divided-difference table on stencils x*(1+h)^j with error tracking.
 
     Returns (dd, noise) where dd[k] holds the order-k divided differences at
     every grid point and noise[k] the propagated round-off estimate.
     """
     x = np.asarray(grid, dtype=float)
-    j = np.arange(order + 1)
+    j = np.arange(_ORDER + 1)
     nodes = x[:, None] * (1.0 + rel_step) ** j[None, :]
     vals = np.asarray(f(nodes), dtype=float)
     eps = np.finfo(float).eps
     dd = [vals]
     noise = [np.full_like(vals, eps) * np.max(np.abs(vals), axis=1, keepdims=True) * 8.0]
-    for k in range(1, order + 1):
+    for k in range(1, _ORDER + 1):
         span = nodes[:, k:] - nodes[:, :-k]
         dd.append((dd[-1][:, 1:] - dd[-1][:, :-1]) / span)
         noise.append((noise[-1][:, 1:] + noise[-1][:, :-1]) / span)
     return dd, noise
 
 
-def _check_alternation(f, grid, order, rel_step, sign_of_order) -> MonotonicityReport:
+def _check_alternation(f, grid, sign_of_order) -> MonotonicityReport:
     worst = 0.0
     total = 0
     inconclusive = 0
-    for h in (rel_step, rel_step / 2.0):
-        dd, noise = _divided_difference_signs(f, grid, order, h)
-        for k in range(order + 1):
+    for h in (_REL_STEP, _REL_STEP / 2.0):
+        dd, noise = _divided_difference_signs(f, grid, h)
+        for k in range(_ORDER + 1):
             want = sign_of_order(k)
             vals = dd[k].ravel()
             cut = 1e3 * noise[k].ravel()
@@ -664,31 +652,23 @@ def _check_alternation(f, grid, order, rel_step, sign_of_order) -> MonotonicityR
         passed=worst == 0.0,
         inconclusive_fraction=inconclusive / max(total, 1),
         worst_violation=worst,
-        order=order,
     )
 
 
-def check_complete_monotonicity(
-    f: Callable, order: int = 3, grid=None, rel_step: float = 1e-2
-) -> MonotonicityReport:
+def check_complete_monotonicity(f: Callable, grid=None) -> MonotonicityReport:
     """Check the sign alternation (-1)^k dd_k >= 0 of divided differences.
 
     Conclusive sign violations fail the check; differences below the
-    cancellation threshold only raise the inconclusive fraction.  ``order``
-    is capped at 4, past which double precision has nothing left to say.
+    cancellation threshold only raise the inconclusive fraction.
     """
-    if not 0 <= order <= 4:
-        raise ValueError("order must lie in [0, 4]")
     g = np.asarray(grid if grid is not None else np.geomspace(1e-2, 1e2, 25), dtype=float)
-    return _check_alternation(f, g, order, rel_step, lambda k: (-1.0) ** k)
+    return _check_alternation(f, g, lambda k: (-1.0) ** k)
 
 
-def check_bernstein(f: Callable, order: int = 3, grid=None, rel_step: float = 1e-2) -> MonotonicityReport:
+def check_bernstein(f: Callable) -> MonotonicityReport:
     """Bernstein probe: f >= 0 and f' completely monotone, via (-1)^(k+1) dd_k >= 0 for k >= 1."""
-    if not 1 <= order <= 4:
-        raise ValueError("order must lie in [1, 4]")
-    g = np.asarray(grid if grid is not None else np.geomspace(1e-2, 1e2, 25), dtype=float)
-    return _check_alternation(f, g, order, rel_step, lambda k: 1.0 if k <= 1 else (-1.0) ** (k + 1))
+    return _check_alternation(f, np.geomspace(1e-2, 1e2, 25),
+                              lambda k: 1.0 if k <= 1 else (-1.0) ** (k + 1))
 
 
 # ---- JSON schema -----------------------------------------------------------

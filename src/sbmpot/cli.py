@@ -265,21 +265,19 @@ def _cmd_check(args, argv) -> int:
                     "doubling": doubling, "shift": shift, "pass": passed}]
     elif which == "asym":
         return _cmd_check_asym(args, argv)
-    else:  # harnack and bhp share one config
-        cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=1.0, step=1e-3,
-                         epsilon=args.eps)
-        if which == "harnack":
-            rep = harnack_ratio(phi, args.dim, args.r, cfg)
-            records = [{"check": "harnack", "dim": args.dim, "r": args.r,
-                        "ratio": rep.ratio, "refinement_delta": rep.refinement_delta,
-                        "delta_paths": rep.delta_paths, "delta_grid": rep.delta_grid,
-                        "pass": rep.passed}]
-        else:
-            rep = bhp_ratio_check(phi, args.r, cfg, domain=args.domain)
-            records = [{"check": "bhp", "domain": args.domain, "r": args.r,
-                        "ratio": rep.spread, "refinement_delta": rep.refinement_delta,
-                        "pass": rep.passed}]
+    elif which == "harnack":
+        rep = harnack_ratio(phi, args.dim, args.r, args.paths, args.seed, args.eps)
         passed = rep.passed
+        records = [{"check": "harnack", "dim": args.dim, "r": args.r,
+                    "ratio": rep.ratio, "refinement_delta": rep.refinement_delta,
+                    "delta_paths": rep.delta_paths, "delta_grid": rep.delta_grid,
+                    "pass": passed}]
+    else:
+        rep = bhp_ratio_check(phi, args.r, args.paths, args.seed, args.eps, domain=args.domain)
+        passed = rep.passed
+        records = [{"check": "bhp", "domain": args.domain, "r": args.r,
+                    "ratio": rep.spread, "refinement_delta": rep.refinement_delta,
+                    "pass": passed}]
     _emit(records, args, argv)
     return 0 if passed else 1
 

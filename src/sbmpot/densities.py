@@ -211,23 +211,19 @@ class ScalingWitness:
             raise ValueError("witness constants must be positive")
 
 
-def find_scaling_constant(
-    phi: CompleteBernsteinFunction, delta: float, s0: float = 1.0, lam_grid=None, t_grid=None
-) -> float:
+def find_scaling_constant(phi: CompleteBernsteinFunction, delta: float, s0: float = 1.0) -> float:
     """Best constant a for a given delta: inf over the grid of phi(lam*t)/(lam**delta phi(t))."""
-    lams = np.asarray(lam_grid if lam_grid is not None else np.geomspace(1.0, 1e6, 60), dtype=float)
-    ts = np.asarray(t_grid if t_grid is not None else np.geomspace(1.0 / s0, 1e6 / s0, 60), dtype=float)
+    lams = np.geomspace(1.0, 1e6, 60)
+    ts = np.geomspace(1.0 / s0, 1e6 / s0, 60)
     ratio = np.atleast_1d(phi(np.outer(lams, ts))) / (
         lams[:, None] ** delta * np.atleast_1d(phi(ts))[None, :]
     )
     return float(np.min(ratio))
 
 
-def verify_scaling_condition(
-    phi: CompleteBernsteinFunction, witness: ScalingWitness, lam_grid=None, t_grid=None
-) -> bool:
+def verify_scaling_condition(phi: CompleteBernsteinFunction, witness: ScalingWitness) -> bool:
     """Grid verification of the scaling witness."""
-    return find_scaling_constant(phi, witness.delta, witness.s0, lam_grid, t_grid) >= witness.a_const
+    return find_scaling_constant(phi, witness.delta, witness.s0) >= witness.a_const
 
 
 @dataclass(frozen=True)
@@ -265,7 +261,7 @@ def mu_asymptotic_ratio(phi: CompleteBernsteinFunction, t_grid=None) -> RatioWin
     return RatioWindow.of(grid, mu * grid / np.atleast_1d(phi(1.0 / grid)))
 
 
-def tail_vs_conjugate_potential(phi: CompleteBernsteinFunction, t_grid=None) -> float:
+def tail_vs_conjugate_potential(phi: CompleteBernsteinFunction) -> float:
     """Max relative gap between the Levy tail and the conjugate's potential density.
 
     The Laplace transform of a + mu(t, inf) is phi(lam)/lam, which is 1 over
@@ -275,7 +271,7 @@ def tail_vs_conjugate_potential(phi: CompleteBernsteinFunction, t_grid=None) -> 
     inversion.  Grid points where the tail has fallen below 1e-6 of its peak
     sit under the inversion's round-off floor and are skipped.
     """
-    grid = np.asarray(t_grid if t_grid is not None else np.geomspace(1e-2, 10.0, 20), dtype=float)
+    grid = np.geomspace(1e-2, 10.0, 20)
     tail = np.atleast_1d(levy_tail(phi, grid)) + phi.killing
     via_conj = np.atleast_1d(potential_density_u(conjugate(phi), grid, mode="talbot"))
     live = np.abs(via_conj) >= 1e-6 * np.max(np.abs(via_conj))

@@ -210,24 +210,27 @@ def harnack_ratio(
     phi: CompleteBernsteinFunction,
     d: int,
     r: float,
-    cfg: PathConfig,
+    paths: int,
+    seed: int,
+    epsilon: float = 1e-4,
 ) -> HarnackReport:
     """Measured sup/inf ratio over B(0, r) for probes harmonic in B(0, 17r).
 
-    cfg.paths is the base path count per start; the simulation runs 4x that
-    so the paths-refined and grid-refined ratios come from the same paths.
+    paths is the base path count per start; the simulation runs 4x that so
+    the paths-refined and grid-refined ratios come from the same paths.
     The probes are eight dyadic shells (d = 1) or eight annular sectors
     (d >= 2), all supported outside the harmonicity ball.  Step and horizon
-    are scaled_config's at radius 17r; cfg gives paths, seed and epsilon.
-    The stable kind walks on spheres: the starts lie deep inside B(0, 17r),
-    where its coupling across starts is as good as the march's.  Every
-    other kind marches on the increments its kind picks.
+    are scaled_config's at radius 17r, with seed and the compound sampler's
+    truncation level epsilon.  The stable kind walks on spheres: the starts
+    lie deep inside B(0, 17r), where its coupling across starts is as good
+    as the march's.  Every other kind marches on the increments its kind
+    picks.
     """
     if d < 1:
         raise EvaluationDomainError(f"dimension must be at least 1, got {d}")
     _check_radius(r)
     big_r = 17.0 * r
-    run_cfg = scaled_config(phi, big_r, 4 * cfg.paths, cfg.seed, epsilon=cfg.epsilon)
+    run_cfg = scaled_config(phi, big_r, 4 * paths, seed, epsilon=epsilon)
     domain = Ball(center=(0.0,) * d, radius=big_r)
     datas = shell_probes_1d(big_r) if d == 1 else sector_probes_2d(big_r)
     fine = np.linspace(-0.75 * r, 0.75 * r, 13)
@@ -269,7 +272,9 @@ def carleson_check(
     interval: Interval,
     Q: float,
     r: float,
-    cfg: PathConfig,
+    paths: int,
+    seed: int,
+    epsilon: float = 1e-4,
 ) -> CarlesonReport:
     """Floor of u(A_r(Q))/u(x) over x near Q, for data vanishing on D^c near Q.
 
@@ -278,8 +283,10 @@ def carleson_check(
     B(Q, 2r): dyadic shells outside Q beyond distance 2r, the deepest
     extended to a full tail so its hit count stays usable.  Wide confidence
     intervals (tiny r or few paths) yield inconclusive=True rather than a
-    failure.  Every kind marches: walk-on-spheres couples starts this close
-    to the boundary too weakly (see _family_values).
+    failure.  Each start marches ``paths`` paths on scaled_config's skeleton
+    at radius r, with step fraction 1e-2.  Every kind marches:
+    walk-on-spheres couples starts this close to the boundary too weakly
+    (see _family_values).
     """
     if not (Q == interval.lo or Q == interval.hi):
         raise EvaluationDomainError("Q must be an endpoint of the interval")
@@ -288,9 +295,9 @@ def carleson_check(
     datas = _shells(2.0 * r, lambda x: -inward * (x[:, 0] - Q))
     xs = Q + inward * np.linspace(r / 6.0, r, 6)
     grid = np.concatenate([xs, [a_pt]])[:, None]
-    run_cfg = scaled_config(phi, r, cfg.paths, cfg.seed, 1e-2, epsilon=cfg.epsilon)
+    run_cfg = scaled_config(phi, r, paths, seed, 1e-2, epsilon=epsilon)
     vals, _ = _family_values(phi, interval, grid, datas, run_cfg)
-    means, ses = _family_means(vals, cfg.paths)
+    means, ses = _family_means(vals, paths)
     u_a, se_a = means[-1, :], ses[-1, :]
     u_x, se_x = means[:-1, :], ses[:-1, :]
     if np.any(u_x <= 0.0) or np.any(u_a <= 0.0):
@@ -331,7 +338,9 @@ def _bhp_from_means(means: np.ndarray) -> float:
 def bhp_ratio_check(
     phi: CompleteBernsteinFunction,
     r: float,
-    cfg: PathConfig,
+    paths: int,
+    seed: int,
+    epsilon: float = 1e-4,
     domain: str = "interval",
 ) -> BhpReport:
     """Spread of (u(x)/v(x)) * (v(A)/u(A)) over x in D near the boundary point.
@@ -342,12 +351,12 @@ def bhp_ratio_check(
     and [8r, 32r) on the inward axis (radially, in the upper half-plane, for
     the half-disk), vanishing on D^c near Q as the boundary Harnack principle
     requires.  The domain gives the dimension: 1 for the interval, 2 for
-    the half-disk.  cfg.paths is the base count; 4x runs and the
-    paths-refined spread reuses the same simulation.  Every kind marches, as
-    in carleson_check.
+    the half-disk.  paths is the base count; 4x runs, on scaled_config's
+    skeleton at radius 2r, and the paths-refined spread reuses the same
+    simulation.  Every kind marches, as in carleson_check.
     """
     _check_radius(r)
-    run_cfg = scaled_config(phi, 2.0 * r, 4 * cfg.paths, cfg.seed, epsilon=cfg.epsilon)
+    run_cfg = scaled_config(phi, 2.0 * r, 4 * paths, seed, epsilon=epsilon)
     if domain == "interval":
         sim_domain = Interval(0.0, 2.0 * r)
         depth, side = _axis(0), ()

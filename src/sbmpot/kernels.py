@@ -223,7 +223,6 @@ class RadialKernelTable:
     radii: np.ndarray
     g_values: np.ndarray
     j_values: np.ndarray
-    phi_id: str
 
     def __post_init__(self):
         for name, vals in (("g_values", self.g_values), ("j_values", self.j_values)):
@@ -257,4 +256,4 @@ def build_kernel_table(
     j = _jump(phi, d, r_min, r_max)
     g_vals = np.array([g(float(r)) for r in radii])
     j_vals = np.array([j(float(r)) for r in radii])
-    return RadialKernelTable(d=d, radii=radii, g_values=g_vals, j_values=j_vals, phi_id=phi.label())
+    return RadialKernelTable(d=d, radii=radii, g_values=g_vals, j_values=j_vals)

@@ -114,21 +114,15 @@ def chi_sandwich_check(
     return float(np.min(ratio)), float(np.max(ratio))
 
 
-def chi_is_cbf_check(phi_or_chi, grid=None, order: int = 3) -> MonotonicityReport:
+def chi_is_cbf_check(phi: CompleteBernsteinFunction) -> MonotonicityReport:
     """Complete-monotonicity probe of lam -> chi(lam)/lam.
 
     chi being complete Bernstein makes chi(lam)/lam a Stieltjes function,
     hence completely monotone; the divided-difference check certifies the
-    sign pattern up to the requested order.  Accepts either a catalog entry
-    (its chi is computed) or a bare callable, so adversarial controls can be
-    injected in tests.
+    sign pattern.
     """
-    if isinstance(phi_or_chi, CompleteBernsteinFunction):
-        chi = lambda lam: ladder_exponent_chi(phi_or_chi, lam)
-    else:
-        chi = phi_or_chi
-    g = np.asarray(grid if grid is not None else np.geomspace(1e-1, 1e3, 15), dtype=float)
-    return check_complete_monotonicity(lambda lam: chi(lam) / lam, order=order, grid=g)
+    return check_complete_monotonicity(lambda lam: ladder_exponent_chi(phi, lam) / lam,
+                                       grid=np.geomspace(1e-1, 1e3, 15))
 
 
 def ladder_density_v(phi: CompleteBernsteinFunction, t):

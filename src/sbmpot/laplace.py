@@ -60,13 +60,13 @@ def talbot_inversion(transform: Callable, t, nodes: int = 32) -> np.ndarray:
     return vals if np.ndim(t) else float(vals[0])
 
 
-_TALBOT_CHECK_NODES = 24
+_TALBOT_NODES, _TALBOT_CHECK_NODES = 32, 24
 
 
-def talbot_with_residual(transform: Callable, t, nodes: int = 32, rtol: float = 1e-6):
+def talbot_with_residual(transform: Callable, t, rtol: float = 1e-6):
     """Talbot inversion with an internal accuracy estimate.
 
-    The residual is the relative difference between the ``nodes``- and
+    The residual is the relative difference between the _TALBOT_NODES- and
     _TALBOT_CHECK_NODES-point rules.  The cross-check rule is *smaller*: the
     contour weights grow like exp(2m/5), so past the double-precision sweet
     spot adding nodes amplifies round-off instead of reducing truncation (a
@@ -79,7 +79,7 @@ def talbot_with_residual(transform: Callable, t, nodes: int = 32, rtol: float = 
     where |f(t)| >= 1e-12/rtol * peak.  Points in the exponentially dead
     tail below that floor are returned but excluded from certification.
     """
-    vals_main = np.atleast_1d(talbot_inversion(transform, t, nodes))
+    vals_main = np.atleast_1d(talbot_inversion(transform, t, _TALBOT_NODES))
     vals_check = np.atleast_1d(talbot_inversion(transform, t, _TALBOT_CHECK_NODES))
     mags = np.abs(vals_main)
     vmax = float(np.max(mags)) if mags.size else 0.0
@@ -129,24 +129,26 @@ def gaver_stehfest(transform: Callable, t, terms: int = 14) -> np.ndarray:
     return vals if np.ndim(t) else float(vals[0])
 
 
-_STEHFEST_CHECK_TERMS = 12
+_STEHFEST_TERMS, _STEHFEST_CHECK_TERMS = 14, 12
+_STEHFEST_RTOL = 1e-4
 
 
-def stehfest_with_residual(transform: Callable, t, terms: int = 14, rtol: float = 1e-4):
+def stehfest_with_residual(transform: Callable, t):
     """Gaver-Stehfest with a two-rule residual estimate.
 
     Going above ~16 terms amplifies round-off, so the cross-check uses a
     *smaller* rule of _STEHFEST_CHECK_TERMS terms; the residual mixes
     truncation of the small rule with round-off of the large one, which is
-    the honest resolution limit.
+    the honest resolution limit.  A residual above _STEHFEST_RTOL raises
+    :class:`NumericAccuracyError`.
     """
-    a = np.atleast_1d(gaver_stehfest(transform, t, terms))
+    a = np.atleast_1d(gaver_stehfest(transform, t, _STEHFEST_TERMS))
     b = np.atleast_1d(gaver_stehfest(transform, t, _STEHFEST_CHECK_TERMS))
     scale = np.maximum(np.abs(a), np.finfo(float).tiny)
     residual = float(np.max(np.abs(a - b) / scale))
-    if residual > rtol:
+    if residual > _STEHFEST_RTOL:
         raise NumericAccuracyError(
-            f"Gaver-Stehfest residual {residual:.3e} exceeds tolerance {rtol:.1e}",
+            f"Gaver-Stehfest residual {residual:.3e} exceeds tolerance {_STEHFEST_RTOL:.1e}",
             residual=residual,
         )
     vals = a if np.ndim(t) else float(a[0])

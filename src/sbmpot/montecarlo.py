@@ -82,9 +82,15 @@ __all__ = [
     "epsilon_refinement_check",
 ]
 
+# skeleton steps, or walk spheres, a path may take: the Philox counter keeps
+# 32 bits of the step index, and step 2**32 would reuse the draws of step 0
+_MAX_STEPS = 2**32
+
+
 @dataclass(frozen=True)
 class PathConfig:
-    """Simulation parameters; validated on construction."""
+    """Simulation parameters; validated on construction.  The seed is the
+    64-bit Philox key, so it is an integer in [0, 2**64)."""
 
     paths: int
     seed: int
@@ -95,10 +101,15 @@ class PathConfig:
     def __post_init__(self):
         if self.paths <= 0:
             raise ConstructionError("paths must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+            raise ConstructionError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (0.0 < self.step < math.inf and 0.0 < self.horizon < math.inf):
             raise ConstructionError("step and horizon must be positive and finite")
         if self.step > self.horizon:
             raise ConstructionError("step must not exceed horizon")
+        if self.horizon / self.step > _MAX_STEPS:  # ceil(horizon/step) steps
+            raise ConstructionError(f"horizon/step must not exceed 2**32 steps, got "
+                                    f"{self.horizon:g}/{self.step:g}")
         if not 0.0 < self.epsilon < 1.0:
             raise ConstructionError("epsilon must lie in (0, 1)")
 
@@ -607,7 +618,8 @@ class ExitTimeBoundsReport:
 _BOUND_OFFSETS = (0.0, 0.5, 0.9)
 
 
-def exit_time_bounds_check(phi, d: int, r_grid, cfg: PathConfig) -> ExitTimeBoundsReport:
+def exit_time_bounds_check(phi, d: int, r_grid, paths: int, seed: int,
+                           epsilon: float = 1e-4) -> ExitTimeBoundsReport:
     """Exit-time comparisons on centered balls B(0, r).
 
     For each r the product E_0[tau_B(0,r)] * phi(r^-2) must land in a
@@ -615,7 +627,8 @@ def exit_time_bounds_check(phi, d: int, r_grid, cfg: PathConfig) -> ExitTimeBoun
     under the renewal-function bound 2 V(2r) V(r - |x|) plus three standard
     errors (the explicit factor 2 makes this an assertable inequality; the
     window constants are existence-only and therefore only reported).  Each
-    r runs on scaled_config's step and horizon for that radius.
+    start runs ``paths`` paths on scaled_config's skeleton for its radius,
+    with seed and the compound sampler's truncation level epsilon.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     offsets = np.array(_BOUND_OFFSETS)
@@ -625,8 +638,9 @@ def exit_time_bounds_check(phi, d: int, r_grid, cfg: PathConfig) -> ExitTimeBoun
     bounds = np.empty_like(off_means)
     censored = 0
     for i, r in enumerate(r_grid):
-        run_cfg = scaled_config(phi, r, cfg.paths, cfg.seed, epsilon=cfg.epsilon)
+        run_cfg = scaled_config(phi, r, paths, seed, epsilon=epsilon)
         domain = Ball(center=(0.0,) * d, radius=float(r))
+        v_2r = 2.0 * float(renewal_function_V(phi, 2.0 * r))
         for j, beta in enumerate(offsets):
             x0 = np.zeros(d)
             x0[0] = beta * r
@@ -635,9 +649,7 @@ def exit_time_bounds_check(phi, d: int, r_grid, cfg: PathConfig) -> ExitTimeBoun
             est = sample.mean_tau()
             off_means[i, j] = est.mean
             off_ses[i, j] = est.std_error
-            bounds[i, j] = 2.0 * float(renewal_function_V(phi, 2.0 * r)) * float(
-                renewal_function_V(phi, r - abs(beta * r))
-            )
+            bounds[i, j] = v_2r * float(renewal_function_V(phi, r - abs(beta * r)))
             if beta == 0.0:
                 products[i] = est.mean * float(phi(r**-2.0))
     ok = off_means <= bounds + 3.0 * off_ses

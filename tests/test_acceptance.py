@@ -17,7 +17,6 @@ import pytest
 
 from sbmpot import (
     Ball,
-    PathConfig,
     bhp_ratio_check,
     cli,
     default_catalog,
@@ -163,15 +162,10 @@ def test_criterion_10_harnack_bhp_stability():
         # alpha=1.5 puts little mass in the far shells, so its profile
         # ratios need more paths for the same count resolution
         paths = 1500 if alpha == 1.5 else 600
-        cfg = PathConfig(paths=paths, seed=101 + 13 * i, horizon=1.0, step=1e-3,
-                         epsilon=1e-4)
-        rep = harnack_ratio(stable(alpha), 1, r, cfg)
+        rep = harnack_ratio(stable(alpha), 1, r, paths, 101 + 13 * i, 1e-4)
         assert math.isfinite(rep.ratio), (alpha, r)
         assert rep.delta_paths < 0.2 and rep.delta_grid < 0.2, (alpha, r)
-    bhp = bhp_ratio_check(
-        stable(1.0), 0.05,
-        PathConfig(paths=2400, seed=11, horizon=1.0, step=1e-3, epsilon=1e-4),
-    )
+    bhp = bhp_ratio_check(stable(1.0), 0.05, 2400, 11, 1e-4)
     assert bhp.spread < 10.0
     assert bhp.delta_paths < 0.2
     assert time.monotonic() - t0 < 600.0

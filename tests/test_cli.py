@@ -295,6 +295,14 @@ def test_simulate_has_no_method_flag(capsys):
     assert rc == 2
 
 
+def test_largest_seed_runs(capsys):
+    # 2**64 - 1 is the largest Philox key; -1 and 2**64 are usage errors
+    # (test_out_of_range_input_is_usage_error), never aliases of a valid key
+    rc, out = _run(capsys, ["simulate", "exit", "--kind", "stable", "--alpha", "1",
+                            "--paths", "20", "--seed", str(2**64 - 1)])
+    assert rc == 0 and out.startswith("path,tau,x1,exited_by_jump\n")
+
+
 def test_recurrent_kernel_is_usage_error(capsys):
     rc, _ = _run(capsys, ["kernel", "--kind", "stable", "--alpha", "1.5",
                           "--dim", "1", "--r", "1"])
@@ -344,6 +352,8 @@ def test_version_flag(capsys):
     *[["ladder", "halfline", "--kind", "stable", "--alpha", "1", "--x", x, "--y", y]
       for x, y in (("nan", "1"), ("inf", "1"), ("1", "inf"))],
     ["check", "bhp", "--kind", "stable", "--alpha", "1", "--r", "-1", "--paths", "10"],
+    *[["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10", "--seed", seed]
+      for seed in ("-1", str(2**64))],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way

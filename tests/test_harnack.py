@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -105,6 +106,39 @@ def test_family_values_wos_bits_pinned():
         "72aee189a5f94837d60c8324735c33182003d03a9f1c04e547753080364e8686")
 
 
+def _report_digest(rep) -> str:
+    """sha256 of every field of a report as float.hex, arrays flattened."""
+    h = hashlib.sha256()
+    for field in dataclasses.fields(rep):
+        for x in np.ravel(np.asarray(getattr(rep, field.name), dtype=float)):
+            h.update(float(x).hex().encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("check, digest", [
+    (lambda: harnack.harnack_ratio(bernstein.stable(1.0), 2, 0.05, 60, 3),
+     "635543d52503850d79b431c4c5e5bd8d3147e78f68700e31bd7e27a3e469db0c"),
+    (lambda: harnack.harnack_ratio(bernstein.relativistic_stable(1.0, 0.01), 1, 0.05, 60, 5),
+     "6ffd736bd72a769005b563835c454e24693dfd41cd1b6a2dcafb494b66697996"),
+    (lambda: harnack.bhp_ratio_check(bernstein.stable(1.0), 0.05, 90, 7),
+     "9d238aed190a1a50cd3f6e9f5f49266afbc239021e6f5e6a94b69e72a09ed314"),
+    (lambda: harnack.carleson_check(bernstein.stable(1.0), mc.Interval(0.0, 1.0), 0.0, 0.05,
+                                    90, 9),
+     "0fed27e6e97f7a7842b94a7b4ceeeec1dee98732e6546ede2699f4adc02f8995"),
+    (lambda: mc.exit_time_bounds_check(bernstein.stable(1.0), 1, [0.5], 60, 13),
+     "217dc68cae591626b570ede2645514a1bfadc8b424c9fdb2e56791ed08611df5"),
+    (lambda: mc.exit_time_bounds_check(bernstein.relativistic_stable(1.0, 1.0), 1, [0.5],
+                                       60, 13),
+     "029d3bcfac99b79bb853743406c848a17d440d5dea135cb0bef90e5f9b70bc9e"),
+], ids=["harnack-stable-d2-walked", "harnack-relativistic-d1-marched", "bhp-interval",
+        "carleson-q0", "exit-bounds-stable", "exit-bounds-relativistic"])
+def test_scaled_check_report_bits_pinned(check, digest):
+    # every field of the whole report, for the four checks that size their
+    # own skeleton with scaled_config
+    assert _report_digest(check()) == digest
+
+
 def test_family_means_few_paths_without_warnings():
     # starts with no, one, two and many uncensored paths: McEstimate's rule
     # (mean NaN and se NaN for none, se inf for one) and no warning; starts
@@ -135,21 +169,9 @@ def test_family_means_few_paths_without_warnings():
                               / np.sqrt(np.sum(~np.isnan(sub[:, :, 0]), axis=1))[:, None])
 
 
-def test_step_changes_no_bit_of_scaled_checks():
-    # the probe checks take step and horizon from scaled_config at their own
-    # radius, so cfg.step changes no bit, walked (Harnack, stable kind) or
-    # marched (boundary checks)
-    phi, interval = bernstein.stable(1.0), mc.Interval(0.0, 1.0)
-    fine, coarse = _cfg(50), _cfg(50, step=1e-2)
-    assert harnack.harnack_ratio(phi, 2, 0.05, fine) == harnack.harnack_ratio(phi, 2, 0.05, coarse)
-    assert harnack.bhp_ratio_check(phi, 0.05, fine) == harnack.bhp_ratio_check(phi, 0.05, coarse)
-    assert harnack.carleson_check(phi, interval, 0.0, 0.05, fine) == harnack.carleson_check(
-        phi, interval, 0.0, 0.05, coarse)
-
-
 def test_harnack_ratio_stable_passes():
     phi = bernstein.stable(1.0)
-    rep = harnack.harnack_ratio(phi, 1, 0.05, _cfg(600))
+    rep = harnack.harnack_ratio(phi, 1, 0.05, 600, 11)
     assert rep.passed
     assert 1.0 <= rep.ratio < 5.0
     assert rep.refinement_delta < 0.2
@@ -157,14 +179,14 @@ def test_harnack_ratio_stable_passes():
 
 def test_harnack_ratio_d2_sectors():
     phi = bernstein.stable(1.0)
-    rep = harnack.harnack_ratio(phi, 2, 0.05, _cfg(400, seed=7))
+    rep = harnack.harnack_ratio(phi, 2, 0.05, 400, 7)
     assert rep.passed
     assert math.isfinite(rep.ratio)
 
 
 def test_carleson_conclusive_and_passing():
     phi = bernstein.stable(1.0)
-    rep = harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.0, 0.05, _cfg(1500))
+    rep = harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.0, 0.05, 1500, 11)
     assert not rep.inconclusive
     assert rep.passed
     assert rep.floor > 0.0
@@ -173,7 +195,7 @@ def test_carleson_conclusive_and_passing():
 
 def test_carleson_mirrored_endpoint():
     phi = bernstein.stable(1.0)
-    rep = harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 1.0, 0.05, _cfg(1500))
+    rep = harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 1.0, 0.05, 1500, 11)
     assert not rep.inconclusive
     assert rep.passed
     assert rep.corkscrew_value == pytest.approx(0.975)
@@ -181,7 +203,7 @@ def test_carleson_mirrored_endpoint():
 
 def test_carleson_tiny_r_inconclusive_not_failed():
     phi = bernstein.stable(1.0)
-    rep = harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.0, 1e-5, _cfg(40))
+    rep = harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.0, 1e-5, 40, 11)
     assert rep.inconclusive
     assert not rep.passed
 
@@ -189,7 +211,7 @@ def test_carleson_tiny_r_inconclusive_not_failed():
 def test_carleson_interior_q_rejected():
     phi = bernstein.stable(1.0)
     with pytest.raises(EvaluationDomainError):
-        harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.5, 0.05, _cfg(10))
+        harnack.carleson_check(phi, mc.Interval(0.0, 1.0), 0.5, 0.05, 10, 11)
 
 
 def test_bhp_trivial_and_symmetry():
@@ -206,14 +228,14 @@ def test_bhp_trivial_and_symmetry():
 
 def test_bhp_interval_passes():
     phi = bernstein.stable(1.0)
-    rep = harnack.bhp_ratio_check(phi, 0.05, _cfg(2400))
+    rep = harnack.bhp_ratio_check(phi, 0.05, 2400, 11)
     assert rep.passed
     assert rep.spread < 10.0
 
 
 def test_bhp_halfdisk_passes():
     phi = bernstein.stable(1.0)
-    rep = harnack.bhp_ratio_check(phi, 0.05, _cfg(1200, seed=7), domain="halfdisk")
+    rep = harnack.bhp_ratio_check(phi, 0.05, 1200, 7, domain="halfdisk")
     assert rep.passed
     assert rep.spread < 10.0
 
@@ -222,12 +244,12 @@ def test_bhp_bad_domain_rejected():
     phi = bernstein.stable(1.0)
     for domain in ("ball", "Interval", ""):
         with pytest.raises(EvaluationDomainError, match="interval"):
-            harnack.bhp_ratio_check(phi, 0.05, _cfg(10), domain=domain)
+            harnack.bhp_ratio_check(phi, 0.05, 10, 11, domain=domain)
 
 
 def test_harnack_ratio_refuses_dimension_below_one():
     with pytest.raises(EvaluationDomainError, match="dimension"):
-        harnack.harnack_ratio(bernstein.stable(1.0), 0, 0.05, _cfg(10))
+        harnack.harnack_ratio(bernstein.stable(1.0), 0, 0.05, 10, 11)
 
 
 def test_halfdisk_geometry():

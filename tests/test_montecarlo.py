@@ -34,6 +34,14 @@ def test_config_validation():
             mc.PathConfig(paths=10, seed=1, horizon=horizon, step=step)
     with pytest.raises(ConstructionError):
         mc.PathConfig(paths=10, seed=1, horizon=1.0, step=1e-3, epsilon=1.5)
+    # the seed is the 64-bit Philox key and the step index a 32-bit counter
+    # word: an out-of-range seed or step would alias another address
+    for seed in (-1, 2**64, 1.7):
+        with pytest.raises(ConstructionError, match="seed"):
+            mc.PathConfig(paths=10, seed=seed, horizon=1.0, step=1e-3)
+    with pytest.raises(ConstructionError, match="2\\*\\*32"):
+        mc.PathConfig(paths=10, seed=1, horizon=2.0**32 + 1.0, step=1.0)
+    mc.PathConfig(paths=10, seed=2**64 - 1, horizon=2.0**32, step=1.0)
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConstructionError):
             mc.Ball(center=(0.0,), radius=radius)
@@ -324,7 +332,7 @@ def test_exceedance_ratio_bounded():
 
 def test_exit_time_bounds_check_renewal():
     phi = bernstein.stable(1.0)
-    rep = mc.exit_time_bounds_check(phi, 1, [0.5, 1.0], _cfg(paths=4000))
+    rep = mc.exit_time_bounds_check(phi, 1, [0.5, 1.0], 4000, 11)
     assert rep.window_positive
     assert np.all(rep.bound_ok), rep.offset_means
     v2v1 = 8.0 * math.sqrt(2.0) / math.pi
@@ -419,7 +427,7 @@ def test_ball_center_must_be_a_finite_point():
     with pytest.raises(ConstructionError, match="center"):
         mc.exceedance_probability(phi, 0, 1.0, 0.1, cfg)
     with pytest.raises(ConstructionError, match="center"):
-        mc.exit_time_bounds_check(phi, 0, [1.0], cfg)
+        mc.exit_time_bounds_check(phi, 0, [1.0], cfg.paths, cfg.seed)
 
 
 def test_hitting_refuses_target_of_another_dimension():
