@@ -2,9 +2,10 @@
 
 The potential density u has Laplace transform 1/phi and the Levy density mu
 is recovered from phi itself.  For stable exponents both have closed forms,
-which makes the inversion error visible (mode="talbot" skips the closed
-form that the default mode would use); the hard upper bound
-u(t) * t * phi(1/t) <= 1/(1 - 1/e) holds for every entry.
+which potential_density_u and eval_levy_density return; inverting 1/phi
+directly, with the certified Talbot rule, makes the inversion error and its
+residual visible.  The hard upper bound u(t) * t * phi(1/t) <= 1/(1 - 1/e)
+holds for every entry.
 """
 
 import math
@@ -15,16 +16,17 @@ from sbmpot import (
     ZAHLE_BOUND,
     default_catalog,
     eval_levy_density,
+    laplace,
     potential_density_u,
     stable,
 )
 
 phi = stable(1.0)
 ts = np.geomspace(1e-3, 1.0, 7)
-u_inv = potential_density_u(phi, ts, mode="talbot")
+u_inv, residual = laplace.talbot_with_residual(lambda s: 1.0 / phi(s), ts)
 u_exact = ts ** (-0.5) / math.sqrt(math.pi)
 
-print("stable alpha=1: inverted u(t) against t^(-1/2)/sqrt(pi)")
+print(f"stable alpha=1: inverted u(t) against t^(-1/2)/sqrt(pi), residual {residual:.2e}")
 for t, a, b in zip(ts, u_inv, u_exact):
     print(f"  t={t:9.4g}  inverted={a:.10g}  exact={b:.10g}  rel={abs(a / b - 1.0):.2e}")
 

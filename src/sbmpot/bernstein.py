@@ -540,12 +540,14 @@ def eval_levy_density(phi: CompleteBernsteinFunction, t):
     Levy tail is phi(lam)/lam, and differentiating under the contour integral
     kills the killing constant and leaves -mu.  phi is a complete Bernstein
     function, so the integrand is analytic off the negative reals and the
-    Talbot contour applies.
+    Talbot contour applies.  The inversion is certified as in
+    :func:`levy_tail` (NumericAccuracyError past 1e-6); values under the
+    rule's round-off floor, 1e-6 of the batch peak, are returned uncertified.
     """
     closed = phi.closed_form("levy_density", t)
     if closed is not None:
         return closed
-    return -laplace.talbot_inversion(phi, t)
+    return -laplace.talbot_with_residual(phi._eval, t)[0]
 
 
 def levy_tail(phi: CompleteBernsteinFunction, t):

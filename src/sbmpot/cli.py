@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .ladder import (
     ladder_exponent_chi,
     renewal_function_V,
 )
-from .montecarlo import Ball, PathConfig, scaled_config, simulate_exits
+from .montecarlo import Ball, scaled_config, simulate_exits
 
 _USAGE_ERRORS = (
     ConstructionError,
@@ -264,7 +265,7 @@ def _cmd_check(args, argv) -> int:
         records = [{"check": "doubling", "dim": args.dim, "K": args.K,
                     "doubling": doubling, "shift": shift, "pass": passed}]
     elif which == "asym":
-        return _cmd_check_asym(args, argv)
+        return _cmd_check_asym(phi, args, argv)
     elif which == "harnack":
         rep = harnack_ratio(phi, args.dim, args.r, args.paths, args.seed, args.eps)
         passed = rep.passed
@@ -282,8 +283,7 @@ def _cmd_check(args, argv) -> int:
     return 0 if passed else 1
 
 
-def _cmd_check_asym(args, argv) -> int:
-    phi = _phi_from_args(args)
+def _cmd_check_asym(phi, args, argv) -> int:
     windows = {
         "u": u_asymptotic_ratio(phi),
         "mu": mu_asymptotic_ratio(phi),
@@ -312,10 +312,8 @@ def _cmd_simulate(args, argv) -> int:
     if len(x0) != d:
         raise ConstructionError("--x0 must supply one coordinate per dimension")
     base = scaled_config(phi, args.radius, args.paths, args.seed, epsilon=args.eps)
-    step = args.step if args.step is not None else base.step
-    horizon = args.horizon if args.horizon is not None else base.horizon
-    cfg = PathConfig(paths=args.paths, seed=args.seed, horizon=horizon, step=step,
-                     epsilon=args.eps)
+    cfg = replace(base, step=base.step if args.step is None else args.step,
+                  horizon=base.horizon if args.horizon is None else args.horizon)
     domain = Ball(center=(0.0,) * d, radius=args.radius)
     sample = simulate_exits(phi, domain, x0, cfg)
     if args.format == "csv":

@@ -30,7 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from . import laplace
 from .bernstein import KINDS, CompleteBernsteinFunction, conjugate, eval_levy_density, levy_tail
-from .errors import NumericAccuracyError, UnsupportedKindError
+from .errors import NumericAccuracyError
 
 __all__ = [
     "ZAHLE_BOUND",
@@ -53,25 +53,18 @@ __all__ = [
 ZAHLE_BOUND = 1.0 / (1.0 - math.exp(-1.0))
 
 
-def potential_density_u(phi: CompleteBernsteinFunction, t, mode: str = "auto"):
+def potential_density_u(phi: CompleteBernsteinFunction, t):
     """Potential density u(t), the density of the occupation measure of the subordinator.
 
-    mode 'auto' uses the kind's closed form where the registry has one and
-    the Talbot contour otherwise; 'closed' insists on the closed form
-    (:class:`UnsupportedKindError` without one) and 'talbot' forces the
-    contour, whose 32-node rule is certified against a 24-node one to 1e-6
-    (:class:`NumericAccuracyError` beyond).
+    The kind's closed form where the registry has one; otherwise the Talbot
+    inversion of 1/phi, whose 32-node rule is certified against a 24-node
+    one to 1e-6 (:class:`NumericAccuracyError` beyond).  Values under the
+    rule's round-off floor, 1e-6 of the batch peak, are returned uncertified.
     """
-    if mode not in ("auto", "closed", "talbot"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "talbot":
-        closed = phi.closed_form("potential_density", t)
-        if closed is not None:
-            return closed
-        if mode == "closed":
-            raise UnsupportedKindError(f"{phi.label()} has no closed-form potential density")
-    vals, _ = laplace.talbot_with_residual(lambda s: 1.0 / phi._eval(np.asarray(s)), t)
-    return vals
+    closed = phi.closed_form("potential_density", t)
+    if closed is not None:
+        return closed
+    return laplace.talbot_with_residual(lambda s: 1.0 / phi._eval(np.asarray(s)), t)[0]
 
 
 def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable[[float], float]:
@@ -273,7 +266,7 @@ def tail_vs_conjugate_potential(phi: CompleteBernsteinFunction) -> float:
     """
     grid = np.geomspace(1e-2, 10.0, 20)
     tail = np.atleast_1d(levy_tail(phi, grid)) + phi.killing
-    via_conj = np.atleast_1d(potential_density_u(conjugate(phi), grid, mode="talbot"))
+    via_conj = np.atleast_1d(potential_density_u(conjugate(phi), grid))
     live = np.abs(via_conj) >= 1e-6 * np.max(np.abs(via_conj))
     return float(np.max(np.abs(tail - via_conj)[live] / np.abs(via_conj)[live]))
 

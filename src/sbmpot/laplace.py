@@ -60,10 +60,10 @@ def talbot_inversion(transform: Callable, t, nodes: int = 32) -> np.ndarray:
     return vals if np.ndim(t) else float(vals[0])
 
 
-_TALBOT_NODES, _TALBOT_CHECK_NODES = 32, 24
+_TALBOT_NODES, _TALBOT_CHECK_NODES, _TALBOT_RTOL = 32, 24, 1e-6
 
 
-def talbot_with_residual(transform: Callable, t, rtol: float = 1e-6):
+def talbot_with_residual(transform: Callable, t):
     """Talbot inversion with an internal accuracy estimate.
 
     The residual is the relative difference between the _TALBOT_NODES- and
@@ -72,26 +72,25 @@ def talbot_with_residual(transform: Callable, t, rtol: float = 1e-6):
     spot adding nodes amplifies round-off instead of reducing truncation (a
     48-node rule can sit 1e-5 off while 24/32-node rules agree with each
     other and with Gaver-Stehfest to 1e-8).  If the residual exceeds
-    ``rtol`` a :class:`NumericAccuracyError` carrying it is raised.
+    _TALBOT_RTOL a :class:`NumericAccuracyError` carrying it is raised.
 
     The absolute round-off floor of the rule is about 1e-12 times the peak
-    magnitude in the batch, so relative accuracy ``rtol`` is only attainable
-    where |f(t)| >= 1e-12/rtol * peak.  Points in the exponentially dead
-    tail below that floor are returned but excluded from certification.
+    magnitude in the batch, so relative accuracy _TALBOT_RTOL is only
+    attainable where |f(t)| >= 1e-6 * peak.  Points in the exponentially
+    dead tail below that floor are returned but not certified (noise).
     """
     vals_main = np.atleast_1d(talbot_inversion(transform, t, _TALBOT_NODES))
     vals_check = np.atleast_1d(talbot_inversion(transform, t, _TALBOT_CHECK_NODES))
     mags = np.abs(vals_main)
     vmax = float(np.max(mags)) if mags.size else 0.0
-    floor = min(1e-12 / max(rtol, 1e-300), 1e-3) * vmax
-    live = mags >= max(floor, np.finfo(float).tiny)
+    live = mags >= max(1e-12 / _TALBOT_RTOL * vmax, np.finfo(float).tiny)
     if np.any(live):
         residual = float(np.max(np.abs(vals_main - vals_check)[live] / mags[live]))
     else:
         residual = 0.0
-    if residual > rtol:
+    if residual > _TALBOT_RTOL:
         raise NumericAccuracyError(
-            f"Laplace inversion residual {residual:.3e} exceeds tolerance {rtol:.1e}",
+            f"Laplace inversion residual {residual:.3e} exceeds tolerance {_TALBOT_RTOL:.1e}",
             residual=residual,
         )
     vals = vals_main if np.ndim(t) else float(vals_main[0])

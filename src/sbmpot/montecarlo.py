@@ -277,8 +277,10 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     x = np.geomspace(eps, eps * 1e12, 1024)
     tail = np.asarray(levy_tail(phi, x), dtype=float)
     rate = float(tail[0])
-    if not np.all(tail > 0.0):
-        cut = int(np.argmax(tail <= 0.0))
+    # cut at the normalised tail: a subnormal knot can underflow in tail/rate
+    live = tail / rate > 0.0
+    if not np.all(live):
+        cut = int(np.argmin(live))
         x, tail = x[: max(cut, 8)], tail[: max(cut, 8)]
     tail = np.minimum.accumulate(tail)
     keep = np.concatenate([[True], np.diff(tail) < 0.0])
@@ -747,7 +749,12 @@ def hitting_before_exit(phi, target, start, enclosing, cfg: PathConfig) -> McEst
 
 
 def epsilon_refinement_check(phi, domain, x0, cfg: PathConfig) -> dict:
-    """Mean exit time at epsilon and epsilon/2; delta must be < 3 combined SE."""
+    """Mean exit time at epsilon and epsilon/2; delta must be < 3 combined SE.
+
+    Exact increments read no epsilon, so both runs would be one march and
+    pass with delta 0: such a kind (stable) raises ConstructionError."""
+    if _exact_increments(phi):
+        raise ConstructionError(f"{phi.label()} has exact increments, which read no epsilon")
     a = simulate_exits(phi, domain, x0, cfg)
     b = simulate_exits(phi, domain, x0, replace(cfg, epsilon=cfg.epsilon / 2.0))
     ea, eb = a.mean_tau(), b.mean_tau()

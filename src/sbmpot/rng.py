@@ -97,8 +97,7 @@ class PhiloxStream:
     def __init__(self, seed: int):
         seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.seed = seed
-        self._rk = _round_keys(seed & 0xFFFFFFFF, seed >> 32)
-        self._keys = _stacked_keys(*self._rk)
+        self._keys = _stacked_keys(*_round_keys(seed & 0xFFFFFFFF, seed >> 32))
 
     def _lanes(self, channel: int, step, path_ids: np.ndarray):
         """Philox output for the counters (channel, step, path_lo, path_hi).

@@ -387,3 +387,15 @@ def test_probe_check_with_one_path_leaks_no_warning(capsys, argv):
         rc = cli.main(argv)
     assert rc in (0, 1)
     assert capsys.readouterr().err == ""
+
+
+def test_subnormal_levy_tail_leaks_no_warning(capsys):
+    # the relativistic tail at m = 0.1 reaches subnormal knots that underflow
+    # to 0 once divided by the rate; the quantile table must stop before them
+    argv = ["simulate", "exit", "--kind", "relativistic", "--alpha", "1", "--m", "0.1",
+            "--paths", "20", "--seed", "1", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    assert rc == 0
+    assert capsys.readouterr().err == ""

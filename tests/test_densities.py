@@ -1,11 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from sbmpot import bernstein, densities
-from sbmpot.errors import UnsupportedKindError
+from sbmpot import bernstein, densities, laplace
 
 
 def test_stable_potential_density_closed_form():
@@ -23,9 +23,9 @@ def test_stable_potential_density_closed_form():
     (bernstein.geometric_like(1.0, 64), np.geomspace(1e-2, 1.0, 11), 1e-7),
 ], ids=["stable", "geometric_example"])
 def test_closed_potential_density_matches_talbot(phi, t, rtol):
-    # mode="talbot" bypasses the closed form; cross-validates the Talbot path
-    closed = densities.potential_density_u(phi, t, mode="closed")
-    inverted = densities.potential_density_u(phi, t, mode="talbot")
+    # cross-validates the closed form against the certified inversion of 1/phi
+    closed = densities.potential_density_u(phi, t)
+    inverted, _ = laplace.talbot_with_residual(lambda s: 1.0 / phi(s), t)
     np.testing.assert_allclose(inverted, closed, rtol=rtol)
 
 
@@ -43,20 +43,23 @@ KIND_EXAMPLES = {
 
 @pytest.mark.parametrize("kind", list(bernstein.KINDS))
 def test_closed_mode_raises_exactly_without_a_closed_form(kind):
+    # u is the kind's closed form exactly where the registry has one, and the
+    # certified inversion of 1/phi, same bits, everywhere else
     phi = KIND_EXAMPLES[kind]
     t = np.array([0.1, 1.0])
-    if bernstein.KINDS[kind].potential_density is None:
-        with pytest.raises(UnsupportedKindError):
-            densities.potential_density_u(phi, t, mode="closed")
-    else:
-        closed = densities.potential_density_u(phi, t, mode="closed")
-        assert np.array_equal(closed, densities.potential_density_u(phi, t))
-        assert isinstance(densities.potential_density_u(phi, 0.5, mode="closed"), float)
+    closed = phi.closed_form("potential_density", t)
+    assert (closed is None) == (bernstein.KINDS[kind].potential_density is None)
+    if closed is None:
+        closed, _ = laplace.talbot_with_residual(lambda s: 1.0 / phi(s), t)
+    assert np.array_equal(densities.potential_density_u(phi, t), closed)
+    assert isinstance(densities.potential_density_u(phi, 0.5), float)
 
 
 def test_unknown_density_mode_is_refused():
-    with pytest.raises(ValueError):
-        densities.potential_density_u(bernstein.stable(1.0), 1.0, mode="stehfest")
+    # u has one path, so no mode is accepted
+    assert list(inspect.signature(densities.potential_density_u).parameters) == ["phi", "t"]
+    with pytest.raises(TypeError):
+        densities.potential_density_u(bernstein.stable(1.0), 1.0, mode="talbot")
 
 
 def test_u_decreasing_and_convex(catalog):

@@ -28,7 +28,8 @@ def test_talbot_residual_small_on_smooth_transform():
 
 
 def test_talbot_residual_flags_disagreement():
-    # a transform evaluated inconsistently between rule sizes cannot certify
+    # a transform evaluated inconsistently between rule sizes cannot certify:
+    # the +-1e-3 jitter is far past the 1e-6 tolerance
     calls = {"n": 0}
 
     def unstable(s):
@@ -37,7 +38,7 @@ def test_talbot_residual_flags_disagreement():
         return jitter / (s + 1.0)
 
     with pytest.raises(NumericAccuracyError):
-        laplace.talbot_with_residual(unstable, np.array([1.0]), rtol=1e-8)
+        laplace.talbot_with_residual(unstable, np.array([1.0]))
 
 
 def test_gaver_stehfest_exponential():

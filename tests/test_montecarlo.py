@@ -456,6 +456,13 @@ def test_epsilon_refinement(monkeypatch):
     assert out["delta"] <= 3.0 * out["combined_se"] + 1e-12
 
 
+def test_epsilon_refinement_refuses_exact_increments():
+    # stable increments are exact and read no epsilon: both runs would be one march
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    with pytest.raises(ConstructionError, match="exact increments"):
+        mc.epsilon_refinement_check(bernstein.stable(1.0), ball, [0.0], _cfg(paths=10, epsilon=2e-4))
+
+
 def test_scaled_config_censoring_small():
     phi = bernstein.sum_of_stables(1.0, 0.5)
     cfg = mc.scaled_config(phi, 1.0, 4000, 17)
