@@ -1,5 +1,10 @@
 """Command-line interface: evaluate, tabulate, check, simulate.
 
+Each command writes one table, built as columns: CSV is a header plus one
+line per row (an empty table is one newline), JSON a list of row objects.
+A check is a one-row table; ``simulate exit`` writes one CSV row per
+uncensored path, or its mean exit time as JSON.
+
 Every command is a pure function of (flags, seed): outputs are bit-identical
 across re-runs.  When --output is given a manifest JSON (command, flags,
 seed, artifact_version, timestamp) is written alongside the artifact, and
@@ -67,39 +72,29 @@ _USAGE_ERRORS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+def _cells(col: np.ndarray) -> list[str]:
+    """One column's CSV cells, its format picked once from its dtype."""
+    if col.dtype.kind == "f":
+        return [format(x, ".17g") for x in col.tolist()]
+    if col.dtype.kind == "b":
+        return ["true" if x else "false" for x in col.tolist()]
+    return list(map(str, col.tolist()))
 
 
-def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    return x
-
-
-def _render(records: list[dict], fmt: str) -> str:
+def _render(table: dict, fmt: str) -> str:
+    """A table of equal-length columns as CSV (a header plus one line per
+    row; an empty table is one newline) or as a JSON list of row objects."""
+    cols = [np.asarray(col) for col in table.values()]
     if fmt == "json":
-        clean = [{k: _jsonable(v) for k, v in rec.items()} for rec in records]
-        return json.dumps(clean, indent=2) + "\n"
-    if not records:
+        rows = zip(*(col.tolist() for col in cols))
+        return json.dumps([dict(zip(table, row)) for row in rows], indent=2) + "\n"
+    if not cols[0].size:
         return "\n"
-    keys = list(records[0].keys())
-    lines = [",".join(keys)]
-    for rec in records:
-        lines.append(",".join(_fmt(rec[k]) for k in keys))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(table), *map(",".join, zip(*map(_cells, cols)))]) + "\n"
 
 
-def _emit(records: list[dict], args, argv: list[str]) -> None:
-    text = _render(records, args.format)
+def _emit(table: dict, args, argv: list[str]) -> None:
+    text = _render(table, args.format)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -166,28 +161,16 @@ def _cmd_phi(args, argv) -> int:
     phi = _phi_from_args(args)
     grid = _grid(args, args.lam, "lmin", "lmax", 1e-2, 1e2)
     vals = np.atleast_1d(phi(grid))
-    records = [
-        {
-            "lambda": float(lam),
-            "phi": float(v),
-            "psi": float(lam / v),
-            "ell": float(v / lam ** (phi.alpha / 2.0)),
-        }
-        for lam, v in zip(grid, vals)
-    ]
-    _emit(records, args, argv)
+    # ell stays scalar: an array power may round differently from pow
+    ell = [v / lam ** (phi.alpha / 2.0) for lam, v in zip(grid, vals)]
+    _emit({"lambda": grid, "phi": vals, "psi": grid / vals, "ell": ell}, args, argv)
     return 0
 
 
 def _cmd_density(args, argv) -> int:
     phi = _phi_from_args(args)
     grid = _grid(args, args.t, "tmin", "tmax", 1e-3, 1.0)
-    cols = density_table(phi, grid)
-    records = [
-        {k: float(cols[k][i]) for k in ("t", "u", "mu", "tail", "u_ratio", "mu_ratio")}
-        for i in range(grid.size)
-    ]
-    _emit(records, args, argv)
+    _emit(density_table(phi, grid), args, argv)
     return 0
 
 
@@ -199,18 +182,13 @@ def _cmd_kernel(args, argv) -> int:
         g = green_function(phi, d, r)
         j = jump_kernel(phi, d, r)
         pr = float(phi(r**-2.0))
-        records = [{"r": r, "G": g, "J": j,
-                    "g_ratio": g * r**d * pr, "j_ratio": j * r**d / pr}]
+        table = {"r": [r], "G": [g], "J": [j],
+                 "g_ratio": [g * r**d * pr], "j_ratio": [j * r**d / pr]}
     else:
         r_min = 1e-2 if args.rmin is None else args.rmin
         r_max = 1.0 if args.rmax is None else args.rmax
-        table = build_kernel_table(phi, d, r_min, r_max, args.points)
-        cols = table.columns(phi)
-        records = [
-            {k: float(cols[k][i]) for k in ("r", "G", "J", "g_ratio", "j_ratio")}
-            for i in range(len(cols["r"]))
-        ]
-    _emit(records, args, argv)
+        table = build_kernel_table(phi, d, r_min, r_max, args.points).columns(phi)
+    _emit(table, args, argv)
     return 0
 
 
@@ -220,29 +198,19 @@ def _cmd_ladder(args, argv) -> int:
         grid = _grid(args, args.lam, "lmin", "lmax", 1e-2, 1e2)
         chi = np.atleast_1d(ladder_exponent_chi(phi, grid))
         ref = np.sqrt(np.atleast_1d(phi(grid**2)))
-        records = [
-            {"lambda": float(l), "chi": float(c),
-             "sqrt_phi_lambda2": float(s), "ratio": float(c / s)}
-            for l, c, s in zip(grid, chi, ref)
-        ]
+        table = {"lambda": grid, "chi": chi, "sqrt_phi_lambda2": ref, "ratio": chi / ref}
     elif args.which == "v":
         grid = _grid(args, args.t, "tmin", "tmax", 1e-2, 1.0)
-        v = np.atleast_1d(ladder_density_v(phi, grid))
-        big_v = np.atleast_1d(renewal_function_V(phi, grid))
-        records = [
-            {"t": float(t), "v_ladder": float(a), "V": float(b)}
-            for t, a, b in zip(grid, v, big_v)
-        ]
+        table = {"t": grid, "v_ladder": np.atleast_1d(ladder_density_v(phi, grid)),
+                 "V": np.atleast_1d(renewal_function_V(phi, grid))}
     else:
         if args.x is None or args.y is None:
             raise ConstructionError("halfline needs --x and --y")
         both = args.ymin is not None and args.ymax is not None
         ys = _grid(args, None if both else args.y, "ymin", "ymax")
-        records = [
-            {"x": args.x, "y": float(y), "G_halfline": halfline_green(phi, args.x, float(y))}
-            for y in ys
-        ]
-    _emit(records, args, argv)
+        table = {"x": [args.x] * ys.size, "y": ys,
+                 "G_halfline": [halfline_green(phi, args.x, y) for y in ys.tolist()]}
+    _emit(table, args, argv)
     return 0
 
 
@@ -252,53 +220,41 @@ def _cmd_check(args, argv) -> int:
     if which == "sandwich":
         mn, mx = chi_sandwich_check(phi)
         passed = SANDWICH_LO - 1e-9 <= mn and mx <= SANDWICH_HI + 1e-9
-        records = [{"check": "sandwich", "min": mn, "max": mx,
-                    "lo_bound": SANDWICH_LO, "hi_bound": SANDWICH_HI, "pass": passed}]
+        table = {"check": ["sandwich"], "min": [mn], "max": [mx],
+                 "lo_bound": [SANDWICH_LO], "hi_bound": [SANDWICH_HI], "pass": [passed]}
     elif which == "zahle":
         rep = zahle_upper_check(phi)
         passed = rep.passed
-        records = [{"check": "zahle", "max_product": rep.max_product,
-                    "min_product": rep.min_product, "bound": ZAHLE_BOUND, "pass": passed}]
+        table = {"check": ["zahle"], "max_product": [rep.max_product],
+                 "min_product": [rep.min_product], "bound": [ZAHLE_BOUND], "pass": [passed]}
     elif which == "doubling":
         doubling, shift = j_doubling_and_shift(phi, args.dim, args.K)
         passed = bool(np.isfinite(doubling) and np.isfinite(shift) and doubling > 0.0)
-        records = [{"check": "doubling", "dim": args.dim, "K": args.K,
-                    "doubling": doubling, "shift": shift, "pass": passed}]
+        table = {"check": ["doubling"], "dim": [args.dim], "K": [args.K],
+                 "doubling": [doubling], "shift": [shift], "pass": [passed]}
     elif which == "asym":
-        return _cmd_check_asym(phi, args, argv)
+        windows = [u_asymptotic_ratio(phi), mu_asymptotic_ratio(phi),
+                   g_asymptotic_ratio(phi, args.dim), j_asymptotic_ratio(phi, args.dim)]
+        spread = [win.spread for win in windows]
+        ok = [bool(np.isfinite(s) and s < 1e3) for s in spread]
+        passed = all(ok)
+        table = {"check": ["asym"] * 4, "quantity": ["u", "mu", "G", "j"],
+                 "lo": [win.lo for win in windows], "hi": [win.hi for win in windows],
+                 "spread": spread, "pass": ok}
     elif which == "harnack":
         rep = harnack_ratio(phi, args.dim, args.r, args.paths, args.seed, args.eps)
         passed = rep.passed
-        records = [{"check": "harnack", "dim": args.dim, "r": args.r,
-                    "ratio": rep.ratio, "refinement_delta": rep.refinement_delta,
-                    "delta_paths": rep.delta_paths, "delta_grid": rep.delta_grid,
-                    "pass": passed}]
+        table = {"check": ["harnack"], "dim": [args.dim], "r": [args.r],
+                 "ratio": [rep.ratio], "refinement_delta": [rep.refinement_delta],
+                 "delta_paths": [rep.delta_paths], "delta_grid": [rep.delta_grid],
+                 "pass": [passed]}
     else:
         rep = bhp_ratio_check(phi, args.r, args.paths, args.seed, args.eps, domain=args.domain)
         passed = rep.passed
-        records = [{"check": "bhp", "domain": args.domain, "r": args.r,
-                    "ratio": rep.spread, "refinement_delta": rep.refinement_delta,
-                    "pass": passed}]
-    _emit(records, args, argv)
-    return 0 if passed else 1
-
-
-def _cmd_check_asym(phi, args, argv) -> int:
-    windows = {
-        "u": u_asymptotic_ratio(phi),
-        "mu": mu_asymptotic_ratio(phi),
-        "G": g_asymptotic_ratio(phi, args.dim),
-        "j": j_asymptotic_ratio(phi, args.dim),
-    }
-    records = []
-    passed = True
-    for name, win in windows.items():
-        spread = win.hi / win.lo if win.lo > 0.0 else float("inf")
-        ok = bool(np.isfinite(spread) and spread < 1e3)
-        passed = passed and ok
-        records.append({"check": "asym", "quantity": name, "lo": win.lo,
-                        "hi": win.hi, "spread": spread, "pass": ok})
-    _emit(records, args, argv)
+        table = {"check": ["bhp"], "domain": [args.domain], "r": [args.r],
+                 "ratio": [rep.spread], "refinement_delta": [rep.refinement_delta],
+                 "pass": [passed]}
+    _emit(table, args, argv)
     return 0 if passed else 1
 
 
@@ -317,18 +273,14 @@ def _cmd_simulate(args, argv) -> int:
     domain = Ball(center=(0.0,) * d, radius=args.radius)
     sample = simulate_exits(phi, domain, x0, cfg)
     if args.format == "csv":
-        records = []
-        for i in range(sample.tau.size):
-            rec = {"path": i, "tau": float(sample.tau[i])}
-            for k in range(d):
-                rec[f"x{k + 1}"] = float(sample.exit_position[i, k])
-            rec["exited_by_jump"] = bool(sample.exited_by_jump[i])
-            records.append(rec)
+        table = {"path": np.arange(sample.tau.size), "tau": sample.tau,
+                 **{f"x{k + 1}": sample.exit_position[:, k] for k in range(d)},
+                 "exited_by_jump": sample.exited_by_jump}
     else:
         est = sample.mean_tau()
-        records = [{"mean": est.mean, "std_error": est.std_error,
-                    "n": est.n, "censored": sample.censored}]
-    _emit(records, args, argv)
+        table = {"mean": [est.mean], "std_error": [est.std_error],
+                 "n": [est.n], "censored": [sample.censored]}
+    _emit(table, args, argv)
     return 0
 
 

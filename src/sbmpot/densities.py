@@ -233,7 +233,9 @@ class RatioWindow:
 
     @property
     def spread(self) -> float:
-        return self.hi / self.lo
+        """hi/lo, or inf once the window reaches zero or below: a ratio
+        window that is not positive has no finite spread."""
+        return self.hi / self.lo if self.lo > 0.0 else math.inf
 
 
 def _small_times(t_grid) -> np.ndarray:

@@ -82,15 +82,6 @@ def _rounds(x: np.ndarray, y: np.ndarray, keys: np.ndarray) -> None:
         np.bitwise_and(p, _MASK32, out=y)
 
 
-def philox4x32(c0, c1, c2, c3, rk0, rk1):
-    """Ten Philox rounds on uint32 counter lanes; returns the four lanes."""
-    x = np.stack([c0, c2]).astype(np.uint64)
-    y = np.stack([c1, c3]).astype(np.uint64)
-    _rounds(x, y, _stacked_keys(rk0, rk1))
-    x, y = x.astype(np.uint32), y.astype(np.uint32)
-    return x[0], y[0], x[1], y[1]
-
-
 class PhiloxStream:
     """Stateless generator addressed by (channel, step, path index)."""
 

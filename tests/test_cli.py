@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -147,6 +148,92 @@ def test_simulate_csv_deterministic(capsys):
     assert out1 == out2
     header = out1.splitlines()[0]
     assert header == "path,tau,x1,exited_by_jump"
+
+
+# sha256 of stdout for one command line per branch of the CLI, as CSV and as
+# JSON, so a change to how tables are built or written cannot move a byte
+# unnoticed; the last pin is the empty table (every path censored)
+RENDER_PINS = {
+    "phi": (
+        "phi --kind sum --alpha 1 --lmin 0.1 --lmax 10 --points 3", 0,
+        "3fd6e7b36430fa02640119803d67c11b610af29cd79b2331d6e8cefd0da00d0e",
+        "209abfed52e7a34ef4a0f58a5e724b2a96e245291a59705ec8caa67f34a9d410"),
+    "density": (
+        "density --kind stable --alpha 1.5 --tmin 0.01 --tmax 1 --points 3", 0,
+        "03a6cb49d9841fc01c426c055fc6ae5a02ead25b77fcddfa3c37d92c042b7a65",
+        "56c678f87db2bfe1ce411ce31ea4b90d84e9a2757995dcafb733f86e9d3dd399"),
+    "kernel-r": (
+        "kernel --kind stable --alpha 1 --dim 3 --r 0.5", 0,
+        "b144f68f0d90b4a30e540a844b1393b2e5f19f99273b3fabc4ad14223866080d",
+        "82359658115307c52a7bc6a507d68f926f3b74f7e15bc6f62a94aada9eb77710"),
+    "kernel-grid": (
+        "kernel --kind stable --alpha 1 --dim 3 --rmin 0.1 --rmax 1 --points 3", 0,
+        "e172f95c5bcff38606e73d984cb2711dacdd706542a30048117a22364c985e7a",
+        "18775cd54096bf3c5fd1788184050c860a4a8a28b5d4dafc56513fd0a9f8cf07"),
+    "ladder-chi": (
+        "ladder chi --kind stable --alpha 1.5 --lmin 0.1 --lmax 10 --points 3", 0,
+        "a26e91c69d7dc2e721d2fa775cb9743f9b2188b5f576d0f5470bc3cc0a64ea84",
+        "1e2c0ea991c384606106c38b642e4a7c484a68bf2eadc952d9d8e5e5595503d3"),
+    "ladder-v": (
+        "ladder v --kind stable --alpha 1 --tmin 0.1 --tmax 1 --points 2", 0,
+        "bf622cac4a3daf1bf0286790c2caae654a1fd3eae2af6d9a15929b59aa8943c9",
+        "5da21729310a024c5b54a87c462d614afcef6b787bf5beb8a86524a3c882597b"),
+    "ladder-halfline": (
+        "ladder halfline --kind stable --alpha 1 --x 1 --y 2", 0,
+        "cbc5195c4d961357a9042a3f81e501b00ef50b138fe23fa5f5933f3a848f3748",
+        "0862fcf2a6613ea6da48c4b891924132e7e1ad95b22a7a434740c4c7893e0899"),
+    "check-sandwich": (
+        "check sandwich --kind stable --alpha 1", 0,
+        "0767d2bd7c252b1ae5d354c1547d5203ae279463becebdb24a206a695d296619",
+        "b59cdf5f4789dc6d66d8c98529cff576561091083a9f93731de171aa1abd4c14"),
+    "check-zahle": (
+        "check zahle --kind stable --alpha 0.5", 0,
+        "5c9b23d7dac8c56d8f9f27bc0bb7022465cbdb61dd9d361e872dcbbc02d74271",
+        "e41e463e9a5ed8af490d0487d244d85b6f0536fcef1b895b47dea4e44fface6a"),
+    "check-doubling": (
+        "check doubling --kind stable --alpha 1 --dim 1", 0,
+        "9d4b8703825f8b98b87f863b9bff8acf14d2500972351297bce92bfce81ee1d2",
+        "3f4d509265bae5096ecff1a01b50e7e195b260524a498d3d1c3640217d477a56"),
+    "check-asym": (
+        "check asym --kind stable --alpha 1 --dim 3", 0,
+        "ae0174294b1e12c2aef70d5ad18f8d0b0c018a17dde6043fdffe31f239ecfe9d",
+        "4a4a2824145c0743833aa3f23d6c84e526c468fe348fca2d8cc2a20f181e7728"),
+    "check-harnack": (
+        "check harnack --kind stable --alpha 1 --paths 20 --seed 3", 1,
+        "9e6b2a3f1c18602f90e02b5b6b3a4dec9abce53ff3362480d14643ad45d6723d",
+        "8d8bf23b00c226ad372170087105a50ff696a562145915ab674fea18e5cbac34"),
+    "check-bhp": (
+        "check bhp --kind stable --alpha 1 --paths 20 --seed 3", 1,
+        "796f6f1d2b2912f2d766a56ac7656d38de54aa888b4c7d88852348b2a6909ee7",
+        "311204503af458df9bee64361c6918597e511a09dec69e5a65e030c8b9609f2d"),
+    "simulate-exit": (
+        "simulate exit --kind stable --alpha 1 --paths 8 --seed 1 --dim 2 --x0 0.1,0.2", 0,
+        "9410d89f62c3b6848ef8a4a7efbe64a4604774a7d4759bc2a162018d5944afbf",
+        "1c467a0a4fd9bd090c060110410837d453cde9cbdc5629a7eea292e99cd8f7c1"),
+    "simulate-exit-empty": (
+        "simulate exit --kind stable --alpha 1 --paths 5 --seed 1 --step 1e-6 --horizon 1e-5", 0,
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "9aecbafeaf9c7c6a0a48c4bc15a89b6eff3d7c2233747e8a25a7eb163d8443f1"),
+}
+
+
+@pytest.mark.parametrize("line, rc, csv_sha, json_sha", list(RENDER_PINS.values()),
+                         ids=list(RENDER_PINS))
+def test_rendered_bytes_pinned(capsys, line, rc, csv_sha, json_sha):
+    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+        got_rc, out = _run(capsys, line.split() + ["--format", fmt])
+        assert got_rc == rc
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, (fmt, out)
+
+
+def test_empty_table(capsys):
+    argv = ["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "5",
+            "--seed", "1", "--step", "1e-6", "--horizon", "1e-5"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0 and out == "\n"
+    rc, out = _run(capsys, argv + ["--format", "json"])
+    rec = json.loads(out)[0]
+    assert rc == 0 and rec["n"] == 0 and rec["censored"] == 5 and math.isnan(rec["mean"])
 
 
 def test_simulate_refuses_truncated_poisson_table(capsys):

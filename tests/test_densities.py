@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.special import erf
 
 from sbmpot import bernstein, densities, laplace
 
@@ -15,6 +16,17 @@ def test_stable_potential_density_closed_form():
         expected = t ** (alpha / 2.0 - 1.0) / math.gamma(alpha / 2.0)
         np.testing.assert_allclose(
             densities.potential_density_u(phi, t), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_relativistic_potential_density_oracle(m):
+    # alpha = 1: 1/phi = (sqrt(lam + m^2) + m)/lam inverts term by term to
+    # m (1 + erf(m sqrt t)) + exp(-m^2 t)/sqrt(pi t), a form that shares no
+    # code with the certified Talbot inversion behind u
+    phi = bernstein.relativistic_stable(1.0, m)
+    t = np.geomspace(1e-4, 1e2, 25)
+    exact = m * (1.0 + erf(m * np.sqrt(t))) + np.exp(-m * m * t) / np.sqrt(np.pi * t)
+    np.testing.assert_allclose(densities.potential_density_u(phi, t), exact, rtol=1e-6)
 
 
 @pytest.mark.parametrize("phi, t, rtol", [
@@ -111,6 +123,15 @@ def test_asymptotic_ratio_windows(catalog):
         for win in (densities.u_asymptotic_ratio(phi), densities.mu_asymptotic_ratio(phi)):
             assert 0.0 < win.lo <= win.hi, phi.label()
             assert win.hi / win.lo < 1e3, phi.label()
+
+
+def test_ratio_window_spread_needs_a_positive_window():
+    # a window that reaches zero or dips negative has no finite spread, so
+    # a bound such as spread < 1e3 cannot pass it
+    grid = np.array([1.0, 2.0])
+    assert densities.RatioWindow.of(grid, [0.5, 2.0]).spread == 4.0
+    assert densities.RatioWindow.of(grid, [-1e-3, 5.0]).spread == math.inf
+    assert densities.RatioWindow.of(grid, [0.0, 5.0]).spread == math.inf
 
 
 def test_potential_density_batches_match_scalars():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kv
 
 from sbmpot import bernstein, kernels
 from sbmpot.errors import NotTransientError, NumericAccuracyError
@@ -82,6 +83,19 @@ def test_kernel_ratio_windows(catalog):
         if kernels.transience_check(phi, 3):
             g_win = kernels.g_asymptotic_ratio(phi, 3)
             assert 0.0 < g_win.lo <= g_win.hi and g_win.hi / g_win.lo < 1e3, phi.label()
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_relativistic_jump_kernel_oracle(d, m):
+    # alpha = 1: subordinating mu(t) = exp(-m^2 t)/(2 sqrt(pi) t^(3/2)) gives
+    # pi^(-1/2) (4 pi)^(-d/2) (2m/r)^((d+1)/2) K_((d+1)/2)(m r), a Bessel
+    # form that shares no code with the subordination integral
+    phi = bernstein.relativistic_stable(1.0, m)
+    nu = (d + 1) / 2.0
+    for r in np.geomspace(0.01, 3.0, 9):
+        exact = math.pi**-0.5 * (4.0 * math.pi) ** (-d / 2.0) * (2.0 * m / r) ** nu * kv(nu, m * r)
+        assert kernels.jump_kernel(phi, d, r) == pytest.approx(exact, rel=1e-6), r
 
 
 def test_kernel_table_monotone():
