@@ -40,12 +40,14 @@ __all__ = [
     "sum_of_stables",
     "log_perturbed_up",
     "log_perturbed_down",
+    "default_truncation",
     "geometric_like",
     "conjugate",
     "killed_shift",
     "eval_levy_density",
     "levy_tail",
     "check_levy_shift_bound",
+    "ShiftBoundReport",
     "reg_var_profile",
     "RegVarProfile",
     "check_complete_monotonicity",

@@ -129,11 +129,12 @@ def _phi_from_args(args):
 def _add_phi_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=JSON_KINDS)
     p.add_argument("--phi", help="JSON catalog entry, alternative to --kind")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=None)
+    # one flag per catalog parameter name, in KINDS order, typed as its JSON
+    # value; --m, --beta and --gamma have defaults, the others None
+    defaults = {"m": 1.0, "beta": 0.5, "gamma": 0.5}
+    params = {q.name: q for kind in JSON_KINDS for q in KINDS[kind].params}
+    for name, q in params.items():
+        p.add_argument(f"--{name}", type=q.coerce, default=defaults.get(name))
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -252,7 +253,7 @@ def _cmd_check(args, argv) -> int:
         rep = bhp_ratio_check(phi, args.r, args.paths, args.seed, args.eps, domain=args.domain)
         passed = rep.passed
         table = {"check": ["bhp"], "domain": [args.domain], "r": [args.r],
-                 "ratio": [rep.spread], "refinement_delta": [rep.refinement_delta],
+                 "ratio": [rep.spread], "refinement_delta": [rep.delta_paths],
                  "pass": [passed]}
     _emit(table, args, argv)
     return 0 if passed else 1

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConstructionError",
+    "UnsupportedKindError",
+    "EvaluationDomainError",
+    "NumericAccuracyError",
+    "UndecidableError",
+    "NotTransientError",
+]
+
 
 class ConstructionError(ValueError):
     """Invalid parameters for a Laplace-exponent catalog entry."""

@@ -31,7 +31,6 @@ from .montecarlo import (Ball, HalfDisk, Interval, McEstimate, PathConfig, _as_p
                          _exit_positions, _run_batches, scaled_config)
 
 __all__ = [
-    "HarmonicProbe",
     "shell_probes_1d",
     "sector_probes_2d",
     "mc_harmonic",
@@ -42,15 +41,6 @@ __all__ = [
     "bhp_ratio_check",
     "BhpReport",
 ]
-
-
-@dataclass(frozen=True)
-class HarmonicProbe:
-    """Boundary data plus the domain it is harmonic in and evaluation grid."""
-
-    boundary_data: Callable
-    domain: object
-    grid: np.ndarray
 
 
 # largest relative change of a ratio under path or grid refinement that
@@ -162,12 +152,11 @@ def _base_and_refined_means(phi, domain, grid, datas, run_cfg: PathConfig, walk:
     return means_base, means_full, censored
 
 
-def mc_harmonic(phi, probe: HarmonicProbe, cfg: PathConfig) -> list:
-    """E_x[data(X_tau)] with std errors, one McEstimate per grid point.
-
-    The grid is one point of the probe domain's dimension d, shape (d,), or
-    several, shape (n, d).  Every kind marches."""
-    vals, _ = _family_values(phi, probe.domain, probe.grid, [probe.boundary_data], cfg)
+def mc_harmonic(phi, boundary_data: Callable, domain, grid, cfg: PathConfig) -> list:
+    """E_x[boundary_data(X_tau)], tau the exit time of domain, with std
+    errors: one McEstimate per grid point x, of shape (d,) for one point or
+    (n, d) for several, d the domain's dimension.  Every kind marches."""
+    vals, _ = _family_values(phi, domain, grid, [boundary_data], cfg)
     out = []
     for i in range(vals.shape[0]):
         v = vals[i, :, 0]
@@ -319,10 +308,6 @@ class BhpReport:
     delta_paths: float
     censored: int
     passed: bool
-
-    @property
-    def refinement_delta(self) -> float:
-        return self.delta_paths
 
 
 def _bhp_from_means(means: np.ndarray) -> float:

@@ -101,6 +101,8 @@ def subordination_integral(w: Callable, d: int, r: float, gamma: float | None = 
         if gamma >= d / 2.0:
             raise EvaluationDomainError("tail exponent must satisfy gamma < d/2")
     r2 = r * r
+    if not 0.0 < r2 < math.inf:
+        raise EvaluationDomainError(f"radius {r:g} squared leaves the float range")
     log_r2 = math.log(r2)
 
     def head(s):
@@ -143,7 +145,13 @@ def _weight_span(r_lo: float, r_hi: float) -> tuple[float, float]:
     """Times t a weight is tabulated on for radii in [r_lo, r_hi]."""
     if not r_lo > 0.0:
         raise EvaluationDomainError("radius must be positive")
-    return r_lo ** 2 / 1e4, r_hi ** 2 * 1e12
+    try:
+        span = r_lo ** 2 / 1e4, r_hi ** 2 * 1e12
+    except OverflowError:
+        span = 0.0, math.inf
+    if not (span[0] > 0.0 and span[1] < math.inf):
+        raise EvaluationDomainError(f"radii in [{r_lo:g}, {r_hi:g}] leave the float range once squared")
+    return span
 
 
 def _green(phi: CompleteBernsteinFunction, d: int, r_lo: float, r_hi: float) -> Callable[[float], float]:

@@ -89,9 +89,13 @@ def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):
     """
     scalar = np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float)).ravel()
-    if np.any(lam_arr <= 0.0):
-        raise EvaluationDomainError("chi needs lam > 0")
     tansq, w = _de_rule(_CHI_NODES, 3.9 / _CHI_NODES)
+    # tansq ascends and rounding is monotone, so the extreme lam bound every
+    # z; Python floats overflow to inf without a warning
+    lo, hi = (float(lam_arr.min()), float(lam_arr.max())) if lam_arr.size else (1.0, 1.0)
+    if not (lo > 0.0 and lo * lo * float(tansq[0]) > 0.0 and hi * hi * float(tansq[-1]) < math.inf):
+        raise EvaluationDomainError(f"chi needs lam > 0 with lam^2 tan^2(theta) in (0, inf) at "
+                                    f"every node; got lam in [{lo:g}, {hi:g}]")
     z = (lam_arr ** 2)[:, None] * tansq[None, :]
     corr = (_log_slowly_varying(phi, z) @ w) / math.pi
     out = lam_arr ** (phi.alpha / 2.0) * np.exp(corr)
@@ -182,7 +186,6 @@ class IntervalGreenBound:
     plain: float
     min_form: float
     symmetric_form: float
-    note: str
 
 
 def interval_green_mass_bound(
@@ -190,10 +193,10 @@ def interval_green_mass_bound(
 ) -> IntervalGreenBound:
     """Renewal-function bounds on the expected exit time from an interval.
 
-    plain:      2 V(x) V(r)            for the interval (0, r)
-    min_form:   2 V(r) (V(x) ^ V(r-x)) same interval, sharper near both ends
-    symmetric:  2 V(2r) V(r - |x'|)    for (-r, r) seen at x' = x, hence the
-                form used on balls B(0, r) at offset |x'| < r
+    plain:           2 V(x) V(r)            for the interval (0, r)
+    min_form:        2 V(r) (V(x) ^ V(r-x)) same interval, sharper near both ends
+    symmetric_form:  2 V(2r) V(r - |x'|)    for (-r, r) seen at x' = x, hence
+                     the form used on balls B(0, r) at offset |x'| < r
     """
     if not 0.0 < x < r:
         raise EvaluationDomainError("need 0 < x < r")
@@ -202,9 +205,4 @@ def interval_green_mass_bound(
     plain = 2.0 * v_x * v_r
     min_form = 2.0 * v_r * min(v_x, v_rx)
     symmetric = 2.0 * V(2.0 * r) * min(V(r + x), v_rx)
-    return IntervalGreenBound(
-        plain=plain,
-        min_form=min_form,
-        symmetric_form=symmetric,
-        note="plain/min_form bound the interval (0,r); symmetric_form bounds (-r,r) at x",
-    )
+    return IntervalGreenBound(plain=plain, min_form=min_form, symmetric_form=symmetric)

@@ -352,9 +352,13 @@ def test_kind_flags_match_phi_json(capsys, kind):
 def test_kind_choices_come_from_the_registry():
     assert list(KIND_FLAGS) == list(bernstein.JSON_KINDS)
     subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    params = {q.name: q.coerce for k in bernstein.JSON_KINDS for q in bernstein.KINDS[k].params}
     for name, sub in subparsers.items():
         kind = [a for a in sub._actions if "--kind" in a.option_strings]
         assert len(kind) == 1 and tuple(kind[0].choices) == bernstein.JSON_KINDS, name
+        # one flag per parameter name, typed as the kind's JSON value
+        flags = {a.dest: a.type for a in sub._actions if a.dest in params}
+        assert flags == params, name
 
 
 def test_unknown_kind_in_phi_json(capsys):
@@ -441,6 +445,12 @@ def test_version_flag(capsys):
     ["check", "bhp", "--kind", "stable", "--alpha", "1", "--r", "-1", "--paths", "10"],
     *[["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10", "--seed", seed]
       for seed in ("-1", str(2**64))],
+    # lam^2 tan^2(theta) of the chi rule, or r^2 of a kernel, leaves the float range
+    *[["ladder", "v", "--kind", "sum", "--alpha", "1", "--t", t] for t in ("1e-300", "1e200")],
+    ["ladder", "chi", "--kind", "sum", "--alpha", "1", "--lambda", "1e200"],
+    *[["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", r]
+      for r in ("1e-200", "1e160")],
+    ["check", "doubling", "--kind", "stable", "--alpha", "1", "--dim", "1", "--K", "1e160"],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way
@@ -450,6 +460,17 @@ def test_out_of_range_input_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: ")
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_non_finite_inversion_is_numeric_failure(capsys):
+    # mu of log_up at t = 1e-300 sums past the float range: refused with
+    # exit 3 rather than written as inf, and no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["density", "--kind", "log_up", "--alpha", "1", "--t", "1e-300"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("numeric accuracy failure: ") and captured.err.count("\n") == 1
 
 
 def test_radius_message_names_the_given_radius(capsys):

@@ -41,11 +41,8 @@ def test_probe_families_cover_annulus():
 def test_constant_data_is_exactly_one():
     phi = bernstein.stable(1.0)
     dom = mc.Ball(center=(0.0,), radius=1.0)
-    probe = harnack.HarmonicProbe(
-        boundary_data=lambda x: np.ones(x.shape[0]),
-        domain=dom,
-        grid=np.array([[-0.4], [0.0], [0.3]]))
-    ests = harnack.mc_harmonic(phi, probe, _cfg(300))
+    ests = harnack.mc_harmonic(phi, lambda x: np.ones(x.shape[0]), dom,
+                               np.array([[-0.4], [0.0], [0.3]]), _cfg(300))
     for est in ests:
         assert est.mean == 1.0 and est.std_error == 0.0
 
@@ -59,9 +56,8 @@ def test_mc_harmonic_linearity_on_shared_paths():
         return (x[:, 0] >= 1.0).astype(float)
 
     cfg = _cfg(400)
-    u = harnack.mc_harmonic(phi, harnack.HarmonicProbe(base, dom, grid), cfg)
-    three = harnack.mc_harmonic(
-        phi, harnack.HarmonicProbe(lambda x: 3.0 * base(x), dom, grid), cfg)
+    u = harnack.mc_harmonic(phi, base, dom, grid, cfg)
+    three = harnack.mc_harmonic(phi, lambda x: 3.0 * base(x), dom, grid, cfg)
     for a, b in zip(u, three):
         assert b.mean == pytest.approx(3.0 * a.mean, rel=1e-14)
 
@@ -76,10 +72,9 @@ def test_mc_harmonic_dimension_mismatch():
                       (mc.Ball(center=(0.0,), radius=1.0), np.array([[0.1, 0.2]])),
                       (mc.Ball(center=(0.0,), radius=1.0), np.array([0.1, 0.2]))):
         with pytest.raises(EvaluationDomainError, match="shape"):
-            harnack.mc_harmonic(phi, harnack.HarmonicProbe(one, dom, grid), _cfg(10))
+            harnack.mc_harmonic(phi, one, dom, grid, _cfg(10))
     one_point = harnack.mc_harmonic(
-        phi, harnack.HarmonicProbe(one, mc.Ball(center=(0.0, 0.0), radius=1.0), [0.1, 0.2]),
-        _cfg(10))
+        phi, one, mc.Ball(center=(0.0, 0.0), radius=1.0), [0.1, 0.2], _cfg(10))
     assert len(one_point) == 1 and one_point[0].mean == 1.0
 
 

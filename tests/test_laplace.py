@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,3 +54,23 @@ def test_stehfest_residual():
     vals, residual = laplace.stehfest_with_residual(lambda s: s**-0.5, t)
     np.testing.assert_allclose(vals, t**-0.5 / math.gamma(0.5), rtol=1e-6)
     assert residual < 1e-4
+
+
+def _nan_on_check_rule(s):
+    check = s.shape[-1] in (laplace._TALBOT_CHECK_NODES, laplace._STEHFEST_CHECK_TERMS)
+    return np.full(np.shape(s), math.nan) if check else 1.0 / (s + 1.0)
+
+
+@pytest.mark.parametrize("transform", [
+    lambda s: np.full(np.shape(s), math.nan, dtype=np.result_type(s)),
+    lambda s: np.full(np.shape(s), math.inf, dtype=np.result_type(s)),
+    _nan_on_check_rule,  # finite values, NaN residual
+], ids=["nan", "inf", "nan_check_rule"])
+def test_non_finite_inversion_is_refused(transform):
+    # no residual can certify a NaN or inf: both paired rules refuse, and
+    # without a warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rule in (laplace.talbot_with_residual, laplace.stehfest_with_residual):
+            with pytest.raises(NumericAccuracyError):
+                rule(transform, np.array([0.5, 1.0]))
