@@ -107,7 +107,8 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig, walk: bool = False
     Ratios of the resulting means are far less noisy than with independent
     paths, while each mean stays an unbiased standalone estimate.  All
     starts march in one run, so the straggler tail is paid once per batch
-    rather than once per start.
+    rather than once per start, and rows that share a path id share every
+    draw, which the march and the walk make once per id, not once per start.
 
     The march couples paths by shift: path i moves by the same increments
     from every start.  Walk-on-spheres (``walk``, taken by the stable kind

@@ -89,7 +89,8 @@ def subordination_integral(w: Callable, d: int, r: float, gamma: float | None = 
     """int_0^inf (4 pi t)**(-d/2) exp(-r**2/(4t)) w(t) dt for decreasing w.
 
     In d <= 2 the tail only converges under a declared decay w(t) <= c*t**(gamma-1)
-    with gamma < d/2, so the caller must state gamma there.
+    with gamma < d/2, so the caller must state gamma there.  A radius whose
+    integrand or integral leaves the float range raises EvaluationDomainError.
     """
     if d < 1:
         raise EvaluationDomainError("dimension must be a positive integer")
@@ -124,21 +125,30 @@ def subordination_integral(w: Callable, d: int, r: float, gamma: float | None = 
     # d >= 3), a geometric decay in y whose rate the last unit step measures,
     # so the rest is closed
     y_cut = max(690.0 - log_r2, 0.0)
-    head_val, _ = _panel(head, 0.25, np.inf)
-    tail_val, _ = _panel(lambda y: 0.0 if log_r2 + y > 690.0 else tail_at(y), 0.0, np.inf)
-    f_cut = tail_at(y_cut)
-    if f_cut == 0.0:
-        return head_val + tail_val
-    declared = d / 2.0 - gamma if d <= 2 else d / 2.0 - 1.0
-    rate = math.log(tail_at(y_cut - 1.0) / f_cut)
-    # a tabulated weight is continued with its end slope, which need not have
-    # reached the limit (0.87 of the declared rate for sum_of_stables(0.9,
-    # 0.85) in d = 1), so only a rate under half the declared one is refused
-    if not rate >= 0.5 * declared:
-        raise NumericAccuracyError(
-            f"subordination integrand decays past t = e^690 at rate {rate:.3g} in log t, "
-            f"under half the declared {declared:.3g}")
-    return head_val + tail_val + f_cut / rate
+    # a small radius can push the integrand, or the integral, past the float
+    # range; either is refused rather than returned as inf
+    try:
+        head_val, _ = _panel(head, 0.25, np.inf)
+        tail_val, _ = _panel(lambda y: 0.0 if log_r2 + y > 690.0 else tail_at(y), 0.0, np.inf)
+        f_cut = tail_at(y_cut)
+    except OverflowError:
+        raise EvaluationDomainError(f"the integrand at radius {r:g} leaves the float range") from None
+    total = head_val + tail_val
+    if f_cut != 0.0:
+        declared = d / 2.0 - gamma if d <= 2 else d / 2.0 - 1.0
+        rate = math.log(tail_at(y_cut - 1.0) / f_cut)
+        # a tabulated weight is continued with its end slope, which need not
+        # have reached the limit (0.87 of the declared rate for
+        # sum_of_stables(0.9, 0.85) in d = 1), so only a rate under half the
+        # declared one is refused
+        if not rate >= 0.5 * declared:
+            raise NumericAccuracyError(
+                f"subordination integrand decays past t = e^690 at rate {rate:.3g} in log t, "
+                f"under half the declared {declared:.3g}")
+        total += f_cut / rate
+    if not math.isfinite(total):
+        raise EvaluationDomainError(f"the kernel at radius {r:g} leaves the float range")
+    return total
 
 
 def _weight_span(r_lo: float, r_hi: float) -> tuple[float, float]:

@@ -18,14 +18,16 @@ config no matter how paths are batched.  Estimators reduce over arrays
 assembled in path order.
 
 Paths march in chunks, one loop for both samplers: one Philox call per
-channel draws m skeleton steps of every live path, m being about
+channel draws m skeleton steps of every live path id, m being about
 _BATCH_SIZE over the live count times the sub-moves per step (at most
-_MAX_CHUNK_STEPS).  A compound step's sub-moves are its jumps in order,
-padding of -0.0 (the exact additive identity) up to the step's largest jump
-count, and the drift move; an exact step has one.  Running sums of the live
-positions and the sub-moves give every intermediate position bit for bit as
-repeated += would, and the first sub-move outside settles each exit; draws
-past a path's exit within its chunk are discarded.
+_MAX_CHUNK_STEPS); rows that share a path id (the start points of a probe
+family) copy its draws instead of repeating them.  A compound step's
+sub-moves are its jumps in order, padding of -0.0 (the exact additive
+identity) up to the step's largest jump count, and the drift move; an exact
+step has one.  Running sums of the live positions and the sub-moves give
+every intermediate position bit for bit as repeated += would, and the first
+sub-move outside settles each exit; draws past a path's exit within its
+chunk are discarded.
 
 Every domain answers one geometric question, its signed gap to the
 boundary: gap(x) > 0 strictly inside, <= 0 on the closed complement and < 0
@@ -413,14 +415,48 @@ _MAX_CHUNK_STEPS = 256
 _ROW_ADD_MIN = 384
 
 
+def _id_columns(ids: np.ndarray):
+    """How the rows of a batch share path ids: the smallest id, each row's
+    offset from it and the span of the offsets.  None means that every row
+    draws for its own id, as it does when no two rows share one and when
+    the ids spread over at least twice as many values as there are rows (no
+    caller shares ids that sparsely; drawing per row gives the same bits).
+    A table over the span, not a sort, finds the distinct ids."""
+    lo = ids.min()
+    if ids.max() - lo >= 2 * ids.size:
+        return None
+    offset = (ids - lo).astype(np.intp)
+    span = int(offset.max()) + 1
+    present = np.zeros(span, dtype=bool)
+    present[offset] = True
+    return None if np.count_nonzero(present) == ids.size else (lo, offset, span)
+
+
+def _live_draws(ids: np.ndarray, columns, live: np.ndarray):
+    """The path ids that the batch rows ``live`` draw for, each once, and
+    the column of those draws that each live row copies; the columns are
+    None, and every row draws for its own id, when ``columns`` (from
+    _id_columns) is None."""
+    if columns is None:
+        return ids[live], None
+    lo, offset, span = columns
+    off = offset[live]
+    present = np.zeros(span, dtype=bool)
+    present[off] = True
+    return np.flatnonzero(present).astype(np.uint64) + lo, (np.cumsum(present) - 1)[off]
+
+
 def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     """March one batch of paths to exit; returns per-path records.
 
     ``starts`` has one row per path.  Returns (tau, exit position, exited by
-    jump), with tau NaN for paths still inside at the horizon.
+    jump), with tau NaN for paths still inside at the horizon.  Each chunk
+    draws the moves of every live path id once and copies them to every
+    live row that carries the id.
     """
     d = domain.d
     n = ids.size
+    columns = _id_columns(ids)
     x = np.array(starts, dtype=float, copy=True)
     tau = np.full(n, np.nan)
     pos = np.full((n, d), np.nan)
@@ -439,14 +475,15 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
         budget = max(_BATCH_SIZE // live.size, 1)  # sub-moves per path
         m = min(max(int(budget / mean_width), 1), _MAX_CHUNK_STEPS, n_steps - k)
         steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
-        grid = np.broadcast_to(ids[live], (m, live.size))
+        draw_ids, cols = _live_draws(ids, columns, live)
+        grid = np.broadcast_to(draw_ids, (m, draw_ids.size))
         if compound:
             counts = inc.jump_counts(steps, grid)
             m = max(int(np.searchsorted(np.cumsum(counts.max(axis=1) + 1), budget, "right")), 1)
             counts, steps, grid = counts[:m], steps[:m], grid[:m]
             scale = math.sqrt(2.0 * inc.drift)
         else:  # no jump slots: the one sub-move moves by the Kanter increment
-            counts = np.zeros((m, live.size), dtype=np.intp)
+            counts = np.zeros((m, draw_ids.size), dtype=np.intp)
             scale = np.sqrt(2.0 * inc.exact(steps, grid))[..., None]
         widths = counts.max(axis=1) + 1
         ends = np.cumsum(widths)
@@ -455,12 +492,17 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
         path = np.empty((rows + 1, live.size, d))
         path[0] = x[live]
         moves = path[1:]
-        moves[:] = -0.0  # padding after a step's last jump: x + -0.0 is x
+        # one column of moves per drawn id, copied below to its rows
+        drawn = moves if cols is None else np.empty((rows, draw_ids.size, d))
+        drawn[:] = -0.0  # padding after a step's last jump: x + -0.0 is x
         for j in range(int(widths.max()) - 1):
             s, p = np.nonzero(counts > j)
             sizes, z = inc.jump(j, steps[s, 0], grid[s, p], d)
-            moves[begin[s] + j, p] = np.sqrt(2.0 * sizes)[:, None] * z
-        moves[ends - 1] = scale * inc.stream.normals(steps, grid, d)
+            drawn[begin[s] + j, p] = np.sqrt(2.0 * sizes)[:, None] * z
+        drawn[ends - 1] = scale * inc.stream.normals(steps, grid, d)
+        if cols is not None:
+            np.take(drawn, cols, axis=1, out=moves, mode="clip")
+            counts = counts[:, cols]
         if live.size * d < _ROW_ADD_MIN:
             np.cumsum(path, axis=0, out=path)
         else:  # the same sums, in order
@@ -491,7 +533,9 @@ def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
 
     Row i draws its noise from path id ``ids_all[i]`` (default i); a path's
     record depends only on its start and its id, never on the batching.
-    Returns one _simulate_batch record per batch.
+    Rows that share an id share every draw, and a chunk makes each draw
+    once, for the id, not once per row.  Returns one _simulate_batch record
+    per batch.
     """
     inc = _Increments(phi, cfg, cfg.step)
     n = starts_all.shape[0]
@@ -506,7 +550,9 @@ def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
 
 def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
     """Walk every row of ``starts_all`` on spheres to its exit position,
-    _BATCH_SIZE rows at a time; ids as in _run_batches.
+    _BATCH_SIZE rows at a time; ids as in _run_batches, so rows that share
+    an id share every sphere's draws, and each sphere's radius multiple and
+    direction are drawn once per id.
 
     Returns (positions, stopped); a row not stopped was censored after
     ceil(cfg.horizon/cfg.step) spheres.
@@ -521,15 +567,20 @@ def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
     stopped = gap <= 0.0
     n_spheres = int(math.ceil(cfg.horizon / cfg.step))
     for lo in range(0, n, _BATCH_SIZE):
-        live = np.arange(lo, min(lo + _BATCH_SIZE, n))
+        ids = ids_all[lo : lo + _BATCH_SIZE]
+        columns = _id_columns(ids)
+        live = np.arange(lo, lo + ids.size)
         live = live[~stopped[live]]
         for k in range(n_spheres):
             if live.size == 0:
                 break
-            ids = ids_all[live]
-            u, _ = stream.uniform_pair(rng.CH_WOS, k, ids)
-            z = stream.normals(k, ids, domain.d, base_channel=rng.CH_WOS + 1)
-            reach = gap[live] / np.sqrt(betaincinv(a, 1.0 - a, u))
+            draw_ids, cols = _live_draws(ids, columns, live - lo)
+            u, _ = stream.uniform_pair(rng.CH_WOS, k, draw_ids)
+            z = stream.normals(k, draw_ids, domain.d, base_channel=rng.CH_WOS + 1)
+            root = np.sqrt(betaincinv(a, 1.0 - a, u))
+            if cols is not None:
+                root, z = root[cols], z[cols]
+            reach = gap[live] / root
             x[live] += (reach / np.linalg.norm(z, axis=1))[:, None] * z
             gap[live] = domain.gap(x[live])
             stopped[live] = gap[live] <= 0.0

@@ -473,6 +473,19 @@ def test_non_finite_inversion_is_numeric_failure(capsys):
     assert captured.err.startswith("numeric accuracy failure: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r", ["1e-110", "1e-80", "1e-60"])
+def test_kernel_past_float_range_is_usage_error(capsys, r):
+    # G or J of the table would overflow to inf (or its integrand would
+    # raise OverflowError): refused with exit 2, nothing written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", r])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "float range" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_radius_message_names_the_given_radius(capsys):
     # the checks scale r to 2r or 17r; the refusal reports r itself
     for which in ("bhp", "harnack"):

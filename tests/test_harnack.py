@@ -118,6 +118,8 @@ def _report_digest(rep) -> str:
      "6ffd736bd72a769005b563835c454e24693dfd41cd1b6a2dcafb494b66697996"),
     (lambda: harnack.bhp_ratio_check(bernstein.stable(1.0), 0.05, 90, 7),
      "9d238aed190a1a50cd3f6e9f5f49266afbc239021e6f5e6a94b69e72a09ed314"),
+    (lambda: harnack.bhp_ratio_check(bernstein.stable(1.0), 0.05, 90, 7, domain="halfdisk"),
+     "6b0818c7447f2304f54451f4628697c6db1b33ba5906913eee9a1ce95a337c5e"),
     (lambda: harnack.carleson_check(bernstein.stable(1.0), mc.Interval(0.0, 1.0), 0.0, 0.05,
                                     90, 9),
      "0fed27e6e97f7a7842b94a7b4ceeeec1dee98732e6546ede2699f4adc02f8995"),
@@ -127,7 +129,7 @@ def _report_digest(rep) -> str:
                                        60, 13),
      "029d3bcfac99b79bb853743406c848a17d440d5dea135cb0bef90e5f9b70bc9e"),
 ], ids=["harnack-stable-d2-walked", "harnack-relativistic-d1-marched", "bhp-interval",
-        "carleson-q0", "exit-bounds-stable", "exit-bounds-relativistic"])
+        "bhp-halfdisk", "carleson-q0", "exit-bounds-stable", "exit-bounds-relativistic"])
 def test_scaled_check_report_bits_pinned(check, digest):
     # every field of the whole report, for the four checks that size their
     # own skeleton with scaled_config

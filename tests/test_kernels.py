@@ -6,7 +6,7 @@ import pytest
 from scipy.special import kv
 
 from sbmpot import bernstein, kernels
-from sbmpot.errors import NotTransientError, NumericAccuracyError
+from sbmpot.errors import EvaluationDomainError, NotTransientError, NumericAccuracyError
 
 
 def _riesz_green_constant(d: int, alpha: float) -> float:
@@ -132,6 +132,23 @@ def test_subordination_integral_refuses_slower_decay_than_declared():
     # 0.05, so the declaration is broken and the rest cannot be trusted
     with pytest.raises(NumericAccuracyError, match="under half the declared"):
         kernels.subordination_integral(lambda t: t ** -0.55, 1, 1.0, gamma=0.3)
+
+
+@pytest.mark.parametrize("r, g_finite", [(1e-110, False), (1e-80, False), (1e-60, True)])
+def test_kernels_past_float_range_are_refused(r, g_finite):
+    # in d = 3 the stable alpha = 1 kernels are G = 1/(2 pi^2 r^2) and
+    # j = 1/(pi^2 r^4): at 1e-110 the head integrand overflows, at 1e-80
+    # both quadratures sum to inf (G, about 5e158, would still be a float),
+    # and at 1e-60 only j's does
+    phi = bernstein.stable(1.0)
+    with pytest.raises(EvaluationDomainError, match="float range"):
+        kernels.jump_kernel(phi, 3, r)
+    if g_finite:
+        assert kernels.green_function(phi, 3, r) * r**2 == pytest.approx(
+            1.0 / (2.0 * math.pi**2), rel=1e-6)
+    else:
+        with pytest.raises(EvaluationDomainError, match="float range"):
+            kernels.green_function(phi, 3, r)
 
 
 @pytest.mark.parametrize("d, beta", [(1, 0.75), (2, 0.5), (3, 0.5), (3, 0.0)])

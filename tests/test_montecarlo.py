@@ -584,6 +584,51 @@ def test_wos_records_ignore_batching_and_extend_by_prefix(monkeypatch):
         assert np.array_equal(base[1][rows], small[1][50 * i: 50 * (i + 1)])
 
 
+def _partly_shared_ids(n, spread, seed=3):
+    """Ids of three starts: each takes n distinct ids in shuffled order from
+    a pool of 2n ids past 2**40, ``spread`` apart, so the starts share about
+    half."""
+    g = np.random.default_rng(seed)
+    pool = 2**40 + 3 + spread * np.arange(2 * n, dtype=np.uint64)
+    return [g.choice(pool, size=n, replace=False) for _ in range(3)]
+
+
+@pytest.mark.parametrize("spread", [1, 2**20])
+@pytest.mark.parametrize("batch_size", [16384, 70])
+@pytest.mark.parametrize("how", ["exact", "compound", "walk"])
+def test_shared_ids_give_the_records_of_separate_runs(monkeypatch, how, batch_size, spread):
+    # a family of starts that share path ids, as _family_values runs it,
+    # gives every row the bits of a run of its start alone; the last start
+    # lies on the boundary, and batches of 70 rows split the family inside
+    # its second start.  Dense ids draw once per id, sparse ones once per row
+    phi, d, step = {"exact": (bernstein.stable(1.5), 2, 1e-2),
+                    "compound": (bernstein.sum_of_stables(1.0, 0.5), 3, 2e-3),
+                    "walk": (bernstein.stable(1.5), 2, 1e-2)}[how]
+    domain = mc.Ball(center=(0.0,) * d, radius=1.0)
+    n, cfg = 40, _cfg(paths=40, seed=19, step=step)
+    starts = np.zeros((3, d))
+    starts[0, 0], starts[1, -1], starts[2, 0] = 0.3, -0.6, 1.0
+    ids = _partly_shared_ids(n, spread)
+    assert 0 < len(set(ids[0]) & set(ids[1])) < n
+    assert not np.array_equal(np.sort(ids[0]), ids[0])
+    assert (mc._id_columns(np.concatenate(ids)) is None) == (spread > 1)
+    monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
+
+    def records(rows, row_ids):
+        if how == "walk":
+            return mc._walk_on_spheres(phi, domain, rows, cfg, row_ids)
+        return tuple(map(np.concatenate, zip(*mc._run_batches(phi, domain, rows, cfg, row_ids))))
+
+    family = records(np.repeat(starts, n, axis=0), np.concatenate(ids))
+    alone = [records(np.tile(x0, (n, 1)), row_ids) for x0, row_ids in zip(starts, ids)]
+    for field, parts in zip(family, zip(*alone)):
+        assert field.tobytes() == np.concatenate(parts).tobytes()
+    if how == "walk":
+        assert np.all(family[1][2 * n:]) and np.all(family[0][2 * n:] == starts[2])
+    else:
+        assert np.all(family[0][2 * n:] == 0.0) and not np.any(np.isnan(family[0]))
+
+
 def test_wos_boundary_start_exits_at_start():
     for start in ([1.0], [-1.0]):
         pos, stopped = _wos(1.0, start, 20)
