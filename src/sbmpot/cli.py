@@ -1,17 +1,21 @@
 """Command-line interface: evaluate, tabulate, check, simulate.
 
-Each command writes one table, built as columns: CSV is a header plus one
-line per row (an empty table is one newline), JSON a list of row objects.
-A check is a one-row table; ``simulate exit`` writes one CSV row per
-uncensored path, or its mean exit time as JSON.
+COMMANDS maps each command, or mode of ``ladder``, ``check`` and
+``simulate``, to a row builder ``(phi, args) -> table`` and the flags it
+reads.  The parser is derived from it, so a mode takes only its own flags
+besides the exponent flags, --format and --output.  A table is built as
+columns: CSV is a header plus one line per row (an empty table is one
+newline), JSON a list of row objects.  A check is a one-row table;
+``simulate exit`` writes one CSV row per uncensored path, or its mean exit
+time as JSON.
 
 Every command is a pure function of (flags, seed): outputs are bit-identical
 across re-runs.  When --output is given a manifest JSON (command, flags,
-seed, artifact_version, timestamp) is written alongside the artifact, and
---from-manifest replays the stored flags verbatim.
+seed or null, artifact_version, timestamp) is written alongside the
+artifact, and --from-manifest replays the stored flags verbatim.
 
-Exit codes: 0 pass, 1 check failed, 2 usage or configuration error,
-3 numeric-accuracy failure.
+Exit codes: 0 pass, 1 check failed (a false cell in the table's ``pass``
+column), 2 usage or configuration error, 3 numeric-accuracy failure.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -113,14 +118,13 @@ def _emit(table: dict, args, argv: list[str]) -> None:
 
 
 def _phi_from_args(args):
-    if getattr(args, "phi", None):
+    if args.phi:
         return phi_from_json(args.phi)
-    kind = getattr(args, "kind", None)
-    if kind is None:
+    if args.kind is None:
         raise ConstructionError("provide --kind or --phi <json>")
     # every catalog parameter has a flag of the same name
-    spec = {"kind": kind}
-    for p in KINDS[kind].params:
+    spec = {"kind": args.kind}
+    for p in KINDS[args.kind].params:
         if getattr(args, p.name) is not None:
             spec[p.name] = getattr(args, p.name)
     return phi_from_json(spec)
@@ -137,13 +141,19 @@ def _add_phi_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", type=q.coerce, default=defaults.get(name))
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", default=None)
+def _point(args, point, lo_name, hi_name):
+    """--<point>, or None; refused together with either bound of its range."""
+    value = getattr(args, point)
+    if value is not None and (getattr(args, lo_name) is not None
+                              or getattr(args, hi_name) is not None):
+        raise ConstructionError(f"give --{point} or --{lo_name}/--{hi_name}, not both")
+    return value
 
 
-def _grid(args, single, lo_name, hi_name, default_lo=None, default_hi=None):
-    """[single] when given, else points geometric between --<lo_name> and --<hi_name>."""
+def _grid(args, point, lo_name, hi_name, default_lo=None, default_hi=None):
+    """[--<point>] when given, else --points geometric between --<lo_name>
+    and --<hi_name>; a range without defaults needs both bounds."""
+    single = _point(args, point, lo_name, hi_name)
     if single is not None:
         if not 0.0 < single < math.inf:
             raise ConstructionError(f"the point must lie in (0, inf), not {single:g}")
@@ -151,6 +161,8 @@ def _grid(args, single, lo_name, hi_name, default_lo=None, default_hi=None):
     lo, hi = getattr(args, lo_name), getattr(args, hi_name)
     lo = default_lo if lo is None else lo
     hi = default_hi if hi is None else hi
+    if lo is None or hi is None:
+        raise ConstructionError(f"need --{point}, or both --{lo_name} and --{hi_name}")
     if not 0.0 < lo < hi < math.inf:
         raise ConstructionError(f"need 0 < --{lo_name} < --{hi_name} < inf, got {lo:g} and {hi:g}")
     if args.points < 1:
@@ -158,109 +170,98 @@ def _grid(args, single, lo_name, hi_name, default_lo=None, default_hi=None):
     return np.geomspace(lo, hi, args.points)
 
 
-def _cmd_phi(args, argv) -> int:
-    phi = _phi_from_args(args)
-    grid = _grid(args, args.lam, "lmin", "lmax", 1e-2, 1e2)
+# Row builders, (phi, args) -> table.  Each reads only the flags its entry of
+# COMMANDS lists, and calls the library through this module's globals at call
+# time, so a name patched on the module is the one that runs.
+
+
+def _phi_rows(phi, args) -> dict:
+    grid = _grid(args, "lambda", "lmin", "lmax", 1e-2, 1e2)
     vals = np.atleast_1d(phi(grid))
     # ell stays scalar: an array power may round differently from pow
     ell = [v / lam ** (phi.alpha / 2.0) for lam, v in zip(grid, vals)]
-    _emit({"lambda": grid, "phi": vals, "psi": grid / vals, "ell": ell}, args, argv)
-    return 0
+    return {"lambda": grid, "phi": vals, "psi": grid / vals, "ell": ell}
 
 
-def _cmd_density(args, argv) -> int:
-    phi = _phi_from_args(args)
-    grid = _grid(args, args.t, "tmin", "tmax", 1e-3, 1.0)
-    _emit(density_table(phi, grid), args, argv)
-    return 0
+def _density_rows(phi, args) -> dict:
+    return density_table(phi, _grid(args, "t", "tmin", "tmax", 1e-3, 1.0))
 
 
-def _cmd_kernel(args, argv) -> int:
-    phi = _phi_from_args(args)
-    d = args.dim
-    if args.r is not None:
-        r = args.r
-        g = green_function(phi, d, r)
-        j = jump_kernel(phi, d, r)
-        pr = float(phi(r**-2.0))
-        table = {"r": [r], "G": [g], "J": [j],
-                 "g_ratio": [g * r**d * pr], "j_ratio": [j * r**d / pr]}
-    else:
+def _kernel_rows(phi, args) -> dict:
+    d, r = args.dim, _point(args, "r", "rmin", "rmax")
+    if r is None:
         r_min = 1e-2 if args.rmin is None else args.rmin
         r_max = 1.0 if args.rmax is None else args.rmax
-        table = build_kernel_table(phi, d, r_min, r_max, args.points).columns(phi)
-    _emit(table, args, argv)
-    return 0
+        return build_kernel_table(phi, d, r_min, r_max, args.points).columns(phi)
+    g = green_function(phi, d, r)
+    j = jump_kernel(phi, d, r)
+    pr = float(phi(r**-2.0))
+    return {"r": [r], "G": [g], "J": [j], "g_ratio": [g * r**d * pr], "j_ratio": [j * r**d / pr]}
 
 
-def _cmd_ladder(args, argv) -> int:
-    phi = _phi_from_args(args)
-    if args.which == "chi":
-        grid = _grid(args, args.lam, "lmin", "lmax", 1e-2, 1e2)
-        chi = np.atleast_1d(ladder_exponent_chi(phi, grid))
-        ref = np.sqrt(np.atleast_1d(phi(grid**2)))
-        table = {"lambda": grid, "chi": chi, "sqrt_phi_lambda2": ref, "ratio": chi / ref}
-    elif args.which == "v":
-        grid = _grid(args, args.t, "tmin", "tmax", 1e-2, 1.0)
-        table = {"t": grid, "v_ladder": np.atleast_1d(ladder_density_v(phi, grid)),
-                 "V": np.atleast_1d(renewal_function_V(phi, grid))}
-    else:
-        if args.x is None or args.y is None:
-            raise ConstructionError("halfline needs --x and --y")
-        both = args.ymin is not None and args.ymax is not None
-        ys = _grid(args, None if both else args.y, "ymin", "ymax")
-        table = {"x": [args.x] * ys.size, "y": ys,
-                 "G_halfline": [halfline_green(phi, args.x, y) for y in ys.tolist()]}
-    _emit(table, args, argv)
-    return 0
+def _chi_rows(phi, args) -> dict:
+    grid = _grid(args, "lambda", "lmin", "lmax", 1e-2, 1e2)
+    chi = np.atleast_1d(ladder_exponent_chi(phi, grid))
+    ref = np.sqrt(np.atleast_1d(phi(grid**2)))
+    return {"lambda": grid, "chi": chi, "sqrt_phi_lambda2": ref, "ratio": chi / ref}
 
 
-def _cmd_check(args, argv) -> int:
-    phi = _phi_from_args(args)
-    which = args.which
-    if which == "sandwich":
-        mn, mx = chi_sandwich_check(phi)
-        passed = SANDWICH_LO - 1e-9 <= mn and mx <= SANDWICH_HI + 1e-9
-        table = {"check": ["sandwich"], "min": [mn], "max": [mx],
-                 "lo_bound": [SANDWICH_LO], "hi_bound": [SANDWICH_HI], "pass": [passed]}
-    elif which == "zahle":
-        rep = zahle_upper_check(phi)
-        passed = rep.passed
-        table = {"check": ["zahle"], "max_product": [rep.max_product],
-                 "min_product": [rep.min_product], "bound": [ZAHLE_BOUND], "pass": [passed]}
-    elif which == "doubling":
-        doubling, shift = j_doubling_and_shift(phi, args.dim, args.K)
-        passed = bool(np.isfinite(doubling) and np.isfinite(shift) and doubling > 0.0)
-        table = {"check": ["doubling"], "dim": [args.dim], "K": [args.K],
-                 "doubling": [doubling], "shift": [shift], "pass": [passed]}
-    elif which == "asym":
-        windows = [u_asymptotic_ratio(phi), mu_asymptotic_ratio(phi),
-                   g_asymptotic_ratio(phi, args.dim), j_asymptotic_ratio(phi, args.dim)]
-        spread = [win.spread for win in windows]
-        ok = [bool(np.isfinite(s) and s < 1e3) for s in spread]
-        passed = all(ok)
-        table = {"check": ["asym"] * 4, "quantity": ["u", "mu", "G", "j"],
-                 "lo": [win.lo for win in windows], "hi": [win.hi for win in windows],
-                 "spread": spread, "pass": ok}
-    elif which == "harnack":
-        rep = harnack_ratio(phi, args.dim, args.r, args.paths, args.seed, args.eps)
-        passed = rep.passed
-        table = {"check": ["harnack"], "dim": [args.dim], "r": [args.r],
-                 "ratio": [rep.ratio], "refinement_delta": [rep.refinement_delta],
-                 "delta_paths": [rep.delta_paths], "delta_grid": [rep.delta_grid],
-                 "pass": [passed]}
-    else:
-        rep = bhp_ratio_check(phi, args.r, args.paths, args.seed, args.eps, domain=args.domain)
-        passed = rep.passed
-        table = {"check": ["bhp"], "domain": [args.domain], "r": [args.r],
-                 "ratio": [rep.spread], "refinement_delta": [rep.delta_paths],
-                 "pass": [passed]}
-    _emit(table, args, argv)
-    return 0 if passed else 1
+def _v_rows(phi, args) -> dict:
+    grid = _grid(args, "t", "tmin", "tmax", 1e-2, 1.0)
+    return {"t": grid, "v_ladder": np.atleast_1d(ladder_density_v(phi, grid)),
+            "V": np.atleast_1d(renewal_function_V(phi, grid))}
 
 
-def _cmd_simulate(args, argv) -> int:
-    phi = _phi_from_args(args)
+def _halfline_rows(phi, args) -> dict:
+    ys = _grid(args, "y", "ymin", "ymax")
+    return {"x": [args.x] * ys.size, "y": ys,
+            "G_halfline": [halfline_green(phi, args.x, y) for y in ys.tolist()]}
+
+
+def _sandwich_rows(phi, args) -> dict:
+    mn, mx = chi_sandwich_check(phi)
+    return {"check": ["sandwich"], "min": [mn], "max": [mx],
+            "lo_bound": [SANDWICH_LO], "hi_bound": [SANDWICH_HI],
+            "pass": [SANDWICH_LO - 1e-9 <= mn and mx <= SANDWICH_HI + 1e-9]}
+
+
+def _zahle_rows(phi, args) -> dict:
+    rep = zahle_upper_check(phi)
+    return {"check": ["zahle"], "max_product": [rep.max_product],
+            "min_product": [rep.min_product], "bound": [ZAHLE_BOUND], "pass": [rep.passed]}
+
+
+def _doubling_rows(phi, args) -> dict:
+    doubling, shift = j_doubling_and_shift(phi, args.dim, args.K)
+    passed = bool(np.isfinite(doubling) and np.isfinite(shift) and doubling > 0.0)
+    return {"check": ["doubling"], "dim": [args.dim], "K": [args.K],
+            "doubling": [doubling], "shift": [shift], "pass": [passed]}
+
+
+def _asym_rows(phi, args) -> dict:
+    windows = [u_asymptotic_ratio(phi), mu_asymptotic_ratio(phi),
+               g_asymptotic_ratio(phi, args.dim), j_asymptotic_ratio(phi, args.dim)]
+    spread = [win.spread for win in windows]
+    return {"check": ["asym"] * 4, "quantity": ["u", "mu", "G", "j"],
+            "lo": [win.lo for win in windows], "hi": [win.hi for win in windows],
+            "spread": spread, "pass": [bool(np.isfinite(s) and s < 1e3) for s in spread]}
+
+
+def _harnack_rows(phi, args) -> dict:
+    rep = harnack_ratio(phi, args.dim, args.r, args.paths, args.seed, args.eps)
+    return {"check": ["harnack"], "dim": [args.dim], "r": [args.r], "ratio": [rep.ratio],
+            "refinement_delta": [max(rep.delta_paths, rep.delta_grid)],
+            "delta_paths": [rep.delta_paths], "delta_grid": [rep.delta_grid],
+            "pass": [rep.passed]}
+
+
+def _bhp_rows(phi, args) -> dict:
+    rep = bhp_ratio_check(phi, args.r, args.paths, args.seed, args.eps, domain=args.domain)
+    return {"check": ["bhp"], "domain": [args.domain], "r": [args.r], "ratio": [rep.spread],
+            "refinement_delta": [rep.delta_paths], "pass": [rep.passed]}
+
+
+def _exit_rows(phi, args) -> dict:
     d = args.dim
     try:
         x0 = [float(s) for s in str(args.x0).split(",")]
@@ -271,104 +272,101 @@ def _cmd_simulate(args, argv) -> int:
     base = scaled_config(phi, args.radius, args.paths, args.seed, epsilon=args.eps)
     cfg = replace(base, step=base.step if args.step is None else args.step,
                   horizon=base.horizon if args.horizon is None else args.horizon)
-    domain = Ball(center=(0.0,) * d, radius=args.radius)
-    sample = simulate_exits(phi, domain, x0, cfg)
+    sample = simulate_exits(phi, Ball(center=(0.0,) * d, radius=args.radius), x0, cfg)
     if args.format == "csv":
-        table = {"path": np.arange(sample.tau.size), "tau": sample.tau,
-                 **{f"x{k + 1}": sample.exit_position[:, k] for k in range(d)},
-                 "exited_by_jump": sample.exited_by_jump}
-    else:
-        est = sample.mean_tau()
-        table = {"mean": [est.mean], "std_error": [est.std_error],
-                 "n": [est.n], "censored": [sample.censored]}
-    _emit(table, args, argv)
-    return 0
+        return {"path": np.arange(sample.tau.size), "tau": sample.tau,
+                **{f"x{k + 1}": sample.exit_position[:, k] for k in range(d)},
+                "exited_by_jump": sample.exited_by_jump}
+    est = sample.mean_tau()
+    return {"mean": [est.mean], "std_error": [est.std_error],
+            "n": [est.n], "censored": [sample.censored]}
+
+
+# Every flag a command may read, declared once as its argparse keywords; an
+# entry of COMMANDS may replace some of them for its own parser.
+_FLAGS = {
+    **{name: {"type": float} for name in ("lambda", "lmin", "lmax", "t", "tmin", "tmax", "rmin",
+                                         "rmax", "y", "ymin", "ymax", "step", "horizon")},
+    "r": {"type": float, "default": 0.05},
+    "x": {"type": float, "required": True},
+    "points": {"type": int, "default": 25},
+    "dim": {"type": int, "default": 1},
+    "K": {"type": float, "default": 2.0},
+    "paths": {"type": int, "default": 1200},
+    "seed": {"type": int, "default": 0},
+    "eps": {"type": float, "default": 1e-4},
+    "domain": {"choices": ["interval", "halfdisk"], "default": "interval"},
+    "radius": {"type": float, "default": 1.0},
+    "x0": {"default": "0"},
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``sbmpot`` command, or mode of one: its row builder, the flags it
+    reads besides the exponent flags, --format and --output, and the argparse
+    keywords that replace _FLAGS' for it."""
+
+    build: Callable  # (phi, args) -> table of equal-length columns
+    flags: tuple = ()
+    overrides: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "phi": Command(_phi_rows, ("lambda", "lmin", "lmax", "points")),
+    "density": Command(_density_rows, ("t", "tmin", "tmax", "points")),
+    "kernel": Command(_kernel_rows, ("dim", "r", "rmin", "rmax", "points"),
+                      {"dim": {"required": True}, "r": {"default": None}, "points": {"default": 20}}),
+    "ladder chi": Command(_chi_rows, ("lambda", "lmin", "lmax", "points")),
+    "ladder v": Command(_v_rows, ("t", "tmin", "tmax", "points")),
+    "ladder halfline": Command(_halfline_rows, ("x", "y", "ymin", "ymax", "points")),
+    "check sandwich": Command(_sandwich_rows),
+    "check zahle": Command(_zahle_rows),
+    "check doubling": Command(_doubling_rows, ("dim", "K")),
+    "check asym": Command(_asym_rows, ("dim",)),
+    "check harnack": Command(_harnack_rows, ("dim", "r", "paths", "seed", "eps")),
+    "check bhp": Command(_bhp_rows, ("r", "paths", "seed", "eps", "domain")),
+    "simulate exit": Command(_exit_rows, ("dim", "radius", "x0", "paths", "seed", "eps", "step",
+                                          "horizon"), {"paths": {"required": True}}),
+}
+
+_HELP = {
+    "phi": "tabulate (lambda, phi, psi, ell)",
+    "density": "tabulate (t, u, mu, tail, ratios)",
+    "kernel": "tabulate (r, G, J, ratios)",
+    "ladder": "ladder-height tables",
+    "check": "pass/fail property checks",
+    "simulate": "Monte Carlo first-exit sampling",
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: parse_args keeps
-    no state between calls, each one starts from a fresh namespace."""
+    """The parser of every command, derived from COMMANDS and built once per
+    process: parse_args keeps no state between calls, each one starts from a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sbmpot",
         description="Potential-theoretic quantities of subordinate Brownian motion",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phi", help="tabulate (lambda, phi, psi, ell)")
-    _add_phi_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lmin", type=float, default=None)
-    p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("density", help="tabulate (t, u, mu, tail, ratios)")
-    _add_phi_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("kernel", help="tabulate (r, G, J, ratios)")
-    _add_phi_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--rmin", type=float, default=None)
-    p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=20)
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("ladder", help="ladder-height tables")
-    p.add_argument("which", choices=["chi", "v", "halfline"])
-    _add_phi_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lmin", type=float, default=None)
-    p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=None)
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=_cmd_ladder)
-
-    p = sub.add_parser("check", help="pass/fail property checks")
-    p.add_argument("which", choices=["sandwich", "zahle", "doubling", "asym",
-                                     "harnack", "bhp"])
-    _add_phi_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--K", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=0.05)
-    p.add_argument("--paths", type=int, default=1200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--domain", choices=["interval", "halfdisk"], default="interval")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("simulate", help="Monte Carlo first-exit sampling")
-    p.add_argument("what", choices=["exit"])
-    _add_phi_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--x0", default="0")
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.set_defaults(func=_cmd_simulate)
-
+    modes = {}
+    for name, cmd in COMMANDS.items():
+        command, _, mode = name.partition(" ")
+        if not mode:
+            p = sub.add_parser(command, help=_HELP[command])
+        else:
+            if command not in modes:
+                modes[command] = sub.add_parser(command, help=_HELP[command]).add_subparsers(
+                    dest="mode", required=True)
+            p = modes[command].add_parser(mode)
+        _add_phi_flags(p)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--output", default=None)
+        for flag in cmd.flags:
+            p.add_argument(f"--{flag}", **{**_FLAGS[flag], **cmd.overrides.get(flag, {})})
+        p.set_defaults(build=cmd.build)
     return parser
 
 
@@ -391,13 +389,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, argv)
+        table = args.build(_phi_from_args(args), args)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericAccuracyError as exc:
         sys.stderr.write(f"numeric accuracy failure: {exc}\n")
         return 3
+    _emit(table, args, argv)
+    return 0 if all(table.get("pass", ())) else 1
 
 
 if __name__ == "__main__":

@@ -191,10 +191,6 @@ class HarnackReport:
     censored: int
     passed: bool
 
-    @property
-    def refinement_delta(self) -> float:
-        return max(self.delta_paths, self.delta_grid)
-
 
 def harnack_ratio(
     phi: CompleteBernsteinFunction,

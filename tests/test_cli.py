@@ -79,8 +79,18 @@ def test_ladder_halfline_value(capsys):
 
 
 def test_ladder_halfline_requires_coords(capsys):
-    rc, _ = _run(capsys, ["ladder", "halfline", "--kind", "stable", "--alpha", "1"])
-    assert rc == 2
+    base = ["ladder", "halfline", "--kind", "stable", "--alpha", "1"]
+    for flags in ([], ["--y", "2"], ["--x", "1"], ["--x", "1", "--ymin", "3"],
+                  ["--x", "1", "--ymax", "3"]):
+        rc, out = _run(capsys, base + flags)
+        assert rc == 2 and out == "", flags
+
+
+def test_ladder_halfline_range_needs_no_point(capsys):
+    rc, out = _run(capsys, ["ladder", "halfline", "--kind", "stable", "--alpha", "1",
+                            "--x", "1", "--ymin", "2", "--ymax", "4", "--points", "2"])
+    assert rc == 0
+    assert [r["y"] for r in _rows(out)] == ["2", "4"]
 
 
 def test_csv_values_round_trip(capsys):
@@ -263,6 +273,17 @@ def test_output_manifest_and_replay(tmp_path, capsys):
     assert art.read_bytes() == first
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["check", "sandwich", "--kind", "stable", "--alpha", "1"], None),
+    (["check", "harnack", "--kind", "stable", "--alpha", "1", "--paths", "20", "--seed", "3"], 3),
+])
+def test_manifest_records_only_a_seed_the_mode_reads(tmp_path, capsys, argv, seed):
+    art = tmp_path / "check.csv"
+    cli.main(argv + ["--output", str(art)])
+    manifest = json.loads((tmp_path / "check.csv.manifest.json").read_text())
+    assert manifest["seed"] == seed
+
+
 def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
     # each command first runs on a freshly built parser, then all run again
     # in one sequence on the cached one, each after a call that set the flags
@@ -349,16 +370,63 @@ def test_kind_flags_match_phi_json(capsys, kind):
     assert by_kind == by_json
 
 
+def _leaf_parsers():
+    """{"phi": parser, ..., "check bhp": parser}: one parser per command or mode."""
+    leaves = {}
+    for name, sub in cli._build_parser()._subparsers._group_actions[0].choices.items():
+        if sub._subparsers is None:
+            leaves[name] = sub
+        else:
+            for mode, leaf in sub._subparsers._group_actions[0].choices.items():
+                leaves[f"{name} {mode}"] = leaf
+    return leaves
+
+
 def test_kind_choices_come_from_the_registry():
     assert list(KIND_FLAGS) == list(bernstein.JSON_KINDS)
-    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
     params = {q.name: q.coerce for k in bernstein.JSON_KINDS for q in bernstein.KINDS[k].params}
-    for name, sub in subparsers.items():
+    leaves = _leaf_parsers()
+    assert len(leaves) == 13
+    for name, sub in leaves.items():
         kind = [a for a in sub._actions if "--kind" in a.option_strings]
         assert len(kind) == 1 and tuple(kind[0].choices) == bernstein.JSON_KINDS, name
         # one flag per parameter name, typed as the kind's JSON value
         flags = {a.dest: a.type for a in sub._actions if a.dest in params}
         assert flags == params, name
+
+
+# the flags each command or mode reads, besides the exponent flags (--kind,
+# --phi and one per catalog parameter), --format and --output
+LEAF_FLAGS = {
+    "phi": "--lambda --lmin --lmax --points",
+    "density": "--t --tmin --tmax --points",
+    "kernel": "--dim --r --rmin --rmax --points",
+    "ladder chi": "--lambda --lmin --lmax --points",
+    "ladder v": "--t --tmin --tmax --points",
+    "ladder halfline": "--x --y --ymin --ymax --points",
+    "check sandwich": "",
+    "check zahle": "",
+    "check doubling": "--dim --K",
+    "check asym": "--dim",
+    "check harnack": "--dim --r --paths --seed --eps",
+    "check bhp": "--r --paths --seed --eps --domain",
+    "simulate exit": "--dim --radius --x0 --paths --seed --eps --step --horizon",
+}
+
+
+def test_each_mode_takes_only_its_own_flags(capsys):
+    shared = {"-h", "--help", "--kind", "--phi", "--format", "--output",
+              *(f"--{q.name}" for k in bernstein.JSON_KINDS for q in bernstein.KINDS[k].params)}
+    leaves = _leaf_parsers()
+    got = {name: {o for a in sub._actions for o in a.option_strings} - shared
+           for name, sub in leaves.items()}
+    assert got == {name: set(flags.split()) for name, flags in LEAF_FLAGS.items()}
+    assert sum(map(len, got.values())) == 47
+    # a flag another mode reads is refused, not parsed and ignored
+    for line in ("check sandwich --paths 5", "check harnack --K 2", "check bhp --dim 2",
+                 "ladder chi --x 1", "ladder v --lambda 2"):
+        rc, out = _run(capsys, line.split() + ["--kind", "stable", "--alpha", "1"])
+        assert rc == 2 and out == "", line
 
 
 def test_unknown_kind_in_phi_json(capsys):
@@ -451,6 +519,15 @@ def test_version_flag(capsys):
     *[["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", r]
       for r in ("1e-200", "1e160")],
     ["check", "doubling", "--kind", "stable", "--alpha", "1", "--dim", "1", "--K", "1e160"],
+    # a point together with either bound of its range
+    *[[*cmd, "--kind", "stable", "--alpha", "1", point, "1", bound, "2"]
+      for cmd, point, bounds in ((["phi"], "--lambda", ("--lmin", "--lmax")),
+                                 (["density"], "--t", ("--tmin", "--tmax")),
+                                 (["ladder", "chi"], "--lambda", ("--lmin", "--lmax")),
+                                 (["ladder", "v"], "--t", ("--tmin", "--tmax")),
+                                 (["kernel", "--dim", "3"], "--r", ("--rmin", "--rmax")),
+                                 (["ladder", "halfline", "--x", "1"], "--y", ("--ymin", "--ymax")))
+      for bound in bounds],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way

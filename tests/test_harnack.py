@@ -171,7 +171,7 @@ def test_harnack_ratio_stable_passes():
     rep = harnack.harnack_ratio(phi, 1, 0.05, 600, 11)
     assert rep.passed
     assert 1.0 <= rep.ratio < 5.0
-    assert rep.refinement_delta < 0.2
+    assert rep.delta_paths < 0.2 and rep.delta_grid < 0.2
 
 
 def test_harnack_ratio_d2_sectors():
