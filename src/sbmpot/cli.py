@@ -340,6 +340,18 @@ _HELP = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of a command or mode: it refuses an argument it does not
+    read with its own usage line, which lists the flags it takes, where the
+    top-level parser would print its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, derived from COMMANDS and built once per
@@ -350,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Potential-theoretic quantities of subordinate Brownian motion",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     modes = {}
     for name, cmd in COMMANDS.items():
         command, _, mode = name.partition(" ")
@@ -359,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             if command not in modes:
                 modes[command] = sub.add_parser(command, help=_HELP[command]).add_subparsers(
-                    dest="mode", required=True)
+                    dest="mode", required=True, parser_class=_CommandParser)
             p = modes[command].add_parser(mode)
         _add_phi_flags(p)
         p.add_argument("--format", choices=["csv", "json"], default="csv")

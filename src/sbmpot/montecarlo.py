@@ -20,14 +20,15 @@ assembled in path order.
 Paths march in chunks, one loop for both samplers: one Philox call per
 channel draws m skeleton steps of every live path id, m being about
 _BATCH_SIZE over the live count times the sub-moves per step (at most
-_MAX_CHUNK_STEPS); rows that share a path id (the start points of a probe
-family) copy its draws instead of repeating them.  A compound step's
-sub-moves are its jumps in order, padding of -0.0 (the exact additive
-identity) up to the step's largest jump count, and the drift move; an exact
-step has one.  Running sums of the live positions and the sub-moves give
-every intermediate position bit for bit as repeated += would, and the first
-sub-move outside settles each exit; draws past a path's exit within its
-chunk are discarded.
+_MAX_CHUNK_STEPS), and one call draws every jump of the chunk, each with its
+slot's size and direction channels; rows that share a path id (the start
+points of a probe family) copy its draws instead of repeating them.  A
+compound step's sub-moves are its jumps in order, padding of -0.0 (the exact
+additive identity) up to the step's largest jump count, and the drift move;
+an exact step has one.  Running sums of the live positions and the
+sub-moves give every intermediate position bit for bit as repeated += would,
+and the first sub-move outside settles each exit; draws past a path's exit
+within its chunk are discarded.
 
 Every domain answers one geometric question, its signed gap to the
 boundary: gap(x) > 0 strictly inside, <= 0 on the closed complement and < 0
@@ -57,7 +58,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, ndtri
 
 from . import laplace, rng
 from .bernstein import CompleteBernsteinFunction, levy_tail
@@ -341,7 +342,7 @@ class _Increments:
     Kanter pair (the stable kind) or its Poisson jump count (``compound``,
     every other kind) from rng.CH_SUB, and the size and Gaussian direction
     of its jump in slot j from rng.jump_channel(j, d) and the channels after
-    it.
+    it, which ``jump`` draws for any set of jumps in one call.
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
@@ -366,12 +367,39 @@ class _Increments:
         u0, _ = self.stream.uniform_pair(rng.CH_SUB, step, ids)
         return np.searchsorted(self.cdf, u0)
 
-    def jump(self, slot: int, step, ids: np.ndarray, d: int):
-        """Sizes of the slot-th jumps at (step, ids) and normals to spread them."""
-        channel = rng.jump_channel(slot, d)
-        u, _ = self.stream.uniform_pair(channel, step, ids)
-        sizes = _jump_sizes(self.tables, u)
-        return sizes, self.stream.normals(step, ids, d, base_channel=channel + 1)
+    def jump(self, slots: np.ndarray, step, ids: np.ndarray, d: int):
+        """Sizes of the jumps in slots ``slots`` at (step, ids), one jump per
+        element, and (n, d) normals to spread them.  One Philox call draws
+        the size channel rng.jump_channel(slot, d) and the ceil(d/2)
+        direction channels after it for every jump, bit for bit as one call
+        per slot and channel would."""
+        base = rng.jump_channel(0, d)
+        channels = np.arange(1 + (d + 1) // 2, dtype=np.uint64)[:, None]  # size, then pairs
+        offset = (rng.jump_channel(1, d) - base) * np.asarray(slots, dtype=np.uint64) + channels
+        u, v = self.stream.uniform_pair(base, step, np.broadcast_to(ids, offset.shape),
+                                        offset=offset)
+        z = np.empty((offset.shape[1], d))
+        z[:, 0::2] = ndtri(u[1:]).T
+        z[:, 1::2] = ndtri(v[1 : 1 + d // 2]).T
+        return _jump_sizes(self.tables, u[0]), z
+
+
+def _jump_slots(counts: np.ndarray):
+    """Every jump that ``counts`` holds, as the flat index of its counter and
+    its slot, in counter order and by slot within a counter.
+
+    Yields pieces of at most _BATCH_SIZE jumps plus one counter's, each
+    ending with a counter's last jump, so that the temporaries of the draw
+    of a piece stay bounded however many jumps a chunk holds; no mask over
+    slots times counters is built."""
+    c = counts.ravel()
+    ends = np.cumsum(c)
+    first = ends - c  # the index of each counter's first jump
+    cuts = np.searchsorted(ends, np.arange(_BATCH_SIZE, ends[-1], _BATCH_SIZE), "right")
+    for lo, hi in zip([0, *cuts], [*cuts, c.size]):
+        owner = np.repeat(np.arange(lo, hi), c[lo:hi])
+        if owner.size:
+            yield owner, first[lo] + np.arange(owner.size) - first[owner]
 
 
 def sample_subordinator_increment(
@@ -391,11 +419,10 @@ def sample_subordinator_increment(
     ids = np.arange(cfg.paths, dtype=np.uint64)
     if not inc.compound:
         return inc.exact(step, ids)
-    counts = inc.jump_counts(step, ids)
     out = np.full(cfg.paths, inc.drift)
-    for slot in range(int(counts.max())):
-        has = counts > slot
-        out[has] += inc.jump(slot, step, ids[has], 0)[0]
+    for owner, slots in _jump_slots(inc.jump_counts(step, ids)):
+        # add.at adds a path's jumps one after another, in slot order
+        np.add.at(out, owner, inc.jump(slots, step, ids[owner], 0)[0])
     return out
 
 
@@ -495,10 +522,13 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
         # one column of moves per drawn id, copied below to its rows
         drawn = moves if cols is None else np.empty((rows, draw_ids.size, d))
         drawn[:] = -0.0  # padding after a step's last jump: x + -0.0 is x
-        for j in range(int(widths.max()) - 1):
-            s, p = np.nonzero(counts > j)
-            sizes, z = inc.jump(j, steps[s, 0], grid[s, p], d)
-            drawn[begin[s] + j, p] = np.sqrt(2.0 * sizes)[:, None] * z
+        if rows > m:  # some step has a jump (an exact step has none)
+            # a chunk that fits its budget holds fewer than _BATCH_SIZE jumps,
+            # so one draw holds them all
+            for owner, j in _jump_slots(counts):
+                s, p = np.divmod(owner, draw_ids.size)
+                sizes, z = inc.jump(j, steps[s, 0], draw_ids[p], d)
+                drawn[begin[s] + j, p] = np.sqrt(2.0 * sizes)[:, None] * z
         drawn[ends - 1] = scale * inc.stream.normals(steps, grid, d)
         if cols is not None:
             np.take(drawn, cols, axis=1, out=moves, mode="clip")

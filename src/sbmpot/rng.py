@@ -17,6 +17,11 @@ Channel map used by the samplers in dimension d, disjoint for every d:
 * CH_WOS = 2**31: the radius draw of a walk-on-spheres sphere, the sphere
   index in the step slot; CH_WOS + 1 .. CH_WOS + ceil(d/2): its direction
   pairs.  The marcher's channels stay far below 2**31.
+
+A counter's channel is the call's ``channel`` plus an optional per-counter
+``offset`` (uniform_pair), so one call can draw several channels, such as
+the size and direction channels of every jump of a chunk, bit for bit as one
+call per channel would; a channel word past 32 bits is refused.
 """
 
 from __future__ import annotations
@@ -90,34 +95,48 @@ class PhiloxStream:
         self.seed = seed
         self._keys = _stacked_keys(*_round_keys(seed & 0xFFFFFFFF, seed >> 32))
 
-    def _lanes(self, channel: int, step, path_ids: np.ndarray):
-        """Philox output for the counters (channel, step, path_lo, path_hi).
+    def _lanes(self, channel: int, step, path_ids: np.ndarray, offset=None):
+        """Philox output for the counters (channel + offset, step, path_lo,
+        path_hi).
 
-        ``step`` is an int or an integer array that broadcasts to the shape
-        of ``path_ids``; the counter keeps its low 32 bits.  Returns
+        ``step`` and ``offset`` are ints or integer arrays that broadcast to
+        the shape of ``path_ids``; the counter keeps the low 32 bits of the
+        step, and a channel word past 32 bits raises OverflowError.  Returns
         x = (c0, c2) and y = (c1, c3) as (2, *path_ids.shape) uint64 arrays.
         """
         ids = np.asarray(path_ids, dtype=np.uint64)
         x = np.empty((2,) + ids.shape, dtype=np.uint64)
         y = np.empty_like(x)
-        x[0] = np.uint32(channel)
+        word = np.uint32(channel)  # OverflowError outside [0, 2**32)
+        x[0] = word
+        if offset is not None:
+            offset = np.asarray(offset, dtype=np.uint64)
+            if np.any(offset > _MASK32 - np.uint64(word)):
+                raise OverflowError(f"channel {channel} plus offset {offset.max()} "
+                                    "is out of bounds for uint32")
+            x[0] += offset
         np.bitwise_and(ids, _MASK32, out=x[1])
         y[0] = step & 0xFFFFFFFF
         np.right_shift(ids, _U32, out=y[1])
         _rounds(x.reshape(2, -1), y.reshape(2, -1), self._keys)
         return x, y
 
-    def uniform_pair(self, channel: int, step, path_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Two independent uniforms in (0,1) per (step, path id) counter.
+    def uniform_pair(self, channel: int, step, path_ids, *, offset=None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Two independent uniforms in (0,1) per (channel, step, path id) counter.
 
         ``step`` is an int or an integer array that broadcasts to the shape
         of ``path_ids``: a (K, 1) column of steps with a (K, n) grid of ids
         draws K steps of n paths in one call, bit for bit as K calls would.
+        ``offset``, an unsigned integer array that broadcasts the same way,
+        is added to ``channel`` counter by counter, so one call draws several
+        channels bit for bit as one call per channel would; ``path_ids`` is
+        then given in the full shape, one id per counter.
 
         Each uniform packs two output lanes into 53 mantissa bits with a
         half-ulp offset, so 0 and 1 are unreachable and ndtri is safe.
         """
-        h, lo = self._lanes(channel, step, np.atleast_1d(path_ids))
+        h, lo = self._lanes(channel, step, np.atleast_1d(path_ids), offset)
         # h = (c0 << 32 | c1, c2 << 32 | c3), then its top 53 bits
         h <<= _U32
         h |= lo

@@ -446,6 +446,16 @@ def test_unknown_flag_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_unread_flag_is_refused_with_the_mode_usage(capsys):
+    # the usage line of the mode lists the flags it takes; the top-level
+    # one would only list the commands
+    rc = cli.main(["check", "sandwich", "--kind", "stable", "--alpha", "1", "--paths", "5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage: sbmpot check sandwich ")
+    assert err.rstrip().endswith("sbmpot check sandwich: error: unrecognized arguments: --paths 5")
+
+
 def test_simulate_has_no_method_flag(capsys):
     # the kind picks a march's increments; a manifest recorded with
     # --method no longer replays

@@ -233,8 +233,8 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     drawn = []
     pair = rng.PhiloxStream.uniform_pair
 
-    def counting(self, channel, step, path_ids):
-        u, w = pair(self, channel, step, path_ids)
+    def counting(self, channel, step, path_ids, **kw):
+        u, w = pair(self, channel, step, path_ids, **kw)
         if channel == rng.CH_SUB:
             drawn.append(u.size)
         return u, w
@@ -246,6 +246,67 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], cfg)
     assert drawn[0] == 10 * 400
     assert sum(drawn) == 20826
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+def test_fused_jump_matches_per_slot_draws(d):
+    # one call over mixed slots, steps and ids gives each jump the bits of
+    # its slot's own size channel and direction pairs
+    inc = mc._Increments(bernstein.relativistic_stable(1.0, 1.0), _cfg(seed=61), 0.05)
+    slots = np.array([0, 3, 1, 0, 7, 2, 3, 40])
+    steps = np.array([0, 4, 4, 2**32 + 1, 9, 0, 4, 2], dtype=np.uint64)
+    ids = np.array([5, 5, 0, 2**40, 3, 2**64 - 1, 1, 8], dtype=np.uint64)
+    sizes, z = inc.jump(slots, steps, ids, d)
+    assert sizes.shape == (slots.size,) and z.shape == (slots.size, d)
+    for i, j in enumerate(slots.tolist()):
+        channel, at = rng.jump_channel(j, d), ids[i : i + 1]
+        u, _ = inc.stream.uniform_pair(channel, steps[i], at)
+        assert sizes[i] == mc._jump_sizes(inc.tables, u)[0]
+        assert np.array_equal(z[i], inc.stream.normals(steps[i], at, d, base_channel=channel + 1)[0])
+
+
+def test_each_drawn_counter_is_one_element(monkeypatch):
+    # a wrapper with the benchmark tracer's signature counts np.size(path_ids)
+    # per call: that is the number of counters the call draws, and no counter
+    # past the count channel is drawn twice (truncated chunks redraw counts)
+    pair = rng.PhiloxStream.uniform_pair
+    seen = []
+
+    def recording(self, channel, step, path_ids, **kw):
+        u, w = pair(self, channel, step, path_ids, **kw)
+        word = channel + np.asarray(kw.get("offset", 0), dtype=np.uint64)
+        counters = np.broadcast_arrays(word, np.asarray(step, dtype=np.uint64),
+                                       np.atleast_1d(path_ids))
+        assert np.size(path_ids) == u.size == counters[0].size
+        seen.append(np.stack([c.ravel() for c in counters], axis=1))
+        return u, w
+
+    monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", recording)
+    mc.simulate_exits(bernstein.sum_of_stables(1.0, 0.5), mc.Ball(center=(0.0,) * 3, radius=1.0),
+                      [0.2, 0.0, 0.0], _cfg(paths=60, seed=67, step=2e-3))
+    drawn = np.concatenate(seen)
+    drawn = drawn[drawn[:, 0] != rng.CH_SUB]
+    assert np.count_nonzero(drawn[:, 0] >= rng.jump_channel(0, 3)) > 1000
+    assert np.unique(drawn, axis=0).shape == drawn.shape
+
+
+def test_increment_jumps_match_per_slot_draws(monkeypatch):
+    # about 16 000 jumps over 3000 paths, drawn in one call or in pieces that
+    # end at a path's last jump, add up in slot order as one call per slot did
+    phi, cfg, dt = bernstein.relativistic_stable(1.0, 1.0), _cfg(paths=3000, seed=71), 0.1
+    inc = mc._Increments(phi, cfg, dt)
+    ids = np.arange(cfg.paths, dtype=np.uint64)
+    counts = inc.jump_counts(5, ids)
+    want = np.full(cfg.paths, inc.drift)
+    for slot in range(int(counts.max())):
+        has = counts > slot
+        u, _ = inc.stream.uniform_pair(rng.jump_channel(slot, 0), 5, ids[has])
+        want[has] += mc._jump_sizes(inc.tables, u)
+    assert counts.sum() > 15000
+    for batch_size in (16384, 1000, 7):
+        monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
+        got = mc.sample_subordinator_increment(phi, dt, cfg, step=5)
+        assert np.array_equal(got, want), batch_size
 
 
 def test_poisson_table_refuses_truncation():

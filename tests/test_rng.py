@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sbmpot import rng
 
@@ -101,3 +102,35 @@ def test_step_grid_matches_scalar_steps():
         assert np.array_equal(z[i], st.normals(step, ids, 3))
     assert np.array_equal(u0[2], u0[3]) and np.array_equal(z[2], z[3])
     assert not np.array_equal(u0[2], u0[1])
+
+
+def test_channel_offset_matches_shifted_channel():
+    # an offset per counter draws several channels in one call, bit for bit
+    # as one call per channel would; (K, 1) steps broadcast as without one
+    st = rng.PhiloxStream(17)
+    ids = np.array([0, 3, 2**40 + 1, 2**64 - 1], dtype=np.uint64)
+    steps = np.array([0, 9, 2**32 + 5], dtype=np.uint64)[:, None]
+    grid = np.broadcast_to(ids, (steps.shape[0], ids.size))
+    for k in (0, 1, 6, 2**31):
+        got = st.uniform_pair(rng.CH_GAUSS, steps, grid, offset=np.uint64(k))
+        want = st.uniform_pair(rng.CH_GAUSS + k, steps, grid)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), k
+    offset = np.array([[0, 1, 7, 2**31], [5, 0, 3, 2], [1, 1, 1, 1]], dtype=np.uint64)
+    u0, u1 = st.uniform_pair(rng.CH_GAUSS, steps, grid, offset=offset)
+    for i, step in enumerate(steps[:, 0].tolist()):
+        for j, k in enumerate(offset[i].tolist()):
+            v0, v1 = st.uniform_pair(rng.CH_GAUSS + k, step, ids[j : j + 1])
+            assert u0[i, j] == v0[0] and u1[i, j] == v1[0]
+
+
+def test_channel_word_past_32_bits_is_refused():
+    # a channel plus offset past 2**32 - 1 would carry into the step word
+    # (or wrap around 2**64 to a small channel): refused, never aliased
+    st = rng.PhiloxStream(1)
+    ids = np.arange(3, dtype=np.uint64)
+    st.uniform_pair(2**32 - 2, 0, ids, offset=np.array([0, 1, 1], dtype=np.uint64))
+    with pytest.raises(OverflowError):
+        st.uniform_pair(2**32, 0, ids)
+    for channel, offset in ((2**32 - 2, [0, 2, 1]), (5, [2**64 - 5, 0, 0]), (0, [2**32, 0, 0])):
+        with pytest.raises(OverflowError):
+            st.uniform_pair(channel, 0, ids, offset=np.array(offset, dtype=np.uint64))
