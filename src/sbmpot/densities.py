@@ -16,6 +16,11 @@ comparison u(t) ~ 1/(t*phi(1/t)):
   decreasing integrand, no scaling hypothesis needed;
 * the lower bound needs a scaling witness phi(lam*t) >= a * lam**delta * phi(t),
   which is what :class:`ScalingWitness` records and verifies.
+
+``scipy.interpolate`` (which loads scipy's optimize, linalg and sparse stacks)
+is imported where a spline is built, by :func:`spline_potential_evaluator`
+and :func:`spline_levy_evaluator` for a kind without the closed form, not
+with this module.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import laplace
 from .bernstein import KINDS, CompleteBernsteinFunction, conjugate, eval_levy_density, levy_tail
@@ -86,6 +90,8 @@ def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable[[f
     ``np.exp``, whose last bits differ from ``math``'s, so every value is the
     one ``CubicSpline`` and the array formula gave.
     """
+    from scipy.interpolate import CubicSpline
+
     floor = np.max(vals) * 1e-14
     keep = vals > floor
     i0, i1 = 0, len(vals)

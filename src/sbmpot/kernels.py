@@ -14,6 +14,9 @@ exponent in d <= 2, potential weight) and j through ``_jump`` (Levy
 weight).  A weight is the kind's closed form where the registry has one,
 else a log-log spline of the inverted density tabulated once for the whole
 radius range.
+
+The panels integrate with ``quad``, bound from :func:`sbmpot.laplace.quad`:
+``scipy.integrate`` is imported on the first panel, not with this module.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bernstein import CompleteBernsteinFunction
 from .densities import RatioWindow, spline_levy_evaluator, spline_potential_evaluator
 from .errors import EvaluationDomainError, NotTransientError, NumericAccuracyError, UndecidableError
+from .laplace import quad
 
 __all__ = [
     "heat_kernel",
@@ -267,8 +270,8 @@ def build_kernel_table(
 ) -> RadialKernelTable:
     if not 0.0 < r_min < r_max < math.inf:
         raise EvaluationDomainError("need 0 < r_min < r_max < inf")
-    if points < 2:
-        raise EvaluationDomainError("need at least two radii")
+    if points < 1:
+        raise EvaluationDomainError("need at least one radius")
     radii = np.geomspace(r_min, r_max, points)
     g = _green(phi, d, r_min, r_max)
     j = _jump(phi, d, r_min, r_max)

@@ -19,7 +19,9 @@ positive real axis only, where the chi integral representation is valid (on
 a complex contour lam^2 leaves the principal branch, so the Talbot route
 used elsewhere does not apply).  Kinds whose v and V have closed forms
 (the stable kind, where chi(lam) = lam^(alpha/2)) take them from the kind
-registry instead.
+registry instead.  The half-line convolution integrates with ``quad``, bound
+from :func:`sbmpot.laplace.quad`, so ``scipy.integrate`` is imported on its
+first call, not with this module.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
 from .errors import EvaluationDomainError, NumericAccuracyError
+from .laplace import quad
 
 __all__ = [
     "ladder_exponent_chi",

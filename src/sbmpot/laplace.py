@@ -8,6 +8,11 @@ negative real axis (Stieltjes-type transforms always are):
 * Gaver-Stehfest: real-axis sampling only, useful when the transform cannot
   be continued into the left half-plane.  Accuracy saturates near 1e-7 in
   double precision around 14 terms.
+
+The module also hands out scipy's adaptive ``quad`` to the kernels and ladder
+modules as :func:`quad`, which imports ``scipy.integrate`` (and with it
+``scipy.optimize``) on its first call, so the commands that never integrate
+start without them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "talbot_with_residual",
     "gaver_stehfest",
     "stehfest_with_residual",
+    "quad",
 ]
 
 
@@ -162,3 +168,15 @@ def stehfest_with_residual(transform: Callable, t):
         )
     vals = a if np.ndim(t) else float(a[0])
     return vals, residual
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Same arguments, same return value; only the import is deferred.  Callers
+    bind it as a module attribute and look it up when they call, so a
+    wrapper set on that attribute sees every call.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)

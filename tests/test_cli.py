@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -58,6 +61,18 @@ def test_kernel_single_radius(capsys):
     row = _rows(out)[0]
     assert float(row["G"]) == pytest.approx(GOLD_G3, rel=1e-6)
     assert float(row["J"]) == pytest.approx(1.0 / math.pi**2, rel=1e-6)
+
+
+def test_kernel_table_of_one_radius(capsys):
+    # --points 1 is the range's first radius, written as the wider table writes it
+    grid = ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmin", "0.1", "--rmax", "1"]
+    rc, out = _run(capsys, [*grid, "--points", "1"])
+    assert rc == 0
+    rows = _rows(out)
+    assert len(rows) == 1 and float(rows[0]["r"]) == 0.1
+    assert float(rows[0]["G"]) == pytest.approx(GOLD_G3 * 100.0, rel=1e-6)
+    rc, wide = _run(capsys, [*grid, "--points", "3"])
+    assert rc == 0 and _rows(wide)[0] == rows[0]
 
 
 def test_ladder_chi_value(capsys):
@@ -487,9 +502,54 @@ def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
 
 
+# runs sbmpot commands in a fresh interpreter and prints the exit codes and
+# which of scipy's quadrature and spline stacks they loaded
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from sbmpot import cli
+codes = []
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(line.split()))
+print(json.dumps([codes, [m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.modules]]))
+"""
+
+
+def _fresh_run(*lines):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *lines], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_without_quadrature_leave_scipy_stacks_unloaded():
+    # only kernel, ladder halfline, check doubling and check asym integrate or
+    # build splines; every other command starts without scipy.integrate and
+    # scipy.interpolate (and the optimize, linalg and sparse stacks they pull in)
+    codes, loaded = _fresh_run(
+        "phi --kind stable --alpha 1 --points 3",
+        "density --kind relativistic --alpha 1 --points 3",
+        "ladder chi --kind sum --alpha 1 --points 3",
+        "check zahle --kind stable --alpha 0.5",
+        "check bhp --kind stable --alpha 1 --paths 50 --seed 1",
+        "simulate exit --kind stable --alpha 1 --paths 50 --seed 1",
+        "simulate exit --kind relativistic --alpha 1 --paths 50 --seed 1")
+    assert codes[:4] == [0, 0, 0, 0] and codes[4] in (0, 1) and codes[5:] == [0, 0]
+    assert loaded == []
+
+
+def test_kernel_loads_scipy_stacks_on_first_use():
+    codes, loaded = _fresh_run("kernel --kind log_up --alpha 1 --dim 3 --r 0.5")
+    assert codes == [0]
+    assert loaded == ["scipy.integrate", "scipy.interpolate"]
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmin", "2", "--rmax", "1"],
-    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--points", "1"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--points", "0"],
     ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "0"],
     ["kernel", "--kind", "relativistic", "--alpha", "1", "--dim", "3", "--r", "0"],
     ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "0", "--r", "1"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from sbmpot import bernstein, kernels
+from sbmpot import bernstein, kernels, ladder
 from sbmpot.errors import EvaluationDomainError, NotTransientError, NumericAccuracyError
 
 
@@ -187,3 +187,24 @@ def test_kernel_ratio_windows_bits_pinned():
             == "f6a8a920fd2eaaf52e6511c49335c862f01911545f10534db3cfd958f432c198")
     assert (_sha(kernels.j_asymptotic_ratio(phi, 3).ratios)
             == "b4198aad84dc35f3eaba9383a83dc3da0c0517dcaea357ae04b9dd45072396db")
+
+
+def _counting(fn, calls, key):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_quad_is_looked_up_at_call_time(monkeypatch):
+    # a wrapper set on kernels.quad or ladder.quad (as the benchmark's tracer
+    # sets one) sees every call, and the integrals keep their bits
+    log_up, stable = bernstein.log_perturbed_up(1.0, 0.5), bernstein.stable(1.0)
+    plain = (kernels.green_function(log_up, 3, 0.5), ladder.halfline_green(stable, 1.0, 2.0))
+    calls = {"kernels": 0, "ladder": 0}
+    for module, key in ((kernels, "kernels"), (ladder, "ladder")):
+        monkeypatch.setattr(module, "quad", _counting(module.quad, calls, key))
+    patched = (kernels.green_function(log_up, 3, 0.5), ladder.halfline_green(stable, 1.0, 2.0))
+    assert calls["kernels"] > 0 and calls["ladder"] > 0
+    assert patched == plain
