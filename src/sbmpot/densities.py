@@ -26,7 +26,6 @@ with this module.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,7 +70,7 @@ def potential_density_u(phi: CompleteBernsteinFunction, t):
     return laplace.talbot_with_residual(lambda s: 1.0 / phi._eval(np.asarray(s)), t)[0]
 
 
-def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable[[float], float]:
+def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable:
     """Log-log cubic interpolant with power-law continuation past both ends.
 
     Outside the grid the log-log data is continued linearly with the boundary
@@ -83,49 +82,26 @@ def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable[[f
     are trimmed away; the steep boundary slope then continues the decay.
     Nonpositive values in the interior are a genuine failure.
 
-    The evaluator is scalar: ``quad`` calls it once per node.  It runs on
-    plain floats, with the knots and the ``CubicSpline`` coefficients read
-    out once, and sums each piece in scipy's own order (constant, then the
-    linear, square and cubic terms); the log and exp stay ``np.log`` and
-    ``np.exp``, whose last bits differ from ``math``'s, so every value is the
-    one ``CubicSpline`` and the array formula gave.
+    The evaluator takes an array of t (or one t) and returns its shape.
     """
     from scipy.interpolate import CubicSpline
 
-    floor = np.max(vals) * 1e-14
-    keep = vals > floor
-    i0, i1 = 0, len(vals)
-    while i0 < i1 and not keep[i0]:
-        i0 += 1
-    while i1 > i0 and not keep[i1 - 1]:
-        i1 -= 1
-    grid, vals = grid[i0:i1], vals[i0:i1]
+    keep = np.flatnonzero(vals > np.max(vals) * 1e-14)
+    lo, hi = (keep[0], keep[-1] + 1) if keep.size else (0, 0)
+    grid, vals = grid[lo:hi], vals[lo:hi]
     if len(vals) < 8 or np.any(vals <= 0.0):
         raise NumericAccuracyError(f"{what} inversion went nonpositive")
     lx, ly = np.log(grid), np.log(vals)
-    # per piece (cubic, square, linear, constant) coefficient, highest first
-    pieces = CubicSpline(lx, ly).c.T.tolist()
-    knots, ys = lx.tolist(), ly.tolist()
-    last = len(knots) - 2  # the piece that also owns the last knot
-    x_lo, x_hi, y_lo, y_hi = knots[0], knots[-1], ys[0], ys[-1]
-    slope_lo = (ys[1] - y_lo) / (knots[1] - x_lo)
-    slope_hi = (y_hi - ys[-2]) / (x_hi - knots[-2])
+    spline = CubicSpline(lx, ly)
+    slope_lo = (ly[1] - ly[0]) / (lx[1] - lx[0])
+    slope_hi = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
 
-    def evaluate(t: float) -> float:
-        tl = float(np.log(t))
-        if tl < x_lo:
-            y = y_lo + slope_lo * (tl - x_lo)
-        elif tl > x_hi:
-            y = y_hi + slope_hi * (tl - x_hi)
-        else:  # NaN falls through to here and stays NaN
-            i = min(bisect_right(knots, tl) - 1, last)
-            c3, c2, c1, c0 = pieces[i]
-            s = tl - knots[i]
-            z = s * s
-            y = c0 + c1 * s + c2 * z
-            z *= s
-            y += c3 * z
-        return float(np.exp(y))
+    def evaluate(t):
+        tl = np.log(np.asarray(t, dtype=float))
+        # NaN takes the middle branch and stays NaN
+        return np.exp(np.where(
+            tl < lx[0], ly[0] + slope_lo * (tl - lx[0]),
+            np.where(tl > lx[-1], ly[-1] + slope_hi * (tl - lx[-1]), spline(np.clip(tl, lx[0], lx[-1])))))
 
     return evaluate
 
@@ -136,13 +112,12 @@ _PER_DECADE = 30  # spline knots per decade of t
 def _spline_evaluator(phi, name: str, numeric: Callable, t_lo: float, t_hi: float) -> Callable:
     """The closed form ``name`` of phi, else a log-log spline of ``numeric`` over [t_lo, t_hi].
 
-    Either way the evaluator takes one float t and returns a float.  The
-    closed form is looked up in the registry once, here, and each call runs
-    it on a 0-d array as ``phi.closed_form`` does, so the bits are its bits.
+    Either way the evaluator takes an array of t; the closed form is looked up
+    once, here, and has the bits of ``phi.closed_form``.
     """
     if phi.closed_form(name, 1.0) is not None:
         form = getattr(KINDS[phi.kind], name)
-        return lambda t: float(form(phi, np.asarray(t, dtype=float)))
+        return lambda t: form(phi, np.asarray(t, dtype=float))
     lo, hi = math.log10(t_lo), math.log10(t_hi)
     grid = np.logspace(lo, hi, max(int((hi - lo) * _PER_DECADE), 16))
     vals = np.atleast_1d(numeric(phi, grid))
@@ -150,7 +125,7 @@ def _spline_evaluator(phi, name: str, numeric: Callable, t_lo: float, t_hi: floa
 
 
 def spline_potential_evaluator(phi: CompleteBernsteinFunction, t_lo: float, t_hi: float) -> Callable:
-    """Cheap scalar evaluator of u over [t_lo, t_hi], for use inside quadratures.
+    """Cheap array evaluator of u over [t_lo, t_hi], for use inside quadratures.
 
     The closed form where the kind has one; otherwise a log-log spline built
     from one vectorised Talbot sweep, whose interpolation error is far below

@@ -9,10 +9,11 @@ negative real axis (Stieltjes-type transforms always are):
   be continued into the left half-plane.  Accuracy saturates near 1e-7 in
   double precision around 14 terms.
 
-The module also hands out scipy's adaptive ``quad`` to the kernels and ladder
-modules as :func:`quad`, which imports ``scipy.integrate`` (and with it
-``scipy.optimize``) on its first call, so the commands that never integrate
-start without them.
+The module also holds the quadrature other modules share: the trapezoid rule
+:func:`halving_trapezoid`, which certifies many integrals at once by step
+halvings (Takahasi & Mori, Publ. RIMS 9, 1974, on its fast convergence in a
+log variable), and scipy's ``quad`` as :func:`quad`, which imports
+``scipy.integrate`` (and with it ``scipy.optimize``) on its first call.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "talbot_with_residual",
     "gaver_stehfest",
     "stehfest_with_residual",
+    "halving_trapezoid",
     "quad",
 ]
 
@@ -168,6 +170,36 @@ def stehfest_with_residual(transform: Callable, t):
         )
     vals = a if np.ndim(t) else float(a[0])
     return vals, residual
+
+
+def halving_trapezoid(sums: Callable, n: int, *, epsabs: float, epsrel: float, levels: int,
+                      what: str) -> np.ndarray:
+    """Values of n integrals, each certified by its own step halvings.
+
+    ``sums(level, idx)`` returns, for the integrals ``idx`` (an index array),
+    the trapezoid sums with step h = h0/2**level and with step 2h on every
+    other of the same nodes, so the check costs no extra node.  An integral
+    is done once the two agree to epsrel*|fine| (or once its sum leaves the
+    float range, which the caller refuses); past ``levels`` halvings, one
+    whose |fine - coarse| is over 50*max(epsabs, epsrel*|fine|) raises
+    :class:`NumericAccuracyError`.  An integral's value is its own last fine sum.
+    """
+    value, err = np.empty(n), np.empty(n)
+    todo = np.arange(n)
+    for level in range(1, levels + 1):
+        fine, coarse = sums(level, todo)
+        with np.errstate(invalid="ignore"):  # inf - inf, where a sum left the float range
+            value[todo], err[todo] = fine, np.abs(fine - coarse)
+        todo = todo[np.isfinite(fine) & ~(err[todo] <= epsrel * np.abs(fine))]
+        if not todo.size:
+            return value
+    tol = np.maximum(epsabs, epsrel * np.abs(value[todo]))
+    if not np.all(err[todo] <= 50.0 * tol):
+        worst = np.argmax(err[todo] / tol)
+        raise NumericAccuracyError(
+            f"{what} achieved {err[todo][worst]:.2e} against target {epsabs:.0e}/{epsrel:.0e} "
+            f"after {levels} step halvings", residual=float(err[todo][worst]))
+    return value
 
 
 def quad(*args, **kwargs):

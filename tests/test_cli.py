@@ -189,12 +189,12 @@ RENDER_PINS = {
         "56c678f87db2bfe1ce411ce31ea4b90d84e9a2757995dcafb733f86e9d3dd399"),
     "kernel-r": (
         "kernel --kind stable --alpha 1 --dim 3 --r 0.5", 0,
-        "b144f68f0d90b4a30e540a844b1393b2e5f19f99273b3fabc4ad14223866080d",
-        "82359658115307c52a7bc6a507d68f926f3b74f7e15bc6f62a94aada9eb77710"),
+        "5c0ab7a584feac9908f030cfe14578a0f58619dd97d42e03f6f852184bb279c2",
+        "c70c321595a9120c4955b95aa2c335ebaef84e49db555f781e9f59de251dcff8"),
     "kernel-grid": (
         "kernel --kind stable --alpha 1 --dim 3 --rmin 0.1 --rmax 1 --points 3", 0,
-        "e172f95c5bcff38606e73d984cb2711dacdd706542a30048117a22364c985e7a",
-        "18775cd54096bf3c5fd1788184050c860a4a8a28b5d4dafc56513fd0a9f8cf07"),
+        "76e3f579a8dac8c6305108fb43b7c64d0c704312cb61a5ec2f050179c57b044d",
+        "7d0aee2a0a698078df7f313c5b41cb924e431d5470a00fe153138bfc9f35a68b"),
     "ladder-chi": (
         "ladder chi --kind stable --alpha 1.5 --lmin 0.1 --lmax 10 --points 3", 0,
         "a26e91c69d7dc2e721d2fa775cb9743f9b2188b5f576d0f5470bc3cc0a64ea84",
@@ -217,12 +217,12 @@ RENDER_PINS = {
         "e41e463e9a5ed8af490d0487d244d85b6f0536fcef1b895b47dea4e44fface6a"),
     "check-doubling": (
         "check doubling --kind stable --alpha 1 --dim 1", 0,
-        "9d4b8703825f8b98b87f863b9bff8acf14d2500972351297bce92bfce81ee1d2",
-        "3f4d509265bae5096ecff1a01b50e7e195b260524a498d3d1c3640217d477a56"),
+        "4004a201b50ea32f5d9dfd1a12247a15138440e86d592a51d8044a493684c01f",
+        "82ec35b16fb61e88ec1a202c3ae1b510fc2b5a7cd332ee1cabdecc8eb4aa73f5"),
     "check-asym": (
         "check asym --kind stable --alpha 1 --dim 3", 0,
-        "ae0174294b1e12c2aef70d5ad18f8d0b0c018a17dde6043fdffe31f239ecfe9d",
-        "4a4a2824145c0743833aa3f23d6c84e526c468fe348fca2d8cc2a20f181e7728"),
+        "0ccd8b90a38a2a34d29b04a39bcca900faa81f1737ec392565cc9754afa75bc3",
+        "9cccc563d8e9e1e6f6e760ec10bc452a33ff8540fb89012745fc7fecb64e2632"),
     "check-harnack": (
         "check harnack --kind stable --alpha 1 --paths 20 --seed 3", 1,
         "9e6b2a3f1c18602f90e02b5b6b3a4dec9abce53ff3362480d14643ad45d6723d",
@@ -542,9 +542,10 @@ def test_commands_without_quadrature_leave_scipy_stacks_unloaded():
 
 
 def test_kernel_loads_scipy_stacks_on_first_use():
+    # the kernels integrate with their own rule, so only the spline's stack loads
     codes, loaded = _fresh_run("kernel --kind log_up --alpha 1 --dim 3 --r 0.5")
     assert codes == [0]
-    assert loaded == ["scipy.integrate", "scipy.interpolate"]
+    assert loaded == ["scipy.interpolate"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -620,10 +621,10 @@ def test_non_finite_inversion_is_numeric_failure(capsys):
     assert captured.err.startswith("numeric accuracy failure: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("r", ["1e-110", "1e-80", "1e-60"])
+@pytest.mark.parametrize("r", ["1e-110", "1e-80", "1e-78"])
 def test_kernel_past_float_range_is_usage_error(capsys, r):
-    # G or J of the table would overflow to inf (or its integrand would
-    # raise OverflowError): refused with exit 2, nothing written
+    # J of the row, 1/(pi^2 r^4), would overflow to inf (about 1e311 at
+    # 1e-78): refused with exit 2, nothing written
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", r])
@@ -631,6 +632,17 @@ def test_kernel_past_float_range_is_usage_error(capsys, r):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "float range" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_kernel_within_float_range_is_written(capsys):
+    # at 1e-60 both kernels fit a float (G about 5e118, J about 1e239): the
+    # integrands are formed in logs, so the row is written with exit 0
+    rc, out = _run(capsys, ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "1e-60",
+                            "--format", "json"])
+    rec = json.loads(out)[0]
+    assert rc == 0
+    assert rec["G"] * 1e-120 == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-6)
+    assert rec["J"] * 1e-240 == pytest.approx(1.0 / math.pi**2, rel=1e-6)
 
 
 def test_radius_message_names_the_given_radius(capsys):

@@ -153,7 +153,7 @@ def test_killed_phi_potential_density_allowed():
 
 def _array_loglog_spline(grid, vals):
     """The log-log spline as an array formula: CubicSpline inside the knots,
-    the boundary secants outside; the reference for the scalar evaluator."""
+    the boundary secants outside; the reference for the evaluator."""
     floor = np.max(vals) * 1e-14
     keep = np.nonzero(vals > floor)[0]
     grid, vals = grid[keep[0]:keep[-1] + 1], vals[keep[0]:keep[-1] + 1]
@@ -169,7 +169,7 @@ def _array_loglog_spline(grid, vals):
             ly[0] + slope_lo * (tl - lx[0]),
             np.where(tl > lx[-1], ly[-1] + slope_hi * (tl - lx[-1]), sp(np.clip(tl, lx[0], lx[-1]))),
         )
-        return float(np.exp(out))
+        return np.exp(out)
 
     return evaluate, grid
 
@@ -198,7 +198,7 @@ def test_scalar_spline_has_the_array_formula_bits(case):
     lo, hi = math.log10(t_lo), math.log10(t_hi)
     grid = np.logspace(lo, hi, int((hi - lo) * densities._PER_DECADE))
     vals = np.atleast_1d(density(phi, grid))
-    scalar = densities._loglog_spline(grid, vals, "test density")
+    spline = densities._loglog_spline(grid, vals, "test density")
     reference, knots = _array_loglog_spline(grid, vals)
     # every knot (the last one too), its float neighbours on both sides in t
     # and in log t, and the whole grid, trimmed ends included
@@ -206,15 +206,19 @@ def test_scalar_spline_has_the_array_formula_bits(case):
              np.exp(np.nextafter(np.log(knots), -np.inf)), np.exp(np.nextafter(np.log(knots), np.inf)),
              grid, [np.nan, np.inf, -np.inf]]
     points = np.concatenate([np.ravel(e) for e in edges])
-    if case == "u-log_up":  # 10^5 log-uniform points, both continuations included
-        t_rand = np.exp(np.random.default_rng(5).uniform(math.log(t_lo) - 20.0, math.log(t_hi) + 20.0,
-                                                         100_000))
-        points = np.concatenate([points, t_rand])
-        assert (t_rand < knots[0]).any() and (t_rand > knots[-1]).any()
     with np.errstate(invalid="ignore"):
-        bad = [t for t in points.tolist() if not _same_bits(scalar(t), reference(t))]
+        # each edge point alone, as a scalar
+        bad = [t for t in points.tolist() if not _same_bits(spline(t), reference(t))]
+        if case == "u-log_up":  # 10^5 log-uniform points, both continuations included
+            t_rand = np.exp(np.random.default_rng(5).uniform(math.log(t_lo) - 20.0, math.log(t_hi) + 20.0,
+                                                             100_000))
+            points = np.concatenate([points, t_rand])
+            assert (t_rand < knots[0]).any() and (t_rand > knots[-1]).any()
+        # and every point in one call
+        bad += [t for t, got, want in zip(points.tolist(), spline(points).tolist(), reference(points).tolist())
+                if not _same_bits(got, want)]
     assert not bad, f"{len(bad)} points differ, first {bad[:3]}"
-    assert math.isnan(scalar(math.nan))
+    assert math.isnan(spline(math.nan))
 
 
 @pytest.mark.parametrize("kind, name", [
@@ -223,7 +227,8 @@ def test_scalar_spline_has_the_array_formula_bits(case):
 def test_closed_form_weight_has_the_registry_bits(kind, name):
     phi = KIND_EXAMPLES[kind]
     weight = densities._spline_evaluator(phi, name, None, 1e-4, 1e4)
-    ts = np.geomspace(1e-6, 1e6, 2001).tolist() + [math.pi, 1.0]
-    for t in ts:
-        w = weight(t)
-        assert type(w) is float and _same_bits(w, phi.closed_form(name, t)), (kind, t)
+    ts = np.array(np.geomspace(1e-6, 1e6, 2001).tolist() + [math.pi, 1.0])
+    # on an array, as the kernels call it, and on each t alone
+    assert weight(ts).view(np.uint64).tolist() == phi.closed_form(name, ts).view(np.uint64).tolist()
+    for t in ts.tolist():
+        assert _same_bits(weight(t), phi.closed_form(name, t)), (kind, t)

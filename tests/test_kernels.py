@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from sbmpot import bernstein, kernels, ladder
+from sbmpot import bernstein, cli, kernels, ladder
 from sbmpot.errors import EvaluationDomainError, NotTransientError, NumericAccuracyError
 
 
@@ -134,21 +134,19 @@ def test_subordination_integral_refuses_slower_decay_than_declared():
         kernels.subordination_integral(lambda t: t ** -0.55, 1, 1.0, gamma=0.3)
 
 
-@pytest.mark.parametrize("r, g_finite", [(1e-110, False), (1e-80, False), (1e-60, True)])
-def test_kernels_past_float_range_are_refused(r, g_finite):
+@pytest.mark.parametrize("r, j_finite", [(1e-110, False), (1e-80, False), (1e-60, True)])
+def test_kernels_past_float_range_are_refused(r, j_finite):
     # in d = 3 the stable alpha = 1 kernels are G = 1/(2 pi^2 r^2) and
-    # j = 1/(pi^2 r^4): at 1e-110 the head integrand overflows, at 1e-80
-    # both quadratures sum to inf (G, about 5e158, would still be a float),
-    # and at 1e-60 only j's does
+    # j = 1/(pi^2 r^4); the integrands are formed in logs, so each kernel is
+    # returned while it fits a float (G at all three radii, about 5e218 at
+    # 1e-110, and j at 1e-60, about 1e239) and refused once it does not
     phi = bernstein.stable(1.0)
-    with pytest.raises(EvaluationDomainError, match="float range"):
-        kernels.jump_kernel(phi, 3, r)
-    if g_finite:
-        assert kernels.green_function(phi, 3, r) * r**2 == pytest.approx(
-            1.0 / (2.0 * math.pi**2), rel=1e-6)
+    assert kernels.green_function(phi, 3, r) * r**2 == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-6)
+    if j_finite:
+        assert kernels.jump_kernel(phi, 3, r) * r**4 == pytest.approx(1.0 / math.pi**2, rel=1e-6)
     else:
         with pytest.raises(EvaluationDomainError, match="float range"):
-            kernels.green_function(phi, 3, r)
+            kernels.jump_kernel(phi, 3, r)
 
 
 @pytest.mark.parametrize("d, beta", [(1, 0.75), (2, 0.5), (3, 0.5), (3, 0.0)])
@@ -172,9 +170,9 @@ def _sha(*arrays):
 # weights are inverted and splined
 @pytest.mark.parametrize("phi, sha", [
     (bernstein.relativistic_stable(1.0, 1.0),
-     "f12f4c11d078e02f6dd384b7e5fafd1f4b21f7f4912a0bc37262b27a15722a2b"),
+     "7510922e4bb98d2b31236065504b819e1260c06980172e26690193daa3a73168"),
     (bernstein.sum_of_stables(1.0, 0.5),
-     "0bfbc5dafa28db97be38326fdcbef1bca983d97fe542deadc2a73889a2ff2a10"),
+     "32c5b5acd38500255b92503d17f37888652029e4789c13eb5e5cabb7c0b2e3d9"),
 ], ids=["relativistic", "sum"])
 def test_kernel_table_bits_pinned(phi, sha):
     table = kernels.build_kernel_table(phi, 3, 1e-2, 1.0, 8)
@@ -184,9 +182,9 @@ def test_kernel_table_bits_pinned(phi, sha):
 def test_kernel_ratio_windows_bits_pinned():
     phi = bernstein.log_perturbed_up(1.0, 0.5)
     assert (_sha(kernels.g_asymptotic_ratio(phi, 3).ratios)
-            == "f6a8a920fd2eaaf52e6511c49335c862f01911545f10534db3cfd958f432c198")
+            == "0b18cc4de1c5d2f235439c943b50bb45be9c2a2fb759fe8cb48e56aac136d20f")
     assert (_sha(kernels.j_asymptotic_ratio(phi, 3).ratios)
-            == "b4198aad84dc35f3eaba9383a83dc3da0c0517dcaea357ae04b9dd45072396db")
+            == "2e86c2a9eb1ca3269fa3d5b215179e17ef39a79af3d45132b926daeee647ca58")
 
 
 def _counting(fn, calls, key):
@@ -199,12 +197,72 @@ def _counting(fn, calls, key):
 
 def test_quad_is_looked_up_at_call_time(monkeypatch):
     # a wrapper set on kernels.quad or ladder.quad (as the benchmark's tracer
-    # sets one) sees every call, and the integrals keep their bits
+    # sets one) sees every call, and the integrals keep their bits; the
+    # kernels integrate with their own rule, so kernels.quad sees none
     log_up, stable = bernstein.log_perturbed_up(1.0, 0.5), bernstein.stable(1.0)
     plain = (kernels.green_function(log_up, 3, 0.5), ladder.halfline_green(stable, 1.0, 2.0))
     calls = {"kernels": 0, "ladder": 0}
     for module, key in ((kernels, "kernels"), (ladder, "ladder")):
         monkeypatch.setattr(module, "quad", _counting(module.quad, calls, key))
     patched = (kernels.green_function(log_up, 3, 0.5), ladder.halfline_green(stable, 1.0, 2.0))
-    assert calls["kernels"] > 0 and calls["ladder"] > 0
+    assert calls["kernels"] == 0 and calls["ladder"] > 0
     assert patched == plain
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sum_jump_kernel_is_the_sum_of_stable_kernels(d):
+    # the sum kind's Levy density is mu_alpha + mu_beta, so its j is the sum of
+    # two Riesz jump kernels in closed form, which share no code with the rule
+    alpha, beta = 1.0, 0.5
+    phi = bernstein.sum_of_stables(alpha, beta)
+    for r in (1e-3, 0.1, 1.0, 10.0):
+        exact = (_stable_jump_constant(d, alpha) * r ** (-d - alpha)
+                 + _stable_jump_constant(d, beta) * r ** (-d - beta))
+        assert kernels.jump_kernel(phi, d, r) == pytest.approx(exact, rel=1e-6), r
+
+
+def test_relativistic_jump_kernel_past_the_weight_underflow():
+    # m = 1, d = 1, r = 20: the weight exp(-t) t^(-3/2) is 0 in floats long
+    # before the cut, so the rest past it is closed as 0, and the value (about
+    # 9.4e-12, under the absolute target) is still held to rel 1e-6
+    m, d, r = 1.0, 1, 20.0
+    nu = (d + 1) / 2.0
+    exact = math.pi**-0.5 * (4.0 * math.pi) ** (-d / 2.0) * (2.0 * m / r) ** nu * kv(nu, m * r)
+    got = kernels.jump_kernel(bernstein.relativistic_stable(1.0, m), d, r)
+    assert got == pytest.approx(exact, rel=1e-6)
+
+
+def _kinked_weight(t):
+    # t^(-3/2) that drops to t^(-83/2) past t = 1: a kink in log w no
+    # trapezoid step of the rule resolves
+    t = np.asarray(t, dtype=float)
+    return t**-1.5 * np.where(t < 1.0, 1.0, t**-40.0)
+
+
+def test_unresolved_kink_is_refused(monkeypatch, capsys):
+    with pytest.raises(NumericAccuracyError, match="step halvings"):
+        kernels.subordination_integral(_kinked_weight, 3, 1.0)
+    # through the CLI the refusal is exit 3, with nothing written
+    monkeypatch.setattr(kernels, "spline_levy_evaluator", lambda phi, t_lo, t_hi: _kinked_weight)
+    rc = cli.main(["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("numeric accuracy failure: ")
+
+
+@pytest.mark.parametrize("weight", ["closed", "spline"])
+def test_subordination_integral_is_grid_and_block_independent(monkeypatch, weight):
+    # each radius's value is the one it gets alone, bit for bit: on a grid of
+    # more than one block of (radii, nodes), and on blocks of a single radius
+    # the evaluator is the registry's closed form for the sum kind, a spline of
+    # the inverted density for log_up
+    phi = bernstein.sum_of_stables(1.0, 0.5) if weight == "closed" else bernstein.log_perturbed_up(1.0, 0.5)
+    w = kernels.spline_levy_evaluator(phi, 1e-10, 1e15)
+    radii = np.geomspace(1e-3, 30.0, 400)
+    alone = [kernels.subordination_integral(w, 3, r) for r in radii]
+    near = int((kernels._Y_FAR - kernels._Y_LO) / kernels._STEP) * 2
+    assert radii.size > kernels._BLOCK // near
+    at_once = kernels.subordination_integral(w, 3, radii)
+    monkeypatch.setattr(kernels, "_BLOCK", 1)
+    one_row_blocks = kernels.subordination_integral(w, 3, radii[::-1])[::-1]
+    assert at_once.tolist() == alone and one_row_blocks.tolist() == alone
