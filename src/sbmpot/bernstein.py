@@ -159,15 +159,13 @@ def _stable_renewal(alpha: float, t):
     return t ** (alpha / 2.0) / gamma_fn(1.0 + alpha / 2.0)
 
 
-def _exp_sum(weights, rates, t):
+def _exp_sum(weights, rates, t, power=0):
+    """sum w r^power exp(-r t), the power-th derivative of sum w exp(-r t) up to sign, in blocks of t."""
+    flat, c, out = np.ravel(t), weights * rates ** power, np.empty(np.size(t))
     with np.errstate(over="ignore"):  # inf * (-1) -> exp gives the right 0
-        return np.sum(weights * np.exp(-np.multiply.outer(t, rates)), axis=-1)
-
-
-def _geometric_potential(phi, t):
-    # 1/phi is a finite sum of simple poles, so u is an exact exponential
-    # sum; the Talbot contour would sit near those poles and lose digits
-    return _exp_sum(*_geometric_terms(phi.alpha_param, phi.n_terms), t)
+        for lo in range(0, flat.size, _GEOM_BLOCK):
+            out[lo:lo + _GEOM_BLOCK] = np.sum(c * np.exp(-np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates)), axis=-1)
+    return out.reshape(np.shape(t))[()]
 
 
 @lru_cache(maxsize=16)
@@ -416,8 +414,8 @@ _GEOM_BLOCK = 8192  # arguments per block of the (arguments, terms) temporary
 
 
 def _phi_geometric(phi, x):
-    # in blocks: one inversion batch holds millions of arguments, and the
-    # temporary is n_terms times larger than the batch
+    # in blocks, as _exp_sum: one inversion batch holds millions of arguments
+    # (a kernel's rule 10^5), and the temporary is n_terms times larger
     w, b = _geometric_terms(phi.alpha_param, phi.n_terms)
     flat = x.reshape(-1)
     out = np.empty(flat.shape, dtype=np.result_type(flat, b))
@@ -483,7 +481,10 @@ KINDS: dict[str, _Kind] = {
         (_ALPHA, _Param("n", "n_terms", int, optional=True)),
         _phi_geometric,
         lambda phi: 0.0,
-        potential_density=_geometric_potential,
+        # 1/phi and phi/lam are finite sums of simple poles, so u, mu and the tail are exact
+        # exponential sums; a Talbot contour would sit near those poles and lose digits
+        potential_density=lambda phi, t: _exp_sum(*_geometric_terms(phi.alpha_param, phi.n_terms), t),
+        levy_density=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t, 1),
         levy_tail=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t),
         drift=lambda phi: 0.5 / (2.0**phi.n_terms - 1.0),  # 1/(2**(N+1) - 2)
     ),

@@ -9,11 +9,12 @@ negative real axis (Stieltjes-type transforms always are):
   be continued into the left half-plane.  Accuracy saturates near 1e-7 in
   double precision around 14 terms.
 
-The module also holds the quadrature other modules share: the trapezoid rule
-:func:`halving_trapezoid`, which certifies many integrals at once by step
-halvings (Takahasi & Mori, Publ. RIMS 9, 1974, on its fast convergence in a
-log variable), and scipy's ``quad`` as :func:`quad`, which imports
-``scipy.integrate`` (and with it ``scipy.optimize``) on its first call.
+The module also holds the quadrature driver every integral shares, the
+trapezoid rule :func:`halving_trapezoid`, which certifies many integrals at
+once by step halvings (Takahasi & Mori, Publ. RIMS 9, 1974, on its fast
+convergence in a log or doubly exponential variable).  :func:`quad` is scipy's
+``quad``, which nothing in the package calls: it stays only as the name a
+tracer patches, and imports ``scipy.integrate`` on its first call.
 """
 
 from __future__ import annotations
@@ -205,9 +206,8 @@ def halving_trapezoid(sums: Callable, n: int, *, epsabs: float, epsrel: float, l
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on the first call.
 
-    Same arguments, same return value; only the import is deferred.  Callers
-    bind it as a module attribute and look it up when they call, so a
-    wrapper set on that attribute sees every call.
+    Nothing in the package calls it; ``kernels`` and ``ladder`` bind it
+    only so that a tracer's wrapper set on that name keeps a target.
     """
     from scipy.integrate import quad as scipy_quad
 

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sbmpot import bernstein
-from sbmpot.errors import ConstructionError, NumericAccuracyError, UnsupportedKindError
+from sbmpot import bernstein, kernels, laplace
+from sbmpot.errors import ConstructionError, UnsupportedKindError
 from sbmpot.montecarlo import _compound_tables
 
 
@@ -199,13 +199,25 @@ def test_geometric_levy_tail_memory_is_bounded():
     phi = bernstein.geometric_like(1.0)
     tracemalloc.start()
     try:
-        mu = bernstein.eval_levy_density(phi, np.geomspace(1e-3, 1e-1, 3360))
+        mu = -laplace.talbot_with_residual(phi._eval, np.geomspace(1e-3, 1e-1, 3360))[0]
         tail = bernstein.levy_tail(phi, np.geomspace(1e-3, 1e2, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert np.all(mu > 0.0) and np.all(tail >= 0.0)
+
+
+def test_geometric_levy_density_is_the_tail_derivative():
+    # mu is closed: positive where the Talbot inversion sinks under its
+    # round-off floor, equal to it where that is certified, and the same at
+    # r = 1 whichever radius grid j is computed on
+    phi = bernstein.geometric_like(1.0)
+    assert np.all(bernstein.eval_levy_density(phi, np.array([10.0, 100.0])) > 0.0)
+    t = np.geomspace(1e-4, 1.0, 40)
+    talbot = -laplace.talbot_with_residual(phi._eval, t)[0]
+    np.testing.assert_allclose(bernstein.eval_levy_density(phi, t), talbot, rtol=1e-7)
+    assert kernels._jump(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1] == kernels.jump_kernel(phi, 3, 1.0)
 
 
 def test_geometric_blocks_are_invisible():
@@ -248,15 +260,13 @@ def test_tail_additivity_for_sum():
 
 def test_levy_shift_bound(catalog):
     for phi in catalog:
-        if phi.kind == "geometric_example":
-            # mu decays like e^(-z_1 t) into the rule's round-off noise by
-            # t ~ 4, above the 1e-6-of-peak floor: the 32- and 24-node rules
-            # part by about 1 there (the exact max ratio is e^(z_1) = 936.47)
-            with pytest.raises(NumericAccuracyError):
-                bernstein.check_levy_shift_bound(phi)
-            continue
         rep = bernstein.check_levy_shift_bound(phi)
         assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0, phi.label()
+        if phi.kind == "geometric_example":
+            # mu is the exponential sum sum c_k z_k e^(-z_k t), whose ratio
+            # rises to e^(z_1) and is there at the last point t = 64
+            z_1 = bernstein._geometric_tail_terms(phi.alpha_param, phi.n_terms)[1][0]
+            assert rep.max_ratio == pytest.approx(math.exp(z_1), rel=1e-12)
         if phi.kind == "stable":
             # mu(t)/mu(t+1) = ((t+1)/t)^(1+alpha/2), largest at the first point t = 2
             assert rep.max_ratio == pytest.approx(1.5 ** (1.0 + phi.alpha / 2.0), rel=1e-12)

@@ -205,8 +205,8 @@ RENDER_PINS = {
         "5da21729310a024c5b54a87c462d614afcef6b787bf5beb8a86524a3c882597b"),
     "ladder-halfline": (
         "ladder halfline --kind stable --alpha 1 --x 1 --y 2", 0,
-        "cbc5195c4d961357a9042a3f81e501b00ef50b138fe23fa5f5933f3a848f3748",
-        "0862fcf2a6613ea6da48c4b891924132e7e1ad95b22a7a434740c4c7893e0899"),
+        "aa53997ab37208f42673675c7cba521d2bf39e60186ac3b6cf991ad015259fc2",
+        "c6765c5a5b6973b89a862741302d57565cc93487f3d6e0140276148f417d98eb"),
     "check-sandwich": (
         "check sandwich --kind stable --alpha 1", 0,
         "0767d2bd7c252b1ae5d354c1547d5203ae279463becebdb24a206a695d296619",
@@ -526,18 +526,19 @@ def _fresh_run(*lines):
 
 
 def test_commands_without_quadrature_leave_scipy_stacks_unloaded():
-    # only kernel, ladder halfline, check doubling and check asym integrate or
-    # build splines; every other command starts without scipy.integrate and
-    # scipy.interpolate (and the optimize, linalg and sparse stacks they pull in)
+    # only kernel, check doubling and check asym build splines, and no command
+    # integrates with scipy; every other command starts without scipy.integrate
+    # and scipy.interpolate (and the optimize, linalg and sparse stacks they pull in)
     codes, loaded = _fresh_run(
         "phi --kind stable --alpha 1 --points 3",
         "density --kind relativistic --alpha 1 --points 3",
         "ladder chi --kind sum --alpha 1 --points 3",
+        "ladder halfline --kind sum --alpha 1 --x 1 --y 2",
         "check zahle --kind stable --alpha 0.5",
         "check bhp --kind stable --alpha 1 --paths 50 --seed 1",
         "simulate exit --kind stable --alpha 1 --paths 50 --seed 1",
         "simulate exit --kind relativistic --alpha 1 --paths 50 --seed 1")
-    assert codes[:4] == [0, 0, 0, 0] and codes[4] in (0, 1) and codes[5:] == [0, 0]
+    assert codes[:5] == [0, 0, 0, 0, 0] and codes[5] in (0, 1) and codes[6:] == [0, 0]
     assert loaded == []
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn, hyp2f1
 
 from sbmpot import bernstein, cli, ladder
 from sbmpot.errors import NumericAccuracyError
@@ -72,6 +73,28 @@ def test_halfline_green_closed_value():
     assert ladder.halfline_green(phi, 1.0, 2.0) == pytest.approx(expected, abs=1e-4)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.05, 1.5, 1.95])
+@pytest.mark.parametrize("x, y", [(1.0, 2.0), (0.2, 3.0), (2.5, 0.7), (1.0, 1.0)])
+def test_halfline_green_stable_oracle(alpha, x, y):
+    # v(z) = z^(a-1)/Gamma(a), a = alpha/2, so G is a hypergeometric function
+    # off the diagonal and a power of x on it (divergent for alpha <= 1)
+    a, lo, gap = alpha / 2.0, min(x, y), abs(y - x)
+    if gap == 0.0:
+        expect = lo ** (alpha - 1.0) / ((alpha - 1.0) * gamma_fn(a) ** 2) if alpha > 1.0 else math.inf
+    else:
+        expect = gap ** (a - 1.0) * lo ** a / a * hyp2f1(1.0 - a, a, a + 1.0, -lo / gap) / gamma_fn(a) ** 2
+    assert ladder.halfline_green(bernstein.stable(alpha), x, y) == pytest.approx(expect, rel=1e-12)
+
+
+def test_halfline_green_refuses_a_drifting_rest():
+    # on the diagonal at alpha = 1.01 the rest under z = 1e-100 x carries a
+    # tenth of the value, and the log factor keeps v off a power law there:
+    # closed with the measured power it moves by 4e-3 when the floor does, so
+    # the gap to the limit power must refuse it
+    with pytest.raises(NumericAccuracyError, match="halfline Green quadrature"):
+        ladder.halfline_green(bernstein.log_perturbed_up(1.01, 0.5), 1.0, 1.0)
+
+
 def test_halfline_green_symmetry():
     phi = bernstein.stable(1.0)
     xs = np.linspace(0.5, 2.5, 5)
@@ -83,8 +106,8 @@ def test_halfline_green_symmetry():
 
 
 def test_halfline_green_leaks_no_integration_warning(capsys):
-    # quad stalls short of its request on this input; the verdict is a value
-    # within 50 times the request (exit 0) or a typed refusal (exit 3)
+    # v's round-off keeps the rule short of its request on this input; the
+    # verdict is a value within 50 times the request (exit 0) or a typed refusal (exit 3)
     argv = ["ladder", "halfline", "--kind", "sum", "--alpha", "1", "--beta", "0.5",
             "--x", "1", "--y", "2"]
     with warnings.catch_warnings():
@@ -94,8 +117,8 @@ def test_halfline_green_leaks_no_integration_warning(capsys):
 
 
 def test_halfline_green_refuses_an_uncertified_convolution(monkeypatch):
-    # a renewal density too rough for quad's 300 subintervals
-    monkeypatch.setattr(ladder, "ladder_density_v", lambda phi, z: 1.0 + 1e-3 * math.sin(1e7 * z * z))
+    # a renewal density too rough for the rule's last step halving
+    monkeypatch.setattr(ladder, "ladder_density_v", lambda phi, z: 1.0 + 1e-3 * np.sin(1e7 * z * z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericAccuracyError, match="halfline Green quadrature") as info:
