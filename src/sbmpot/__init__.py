@@ -1,7 +1,7 @@
 """Potential theory for subordinate Brownian motion.
 
 Complete Bernstein functions and their conjugates, potential and Levy
-densities via numerical Laplace inversion, Green and jump kernels through
+densities as integrals over phi's cut, Green and jump kernels through
 subordination, ladder-height objects on the half-line, and a deterministic
 Monte Carlo engine for exit-time, exit-distribution, Harnack, and boundary
 Harnack checks.

@@ -11,10 +11,10 @@ lam**(alpha/2) times a slowly varying factor on [1, inf), with alpha stored on
 the object.
 
 Evaluation accepts real positive or complex arguments (principal branches,
-analytic off the negative real axis), which is what the contour-based Laplace
-inversion needs.  Without drift, phi(0+) + mu(t, inf) has Laplace transform
-phi(lam)/lam, so Levy densities and tails without a closed form are Talbot
-inversions of phi itself.
+analytic off the negative real axis); -s + 0j is the upper lip of the cut,
+where mu(t) = (1/pi) int_0^inf e^(-ts) Im phi(-s + i0) ds, and the tail takes
+Im phi(-s + i0)/s: :meth:`CompleteBernsteinFunction.cut_integral` computes
+both on the real-axis rule of :mod:`sbmpot.laplace` for kinds without them.
 """
 
 from __future__ import annotations
@@ -103,6 +103,11 @@ class CompleteBernsteinFunction:
     def drift(self) -> float:
         return _entry(self.kind).drift(self)
 
+    def cut_integral(self, rho: Callable, t, kernel: Callable | None = None):
+        """Real-axis integral (1/pi) int_0^inf k(t*s) rho(phi(-s + i0), s) ds, split at the kind's branch point."""
+        b = _entry(self.kind).branch_point(self)
+        return laplace.real_axis_integral(lambda s: rho(self._eval(-s + 0j), s), t, b, kernel)
+
     @property
     def small_exponent(self) -> float | None:
         """Known power behaviour of phi at 0+, or None when unavailable."""
@@ -188,27 +193,14 @@ def _geometric_tail_terms(alpha_param: float, n_terms: int):
         return z / np.sum(w / (b / z[:, None] - 1.0) ** 2, axis=-1), z
 
 
-def _log1p(x):
-    return _clog1p(x) if np.iscomplexobj(x) else np.log1p(x)
-
-
-def _clog1p(z):
-    """log(1+z) for complex arrays without the tiny-|z| cancellation."""
-    z = np.asarray(z)
+def _log1p(z):
+    """log(1+z); for complex z below |z| = 1e-3, where numpy's cancels, a 6-term series (error < |z|^7)."""
+    if not np.iscomplexobj(z):
+        return np.log1p(z)
     small = np.abs(z) < 1e-3
     zs = np.where(small, z, 0.0)
-    # 6-term alternating series; error below |z|^7 at the cutoff
     series = zs * (1 + zs * (-1 / 2 + zs * (1 / 3 + zs * (-1 / 4 + zs * (1 / 5 - zs / 6)))))
     return np.where(small, series, np.log(np.where(small, 1.0, 1.0 + z)))
-
-
-def _cexpm1(w):
-    """exp(w)-1 for complex arrays without the tiny-|w| cancellation."""
-    w = np.asarray(w)
-    small = np.abs(w) < 1e-3
-    ws = np.where(small, w, 0.0)
-    series = ws * (1 + ws * (1 / 2 + ws * (1 / 6 + ws * (1 / 24 + ws * (1 / 120 + ws / 720)))))
-    return np.where(small, series, np.exp(np.where(small, 0.0, w)) - 1.0)
 
 
 # 2.0**1024 overflows, so the geometric weights 2**n stay finite up to here
@@ -381,6 +373,7 @@ class _Kind:
     ladder_density: Callable | None = None  # v(t), inverse transform of 1/chi
     renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
     drift: Callable = lambda phi: 0.0  # lim phi(lam)/lam
+    branch_point: Callable = lambda phi: 1.0  # the s where Im phi(-s + i0) may be singular
     # lim lam/phi(lam) as lam -> 0+, the conjugate's killing: 0 wherever the
     # small exponent is below 1 or phi is killed
     conjugate_killing: Callable = lambda phi: 0.0
@@ -388,20 +381,13 @@ class _Kind:
 
 
 def _phi_relativistic(phi, x):
-    theta = phi.m ** (2.0 / phi.alpha_param)
     # expm1/log1p keeps precision near 0, where the direct formula cancels
-    # catastrophically; complex arguments (inversion contours scale them
-    # towards 0 for large t) need the same care
-    if np.iscomplexobj(x):
-        return phi.m * _cexpm1((phi.alpha_param / 2.0) * _clog1p(x / theta))
-    return phi.m * np.expm1((phi.alpha_param / 2.0) * np.log1p(x / theta))
+    # catastrophically (numpy's complex expm1 is accurate there, its log1p is not)
+    return phi.m * np.expm1((phi.alpha_param / 2.0) * _log1p(x / phi.m ** (2.0 / phi.alpha_param)))
 
 
 def _phi_log_up(phi, x):
-    # the log factor first: on an inversion batch a temporary is a large
-    # complex array, and computing the power first keeps one more alive
-    lg = _log1p(x)
-    return x ** (phi.alpha_param / 2.0) * lg ** (phi.log_exponent / 2.0)
+    return x ** (phi.alpha_param / 2.0) * _log1p(x) ** (phi.log_exponent / 2.0)
 
 
 def _phi_log_down(phi, x):
@@ -414,8 +400,8 @@ _GEOM_BLOCK = 8192  # arguments per block of the (arguments, terms) temporary
 
 
 def _phi_geometric(phi, x):
-    # in blocks, as _exp_sum: one inversion batch holds millions of arguments
-    # (a kernel's rule 10^5), and the temporary is n_terms times larger
+    # in blocks, as _exp_sum: a block of chi holds 2^16 arguments, and the
+    # temporary is n_terms times larger
     w, b = _geometric_terms(phi.alpha_param, phi.n_terms)
     flat = x.reshape(-1)
     out = np.empty(flat.shape, dtype=np.result_type(flat, b))
@@ -451,6 +437,7 @@ KINDS: dict[str, _Kind] = {
         levy_density=lambda phi, t: (
             _stable_levy(phi.alpha_param, t) * np.exp(-phi.m ** (2.0 / phi.alpha_param) * t)),
         levy_tail=_relativistic_tail,
+        branch_point=lambda phi: phi.m ** (2.0 / phi.alpha_param),  # Im phi(-s + i0) = 0 below it
         # 1/phi'(0), phi'(0) = (alpha/2) * m**((2/alpha)(alpha/2 - 1))
         conjugate_killing=lambda phi: (2.0 / phi.alpha_param) * phi.m ** (
             (2.0 / phi.alpha_param) * (1.0 - phi.alpha_param / 2.0)),
@@ -482,7 +469,7 @@ KINDS: dict[str, _Kind] = {
         _phi_geometric,
         lambda phi: 0.0,
         # 1/phi and phi/lam are finite sums of simple poles, so u, mu and the tail are exact
-        # exponential sums; a Talbot contour would sit near those poles and lose digits
+        # exponential sums; the real-axis rule would see none of those point masses on the cut
         potential_density=lambda phi, t: _exp_sum(*_geometric_terms(phi.alpha_param, phi.n_terms), t),
         levy_density=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t, 1),
         levy_tail=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t),
@@ -493,6 +480,11 @@ KINDS: dict[str, _Kind] = {
         (),
         lambda phi, x: x / phi.inner._eval(x),
         _conjugate_small_exponent,
+        # 1/psi = phi/lam, so u of the conjugate is phi's killing plus its Levy tail
+        potential_density=lambda phi, t: (None if (tail := phi.inner.closed_form("levy_tail", t)) is None
+                                          else tail + phi.inner.killing),
+        branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
+        conjugate_killing=lambda phi: phi.inner.killing,
         composite=True,
     ),
     "killed_shift": _Kind(
@@ -503,6 +495,7 @@ KINDS: dict[str, _Kind] = {
         levy_density=lambda phi, t: phi.inner.closed_form("levy_density", t),
         levy_tail=lambda phi, t: phi.inner.closed_form("levy_tail", t),
         drift=lambda phi: phi.inner.drift,
+        branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
         composite=True,
     ),
 }
@@ -536,35 +529,22 @@ def default_catalog() -> list[CompleteBernsteinFunction]:
 
 
 def eval_levy_density(phi: CompleteBernsteinFunction, t):
-    """Levy density mu(t) of phi.
-
-    Closed form where the catalog has one.  Otherwise mu(t) is recovered as
-    minus the Bromwich integral of phi itself: the Laplace transform of the
-    Levy tail is phi(lam)/lam, and differentiating under the contour integral
-    kills the killing constant and leaves -mu.  phi is a complete Bernstein
-    function, so the integrand is analytic off the negative reals and the
-    Talbot contour applies.  The inversion is certified as in
-    :func:`levy_tail` (NumericAccuracyError past 1e-6); values under the
-    rule's round-off floor, 1e-6 of the batch peak, are returned uncertified.
-    """
+    """Levy density mu(t) of phi: the closed form where the catalog has one, else
+    (1/pi) int_0^inf e^(-ts) Im phi(-s + i0) ds on the real-axis rule, each t
+    certified to relative 1e-9 (NumericAccuracyError beyond)."""
     closed = phi.closed_form("levy_density", t)
     if closed is not None:
         return closed
-    return -laplace.talbot_with_residual(phi._eval, t)[0]
+    return phi.cut_integral(lambda v, s: v.imag, t)
 
 
 def levy_tail(phi: CompleteBernsteinFunction, t):
-    """Tail mass mu(t, inf): closed form where available, else one inversion.
-
-    Every kind without a closed tail is drift-free, so killing + mu(t, inf)
-    has Laplace transform phi(lam)/lam and the tail is the inverse transform
-    of (phi(lam) - phi(0+))/lam.  The Talbot rule is certified against its
-    smaller cross-check rule and raises NumericAccuracyError past 1e-6.
-    """
+    """Tail mass mu(t, inf): the closed form where available, else
+    (1/pi) int_0^inf e^(-ts) Im phi(-s + i0)/s ds, certified as the Levy density is."""
     closed = phi.closed_form("levy_tail", t)
     if closed is not None:
         return closed
-    return laplace.talbot_with_residual(lambda s: (phi._eval(s) - phi.killing) / s, t)[0]
+    return phi.cut_integral(lambda v, s: v.imag / s, t)
 
 
 @dataclass(frozen=True)

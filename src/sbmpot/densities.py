@@ -1,11 +1,10 @@
-"""Potential and Levy densities of a subordinator via Laplace inversion.
+"""Potential and Levy densities of a subordinator on the real axis.
 
 The potential measure U of a subordinator with Laplace exponent phi has
-Laplace transform 1/phi, so its density u is recovered by inverting 1/phi.
-Both 1/phi and phi itself (for the Levy density) are Stieltjes-type
-transforms, analytic off the negative reals, which is exactly the regime the
-fixed-Talbot contour is good at.  Where a kind has a closed form (the
-potential density of the stable and geometric kinds, the Levy density of
+Laplace transform 1/phi, a Stieltjes function, so u is an atom
+c = lim lam/phi(lam) plus (1/pi) int_0^inf e^(-ts) (-Im 1/phi(-s + i0)) ds, on
+the real-axis rule of :mod:`sbmpot.laplace`.  Where a kind has a closed form
+(the potential density of the stable and geometric kinds, the Levy density of
 several) it comes from the kind registry through ``phi.closed_form``, and
 :func:`potential_density_u` is the one entry point for u.
 
@@ -31,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import laplace
-from .bernstein import KINDS, CompleteBernsteinFunction, conjugate, eval_levy_density, levy_tail
+from .bernstein import KINDS, CompleteBernsteinFunction, eval_levy_density, levy_tail
 from .errors import NumericAccuracyError
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "u_asymptotic_ratio",
     "mu_asymptotic_ratio",
     "RatioWindow",
-    "tail_vs_conjugate_potential",
     "density_table",
 ]
 
@@ -59,15 +56,14 @@ ZAHLE_BOUND = 1.0 / (1.0 - math.exp(-1.0))
 def potential_density_u(phi: CompleteBernsteinFunction, t):
     """Potential density u(t), the density of the occupation measure of the subordinator.
 
-    The kind's closed form where the registry has one; otherwise the Talbot
-    inversion of 1/phi, whose 32-node rule is certified against a 24-node
-    one to 1e-6 (:class:`NumericAccuracyError` beyond).  Values under the
-    rule's round-off floor, 1e-6 of the batch peak, are returned uncertified.
+    The kind's closed form where the registry has one; otherwise the atom plus the real-axis
+    integral of -Im(1/phi) (not Im phi/|phi|^2, whose square underflows), each t certified to
+    relative 1e-9 (:class:`NumericAccuracyError` beyond).
     """
     closed = phi.closed_form("potential_density", t)
     if closed is not None:
         return closed
-    return laplace.talbot_with_residual(lambda s: 1.0 / phi._eval(np.asarray(s)), t)[0]
+    return KINDS[phi.kind].conjugate_killing(phi) + phi.cut_integral(lambda v, s: -(1.0 / v).imag, t)
 
 
 def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable:
@@ -77,20 +73,19 @@ def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable:
     secant slope, so downstream improper integrals keep the correct power
     decay instead of seeing a clamped constant.
 
-    Grid ends where the target has decayed below the inversion's round-off
-    floor (exponentially small tails read back as noise, possibly negative)
-    are trimmed away; the steep boundary slope then continues the decay.
-    Nonpositive values in the interior are a genuine failure.
+    Grid ends where the target is 0 or not finite are trimmed away; the steep
+    boundary slope then continues the decay.  Nonpositive values in the
+    interior are a genuine failure.
 
     The evaluator takes an array of t (or one t) and returns its shape.
     """
     from scipy.interpolate import CubicSpline
 
-    keep = np.flatnonzero(vals > np.max(vals) * 1e-14)
+    keep = np.flatnonzero(np.isfinite(vals) & (vals > 0.0))
     lo, hi = (keep[0], keep[-1] + 1) if keep.size else (0, 0)
     grid, vals = grid[lo:hi], vals[lo:hi]
     if len(vals) < 8 or np.any(vals <= 0.0):
-        raise NumericAccuracyError(f"{what} inversion went nonpositive")
+        raise NumericAccuracyError(f"{what} went nonpositive")
     lx, ly = np.log(grid), np.log(vals)
     spline = CubicSpline(lx, ly)
     slope_lo = (ly[1] - ly[0]) / (lx[1] - lx[0])
@@ -128,8 +123,8 @@ def spline_potential_evaluator(phi: CompleteBernsteinFunction, t_lo: float, t_hi
     """Cheap array evaluator of u over [t_lo, t_hi], for use inside quadratures.
 
     The closed form where the kind has one; otherwise a log-log spline built
-    from one vectorised Talbot sweep, whose interpolation error is far below
-    the inversion residual at 30 points per decade.
+    from one vectorised sweep of the real-axis rule, tabulated at 30 points
+    per decade.
     """
     return _spline_evaluator(phi, "potential_density", potential_density_u, t_lo, t_hi)
 
@@ -153,7 +148,7 @@ def zahle_upper_check(phi: CompleteBernsteinFunction, t_grid=None) -> ZahleRepor
     """max over the grid of u(t) * t * phi(1/t), checked against (1-1/e)^(-1).
 
     The bound is unconditional for decreasing potential densities, so a
-    violation beyond 1e-6 indicates an inversion problem, not a modelling
+    violation beyond 1e-6 indicates a numerical problem, not a modelling
     one.
     """
     grid = _small_times(t_grid)
@@ -235,23 +230,6 @@ def mu_asymptotic_ratio(phi: CompleteBernsteinFunction, t_grid=None) -> RatioWin
     grid = _small_times(t_grid)
     mu = np.atleast_1d(eval_levy_density(phi, grid))
     return RatioWindow.of(grid, mu * grid / np.atleast_1d(phi(1.0 / grid)))
-
-
-def tail_vs_conjugate_potential(phi: CompleteBernsteinFunction) -> float:
-    """Max relative gap between the Levy tail and the conjugate's potential density.
-
-    The Laplace transform of a + mu(t, inf) is phi(lam)/lam, which is 1 over
-    the conjugate exponent (a is the killing constant of phi, zero for
-    conservative entries).  Both sides invert that transform in effect, so
-    the check covers the killing bookkeeping and the conjugate kind, not the
-    inversion.  Grid points where the tail has fallen below 1e-6 of its peak
-    sit under the inversion's round-off floor and are skipped.
-    """
-    grid = np.geomspace(1e-2, 10.0, 20)
-    tail = np.atleast_1d(levy_tail(phi, grid)) + phi.killing
-    via_conj = np.atleast_1d(potential_density_u(conjugate(phi), grid))
-    live = np.abs(via_conj) >= 1e-6 * np.max(np.abs(via_conj))
-    return float(np.max(np.abs(tail - via_conj)[live] / np.abs(via_conj)[live]))
 
 
 def density_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarray]:

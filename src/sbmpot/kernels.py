@@ -12,9 +12,9 @@ past t = e^700 is closed by the weight's power law there.
 
 Every entry point passes its whole radius grid in one call, G through
 ``_green`` (transience check, tail exponent in d <= 2, potential weight) and
-j through ``_jump`` (Levy weight).  A weight is the kind's closed form where
-the registry has one, else a log-log spline of the inverted density
-tabulated once for the grid; either takes an array of t.
+j through ``_jump`` (Levy weight).  A weight, which takes an array of t, is
+the kind's closed form where the registry has one, else a log-log spline,
+trimmed only where 0 or not finite, of the real-axis rule's density table.
 """
 
 from __future__ import annotations

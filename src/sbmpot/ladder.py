@@ -12,17 +12,15 @@ G(x,y) = int_0^(x^y) v(z) v(|y-x|+z) dz.
 
 Numerical notes.  The quadrature pulls the power lam^(alpha/2) out of the
 exponent analytically (using int log(th)/(1+th^2) dth = 0), leaving only the
-slowly varying part under the integral; nodes come from a doubly exponential
-rule written so that both endpoints stay resolved in floating point.  The
-inversions use the Gaver-Stehfest rule: it samples the transform on the
-positive real axis only, where the chi integral representation is valid (on
-a complex contour lam^2 leaves the principal branch, so the Talbot route
-used elsewhere does not apply).  Kinds whose v and V have closed forms
-(the stable kind, where chi(lam) = lam^(alpha/2)) take them from the kind
-registry instead.  One generator, ``_de_rule``, gives the doubly exponential
-nodes on (0, 1) (Takahasi & Mori, Publ. RIMS 9, 1974): chi sums a fixed rule
-of it, and the half-line convolution one rule per step halving of the
-kernels' driver, :func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.
+slowly varying part under the integral.  The inversions use the Gaver-Stehfest
+rule: it samples the transform on the positive real axis only, where the chi
+integral representation is valid (for complex lam, lam^2 leaves the principal
+branch).  Kinds whose v and V have closed forms (the stable kind, where
+chi(lam) = lam^(alpha/2)) take them from the kind registry instead.  The
+doubly exponential nodes on (0, 1) of ``laplace._de_rule`` (Takahasi & Mori,
+Publ. RIMS 9, 1974), exact at both ends, serve chi as one fixed rule and the
+half-line convolution as one rule per step halving of the shared driver,
+:func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.
 """
 
 from __future__ import annotations
@@ -31,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
 from .errors import EvaluationDomainError, NumericAccuracyError
-from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
+from .laplace import _de_rule, quad  # noqa: F401  quad unused here; perfbench/tracing.py patches it by name
 
 __all__ = [
     "ladder_exponent_chi",
@@ -56,15 +53,6 @@ SANDWICH_HI = math.exp(math.pi / 2.0)
 
 _CHI_NODES = 128  # half-width of chi's DE rule: about 2*_CHI_NODES nodes per lam
 _BLOCK = 1 << 16  # elements of a (lam, node) block
-
-
-def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DE rule for int_0^length: node fractions s_k = sigmoid(pi*sinh(kh)), |k| <= n, and
-    1 - s_k, each exact at its end, and weights h*g(kh), so step 2h has every other node."""
-    k = np.arange(-n, n + 1, dtype=float)
-    t = math.pi * np.sinh(k * h)
-    sig, sig_m = expit(t), expit(-t)
-    return sig, sig_m, (length * math.pi * h) * np.cosh(k * h) * sig * sig_m
 
 
 def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):

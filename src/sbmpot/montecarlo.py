@@ -58,9 +58,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
+from scipy.special import betaincinv, gammainc, ndtri
 
-from . import laplace, rng
+from . import rng
 from .bernstein import CompleteBernsteinFunction, levy_tail
 from .errors import ConstructionError, EvaluationDomainError
 from .ladder import renewal_function_V
@@ -290,11 +290,9 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     log_x = np.log(x[keep])
     log_u = np.log(tail[keep] / rate)
 
-    # drift: int_0^eps s mu = int_0^eps tail - eps*tail(eps), and the head
-    # integral of the tail has Laplace transform (phi(lam) - phi(0+))/lam**2
-    head_int = laplace.talbot_with_residual(lambda s: (phi._eval(s) - phi.killing) / s**2, eps)[0]
-    drift = head_int - eps * rate
-    return rate, max(drift, 0.0), log_u, log_x
+    # drift: int_0^eps x mu = (eps/pi) int_0^inf P(2, eps*s)/(eps*s) Im phi(-s + i0)/s ds, both factors finite
+    drift = eps * phi.cut_integral(lambda v, s: v.imag / s, eps, kernel=lambda z: gammainc(2.0, z) / z)
+    return rate, drift, log_u, log_x
 
 
 def _jump_sizes(tables, u: np.ndarray) -> np.ndarray:

@@ -199,13 +199,34 @@ def test_geometric_levy_tail_memory_is_bounded():
     phi = bernstein.geometric_like(1.0)
     tracemalloc.start()
     try:
-        mu = -laplace.talbot_with_residual(phi._eval, np.geomspace(1e-3, 1e-1, 3360))[0]
+        mu = -laplace.talbot_inversion(phi._eval, np.geomspace(1e-3, 1e-1, 3360))
         tail = bernstein.levy_tail(phi, np.geomspace(1e-3, 1e2, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert np.all(mu > 0.0) and np.all(tail >= 0.0)
+
+
+def test_conjugate_relativistic_levy_density_is_never_negative():
+    # lam/(sqrt(lam + 1) - 1) = sqrt(lam + 1) + 1 = phi + 2, so the conjugate's mu is the
+    # relativistic closed one, 1.05e-47 at t = 100 and 0 in floats past it; a contour
+    # rule's batch floor wrote 2.0e-12 and negative values
+    rel = bernstein.relativistic_stable(1.0, 1.0)
+    t = np.array([100.0, 1e4, 1e6])
+    mu = bernstein.eval_levy_density(bernstein.conjugate(rel), t)
+    assert np.all(mu >= 0.0)
+    np.testing.assert_allclose(mu, rel.closed_form("levy_density", t), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("phi", [bernstein.log_perturbed_up(1.0, 0.5), bernstein.log_perturbed_down(1.0, 0.5)],
+                         ids=["log_up", "log_down"])
+def test_log_jump_kernel_does_not_depend_on_its_grid(phi):
+    # the weight table is trimmed only where mu is 0 or not finite, so j(1)
+    # from a table over [1e-3, 1] is j(1) alone (1.3% and 0.4% apart when the
+    # table was cut at 1e-14 of its peak)
+    grid_value = kernels._jump(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1]
+    assert grid_value == pytest.approx(kernels.jump_kernel(phi, 3, 1.0), rel=1e-9)
 
 
 def test_geometric_levy_density_is_the_tail_derivative():
@@ -215,7 +236,7 @@ def test_geometric_levy_density_is_the_tail_derivative():
     phi = bernstein.geometric_like(1.0)
     assert np.all(bernstein.eval_levy_density(phi, np.array([10.0, 100.0])) > 0.0)
     t = np.geomspace(1e-4, 1.0, 40)
-    talbot = -laplace.talbot_with_residual(phi._eval, t)[0]
+    talbot = -laplace.talbot_inversion(phi._eval, t)
     np.testing.assert_allclose(bernstein.eval_levy_density(phi, t), talbot, rtol=1e-7)
     assert kernels._jump(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1] == kernels.jump_kernel(phi, 3, 1.0)
 

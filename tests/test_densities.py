@@ -29,6 +29,28 @@ def test_relativistic_potential_density_oracle(m):
     np.testing.assert_allclose(densities.potential_density_u(phi, t), exact, rtol=1e-6)
 
 
+def test_killed_relativistic_potential_density_past_the_batch_peak():
+    # phi = sqrt(lam + 1): u = exp(-t)/sqrt(pi t), 2.1e-45 at t = 100, where a
+    # contour rule's batch floor wrote 5.2e-13; the nodes dropped next to the
+    # branch point cost 3.8e-7 there
+    phi = bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 1.0)
+    t = np.array([1.0, 10.0, 100.0])
+    np.testing.assert_allclose(densities.potential_density_u(phi, t), np.exp(-t) / np.sqrt(np.pi * t),
+                               rtol=1e-6)
+
+
+def test_conjugate_potential_density_carries_the_atom():
+    # psi = lam/(sqrt(lam) + 1/2): 1/psi = lam^(-1/2) + 1/(2 lam), so u = 1/sqrt(pi t) + 1/2, by the
+    # closed tail of the inner kind and by the atom plus the real-axis rule alike
+    psi = bernstein.conjugate(bernstein.killed_shift(bernstein.stable(1.0), 0.5))
+    t = np.geomspace(1e-3, 1e3, 7)
+    exact = 1.0 / np.sqrt(np.pi * t) + 0.5
+    np.testing.assert_allclose(densities.potential_density_u(psi, t), exact, rtol=1e-12)
+    assert bernstein.KINDS["conjugate"].conjugate_killing(psi) == 0.5
+    rule = 0.5 + psi.cut_integral(lambda v, s: -(1.0 / v).imag, t)
+    np.testing.assert_allclose(rule, exact, rtol=1e-12)
+
+
 @pytest.mark.parametrize("phi, t, rtol", [
     (bernstein.stable(1.0), np.geomspace(1e-2, 10.0, 15), 1e-8),
     # the truncated-series potential density is exact
@@ -37,7 +59,7 @@ def test_relativistic_potential_density_oracle(m):
 def test_closed_potential_density_matches_talbot(phi, t, rtol):
     # cross-validates the closed form against the certified inversion of 1/phi
     closed = densities.potential_density_u(phi, t)
-    inverted, _ = laplace.talbot_with_residual(lambda s: 1.0 / phi(s), t)
+    inverted = laplace.talbot_inversion(lambda s: 1.0 / phi(s), t)
     np.testing.assert_allclose(inverted, closed, rtol=rtol)
 
 
@@ -56,13 +78,16 @@ KIND_EXAMPLES = {
 @pytest.mark.parametrize("kind", list(bernstein.KINDS))
 def test_closed_mode_raises_exactly_without_a_closed_form(kind):
     # u is the kind's closed form exactly where the registry has one, and the
-    # certified inversion of 1/phi, same bits, everywhere else
+    # atom plus the real-axis integral of -Im 1/phi, same bits, everywhere
+    # else, which the Talbot inversion of 1/phi confirms to its 1e-6
     phi = KIND_EXAMPLES[kind]
     t = np.array([0.1, 1.0])
     closed = phi.closed_form("potential_density", t)
     assert (closed is None) == (bernstein.KINDS[kind].potential_density is None)
     if closed is None:
-        closed, _ = laplace.talbot_with_residual(lambda s: 1.0 / phi(s), t)
+        closed = (bernstein.KINDS[kind].conjugate_killing(phi)
+                  + phi.cut_integral(lambda v, s: -(1.0 / v).imag, t))
+        np.testing.assert_allclose(closed, laplace.talbot_inversion(lambda s: 1.0 / phi(s), t), rtol=1e-6)
     assert np.array_equal(densities.potential_density_u(phi, t), closed)
     assert isinstance(densities.potential_density_u(phi, 0.5), float)
 
@@ -110,12 +135,15 @@ def test_find_scaling_constant_stable():
 
 
 def test_tail_vs_conjugate_potential_identity(catalog):
-    # both sides invert phi(lam)/lam in effect (the tail directly, u of the
-    # conjugate as 1/(lam/phi)), so this checks the killing bookkeeping and
-    # the conjugate kind, not the inversion itself
-    for phi in catalog:
-        gap = densities.tail_vs_conjugate_potential(phi)
-        assert gap < 1e-4, f"{phi.label()}: {gap:.3e}"
+    # the Laplace transform of a + mu(t, inf) is phi/lam = 1/psi for the
+    # conjugate psi = lam/phi (a the killing of phi), so the tail plus the
+    # killing is u of the conjugate: the closed inner tail or the real-axis
+    # integral with its atom, which the killed kinds exercise
+    grid = np.geomspace(1e-2, 10.0, 20)
+    for phi in catalog + [bernstein.killed_shift(phi, 0.5) for phi in catalog[4:7]]:
+        tail = np.atleast_1d(bernstein.levy_tail(phi, grid)) + phi.killing
+        np.testing.assert_allclose(densities.potential_density_u(bernstein.conjugate(phi), grid), tail,
+                                   rtol=1e-9, err_msg=phi.label())
 
 
 def test_asymptotic_ratio_windows(catalog):
@@ -154,8 +182,7 @@ def test_killed_phi_potential_density_allowed():
 def _array_loglog_spline(grid, vals):
     """The log-log spline as an array formula: CubicSpline inside the knots,
     the boundary secants outside; the reference for the evaluator."""
-    floor = np.max(vals) * 1e-14
-    keep = np.nonzero(vals > floor)[0]
+    keep = np.nonzero(np.isfinite(vals) & (vals > 0.0))[0]
     grid, vals = grid[keep[0]:keep[-1] + 1], vals[keep[0]:keep[-1] + 1]
     lx, ly = np.log(grid), np.log(vals)
     sp = CubicSpline(lx, ly)
@@ -181,9 +208,9 @@ def _same_bits(a: float, b: float) -> bool:
     return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
 
 
-# (phi, density, span of t): an inverted potential density; an inverted Levy
-# density whose top fifth decays under the round-off floor and is trimmed; a
-# relativistic potential density, which levels off, so its top secant rises
+# (phi, density, span of t): a potential density and a Levy density of the
+# real-axis rule; a relativistic potential density, which levels off, so its
+# top secant rises
 SPLINE_CASES = {
     "u-log_up": (bernstein.log_perturbed_up(1.0, 0.5), densities.potential_density_u, (1e-10, 1e12)),
     "mu-log_down": (bernstein.log_perturbed_down(1.0, 0.5), bernstein.eval_levy_density, (1e-8, 1e4)),

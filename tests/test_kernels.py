@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from sbmpot import bernstein, cli, kernels, ladder
+from sbmpot import bernstein, cli, densities, kernels, ladder, laplace, montecarlo
 from sbmpot.errors import EvaluationDomainError, NotTransientError, NumericAccuracyError
 
 
@@ -170,9 +170,9 @@ def _sha(*arrays):
 # weights are inverted and splined
 @pytest.mark.parametrize("phi, sha", [
     (bernstein.relativistic_stable(1.0, 1.0),
-     "7510922e4bb98d2b31236065504b819e1260c06980172e26690193daa3a73168"),
+     "41de0f18290e07cdeb9e4d76f33cd0648a3bfcf962dd4aa482ea7979fe780864"),
     (bernstein.sum_of_stables(1.0, 0.5),
-     "32c5b5acd38500255b92503d17f37888652029e4789c13eb5e5cabb7c0b2e3d9"),
+     "d38469f011f70058a099ad6a51b99a5e235629b96d32fdd68699da34d2cbbae8"),
 ], ids=["relativistic", "sum"])
 def test_kernel_table_bits_pinned(phi, sha):
     table = kernels.build_kernel_table(phi, 3, 1e-2, 1.0, 8)
@@ -182,9 +182,9 @@ def test_kernel_table_bits_pinned(phi, sha):
 def test_kernel_ratio_windows_bits_pinned():
     phi = bernstein.log_perturbed_up(1.0, 0.5)
     assert (_sha(kernels.g_asymptotic_ratio(phi, 3).ratios)
-            == "0b18cc4de1c5d2f235439c943b50bb45be9c2a2fb759fe8cb48e56aac136d20f")
+            == "dd205435037af11759e0eb2859f4097db6f99c995724c683745981b22bc7cce1")
     assert (_sha(kernels.j_asymptotic_ratio(phi, 3).ratios)
-            == "2e86c2a9eb1ca3269fa3d5b215179e17ef39a79af3d45132b926daeee647ca58")
+            == "c8b409c786b68d0d95c5295b01ce55fd9731c3b7197ad4b4a9a256bf24b95214")
 
 
 def _counting(fn, calls, key):
@@ -196,17 +196,30 @@ def _counting(fn, calls, key):
 
 
 def test_quad_is_looked_up_at_call_time(monkeypatch):
-    # a wrapper set on kernels.quad or ladder.quad (as the benchmark's tracer
-    # sets one) sees every call, and the integrals keep their bits; the
-    # kernels and the half-line Green function integrate with the shared
-    # trapezoid rule, so neither sees a call
-    log_up, stable = bernstein.log_perturbed_up(1.0, 0.5), bernstein.stable(1.0)
-    plain = (kernels.green_function(log_up, 3, 0.5), ladder.halfline_green(stable, 1.0, 2.0))
-    calls = {"kernels": 0, "ladder": 0}
-    for module, key in ((kernels, "kernels"), (ladder, "ladder")):
-        monkeypatch.setattr(module, "quad", _counting(module.quad, calls, key))
-    patched = (kernels.green_function(log_up, 3, 0.5), ladder.halfline_green(stable, 1.0, 2.0))
-    assert calls == {"kernels": 0, "ladder": 0}
+    # a wrapper set on kernels.quad, ladder.quad or laplace.talbot_inversion
+    # (as the benchmark's tracer sets them) sees every call, and the values
+    # keep their bits; the kernels and the half-line Green function
+    # integrate with the shared trapezoid rule, and u, mu, the tail and the
+    # compound drift with the real-axis rule, so none sees a call
+    log_up, rel, stable = (bernstein.log_perturbed_up(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0),
+                           bernstein.stable(1.0))
+    t = np.geomspace(1e-3, 10.0, 5)
+
+    def values():
+        return [*(f(phi, t).tolist() for phi in (log_up, rel) for f in (
+                    densities.potential_density_u, bernstein.eval_levy_density, bernstein.levy_tail)),
+                *(montecarlo._compound_tables.__wrapped__(phi, 1e-3)[1] for phi in (log_up, rel)),
+                *(kernels._green(phi, 3, np.array([0.1, 0.5])).tolist() for phi in (log_up, rel)),
+                *(kernels._jump(phi, 3, np.array([0.1, 0.5])).tolist() for phi in (log_up, rel)),
+                ladder.halfline_green(stable, 1.0, 2.0)]
+
+    plain = values()
+    calls = {"kernels": 0, "ladder": 0, "laplace": 0}
+    for module, key, name in ((kernels, "kernels", "quad"), (ladder, "ladder", "quad"),
+                              (laplace, "laplace", "talbot_inversion")):
+        monkeypatch.setattr(module, name, _counting(getattr(module, name), calls, key))
+    patched = values()
+    assert calls == {"kernels": 0, "ladder": 0, "laplace": 0}
     assert patched == plain
 
 

@@ -20,28 +20,6 @@ def test_talbot_power_law():
     np.testing.assert_allclose(vals, t**-0.5 / math.gamma(0.5), rtol=1e-10)
 
 
-def test_talbot_residual_small_on_smooth_transform():
-    # stay above the absolute round-off floor of double-precision Talbot
-    t = np.geomspace(1e-2, 5.0, 15)
-    vals, residual = laplace.talbot_with_residual(lambda s: 1.0 / (s + 2.0), t)
-    np.testing.assert_allclose(vals, np.exp(-2.0 * t), rtol=1e-6)
-    assert residual < 1e-6
-
-
-def test_talbot_residual_flags_disagreement():
-    # a transform evaluated inconsistently between rule sizes cannot certify:
-    # the +-1e-3 jitter is far past the 1e-6 tolerance
-    calls = {"n": 0}
-
-    def unstable(s):
-        calls["n"] += 1
-        jitter = 1.0 + (1e-3 if calls["n"] % 2 else -1e-3)
-        return jitter / (s + 1.0)
-
-    with pytest.raises(NumericAccuracyError):
-        laplace.talbot_with_residual(unstable, np.array([1.0]))
-
-
 def test_gaver_stehfest_exponential():
     # Stehfest loses ~12 digits to coefficient cancellation; 1e-4 is its realm
     t = np.geomspace(0.1, 2.0, 9)
@@ -56,21 +34,56 @@ def test_stehfest_residual():
     assert residual < 1e-4
 
 
-def _nan_on_check_rule(s):
-    check = s.shape[-1] in (laplace._TALBOT_CHECK_NODES, laplace._STEHFEST_CHECK_TERMS)
-    return np.full(np.shape(s), math.nan) if check else 1.0 / (s + 1.0)
+def _nan_on_main_rule_only(s):
+    # the check rule's lam are the main rule's first 12, so only lam 13 and 14 can fail alone
+    main_only = np.arange(s.shape[-1]) >= laplace._STEHFEST_CHECK_TERMS
+    return np.where(main_only, math.nan, 1.0 / (s + 1.0))
 
 
 @pytest.mark.parametrize("transform", [
     lambda s: np.full(np.shape(s), math.nan, dtype=np.result_type(s)),
     lambda s: np.full(np.shape(s), math.inf, dtype=np.result_type(s)),
-    _nan_on_check_rule,  # finite values, NaN residual
-], ids=["nan", "inf", "nan_check_rule"])
+    _nan_on_main_rule_only,  # a NaN value over a finite check sum
+], ids=["nan", "inf", "nan_main_rule_only"])
 def test_non_finite_inversion_is_refused(transform):
-    # no residual can certify a NaN or inf: both paired rules refuse, and
+    # no residual can certify a NaN or inf: the paired rule refuses, and
     # without a warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rule in (laplace.talbot_with_residual, laplace.stehfest_with_residual):
-            with pytest.raises(NumericAccuracyError):
-                rule(transform, np.array([0.5, 1.0]))
+        with pytest.raises(NumericAccuracyError):
+            laplace.stehfest_with_residual(transform, np.array([0.5, 1.0]))
+
+
+def test_stehfest_check_sum_reuses_the_main_rule_columns():
+    # one transform call of 14 columns per point, and the 14-term values keep
+    # the bits of a plain gaver_stehfest call
+    shapes = []
+
+    def transform(s):
+        shapes.append(s.shape)
+        return s**-0.5
+
+    t = np.geomspace(0.1, 5.0, 9)
+    vals, _ = laplace.stehfest_with_residual(transform, t)
+    assert shapes == [(9, laplace._STEHFEST_TERMS)]
+    assert np.array_equal(vals, laplace.gaver_stehfest(lambda s: s**-0.5, t))
+
+
+@pytest.mark.parametrize("alpha, rtol", [(0.5, 1e-12), (1.0, 1e-12), (1.5, 1e-12), (1.95, 1e-10)])
+def test_real_axis_rule_matches_the_stable_closed_forms(alpha, rtol):
+    # phi = lam^(alpha/2) on the upper lip: Im phi(-s + i0) = sin(pi alpha/2) s^(alpha/2); at
+    # alpha = 1.95 the u density s^-0.975 leaves 2.5e-4 of u past the far end, to the closing rest
+    a, c = alpha / 2.0, math.sin(math.pi * alpha / 2.0)
+    t = np.geomspace(1e-6, 1e6, 13)
+    for rho, exact in ((lambda s: c * s**a, a / math.gamma(1.0 - a) * t ** (-1.0 - a)),
+                       (lambda s: c * s ** (a - 1.0), t**-a / math.gamma(1.0 - a)),
+                       (lambda s: c * s**-a, t ** (a - 1.0) / math.gamma(a))):
+        np.testing.assert_allclose(laplace.real_axis_integral(rho, t), exact, rtol=rtol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_real_axis_rule_refuses_a_density_that_is_not_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericAccuracyError, match="not finite"):
+            laplace.real_axis_integral(lambda s: np.where(s > 2.0, bad, s**0.5), np.array([0.5, 1.0]))

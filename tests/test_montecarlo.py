@@ -194,15 +194,15 @@ def test_exact_chunk_length_is_invisible(monkeypatch):
 @pytest.mark.parametrize("make_phi, x0, paths, seed, step, digest", [
     # at d = 3 a jump slot takes three channels, its size and two direction
     # pairs (rng.jump_channel), so no slot reads another's draws. The drift
-    # of the sum kind is an inversion, 4e-12 off its closed form
+    # of the sum kind is a real-axis integral, 2e-16 off its closed form (4e-12 by Talbot)
     (lambda: bernstein.sum_of_stables(1.0, 0.5), (0.2, -0.1, 0.0), 300, 29, 2e-3,
-     "26d550ce53b79547e9aae3149d1bc5de0bea94ad4ecc7dfb55d7861f46d4d00b"),
+     "429a3117c8d5aa9ca94ce0f98f8d32b664eb7f3d29b7c8861703ec913a0398b9"),
     # rate*dt about 3.6 and 3.7: steps carry ten jumps and more, so the
     # first chunks of a few hundred paths hold only three to six steps
     (lambda: bernstein.relativistic_stable(1.0, 1.0), (0.1, -0.3), 300, 41, 0.065,
-     "fa1793459c8cc9ba6ed5fef2952134851cedd87876964dcbeac951a416c1142d"),
+     "a024a62fd514b97b3695094c4692528ee596455f2d66e86ba0ca47547eb53d76"),
     (lambda: bernstein.log_perturbed_up(1.0, 0.5), (0.25,), 400, 43, 0.04,
-     "3524af8a3b03d2a4369c6f24123c5f9cfb756234d9bc80835ffe1cbfcd40fd93"),
+     "62bacf5a97ad86f3ae1e026a61d2a827a9474131549b833692ef3b3a619cc52d"),
 ], ids=["sum-d3", "relativistic-d2", "log_up-d1"])
 def test_compound_march_bits_pinned(make_phi, x0, paths, seed, step, digest):
     d = len(x0)
@@ -223,7 +223,7 @@ def test_compound_chunk_length_is_invisible(monkeypatch):
                                    _cfg(paths=40, seed=53, step=0.05))
         assert 0.0 < sample.exited_by_jump.mean() < 1.0
         assert _sample_digest(sample) == (
-            "d03f49dfce5d8642b75d8246fd58ab5162941c3e04a5f272d57ab6ac3e2181aa"), batch_size
+            "3eec1c76ed5cd67b704d37778dd211e6adeadec71cee48c98617471d166144a4"), batch_size
 
 
 def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
