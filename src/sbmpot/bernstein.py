@@ -174,23 +174,32 @@ def _exp_sum(weights, rates, t, power=0):
 
 
 @lru_cache(maxsize=16)
-def _geometric_tail_terms(alpha_param: float, n_terms: int):
-    # phi(lam)/lam = 1/(lam g(lam)) has a simple pole at 0 (the killing) and
-    # one at each zero -z of g, between consecutive poles -b of g, with
-    # residue 1/(z sum w/(b - z)**2), written below in b/z so that it cannot
-    # overflow.  The tail is the exponential sum of these residues; all are
-    # positive, so it stays exact where it is exponentially small.  g(-z)
-    # rises from -inf to inf between consecutive poles.
+def _geometric_roots(alpha_param: float, n_terms: int, a: float = 0.0):
+    # g = 1/phi = sum w/(lam + b).  For a = 0 the tail's terms: phi/lam = 1/(lam g) has a simple pole
+    # at 0 (the killing) and one at each zero -z of g, residue 1/(z sum w/(b - z)**2).  For a > 0 the
+    # terms of u of phi + a: 1/(phi + a) = g/(1 + a g) has one at each root of g(-z) = -1/a, residue
+    # 1/(a**2 sum w/(b - z)**2).  With z = b + d, g(-z) rises from -inf at d = 0 to inf at the next
+    # pole, or to 0 past the last, where g(-z) = -1/a has its root under d = a sum w: d is found from
+    # the gaps between poles, as z rounds to b where a*w << b.  The residues are positive and finite.
     w, b = _geometric_terms(alpha_param, n_terms)
     w, b = w[np.isfinite(b)], b[np.isfinite(b)]
-    lo, hi = np.log(b[:-1]), np.log(b[1:])
-    for _ in range(64):  # bisection in log z, to full precision
+    top = np.append(np.diag(b - b[:, None], 1), a * np.sum(w))[:b.size - (a == 0.0)]
+    gap = (b - b[:, None])[:top.size]
+    lo, hi = np.full(top.size, math.log(np.finfo(float).tiny)), np.log(top)
+    for _ in range(64):  # bisection in log d, to full precision
         mid = (lo + hi) / 2.0
-        below = np.sum(w / (b - np.exp(mid)[:, None]), axis=-1) < 0.0
+        below = np.sum(w / (gap - np.exp(mid)[:, None]), axis=-1) < (-1.0 / a if a > 0.0 else 0.0)
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    z = np.exp((lo + hi) / 2.0)
-    with np.errstate(over="ignore"):  # far poles: an inf square is a zero term
-        return z / np.sum(w / (b / z[:, None] - 1.0) ** 2, axis=-1), z
+    d = np.exp((lo + hi) / 2.0)
+    z = b[:top.size] + d
+    c = z if a == 0.0 else np.ones(z.size)  # a scale that keeps the sum of squares in floats
+    with np.errstate(over="ignore", divide="ignore"):  # an inf square is a zero term
+        return (c if a == 0.0 else a ** -2.0) / np.sum(w / ((gap - d[:, None]) / c[:, None]) ** 2, axis=-1), z
+
+
+def _pole_sum(phi, a: float, t, power: int = 0):
+    """sum w z^power e^(-z t) over the poles -z of 1/(phi + a), None where that is no finite sum."""
+    return None if (poles := _entry(phi.kind).poles(phi, a)) is None else _exp_sum(*poles, t, power)
 
 
 def _log1p(z):
@@ -373,6 +382,7 @@ class _Kind:
     ladder_density: Callable | None = None  # v(t), inverse transform of 1/chi
     renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
     drift: Callable = lambda phi: 0.0  # lim phi(lam)/lam
+    poles: Callable = lambda phi, a: None  # (w, z), 1/(phi + a) = sum w/(lam + z): masses on the cut
     branch_point: Callable = lambda phi: 1.0  # the s where Im phi(-s + i0) may be singular
     # lim lam/phi(lam) as lam -> 0+, the conjugate's killing: 0 wherever the
     # small exponent is below 1 or phi is killed
@@ -469,20 +479,25 @@ KINDS: dict[str, _Kind] = {
         _phi_geometric,
         lambda phi: 0.0,
         # 1/phi and phi/lam are finite sums of simple poles, so u, mu and the tail are exact
-        # exponential sums; the real-axis rule would see none of those point masses on the cut
-        potential_density=lambda phi, t: _exp_sum(*_geometric_terms(phi.alpha_param, phi.n_terms), t),
-        levy_density=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t, 1),
-        levy_tail=lambda phi, t: _exp_sum(*_geometric_tail_terms(phi.alpha_param, phi.n_terms), t),
+        # exponential sums
+        potential_density=lambda phi, t: _pole_sum(phi, 0.0, t),
+        levy_density=lambda phi, t: _exp_sum(*_geometric_roots(phi.alpha_param, phi.n_terms), t, 1),
+        levy_tail=lambda phi, t: _exp_sum(*_geometric_roots(phi.alpha_param, phi.n_terms), t),
         drift=lambda phi: 0.5 / (2.0**phi.n_terms - 1.0),  # 1/(2**(N+1) - 2)
+        poles=lambda phi, a: (_geometric_roots(phi.alpha_param, phi.n_terms, a) if a > 0.0
+                              else _geometric_terms(phi.alpha_param, phi.n_terms)),
     ),
     "conjugate": _Kind(
         conjugate,
         (),
         lambda phi, x: x / phi.inner._eval(x),
         _conjugate_small_exponent,
-        # 1/psi = phi/lam, so u of the conjugate is phi's killing plus its Levy tail
+        # 1/psi = phi/lam, so u of the conjugate is phi's killing plus its Levy tail; where
+        # 1/phi = sum w/(lam + z), psi = sum w lam/(lam + z) has mu = sum w z e^(-zt)
         potential_density=lambda phi, t: (None if (tail := phi.inner.closed_form("levy_tail", t)) is None
                                           else tail + phi.inner.killing),
+        levy_density=lambda phi, t: _pole_sum(phi.inner, 0.0, t, 1),
+        levy_tail=lambda phi, t: _pole_sum(phi.inner, 0.0, t),
         branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
         conjugate_killing=lambda phi: phi.inner.killing,
         composite=True,
@@ -494,7 +509,9 @@ KINDS: dict[str, _Kind] = {
         lambda phi: 0.0,
         levy_density=lambda phi, t: phi.inner.closed_form("levy_density", t),
         levy_tail=lambda phi, t: phi.inner.closed_form("levy_tail", t),
+        potential_density=lambda phi, t: _pole_sum(phi.inner, phi.shift, t),
         drift=lambda phi: phi.inner.drift,
+        poles=lambda phi, a: _entry(phi.inner.kind).poles(phi.inner, phi.shift + a),
         branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
         composite=True,
     ),
@@ -557,9 +574,7 @@ class ShiftBoundReport:
 def check_levy_shift_bound(phi: CompleteBernsteinFunction) -> ShiftBoundReport:
     """Ratios mu(t)/mu(t+1) on a grid in (1, inf); finite sup is the point."""
     grid = np.geomspace(2.0, 64.0, 12)
-    num = np.atleast_1d(eval_levy_density(phi, grid))
-    den = np.atleast_1d(eval_levy_density(phi, grid + 1.0))
-    ratios = num / den
+    ratios = np.atleast_1d(eval_levy_density(phi, grid)) / np.atleast_1d(eval_levy_density(phi, grid + 1.0))
     return ShiftBoundReport(grid=grid, ratios=ratios, max_ratio=float(np.max(ratios)))
 
 
@@ -573,13 +588,11 @@ class RegVarProfile:
 
 def reg_var_profile(phi: CompleteBernsteinFunction) -> RegVarProfile:
     """Extract (alpha, ell) with ell(lam) = phi(lam)/lam**(alpha/2)."""
-    alpha = phi.alpha
-
     def ell(lam):
         lam = np.asarray(lam, dtype=float)
-        return phi(lam) / lam ** (alpha / 2.0)
+        return phi(lam) / lam ** (phi.alpha / 2.0)
 
-    return RegVarProfile(alpha=alpha, ell=ell)
+    return RegVarProfile(alpha=phi.alpha, ell=ell)
 
 
 # ---- complete monotonicity probes -----------------------------------------
@@ -618,26 +631,16 @@ def _divided_difference_signs(f, grid, rel_step):
 
 
 def _check_alternation(f, grid, sign_of_order) -> MonotonicityReport:
-    worst = 0.0
-    total = 0
-    inconclusive = 0
+    worst, total, inconclusive = 0.0, 0, 0
     for h in (_REL_STEP, _REL_STEP / 2.0):
         dd, noise = _divided_difference_signs(f, grid, h)
         for k in range(_ORDER + 1):
-            want = sign_of_order(k)
-            vals = dd[k].ravel()
-            cut = 1e3 * noise[k].ravel()
-            total += vals.size
-            small = np.abs(vals) <= cut
-            inconclusive += int(np.sum(small))
-            bad = (~small) & (want * vals < 0.0)
-            if np.any(bad):
-                worst = max(worst, float(np.max(np.abs(vals[bad]))))
-    return MonotonicityReport(
-        passed=worst == 0.0,
-        inconclusive_fraction=inconclusive / max(total, 1),
-        worst_violation=worst,
-    )
+            vals, small = dd[k].ravel(), np.abs(dd[k].ravel()) <= 1e3 * noise[k].ravel()
+            total, inconclusive = total + vals.size, inconclusive + int(np.sum(small))
+            bad = ~small & (sign_of_order(k) * vals < 0.0)
+            worst = max(worst, float(np.max(np.abs(vals[bad]), initial=0.0)))
+    return MonotonicityReport(passed=worst == 0.0, inconclusive_fraction=inconclusive / max(total, 1),
+                              worst_violation=worst)
 
 
 def check_complete_monotonicity(f: Callable, grid=None) -> MonotonicityReport:

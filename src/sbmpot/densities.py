@@ -69,15 +69,11 @@ def potential_density_u(phi: CompleteBernsteinFunction, t):
 def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable:
     """Log-log cubic interpolant with power-law continuation past both ends.
 
-    Outside the grid the log-log data is continued linearly with the boundary
-    secant slope, so downstream improper integrals keep the correct power
-    decay instead of seeing a clamped constant.
-
-    Grid ends where the target is 0 or not finite are trimmed away; the steep
-    boundary slope then continues the decay.  Nonpositive values in the
-    interior are a genuine failure.
-
-    The evaluator takes an array of t (or one t) and returns its shape.
+    Outside the grid the log-log data is continued linearly with the boundary secant slope, so
+    downstream improper integrals keep the correct power decay instead of seeing a clamped constant.
+    Grid ends where the target is 0 or not finite are trimmed away, and the steep boundary slope
+    continues the decay; nonpositive values in the interior are a genuine failure.  The evaluator
+    takes an array of t (or one t) and returns its shape.
     """
     from scipy.interpolate import CubicSpline
 

@@ -17,7 +17,7 @@ rule: it samples the transform on the positive real axis only, where the chi
 integral representation is valid (for complex lam, lam^2 leaves the principal
 branch).  Kinds whose v and V have closed forms (the stable kind, where
 chi(lam) = lam^(alpha/2)) take them from the kind registry instead.  The
-doubly exponential nodes on (0, 1) of ``laplace._de_rule`` (Takahasi & Mori,
+doubly exponential nodes on (0, 1) of ``_de_rule`` (Takahasi & Mori,
 Publ. RIMS 9, 1974), exact at both ends, serve chi as one fixed rule and the
 half-line convolution as one rule per step halving of the shared driver,
 :func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.
@@ -29,11 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
 from .errors import EvaluationDomainError, NumericAccuracyError
-from .laplace import _de_rule, quad  # noqa: F401  quad unused here; perfbench/tracing.py patches it by name
+from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
 
 __all__ = [
     "ladder_exponent_chi",
@@ -53,6 +54,15 @@ SANDWICH_HI = math.exp(math.pi / 2.0)
 
 _CHI_NODES = 128  # half-width of chi's DE rule: about 2*_CHI_NODES nodes per lam
 _BLOCK = 1 << 16  # elements of a (lam, node) block
+
+
+def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DE rule for int_0^length: node fractions s_k = sigmoid(pi*sinh(kh)), |k| <= n, and
+    1 - s_k, each exact at its end, and weights h*g(kh), so step 2h has every other node."""
+    k = np.arange(-n, n + 1, dtype=float)
+    t = math.pi * np.sinh(k * h)
+    sig, sig_m = expit(t), expit(-t)
+    return sig, sig_m, (length * math.pi * h) * np.cosh(k * h) * sig * sig_m
 
 
 def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):

@@ -159,15 +159,6 @@ def halving_trapezoid(sums: Callable, n: int, *, epsabs: float, epsrel: float, l
     return value
 
 
-def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DE rule for int_0^length: node fractions s_k = sigmoid(pi*sinh(kh)), |k| <= n, and
-    1 - s_k, each exact at its end, and weights h*g(kh), so step 2h has every other node."""
-    k = np.arange(-n, n + 1, dtype=float)
-    t = math.pi * np.sinh(k * h)
-    sig, sig_m = expit(t), expit(-t)
-    return sig, sig_m, (length * math.pi * h) * np.cosh(k * h) * sig * sig_m
-
-
 # the real-axis rule's relative target, step halvings from 1/2, and reach in k (see _axis_nodes)
 _AXIS_EPSREL, _AXIS_LEVELS, _AXIS_FAR, _AXIS_NEAR, _AXIS_SCALE = 1e-9, 6, 97, 4, 32.0
 
@@ -177,37 +168,36 @@ def _axis_nodes(level: int, b: float):
     """Nodes at step h = 2^-(level+1), ascending, weights, and which nodes are new at this level.  On
     (0, b), s = b*sigmoid(x), x = A*sinh(k/A) + e^k for k in [-_AXIS_FAR, _AXIS_NEAR]: log s is uniform
     out to |x| ~ A, b - s doubly exponential toward b, and s = b*e^-331 at the far end; (b, inf) is
-    its mirror, s = b*(1 + e^-x).  The far ends' weights are halved; nodes within 4 ulps of b, which
-    meet b in a kind's arithmetic, weigh 0."""
+    its mirror, s = b*(1 + e^-x), which shares the node at k = _AXIS_NEAR, s = b, so that the nodes of
+    step 2h are the even ones on both sides.  The far ends' weights are halved; nodes within 4 ulps of
+    b, which meet b in a kind's arithmetic, weigh 0."""
     h, a = 0.5 ** (level + 1), _AXIS_SCALE
     k = h * np.arange(-_AXIS_FAR << (level + 1), (_AXIS_NEAR << (level + 1)) + 1)
     x, dx = a * np.sinh(k / a) + np.exp(k), np.cosh(k / a) + np.exp(k)
     sig, sig_m = expit(x), expit(-x)
-    s = b * np.concatenate([sig, 1.0 + (sig_m / sig)[::-1]])
-    w = (b * h) * np.concatenate([dx * sig * sig_m, (dx * sig_m / sig)[::-1]])
+    s = b * np.concatenate([sig, 1.0 + (sig_m / sig)[-2::-1]])
+    w = (b * h) * np.concatenate([dx * sig * sig_m, (dx * sig_m / sig)[-2::-1]])
     w[[0, -1]] *= 0.5
     w[np.abs(s - b) <= 4.0 * np.spacing(b)] = 0.0
-    return s, w, np.tile(np.arange(k.size) % 2 == 1, 2)
+    return s, w, np.arange(s.size) % 2 == 1
 
 
 def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Callable | None = None):
     """(1/pi) int_0^inf k(t*s) rho(s) ds at each t, for a density rho >= 0 with a branch point b.
 
-    ``rho`` takes an array of s, evaluated once per node for all t.  ``kernel`` defaults to exp(-z),
-    which is 1 in floats under t*s = 1e-17, where the nodes are summed once for all t, and 0 past 746.
-    The rule is split at b, where rho may be singular; the nodes dropped next to b cost about
-    4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for exp(-t)/sqrt(pi*t) at
-    t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows between the end
-    node and the next one of step 1, with the Euler-Maclaurin h^2 term of the halved end weight.  Each
-    t is certified to relative _AXIS_EPSREL (absolute under the smallest normal float) by
-    :func:`halving_trapezoid`.  A rho not finite or 0 at every node (a cut with point masses only),
-    an end not integrable as a power, a t out of reach or a value past the float range raises
-    NumericAccuracyError.
+    ``rho`` takes an array of s, evaluated once per node for all t.  ``kernel`` defaults to exp(-z), which
+    is 1 in floats under t*s = 1e-17, where the nodes are summed once for all t, and 0 past 746.  The rule
+    is split at b, where rho may be singular; the nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a
+    singularity c*|s - b|^(-1/2): 3.8e-7 relative for exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far
+    ends the integrand is closed by the power it follows between the end node and the next one of step 1,
+    with the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative
+    _AXIS_EPSREL (absolute under the smallest normal float) by :func:`halving_trapezoid`.  A rho not finite
+    or 0 at every node (a cut with point masses only), an end not integrable as a power, a t out of reach
+    or a value past the float range raises NumericAccuracyError.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(tt > 0.0):
         raise EvaluationDomainError("times must be positive")
-    # exp(-t*s) is 1 in floats under t*s = 1e-17 and 0 past 746: each t sums term by term in between
     ends, kernel = ((1e-17, 746.0), (lambda z: np.exp(-z))) if kernel is None else ((0.0, math.inf), kernel)
     # d log s/dk at the far ends, and d log(d log s/dk)/dk at the left one
     x1, c1 = math.cosh(_AXIS_FAR / _AXIS_SCALE), math.tanh(_AXIS_FAR / _AXIS_SCALE) / _AXIS_SCALE
@@ -244,8 +234,8 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Callable | None
         below = np.concatenate([np.zeros((2, 1)), np.cumsum([q, np.where(new, 0.0, 2.0 * q)], axis=1)], axis=1)
         out = below[:, lo] + [rest(0.5 ** (level + 1), idx), rest(0.5 ** level, idx)]
         width = -(-int((hi - lo).max()) // 2) * 2
-        win_s, win_q = (np.lib.stride_tricks.sliding_window_view(np.concatenate([x, np.zeros(width)]), width)
-                        for x in (s, q))
+        win_s, win_q = (np.lib.stride_tricks.sliding_window_view(np.pad(x, (0, width), mode), width)
+                        for x, mode in ((s, "edge"), (q, "constant")))  # a padded node weighs 0
         for r in range(0, tk.size, max(1, (1 << 16) // width)):  # blocks of 2^16 (time, node) pairs
             band = slice(r, r + max(1, (1 << 16) // width))
             terms = kernel(tk[band, None] * win_s[lo[band]]) * win_q[lo[band]]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sbmpot import bernstein, kernels, laplace
-from sbmpot.errors import ConstructionError, UnsupportedKindError
+from sbmpot.errors import ConstructionError, NumericAccuracyError, UnsupportedKindError
 from sbmpot.montecarlo import _compound_tables
 
 
@@ -219,6 +219,30 @@ def test_conjugate_relativistic_levy_density_is_never_negative():
     np.testing.assert_allclose(mu, rel.closed_form("levy_density", t), rtol=1e-9, atol=0.0)
 
 
+def test_geometric_composites_are_closed_pole_sums():
+    # the cut of these composites carries point masses only, which the
+    # real-axis rule cannot see: 1/(phi + a) = sum w/(lam + z) over the roots of
+    # 1 + a/phi, and psi = lam/phi = sum w lam/(lam + b) has mu = sum w b e^(-bt);
+    # each agrees with the Talbot inversion of its transform
+    geo = bernstein.geometric_like(1.0)
+    lam = np.geomspace(1e-3, 1e9, 25)
+    for phi, a in ((geo, 0.5), (geo, 1e-6), (geo, 1e3), (bernstein.killed_shift(geo, 0.25), 0.25)):
+        w, z = bernstein.KINDS[phi.kind].poles(phi, a)
+        np.testing.assert_allclose(np.sum(w / (lam[:, None] + z), axis=-1), 1.0 / (phi(lam) + a), rtol=1e-12)
+    t = np.array([0.1, 1.0])
+    killed, psi = bernstein.killed_shift(geo, 0.5), bernstein.conjugate(geo)
+    np.testing.assert_allclose(killed.closed_form("potential_density", t),
+                               laplace.talbot_inversion(lambda s: 1.0 / killed(s), t), rtol=1e-8)
+    np.testing.assert_allclose(bernstein.levy_tail(psi, t), laplace.talbot_inversion(lambda s: psi(s) / s, t),
+                               rtol=1e-8)
+    np.testing.assert_allclose(bernstein.eval_levy_density(psi, t), -laplace.talbot_inversion(psi._eval, t),
+                               rtol=1e-8)
+    # an inner kind without a pole form keeps the rule, which refuses a cut of point masses
+    assert bernstein.conjugate(bernstein.stable(1.0)).closed_form("levy_tail", t) is None
+    with pytest.raises(NumericAccuracyError, match="point masses"):
+        bernstein.levy_tail(bernstein.conjugate(bernstein.killed_shift(psi, 0.5)), t)
+
+
 @pytest.mark.parametrize("phi", [bernstein.log_perturbed_up(1.0, 0.5), bernstein.log_perturbed_down(1.0, 0.5)],
                          ids=["log_up", "log_down"])
 def test_log_jump_kernel_does_not_depend_on_its_grid(phi):
@@ -286,7 +310,7 @@ def test_levy_shift_bound(catalog):
         if phi.kind == "geometric_example":
             # mu is the exponential sum sum c_k z_k e^(-z_k t), whose ratio
             # rises to e^(z_1) and is there at the last point t = 64
-            z_1 = bernstein._geometric_tail_terms(phi.alpha_param, phi.n_terms)[1][0]
+            z_1 = bernstein._geometric_roots(phi.alpha_param, phi.n_terms)[1][0]
             assert rep.max_ratio == pytest.approx(math.exp(z_1), rel=1e-12)
         if phi.kind == "stable":
             # mu(t)/mu(t+1) = ((t+1)/t)^(1+alpha/2), largest at the first point t = 2

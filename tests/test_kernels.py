@@ -170,9 +170,9 @@ def _sha(*arrays):
 # weights are inverted and splined
 @pytest.mark.parametrize("phi, sha", [
     (bernstein.relativistic_stable(1.0, 1.0),
-     "41de0f18290e07cdeb9e4d76f33cd0648a3bfcf962dd4aa482ea7979fe780864"),
+     "53461524c261ac2737d9d05d0e713ba9630e5bed7de2bdc3d30687db2bcf02a6"),
     (bernstein.sum_of_stables(1.0, 0.5),
-     "d38469f011f70058a099ad6a51b99a5e235629b96d32fdd68699da34d2cbbae8"),
+     "5d1cbe5b878bd18442d0bc608060019378c292a1cebc42936843aeb79cb2a663"),
 ], ids=["relativistic", "sum"])
 def test_kernel_table_bits_pinned(phi, sha):
     table = kernels.build_kernel_table(phi, 3, 1e-2, 1.0, 8)
@@ -182,9 +182,9 @@ def test_kernel_table_bits_pinned(phi, sha):
 def test_kernel_ratio_windows_bits_pinned():
     phi = bernstein.log_perturbed_up(1.0, 0.5)
     assert (_sha(kernels.g_asymptotic_ratio(phi, 3).ratios)
-            == "dd205435037af11759e0eb2859f4097db6f99c995724c683745981b22bc7cce1")
+            == "dfdd5f98df6408875599509fb5abfa42fa404b7ed817063b75e5cc190ab9967b")
     assert (_sha(kernels.j_asymptotic_ratio(phi, 3).ratios)
-            == "c8b409c786b68d0d95c5295b01ce55fd9731c3b7197ad4b4a9a256bf24b95214")
+            == "74078b1f51404f1e8c5c288a910993e766bdb9108e5b508840051fa8c217dfbb")
 
 
 def _counting(fn, calls, key):

@@ -87,3 +87,21 @@ def test_real_axis_rule_refuses_a_density_that_is_not_finite(bad):
         warnings.simplefilter("error")
         with pytest.raises(NumericAccuracyError, match="not finite"):
             laplace.real_axis_integral(lambda s: np.where(s > 2.0, bad, s**0.5), np.array([0.5, 1.0]))
+
+
+def test_real_axis_coarse_sum_is_the_previous_fine_sum(monkeypatch):
+    # a level's step-2h sum is the step-h sum of the level before, on both
+    # sides of the split, even where the rule is far from converged (a density
+    # oscillating in log s); else the two halves' errors could cancel in the
+    # certificate
+    rows, driver = [], laplace.halving_trapezoid
+
+    def capture(sums, n, **kwargs):
+        rows.extend(sums(level, np.arange(n)) for level in range(1, 5))
+        return driver(sums, n, **kwargs)
+
+    monkeypatch.setattr(laplace, "halving_trapezoid", capture)
+    laplace.real_axis_integral(lambda s: s**-0.5 * (1.5 + np.sin(40.0 * np.log(s))), np.geomspace(1e-3, 1e3, 7))
+    assert abs(rows[0][0] / rows[0][1] - 1.0).max() > 1e-3  # level 1 is not converged
+    for (fine, _), (_, coarse) in zip(rows, rows[1:]):
+        np.testing.assert_allclose(coarse, fine, rtol=1e-13)
