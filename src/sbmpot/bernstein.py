@@ -103,7 +103,7 @@ class CompleteBernsteinFunction:
     def drift(self) -> float:
         return _entry(self.kind).drift(self)
 
-    def cut_integral(self, rho: Callable, t, kernel: Callable | None = None):
+    def cut_integral(self, rho: Callable, t, kernel: laplace.Kernel | None = None):
         """Real-axis integral (1/pi) int_0^inf k(t*s) rho(phi(-s + i0), s) ds, split at the kind's branch point."""
         b = _entry(self.kind).branch_point(self)
         return laplace.real_axis_integral(lambda s: rho(self._eval(-s + 0j), s), t, b, kernel)
@@ -164,13 +164,34 @@ def _stable_renewal(alpha: float, t):
     return t ** (alpha / 2.0) / gamma_fn(1.0 + alpha / 2.0)
 
 
-def _exp_sum(weights, rates, t, power=0):
-    """sum w r^power exp(-r t), the power-th derivative of sum w exp(-r t) up to sign, in blocks of t."""
+def _exp_sum(weights, rates, t, power=0, kernel=lambda z: np.exp(-z)):
+    """sum w r^power k(r t), k = exp(-z) by default (the power-th derivative of sum w exp(-r t) up to
+    sign), in blocks of t."""
     flat, c, out = np.ravel(t), weights * rates ** power, np.empty(np.size(t))
-    with np.errstate(over="ignore"):  # inf * (-1) -> exp gives the right 0
+    with np.errstate(over="ignore"):  # an inf r t gives the kernel's 0
         for lo in range(0, flat.size, _GEOM_BLOCK):
-            out[lo:lo + _GEOM_BLOCK] = np.sum(c * np.exp(-np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates)), axis=-1)
+            z = np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates)
+            out[lo:lo + _GEOM_BLOCK] = np.sum(c * kernel(z), axis=-1)
     return out.reshape(np.shape(t))[()]
+
+
+def _resolvent_sum(poles, d: int, r, power: int = 0):
+    """(2 pi)^(-d/2) r^(2-d) sum w z^power k_d(r^2 z) over poles (w, z), the kernel of a cut of point masses
+    pi*w*z^power at s = z; None for no poles."""
+    if poles is None:
+        return None
+    k = laplace.resolvent_kernel(d).f
+    return (2.0 * math.pi) ** (-d / 2.0) * r ** (2.0 - d) * _exp_sum(*poles, r * r, power, k)
+
+
+def _riesz_green(alpha: float, d: int, r):
+    c = math.gamma((d - alpha) / 2.0) / (2.0**alpha * math.pi ** (d / 2.0) * math.gamma(alpha / 2.0))
+    return c * r ** (alpha - d)
+
+
+def _riesz_jump(alpha: float, d: int, r):
+    c = alpha * 2.0 ** (alpha - 1.0) * math.gamma((d + alpha) / 2.0)
+    return c / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)) * r ** (-d - alpha)
 
 
 @lru_cache(maxsize=16)
@@ -383,6 +404,10 @@ class _Kind:
     renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
     drift: Callable = lambda phi: 0.0  # lim phi(lam)/lam
     poles: Callable = lambda phi, a: None  # (w, z), 1/(phi + a) = sum w/(lam + z): masses on the cut
+    # closed kernels (phi, d, r) -> value or None: the Green function (by default over the poles of
+    # 1/phi) and the jump kernel
+    green: Callable = lambda phi, d, r: _resolvent_sum(_entry(phi.kind).poles(phi, 0.0), d, r)
+    jump: Callable = lambda phi, d, r: None
     branch_point: Callable = lambda phi: 1.0  # the s where Im phi(-s + i0) may be singular
     # lim lam/phi(lam) as lam -> 0+, the conjugate's killing: 0 wherever the
     # small exponent is below 1 or phi is killed
@@ -438,6 +463,8 @@ KINDS: dict[str, _Kind] = {
         levy_tail=lambda phi, t: _stable_tail(phi.alpha_param, t),
         ladder_density=lambda phi, t: _stable_potential(phi.alpha_param, t),
         renewal_function=lambda phi, t: _stable_renewal(phi.alpha_param, t),
+        green=lambda phi, d, r: _riesz_green(phi.alpha_param, d, r),
+        jump=lambda phi, d, r: _riesz_jump(phi.alpha_param, d, r),
     ),
     "relativistic": _Kind(
         relativistic_stable,
@@ -486,6 +513,7 @@ KINDS: dict[str, _Kind] = {
         drift=lambda phi: 0.5 / (2.0**phi.n_terms - 1.0),  # 1/(2**(N+1) - 2)
         poles=lambda phi, a: (_geometric_roots(phi.alpha_param, phi.n_terms, a) if a > 0.0
                               else _geometric_terms(phi.alpha_param, phi.n_terms)),
+        jump=lambda phi, d, r: _resolvent_sum(_geometric_roots(phi.alpha_param, phi.n_terms), d, r, 1),
     ),
     "conjugate": _Kind(
         conjugate,
@@ -498,6 +526,7 @@ KINDS: dict[str, _Kind] = {
                                           else tail + phi.inner.killing),
         levy_density=lambda phi, t: _pole_sum(phi.inner, 0.0, t, 1),
         levy_tail=lambda phi, t: _pole_sum(phi.inner, 0.0, t),
+        jump=lambda phi, d, r: _resolvent_sum(_entry(phi.inner.kind).poles(phi.inner, 0.0), d, r, 1),
         branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
         conjugate_killing=lambda phi: phi.inner.killing,
         composite=True,
@@ -510,6 +539,7 @@ KINDS: dict[str, _Kind] = {
         levy_density=lambda phi, t: phi.inner.closed_form("levy_density", t),
         levy_tail=lambda phi, t: phi.inner.closed_form("levy_tail", t),
         potential_density=lambda phi, t: _pole_sum(phi.inner, phi.shift, t),
+        jump=lambda phi, d, r: _entry(phi.inner.kind).jump(phi.inner, d, r),
         drift=lambda phi: phi.inner.drift,
         poles=lambda phi, a: _entry(phi.inner.kind).poles(phi.inner, phi.shift + a),
         branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),

@@ -15,29 +15,20 @@ comparison u(t) ~ 1/(t*phi(1/t)):
   decreasing integrand, no scaling hypothesis needed;
 * the lower bound needs a scaling witness phi(lam*t) >= a * lam**delta * phi(t),
   which is what :class:`ScalingWitness` records and verifies.
-
-``scipy.interpolate`` (which loads scipy's optimize, linalg and sparse stacks)
-is imported where a spline is built, by :func:`spline_potential_evaluator`
-and :func:`spline_levy_evaluator` for a kind without the closed form, not
-with this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bernstein import KINDS, CompleteBernsteinFunction, eval_levy_density, levy_tail
-from .errors import NumericAccuracyError
 
 __all__ = [
     "ZAHLE_BOUND",
     "potential_density_u",
-    "spline_potential_evaluator",
-    "spline_levy_evaluator",
     "zahle_upper_check",
     "ZahleReport",
     "ScalingWitness",
@@ -64,70 +55,6 @@ def potential_density_u(phi: CompleteBernsteinFunction, t):
     if closed is not None:
         return closed
     return KINDS[phi.kind].conjugate_killing(phi) + phi.cut_integral(lambda v, s: -(1.0 / v).imag, t)
-
-
-def _loglog_spline(grid: np.ndarray, vals: np.ndarray, what: str) -> Callable:
-    """Log-log cubic interpolant with power-law continuation past both ends.
-
-    Outside the grid the log-log data is continued linearly with the boundary secant slope, so
-    downstream improper integrals keep the correct power decay instead of seeing a clamped constant.
-    Grid ends where the target is 0 or not finite are trimmed away, and the steep boundary slope
-    continues the decay; nonpositive values in the interior are a genuine failure.  The evaluator
-    takes an array of t (or one t) and returns its shape.
-    """
-    from scipy.interpolate import CubicSpline
-
-    keep = np.flatnonzero(np.isfinite(vals) & (vals > 0.0))
-    lo, hi = (keep[0], keep[-1] + 1) if keep.size else (0, 0)
-    grid, vals = grid[lo:hi], vals[lo:hi]
-    if len(vals) < 8 or np.any(vals <= 0.0):
-        raise NumericAccuracyError(f"{what} went nonpositive")
-    lx, ly = np.log(grid), np.log(vals)
-    spline = CubicSpline(lx, ly)
-    slope_lo = (ly[1] - ly[0]) / (lx[1] - lx[0])
-    slope_hi = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
-
-    def evaluate(t):
-        tl = np.log(np.asarray(t, dtype=float))
-        # NaN takes the middle branch and stays NaN
-        return np.exp(np.where(
-            tl < lx[0], ly[0] + slope_lo * (tl - lx[0]),
-            np.where(tl > lx[-1], ly[-1] + slope_hi * (tl - lx[-1]), spline(np.clip(tl, lx[0], lx[-1])))))
-
-    return evaluate
-
-
-_PER_DECADE = 30  # spline knots per decade of t
-
-
-def _spline_evaluator(phi, name: str, numeric: Callable, t_lo: float, t_hi: float) -> Callable:
-    """The closed form ``name`` of phi, else a log-log spline of ``numeric`` over [t_lo, t_hi].
-
-    Either way the evaluator takes an array of t; the closed form is looked up
-    once, here, and has the bits of ``phi.closed_form``.
-    """
-    if phi.closed_form(name, 1.0) is not None:
-        form = getattr(KINDS[phi.kind], name)
-        return lambda t: form(phi, np.asarray(t, dtype=float))
-    lo, hi = math.log10(t_lo), math.log10(t_hi)
-    grid = np.logspace(lo, hi, max(int((hi - lo) * _PER_DECADE), 16))
-    vals = np.atleast_1d(numeric(phi, grid))
-    return _loglog_spline(grid, vals, name.replace("_", " "))
-
-
-def spline_potential_evaluator(phi: CompleteBernsteinFunction, t_lo: float, t_hi: float) -> Callable:
-    """Cheap array evaluator of u over [t_lo, t_hi], for use inside quadratures.
-
-    The closed form where the kind has one; otherwise a log-log spline built
-    from one vectorised sweep of the real-axis rule, tabulated at 30 points
-    per decade.
-    """
-    return _spline_evaluator(phi, "potential_density", potential_density_u, t_lo, t_hi)
-
-
-def spline_levy_evaluator(phi: CompleteBernsteinFunction, t_lo: float, t_hi: float) -> Callable:
-    """Same as :func:`spline_potential_evaluator` but for the Levy density."""
-    return _spline_evaluator(phi, "levy_density", eval_levy_density, t_lo, t_hi)
 
 
 @dataclass(frozen=True)

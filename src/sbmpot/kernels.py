@@ -1,35 +1,41 @@
 """Green function and jump kernel of the subordinate Brownian motion.
 
-Both kernels are subordination integrals of the Gaussian heat kernel,
+Both kernels are subordination integrals of the Gaussian heat kernel p(t, x),
 
     G(x) = int_0^inf p(t, x) u(t) dt,      j(r) = int_0^inf p(t, x) mu(t) dt,
 
-with u the potential density and mu the Levy density of the subordinator.
-:func:`subordination_integral` runs a trapezoid rule in log t on the
-integrand formed in logs, on nodes shared by a whole radius grid, and
-certifies each radius by :func:`sbmpot.laplace.halving_trapezoid`; the rest
-past t = e^700 is closed by the weight's power law there.
+with u the potential density and mu the Levy density of the subordinator.  Both are Laplace
+transforms of densities on phi's cut (:mod:`sbmpot.densities`), so the order swaps, the heat
+kernel becomes the Brownian resolvent, and each kernel is one positive real-axis integral
 
-Every entry point passes its whole radius grid in one call, G through
-``_green`` (transience check, tail exponent in d <= 2, potential weight) and
-j through ``_jump`` (Levy weight).  A weight, which takes an array of t, is
-the kind's closed form where the registry has one, else a log-log spline,
-trimmed only where 0 or not finite, of the real-axis rule's density table.
+    (2 pi)^(-d/2) r^(2-d) (1/pi) int_0^inf k_d(r^2 s) rho(s) ds,
+
+with rho = -Im 1/phi(-s + i0) for G and rho = Im phi(-s + i0) for j, and k_d the kernel of
+:func:`sbmpot.laplace.resolvent_kernel`.  u's constant c = lim lam/phi(lam) adds the atom
+c Gamma(d/2 - 1)/(4 pi^(d/2) r^(d-2)) to G in d >= 3.  :func:`subordination_integral` runs the
+integral on :func:`sbmpot.laplace.real_axis_integral` for a whole radius grid at once, phi evaluated
+once per node, each radius certified to relative 1e-9 and independent of its grid bit for bit.
+A kind with closed kernels has them from the kind registry: Riesz's for the stable kind, sums
+over the poles of the geometric kind's cut of point masses, which the rule refuses.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import laplace
-from .bernstein import CompleteBernsteinFunction
-from .densities import RatioWindow, spline_levy_evaluator, spline_potential_evaluator
+from .bernstein import KINDS, CompleteBernsteinFunction
+from .densities import RatioWindow
 from .errors import EvaluationDomainError, NotTransientError, NumericAccuracyError, UndecidableError
 from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
+
+# unused here too: names perfbench/tracing.py patches, bound until its tracer drops them
+spline_potential_evaluator = spline_levy_evaluator = None
 
 __all__ = [
     "heat_kernel",
@@ -73,121 +79,65 @@ def transience_check(phi: CompleteBernsteinFunction, d: int) -> bool:
     return e < d / 2.0
 
 
-_EPSABS, _EPSREL = 1e-9, 1e-7  # targets of each subordination integral
-# The rule's nodes, shared by every radius: u_k = log t_k = _U_TOP - k*h with
-# h = _STEP/2**level.  A radius sums them from y = log(t/r^2) = _Y_LO, under
-# which exp(-e^(-y)/4) < e^(-5500) leaves nothing of any float weight, up to
-# the cut T = e^_U_TOP; past y = _Y_FAR that factor is 1 in floats, so the
-# stretch above is a running sum of the nodes, one for all radii.
-_U_TOP, _Y_LO, _Y_FAR = 700.0, -10.0, 37.0
-_STEP, _LEVELS = 0.5, 6
-_BLOCK = 1 << 16  # elements of a (radii, nodes) block
-
-
-def subordination_integral(w: Callable, d: int, r, gamma: float | None = None):
-    """int_0^inf (4 pi t)**(-d/2) exp(-r**2/(4t)) w(t) dt for decreasing w, at each radius r.
-
-    ``r`` is a radius or an array of them, ``w`` takes an array of t, and a
-    radius's value depends on it alone.  Past T the weight is taken as the
-    power c*t**p it follows over the last unit of log t; the rest, c (4 pi)^(-d/2)
-    (r^2/4)^(-a) Gamma(a) P(a, r^2/4T) with a = d/2 - p - 1, is F(T)/a to the
-    last bit (F the integrand in log t) as r^2/4T < 1e-18, and 0 for a weight
-    that is 0 at T.  In d <= 2 the rest only converges under a declared decay
-    w(t) <= c*t**(gamma-1) with gamma < d/2, which the caller must state; an a
-    under half of d/2 - gamma (d/2 - 1 in d >= 3) is refused.  A radius whose
-    integral leaves the float range raises EvaluationDomainError.
-    """
+def _radii(d: int, r) -> np.ndarray:
+    """r as an array, once d and each radius squared are in range."""
     if d < 1:
         raise EvaluationDomainError("dimension must be a positive integer")
-    if d <= 2:
-        if gamma is None:
-            raise UndecidableError("d <= 2 requires a declared tail exponent gamma < d/2")
-        if gamma >= d / 2.0:
-            raise EvaluationDomainError("tail exponent must satisfy gamma < d/2")
     radii = np.asarray(r, dtype=float)
-    for x in radii.flat:
+    for x in radii.ravel().tolist():  # Python floats, whose square leaves the float range silently
         if not 0.0 < x < math.inf:
             raise EvaluationDomainError(f"radius must lie in (0, inf), got {x:g}")
-        if not math.log(np.finfo(float).tiny) < 2.0 * math.log(x) < _U_TOP - 1.0 - _Y_FAR:
+        if not sys.float_info.min <= x * x < math.inf:
             raise EvaluationDomainError(f"radius {x:g} squared leaves the float range")
-    log_r2 = np.array([2.0 * math.log(x) for x in radii.flat])
+    return radii
 
-    def log_f(u):  # the log integrand in u = log t but its Gaussian factor; inf past floats
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.log(w(np.exp(u))) + (1.0 - d / 2.0) * u - (d / 2.0) * math.log(4.0 * math.pi)
 
-    f_cut, f_below = log_f(np.array([_U_TOP, _U_TOP - 1.0]))
-    rest = 0.0
-    if f_cut > -math.inf:
-        declared = d / 2.0 - gamma if d <= 2 else d / 2.0 - 1.0
-        rate = f_below - f_cut
-        # a tabulated weight is continued with its end slope, which need not
-        # have reached the limit (0.87 of the declared rate for
-        # sum_of_stables(0.9, 0.85) in d = 1), so only a rate under half the
-        # declared one is refused
-        if not rate >= 0.5 * declared:
-            raise NumericAccuracyError(
-                f"subordination integrand decays past t = e^{_U_TOP:g} at rate {rate:.3g} in "
-                f"log t, under half the declared {declared:.3g}")
-        rest = math.exp(f_cut) / rate
-
-    def sums(level, idx):
-        h = _STEP / 2.0 ** level
-        near = int((_Y_FAR - _Y_LO) / _STEP) * 2 ** level  # nodes under y = _Y_FAR
-        # k: the last node of the coarse (step 2h) lattice at or above y = _Y_FAR
-        k = np.floor((_U_TOP - _Y_FAR - log_r2[idx]) / (2.0 * h)).astype(np.int64)
-        u = _U_TOP - h * np.arange(2 * int(k.max()) + near + 1)
-        lf = log_f(u)
-        fine, coarse = np.empty(idx.size), np.empty(idx.size)
-        rows = max(1, _BLOCK // near)
-        # past the float range a sum is inf, which is refused below
-        with np.errstate(over="ignore"):
-            f = np.exp(lf)
-            f[0] *= 0.5  # the trapezoid's end weight at T
-            far_fine, far_coarse = np.cumsum(f), np.cumsum(f[::2])
-            for lo in range(0, idx.size, rows):
-                b = slice(lo, lo + rows)
-                nodes = 2 * k[b, None] + 1 + np.arange(near)
-                vals = np.exp(lf[nodes] - 0.25 * np.exp(log_r2[idx[b], None] - u[nodes]))
-                # the coarse near nodes are every other fine one, from the second
-                fine[b] = h * (far_fine[2 * k[b]] + vals.sum(axis=1)) + rest
-                coarse[b] = 2.0 * h * (far_coarse[k[b]] + vals[:, 1::2].sum(axis=1)) + rest
-        return fine, coarse
-
-    values = laplace.halving_trapezoid(sums, radii.size, epsabs=_EPSABS, epsrel=_EPSREL,
-                                       levels=_LEVELS, what="subordination integral")
+def _finite(values, radii):
     bad = ~np.isfinite(values)
     if bad.any():
-        raise EvaluationDomainError(
-            f"the kernel at radius {radii.flat[np.argmax(bad)]:g} leaves the float range")
-    return float(values[0]) if radii.ndim == 0 else values.reshape(radii.shape)
+        raise EvaluationDomainError(f"the kernel at radius {radii.flat[np.argmax(bad)]:g} leaves the float range")
+    values = values.reshape(radii.shape)
+    return float(values) if radii.ndim == 0 else values
 
 
-def _weight_span(r) -> tuple[float, float]:
-    """Times t a weight is tabulated on for the radii r."""
-    r_lo, r_hi = float(np.min(r)), float(np.max(r))
-    if not r_lo > 0.0:
-        raise EvaluationDomainError("radius must be positive")
-    span = r_lo * r_lo / 1e4, r_hi * r_hi * 1e12
-    if not (span[0] > 0.0 and span[1] < math.inf):
-        raise EvaluationDomainError(f"radii in [{r_lo:g}, {r_hi:g}] leave the float range once squared")
-    return span
+def subordination_integral(rho: Callable, d: int, r, b: float = 1.0):
+    """(2 pi)^(-d/2) r^(2-d) (1/pi) int_0^inf k_d(r^2 s) rho(s) ds at each radius r, for a density rho >= 0.
+
+    That is int_0^inf p(t, r) w(t) dt for the weight w(t) = (1/pi) int_0^inf e^(-ts) rho(s) ds.  ``rho``
+    takes an array of s, with a branch point b, and is evaluated once per node for all radii; ``r`` is a
+    radius or an array of them, and a radius's value depends on it alone.  The rule's errors are
+    NumericAccuracyError; a radius whose kernel leaves the float range raises EvaluationDomainError.
+    """
+    radii = _radii(d, r)
+    values = laplace.real_axis_integral(rho, np.ravel(radii) ** 2, b, laplace.resolvent_kernel(d))
+    with np.errstate(over="ignore"):
+        return _finite((2.0 * math.pi) ** (-d / 2.0) * np.ravel(radii) ** (2.0 - d) * values, radii)
+
+
+def _kernel(phi: CompleteBernsteinFunction, d: int, r, name: str, rho: Callable, atom: float):
+    """The kind's closed kernel ``name`` at the radii r, else the subordination integral of rho on phi's cut
+    plus the atom of u's constant ``atom``."""
+    radii = np.ravel(_radii(d, r))
+    entry = KINDS[phi.kind]
+    with np.errstate(over="ignore"):
+        values = getattr(entry, name)(phi, d, radii)
+        if values is None:
+            values = subordination_integral(lambda s: rho(phi._eval(-s + 0j)), d, radii, entry.branch_point(phi))
+            if atom > 0.0:  # u's constant c: int_0^inf p(t, r) c dt
+                values = values + atom * math.gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0)) * radii ** (2.0 - d)
+    return _finite(values, np.asarray(r, dtype=float))
 
 
 def _green(phi: CompleteBernsteinFunction, d: int, r):
-    """G at the radii r, once transience is established; in d <= 2 the tail
-    exponent is phi's power at 0+."""
+    """G at the radii r, once transience is established."""
     if not transience_check(phi, d):
         raise NotTransientError(f"{phi.label()} is not transient in d={d}")
-    w = spline_potential_evaluator(phi, *_weight_span(r))
-    return subordination_integral(w, d, r, gamma=phi.small_exponent if d <= 2 else None)
+    return _kernel(phi, d, r, "green", lambda v: -(1.0 / v).imag, KINDS[phi.kind].conjugate_killing(phi))
 
 
 def _jump(phi: CompleteBernsteinFunction, d: int, r):
-    """j at the radii r.  The Levy density is integrable at infinity, so its
-    tail decays faster than 1/t and gamma = 0 always works in low dimension."""
-    w = spline_levy_evaluator(phi, *_weight_span(r))
-    return subordination_integral(w, d, r, gamma=0.0 if d <= 2 else None)
+    """j at the radii r."""
+    return _kernel(phi, d, r, "jump", lambda v: v.imag, 0.0)
 
 
 def green_function(phi: CompleteBernsteinFunction, d: int, r: float) -> float:

@@ -1,28 +1,33 @@
 """Laplace transforms of positive densities on the real axis, and two inversion rules.
 
-Every catalog phi is complete Bernstein, so mu, its tail, u and the small-jump moment are integrals
-(1/pi) int_0^inf k(t*s) rho(s) ds of densities rho >= 0 read off phi(-s + i0), the upper lip of its
-cut (Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed. 2012, ch. 6-7).
-:func:`real_axis_integral` certifies them per t on :func:`halving_trapezoid`, the trapezoid driver
-every integral of the package shares (Takahasi & Mori, Publ. RIMS 9, 1974).  Nothing in the package
-calls fixed-Talbot (Abate & Valko), the tests' independent reference.  Gaver-Stehfest samples the
-real axis only, as the ladder objects need (1/chi has no continuation to the left half-plane); it
-saturates near 1e-7 at 14 terms.  :func:`quad` is scipy's ``quad``, which nothing calls: it is the
-name a tracer patches, and imports ``scipy.integrate`` on its first call.
+Every catalog phi is complete Bernstein, so mu, its tail, u, the small-jump moment and, with t = r^2
+and the Brownian resolvent kernel of :func:`resolvent_kernel`, the Green function and jump kernel are
+integrals (1/pi) int_0^inf k(t*s) rho(s) ds of densities rho >= 0 read off phi(-s + i0), the upper lip
+of its cut (Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed. 2012, ch. 6-7).  A
+:class:`Kernel` carries where it may be closed: its head at 0 and the z past which it is 0 or a power,
+which bound the t the rule reaches.  :func:`real_axis_integral` certifies them per t on
+:func:`halving_trapezoid`, the trapezoid driver every integral of the package shares (Takahasi & Mori,
+Publ. RIMS 9, 1974).  Nothing in the package calls fixed-Talbot (Abate & Valko), the tests' independent
+reference.  Gaver-Stehfest samples the real axis only, as the ladder objects need (1/chi has no
+continuation to the left half-plane); it saturates near 1e-7 at 14 terms.  :func:`quad` is scipy's
+``quad``, which nothing calls: it is the name a tracer patches, and imports ``scipy.integrate`` on its
+first call.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, k0, kv
 
 from .errors import EvaluationDomainError, NumericAccuracyError
 
 __all__ = [
+    "Kernel",
+    "resolvent_kernel",
     "real_axis_integral",
     "talbot_inversion",
     "gaver_stehfest",
@@ -161,6 +166,7 @@ def halving_trapezoid(sums: Callable, n: int, *, epsabs: float, epsrel: float, l
 
 # the real-axis rule's relative target, step halvings from 1/2, and reach in k (see _axis_nodes)
 _AXIS_EPSREL, _AXIS_LEVELS, _AXIS_FAR, _AXIS_NEAR, _AXIS_SCALE = 1e-9, 6, 97, 4, 32.0
+_BLOCK = 1 << 16  # elements of a (time, node) block
 
 
 @lru_cache(maxsize=32)
@@ -182,30 +188,84 @@ def _axis_nodes(level: int, b: float):
     return s, w, np.arange(s.size) % 2 == 1
 
 
-def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Callable | None = None):
+class Kernel(NamedTuple):
+    """A kernel k(z), z > 0, of :func:`real_axis_integral`, and the forms the rule closes it with.
+
+    Under z = ``tiny`` it is its ``head``, terms (a, A, B) of sum z^a (A + B log z) by rising a, to rounding;
+    past z = ``far`` it is 0 or a power.  A kernel with a head is summed on a band of nodes per t, the
+    nodes under the band in the head's closed form once for all t; one without (None) on every node.
+    """
+
+    f: Callable
+    tiny: float
+    far: float
+    head: tuple[tuple[float, float, float], ...] | None = None
+
+
+_EXP = Kernel(lambda z: np.exp(-z), 1e-17, 746.0, ((0.0, 1.0, 0.0),))  # 1 in floats under tiny, 0 past far
+_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+
+@lru_cache(maxsize=8)
+def resolvent_kernel(d: int) -> Kernel:
+    """k_d(z) = z^(nu/2) K_nu(sqrt z), nu = d/2 - 1, set to 0 past sqrt z = 746, where it underflows.
+
+    (2 pi)^(-d/2) r^(2-d) k_d(r^2 s) is the Brownian resolvent density int_0^inf e^(-st) p(t, r) dt in
+    dimension d.  In d = 1 and 3 it is sqrt(pi/2) e^(-sqrt z), over sqrt z in d = 1; in d = 2 it is
+    K_0(sqrt z) = L (1 + z/4) + z/4 to rounding under z = 1e-8, L = -log(z/4)/2 - gamma_E; in d >= 4 its
+    head is the constant 2^(nu-1) Gamma(nu).
+    """
+    nu, far = d / 2.0 - 1.0, 746.0**2
+    if d in (1, 3):
+        return Kernel((lambda z: _SQRT_HALF_PI * np.exp(-np.sqrt(z)) / np.sqrt(z)) if d == 1 else
+                      (lambda z: _SQRT_HALF_PI * np.exp(-np.sqrt(z))),
+                      1e-32, far, (((d - 3) / 4.0, _SQRT_HALF_PI, 0.0),))
+    c = math.log(2.0) - np.euler_gamma
+    tiny, head = (1e-8, ((0.0, c, -0.5), (1.0, (c + 1.0) / 4.0, -0.125))) if d == 2 else (
+        1e-32, ((0.0, 2.0 ** (nu - 1.0) * math.gamma(nu), 0.0),))
+    bessel = k0 if d == 2 else (lambda x: kv(nu, x) * x**nu)
+
+    def f(z):  # the head under tiny, where kv overflows; 0 past far
+        out, small, live = np.zeros(z.shape), z < tiny, (z >= tiny) & (z < far)
+        zs = z[small]
+        out[small], out[live] = sum(zs**a * (h0 + h1 * np.log(zs)) for a, h0, h1 in head), bessel(np.sqrt(z[live]))
+        return out
+
+    return Kernel(f, tiny, far, head)
+
+
+def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | None = None):
     """(1/pi) int_0^inf k(t*s) rho(s) ds at each t, for a density rho >= 0 with a branch point b.
 
-    ``rho`` takes an array of s, evaluated once per node for all t.  ``kernel`` defaults to exp(-z), which
-    is 1 in floats under t*s = 1e-17, where the nodes are summed once for all t, and 0 past 746.  The rule
-    is split at b, where rho may be singular; the nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a
-    singularity c*|s - b|^(-1/2): 3.8e-7 relative for exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far
-    ends the integrand is closed by the power it follows between the end node and the next one of step 1,
-    with the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative
-    _AXIS_EPSREL (absolute under the smallest normal float) by :func:`halving_trapezoid`.  A rho not finite
-    or 0 at every node (a cut with point masses only), an end not integrable as a power, a t out of reach
-    or a value past the float range raises NumericAccuracyError.
+    ``rho`` takes an array of s, evaluated once per node for all t.  A t sums the nodes under its band
+    (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t, and drops those
+    past ``far``.  The kernel defaults to exp(-z), whose band is padded to the widest of the call.  Any other
+    :class:`Kernel` with a head has a band as wide as any t's can be, and past the first level sums its new
+    nodes only, onto half the last level's sum; one without a head sums every node.  Either way a t's value
+    depends on it alone, bit for bit.  The rule is split at b, where rho may be singular; the nodes dropped next
+    to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for
+    exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
+    between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log
+    term), with the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative
+    _AXIS_EPSREL (absolute under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches
+    t in [far/s_max, tiny/s_min] of the kernel, about [1e-138, 1e112] for the resolvent kernels.  A rho not
+    finite or 0 at every node (a cut with point masses only), an end not integrable as a power, a t out of
+    reach or a value past the float range raises NumericAccuracyError.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(tt > 0.0):
         raise EvaluationDomainError("times must be positive")
-    ends, kernel = ((1e-17, 746.0), (lambda z: np.exp(-z))) if kernel is None else ((0.0, math.inf), kernel)
+    k = _EXP if kernel is None else kernel
+    head, ends = (k.head, (k.tiny, k.far)) if k.head else (((0.0, 0.0, 0.0),), (0.0, math.inf))
+    log_c = head[0][2]  # the leading term's log, which the left end's rest closes with
+    fixed = kernel is not None and k.head is not None  # a band of fixed width, new nodes only past level 1
     # d log s/dk at the far ends, and d log(d log s/dk)/dk at the left one
     x1, c1 = math.cosh(_AXIS_FAR / _AXIS_SCALE), math.tanh(_AXIS_FAR / _AXIS_SCALE) / _AXIS_SCALE
     at = {}  # the last level's density at its nodes, and the rests' data
 
     def rest(h, idx):  # c*s^p past both ends, with p measured between the end node and the next of step 1
         p1 = at["p1"][idx]
-        return at["fs"][idx] * (1.0 / p1 + h * h / 12.0 * x1 * (p1 * x1 - [c1, -c1])) @ [1.0, -1.0]
+        return at["fs"][idx] * (at["head"][idx] + h * h / 12.0 * x1 * (p1 * x1 - [c1, -c1])) @ [1.0, -1.0]
 
     def sums(level, idx):
         s, w, new = _axis_nodes(level, b)
@@ -217,30 +277,57 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Callable | None
             raise NumericAccuracyError(f"density on the cut is not finite at s = {s[~np.isfinite(vals)][0]:.6g}")
         at["vals"], q, tk = vals, w * vals, tt[idx]
         if level == 1:
-            if not np.all((tt * s[0] <= 1e-17) & (tt * s[-1] >= 746.0)):
-                raise NumericAccuracyError(f"the real-axis rule reaches t in [{746.0 / s[-1]:.3g}, "
-                                           f"{1e-17 / s[0]:.3g}], not {tt.min():g} to {tt.max():g}")
+            if not np.all((tt * s[0] <= k.tiny) & (tt * s[-1] >= k.far)):
+                raise NumericAccuracyError(f"the real-axis rule reaches t in [{k.far / s[-1]:.3g}, "
+                                           f"{k.tiny / s[0]:.3g}], not {tt.min():g} to {tt.max():g}")
             if not np.any(vals > 0.0):
                 raise NumericAccuracyError("density on the cut is 0 at every node: the cut has point masses")
-            f = kernel(tt[:, None] * s[[0, 2, -3, -1]]) * vals[[0, 2, -3, -1]]
+            ke = k.f(tt[:, None] * s[[0, 2, -3, -1]])
+            f = ke * vals[[0, 2, -3, -1]]
             at["fs"], live = f[:, [0, 3]] * s[[0, -1]], f[:, [0, 3]] > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 p1 = np.log(f[:, [1, 2]] / f[:, [0, 3]]) / np.log(s[[2, -3]] / s[[0, -1]]) + 1.0
             if not np.all(~live | (p1 * [1.0, -1.0] > 0.0)):
                 raise NumericAccuracyError("integrand on the cut is not integrable as a power past an end")
             at["p1"] = np.where(live, p1, 1.0)  # a rest of 0 where the end's integrand is 0
+            at["head"] = 1.0 / at["p1"]
+            if log_c:  # k = A + B log z at the left end: int_0^1 u^q (1 + B log(u)/k) du, q rho's own power
+                p = at["p1"][:, 0] - np.log(ke[:, 1] / ke[:, 0]) / math.log(s[2] / s[0])
+                at["head"][:, 0] = 1.0 / p - log_c / (ke[:, 0] * p * p)
         lo, hi = np.searchsorted(s, ends[0] / tk) // 2 * 2, np.searchsorted(s, ends[1] / tk)
-        # the nodes under each band (which starts on a node of step 2h), weighed at steps h and 2h
-        below = np.concatenate([np.zeros((2, 1)), np.cumsum([q, np.where(new, 0.0, 2.0 * q)], axis=1)], axis=1)
-        out = below[:, lo] + [rest(0.5 ** (level + 1), idx), rest(0.5 ** level, idx)]
-        width = -(-int((hi - lo).max()) // 2) * 2
+        qs = np.array([q, np.where(new, 0.0, 2.0 * q)])  # every node, weighed at steps h and 2h
+        if not fixed:  # as wide as the call's widest band
+            width = -(-int((hi - lo).max()) // 2) * 2
+        else:  # the widest band any t can have; past level 1 the new nodes only, at step h
+            width = -(-int((np.searchsorted(s, s * (k.far / k.tiny)) - np.arange(s.size)).max() + 2) // 2) * 2
+            if level > 1:
+                s, lo, width, qs = s[1::2], lo // 2, width // 2, qs[:1, 1::2]
+        # the nodes under each band (which starts on a node of step 2h), in the head's form:
+        # sum over its terms of t^a ((A + B log t) sum q s^a + B sum q s^a log s)
+        below = 0.0
+        for a, h0, h1 in head:
+            with np.errstate(over="ignore"):  # q s^a may overflow past every band, where no sum is read
+                steps = qs * s**a
+                cum = [np.concatenate([np.zeros((len(qs), 1)), np.cumsum(x, axis=1)], axis=1)[:, lo]
+                       for x in ((steps, steps * np.log(s)) if h1 else (steps,))]
+            below = below + tk**a * ((h0 + h1 * np.log(tk)) * cum[0] + (h1 * cum[1] if h1 else 0.0))
+        band = np.zeros((len(qs), tk.size))
         win_s, win_q = (np.lib.stride_tricks.sliding_window_view(np.pad(x, (0, width), mode), width)
-                        for x, mode in ((s, "edge"), (q, "constant")))  # a padded node weighs 0
-        for r in range(0, tk.size, max(1, (1 << 16) // width)):  # blocks of 2^16 (time, node) pairs
-            band = slice(r, r + max(1, (1 << 16) // width))
-            terms = kernel(tk[band, None] * win_s[lo[band]]) * win_q[lo[band]]
-            out[:, band] += [terms.sum(axis=1), 2.0 * terms[:, ::2].sum(axis=1)]
-        return out[0], out[1]
+                        for x, mode in ((s, "edge"), (qs[0], "constant")))  # a padded node weighs 0
+        for r in range(0, tk.size, max(1, _BLOCK // width)):  # blocks of _BLOCK (time, node) pairs
+            rows = slice(r, r + max(1, _BLOCK // width))
+            terms = k.f(tk[rows, None] * win_s[lo[rows]]) * win_q[lo[rows]]
+            band[:, rows] = [terms.sum(axis=1), 2.0 * terms[:, ::2].sum(axis=1)][:len(qs)]
+        rests = [rest(0.5 ** (level + 1), idx), rest(0.5 ** level, idx)]
+        if not fixed:
+            out = below + rests
+            out += band
+            return out[0], out[1]
+        # the trapezoid sums; past level 1 the coarse one is the last level's fine one
+        prev = at["sum"][np.searchsorted(at["idx"], idx)] if level > 1 else None
+        fine, coarse = (0.5 * prev + below[0] + band[0], prev) if level > 1 else below + band
+        at["sum"], at["idx"] = fine, idx
+        return fine + rests[0], coarse + rests[1]
 
     values = halving_trapezoid(sums, tt.size, epsabs=np.finfo(float).tiny, epsrel=_AXIS_EPSREL,
                                levels=_AXIS_LEVELS, what="real-axis integral") / math.pi

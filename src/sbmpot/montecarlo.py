@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betaincinv, gammainc, ndtri
 
-from . import rng
+from . import laplace, rng
 from .bernstein import CompleteBernsteinFunction, levy_tail
 from .errors import ConstructionError, EvaluationDomainError
 from .ladder import renewal_function_V
@@ -290,8 +290,10 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     log_x = np.log(x[keep])
     log_u = np.log(tail[keep] / rate)
 
-    # drift: int_0^eps x mu = (eps/pi) int_0^inf P(2, eps*s)/(eps*s) Im phi(-s + i0)/s ds, both factors finite
-    drift = eps * phi.cut_integral(lambda v, s: v.imag / s, eps, kernel=lambda z: gammainc(2.0, z) / z)
+    # drift: int_0^eps x mu = (eps/pi) int_0^inf P(2, eps*s)/(eps*s) Im phi(-s + i0)/s ds, both factors finite;
+    # P(2, z)/z is z/2 under z = 1e-17 and 1/z past 746
+    kernel = laplace.Kernel(lambda z: gammainc(2.0, z) / z, 1e-17, 746.0)
+    drift = eps * phi.cut_integral(lambda v, s: v.imag / s, eps, kernel=kernel)
     return rate, drift, log_u, log_x
 
 

@@ -189,12 +189,12 @@ RENDER_PINS = {
         "56c678f87db2bfe1ce411ce31ea4b90d84e9a2757995dcafb733f86e9d3dd399"),
     "kernel-r": (
         "kernel --kind stable --alpha 1 --dim 3 --r 0.5", 0,
-        "5c0ab7a584feac9908f030cfe14578a0f58619dd97d42e03f6f852184bb279c2",
-        "c70c321595a9120c4955b95aa2c335ebaef84e49db555f781e9f59de251dcff8"),
+        "b144f68f0d90b4a30e540a844b1393b2e5f19f99273b3fabc4ad14223866080d",
+        "82359658115307c52a7bc6a507d68f926f3b74f7e15bc6f62a94aada9eb77710"),
     "kernel-grid": (
         "kernel --kind stable --alpha 1 --dim 3 --rmin 0.1 --rmax 1 --points 3", 0,
-        "76e3f579a8dac8c6305108fb43b7c64d0c704312cb61a5ec2f050179c57b044d",
-        "7d0aee2a0a698078df7f313c5b41cb924e431d5470a00fe153138bfc9f35a68b"),
+        "104f08bd92816c6bc14d3bea616cce68577950d39ab9fbb444e2a61479c384a0",
+        "3e487124d4735320e17140b8ca4a66130a56e5641a36339a92ba35bd89e8afaa"),
     "ladder-chi": (
         "ladder chi --kind stable --alpha 1.5 --lmin 0.1 --lmax 10 --points 3", 0,
         "a26e91c69d7dc2e721d2fa775cb9743f9b2188b5f576d0f5470bc3cc0a64ea84",
@@ -217,12 +217,12 @@ RENDER_PINS = {
         "e41e463e9a5ed8af490d0487d244d85b6f0536fcef1b895b47dea4e44fface6a"),
     "check-doubling": (
         "check doubling --kind stable --alpha 1 --dim 1", 0,
-        "4004a201b50ea32f5d9dfd1a12247a15138440e86d592a51d8044a493684c01f",
-        "82ec35b16fb61e88ec1a202c3ae1b510fc2b5a7cd332ee1cabdecc8eb4aa73f5"),
+        "109d6d9c6221ccd2ce4d5731bf38595ef429faa200a2cf67bc5dc9cc619be80f",
+        "7ef7a429c1d68f3af8ab81e138928d13310906b627abd0eb162c34dfb16bd361"),
     "check-asym": (
         "check asym --kind stable --alpha 1 --dim 3", 0,
-        "0ccd8b90a38a2a34d29b04a39bcca900faa81f1737ec392565cc9754afa75bc3",
-        "9cccc563d8e9e1e6f6e760ec10bc452a33ff8540fb89012745fc7fecb64e2632"),
+        "a2f7bf0f14fcb04ce68b6f6cc6f010a8fcab9be55a659574720286a8a2ffe330",
+        "688fdedbab9a439706d5d4f418079300bc5fe0adf0f1ec42159eb65bd544a25f"),
     "check-harnack": (
         "check harnack --kind stable --alpha 1 --paths 20 --seed 3", 1,
         "9e6b2a3f1c18602f90e02b5b6b3a4dec9abce53ff3362480d14643ad45d6723d",
@@ -526,9 +526,9 @@ def _fresh_run(*lines):
 
 
 def test_commands_without_quadrature_leave_scipy_stacks_unloaded():
-    # only kernel, check doubling and check asym build splines, and no command
-    # integrates with scipy; every other command starts without scipy.integrate
-    # and scipy.interpolate (and the optimize, linalg and sparse stacks they pull in)
+    # no command integrates with scipy or builds a spline, so none starts
+    # scipy.integrate or scipy.interpolate (and the optimize, linalg and sparse
+    # stacks they pull in)
     codes, loaded = _fresh_run(
         "phi --kind stable --alpha 1 --points 3",
         "density --kind relativistic --alpha 1 --points 3",
@@ -543,10 +543,27 @@ def test_commands_without_quadrature_leave_scipy_stacks_unloaded():
 
 
 def test_kernel_loads_scipy_stacks_on_first_use():
-    # the kernels integrate with their own rule, so only the spline's stack loads
-    codes, loaded = _fresh_run("kernel --kind log_up --alpha 1 --dim 3 --r 0.5")
-    assert codes == [0]
-    assert loaded == ["scipy.interpolate"]
+    # the kernels are integrals on phi's cut, on the package's own rule: neither
+    # stack loads, on a kind with closed kernels or without
+    codes, loaded = _fresh_run("kernel --kind log_up --alpha 1 --dim 3 --r 0.5",
+                               "check asym --kind sum --alpha 1 --dim 2",
+                               "check doubling --kind relativistic --alpha 1 --dim 2",
+                               "kernel --kind geometric_example --alpha 1 --dim 1 --r 0.5")
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+
+
+def test_kernel_of_a_radius_does_not_depend_on_its_grid(capsys):
+    # the sum kind's G at r = 1e-3 in d = 1, alone and as the first row of a
+    # table: 2.0398202372277399, where mpmath gives 2.03982024 (a spline of u
+    # once wrote 2.0398295 alone and 2.0398202 in the table)
+    rc, alone = _run(capsys, ["kernel", "--kind", "sum", "--alpha", "1", "--dim", "1", "--r", "0.001"])
+    assert rc == 0
+    rc, table = _run(capsys, ["kernel", "--kind", "sum", "--alpha", "1", "--dim", "1",
+                              "--rmin", "0.001", "--rmax", "1", "--points", "4"])
+    assert rc == 0
+    assert alone.splitlines()[1] == table.splitlines()[1]
+    assert alone.splitlines()[1].split(",")[1] == "2.0398202372277399"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from sbmpot import bernstein, densities, laplace
@@ -180,28 +179,6 @@ def test_killed_phi_potential_density_allowed():
     assert np.all(u <= base * (1.0 + 1e-9))
 
 
-def _array_loglog_spline(grid, vals):
-    """The log-log spline as an array formula: CubicSpline inside the knots,
-    the boundary secants outside; the reference for the evaluator."""
-    keep = np.nonzero(np.isfinite(vals) & (vals > 0.0))[0]
-    grid, vals = grid[keep[0]:keep[-1] + 1], vals[keep[0]:keep[-1] + 1]
-    lx, ly = np.log(grid), np.log(vals)
-    sp = CubicSpline(lx, ly)
-    slope_lo = (ly[1] - ly[0]) / (lx[1] - lx[0])
-    slope_hi = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
-
-    def evaluate(t):
-        tl = np.log(np.asarray(t, dtype=float))
-        out = np.where(
-            tl < lx[0],
-            ly[0] + slope_lo * (tl - lx[0]),
-            np.where(tl > lx[-1], ly[-1] + slope_hi * (tl - lx[-1]), sp(np.clip(tl, lx[0], lx[-1]))),
-        )
-        return np.exp(out)
-
-    return evaluate, grid
-
-
 def _same_bits(a: float, b: float) -> bool:
     # a NaN's sign bit depends on where it arose, so NaN only has to meet NaN
     if math.isnan(a) or math.isnan(b):
@@ -209,54 +186,19 @@ def _same_bits(a: float, b: float) -> bool:
     return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
 
 
-# (phi, density, span of t): a potential density and a Levy density of the
-# real-axis rule; a relativistic potential density, which levels off, so its
-# top secant rises
-SPLINE_CASES = {
-    "u-log_up": (bernstein.log_perturbed_up(1.0, 0.5), densities.potential_density_u, (1e-10, 1e12)),
-    "mu-log_down": (bernstein.log_perturbed_down(1.0, 0.5), bernstein.eval_levy_density, (1e-8, 1e4)),
-    "u-relativistic": (bernstein.relativistic_stable(1.5, 2.0), densities.potential_density_u,
-                       (1e-6, 1e6)),
-}
-
-
-@pytest.mark.parametrize("case", list(SPLINE_CASES))
-def test_scalar_spline_has_the_array_formula_bits(case):
-    phi, density, (t_lo, t_hi) = SPLINE_CASES[case]
-    lo, hi = math.log10(t_lo), math.log10(t_hi)
-    grid = np.logspace(lo, hi, int((hi - lo) * densities._PER_DECADE))
-    vals = np.atleast_1d(density(phi, grid))
-    spline = densities._loglog_spline(grid, vals, "test density")
-    reference, knots = _array_loglog_spline(grid, vals)
-    # every knot (the last one too), its float neighbours on both sides in t
-    # and in log t, and the whole grid, trimmed ends included
-    edges = [knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf),
-             np.exp(np.nextafter(np.log(knots), -np.inf)), np.exp(np.nextafter(np.log(knots), np.inf)),
-             grid, [np.nan, np.inf, -np.inf]]
-    points = np.concatenate([np.ravel(e) for e in edges])
-    with np.errstate(invalid="ignore"):
-        # each edge point alone, as a scalar
-        bad = [t for t in points.tolist() if not _same_bits(spline(t), reference(t))]
-        if case == "u-log_up":  # 10^5 log-uniform points, both continuations included
-            t_rand = np.exp(np.random.default_rng(5).uniform(math.log(t_lo) - 20.0, math.log(t_hi) + 20.0,
-                                                             100_000))
-            points = np.concatenate([points, t_rand])
-            assert (t_rand < knots[0]).any() and (t_rand > knots[-1]).any()
-        # and every point in one call
-        bad += [t for t, got, want in zip(points.tolist(), spline(points).tolist(), reference(points).tolist())
-                if not _same_bits(got, want)]
-    assert not bad, f"{len(bad)} points differ, first {bad[:3]}"
-    assert math.isnan(spline(math.nan))
-
-
 @pytest.mark.parametrize("kind, name", [
     (kind, name) for kind in bernstein.KINDS for name in ("potential_density", "levy_density")
     if KIND_EXAMPLES[kind].closed_form(name, 1.0) is not None])
 def test_closed_form_weight_has_the_registry_bits(kind, name):
+    # the entry points for u and mu return a kind's closed form with its bits
     phi = KIND_EXAMPLES[kind]
-    weight = densities._spline_evaluator(phi, name, None, 1e-4, 1e4)
+    entry = {"potential_density": densities.potential_density_u, "levy_density": bernstein.eval_levy_density}[name]
+
+    def weight(t):
+        return entry(phi, t)
+
     ts = np.array(np.geomspace(1e-6, 1e6, 2001).tolist() + [math.pi, 1.0])
-    # on an array, as the kernels call it, and on each t alone
+    # on an array and on each t alone
     assert weight(ts).view(np.uint64).tolist() == phi.closed_form(name, ts).view(np.uint64).tolist()
     for t in ts.tolist():
         assert _same_bits(weight(t), phi.closed_form(name, t)), (kind, t)

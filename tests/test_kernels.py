@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -127,11 +129,13 @@ def test_green_function_riesz_near_alpha_d(d, alpha, r):
     assert g == pytest.approx(_riesz_green_constant(d, alpha) * r ** (alpha - d), rel=1e-6)
 
 
-def test_subordination_integral_refuses_slower_decay_than_declared():
-    # gamma = 0.3 declares a decay rate of 0.2 in log t; w = t^-0.55 decays at
-    # 0.05, so the declaration is broken and the rest cannot be trusted
-    with pytest.raises(NumericAccuracyError, match="under half the declared"):
-        kernels.subordination_integral(lambda t: t ** -0.55, 1, 1.0, gamma=0.3)
+@pytest.mark.parametrize("d, power", [(3, -1.2), (2, -1.0), (1, -0.6)])
+def test_subordination_integral_refuses_an_end_that_is_not_integrable(d, power):
+    # k_d(z) is z^(-1/2) (d = 1), log z (d = 2) or constant (d = 3) at 0, so
+    # rho = s^power leaves int_0 k_d(r^2 s) rho(s) ds infinite: the rule's
+    # measured end power says so, rather than closing it with a rest
+    with pytest.raises(NumericAccuracyError, match="not integrable"):
+        kernels.subordination_integral(lambda s: s**power, d, 1.0)
 
 
 @pytest.mark.parametrize("r, j_finite", [(1e-110, False), (1e-80, False), (1e-60, True)])
@@ -151,12 +155,19 @@ def test_kernels_past_float_range_are_refused(r, j_finite):
 
 @pytest.mark.parametrize("d, beta", [(1, 0.75), (2, 0.5), (3, 0.5), (3, 0.0)])
 def test_subordination_integral_power_weight(d, beta):
-    # for w(t) = t**(-beta) the integral is Gamma(d/2 + beta - 1) / (4**(1-beta) pi**(d/2))
-    # times r**(2 - d - 2*beta), exactly
+    # for w(t) = t**(-beta) the integral of p(t, r) w(t) is Gamma(d/2 + beta - 1) / (4**(1-beta) pi**(d/2))
+    # times r**(2 - d - 2*beta), exactly; on the cut w is rho(s) = pi s**(beta-1)/Gamma(beta)
     const = math.gamma(d / 2.0 + beta - 1.0) / (4.0 ** (1.0 - beta) * math.pi ** (d / 2.0))
     for r in (1e-3, 1.0):
-        val = kernels.subordination_integral(lambda t: t ** (-beta), d, r, gamma=1.0 - beta)
-        assert val * r ** (d + 2.0 * beta - 2.0) == pytest.approx(const, rel=1e-6)
+        if beta > 0.0:
+            val = kernels.subordination_integral(lambda s: math.pi * s ** (beta - 1.0) / math.gamma(beta), d, r)
+        else:
+            # w = 1 is rho = pi delta(s), which the rule refuses: G adds it as the atom of u's
+            # constant c, here c = 2 for relativistic(1, 1)
+            phi = bernstein.relativistic_stable(1.0, 1.0)
+            val = (kernels.green_function(phi, d, r) - kernels.subordination_integral(
+                lambda s: -(1.0 / phi._eval(-s + 0j)).imag, d, r)) / 2.0
+        assert val * r ** (d + 2.0 * beta - 2.0) == pytest.approx(const, rel=1e-9)
 
 
 def _sha(*arrays):
@@ -167,12 +178,12 @@ def _sha(*arrays):
 
 
 # the one G/j set-up of every entry point, pinned bit for bit on kinds whose
-# weights are inverted and splined
+# kernels are integrals on the cut
 @pytest.mark.parametrize("phi, sha", [
     (bernstein.relativistic_stable(1.0, 1.0),
-     "53461524c261ac2737d9d05d0e713ba9630e5bed7de2bdc3d30687db2bcf02a6"),
+     "e5ff757bb8abf8c500a3014105f71fe4463118cba3063a3cc0794efb599b8f2c"),
     (bernstein.sum_of_stables(1.0, 0.5),
-     "5d1cbe5b878bd18442d0bc608060019378c292a1cebc42936843aeb79cb2a663"),
+     "2f5a6d112a30b4d2af4957383db07e1108a32f2abd57447f6c315b9b2da68dd4"),
 ], ids=["relativistic", "sum"])
 def test_kernel_table_bits_pinned(phi, sha):
     table = kernels.build_kernel_table(phi, 3, 1e-2, 1.0, 8)
@@ -182,9 +193,9 @@ def test_kernel_table_bits_pinned(phi, sha):
 def test_kernel_ratio_windows_bits_pinned():
     phi = bernstein.log_perturbed_up(1.0, 0.5)
     assert (_sha(kernels.g_asymptotic_ratio(phi, 3).ratios)
-            == "dfdd5f98df6408875599509fb5abfa42fa404b7ed817063b75e5cc190ab9967b")
+            == "e1b5f8cb9ad2eb64896677033b1141b1512ad610cdb6e60892b4d9218d496d87")
     assert (_sha(kernels.j_asymptotic_ratio(phi, 3).ratios)
-            == "74078b1f51404f1e8c5c288a910993e766bdb9108e5b508840051fa8c217dfbb")
+            == "21f05c21a345855b6cb3d155a41d3e8d52cb30ff8fd2851f9c7cd5b60acb5efe")
 
 
 def _counting(fn, calls, key):
@@ -246,37 +257,95 @@ def test_relativistic_jump_kernel_past_the_weight_underflow():
     assert got == pytest.approx(exact, rel=1e-6)
 
 
-def _kinked_weight(t):
-    # t^(-3/2) that drops to t^(-83/2) past t = 1: a kink in log w no
-    # trapezoid step of the rule resolves
-    t = np.asarray(t, dtype=float)
-    return t**-1.5 * np.where(t < 1.0, 1.0, t**-40.0)
+def _kinked_density(s):
+    # s^(1/2) that drops to s^(-79/2) past s = 3: a kink no step halving of the rule resolves
+    s = np.asarray(s, dtype=float)
+    return s**0.5 * np.minimum(1.0, 3.0 / s) ** 40
 
 
 def test_unresolved_kink_is_refused(monkeypatch, capsys):
     with pytest.raises(NumericAccuracyError, match="step halvings"):
-        kernels.subordination_integral(_kinked_weight, 3, 1.0)
+        kernels.subordination_integral(_kinked_density, 3, 1.0)
     # through the CLI the refusal is exit 3, with nothing written
-    monkeypatch.setattr(kernels, "spline_levy_evaluator", lambda phi, t_lo, t_hi: _kinked_weight)
-    rc = cli.main(["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "1"])
+    rule = kernels.subordination_integral
+    monkeypatch.setattr(kernels, "subordination_integral", lambda rho, d, r, b=1.0: rule(_kinked_density, d, r))
+    rc = cli.main(["kernel", "--kind", "log_up", "--alpha", "1", "--dim", "3", "--r", "1"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert captured.err.startswith("numeric accuracy failure: ")
 
 
-@pytest.mark.parametrize("weight", ["closed", "spline"])
-def test_subordination_integral_is_grid_and_block_independent(monkeypatch, weight):
-    # each radius's value is the one it gets alone, bit for bit: on a grid of
-    # more than one block of (radii, nodes), and on blocks of a single radius
-    # the evaluator is the registry's closed form for the sum kind, a spline of
-    # the inverted density for log_up
-    phi = bernstein.sum_of_stables(1.0, 0.5) if weight == "closed" else bernstein.log_perturbed_up(1.0, 0.5)
-    w = kernels.spline_levy_evaluator(phi, 1e-10, 1e15)
+@pytest.mark.parametrize("phi", [bernstein.sum_of_stables(1.0, 0.5), bernstein.log_perturbed_up(1.0, 0.5)],
+                         ids=["sum", "log_up"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_subordination_integral_is_grid_and_block_independent(monkeypatch, phi, d):
+    # each radius's G and j are the ones it gets alone, bit for bit: on a grid
+    # of more than one block of (radii, nodes), on blocks of a single radius,
+    # and with the grid reversed
     radii = np.geomspace(1e-3, 30.0, 400)
-    alone = [kernels.subordination_integral(w, 3, r) for r in radii]
-    near = int((kernels._Y_FAR - kernels._Y_LO) / kernels._STEP) * 2
-    assert radii.size > kernels._BLOCK // near
-    at_once = kernels.subordination_integral(w, 3, radii)
-    monkeypatch.setattr(kernels, "_BLOCK", 1)
-    one_row_blocks = kernels.subordination_integral(w, 3, radii[::-1])[::-1]
-    assert at_once.tolist() == alone and one_row_blocks.tolist() == alone
+    for kernel in (kernels._green, kernels._jump):
+        alone = [kernel(phi, d, r) for r in radii]
+        at_once = kernel(phi, d, radii)
+        with monkeypatch.context() as m:
+            m.setattr(laplace, "_BLOCK", 1)
+            one_row_blocks = kernel(phi, d, radii[::-1])[::-1]
+        assert at_once.tolist() == alone and one_row_blocks.tolist() == alone
+
+
+@pytest.mark.parametrize("d, alpha, r", [
+    *[(d, alpha, r) for d in (1, 2, 3) for alpha in (0.5, 1.0, 1.5, 1.9) for r in (1e-3, 1.0, 10.0)],
+    # the cases of test_green_function_riesz_near_alpha_d: an integrand on the cut that
+    # decays slowly at s = 0, so much of G lies past the rule's left end, in its closing rest
+    (1, 0.95, 0.3), (1, 0.9938235677851865, 0.05772396153673417), (1, 0.999, 1.0), (2, 1.9, 0.1),
+])
+def test_stable_kernels_on_the_cut_are_riesz(d, alpha, r):
+    # the stable kind's kernels are closed, so the rule runs here on its cut
+    # densities sin(pi alpha/2) s^(-+alpha/2) directly; in d = 2 at alpha = 1.9 the
+    # left rest is closed with K_0's log, which a pure power misses by 2e-9 to 1e-8
+    c = math.sin(math.pi * alpha / 2.0)
+    if alpha < d:
+        assert (kernels.subordination_integral(lambda s: c * s ** (-alpha / 2.0), d, r)
+                == pytest.approx(_riesz_green_constant(d, alpha) * r ** (alpha - d), rel=1e-9))
+    assert (kernels.subordination_integral(lambda s: c * s ** (alpha / 2.0), d, r)
+            == pytest.approx(_stable_jump_constant(d, alpha) * r ** (-d - alpha), rel=1e-9))
+
+
+def _mpmath_kernels():
+    # G and j of kinds with no closed kernel, each a heat-kernel integral of u
+    # or mu from mpmath's Laplace inversion, which writes each phi out again;
+    # regenerate with tests/fixtures/kernels_mpmath.py
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "kernels_mpmath.json")) as fh:
+        return json.load(fh)["kernels"]
+
+
+@pytest.mark.parametrize("case", _mpmath_kernels(), ids=lambda c: f"{c['label']}-d{c['d']}-r{c['r']:g}")
+def test_kernels_match_the_mpmath_heat_kernel_integrals(case):
+    # held to the real-axis rule's relative target
+    phi, d, r = bernstein.phi_from_json(case["phi"]), case["d"], case["r"]
+    if case["G"] is not None:
+        assert kernels.green_function(phi, d, r) == pytest.approx(case["G"], rel=1e-9)
+    else:
+        with pytest.raises(NotTransientError):
+            kernels.green_function(phi, d, r)
+    assert kernels.jump_kernel(phi, d, r) == pytest.approx(case["J"], rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_geometric_kernels_are_heat_kernel_integrals_of_the_pole_sums(d):
+    # the geometric kind's cut is point masses, so G and j are sums of Brownian
+    # resolvents over its poles; here they are checked against scipy's quadrature
+    # of p(t, r) against its closed u and mu, in log t
+    from scipy.integrate import quad
+
+    phi = bernstein.geometric_like(1.0)
+    for r in (1e-2, 0.3, 1.0):
+        for kernel, density in ((kernels.green_function, densities.potential_density_u),
+                                (kernels.jump_kernel, bernstein.eval_levy_density)):
+            def f(y):
+                t = math.exp(y)
+                return kernels.heat_kernel(d, t, r) * density(phi, t) * t
+
+            lo = math.log(r * r / 3200.0)
+            exact = sum(quad(f, a, a + 2.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                        for a in np.arange(lo, 20.0, 2.0))
+            assert kernel(phi, d, r) == pytest.approx(exact, rel=1e-9), (kernel.__name__, r)
