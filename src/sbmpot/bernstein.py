@@ -108,6 +108,17 @@ class CompleteBernsteinFunction:
         b = _entry(self.kind).branch_point(self)
         return laplace.real_axis_integral(lambda s: rho(self._eval(-s + 0j), s), t, b, kernel)
 
+    def forms(self, names, t) -> list:
+        """The forms ``names`` of _CUT_FORMS at t: closed where the kind has them, else on phi's cut (u with its
+        atom lim lam/phi(lam)), phi evaluated once per node for all, each t certified to relative 1e-9."""
+        out = {name: self.closed_form(name, t) for name in names}
+        cut = [name for name in names if out[name] is None]
+        rows = self.cut_integral(lambda v, s: [_CUT_FORMS[name](v, s) for name in cut], t) if cut else ()
+        atom = {"potential_density": _entry(self.kind).conjugate_killing(self)}
+        for name, row in zip(cut, rows):
+            out[name] = (row if np.ndim(t) else float(row)) + atom.get(name, 0.0)
+        return [out[name] for name in names]
+
     @property
     def small_exponent(self) -> float | None:
         """Known power behaviour of phi at 0+, or None when unavailable."""
@@ -575,23 +586,24 @@ def default_catalog() -> list[CompleteBernsteinFunction]:
 # ---- pointwise operations ------------------------------------------------
 
 
+# name -> rho(phi(-s + i0), s) of a form (1/pi) int_0^inf e^(-ts) rho ds; u's is not Im phi/|phi|^2: it underflows
+_CUT_FORMS = {
+    "potential_density": lambda v, s: -(1.0 / v).imag,
+    "levy_density": lambda v, s: v.imag,
+    "levy_tail": lambda v, s: v.imag / s,
+}
+
+
 def eval_levy_density(phi: CompleteBernsteinFunction, t):
-    """Levy density mu(t) of phi: the closed form where the catalog has one, else
-    (1/pi) int_0^inf e^(-ts) Im phi(-s + i0) ds on the real-axis rule, each t
-    certified to relative 1e-9 (NumericAccuracyError beyond)."""
-    closed = phi.closed_form("levy_density", t)
-    if closed is not None:
-        return closed
-    return phi.cut_integral(lambda v, s: v.imag, t)
+    """Levy density mu(t) of phi: the closed form where the catalog has one, else (1/pi) int_0^inf e^(-ts)
+    Im phi(-s + i0) ds on the real-axis rule, each t certified to relative 1e-9 (NumericAccuracyError beyond)."""
+    return phi.forms(("levy_density",), t)[0]
 
 
 def levy_tail(phi: CompleteBernsteinFunction, t):
     """Tail mass mu(t, inf): the closed form where available, else
     (1/pi) int_0^inf e^(-ts) Im phi(-s + i0)/s ds, certified as the Levy density is."""
-    closed = phi.closed_form("levy_tail", t)
-    if closed is not None:
-        return closed
-    return phi.cut_integral(lambda v, s: v.imag / s, t)
+    return phi.forms(("levy_tail",), t)[0]
 
 
 @dataclass(frozen=True)

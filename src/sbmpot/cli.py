@@ -62,10 +62,10 @@ from .ladder import (
     SANDWICH_LO,
     chi_sandwich_check,
     halfline_green,
-    ladder_density_v,
     ladder_exponent_chi,
-    renewal_function_V,
+    renewal_table,
 )
+from .ladder import ladder_density_v, renewal_function_V  # noqa: F401  unused here; names a tracer patches
 from .montecarlo import Ball, scaled_config, simulate_exits
 
 _USAGE_ERRORS = (
@@ -207,9 +207,7 @@ def _chi_rows(phi, args) -> dict:
 
 
 def _v_rows(phi, args) -> dict:
-    grid = _grid(args, "t", "tmin", "tmax", 1e-2, 1.0)
-    return {"t": grid, "v_ladder": np.atleast_1d(ladder_density_v(phi, grid)),
-            "V": np.atleast_1d(renewal_function_V(phi, grid))}
+    return renewal_table(phi, _grid(args, "t", "tmin", "tmax", 1e-2, 1.0))
 
 
 def _halfline_rows(phi, args) -> dict:

@@ -5,8 +5,9 @@ Laplace transform 1/phi, a Stieltjes function, so u is an atom
 c = lim lam/phi(lam) plus (1/pi) int_0^inf e^(-ts) (-Im 1/phi(-s + i0)) ds, on
 the real-axis rule of :mod:`sbmpot.laplace`.  Where a kind has a closed form
 (the potential density of the stable and geometric kinds, the Levy density of
-several) it comes from the kind registry through ``phi.closed_form``, and
-:func:`potential_density_u` is the one entry point for u.
+several) it comes from the kind registry.  ``phi.forms`` picks the one or the
+other, and takes u, mu and the tail of :func:`density_table` on one
+evaluation of phi per node.
 
 The bound checks implemented here are the two sides of the small-time
 comparison u(t) ~ 1/(t*phi(1/t)):
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import KINDS, CompleteBernsteinFunction, eval_levy_density, levy_tail
+from .bernstein import CompleteBernsteinFunction, eval_levy_density
+from .bernstein import levy_tail  # noqa: F401  unused here; perfbench/tracing.py patches it by name
 
 __all__ = [
     "ZAHLE_BOUND",
@@ -45,16 +47,9 @@ ZAHLE_BOUND = 1.0 / (1.0 - math.exp(-1.0))
 
 
 def potential_density_u(phi: CompleteBernsteinFunction, t):
-    """Potential density u(t), the density of the occupation measure of the subordinator.
-
-    The kind's closed form where the registry has one; otherwise the atom plus the real-axis
-    integral of -Im(1/phi) (not Im phi/|phi|^2, whose square underflows), each t certified to
-    relative 1e-9 (:class:`NumericAccuracyError` beyond).
-    """
-    closed = phi.closed_form("potential_density", t)
-    if closed is not None:
-        return closed
-    return KINDS[phi.kind].conjugate_killing(phi) + phi.cut_integral(lambda v, s: -(1.0 / v).imag, t)
+    """Potential density u(t), the density of the occupation measure of the subordinator: the kind's closed
+    form, else the atom plus the real-axis integral of -Im(1/phi), each t certified to relative 1e-9."""
+    return phi.forms(("potential_density",), t)[0]
 
 
 @dataclass(frozen=True)
@@ -158,9 +153,7 @@ def mu_asymptotic_ratio(phi: CompleteBernsteinFunction, t_grid=None) -> RatioWin
 def density_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarray]:
     """Columns (t, u, mu, tail, u_ratio, mu_ratio) for CSV export."""
     grid = np.asarray(t_grid, dtype=float)
-    u = np.atleast_1d(potential_density_u(phi, grid))
-    mu = np.atleast_1d(eval_levy_density(phi, grid))
-    tail = np.atleast_1d(levy_tail(phi, grid))
+    u, mu, tail = (np.atleast_1d(x) for x in phi.forms(("potential_density", "levy_density", "levy_tail"), grid))
     phi_inv_t = np.atleast_1d(phi(1.0 / grid))
     return {
         "t": grid,

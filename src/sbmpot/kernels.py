@@ -22,7 +22,6 @@ over the poles of the geometric kind's cut of point masses, which the rule refus
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,13 +82,8 @@ def _radii(d: int, r) -> np.ndarray:
     """r as an array, once d and each radius squared are in range."""
     if d < 1:
         raise EvaluationDomainError("dimension must be a positive integer")
-    radii = np.asarray(r, dtype=float)
-    for x in radii.ravel().tolist():  # Python floats, whose square leaves the float range silently
-        if not 0.0 < x < math.inf:
-            raise EvaluationDomainError(f"radius must lie in (0, inf), got {x:g}")
-        if not sys.float_info.min <= x * x < math.inf:
-            raise EvaluationDomainError(f"radius {x:g} squared leaves the float range")
-    return radii
+    laplace.squares(r, "a radius")
+    return np.asarray(r, dtype=float)
 
 
 def _finite(values, radii):
@@ -128,26 +122,16 @@ def _kernel(phi: CompleteBernsteinFunction, d: int, r, name: str, rho: Callable,
     return _finite(values, np.asarray(r, dtype=float))
 
 
-def _green(phi: CompleteBernsteinFunction, d: int, r):
-    """G at the radii r, once transience is established."""
+def green_function(phi: CompleteBernsteinFunction, d: int, r):
+    """G(x) at |x| = r, a radius or an array of them: subordination integral of the potential density."""
     if not transience_check(phi, d):
         raise NotTransientError(f"{phi.label()} is not transient in d={d}")
     return _kernel(phi, d, r, "green", lambda v: -(1.0 / v).imag, KINDS[phi.kind].conjugate_killing(phi))
 
 
-def _jump(phi: CompleteBernsteinFunction, d: int, r):
-    """j at the radii r."""
+def jump_kernel(phi: CompleteBernsteinFunction, d: int, r):
+    """j(r), a radius or an array of them: subordination integral of the Levy density; no transience needed."""
     return _kernel(phi, d, r, "jump", lambda v: v.imag, 0.0)
-
-
-def green_function(phi: CompleteBernsteinFunction, d: int, r: float) -> float:
-    """G(x) at |x| = r: subordination integral of the potential density."""
-    return _green(phi, d, r)
-
-
-def jump_kernel(phi: CompleteBernsteinFunction, d: int, r: float) -> float:
-    """j(r): subordination integral of the Levy density; no transience needed."""
-    return _jump(phi, d, r)
 
 
 def _small_radii(r_grid) -> np.ndarray:
@@ -157,13 +141,13 @@ def _small_radii(r_grid) -> np.ndarray:
 def g_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> RatioWindow:
     """G(r) * r**d * phi(r**-2) over a small-r window; bounded spread is the claim."""
     grid = _small_radii(r_grid)
-    return RatioWindow.of(grid, _green(phi, d, grid) * grid ** d * phi(grid ** -2.0))
+    return RatioWindow.of(grid, green_function(phi, d, grid) * grid ** d * phi(grid ** -2.0))
 
 
 def j_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> RatioWindow:
     """j(r) * r**d / phi(r**-2) over a small-r window."""
     grid = _small_radii(r_grid)
-    return RatioWindow.of(grid, _jump(phi, d, grid) * grid ** d / phi(grid ** -2.0))
+    return RatioWindow.of(grid, jump_kernel(phi, d, grid) * grid ** d / phi(grid ** -2.0))
 
 
 def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tuple[float, float]:
@@ -176,7 +160,7 @@ def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tu
     r_small = np.geomspace(K * 1e-3, K * 0.999, 40)
     r_large = np.geomspace(1.001, 10.0 * K if 10.0 * K > 1.1 else 1.1, 40)
     j_small, j_double, j_large, j_shift = np.split(
-        _jump(phi, d, np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])), 4)
+        jump_kernel(phi, d, np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])), 4)
     return float(np.max(j_small / j_double)), float(np.max(j_large / j_shift))
 
 
@@ -217,4 +201,4 @@ def build_kernel_table(
     if points < 1:
         raise EvaluationDomainError("need at least one radius")
     radii = np.geomspace(r_min, r_max, points)
-    return RadialKernelTable(d=d, radii=radii, g_values=_green(phi, d, radii), j_values=_jump(phi, d, radii))
+    return RadialKernelTable(d, radii, green_function(phi, d, radii), jump_kernel(phi, d, radii))

@@ -6,20 +6,21 @@ exponent has the explicit log-integral representation
     chi(lam) = exp( (1/pi) * int_0^inf log(phi(lam^2 th^2)) / (1+th^2) dth ),
 
 and chi is sandwiched between exp(-pi/2) and exp(pi/2) times sqrt(phi(lam^2)).
-The renewal density v and renewal function V are Laplace inversions of 1/chi
+The renewal density v and renewal function V have Laplace transforms 1/chi
 and 1/(lam*chi); the half-line Green function is the convolution
 G(x,y) = int_0^(x^y) v(z) v(|y-x|+z) dz.
 
 Numerical notes.  The quadrature pulls the power lam^(alpha/2) out of the
 exponent analytically (using int log(th)/(1+th^2) dth = 0), leaving only the
-slowly varying part under the integral.  The inversions use the Gaver-Stehfest
-rule: it samples the transform on the positive real axis only, where the chi
-integral representation is valid (for complex lam, lam^2 leaves the principal
-branch).  Kinds whose v and V have closed forms (the stable kind, where
-chi(lam) = lam^(alpha/2)) take them from the kind registry instead.  The
-doubly exponential nodes on (0, 1) of ``_de_rule`` (Takahasi & Mori,
-Publ. RIMS 9, 1974), exact at both ends, serve chi as one fixed rule and the
-half-line convolution as one rule per step halving of the shared driver,
+slowly varying part under the integral.  It holds for lam > 0 only, but
+Wiener-Hopf for psi(xi) = phi(xi^2) gives chi(lam) chi(-lam) = phi(-lam^2), so
+the Stieltjes function 1/chi has the cut density chi(s) (-Im 1/phi(-s^2 + i0))
+(Kwasnicki, Studia Math. 206, 2011): v and V are real-axis integrals, or sums
+over the poles of 1/phi.  Kinds whose v and V have closed forms (the stable
+kind, where chi(lam) = lam^(alpha/2)) take them from the kind registry
+instead.  The doubly exponential nodes on (0, 1) of ``_de_rule`` (Takahasi &
+Mori, Publ. RIMS 9, 1974), exact at both ends, serve chi as one fixed rule and
+the half-line convolution as one rule per step halving of the shared driver,
 :func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import laplace
-from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
+from .bernstein import KINDS, CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
 from .errors import EvaluationDomainError, NumericAccuracyError
 from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
 
@@ -42,6 +43,7 @@ __all__ = [
     "chi_is_cbf_check",
     "ladder_density_v",
     "renewal_function_V",
+    "renewal_table",
     "halfline_green",
     "interval_green_mass_bound",
     "IntervalGreenBound",
@@ -54,6 +56,7 @@ SANDWICH_HI = math.exp(math.pi / 2.0)
 
 _CHI_NODES = 128  # half-width of chi's DE rule: about 2*_CHI_NODES nodes per lam
 _BLOCK = 1 << 16  # elements of a (lam, node) block
+_NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # the normal float range
 
 
 def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,24 +71,27 @@ def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, n
 def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):
     """Laplace exponent chi of the ladder-height subordinator of X, for lam of any shape.
 
-    Each value costs one sweep of about 2*_CHI_NODES nodes, in blocks of _BLOCK elements."""
+    Each value costs one sweep of about 2*_CHI_NODES nodes, in blocks of _BLOCK elements.  A node whose
+    lam^2 tan^2(theta) leaves the float range takes phi at its end, which moves log(phi(z)/z^(alpha/2)) by
+    at most |log| of the ratio of the two z (phi increases, phi(z)/z decreases): over 1e-16 of chi, refused."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float)).ravel()
+    lam2 = laplace.squares(lam_arr, "chi's lam")
     sig, sig_m, w = _de_rule(_CHI_NODES, 3.9 / _CHI_NODES, math.pi / 2.0)
     keep = w > 1e-30
     # theta and pi/2 - theta; tan^2 is formed on the half away from the
     # rounding cliff, so both ends stay resolved down to the weight cutoff
     x, xi = (math.pi / 2.0) * sig[keep], (math.pi / 2.0) * sig_m[keep]
     tansq, w = np.where(x <= math.pi / 4.0, np.tan(x) ** 2, 1.0 / np.tan(xi) ** 2), w[keep]
-    # tansq ascends and rounding is monotone, so the extreme lam bound every
-    # z; Python floats overflow to inf without a warning
-    lo, hi = (float(lam_arr.min()), float(lam_arr.max())) if lam_arr.size else (1.0, 1.0)
-    if not (lo > 0.0 and lo * lo * float(tansq[0]) > 0.0 and hi * hi * float(tansq[-1]) < math.inf):
-        raise EvaluationDomainError(f"chi needs lam > 0 with lam^2 tan^2(theta) in (0, inf) at "
-                                    f"every node; got lam in [{lo:g}, {hi:g}]")
     corr = np.empty(lam_arr.size)
     rows = max(8, _BLOCK // tansq.size // 8 * 8)  # whole groups of 8 rows, as BLAS takes them
     for b in range(0, lam_arr.size, rows):
-        z = (lam_arr[b:b + rows] ** 2)[:, None] * tansq[None, :]
+        with np.errstate(over="ignore", under="ignore"):
+            z = lam2[b:b + rows, None] * tansq[None, :]
+        if not np.all((z >= _NORMAL[0]) & (z <= _NORMAL[1])):  # phi at the range's end, as above
+            log_z, z = np.log(lam2[b:b + rows, None]) + np.log(tansq), np.clip(z, *_NORMAL)
+            if not np.all(np.abs(log_z - np.clip(log_z, *np.log(_NORMAL))) @ w <= 1e-16 * math.pi):
+                raise EvaluationDomainError(f"chi: lam^2 tan^2(theta) leaves the float range at nodes of weight "
+                                            f"over 1e-16, for lam in [{lam_arr.min():g}, {lam_arr.max():g}]")
         # log(phi(z) / z^(alpha/2)) without forming the ratio
         corr[b:b + rows] = (np.log(phi._eval(z)) - (phi.alpha / 2.0) * np.log(z)) @ w
     out = (lam_arr ** (phi.alpha / 2.0) * np.exp(corr / math.pi)).reshape(np.shape(lam))
@@ -114,28 +120,59 @@ def chi_is_cbf_check(phi: CompleteBernsteinFunction) -> MonotonicityReport:
                                        grid=np.geomspace(1e-1, 1e3, 15))
 
 
-def _renewal(phi: CompleteBernsteinFunction, name: str, power: int, t):
-    # the closed form ``name`` of phi, else the inverse transform of 1/(lam^power chi(lam))
-    closed = phi.closed_form(name, t)
-    if closed is not None:
+# v(t) = c_v + (1/pi) int e^(-t sqrt z) rho(z) dz and V(t) = c_v t + (1/pi) int (1 - e^(-t sqrt z)) rho(z)/sqrt z dz
+# on chi's cut in z = s^2, as kernels of T z, T = t^2, V's over t; V's is a power past far, so it has no head
+_RENEWAL_KERNELS = {
+    "ladder_density": laplace.Kernel(lambda z: np.exp(-np.sqrt(z)), 1e-32, 746.0**2, ((0.0, 1.0, 0.0),)),
+    "renewal_function": laplace.Kernel(lambda z: -np.expm1(-np.sqrt(z)) / np.sqrt(z), 1e-32, 746.0**2),
+}
+
+
+def _renewal(phi: CompleteBernsteinFunction, names, t) -> list:
+    """The ladder objects ``names`` ("ladder_density" v, "renewal_function" V) at t: closed forms, else sums over
+    the poles z of 1/phi = sum w/(lam + z), else integrals on phi's cut in z = s^2 (sqrt z, unlike s, stays in
+    chi's float range), chi taken once per pole or node for all; c_v = lim lam/chi = sqrt(lim lam/phi)."""
+    closed = [phi.closed_form(name, t) for name in names]
+    if all(value is not None for value in closed):
         return closed
-    return laplace.stehfest_with_residual(lambda s: 1.0 / (s ** power * ladder_exponent_chi(phi, s)), t)[0]
+    tt = np.ravel(np.asarray(t, dtype=float))
+    tt2 = laplace.squares(tt, "t of v and V")
+    entry, kernels = KINDS[phi.kind], [_RENEWAL_KERNELS[name] for name in names]
+    atom = math.sqrt(entry.conjugate_killing(phi))
+    if (poles := entry.poles(phi, 0.0)) is not None:  # the cut's density is point masses pi*c at z
+        w, z = (x[np.isfinite(poles[1])] for x in poles)
+        c = w * ladder_exponent_chi(phi, np.sqrt(z)) / (2.0 * np.sqrt(z))
+        with np.errstate(over="ignore"):  # a Tz past the float range gives the kernel's 0
+            rows = [k.f(np.multiply.outer(tt2, z)) @ c for k in kernels]
+    else:
+        rows = phi.cut_integral(lambda v, z: ladder_exponent_chi(phi, np.sqrt(z)) * -(1.0 / v).imag
+                                / (2.0 * np.sqrt(z)), tt2, kernels)
+    out = [(atom + row if name == "ladder_density" else tt * (atom + row)).reshape(np.shape(t))
+           for name, row in zip(names, rows)]
+    return out if np.ndim(t) else [float(x) for x in out]
 
 
 def ladder_density_v(phi: CompleteBernsteinFunction, t):
-    """Renewal (ladder potential) density v(t), the inverse transform of 1/chi."""
-    return _renewal(phi, "ladder_density", 0, t)
+    """Renewal (ladder potential) density v(t), the inverse transform of 1/chi, certified to relative 1e-9."""
+    return _renewal(phi, ("ladder_density",), t)[0]
 
 
 def renewal_function_V(phi: CompleteBernsteinFunction, t):
-    """Renewal function V(t) = int_0^t v; inverse transform of 1/(lam*chi(lam))."""
-    return _renewal(phi, "renewal_function", 1, t)
+    """Renewal function V(t) = int_0^t v; inverse transform of 1/(lam*chi(lam)), certified as v is."""
+    return _renewal(phi, ("renewal_function",), t)[0]
 
 
-# targets of the halfline convolution; its DE rule has step 2^-level over |kh| <= _HALFLINE_REACH
-# on z above (x^y)*_HALFLINE_Z_FLOOR, where chi's lam^2 tan^2(theta) stays in the float range
+def renewal_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarray]:
+    """Columns (t, v_ladder, V) for CSV export, chi evaluated once per node for both."""
+    grid = np.asarray(t_grid, dtype=float)
+    v, V = _renewal(phi, ("ladder_density", "renewal_function"), grid)
+    return {"t": grid, "v_ladder": np.atleast_1d(v), "V": np.atleast_1d(V)}
+
+
+# targets of the halfline convolution; its DE rule has step 2^-level over |kh| <= _HALFLINE_REACH on z
+# above (x^y)*_HALFLINE_Z_FLOOR and _HALFLINE_Z_MIN, where v's t^2 is within the real-axis rule's reach
 _HALFLINE_EPSABS, _HALFLINE_EPSREL = 1e-10, 1e-9
-_HALFLINE_REACH, _HALFLINE_LEVELS, _HALFLINE_Z_FLOOR = 4, 6, 1e-100
+_HALFLINE_REACH, _HALFLINE_LEVELS, _HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN = 4, 6, 1e-60, 1e-66
 
 
 def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
@@ -143,33 +180,29 @@ def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
 
     With lo = x^y and z = lo*s^p, p the inverse of the integrand's power at z = 0 (2/alpha off the
     diagonal, 1/(alpha-1) on it), the integrand in s is bounded at 0.  DE rules cover (s_c, 1), z(s_c) =
-    max(lo*_HALFLINE_Z_FLOOR, 1e-305), on v taken once at the finest one's nodes: one cost whatever halving
-    certifies.  The power law measured at s_c and sqrt(s_c), half the decades of z up to lo apart so that
-    v's round-off stays out of it, closes (0, s_c).  The diagonal with alpha <= 1 diverges: +inf, not an error."""
+    max(lo*_HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN) up to lo*1e-5, on v taken once at the finest one's nodes.  The
+    power law measured at s_c and sqrt(s_c), half the decades of z up to lo apart so that v's round-off stays
+    out of it, closes (0, s_c).  The diagonal with alpha <= 1 diverges: +inf, not an error."""
     if not (1e-300 <= x < math.inf and 1e-300 <= y < math.inf):
         raise EvaluationDomainError(f"halfline Green needs x, y in [1e-300, inf), got {x:g} and {y:g}")
     lo, gap = (x, y - x) if x <= y else (y, x - y)
     if gap == 0.0 and phi.alpha <= 1.0:
         return math.inf
     p = 1.0 / (phi.alpha - 1.0) if gap == 0.0 else 2.0 / phi.alpha
-    s_c = max(_HALFLINE_Z_FLOOR, 1e-305 / lo) ** (1.0 / p)
-
-    def f(s):  # the integrand in s, in an order that keeps every product in floats
-        z = lo * s ** p
-        v = ladder_density_v(phi, np.concatenate([z, gap + z]))
-        return v[:s.size] * (lo * p) * s ** (p - 1.0) * v[s.size:]
-
+    s_c = min(max(_HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN / lo), 1e-5) ** (1.0 / p)
     r = s_c ** -0.5
-    f_c, f_r = f(np.array([s_c, r * s_c, 1.0]))[:2]  # and s = 1, v's largest t, where refusals mostly are
+    s = s_c + (1.0 - s_c) * _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0)[0]
+    s = np.concatenate([[s_c, r * s_c], s])
+    z = lo * s ** p
+    v = ladder_density_v(phi, np.concatenate([z, gap + z]))
+    f = v[:s.size] * (lo * p) * s ** (p - 1.0) * v[s.size:]  # the integrand, every product in floats
+    (f_c, f_r), vals = f[:2], f[2:]
     if not (f_c > 0.0 and r * f_r > f_c):  # a measured power above -1
         raise NumericAccuracyError(
             f"halfline Green integrand is not integrable as a power law at s = {s_c:.3g}")
     # the fine sums close with the measured power, the coarse ones with the
     # limit power 0, so the driver's error covers the gap between them too
     rest, rest_alt = f_c * s_c / (1.0 + math.log(f_r / f_c, r)), f_c * s_c
-    s = s_c + (1.0 - s_c) * _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0)[0]
-    first, vals = np.arange(s.size) % (1 << (_HALFLINE_LEVELS - 1)) == 0, np.empty(s.size)
-    vals[first], vals[~first] = f(s[first]), f(s[~first])  # first rule first, so as to fail on few
 
     def sums(level, idx):
         w = _de_rule(_HALFLINE_REACH << level, 2.0 ** -level, 1.0 - s_c)[2]
@@ -199,9 +232,6 @@ def interval_green_mass_bound(phi: CompleteBernsteinFunction, r: float, x: float
     """
     if not 0.0 < x < r:
         raise EvaluationDomainError("need 0 < x < r")
-    V = lambda t: float(renewal_function_V(phi, t))
-    v_r, v_x, v_rx = V(r), V(x), V(r - x)
-    plain = 2.0 * v_x * v_r
-    min_form = 2.0 * v_r * min(v_x, v_rx)
-    symmetric = 2.0 * V(2.0 * r) * min(V(r + x), v_rx)
-    return IntervalGreenBound(plain=plain, min_form=min_form, symmetric_form=symmetric)
+    v_r, v_x, v_rx, v_2r, v_rpx = np.atleast_1d(renewal_function_V(phi, np.array([r, x, r - x, 2.0 * r, r + x])))
+    return IntervalGreenBound(plain=2.0 * v_x * v_r, min_form=2.0 * v_r * min(v_x, v_rx),
+                              symmetric_form=2.0 * v_2r * min(v_rpx, v_rx))

@@ -1,24 +1,23 @@
-"""Laplace transforms of positive densities on the real axis, and two inversion rules.
+"""Laplace transforms of positive densities on the real axis, and two reference inversion rules.
 
 Every catalog phi is complete Bernstein, so mu, its tail, u, the small-jump moment and, with t = r^2
 and the Brownian resolvent kernel of :func:`resolvent_kernel`, the Green function and jump kernel are
 integrals (1/pi) int_0^inf k(t*s) rho(s) ds of densities rho >= 0 read off phi(-s + i0), the upper lip
-of its cut (Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed. 2012, ch. 6-7).  A
+of its cut (Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed. 2012, ch. 6-7).  So are the
+ladder objects v and V, through chi(-s + i0) = phi(-s^2 + i0)/chi(s) (:mod:`sbmpot.ladder`).  A
 :class:`Kernel` carries where it may be closed: its head at 0 and the z past which it is 0 or a power,
 which bound the t the rule reaches.  :func:`real_axis_integral` certifies them per t on
 :func:`halving_trapezoid`, the trapezoid driver every integral of the package shares (Takahasi & Mori,
-Publ. RIMS 9, 1974).  Nothing in the package calls fixed-Talbot (Abate & Valko), the tests' independent
-reference.  Gaver-Stehfest samples the real axis only, as the ladder objects need (1/chi has no
-continuation to the left half-plane); it saturates near 1e-7 at 14 terms.  :func:`quad` is scipy's
-``quad``, which nothing calls: it is the name a tracer patches, and imports ``scipy.integrate`` on its
-first call.
+Publ. RIMS 9, 1974).  Nothing in the package calls fixed-Talbot (Abate & Valko) or Gaver-Stehfest,
+the tests' independent references; a tracer patches both names.  :func:`quad` is scipy's ``quad``,
+which nothing calls: it is the name a tracer patches, and imports ``scipy.integrate`` on its first call.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit, k0, kv
@@ -31,10 +30,12 @@ __all__ = [
     "real_axis_integral",
     "talbot_inversion",
     "gaver_stehfest",
-    "stehfest_with_residual",
     "halving_trapezoid",
+    "squares",
     "quad",
 ]
+
+_NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # the normal float range
 
 
 @lru_cache(maxsize=16)
@@ -42,96 +43,54 @@ def _talbot_weights(m: int):
     # Fixed-Talbot contour s(theta) = (r/t) * theta * (cot(theta) + i),
     # theta_k = k*pi/m, r = 2m/5.  Because t*s_k does not depend on t the
     # exponential factors can be cached once per node count.
-    theta = np.arange(m) * np.pi / m
-    cot = np.zeros(m)
-    cot[1:] = 1.0 / np.tan(theta[1:])
-    r = 2.0 * m / 5.0
-    base = r * theta * (cot + 1j)  # equals t*s_k
-    base[0] = r
-    gamma = np.empty(m, dtype=complex)
-    gamma[0] = 0.5 * math.exp(r)
-    gamma[1:] = np.exp(base[1:]) * (1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:])
-    return base, gamma
-
-
-def talbot_inversion(transform: Callable, t, nodes: int = 32) -> np.ndarray:
-    """Evaluate the inverse Laplace transform of ``transform`` at times ``t``.
-
-    ``transform`` must accept a complex ndarray.  ``t`` may be a scalar or an
-    array of positive times; the result matches its shape.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0.0):
-        raise EvaluationDomainError("inversion times must be positive")
-    base, gamma = _talbot_weights(nodes)
-    s = base[None, :] / t_arr[:, None]
-    fs = transform(s)
-    # a sum past the float range is inf or nan, which a caller has to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.real(fs @ gamma) * (2.0 / (5.0 * t_arr))
-    return vals if np.ndim(t) else float(vals[0])
+    theta, r = np.arange(m) * np.pi / m, 2.0 * m / 5.0
+    cot = np.concatenate([[0.0], 1.0 / np.tan(theta[1:])])
+    base = np.concatenate([[r], r * theta[1:] * (cot[1:] + 1j)])  # equals t*s_k
+    gamma = np.concatenate([[0.5 * math.exp(r)],
+                            np.exp(base[1:]) * (1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:])])
+    return base, gamma * 0.4
 
 
 @lru_cache(maxsize=8)
-def _stehfest_weights(n: int) -> np.ndarray:
+def _stehfest_weights(n: int):
+    # lam_k = k ln 2/t, weights ln 2 * (-1)^(k + n/2) sum_j j^(n/2) (2j)!/((n/2 - j)! j! (j-1)! (k-j)! (2j-k)!)
     if n % 2 != 0:
         raise ValueError("Gaver-Stehfest term count must be even")
-    half = n // 2
-    fact = [math.factorial(k) for k in range(2 * half + 1)]
-    w = np.zeros(n)
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            acc += (
-                j ** half
-                * fact[2 * j]
-                / (fact[half - j] * fact[j] * fact[j - 1] * fact[k - j] * fact[2 * j - k])
-            )
-        w[k - 1] = (-1) ** (k + half) * acc
-    return w
+    half, f = n // 2, math.factorial
+    return np.arange(1, n + 1) * math.log(2.0), math.log(2.0) * np.array([(-1) ** (k + half) * sum(
+        j**half * f(2 * j) / (f(half - j) * f(j) * f(j - 1) * f(k - j) * f(2 * j - k))
+        for j in range((k + 1) // 2, min(k, half) + 1)) for k in range(1, n + 1)])
 
 
-def gaver_stehfest(transform: Callable, t, terms: int = 14) -> np.ndarray:
-    """Gaver-Stehfest inversion using real-axis samples only."""
+def _invert(transform: Callable, t, base: np.ndarray, weights: np.ndarray):
+    """sum_k w_k F(b_k/t)/t at the positive times t, the result in t's shape."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0.0):
         raise EvaluationDomainError("inversion times must be positive")
-    w = _stehfest_weights(terms)
-    ln2 = math.log(2.0)
-    lam = np.arange(1, terms + 1)[None, :] * (ln2 / t_arr[:, None])
-    fs = transform(lam)
-    # as in talbot_inversion; stehfest_with_residual refuses a non-finite value
+    fs = transform(base[None, :] / t_arr[:, None])
+    # a sum past the float range is inf or nan, which a caller has to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = (fs @ w) * (ln2 / t_arr)
+        vals = np.real(fs @ weights) / t_arr
     return vals if np.ndim(t) else float(vals[0])
 
 
-_STEHFEST_TERMS, _STEHFEST_CHECK_TERMS = 14, 12
-_STEHFEST_RTOL = 1e-4
+def talbot_inversion(transform: Callable, t, nodes: int = 32) -> np.ndarray:
+    """Fixed-Talbot inverse Laplace transform of ``transform``, which takes a complex ndarray, at times t."""
+    return _invert(transform, t, *_talbot_weights(nodes))
 
 
-def stehfest_with_residual(transform: Callable, t):
-    """Gaver-Stehfest with a two-rule residual estimate.
+def gaver_stehfest(transform: Callable, t, terms: int = 14) -> np.ndarray:
+    """Gaver-Stehfest inverse Laplace transform of ``transform``, from real-axis samples only, at times t."""
+    return _invert(transform, t, *_stehfest_weights(terms))
 
-    Going above ~16 terms amplifies round-off, so the cross-check uses a *smaller* rule of
-    _STEHFEST_CHECK_TERMS terms, summed from the main rule's transform values at the same lam;
-    the residual mixes truncation of the small rule with round-off of the large one, which is
-    the honest resolution limit.  A non-finite value, or a residual not within _STEHFEST_RTOL,
-    raises :class:`NumericAccuracyError`.
-    """
-    fs = []  # the check rule's lam are the main rule's first _STEHFEST_CHECK_TERMS
-    a = np.atleast_1d(gaver_stehfest(lambda lam: fs.append(transform(lam)) or fs[0], t, _STEHFEST_TERMS))
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = fs[0][:, :_STEHFEST_CHECK_TERMS] @ _stehfest_weights(_STEHFEST_CHECK_TERMS)
-        b *= math.log(2.0) / np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.isfinite(a).all():
-        raise NumericAccuracyError("Gaver-Stehfest inversion returned a non-finite value")
-    scale = np.maximum(np.abs(a), np.finfo(float).tiny)
-    residual = float(np.max(np.abs(a - b) / scale))
-    if not residual <= _STEHFEST_RTOL:
-        raise NumericAccuracyError(f"Gaver-Stehfest residual {residual:.3e} exceeds tolerance "
-                                   f"{_STEHFEST_RTOL:.1e}", residual=residual)
-    return (a if np.ndim(t) else float(a[0])), residual
+
+def squares(x, what: str) -> np.ndarray:
+    """x^2 of an array of x, once each x is positive with a square in the normal float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        sq = (x := np.asarray(x, dtype=float)) * x
+    if not np.all(ok := (x > 0.0) & (sq >= _NORMAL[0]) & (sq <= _NORMAL[1])):
+        raise EvaluationDomainError(f"{what} must lie in (0, inf), its square in the float range; not {x[~ok][0]:g}")
+    return sq
 
 
 def halving_trapezoid(sums: Callable, n: int, *, epsabs: float, epsrel: float, levels: int,
@@ -234,34 +193,72 @@ def resolvent_kernel(d: int) -> Kernel:
     return Kernel(f, tiny, far, head)
 
 
-def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | None = None):
+def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequence[Kernel] | None = None):
     """(1/pi) int_0^inf k(t*s) rho(s) ds at each t, for a density rho >= 0 with a branch point b.
 
-    ``rho`` takes an array of s, evaluated once per node for all t.  A t sums the nodes under its band
-    (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t, and drops those
-    past ``far``.  The kernel defaults to exp(-z), whose band is padded to the widest of the call.  Any other
-    :class:`Kernel` with a head has a band as wide as any t's can be, and past the first level sums its new
-    nodes only, onto half the last level's sum; one without a head sums every node.  Either way a t's value
-    depends on it alone, bit for bit.  The rule is split at b, where rho may be singular; the nodes dropped next
-    to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for
+    ``rho`` takes an array of s, evaluated once per node for all t.  Rows of rho and a sequence of kernels
+    pair as numpy broadcasts them, each pair an integral of its own on the leading axis.  A t sums the nodes
+    under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t, and
+    drops those past ``far``.  The kernel defaults to exp(-z), whose band is padded to the widest of the
+    call.  Any other :class:`Kernel` with a head has a band as wide as any t's can be, and past the first
+    level sums its new nodes only, onto half the last level's sum; one without a head sums every node.  Either
+    way a t's value depends on it alone, bit for bit.  The rule is split at b, where rho may be singular; the
+    nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for
     exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
-    between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log
-    term), with the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative
-    _AXIS_EPSREL (absolute under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches
-    t in [far/s_max, tiny/s_min] of the kernel, about [1e-138, 1e112] for the resolvent kernels.  A rho not
-    finite or 0 at every node (a cut with point masses only), an end not integrable as a power, a t out of
-    reach or a value past the float range raises NumericAccuracyError.
+    between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term),
+    with the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative _AXIS_EPSREL
+    (absolute under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches t in
+    [far/s_max, tiny/s_min] of the kernel, about [1e-138, 1e112] for the resolvent kernels.  A rho not finite
+    or 0 at every node (a cut with point masses only), an end not integrable as a power, a t out of reach or a
+    value past the float range raises NumericAccuracyError.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(tt > 0.0):
         raise EvaluationDomainError("times must be positive")
-    k = _EXP if kernel is None else kernel
+    single = kernel is None or isinstance(kernel, Kernel)
+    kernels = [_EXP if k is None else k for k in ([kernel] if single else kernel)]
+    s = _axis_nodes(1, b)[0]
+    for k in kernels:
+        if not np.all((tt * s[0] <= k.tiny) & (tt * s[-1] >= k.far)):
+            raise NumericAccuracyError(f"the real-axis rule reaches t in [{k.far / s[-1]:.3g}, "
+                                       f"{k.tiny / s[0]:.3g}], not {tt.min():g} to {tt.max():g}")
+    dens = {}  # rho at each level's nodes, (rows, nodes)
+
+    def density(level):
+        if level not in dens:
+            s, w, new = _axis_nodes(level, b)
+            todo = (w > 0.0) & (new | (level == 1))
+            part = np.asarray(rho(s[todo]), dtype=float)
+            vals = np.zeros((len(part) if part.ndim == 2 else 1, s.size))
+            vals[:, todo] = part
+            if level > 1:
+                vals[:, ~new] = dens[level - 1]
+            if not np.all(finite := np.isfinite(vals)):
+                raise NumericAccuracyError(f"density on the cut is not finite at s = {s[~finite.all(axis=0)][0]:.6g}")
+            if level == 1 and not np.all(np.any(vals > 0.0, axis=1)):
+                raise NumericAccuracyError("density on the cut is 0 at every node: the cut has point masses")
+            dens[level], dens["rows"] = vals, part.ndim == 2
+        return dens[level]
+
+    rows = len(density(1))
+    pairs = np.broadcast_shapes((rows,), (len(kernels),))[0]
+    values = np.array([_certified(lambda level, i=i: density(level)[i % rows], tt, b, kernels[i % len(kernels)])
+                       for i in range(pairs)])
+    if not np.all(np.isfinite(values)):
+        raise NumericAccuracyError("a real-axis integral leaves the float range")
+    if dens["rows"] or not single:
+        return values if np.ndim(t) else values[:, 0]
+    return values[0] if np.ndim(t) else float(values[0, 0])
+
+
+def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.ndarray:
+    """:func:`real_axis_integral` at the times tt of one density, taken by level, and one kernel."""
     head, ends = (k.head, (k.tiny, k.far)) if k.head else (((0.0, 0.0, 0.0),), (0.0, math.inf))
     log_c = head[0][2]  # the leading term's log, which the left end's rest closes with
-    fixed = kernel is not None and k.head is not None  # a band of fixed width, new nodes only past level 1
+    fixed = k is not _EXP and k.head is not None  # a band of fixed width, new nodes only past level 1
     # d log s/dk at the far ends, and d log(d log s/dk)/dk at the left one
     x1, c1 = math.cosh(_AXIS_FAR / _AXIS_SCALE), math.tanh(_AXIS_FAR / _AXIS_SCALE) / _AXIS_SCALE
-    at = {}  # the last level's density at its nodes, and the rests' data
+    at = {}  # the rests' data, and the last level's fine sums
 
     def rest(h, idx):  # c*s^p past both ends, with p measured between the end node and the next of step 1
         p1 = at["p1"][idx]
@@ -269,19 +266,9 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | None =
 
     def sums(level, idx):
         s, w, new = _axis_nodes(level, b)
-        vals, todo = np.zeros(s.size), w > 0.0
-        if level > 1:
-            vals[~new], todo = at["vals"], todo & new
-        vals[todo] = rho(s[todo])
-        if not np.all(np.isfinite(vals)):
-            raise NumericAccuracyError(f"density on the cut is not finite at s = {s[~np.isfinite(vals)][0]:.6g}")
-        at["vals"], q, tk = vals, w * vals, tt[idx]
+        vals = density(level)
+        q, tk = w * vals, tt[idx]
         if level == 1:
-            if not np.all((tt * s[0] <= k.tiny) & (tt * s[-1] >= k.far)):
-                raise NumericAccuracyError(f"the real-axis rule reaches t in [{k.far / s[-1]:.3g}, "
-                                           f"{k.tiny / s[0]:.3g}], not {tt.min():g} to {tt.max():g}")
-            if not np.any(vals > 0.0):
-                raise NumericAccuracyError("density on the cut is 0 at every node: the cut has point masses")
             ke = k.f(tt[:, None] * s[[0, 2, -3, -1]])
             f = ke * vals[[0, 2, -3, -1]]
             at["fs"], live = f[:, [0, 3]] * s[[0, -1]], f[:, [0, 3]] > 0.0
@@ -329,19 +316,13 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | None =
         at["sum"], at["idx"] = fine, idx
         return fine + rests[0], coarse + rests[1]
 
-    values = halving_trapezoid(sums, tt.size, epsabs=np.finfo(float).tiny, epsrel=_AXIS_EPSREL,
-                               levels=_AXIS_LEVELS, what="real-axis integral") / math.pi
-    if not np.all(np.isfinite(values)):
-        raise NumericAccuracyError("a real-axis integral leaves the float range")
-    return values if np.ndim(t) else float(values[0])
+    return halving_trapezoid(sums, tt.size, epsabs=np.finfo(float).tiny, epsrel=_AXIS_EPSREL,
+                             levels=_AXIS_LEVELS, what="real-axis integral") / math.pi
 
 
 def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    Nothing in the package calls it; ``kernels`` and ``ladder`` bind it
-    only so that a tracer's wrapper set on that name keeps a target.
-    """
+    """``scipy.integrate.quad``, imported on the first call; nothing calls it, and ``kernels`` and ``ladder``
+    bind it only so that a tracer's wrapper set on that name keeps a target."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)

@@ -718,12 +718,14 @@ def exit_time_bounds_check(phi, d: int, r_grid, paths: int, seed: int,
     products = np.empty(r_grid.size)
     off_means = np.empty((r_grid.size, offsets.size))
     off_ses = np.empty_like(off_means)
-    bounds = np.empty_like(off_means)
     censored = 0
+    # V(2r) and V(r - |x|) of every start, in one call
+    gaps = r_grid[:, None] - np.abs(offsets * r_grid[:, None])
+    renewal = np.atleast_1d(renewal_function_V(phi, np.concatenate([2.0 * r_grid, gaps.ravel()])))
+    bounds = 2.0 * renewal[:r_grid.size, None] * renewal[r_grid.size:].reshape(gaps.shape)
     for i, r in enumerate(r_grid):
         run_cfg = scaled_config(phi, r, paths, seed, epsilon=epsilon)
         domain = Ball(center=(0.0,) * d, radius=float(r))
-        v_2r = 2.0 * float(renewal_function_V(phi, 2.0 * r))
         for j, beta in enumerate(offsets):
             x0 = np.zeros(d)
             x0[0] = beta * r
@@ -732,7 +734,6 @@ def exit_time_bounds_check(phi, d: int, r_grid, paths: int, seed: int,
             est = sample.mean_tau()
             off_means[i, j] = est.mean
             off_ses[i, j] = est.std_error
-            bounds[i, j] = v_2r * float(renewal_function_V(phi, r - abs(beta * r)))
             if beta == 0.0:
                 products[i] = est.mean * float(phi(r**-2.0))
     ok = off_means <= bounds + 3.0 * off_ses

@@ -249,7 +249,7 @@ def test_log_jump_kernel_does_not_depend_on_its_grid(phi):
     # the weight table is trimmed only where mu is 0 or not finite, so j(1)
     # from a table over [1e-3, 1] is j(1) alone (1.3% and 0.4% apart when the
     # table was cut at 1e-14 of its peak)
-    grid_value = kernels._jump(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1]
+    grid_value = kernels.jump_kernel(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1]
     assert grid_value == pytest.approx(kernels.jump_kernel(phi, 3, 1.0), rel=1e-9)
 
 
@@ -262,7 +262,7 @@ def test_geometric_levy_density_is_the_tail_derivative():
     t = np.geomspace(1e-4, 1.0, 40)
     talbot = -laplace.talbot_inversion(phi._eval, t)
     np.testing.assert_allclose(bernstein.eval_levy_density(phi, t), talbot, rtol=1e-7)
-    assert kernels._jump(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1] == kernels.jump_kernel(phi, 3, 1.0)
+    assert kernels.jump_kernel(phi, 3, np.geomspace(1e-3, 1.0, 30))[-1] == kernels.jump_kernel(phi, 3, 1.0)
 
 
 def test_geometric_blocks_are_invisible():

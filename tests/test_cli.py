@@ -567,6 +567,23 @@ def test_kernel_of_a_radius_does_not_depend_on_its_grid(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "ladder v --kind log_down --alpha 1 --tmin 0.001 --tmax 1000 --points 7",
+    "ladder halfline --kind geometric_example --alpha 1 --x 1 --y 2",
+    # the geometric ladder ops of the benchmark's analytic workload at seed 1
+    "ladder v --kind geometric_example --alpha 0.7109208081296103 --tmin 0.047774146814670355 "
+    "--tmax 3.142021951827391 --points 13",
+    "ladder halfline --kind geometric_example --alpha 1.2301984485165318 --x 0.8471688511771176 "
+    "--y 2.033449289837643",
+])
+def test_ladder_ops_on_wide_grids_and_pole_kinds_pass(capsys, argv):
+    # v and V from phi's cut or poles, certified per point: exit 0, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv.split())
+    assert rc == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmin", "2", "--rmax", "1"],
     ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--points", "0"],
     ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "0"],
@@ -602,7 +619,7 @@ def test_kernel_of_a_radius_does_not_depend_on_its_grid(capsys):
     ["check", "bhp", "--kind", "stable", "--alpha", "1", "--r", "-1", "--paths", "10"],
     *[["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10", "--seed", seed]
       for seed in ("-1", str(2**64))],
-    # lam^2 tan^2(theta) of the chi rule, or r^2 of a kernel, leaves the float range
+    # t^2 of v's rule, lam^2 of the chi rule or r^2 of a kernel leaves the float range
     *[["ladder", "v", "--kind", "sum", "--alpha", "1", "--t", t] for t in ("1e-300", "1e200")],
     ["ladder", "chi", "--kind", "sum", "--alpha", "1", "--lambda", "1e200"],
     *[["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", r]

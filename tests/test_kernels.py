@@ -207,11 +207,12 @@ def _counting(fn, calls, key):
 
 
 def test_quad_is_looked_up_at_call_time(monkeypatch):
-    # a wrapper set on kernels.quad, ladder.quad or laplace.talbot_inversion
-    # (as the benchmark's tracer sets them) sees every call, and the values
-    # keep their bits; the kernels and the half-line Green function
-    # integrate with the shared trapezoid rule, and u, mu, the tail and the
-    # compound drift with the real-axis rule, so none sees a call
+    # a wrapper set on kernels.quad, ladder.quad, laplace.talbot_inversion or
+    # laplace.gaver_stehfest (as the benchmark's tracer sets them) sees every
+    # call, and the values keep their bits; the half-line Green function
+    # integrates with the shared trapezoid rule, and u, mu, the tail, the
+    # compound drift, the kernels, v and V with the real-axis rule, so none
+    # sees a call
     log_up, rel, stable = (bernstein.log_perturbed_up(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0),
                            bernstein.stable(1.0))
     t = np.geomspace(1e-3, 10.0, 5)
@@ -220,14 +221,16 @@ def test_quad_is_looked_up_at_call_time(monkeypatch):
         return [*(f(phi, t).tolist() for phi in (log_up, rel) for f in (
                     densities.potential_density_u, bernstein.eval_levy_density, bernstein.levy_tail)),
                 *(montecarlo._compound_tables.__wrapped__(phi, 1e-3)[1] for phi in (log_up, rel)),
-                *(kernels._green(phi, 3, np.array([0.1, 0.5])).tolist() for phi in (log_up, rel)),
-                *(kernels._jump(phi, 3, np.array([0.1, 0.5])).tolist() for phi in (log_up, rel)),
+                *(kernels.green_function(phi, 3, np.array([0.1, 0.5])).tolist() for phi in (log_up, rel)),
+                *(kernels.jump_kernel(phi, 3, np.array([0.1, 0.5])).tolist() for phi in (log_up, rel)),
+                *(f(phi, t).tolist() for phi in (log_up, rel) for f in (ladder.ladder_density_v,
+                                                                        ladder.renewal_function_V)),
                 ladder.halfline_green(stable, 1.0, 2.0)]
 
     plain = values()
     calls = {"kernels": 0, "ladder": 0, "laplace": 0}
     for module, key, name in ((kernels, "kernels", "quad"), (ladder, "ladder", "quad"),
-                              (laplace, "laplace", "talbot_inversion")):
+                              (laplace, "laplace", "talbot_inversion"), (laplace, "laplace", "gaver_stehfest")):
         monkeypatch.setattr(module, name, _counting(getattr(module, name), calls, key))
     patched = values()
     assert calls == {"kernels": 0, "ladder": 0, "laplace": 0}
@@ -283,7 +286,7 @@ def test_subordination_integral_is_grid_and_block_independent(monkeypatch, phi, 
     # of more than one block of (radii, nodes), on blocks of a single radius,
     # and with the grid reversed
     radii = np.geomspace(1e-3, 30.0, 400)
-    for kernel in (kernels._green, kernels._jump):
+    for kernel in (kernels.green_function, kernels.jump_kernel):
         alone = [kernel(phi, d, r) for r in radii]
         at_once = kernel(phi, d, radii)
         with monkeypatch.context() as m:

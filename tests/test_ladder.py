@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy.special import gamma as gamma_fn, hyp2f1
 
 from sbmpot import bernstein, cli, ladder
-from sbmpot.errors import NumericAccuracyError
+from sbmpot.errors import EvaluationDomainError, NumericAccuracyError
 
 
 def test_chi_identity_stable():
@@ -67,6 +69,50 @@ def test_ladder_density_is_renewal_derivative():
     np.testing.assert_allclose(v, dv, rtol=1e-5)
 
 
+def _mpmath_ladder():
+    # v and V of kinds with no closed form, inverted by mpmath from chi's
+    # rotated integral on the positive axis; regenerate with
+    # tests/fixtures/ladder_mpmath.py
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "ladder_mpmath.json")) as fh:
+        return json.load(fh)["ladder"]
+
+
+@pytest.mark.parametrize("case", _mpmath_ladder(), ids=lambda c: f"{c['label']}-t{c['t']:g}")
+def test_ladder_objects_match_the_mpmath_fixture(case):
+    # held to the real-axis rule's relative target; the geometric kind's come
+    # from its pole sums
+    phi, t = bernstein.phi_from_json(case["phi"]), case["t"]
+    assert ladder.ladder_density_v(phi, t) == pytest.approx(case["v"], rel=1e-9)
+    assert ladder.renewal_function_V(phi, t) == pytest.approx(case["V"], rel=1e-9)
+
+
+@pytest.mark.parametrize("phi", [bernstein.log_perturbed_down(1.0, 0.5), bernstein.geometric_like(1.0, 64)],
+                         ids=["cut", "poles"])
+def test_renewal_table_evaluates_chi_once_for_v_and_V(monkeypatch, phi):
+    # one op's v and V share chi's values at the cut's nodes (or the poles):
+    # no lam is evaluated twice, and both keep the bits of their own calls
+    t, lams, chi = np.geomspace(1e-3, 1e3, 7), [], ladder.ladder_exponent_chi
+    monkeypatch.setattr(ladder, "ladder_exponent_chi", lambda phi, lam: lams.append(lam) or chi(phi, lam))
+    table = ladder.renewal_table(phi, t)
+    taken = np.concatenate(lams)
+    assert np.unique(taken).size == taken.size
+    assert np.array_equal(table["v_ladder"], ladder.ladder_density_v(phi, t))
+    assert np.array_equal(table["V"], ladder.renewal_function_V(phi, t))
+
+
+def test_chi_takes_phi_at_the_float_range_end_within_rounding():
+    # lam^2 tan^2(theta) overflows at the last nodes for lam = 1e130, whose
+    # weights make the clamp's error negligible: chi of lam^(1/2) + lam^(1/4)
+    # is lam^(1/2) (1 + O(lam^(-1/2))); at lam = 1e150 it would not be
+    phi = bernstein.sum_of_stables(1.0, 0.5)
+    assert ladder.ladder_exponent_chi(phi, 1e130) == pytest.approx(1e65, rel=1e-15)
+    with pytest.raises(EvaluationDomainError, match="float range"):
+        ladder.ladder_exponent_chi(phi, 1e150)
+    # the geometric kind's last poles at alpha = 1.9 lie past 1e249
+    v = ladder.ladder_density_v(bernstein.geometric_like(1.9), np.array([0.1, 1.0]))
+    assert np.all(np.isfinite(v) & (v > 0.0))
+
+
 def test_halfline_green_closed_value():
     phi = bernstein.stable(1.0)
     expected = (2.0 / math.pi) * math.log(1.0 + math.sqrt(2.0))
@@ -87,12 +133,21 @@ def test_halfline_green_stable_oracle(alpha, x, y):
 
 
 def test_halfline_green_refuses_a_drifting_rest():
-    # on the diagonal at alpha = 1.01 the rest under z = 1e-100 x carries a
-    # tenth of the value, and the log factor keeps v off a power law there:
-    # closed with the measured power it moves by 4e-3 when the floor does, so
-    # the gap to the limit power must refuse it
+    # on the diagonal at alpha = 1.01 the rest under z = 1e-60 x covers s <
+    # 0.25, and the log factor keeps v off a power law there: closed with the
+    # measured power it is 1.60, with the limit power 2.01, so the gap between
+    # the two must refuse it
     with pytest.raises(NumericAccuracyError, match="halfline Green quadrature"):
         ladder.halfline_green(bernstein.log_perturbed_up(1.01, 0.5), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-40, 1e-62])
+def test_halfline_green_near_the_boundary_is_V_times_v(x):
+    # G(x, y) = int_0^x v(z) v(y - x + z) dz -> V(x) v(y) as x -> 0; the rule's
+    # floor z >= 1e-66 keeps v's t^2 within the real-axis rule's reach there
+    phi = bernstein.sum_of_stables(1.0, 0.5)
+    expect = ladder.renewal_function_V(phi, x) * ladder.ladder_density_v(phi, 1.0)
+    assert ladder.halfline_green(phi, x, 1.0) == pytest.approx(expect, rel=1e-9)
 
 
 def test_halfline_green_symmetry():
@@ -106,14 +161,14 @@ def test_halfline_green_symmetry():
 
 
 def test_halfline_green_leaks_no_integration_warning(capsys):
-    # v's round-off keeps the rule short of its request on this input; the
-    # verdict is a value within 50 times the request (exit 0) or a typed refusal (exit 3)
+    # v from phi's cut is certified to 1e-9 per point, so the convolution
+    # meets its request on an inverted kind, with no warning on the way
     argv = ["ladder", "halfline", "--kind", "sum", "--alpha", "1", "--beta", "0.5",
             "--x", "1", "--y", "2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(argv)
-    assert rc in (0, 3)
+    assert rc == 0
 
 
 def test_halfline_green_refuses_an_uncertified_convolution(monkeypatch):

@@ -27,46 +27,39 @@ def test_gaver_stehfest_exponential():
     np.testing.assert_allclose(vals, np.exp(-t), rtol=1e-4)
 
 
-def test_stehfest_residual():
-    t = np.geomspace(0.1, 5.0, 9)
-    vals, residual = laplace.stehfest_with_residual(lambda s: s**-0.5, t)
-    np.testing.assert_allclose(vals, t**-0.5 / math.gamma(0.5), rtol=1e-6)
-    assert residual < 1e-4
-
-
-def _nan_on_main_rule_only(s):
-    # the check rule's lam are the main rule's first 12, so only lam 13 and 14 can fail alone
-    main_only = np.arange(s.shape[-1]) >= laplace._STEHFEST_CHECK_TERMS
-    return np.where(main_only, math.nan, 1.0 / (s + 1.0))
-
-
 @pytest.mark.parametrize("transform", [
-    lambda s: np.full(np.shape(s), math.nan, dtype=np.result_type(s)),
-    lambda s: np.full(np.shape(s), math.inf, dtype=np.result_type(s)),
-    _nan_on_main_rule_only,  # a NaN value over a finite check sum
-], ids=["nan", "inf", "nan_main_rule_only"])
+    lambda s: np.full(np.shape(s), math.nan),
+    lambda s: np.full(np.shape(s), math.inf),
+    lambda s: [s**0.5, np.where(s > 2.0, math.nan, s**0.5)],  # one row of a shared density
+], ids=["nan", "inf", "nan_in_one_row"])
 def test_non_finite_inversion_is_refused(transform):
-    # no residual can certify a NaN or inf: the paired rule refuses, and
-    # without a warning on the way
+    # no certificate covers a NaN or inf, in any row of a density that several
+    # integrals share: the rule refuses, and without a warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericAccuracyError):
-            laplace.stehfest_with_residual(transform, np.array([0.5, 1.0]))
+        with pytest.raises(NumericAccuracyError, match="not finite"):
+            laplace.real_axis_integral(transform, np.array([0.5, 1.0]))
 
 
-def test_stehfest_check_sum_reuses_the_main_rule_columns():
-    # one transform call of 14 columns per point, and the 14-term values keep
-    # the bits of a plain gaver_stehfest call
-    shapes = []
+def test_shared_density_keeps_each_integral_bits():
+    # rows of densities and a sequence of kernels, paired as numpy broadcasts
+    # them: each integral keeps the bits of its own call, and the shared
+    # density is evaluated once per node
+    t, calls = np.geomspace(1e-3, 1e3, 7), []
 
-    def transform(s):
-        shapes.append(s.shape)
-        return s**-0.5
+    def rows(s):
+        calls.append(s.size)
+        return [s**0.5, s**-0.5]
 
-    t = np.geomspace(0.1, 5.0, 9)
-    vals, _ = laplace.stehfest_with_residual(transform, t)
-    assert shapes == [(9, laplace._STEHFEST_TERMS)]
-    assert np.array_equal(vals, laplace.gaver_stehfest(lambda s: s**-0.5, t))
+    k3 = laplace.resolvent_kernel(3)
+    both = laplace.real_axis_integral(rows, t)
+    assert sum(calls) <= laplace._axis_nodes(laplace._AXIS_LEVELS, 1.0)[0].size
+    for row, got in zip((lambda s: s**0.5, lambda s: s**-0.5), both):
+        assert np.array_equal(got, laplace.real_axis_integral(row, t))
+    pair = laplace.real_axis_integral(lambda s: s**-0.5, t, 1.0, [k3, None])
+    assert np.array_equal(pair[0], laplace.real_axis_integral(lambda s: s**-0.5, t, 1.0, k3))
+    assert np.array_equal(pair[1], both[1])
+    assert laplace.real_axis_integral(rows, 1.0).shape == (2,)
 
 
 @pytest.mark.parametrize("alpha, rtol", [(0.5, 1e-12), (1.0, 1e-12), (1.5, 1e-12), (1.95, 1e-10)])
