@@ -102,8 +102,9 @@ def subordination_integral(rho: Callable, d: int, r, b: float = 1.0):
     radius or an array of them, and a radius's value depends on it alone.  The rule's errors are
     NumericAccuracyError; a radius whose kernel leaves the float range raises EvaluationDomainError.
     """
-    radii = _radii(d, r)
-    values = laplace.real_axis_integral(rho, np.ravel(radii) ** 2, b, laplace.resolvent_kernel(d))
+    radii, kernel = _radii(d, r), laplace.resolvent_kernel(d)
+    laplace.check_reach(kernel, b, radii, "r", 2)
+    values = laplace.real_axis_integral(rho, np.ravel(radii) ** 2, b, kernel)
     with np.errstate(over="ignore"):
         return _finite((2.0 * math.pi) ** (-d / 2.0) * np.ravel(radii) ** (2.0 - d) * values, radii)
 

@@ -20,8 +20,12 @@ over the poles of 1/phi.  Kinds whose v and V have closed forms (the stable
 kind, where chi(lam) = lam^(alpha/2)) take them from the kind registry
 instead.  The doubly exponential nodes on (0, 1) of ``_de_rule`` (Takahasi &
 Mori, Publ. RIMS 9, 1974), exact at both ends, serve chi as one fixed rule and
-the half-line convolution as one rule per step halving of the shared driver,
-:func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.
+the half-line convolution as one rule, certified against its every other node
+by the shared driver, :func:`sbmpot.laplace.halving_trapezoid`, on v taken up
+front.  v is completely monotone, so off the diagonal the convolution's head
+int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c) [v(gap+z_c), v(gap)]: with z_c =
+1e-12 min(x^y, gap), v's arguments stay where the real-axis rule certifies at
+its second level, and one chi sweep of its nodes serves v and V(z_c) alike.
 """
 
 from __future__ import annotations
@@ -128,89 +132,113 @@ _RENEWAL_KERNELS = {
 }
 
 
-def _renewal(phi: CompleteBernsteinFunction, names, t) -> list:
-    """The ladder objects ``names`` ("ladder_density" v, "renewal_function" V) at t: closed forms, else sums over
-    the poles z of 1/phi = sum w/(lam + z), else integrals on phi's cut in z = s^2 (sqrt z, unlike s, stays in
-    chi's float range), chi taken once per pole or node for all; c_v = lim lam/chi = sqrt(lim lam/phi)."""
-    closed = [phi.closed_form(name, t) for name in names]
+def _chi_on_cut(phi: CompleteBernsteinFunction, lam):
+    """chi at lam the package chose (poles or nodes of the cut): one out of chi's float range is a failure of
+    the rule, NumericAccuracyError, where a caller's own lam is an EvaluationDomainError."""
+    try:
+        return ladder_exponent_chi(phi, lam)
+    except EvaluationDomainError as exc:
+        raise NumericAccuracyError(str(exc)) from exc
+
+
+def _renewal(phi: CompleteBernsteinFunction, names, ts) -> list:
+    """The ladder objects ``names`` ("ladder_density" v, "renewal_function" V), each at its own t of ``ts``:
+    closed forms, else sums over the poles z of 1/phi = sum w/(lam + z), else integrals on phi's cut in z = s^2
+    (sqrt z, unlike s, stays in chi's float range), chi taken once per pole or node for all; c_v = lim lam/chi
+    = sqrt(lim lam/phi).  A t whose t^2 the real-axis rule does not reach is refused in t."""
+    closed = [phi.closed_form(name, t) for name, t in zip(names, ts)]
     if all(value is not None for value in closed):
         return closed
-    tt = np.ravel(np.asarray(t, dtype=float))
-    tt2 = laplace.squares(tt, "t of v and V")
+    flat = [np.ravel(np.asarray(t, dtype=float)) for t in ts]
+    squares = [laplace.squares(tt, "t of v and V") for tt in flat]
     entry, kernels = KINDS[phi.kind], [_RENEWAL_KERNELS[name] for name in names]
     atom = math.sqrt(entry.conjugate_killing(phi))
     if (poles := entry.poles(phi, 0.0)) is not None:  # the cut's density is point masses pi*c at z
         w, z = (x[np.isfinite(poles[1])] for x in poles)
-        c = w * ladder_exponent_chi(phi, np.sqrt(z)) / (2.0 * np.sqrt(z))
+        c = w * _chi_on_cut(phi, np.sqrt(z)) / (2.0 * np.sqrt(z))
         with np.errstate(over="ignore"):  # a Tz past the float range gives the kernel's 0
-            rows = [k.f(np.multiply.outer(tt2, z)) @ c for k in kernels]
+            rows = [k.f(np.multiply.outer(tt2, z)) @ c for k, tt2 in zip(kernels, squares)]
     else:
-        rows = phi.cut_integral(lambda v, z: ladder_exponent_chi(phi, np.sqrt(z)) * -(1.0 / v).imag
-                                / (2.0 * np.sqrt(z)), tt2, kernels)
+        for k, tt in zip(kernels, flat):
+            laplace.check_reach(k, entry.branch_point(phi), tt, "t", 2)
+        rows = phi.cut_integral(lambda v, z: _chi_on_cut(phi, np.sqrt(z)) * -(1.0 / v).imag / (2.0 * np.sqrt(z)),
+                                squares, kernels)
     out = [(atom + row if name == "ladder_density" else tt * (atom + row)).reshape(np.shape(t))
-           for name, row in zip(names, rows)]
-    return out if np.ndim(t) else [float(x) for x in out]
+           for name, t, tt, row in zip(names, ts, flat, rows)]
+    return [x if np.ndim(t) else float(x) for x, t in zip(out, ts)]
 
 
 def ladder_density_v(phi: CompleteBernsteinFunction, t):
     """Renewal (ladder potential) density v(t), the inverse transform of 1/chi, certified to relative 1e-9."""
-    return _renewal(phi, ("ladder_density",), t)[0]
+    return _renewal(phi, ("ladder_density",), (t,))[0]
 
 
 def renewal_function_V(phi: CompleteBernsteinFunction, t):
     """Renewal function V(t) = int_0^t v; inverse transform of 1/(lam*chi(lam)), certified as v is."""
-    return _renewal(phi, ("renewal_function",), t)[0]
+    return _renewal(phi, ("renewal_function",), (t,))[0]
 
 
 def renewal_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarray]:
     """Columns (t, v_ladder, V) for CSV export, chi evaluated once per node for both."""
     grid = np.asarray(t_grid, dtype=float)
-    v, V = _renewal(phi, ("ladder_density", "renewal_function"), grid)
+    v, V = _renewal(phi, ("ladder_density", "renewal_function"), (grid, grid))
     return {"t": grid, "v_ladder": np.atleast_1d(v), "V": np.atleast_1d(V)}
 
 
-# targets of the halfline convolution; its DE rule has step 2^-level over |kh| <= _HALFLINE_REACH on z
-# above (x^y)*_HALFLINE_Z_FLOOR and _HALFLINE_Z_MIN, where v's t^2 is within the real-axis rule's reach
+# targets of the halfline convolution; its DE rule has step 2^-_HALFLINE_LEVELS over |kh| <= _HALFLINE_REACH on
+# z above z_c, (x^y)*_HALFLINE_Z_FLOOR on the diagonal and _HALFLINE_HEAD*min(x^y, gap) off it, and above
+# _HALFLINE_Z_MIN, where v's t^2 is within the real-axis rule's reach
 _HALFLINE_EPSABS, _HALFLINE_EPSREL = 1e-10, 1e-9
 _HALFLINE_REACH, _HALFLINE_LEVELS, _HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN = 4, 6, 1e-60, 1e-66
+_HALFLINE_HEAD = 1e-12
 
 
 def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
     """Green function of (0, inf) at (x, y) via the renewal-density convolution.
 
     With lo = x^y and z = lo*s^p, p the inverse of the integrand's power at z = 0 (2/alpha off the
-    diagonal, 1/(alpha-1) on it), the integrand in s is bounded at 0.  DE rules cover (s_c, 1), z(s_c) =
-    max(lo*_HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN) up to lo*1e-5, on v taken once at the finest one's nodes.  The
-    power law measured at s_c and sqrt(s_c), half the decades of z up to lo apart so that v's round-off stays
-    out of it, closes (0, s_c).  The diagonal with alpha <= 1 diverges: +inf, not an error."""
+    diagonal, 1/(alpha-1) on it), the integrand in s is bounded at 0.  A DE rule of step 2^-6 covers (s_c, 1),
+    z(s_c) = z_c above _HALFLINE_Z_MIN and at most lo*1e-5, on v taken once at its nodes, and is certified
+    against the rule of step 2^-5 on every other node.  Off the diagonal z_c = 1e-12*min(lo, gap), and v is
+    completely monotone, so the head int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c)*[v(gap+z_c), v(gap)]: the
+    fine sum closes with the bracket's midpoint, the coarse one with its end, V(z_c) from the same chi values
+    as v.  On the diagonal z_c = lo*1e-60, and the power law measured at s_c and sqrt(s_c), half the decades of
+    z up to lo apart so that v's round-off stays out of it, closes (0, s_c).  The diagonal with alpha <= 1
+    diverges: +inf, not an error."""
     if not (1e-300 <= x < math.inf and 1e-300 <= y < math.inf):
         raise EvaluationDomainError(f"halfline Green needs x, y in [1e-300, inf), got {x:g} and {y:g}")
     lo, gap = (x, y - x) if x <= y else (y, x - y)
     if gap == 0.0 and phi.alpha <= 1.0:
         return math.inf
     p = 1.0 / (phi.alpha - 1.0) if gap == 0.0 else 2.0 / phi.alpha
-    s_c = min(max(_HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN / lo), 1e-5) ** (1.0 / p)
-    r = s_c ** -0.5
-    s = s_c + (1.0 - s_c) * _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0)[0]
-    s = np.concatenate([[s_c, r * s_c], s])
-    z = lo * s ** p
-    v = ladder_density_v(phi, np.concatenate([z, gap + z]))
-    f = v[:s.size] * (lo * p) * s ** (p - 1.0) * v[s.size:]  # the integrand, every product in floats
-    (f_c, f_r), vals = f[:2], f[2:]
-    if not (f_c > 0.0 and r * f_r > f_c):  # a measured power above -1
-        raise NumericAccuracyError(
-            f"halfline Green integrand is not integrable as a power law at s = {s_c:.3g}")
-    # the fine sums close with the measured power, the coarse ones with the
-    # limit power 0, so the driver's error covers the gap between them too
-    rest, rest_alt = f_c * s_c / (1.0 + math.log(f_r / f_c, r)), f_c * s_c
-
-    def sums(level, idx):
-        w = _de_rule(_HALFLINE_REACH << level, 2.0 ** -level, 1.0 - s_c)[2]
-        v = vals[::1 << (_HALFLINE_LEVELS - level)].copy()  # BLAS sums a strided view in another order
-        return np.array([w @ v + rest]), np.array([2.0 * (w[::2] @ v[::2]) + rest_alt])
-
-    return float(laplace.halving_trapezoid(sums, 1, epsabs=_HALFLINE_EPSABS, epsrel=_HALFLINE_EPSREL,
-                                           levels=_HALFLINE_LEVELS, what="halfline Green quadrature")[0])
+    ratio = _HALFLINE_HEAD * min(1.0, gap / lo) if gap else _HALFLINE_Z_FLOOR  # z_c/lo, before the floor
+    s_c = min(max(ratio, _HALFLINE_Z_MIN / lo), 1e-5) ** (1.0 / p)
+    sig, _, w = _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0 - s_c)
+    s = s_c + (1.0 - s_c) * sig
+    if gap:
+        z, z_c = lo * s**p, lo * s_c**p
+        v, V_c = _renewal(phi, ("ladder_density", "renewal_function"),
+                          (np.concatenate([z, gap + z, [gap, gap + z_c]]), z_c))
+        v, v_far, (v_gap, v_end) = v[:s.size], v[s.size:-2], v[-2:]
+        if not v_gap >= v_end > 0.0:
+            raise NumericAccuracyError(f"halfline Green: the renewal density does not decrease at {gap:g}")
+        rest, rest_alt = V_c * (v_gap + v_end) / 2.0, V_c * v_gap  # the head's bracket: midpoint and end
+    else:
+        r = s_c**-0.5
+        s = np.concatenate([[s_c, r * s_c], s])
+        v = v_far = _renewal(phi, ("ladder_density",), (lo * s**p,))[0]
+    f = v * (lo * p) * s ** (p - 1.0) * v_far  # the integrand, every product in floats
+    if not gap:
+        (f_c, f_r), f = f[:2], f[2:]
+        if not (f_c > 0.0 and r * f_r > f_c):  # a measured power above -1
+            raise NumericAccuracyError(
+                f"halfline Green integrand is not integrable as a power law at s = {s_c:.3g}")
+        # the fine sums close with the measured power, the coarse ones with the limit power 0
+        rest, rest_alt = f_c * s_c / (1.0 + math.log(f_r / f_c, r)), f_c * s_c
+    # the rule of step 2^-5 halved once, so the driver's error covers the rests' gap too
+    sums = np.array([w @ f + rest]), np.array([2.0 * (w[::2] @ f[::2]) + rest_alt])
+    return float(laplace.halving_trapezoid(lambda level, idx: sums, 1, epsabs=_HALFLINE_EPSABS,
+                                           epsrel=_HALFLINE_EPSREL, levels=1, what="halfline Green quadrature")[0])
 
 
 @dataclass(frozen=True)

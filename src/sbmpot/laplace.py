@@ -6,7 +6,7 @@ integrals (1/pi) int_0^inf k(t*s) rho(s) ds of densities rho >= 0 read off phi(-
 of its cut (Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed. 2012, ch. 6-7).  So are the
 ladder objects v and V, through chi(-s + i0) = phi(-s^2 + i0)/chi(s) (:mod:`sbmpot.ladder`).  A
 :class:`Kernel` carries where it may be closed: its head at 0 and the z past which it is 0 or a power,
-which bound the t the rule reaches.  :func:`real_axis_integral` certifies them per t on
+which bound the t the rule reaches (:func:`check_reach`).  :func:`real_axis_integral` certifies them per t on
 :func:`halving_trapezoid`, the trapezoid driver every integral of the package shares (Takahasi & Mori,
 Publ. RIMS 9, 1974).  Nothing in the package calls fixed-Talbot (Abate & Valko) or Gaver-Stehfest,
 the tests' independent references; a tracer patches both names.  :func:`quad` is scipy's ``quad``,
@@ -28,6 +28,7 @@ __all__ = [
     "Kernel",
     "resolvent_kernel",
     "real_axis_integral",
+    "check_reach",
     "talbot_inversion",
     "gaver_stehfest",
     "halving_trapezoid",
@@ -193,35 +194,44 @@ def resolvent_kernel(d: int) -> Kernel:
     return Kernel(f, tiny, far, head)
 
 
+def check_reach(kernel: Kernel | None, b: float, x, name: str = "t", power: int = 1) -> None:
+    """Refuse, with NumericAccuracyError, an x whose t = x^power :func:`real_axis_integral` does not reach with
+    ``kernel`` (exp(-z) for None) split at b: [far/s_max, tiny/s_min], about [1e-138, 1e112] for the resolvent
+    kernels at b = 1.  The message states the reach in x, under ``name``."""
+    k, s, x = _EXP if kernel is None else kernel, _axis_nodes(1, b)[0], np.asarray(x, dtype=float)
+    lo, hi, t = k.far / s[-1], k.tiny / s[0], x**power
+    if not np.all((t >= lo) & (t <= hi)):
+        raise NumericAccuracyError(f"the real-axis rule reaches {name} in [{lo ** (1.0 / power):.3g}, "
+                                   f"{hi ** (1.0 / power):.3g}], not {x.min():g} to {x.max():g}")
+
+
 def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequence[Kernel] | None = None):
     """(1/pi) int_0^inf k(t*s) rho(s) ds at each t, for a density rho >= 0 with a branch point b.
 
-    ``rho`` takes an array of s, evaluated once per node for all t.  Rows of rho and a sequence of kernels
-    pair as numpy broadcasts them, each pair an integral of its own on the leading axis.  A t sums the nodes
-    under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t, and
-    drops those past ``far``.  The kernel defaults to exp(-z), whose band is padded to the widest of the
-    call.  Any other :class:`Kernel` with a head has a band as wide as any t's can be, and past the first
-    level sums its new nodes only, onto half the last level's sum; one without a head sums every node.  Either
-    way a t's value depends on it alone, bit for bit.  The rule is split at b, where rho may be singular; the
-    nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for
+    ``rho`` takes an array of s, evaluated once per node for all t.  Rows of rho and a sequence of kernels pair as
+    numpy broadcasts them, each pair an integral of its own on the leading axis; with a sequence of kernels, t may
+    be a list of one array of times per kernel, and the values are then a list of one array per pair.  A t sums the
+    nodes under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t,
+    and drops those past ``far``.  The kernel defaults to exp(-z), whose band is padded to the widest of the
+    call.  Any other :class:`Kernel` with a head has a band as wide as any t's can be, and past the first level
+    sums its new nodes only, onto half the last level's sum; one without a head sums every node.  Either way a t's
+    value depends on it alone, bit for bit.  The rule is split at b, where rho may be singular; the nodes dropped
+    next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for
     exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
-    between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term),
-    with the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative _AXIS_EPSREL
-    (absolute under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches t in
-    [far/s_max, tiny/s_min] of the kernel, about [1e-138, 1e112] for the resolvent kernels.  A rho not finite
-    or 0 at every node (a cut with point masses only), an end not integrable as a power, a t out of reach or a
-    value past the float range raises NumericAccuracyError.
+    between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term), with
+    the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative _AXIS_EPSREL (absolute
+    under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches the t of
+    :func:`check_reach`.  A rho not finite or 0 at every node (a cut with point masses only), an end not integrable
+    as a power, a t out of reach or a value past the float range raises NumericAccuracyError.
     """
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(tt > 0.0):
-        raise EvaluationDomainError("times must be positive")
     single = kernel is None or isinstance(kernel, Kernel)
     kernels = [_EXP if k is None else k for k in ([kernel] if single else kernel)]
-    s = _axis_nodes(1, b)[0]
-    for k in kernels:
-        if not np.all((tt * s[0] <= k.tiny) & (tt * s[-1] >= k.far)):
-            raise NumericAccuracyError(f"the real-axis rule reaches t in [{k.far / s[-1]:.3g}, "
-                                       f"{k.tiny / s[0]:.3g}], not {tt.min():g} to {tt.max():g}")
+    per_kernel = not single and isinstance(t, list)
+    times = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (t if per_kernel else [t] * len(kernels))]
+    for k, tt in zip(kernels, times, strict=True):
+        if not np.all(tt > 0.0):
+            raise EvaluationDomainError("times must be positive")
+        check_reach(k, b, tt)
     dens = {}  # rho at each level's nodes, (rows, nodes)
 
     def density(level):
@@ -242,10 +252,13 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
 
     rows = len(density(1))
     pairs = np.broadcast_shapes((rows,), (len(kernels),))[0]
-    values = np.array([_certified(lambda level, i=i: density(level)[i % rows], tt, b, kernels[i % len(kernels)])
-                       for i in range(pairs)])
-    if not np.all(np.isfinite(values)):
+    values = [_certified(lambda level, i=i: density(level)[i % rows], times[i % len(kernels)], b,
+                         kernels[i % len(kernels)]) for i in range(pairs)]
+    if not all(np.all(np.isfinite(x)) for x in values):
         raise NumericAccuracyError("a real-axis integral leaves the float range")
+    if per_kernel:
+        return values
+    values = np.array(values)
     if dens["rows"] or not single:
         return values if np.ndim(t) else values[:, 0]
     return values[0] if np.ndim(t) else float(values[0, 0])

@@ -205,8 +205,8 @@ RENDER_PINS = {
         "5da21729310a024c5b54a87c462d614afcef6b787bf5beb8a86524a3c882597b"),
     "ladder-halfline": (
         "ladder halfline --kind stable --alpha 1 --x 1 --y 2", 0,
-        "aa53997ab37208f42673675c7cba521d2bf39e60186ac3b6cf991ad015259fc2",
-        "c6765c5a5b6973b89a862741302d57565cc93487f3d6e0140276148f417d98eb"),
+        "cbc5195c4d961357a9042a3f81e501b00ef50b138fe23fa5f5933f3a848f3748",
+        "0862fcf2a6613ea6da48c4b891924132e7e1ad95b22a7a434740c4c7893e0899"),
     "check-sandwich": (
         "check sandwich --kind stable --alpha 1", 0,
         "0767d2bd7c252b1ae5d354c1547d5203ae279463becebdb24a206a695d296619",

@@ -153,6 +153,12 @@ def test_kernels_past_float_range_are_refused(r, j_finite):
             kernels.jump_kernel(phi, 3, r)
 
 
+def test_kernel_refusals_state_the_reach_in_r():
+    # the rule integrates in r^2; a radius out of its reach is refused in r
+    with pytest.raises(NumericAccuracyError, match=r"reaches r in \[.*\], not 1e-80 to 1e-80"):
+        kernels.green_function(bernstein.sum_of_stables(1.0, 0.5), 3, 1e-80)
+
+
 @pytest.mark.parametrize("d, beta", [(1, 0.75), (2, 0.5), (3, 0.5), (3, 0.0)])
 def test_subordination_integral_power_weight(d, beta):
     # for w(t) = t**(-beta) the integral of p(t, r) w(t) is Gamma(d/2 + beta - 1) / (4**(1-beta) pi**(d/2))

@@ -172,13 +172,97 @@ def test_halfline_green_leaks_no_integration_warning(capsys):
 
 
 def test_halfline_green_refuses_an_uncertified_convolution(monkeypatch):
-    # a renewal density too rough for the rule's last step halving
-    monkeypatch.setattr(ladder, "ladder_density_v", lambda phi, z: 1.0 + 1e-3 * np.sin(1e7 * z * z))
+    # a renewal density too rough for the rule's last step halving, which
+    # still decreases across the head's bracket, with V(z) = z there
+    monkeypatch.setattr(ladder, "_renewal", lambda phi, names, ts: [1.0 + 1e-3 * np.sin(1e7 * ts[0] * ts[0]), ts[1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericAccuracyError, match="halfline Green quadrature") as info:
             ladder.halfline_green(bernstein.stable(1.0), 1.0, 2.0)
     assert info.value.residual > 0.0
+
+
+def test_halfline_green_takes_v_at_the_rule_s_second_level(monkeypatch):
+    # off the diagonal the bracketed head keeps v's arguments above
+    # 1e-12 min(x, gap), where the real-axis rule certifies at level 2: one
+    # chi sweep of its nodes serves v at the convolution's nodes and V(z_c)
+    taken, chi = [], ladder.ladder_exponent_chi
+    monkeypatch.setattr(ladder, "ladder_exponent_chi", lambda phi, lam: taken.append(np.size(lam)) or chi(phi, lam))
+    ladder.halfline_green(bernstein.sum_of_stables(1.0, 0.5), 1.0, 2.0)
+    assert sum(taken) <= 1700
+
+
+@pytest.mark.parametrize("phi", [bernstein.sum_of_stables(1.0, 0.5), bernstein.log_perturbed_down(1.0, 0.5)],
+                         ids=["sum", "log_down"])
+def test_halfline_green_head_bracket_does_not_move_g(monkeypatch, phi):
+    # the bracket V(z_c) [v(gap + z_c), v(gap)] is about 1e-12 of G wide:
+    # moving z_c down by 1e-8 moves G by rounding only
+    head = ladder.halfline_green(phi, 1.03, 2.1)
+    monkeypatch.setattr(ladder, "_HALFLINE_HEAD", ladder._HALFLINE_HEAD * 1e-8)
+    assert ladder.halfline_green(phi, 1.03, 2.1) == pytest.approx(head, rel=1e-12)
+
+
+def test_halfline_green_refuses_a_renewal_density_that_rises(monkeypatch):
+    # the head's bracket holds for a decreasing v only
+    monkeypatch.setattr(ladder, "_renewal", lambda phi, names, ts: [np.exp(ts[0]), ts[1]])
+    with pytest.raises(NumericAccuracyError, match="does not decrease"):
+        ladder.halfline_green(bernstein.sum_of_stables(1.0, 0.5), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("phi, expect", [
+    (bernstein.sum_of_stables(1.0, 0.5), 0.18885514168916945),
+    (bernstein.log_perturbed_up(1.0, 0.5), 0.9013311292936714),
+    (bernstein.log_perturbed_down(1.0, 0.5), 0.28023388217158396),
+    (bernstein.relativistic_stable(1.0, 1.0), 2.7009305899009584),
+], ids=["sum", "log_up", "log_down", "relativistic"])
+def test_halfline_green_keeps_the_power_law_head_s_values(phi, expect):
+    # the values of the rule that closed (0, 1e-60 x) with a measured power
+    assert ladder.halfline_green(phi, 1.03, 2.1) == pytest.approx(expect, rel=1e-11)
+
+
+def test_halfline_green_geometric_certified_on_the_finest_level():
+    # levels 3 and 4 of the rule agree to 5.4e-10 here but are both 4e-8 low;
+    # the reference is the pole-sum v's convolution by two independent scipy
+    # quadratures, which agree to 1e-16
+    phi = bernstein.phi_from_json({"kind": "geometric_example", "alpha": 0.7202691650936953})
+    got = ladder.halfline_green(phi, 0.8298737001329015, 1.8680849129554078)
+    assert got == pytest.approx(0.0253131272598574, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha, x, y", [(0.5, 0.2, 3.0), (1.0, 1.0, 2.0), (1.6, 1.0, 1.001), (1.6, 1.0, 1.000001)])
+def test_halfline_green_of_a_pole_sum_is_its_closed_convolution(alpha, x, y):
+    # v = a + sum c_i e^(-r_i t) over the poles z_i = r_i^2 of 1/phi, so
+    # int_0^lo v(z) v(gap + z) dz is a closed double sum of exponentials
+    phi = bernstein.phi_from_json({"kind": "geometric_example", "alpha": alpha})
+    entry, lo, gap = bernstein.KINDS[phi.kind], min(x, y), abs(y - x)
+    w, z = entry.poles(phi, 0.0)
+    r = np.sqrt(z[np.isfinite(z)])
+    c = w[np.isfinite(z)] * ladder.ladder_exponent_chi(phi, r) / (2.0 * r)
+    a = math.sqrt(entry.conjugate_killing(phi))
+    head = -np.expm1(-lo * r) / r
+    rs = r[:, None] + r[None, :]
+    expect = (a * a * lo + a * (c * head * (1.0 + np.exp(-gap * r))).sum()
+              + (c[:, None] * c[None, :] * np.exp(-gap * r)[None, :] * -np.expm1(-lo * rs) / rs).sum())
+    assert ladder.halfline_green(phi, x, y) == pytest.approx(expect, rel=1e-9)
+
+
+def test_ladder_refusals_state_the_reach_in_t():
+    # the real-axis rule integrates v and V in t^2; a refusal names the t given
+    phi = bernstein.sum_of_stables(1.0, 0.5)
+    for f in (ladder.ladder_density_v, ladder.renewal_function_V):
+        with pytest.raises(NumericAccuracyError, match=r"reaches t in \[.*\], not 1e\+60 to 1e\+60"):
+            f(phi, 1e60)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    # chi at the geometric kind's poles, which the package chose: a failure of the rule
+    (["ladder", "v", "--kind", "geometric_example", "--alpha", "0.13", "--t", "1"], 3),
+    # chi at the caller's own lam past its float range: a domain error
+    (["ladder", "chi", "--kind", "sum", "--alpha", "1", "--beta", "0.5", "--lambda", "1e150"], 2),
+], ids=["package_lambda", "caller_lambda"])
+def test_chi_out_of_range_exit_codes(capsys, argv, rc):
+    assert cli.main(argv) == rc
+    assert capsys.readouterr().out == ""
 
 
 def test_interval_green_mass_bound_limits():
