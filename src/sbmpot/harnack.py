@@ -28,7 +28,7 @@ import numpy as np
 from .bernstein import CompleteBernsteinFunction
 from .errors import EvaluationDomainError
 from .montecarlo import (Ball, HalfDisk, Interval, McEstimate, PathConfig, _as_points, _check_radius,
-                         _exit_positions, _run_batches, scaled_config)
+                         _exit_positions, _row_norm, _run_batches, scaled_config)
 
 __all__ = [
     "shell_probes_1d",
@@ -66,10 +66,6 @@ def _axis(j: int) -> Callable:
     return lambda x: x[:, j]
 
 
-def _radius(x):
-    return np.linalg.norm(x, axis=1)
-
-
 def _angle(x):
     return np.arctan2(x[:, 1], x[:, 0])
 
@@ -93,7 +89,7 @@ def shell_probes_1d(R: float) -> list:
 
 def sector_probes_2d(R: float) -> list:
     """Eight angular-sector indicators of the annulus [R, 4R)."""
-    return [_band((_radius, R, 4.0 * R),
+    return [_band((_row_norm, R, 4.0 * R),
                   (_angle, k * math.pi / 4.0 - math.pi, (k + 1) * math.pi / 4.0 - math.pi))
             for k in range(8)]
 
@@ -347,7 +343,7 @@ def bhp_ratio_check(
     elif domain == "halfdisk":
         sim_domain = HalfDisk(radius=2.0 * r)
         # x_2 > 0 is x_2 >= the smallest positive float
-        depth, side = _radius, ((_axis(1), math.ulp(0.0), math.inf),)
+        depth, side = _row_norm, ((_axis(1), math.ulp(0.0), math.inf),)
         heights = np.linspace(r / 12.0, r / 2.0, 6)
         grid = np.zeros((7, 2))
         grid[:6, 1] = heights

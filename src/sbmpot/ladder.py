@@ -168,6 +168,19 @@ def _renewal(phi: CompleteBernsteinFunction, names, ts) -> list:
     return [x if np.ndim(t) else float(x) for x, t in zip(out, ts)]
 
 
+def _renewal_reach(phi: CompleteBernsteinFunction) -> tuple[float, float]:
+    """The t at which _renewal takes v and V: every positive t for closed forms, else those whose t^2 is a normal
+    float, on the cut only those whose t^2 the real-axis rule reaches too."""
+    if all(phi.closed_form(name, 1.0) is not None for name in _RENEWAL_KERNELS):
+        return 0.0, math.inf
+    (lo, hi), entry = _NORMAL, KINDS[phi.kind]
+    if entry.poles(phi, 0.0) is None:
+        for k in _RENEWAL_KERNELS.values():
+            k_lo, k_hi = laplace.reach(k, entry.branch_point(phi))
+            lo, hi = max(lo, k_lo), min(hi, k_hi)
+    return math.sqrt(lo), math.sqrt(hi)
+
+
 def ladder_density_v(phi: CompleteBernsteinFunction, t):
     """Renewal (ladder potential) density v(t), the inverse transform of 1/chi, certified to relative 1e-9."""
     return _renewal(phi, ("ladder_density",), (t,))[0]
@@ -204,29 +217,40 @@ def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
     fine sum closes with the bracket's midpoint, the coarse one with its end, V(z_c) from the same chi values
     as v.  On the diagonal z_c = lo*1e-60, and the power law measured at s_c and sqrt(s_c), half the decades of
     z up to lo apart so that v's round-off stays out of it, closes (0, s_c).  The diagonal with alpha <= 1
-    diverges: +inf, not an error."""
+    diverges: +inf, not an error.  v's arguments run from at most 1e-5 x^y up to x v y, so x^y under 1e5 times
+    the lowest t v reaches, or x v y past its highest, raises NumericAccuracyError stating that reach in x and y."""
     if not (1e-300 <= x < math.inf and 1e-300 <= y < math.inf):
         raise EvaluationDomainError(f"halfline Green needs x, y in [1e-300, inf), got {x:g} and {y:g}")
     lo, gap = (x, y - x) if x <= y else (y, x - y)
     if gap == 0.0 and phi.alpha <= 1.0:
         return math.inf
+    # arguments the rule chose out of v's reach are a failure of the rule, not of the caller's x and y
+    t_lo, t_hi = _renewal_reach(phi)
+    refusal = (f"halfline Green reaches x and y in [{1e5 * t_lo:.3g}, {t_hi:.3g}] for {phi.label()}, "
+               f"not {x:g} and {y:g}")
+    if not (1e5 * t_lo <= lo and gap + lo <= t_hi):
+        raise NumericAccuracyError(refusal)
     p = 1.0 / (phi.alpha - 1.0) if gap == 0.0 else 2.0 / phi.alpha
     ratio = _HALFLINE_HEAD * min(1.0, gap / lo) if gap else _HALFLINE_Z_FLOOR  # z_c/lo, before the floor
     s_c = min(max(ratio, _HALFLINE_Z_MIN / lo), 1e-5) ** (1.0 / p)
     sig, _, w = _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0 - s_c)
     s = s_c + (1.0 - s_c) * sig
+    try:  # v's t^2 may still round out of the float range at the reach's very end: converted as in _chi_on_cut
+        if gap:
+            z, z_c = lo * s**p, lo * s_c**p
+            v, V_c = _renewal(phi, ("ladder_density", "renewal_function"),
+                              (np.concatenate([z, gap + z, [gap, gap + z_c]]), z_c))
+        else:
+            r = s_c**-0.5
+            s = np.concatenate([[s_c, r * s_c], s])
+            v = v_far = _renewal(phi, ("ladder_density",), (lo * s**p,))[0]
+    except EvaluationDomainError as exc:
+        raise NumericAccuracyError(refusal) from exc
     if gap:
-        z, z_c = lo * s**p, lo * s_c**p
-        v, V_c = _renewal(phi, ("ladder_density", "renewal_function"),
-                          (np.concatenate([z, gap + z, [gap, gap + z_c]]), z_c))
         v, v_far, (v_gap, v_end) = v[:s.size], v[s.size:-2], v[-2:]
         if not v_gap >= v_end > 0.0:
             raise NumericAccuracyError(f"halfline Green: the renewal density does not decrease at {gap:g}")
         rest, rest_alt = V_c * (v_gap + v_end) / 2.0, V_c * v_gap  # the head's bracket: midpoint and end
-    else:
-        r = s_c**-0.5
-        s = np.concatenate([[s_c, r * s_c], s])
-        v = v_far = _renewal(phi, ("ladder_density",), (lo * s**p,))[0]
     f = v * (lo * p) * s ** (p - 1.0) * v_far  # the integrand, every product in floats
     if not gap:
         (f_c, f_r), f = f[:2], f[2:]

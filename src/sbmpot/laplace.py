@@ -6,7 +6,7 @@ integrals (1/pi) int_0^inf k(t*s) rho(s) ds of densities rho >= 0 read off phi(-
 of its cut (Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed. 2012, ch. 6-7).  So are the
 ladder objects v and V, through chi(-s + i0) = phi(-s^2 + i0)/chi(s) (:mod:`sbmpot.ladder`).  A
 :class:`Kernel` carries where it may be closed: its head at 0 and the z past which it is 0 or a power,
-which bound the t the rule reaches (:func:`check_reach`).  :func:`real_axis_integral` certifies them per t on
+which bound the t the rule reaches (:func:`reach`).  :func:`real_axis_integral` certifies them per t on
 :func:`halving_trapezoid`, the trapezoid driver every integral of the package shares (Takahasi & Mori,
 Publ. RIMS 9, 1974).  Nothing in the package calls fixed-Talbot (Abate & Valko) or Gaver-Stehfest,
 the tests' independent references; a tracer patches both names.  :func:`quad` is scipy's ``quad``,
@@ -28,6 +28,7 @@ __all__ = [
     "Kernel",
     "resolvent_kernel",
     "real_axis_integral",
+    "reach",
     "check_reach",
     "talbot_inversion",
     "gaver_stehfest",
@@ -194,12 +195,18 @@ def resolvent_kernel(d: int) -> Kernel:
     return Kernel(f, tiny, far, head)
 
 
+def reach(kernel: Kernel | None, b: float) -> tuple[float, float]:
+    """The t :func:`real_axis_integral` reaches with ``kernel`` (exp(-z) for None) split at b: [far/s_max,
+    tiny/s_min], about [1e-138, 1e112] for the resolvent kernels at b = 1."""
+    k, s = _EXP if kernel is None else kernel, _axis_nodes(1, b)[0]
+    return k.far / s[-1], k.tiny / s[0]
+
+
 def check_reach(kernel: Kernel | None, b: float, x, name: str = "t", power: int = 1) -> None:
-    """Refuse, with NumericAccuracyError, an x whose t = x^power :func:`real_axis_integral` does not reach with
-    ``kernel`` (exp(-z) for None) split at b: [far/s_max, tiny/s_min], about [1e-138, 1e112] for the resolvent
-    kernels at b = 1.  The message states the reach in x, under ``name``."""
-    k, s, x = _EXP if kernel is None else kernel, _axis_nodes(1, b)[0], np.asarray(x, dtype=float)
-    lo, hi, t = k.far / s[-1], k.tiny / s[0], x**power
+    """Refuse, with NumericAccuracyError, an x whose t = x^power :func:`real_axis_integral` does not reach
+    (:func:`reach`).  The message states the reach in x, under ``name``."""
+    (lo, hi), x = reach(kernel, b), np.asarray(x, dtype=float)
+    t = x**power
     if not np.all((t >= lo) & (t <= hi)):
         raise NumericAccuracyError(f"the real-axis rule reaches {name} in [{lo ** (1.0 / power):.3g}, "
                                    f"{hi ** (1.0 / power):.3g}], not {x.min():g} to {x.max():g}")
@@ -221,7 +228,7 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
     between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term), with
     the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative _AXIS_EPSREL (absolute
     under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches the t of
-    :func:`check_reach`.  A rho not finite or 0 at every node (a cut with point masses only), an end not integrable
+    :func:`reach`.  A rho not finite or 0 at every node (a cut with point masses only), an end not integrable
     as a power, a t out of reach or a value past the float range raises NumericAccuracyError.
     """
     single = kernel is None or isinstance(kernel, Kernel)

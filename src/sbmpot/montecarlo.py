@@ -18,17 +18,18 @@ config no matter how paths are batched.  Estimators reduce over arrays
 assembled in path order.
 
 Paths march in chunks, one loop for both samplers: one Philox call per
-channel draws m skeleton steps of every live path id, m being about
-_BATCH_SIZE over the live count times the sub-moves per step (at most
-_MAX_CHUNK_STEPS), and one call draws every jump of the chunk, each with its
-slot's size and direction channels; rows that share a path id (the start
-points of a probe family) copy its draws instead of repeating them.  A
-compound step's sub-moves are its jumps in order, padding of -0.0 (the exact
-additive identity) up to the step's largest jump count, and the drift move;
-an exact step has one.  Running sums of the live positions and the
-sub-moves give every intermediate position bit for bit as repeated += would,
-and the first sub-move outside settles each exit; draws past a path's exit
-within its chunk are discarded.
+channel draws m skeleton steps of every live path id, and one call draws
+every jump of the chunk, each with its slot's size and direction channels;
+rows that share a path id (the start points of a probe family) copy its
+draws instead of repeating them.  m times the sub-moves per step is about
+_BATCH_SIZE over the distinct live ids, which sizes the draw, capped by
+_PATH_CAP over the live rows, which bounds the path array however many rows
+share an id, and m is at most _MAX_CHUNK_STEPS.  A compound step's sub-moves
+are its jumps in order, padding of -0.0 (the exact additive identity) up to
+the step's largest jump count, and the drift move; an exact step has one.
+Running sums of the live positions and the sub-moves give every intermediate
+position bit for bit as repeated += would, and the first sub-move outside
+settles each exit; draws past a path's exit within its chunk are discarded.
 
 Every domain answers one geometric question, its signed gap to the
 boundary: gap(x) > 0 strictly inside, <= 0 on the closed complement and < 0
@@ -181,6 +182,20 @@ class ExitSample:
         return McEstimate.from_values(self.tau)
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """|x| of each row of an (n, d) array, bit for bit as np.linalg.norm(x,
+    axis=1) and a few times faster for small d: numpy's reduce adds up to 7
+    squared columns in column order, as here, and 8 or more pairwise, so
+    those keep its norm."""
+    d = x.shape[1]
+    if not 0 < d < 8:
+        return np.linalg.norm(x, axis=1)
+    sq = x[:, 0] * x[:, 0]
+    for j in range(1, d):
+        sq += x[:, j] * x[:, j]
+    return np.sqrt(sq, out=sq)
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -213,7 +228,7 @@ class Ball:
         return len(self.center)
 
     def gap(self, x: np.ndarray) -> np.ndarray:
-        return self.radius - np.linalg.norm(x - np.asarray(self.center)[None, :], axis=1)
+        return self.radius - _row_norm(x - np.asarray(self.center)[None, :])
 
 
 @dataclass(frozen=True)
@@ -230,7 +245,7 @@ class HalfDisk:
         return 2
 
     def gap(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(self.radius - np.linalg.norm(x, axis=1), x[:, 1])
+        return np.minimum(self.radius - _row_norm(x), x[:, 1])
 
 
 def _as_points(x, d: int) -> np.ndarray:
@@ -430,8 +445,13 @@ def sample_subordinator_increment(
 # exit simulation engine
 
 
-# Paths a batch marches or walks at once; records do not depend on it
+# Paths a batch marches or walks at once, and sub-moves a chunk draws; records
+# do not depend on it
 _BATCH_SIZE = 16384
+
+# Most sub-moves a chunk's path array holds over all its live rows, however
+# many rows share a drawn id
+_PATH_CAP = 4 * _BATCH_SIZE
 
 # Most skeleton steps a chunk draws for each live path: a path that exits
 # early in a chunk wastes the draws of the steps after its exit.
@@ -479,7 +499,10 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     ``starts`` has one row per path.  Returns (tau, exit position, exited by
     jump), with tau NaN for paths still inside at the horizon.  Each chunk
     draws the moves of every live path id once and copies them to every
-    live row that carries the id.
+    live row that carries the id.  Its draw is sized by the distinct ids,
+    about _BATCH_SIZE sub-moves over all of them, and its path array by the
+    live rows, at most _PATH_CAP sub-moves over all of them: the tighter of
+    the two sets the chunk's steps.
     """
     d = domain.d
     n = ids.size
@@ -499,10 +522,11 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     k, mean_width = 0, (inc.mean_jumps + 1.0 if compound else 1.0)
     while k < n_steps and alive.any():
         live = np.nonzero(alive)[0]
-        budget = max(_BATCH_SIZE // live.size, 1)  # sub-moves per path
+        draw_ids, cols = _live_draws(ids, columns, live)
+        # sub-moves per path: the draw's budget over its ids, the path array's over its rows
+        budget = max(min(_BATCH_SIZE // draw_ids.size, _PATH_CAP // live.size), 1)
         m = min(max(int(budget / mean_width), 1), _MAX_CHUNK_STEPS, n_steps - k)
         steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
-        draw_ids, cols = _live_draws(ids, columns, live)
         grid = np.broadcast_to(draw_ids, (m, draw_ids.size))
         if compound:
             counts = inc.jump_counts(steps, grid)
@@ -611,7 +635,7 @@ def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
             if cols is not None:
                 root, z = root[cols], z[cols]
             reach = gap[live] / root
-            x[live] += (reach / np.linalg.norm(z, axis=1))[:, None] * z
+            x[live] += (reach / _row_norm(z))[:, None] * z
             gap[live] = domain.gap(x[live])
             stopped[live] = gap[live] <= 0.0
             live = live[~stopped[live]]
@@ -774,7 +798,7 @@ def exit_distribution_histogram(phi, ball: Ball, x0, edges, cfg: PathConfig) -> 
     pos, stopped = _exit_positions(phi, ball, starts, cfg, walk=True)
     pos = pos[stopped]
     edges = np.asarray(edges, dtype=float)
-    dist = np.linalg.norm(pos - np.asarray(ball.center)[None, :], axis=1)
+    dist = _row_norm(pos - np.asarray(ball.center)[None, :])
     counts, _ = np.histogram(dist, bins=edges)
     n = pos.shape[0]
     prob = counts / max(n, 1)

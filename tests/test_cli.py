@@ -656,6 +656,20 @@ def test_non_finite_inversion_is_numeric_failure(capsys):
     assert captured.err.startswith("numeric accuracy failure: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("x", ["1e-300", "1e-100"])
+def test_halfline_out_of_reach_is_numeric_failure(capsys, x):
+    # the rule takes v down to 1e-5 x: at 1e-100 past the real-axis rule's
+    # reach, at 1e-300 past the float range of its t^2; either is a failure
+    # of the rule (exit 3), stated in x, not a usage error of the x given
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["ladder", "halfline", "--kind", "sum", "--alpha", "1", "--x", x, "--y", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == ("numeric accuracy failure: halfline Green reaches x and y in [1.1e-64, 6.79e+55] "
+                            f"for sum(alpha=1, beta=0.5), not {x} and 1\n")
+
+
 @pytest.mark.parametrize("r", ["1e-110", "1e-80", "1e-78"])
 def test_kernel_past_float_range_is_usage_error(capsys, r):
     # J of the row, 1/(pi^2 r^4), would overflow to inf (about 1e311 at

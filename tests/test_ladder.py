@@ -254,6 +254,29 @@ def test_ladder_refusals_state_the_reach_in_t():
             f(phi, 1e60)
 
 
+@pytest.mark.parametrize("phi, x, y, reach", [
+    # v is taken up to x v y, past the real-axis rule's reach in t
+    (bernstein.sum_of_stables(1.0, 0.5), 1.0, 7e55, r"\[1.1e-64, 6.79e\+55\]"),
+    # and down to 1e-5 x, whose square is under the float range
+    (bernstein.geometric_like(1.0), 1e-300, 1.0, r"\[1.49e-149, 1.34e\+154\]"),
+], ids=["cut_far", "poles_near"])
+def test_halfline_green_refusals_state_the_reach_in_x_and_y(phi, x, y, reach):
+    with pytest.raises(NumericAccuracyError, match=rf"halfline Green reaches x and y in {reach}"):
+        ladder.halfline_green(phi, x, y)
+    # the stable kind's closed v reaches every x
+    assert ladder.halfline_green(bernstein.stable(phi.alpha), x, y) > 0.0
+
+
+def test_halfline_green_converts_a_t_square_out_of_the_float_range(monkeypatch):
+    # at the reach's very end 1e-5 x can still round to a t whose square leaves
+    # the float range (geometric_example alpha = 0.8 at x = 1.4916681462400413e-149);
+    # with the reach widened, x = 1e-300 takes that path: laplace.squares' refusal, converted
+    monkeypatch.setattr(ladder, "_renewal_reach", lambda phi: (0.0, math.inf))
+    with pytest.raises(NumericAccuracyError, match="halfline Green reaches x and y") as info:
+        ladder.halfline_green(bernstein.geometric_like(1.0), 1e-300, 1.0)
+    assert isinstance(info.value.__cause__, EvaluationDomainError)
+
+
 @pytest.mark.parametrize("argv, rc", [
     # chi at the geometric kind's poles, which the package chose: a failure of the rule
     (["ladder", "v", "--kind", "geometric_example", "--alpha", "0.13", "--t", "1"], 3),

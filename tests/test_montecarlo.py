@@ -248,6 +248,51 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     assert sum(drawn) == 20826
 
 
+@pytest.mark.parametrize("batch_size, n, steps", [
+    # 350 rows: the draw's budget, 1024 // 50 = 20 steps of 50 ids, is under
+    # the path array's cap, 4 * 16384 // 350 = 187
+    (1024, 50, 20),
+    # 700 rows: the cap, 4 * 16384 // 700 = 93 steps, is under the draw's
+    # 16384 // 100 = 163; sizing by rows drew 16384 // 700 = 23
+    (16384, 100, 93),
+])
+def test_shared_id_chunk_is_sized_by_its_distinct_ids(monkeypatch, batch_size, n, steps):
+    # a family of 7 starts sharing the ids 0..n-1, as _family_values marches it
+    drawn = []
+    pair = rng.PhiloxStream.uniform_pair
+
+    def recording(self, channel, step, path_ids, **kw):
+        if channel == rng.CH_SUB:
+            drawn.append(np.asarray(path_ids).shape)
+        return pair(self, channel, step, path_ids, **kw)
+
+    monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", recording)
+    monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
+    assert mc._PATH_CAP == 4 * 16384
+    starts = np.zeros((7, 2))
+    starts[:, 0] = np.linspace(-0.6, 0.6, 7)
+    mc._run_batches(bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1.0),
+                    np.repeat(starts, n, axis=0), _cfg(paths=n, seed=29, step=1e-2),
+                    ids_all=np.tile(np.arange(n, dtype=np.uint64), 7))
+    assert drawn[0] == (steps, n)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_norm_is_numpy_s_bit_for_bit(d):
+    # rows mix wide magnitudes with signed zeros, subnormals, values near
+    # 1e+-200 (whose squares overflow to inf or underflow) and NaN
+    g = np.random.default_rng(d)
+    special = [0.0, -0.0, 5e-324, -2.5e-320, 1e-200, -3e-201, 1e200, -2e200, np.nan, -1.5]
+    x = np.concatenate([g.standard_normal((20000, d)) * np.exp(g.uniform(-40.0, 40.0, (20000, d))),
+                        g.choice(special, (4000, d))])
+    with np.errstate(over="ignore"):
+        want, got = np.linalg.norm(x, axis=1), mc._row_norm(x)
+        column_order = np.sqrt(sum(x[:, j] * x[:, j] for j in range(d)))
+    assert got.tobytes() == want.tobytes()
+    # numpy adds up to 7 columns in column order and 8 or more pairwise
+    assert (column_order.tobytes() == want.tobytes()) == (d < 8)
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
 def test_fused_jump_matches_per_slot_draws(d):
     # one call over mixed slots, steps and ids gives each jump the bits of
