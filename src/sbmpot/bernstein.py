@@ -11,10 +11,12 @@ lam**(alpha/2) times a slowly varying factor on [1, inf), with alpha stored on
 the object.
 
 Evaluation accepts real positive or complex arguments (principal branches,
-analytic off the negative real axis); -s + 0j is the upper lip of the cut,
-where mu(t) = (1/pi) int_0^inf e^(-ts) Im phi(-s + i0) ds, and the tail takes
-Im phi(-s + i0)/s: :meth:`CompleteBernsteinFunction.cut_integral` computes
-both on the real-axis rule of :mod:`sbmpot.laplace` for kinds without them.
+analytic off the negative real axis); -s + 0j is the upper lip of the cut.
+1/phi and phi/lam are Stieltjes functions (Schilling, Song & Vondracek,
+*Bernstein Functions*, 2nd ed., ch. 6-7), which every kind declares as
+:class:`Stieltjes` measures: u and G are their sums over 1/phi's, mu, the tail
+and j over phi/lam's (:meth:`CompleteBernsteinFunction.sums`).  The conjugate
+swaps the two; a killed shift keeps phi/lam's and finds the atoms of 1/(phi + a).
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from . import laplace
-from .errors import ConstructionError, EvaluationDomainError, UnsupportedKindError
+from .errors import ConstructionError, EvaluationDomainError, NumericAccuracyError, UnsupportedKindError
 
 __all__ = [
     "CompleteBernsteinFunction",
@@ -48,8 +50,7 @@ __all__ = [
     "levy_tail",
     "check_levy_shift_bound",
     "ShiftBoundReport",
-    "reg_var_profile",
-    "RegVarProfile",
+    "Stieltjes",
     "check_complete_monotonicity",
     "check_bernstein",
     "MonotonicityReport",
@@ -101,22 +102,54 @@ class CompleteBernsteinFunction:
 
     @property
     def drift(self) -> float:
-        return _entry(self.kind).drift(self)
+        return self.stieltjes(1).a
 
-    def cut_integral(self, rho: Callable, t, kernel: laplace.Kernel | None = None):
-        """Real-axis integral (1/pi) int_0^inf k(t*s) rho(phi(-s + i0), s) ds, split at the kind's branch point."""
-        b = _entry(self.kind).branch_point(self)
-        return laplace.real_axis_integral(lambda s: rho(self._eval(-s + 0j), s), t, b, kernel)
+    def stieltjes(self, side: int) -> "Stieltjes":
+        """The measure of 1/phi (side 0) or of phi/lam (side 1)."""
+        return _entry(self.kind).stieltjes(self, side)
+
+    @property
+    def branch_point(self) -> float:
+        """The s where the densities on the cut may be singular."""
+        return _entry(self.kind).branch_point(self)
+
+    def sums(self, rows, t, kernel=None, weight: Callable | None = None) -> list:
+        """For each row (side, p), sum w z^p k(t z) over the atoms of the measure ``side`` plus (1/pi) int_0^inf
+        k(t s) s^p rho(s) ds over its density, in the shape of t; a constant's term is the caller's.  ``kernel``
+        is exp(-z) for None, or one per row, and then t is one array per row.  weight(s, x), with a kernel, stands
+        for the atoms' w z^p, finite z only, and rho(s) s^p.  phi is evaluated once per node, on none without rho."""
+        single = kernel is None or isinstance(kernel, laplace.Kernel)
+        kernels, times = ([kernel] * len(rows), [t] * len(rows)) if single else (kernel, t)
+        ms, keys = {side: self.stieltjes(side) for side, _ in rows}, list(dict.fromkeys(rows))
+        atoms = {(q, p): (m.z[live], weight(m.z[live], (m.w * m.z**p)[live])) for q, p in keys if weight
+                 for m, live in [(ms[q], np.isfinite(ms[q].z))] if m.w.size}  # once per (side, p); v's bits
+        out = []
+        for (q, p), k, tt in zip(rows, kernels, times):
+            f, tt = None if k is None else k.f, np.asarray(tt, dtype=float)
+            with np.errstate(over="ignore"):  # a t z past the float range gives the kernel's 0
+                out.append((f(np.multiply.outer(np.ravel(tt), atoms[q, p][0])) @ atoms[q, p][1]).reshape(tt.shape)
+                           if (q, p) in atoms else _exp_sum(ms[q].w, ms[q].z, tt, p, f))
+        cut = [i for i, (q, _) in enumerate(rows) if ms[q].cut]
+        if dens := list(dict.fromkeys(rows[i] for i in cut)):  # one row of rho per (side, p)
+            def rho(s):
+                v = self._eval(-s + 0j)
+                return [x if weight is None else weight(s, x) for x in (_DENSITY[q](v, s, p) for q, p in dens)]
+
+            values = laplace.real_axis_integral(rho, t if single else [np.ravel(times[i]) for i in cut],
+                                                self.branch_point, kernel if single else [kernels[i] for i in cut])
+            for j, i in enumerate(cut):
+                row = np.reshape(values[dens.index(rows[i]) if single else j], np.shape(times[i]))
+                out[i] = out[i] + row if ms[rows[i][0]].w.size else row
+        return out
 
     def forms(self, names, t) -> list:
-        """The forms ``names`` of _CUT_FORMS at t: closed where the kind has them, else on phi's cut (u with its
-        atom lim lam/phi(lam)), phi evaluated once per node for all, each t certified to relative 1e-9."""
+        """The forms ``names`` ("potential_density" u, "levy_density" mu, "levy_tail") at t: closed where the kind
+        has them, else :meth:`sums` of phi's measures, u with the constant of 1/phi; a scalar t gives floats."""
         out = {name: self.closed_form(name, t) for name in names}
-        cut = [name for name in names if out[name] is None]
-        rows = self.cut_integral(lambda v, s: [_CUT_FORMS[name](v, s) for name in cut], t) if cut else ()
-        atom = {"potential_density": _entry(self.kind).conjugate_killing(self)}
-        for name, row in zip(cut, rows):
-            out[name] = (row if np.ndim(t) else float(row)) + atom.get(name, 0.0)
+        todo = [name for name in names if out[name] is None]
+        out.update(zip(todo, (x if np.ndim(t) else float(x) for x in self.sums([_FORMS[n][::2] for n in todo], t))))
+        if "potential_density" in out:
+            out["potential_density"] = out["potential_density"] + self.stieltjes(0).c
         return [out[name] for name in names]
 
     @property
@@ -127,17 +160,12 @@ class CompleteBernsteinFunction:
         return _entry(self.kind).small_exponent(self)
 
     def closed_form(self, name: str, t):
-        """Closed form ``name`` of the kind at t, or None when there is none.
-
-        ``name`` is one of the optional forms of the kind registry:
-        ``potential_density``, ``levy_density``, ``levy_tail``,
-        ``ladder_density`` or ``renewal_function``.  A scalar t gives a float.
-        """
-        form = getattr(_entry(self.kind), name)
-        vals = None if form is None else form(self, np.asarray(t, dtype=float))
-        if vals is None:
-            return None
-        return float(vals) if np.ndim(t) == 0 else vals
+        """Closed form ``name`` of _FORMS (u, mu, the tail, v or V) at t, a float for a scalar t, or None where the
+        kind has none; a measure's sum, with no constant."""
+        side, kernel, p = _FORMS[name]
+        form = self.stieltjes(side).closed.get((kernel, p))
+        vals = None if form is None else form(np.asarray(t, dtype=float))
+        return vals if vals is None or np.ndim(t) else float(vals)
 
     def label(self) -> str:
         entry = _entry(self.kind)
@@ -149,8 +177,7 @@ class CompleteBernsteinFunction:
 
 
 def _stable_levy(alpha: float, t):
-    c = (alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0)
-    return c * t ** (-1.0 - alpha / 2.0)
+    return (alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0) * t ** (-1.0 - alpha / 2.0)
 
 
 def _stable_tail(alpha: float, t):
@@ -160,14 +187,12 @@ def _stable_tail(alpha: float, t):
 def _relativistic_tail(phi, t):
     # (a/Gamma(1-a)) theta**a Gamma(-a, theta*t), a = alpha/2, rewritten by
     # Gamma(-a, x) = (x**(-a) exp(-x) - Gamma(1-a, x))/a
-    a = phi.alpha_param / 2.0
-    theta = phi.m ** (2.0 / phi.alpha_param)
+    a, theta = phi.alpha_param / 2.0, phi.m ** (2.0 / phi.alpha_param)
     return t ** (-a) * np.exp(-theta * t) / gamma_fn(1.0 - a) - theta**a * gammaincc(1.0 - a, theta * t)
 
 
 def _stable_potential(alpha: float, t):
-    # inverse transform of lam**(-alpha/2): the potential density of the
-    # stable subordinator, and the ladder density too (chi = lam**(alpha/2))
+    # inverse transform of lam**(-alpha/2): u, and v too (chi = lam**(alpha/2))
     return t ** (alpha / 2.0 - 1.0) / gamma_fn(alpha / 2.0)
 
 
@@ -175,29 +200,29 @@ def _stable_renewal(alpha: float, t):
     return t ** (alpha / 2.0) / gamma_fn(1.0 + alpha / 2.0)
 
 
-def _exp_sum(weights, rates, t, power=0, kernel=lambda z: np.exp(-z)):
-    """sum w r^power k(r t), k = exp(-z) by default (the power-th derivative of sum w exp(-r t) up to
+def _stable_closed(alpha: float) -> tuple[dict, dict]:
+    # the stable kind's closed sums: u, v (chi = phi), V and G of 1/phi; the tail, mu and j of phi/lam
+    u = partial(_stable_potential, alpha)
+    return ({("exp", 0): u, ("ladder_density", 0): u, ("renewal_function", 0): partial(_stable_renewal, alpha),
+             ("resolvent", 0): partial(_riesz_green, alpha)},
+            {("exp", 0): partial(_stable_tail, alpha), ("exp", 1): partial(_stable_levy, alpha),
+             ("resolvent", 1): partial(_riesz_jump, alpha)})
+
+
+def _exp_sum(weights, rates, t, power=0, kernel=None):
+    """sum w r^power k(r t), k = exp(-z) for None (the power-th derivative of sum w exp(-r t) up to
     sign), in blocks of t."""
     flat, c, out = np.ravel(t), weights * rates ** power, np.empty(np.size(t))
     with np.errstate(over="ignore"):  # an inf r t gives the kernel's 0
         for lo in range(0, flat.size, _GEOM_BLOCK):
             z = np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates)
-            out[lo:lo + _GEOM_BLOCK] = np.sum(c * kernel(z), axis=-1)
+            out[lo:lo + _GEOM_BLOCK] = np.sum(c * (np.exp(-z) if kernel is None else kernel(z)), axis=-1)
     return out.reshape(np.shape(t))[()]
 
 
-def _resolvent_sum(poles, d: int, r, power: int = 0):
-    """(2 pi)^(-d/2) r^(2-d) sum w z^power k_d(r^2 z) over poles (w, z), the kernel of a cut of point masses
-    pi*w*z^power at s = z; None for no poles."""
-    if poles is None:
-        return None
-    k = laplace.resolvent_kernel(d).f
-    return (2.0 * math.pi) ** (-d / 2.0) * r ** (2.0 - d) * _exp_sum(*poles, r * r, power, k)
-
-
 def _riesz_green(alpha: float, d: int, r):
-    c = math.gamma((d - alpha) / 2.0) / (2.0**alpha * math.pi ** (d / 2.0) * math.gamma(alpha / 2.0))
-    return c * r ** (alpha - d)
+    return math.gamma((d - alpha) / 2.0) / (2.0**alpha * math.pi ** (d / 2.0) * math.gamma(alpha / 2.0)) * r ** (
+        alpha - d)
 
 
 def _riesz_jump(alpha: float, d: int, r):
@@ -205,33 +230,43 @@ def _riesz_jump(alpha: float, d: int, r):
     return c / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)) * r ** (-d - alpha)
 
 
+def _roots_past_poles(w, z, level: float, top):
+    """d and the gaps z_j - z_i (which keep z - x in floats where x rounds to z_i) of the root x = z_i + d < top_i
+    of sum w/(z - x) = level past each ascending pole z_i, where it rises from -inf: bisection in log d."""
+    gap = (z - z[:, None])[:top.size]
+    lo, hi = np.full(top.size, math.log(np.finfo(float).tiny)), np.log(top)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        below = np.sum(w / (gap - np.exp(mid)[:, None]), axis=-1) < level
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.exp((lo + hi) / 2.0), gap
+
+
 @lru_cache(maxsize=16)
-def _geometric_roots(alpha_param: float, n_terms: int, a: float = 0.0):
-    # g = 1/phi = sum w/(lam + b).  For a = 0 the tail's terms: phi/lam = 1/(lam g) has a simple pole
-    # at 0 (the killing) and one at each zero -z of g, residue 1/(z sum w/(b - z)**2).  For a > 0 the
-    # terms of u of phi + a: 1/(phi + a) = g/(1 + a g) has one at each root of g(-z) = -1/a, residue
-    # 1/(a**2 sum w/(b - z)**2).  With z = b + d, g(-z) rises from -inf at d = 0 to inf at the next
-    # pole, or to 0 past the last, where g(-z) = -1/a has its root under d = a sum w: d is found from
-    # the gaps between poles, as z rounds to b where a*w << b.  The residues are positive and finite.
+def _geometric_roots(alpha_param: float, n_terms: int):
+    # g = 1/phi = sum w/(lam + b), so phi/lam = 1/(lam g) has a simple pole at 0 (the killing) and one at each
+    # zero -z of g, between consecutive poles b, with residue 1/(z sum w/(b - z)**2), positive and finite
     w, b = _geometric_terms(alpha_param, n_terms)
     w, b = w[np.isfinite(b)], b[np.isfinite(b)]
-    top = np.append(np.diag(b - b[:, None], 1), a * np.sum(w))[:b.size - (a == 0.0)]
-    gap = (b - b[:, None])[:top.size]
-    lo, hi = np.full(top.size, math.log(np.finfo(float).tiny)), np.log(top)
-    for _ in range(64):  # bisection in log d, to full precision
-        mid = (lo + hi) / 2.0
-        below = np.sum(w / (gap - np.exp(mid)[:, None]), axis=-1) < (-1.0 / a if a > 0.0 else 0.0)
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    d = np.exp((lo + hi) / 2.0)
-    z = b[:top.size] + d
-    c = z if a == 0.0 else np.ones(z.size)  # a scale that keeps the sum of squares in floats
+    d, gap = _roots_past_poles(w, b, 0.0, np.diag(b - b[:, None], 1))
+    z = b[:d.size] + d
+    with np.errstate(over="ignore", divide="ignore"):  # an inf square is a zero term; z keeps it in floats
+        return z / np.sum(w / ((gap - d[:, None]) / z[:, None]) ** 2, axis=-1), z
+
+
+@lru_cache(maxsize=64)
+def _shift_roots(phi, a: float):
+    """Atoms of 1/(phi + a) = g/(1 + a g), g = 1/phi of atoms only (c/lam one at 0): the roots x of g(-x) = -1/a
+    past each, the last under x = z + a sum w, residue 1/(a^2 sum w/(z - x)^2).  None where g has a density."""
+    g = phi.stieltjes(0)
+    if g.cut:
+        return _NO_ATOMS
+    w, z = g.w[np.isfinite(g.z)], g.z[np.isfinite(g.z)]
+    if g.c > 0.0:
+        w, z = np.append(g.c, w), np.append(0.0, z)
+    d, gap = _roots_past_poles(w, z, -1.0 / a - g.a, np.append(np.diag(z - z[:, None], 1), a * np.sum(w)))
     with np.errstate(over="ignore", divide="ignore"):  # an inf square is a zero term
-        return (c if a == 0.0 else a ** -2.0) / np.sum(w / ((gap - d[:, None]) / c[:, None]) ** 2, axis=-1), z
-
-
-def _pole_sum(phi, a: float, t, power: int = 0):
-    """sum w z^power e^(-z t) over the poles -z of 1/(phi + a), None where that is no finite sum."""
-    return None if (poles := _entry(phi.kind).poles(phi, a)) is None else _exp_sum(*poles, t, power)
+        return a ** -2.0 / np.sum(w / (gap - d[:, None]) ** 2, axis=-1), z + d
 
 
 def _log1p(z):
@@ -272,10 +307,12 @@ def relativistic_stable(alpha: float, m: float) -> CompleteBernsteinFunction:
     """phi(lam) = (lam + m**(2/alpha))**(alpha/2) - m."""
     if not 0.0 < alpha < 2.0:
         raise ConstructionError("relativistic index must lie in (0, 2)")
-    if m < 0.0:
-        raise ConstructionError("mass must be nonnegative")
+    if not 0.0 <= m < math.inf:
+        raise ConstructionError(f"mass must be finite and nonnegative, not {m:g}")
     if m == 0.0:
         return stable(alpha)
+    if not np.log(np.finfo(float).tiny) <= 2.0 / alpha * math.log(m) < np.log(np.finfo(float).max):
+        raise ConstructionError(f"mass {m:g} puts the branch point m**(2/alpha) out of the normal float range")
     return CompleteBernsteinFunction(kind="relativistic", alpha=alpha, alpha_param=alpha, m=m)
 
 
@@ -341,14 +378,8 @@ def geometric_like(alpha: float, n_terms: int | None = None) -> CompleteBernstei
         raise ConstructionError(f"truncation must be at most {GEOMETRIC_MAX_TERMS}, not {n}: "
                                 "2**n overflows past it")
     w, b = _geometric_terms(alpha, n)
-    killing = 1.0 / float(np.sum(w / b))
-    return CompleteBernsteinFunction(
-        kind="geometric_example",
-        alpha=2.0 - alpha,
-        alpha_param=alpha,
-        n_terms=n,
-        killing=killing,
-    )
+    return CompleteBernsteinFunction(kind="geometric_example", alpha=2.0 - alpha, alpha_param=alpha, n_terms=n,
+                                     killing=1.0 / float(np.sum(w / b)))
 
 
 def conjugate(phi: CompleteBernsteinFunction) -> CompleteBernsteinFunction:
@@ -361,27 +392,16 @@ def conjugate(phi: CompleteBernsteinFunction) -> CompleteBernsteinFunction:
     if phi.kind == "conjugate":
         # unwrap: lam / (lam/phi) = phi
         return phi.inner
-    return CompleteBernsteinFunction(
-        kind="conjugate",
-        alpha=2.0 - phi.alpha,
-        alpha_param=2.0 - phi.alpha,
-        killing=_entry(phi.kind).conjugate_killing(phi),
-        inner=phi,
-    )
+    return CompleteBernsteinFunction(kind="conjugate", alpha=2.0 - phi.alpha, alpha_param=2.0 - phi.alpha,
+                                     killing=phi.stieltjes(0).c, inner=phi)
 
 
 def killed_shift(phi: CompleteBernsteinFunction, a: float) -> CompleteBernsteinFunction:
     """phi(lam) + a: add an independent killing rate a > 0."""
-    if a <= 0.0:
-        raise ConstructionError("killing rate must be positive")
-    return CompleteBernsteinFunction(
-        kind="killed_shift",
-        alpha=phi.alpha,
-        alpha_param=phi.alpha_param,
-        killing=phi.killing + a,
-        shift=a,
-        inner=phi,
-    )
+    if not 0.0 < a < math.inf:
+        raise ConstructionError(f"killing rate must be positive and finite, not {a:g}")
+    return CompleteBernsteinFunction(kind="killed_shift", alpha=phi.alpha, alpha_param=phi.alpha_param,
+                                     killing=phi.killing + a, shift=a, inner=phi)
 
 
 # ---- kind registry ---------------------------------------------------------
@@ -401,28 +421,40 @@ class _Param:
     optional: bool = False
 
 
+_NO_ATOMS = (np.empty(0), np.empty(0))
+
+
+class Stieltjes(NamedTuple):
+    """f(lam) = a + c/lam + sum w/(lam + z) + (1/pi) int_0^inf rho(s)/(lam + s) ds, one of phi's two Stieltjes
+    functions: 1/phi (side 0, rho = -Im 1/phi(-s + i0)) or phi/lam (side 1, rho = Im phi(-s + i0)/s).  The atoms
+    ascend; rho is 0 where ``cut`` is False.  ``closed`` holds closed forms of the sums over atoms and density by
+    (kernel, p): of t, of (d, r) for "resolvent"."""
+
+    a: float = 0.0
+    c: float = 0.0
+    w: np.ndarray = _NO_ATOMS[0]
+    z: np.ndarray = _NO_ATOMS[1]
+    cut: bool = True
+    closed: dict = {}
+
+
+# rho(v, s) s^p of each side at v = phi(-s + i0); -Im 1/v, not Im v/|v|^2, which underflows
+_DENSITY = (lambda v, s, p: -(1.0 / v).imag * s**p, lambda v, s, p: v.imag / s ** (1 - p))
+# (side, kernel, p) of each named form: v and V are 1/phi's sums weighed by chi (sbmpot.ladder)
+_FORMS = {"potential_density": (0, "exp", 0), "levy_tail": (1, "exp", 0), "levy_density": (1, "exp", 1),
+          "ladder_density": (0, "ladder_density", 0), "renewal_function": (0, "renewal_function", 0)}
+
+
 @dataclass(frozen=True)
 class _Kind:
     build: Callable  # the constructor, called with the parameters in order
     params: tuple[_Param, ...]
     evaluate: Callable  # (phi, x) -> phi(x), x real or complex
     small_exponent: Callable  # phi -> power of phi at 0+ (unkilled), or None
-    # closed forms (phi, t) -> value, read through phi.closed_form(name, t)
-    potential_density: Callable | None = None  # u(t), inverse transform of 1/phi
-    levy_density: Callable | None = None  # mu(t)
-    levy_tail: Callable | None = None  # mu(t, inf)
-    ladder_density: Callable | None = None  # v(t), inverse transform of 1/chi
-    renewal_function: Callable | None = None  # V(t), inverse transform of 1/(lam*chi)
-    drift: Callable = lambda phi: 0.0  # lim phi(lam)/lam
-    poles: Callable = lambda phi, a: None  # (w, z), 1/(phi + a) = sum w/(lam + z): masses on the cut
-    # closed kernels (phi, d, r) -> value or None: the Green function (by default over the poles of
-    # 1/phi) and the jump kernel
-    green: Callable = lambda phi, d, r: _resolvent_sum(_entry(phi.kind).poles(phi, 0.0), d, r)
-    jump: Callable = lambda phi, d, r: None
-    branch_point: Callable = lambda phi: 1.0  # the s where Im phi(-s + i0) may be singular
-    # lim lam/phi(lam) as lam -> 0+, the conjugate's killing: 0 wherever the
-    # small exponent is below 1 or phi is killed
-    conjugate_killing: Callable = lambda phi: 0.0
+    stieltjes: Callable = lambda phi, side: Stieltjes(c=phi.killing if side else 0.0)  # a density only, by default
+    shift_atoms: Callable = _shift_roots  # (phi, a) -> the atoms of 1/(phi + a), a > 0: phi(-z) = -a
+    # the s where Im phi(-s + i0) may be singular: 1, or a composite's inner kind's
+    branch_point: Callable = lambda phi: 1.0 if phi.inner is None else phi.inner.branch_point
     composite: bool = False  # wraps ``inner``; no JSON form
 
 
@@ -437,9 +469,8 @@ def _phi_log_up(phi, x):
 
 
 def _phi_log_down(phi, x):
-    lg = _log1p(x)
     with np.errstate(divide="ignore"):
-        return x ** (phi.alpha_param / 2.0) * lg ** (-phi.beta / 2.0)
+        return x ** (phi.alpha_param / 2.0) * _log1p(x) ** (-phi.beta / 2.0)
 
 
 _GEOM_BLOCK = 8192  # arguments per block of the (arguments, terms) temporary
@@ -456,6 +487,27 @@ def _phi_geometric(phi, x):
     return out.reshape(x.shape)
 
 
+def _relativistic_shift_atoms(phi, a: float):
+    # phi(-z) = (b - z)^(alpha/2) - m is real on (0, b): -a at z = b - (m - a)^(2/alpha) for a < m, with residue
+    # 1/phi'(-z) = (2/alpha) (m - a)^(2/alpha - 1).  Within 1e-6 b of b, the atom (or for a > m the density's
+    # near-singular peak) is under the rule's resolution of b: u is 1e-10 off at 1e-8 b for alpha = 1.9
+    q, m = 2.0 / phi.alpha_param, phi.m
+    if (abs(m - a) / m) ** q < 1e-6:
+        raise NumericAccuracyError(f"1/(phi + {a:g}) of {phi.label()} has a pole within 1e-6 of the branch point")
+    if a >= m:
+        return _NO_ATOMS
+    return np.array([q * (m - a) ** (q - 1.0)]), np.array([-(m**q) * math.expm1(q * math.log1p(-a / m))])
+
+
+def _killed_stieltjes(phi, side: int):
+    # phi/lam gains a/lam; 1/(phi + a) -> 1/(1/inner.a + a) at inf, 1/a at 0 (no c/lam), atoms at phi(-z) = -a
+    inner = phi.inner.stieltjes(side)
+    if side:
+        return inner._replace(c=inner.c + phi.shift)
+    return Stieltjes(inner.a / (1.0 + phi.shift * inner.a), 0.0,
+                     *_entry(phi.inner.kind).shift_atoms(phi.inner, phi.shift), inner.cut)
+
+
 def _conjugate_small_exponent(phi):
     e = phi.inner.small_exponent
     return None if e is None else 1.0 - e
@@ -469,34 +521,31 @@ KINDS: dict[str, _Kind] = {
         (_ALPHA,),
         lambda phi, x: x ** (phi.alpha_param / 2.0),
         lambda phi: phi.alpha_param / 2.0,
-        potential_density=lambda phi, t: _stable_potential(phi.alpha_param, t),
-        levy_density=lambda phi, t: _stable_levy(phi.alpha_param, t),
-        levy_tail=lambda phi, t: _stable_tail(phi.alpha_param, t),
-        ladder_density=lambda phi, t: _stable_potential(phi.alpha_param, t),
-        renewal_function=lambda phi, t: _stable_renewal(phi.alpha_param, t),
-        green=lambda phi, d, r: _riesz_green(phi.alpha_param, d, r),
-        jump=lambda phi, d, r: _riesz_jump(phi.alpha_param, d, r),
+        stieltjes=lambda phi, side: Stieltjes(closed=_stable_closed(phi.alpha_param)[side]),
     ),
     "relativistic": _Kind(
         relativistic_stable,
         (_ALPHA, _Param("m", "m")),
         _phi_relativistic,
         lambda phi: 1.0,
-        levy_density=lambda phi, t: (
-            _stable_levy(phi.alpha_param, t) * np.exp(-phi.m ** (2.0 / phi.alpha_param) * t)),
-        levy_tail=_relativistic_tail,
+        # 1/phi has c = lim lam/phi(lam) = 1/phi'(0), phi'(0) = (alpha/2) * m**((2/alpha)(alpha/2 - 1))
+        stieltjes=lambda phi, side: Stieltjes(closed={
+            ("exp", 0): partial(_relativistic_tail, phi),
+            ("exp", 1): lambda t: _stable_levy(phi.alpha_param, t) * np.exp(-phi.m ** (2.0 / phi.alpha_param) * t),
+        }) if side else Stieltjes(c=(2.0 / phi.alpha_param) * phi.m ** (
+            (2.0 / phi.alpha_param) * (1.0 - phi.alpha_param / 2.0))),
+        shift_atoms=_relativistic_shift_atoms,
         branch_point=lambda phi: phi.m ** (2.0 / phi.alpha_param),  # Im phi(-s + i0) = 0 below it
-        # 1/phi'(0), phi'(0) = (alpha/2) * m**((2/alpha)(alpha/2 - 1))
-        conjugate_killing=lambda phi: (2.0 / phi.alpha_param) * phi.m ** (
-            (2.0 / phi.alpha_param) * (1.0 - phi.alpha_param / 2.0)),
     ),
     "sum": _Kind(
         sum_of_stables,
         (_ALPHA, _Param("beta", "beta")),
         lambda phi, x: x ** (phi.alpha_param / 2.0) + x ** (phi.beta / 2.0),
         lambda phi: phi.beta / 2.0,
-        levy_density=lambda phi, t: _stable_levy(phi.alpha_param, t) + _stable_levy(phi.beta, t),
-        levy_tail=lambda phi, t: _stable_tail(phi.alpha_param, t) + _stable_tail(phi.beta, t),
+        stieltjes=lambda phi, side: Stieltjes(closed={
+            ("exp", 0): lambda t: _stable_tail(phi.alpha_param, t) + _stable_tail(phi.beta, t),
+            ("exp", 1): lambda t: _stable_levy(phi.alpha_param, t) + _stable_levy(phi.beta, t),
+        } if side else {}),
     ),
     "log_up": _Kind(
         log_perturbed_up,
@@ -516,30 +565,17 @@ KINDS: dict[str, _Kind] = {
         (_ALPHA, _Param("n", "n_terms", int, optional=True)),
         _phi_geometric,
         lambda phi: 0.0,
-        # 1/phi and phi/lam are finite sums of simple poles, so u, mu and the tail are exact
-        # exponential sums
-        potential_density=lambda phi, t: _pole_sum(phi, 0.0, t),
-        levy_density=lambda phi, t: _exp_sum(*_geometric_roots(phi.alpha_param, phi.n_terms), t, 1),
-        levy_tail=lambda phi, t: _exp_sum(*_geometric_roots(phi.alpha_param, phi.n_terms), t),
-        drift=lambda phi: 0.5 / (2.0**phi.n_terms - 1.0),  # 1/(2**(N+1) - 2)
-        poles=lambda phi, a: (_geometric_roots(phi.alpha_param, phi.n_terms, a) if a > 0.0
-                              else _geometric_terms(phi.alpha_param, phi.n_terms)),
-        jump=lambda phi, d, r: _resolvent_sum(_geometric_roots(phi.alpha_param, phi.n_terms), d, r, 1),
+        # 1/phi = sum w/(lam + b) and phi/lam = drift + killing/lam + sum over the zeros of 1/phi: atoms only
+        stieltjes=lambda phi, side: Stieltjes(0.0, 0.0, *_geometric_terms(phi.alpha_param, phi.n_terms), cut=False)
+        if side == 0 else Stieltjes(0.5 / (2.0**phi.n_terms - 1.0), phi.killing,
+                                    *_geometric_roots(phi.alpha_param, phi.n_terms), cut=False),
     ),
     "conjugate": _Kind(
         conjugate,
         (),
         lambda phi, x: x / phi.inner._eval(x),
         _conjugate_small_exponent,
-        # 1/psi = phi/lam, so u of the conjugate is phi's killing plus its Levy tail; where
-        # 1/phi = sum w/(lam + z), psi = sum w lam/(lam + z) has mu = sum w z e^(-zt)
-        potential_density=lambda phi, t: (None if (tail := phi.inner.closed_form("levy_tail", t)) is None
-                                          else tail + phi.inner.killing),
-        levy_density=lambda phi, t: _pole_sum(phi.inner, 0.0, t, 1),
-        levy_tail=lambda phi, t: _pole_sum(phi.inner, 0.0, t),
-        jump=lambda phi, d, r: _resolvent_sum(_entry(phi.inner.kind).poles(phi.inner, 0.0), d, r, 1),
-        branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
-        conjugate_killing=lambda phi: phi.inner.killing,
+        stieltjes=lambda phi, side: phi.inner.stieltjes(1 - side),  # 1/psi = phi/lam and psi/lam = 1/phi
         composite=True,
     ),
     "killed_shift": _Kind(
@@ -547,13 +583,8 @@ KINDS: dict[str, _Kind] = {
         (_Param("a", "shift"),),
         lambda phi, x: phi.inner._eval(x) + phi.shift,
         lambda phi: 0.0,
-        levy_density=lambda phi, t: phi.inner.closed_form("levy_density", t),
-        levy_tail=lambda phi, t: phi.inner.closed_form("levy_tail", t),
-        potential_density=lambda phi, t: _pole_sum(phi.inner, phi.shift, t),
-        jump=lambda phi, d, r: _entry(phi.inner.kind).jump(phi.inner, d, r),
-        drift=lambda phi: phi.inner.drift,
-        poles=lambda phi, a: _entry(phi.inner.kind).poles(phi.inner, phi.shift + a),
-        branch_point=lambda phi: _entry(phi.inner.kind).branch_point(phi.inner),
+        stieltjes=_killed_stieltjes,
+        shift_atoms=lambda phi, a: _entry(phi.inner.kind).shift_atoms(phi.inner, phi.shift + a),
         composite=True,
     ),
 }
@@ -571,38 +602,22 @@ def _entry(kind: str) -> _Kind:
 
 def default_catalog() -> list[CompleteBernsteinFunction]:
     """The instances exercised by the check suites."""
-    return [
-        stable(0.5),
-        stable(1.0),
-        stable(1.5),
-        relativistic_stable(1.0, 1.0),
-        sum_of_stables(1.0, 0.5),
-        log_perturbed_up(1.0, 0.5),
-        log_perturbed_down(1.0, 0.5),
-        geometric_like(1.0, 64),
-    ]
+    return [stable(0.5), stable(1.0), stable(1.5), relativistic_stable(1.0, 1.0), sum_of_stables(1.0, 0.5),
+            log_perturbed_up(1.0, 0.5), log_perturbed_down(1.0, 0.5), geometric_like(1.0, 64)]
 
 
 # ---- pointwise operations ------------------------------------------------
 
 
-# name -> rho(phi(-s + i0), s) of a form (1/pi) int_0^inf e^(-ts) rho ds; u's is not Im phi/|phi|^2: it underflows
-_CUT_FORMS = {
-    "potential_density": lambda v, s: -(1.0 / v).imag,
-    "levy_density": lambda v, s: v.imag,
-    "levy_tail": lambda v, s: v.imag / s,
-}
-
-
 def eval_levy_density(phi: CompleteBernsteinFunction, t):
-    """Levy density mu(t) of phi: the closed form where the catalog has one, else (1/pi) int_0^inf e^(-ts)
-    Im phi(-s + i0) ds on the real-axis rule, each t certified to relative 1e-9 (NumericAccuracyError beyond)."""
+    """Levy density mu(t) of phi: the closed form where the catalog has one, else sum w z e^(-zt) over the atoms
+    of phi/lam plus (1/pi) int_0^inf e^(-ts) Im phi(-s + i0) ds, each t certified to relative 1e-9."""
     return phi.forms(("levy_density",), t)[0]
 
 
 def levy_tail(phi: CompleteBernsteinFunction, t):
-    """Tail mass mu(t, inf): the closed form where available, else
-    (1/pi) int_0^inf e^(-ts) Im phi(-s + i0)/s ds, certified as the Levy density is."""
+    """Tail mass mu(t, inf): the closed form where available, else sum w e^(-zt) over the atoms of phi/lam
+    plus (1/pi) int_0^inf e^(-ts) Im phi(-s + i0)/s ds, certified as the Levy density is."""
     return phi.forms(("levy_tail",), t)[0]
 
 
@@ -618,23 +633,6 @@ def check_levy_shift_bound(phi: CompleteBernsteinFunction) -> ShiftBoundReport:
     grid = np.geomspace(2.0, 64.0, 12)
     ratios = np.atleast_1d(eval_levy_density(phi, grid)) / np.atleast_1d(eval_levy_density(phi, grid + 1.0))
     return ShiftBoundReport(grid=grid, ratios=ratios, max_ratio=float(np.max(ratios)))
-
-
-@dataclass(frozen=True)
-class RegVarProfile:
-    """phi as lam**(alpha/2) times the slowly varying factor ell."""
-
-    alpha: float
-    ell: Callable
-
-
-def reg_var_profile(phi: CompleteBernsteinFunction) -> RegVarProfile:
-    """Extract (alpha, ell) with ell(lam) = phi(lam)/lam**(alpha/2)."""
-    def ell(lam):
-        lam = np.asarray(lam, dtype=float)
-        return phi(lam) / lam ** (phi.alpha / 2.0)
-
-    return RegVarProfile(alpha=phi.alpha, ell=ell)
 
 
 # ---- complete monotonicity probes -----------------------------------------

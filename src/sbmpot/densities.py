@@ -1,13 +1,13 @@
 """Potential and Levy densities of a subordinator on the real axis.
 
 The potential measure U of a subordinator with Laplace exponent phi has
-Laplace transform 1/phi, a Stieltjes function, so u is an atom
-c = lim lam/phi(lam) plus (1/pi) int_0^inf e^(-ts) (-Im 1/phi(-s + i0)) ds, on
-the real-axis rule of :mod:`sbmpot.laplace`.  Where a kind has a closed form
-(the potential density of the stable and geometric kinds, the Levy density of
-several) it comes from the kind registry.  ``phi.forms`` picks the one or the
-other, and takes u, mu and the tail of :func:`density_table` on one
-evaluation of phi per node.
+Laplace transform 1/phi, a Stieltjes function, so u is a constant
+c = lim lam/phi(lam) plus a sum over the atoms of 1/phi's measure plus
+(1/pi) int_0^inf e^(-ts) (-Im 1/phi(-s + i0)) ds, on the real-axis rule of
+:mod:`sbmpot.laplace`.  Where a kind has a closed form (u of the stable kind,
+the Levy density of several) it comes from the kind registry.  ``phi.forms``
+picks the one or the other, and takes u, mu and the tail of
+:func:`density_table` on one evaluation of phi per node.
 
 The bound checks implemented here are the two sides of the small-time
 comparison u(t) ~ 1/(t*phi(1/t)):
@@ -48,7 +48,7 @@ ZAHLE_BOUND = 1.0 / (1.0 - math.exp(-1.0))
 
 def potential_density_u(phi: CompleteBernsteinFunction, t):
     """Potential density u(t), the density of the occupation measure of the subordinator: the kind's closed
-    form, else the atom plus the real-axis integral of -Im(1/phi), each t certified to relative 1e-9."""
+    form, else c plus the sum of 1/phi's measure, its integral of -Im(1/phi) certified to relative 1e-9."""
     return phi.forms(("potential_density",), t)[0]
 
 

@@ -11,12 +11,11 @@ kernel becomes the Brownian resolvent, and each kernel is one positive real-axis
     (2 pi)^(-d/2) r^(2-d) (1/pi) int_0^inf k_d(r^2 s) rho(s) ds,
 
 with rho = -Im 1/phi(-s + i0) for G and rho = Im phi(-s + i0) for j, and k_d the kernel of
-:func:`sbmpot.laplace.resolvent_kernel`.  u's constant c = lim lam/phi(lam) adds the atom
-c Gamma(d/2 - 1)/(4 pi^(d/2) r^(d-2)) to G in d >= 3.  :func:`subordination_integral` runs the
-integral on :func:`sbmpot.laplace.real_axis_integral` for a whole radius grid at once, phi evaluated
-once per node, each radius certified to relative 1e-9 and independent of its grid bit for bit.
-A kind with closed kernels has them from the kind registry: Riesz's for the stable kind, sums
-over the poles of the geometric kind's cut of point masses, which the rule refuses.
+:func:`sbmpot.laplace.resolvent_kernel`, plus sums of resolvents over the atoms of phi's Stieltjes
+measures (:meth:`sbmpot.bernstein.CompleteBernsteinFunction.sums`; Riesz's closed kernels for the stable
+kind).  u's constant c = lim lam/phi(lam) adds c Gamma(d/2 - 1)/(4 pi^(d/2) r^(d-2)) to G in d >= 3.
+phi is evaluated once per node for a whole radius grid, each radius certified to relative 1e-9 and
+independent of its grid bit for bit; :func:`subordination_integral` is that integral for any rho.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import laplace
-from .bernstein import KINDS, CompleteBernsteinFunction
+from .bernstein import CompleteBernsteinFunction
 from .densities import RatioWindow
 from .errors import EvaluationDomainError, NotTransientError, NumericAccuracyError, UndecidableError
 from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
@@ -109,17 +108,17 @@ def subordination_integral(rho: Callable, d: int, r, b: float = 1.0):
         return _finite((2.0 * math.pi) ** (-d / 2.0) * np.ravel(radii) ** (2.0 - d) * values, radii)
 
 
-def _kernel(phi: CompleteBernsteinFunction, d: int, r, name: str, rho: Callable, atom: float):
-    """The kind's closed kernel ``name`` at the radii r, else the subordination integral of rho on phi's cut
-    plus the atom of u's constant ``atom``."""
-    radii = np.ravel(_radii(d, r))
-    entry = KINDS[phi.kind]
+def _kernel(phi: CompleteBernsteinFunction, d: int, r, side: int, power: int):
+    """(2 pi)^(-d/2) r^(2-d) times the sum of phi's measure ``side`` with t = r^2 and the resolvent kernel (closed
+    where the measure has it), plus the term of its constant c for p = 0, int_0^inf p(t, r) c dt."""
+    radii, kernel, m = np.ravel(_radii(d, r)), laplace.resolvent_kernel(d), phi.stieltjes(side)
+    if (closed := m.closed.get(("resolvent", power))) is None and m.cut:
+        laplace.check_reach(kernel, phi.branch_point, radii, "r", 2)
     with np.errstate(over="ignore"):
-        values = getattr(entry, name)(phi, d, radii)
-        if values is None:
-            values = subordination_integral(lambda s: rho(phi._eval(-s + 0j)), d, radii, entry.branch_point(phi))
-            if atom > 0.0:  # u's constant c: int_0^inf p(t, r) c dt
-                values = values + atom * math.gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0)) * radii ** (2.0 - d)
+        values = closed(d, radii) if closed else (
+            (2.0 * math.pi) ** (-d / 2.0) * radii ** (2.0 - d) * phi.sums([(side, power)], radii**2, kernel)[0])
+        if m.c > 0.0 and power == 0:
+            values = values + m.c * math.gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0)) * radii ** (2.0 - d)
     return _finite(values, np.asarray(r, dtype=float))
 
 
@@ -127,12 +126,12 @@ def green_function(phi: CompleteBernsteinFunction, d: int, r):
     """G(x) at |x| = r, a radius or an array of them: subordination integral of the potential density."""
     if not transience_check(phi, d):
         raise NotTransientError(f"{phi.label()} is not transient in d={d}")
-    return _kernel(phi, d, r, "green", lambda v: -(1.0 / v).imag, KINDS[phi.kind].conjugate_killing(phi))
+    return _kernel(phi, d, r, 0, 0)
 
 
 def jump_kernel(phi: CompleteBernsteinFunction, d: int, r):
     """j(r), a radius or an array of them: subordination integral of the Levy density; no transience needed."""
-    return _kernel(phi, d, r, "jump", lambda v: v.imag, 0.0)
+    return _kernel(phi, d, r, 1, 1)
 
 
 def _small_radii(r_grid) -> np.ndarray:

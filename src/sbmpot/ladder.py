@@ -15,14 +15,16 @@ exponent analytically (using int log(th)/(1+th^2) dth = 0), leaving only the
 slowly varying part under the integral.  It holds for lam > 0 only, but
 Wiener-Hopf for psi(xi) = phi(xi^2) gives chi(lam) chi(-lam) = phi(-lam^2), so
 the Stieltjes function 1/chi has the cut density chi(s) (-Im 1/phi(-s^2 + i0))
-(Kwasnicki, Studia Math. 206, 2011): v and V are real-axis integrals, or sums
-over the poles of 1/phi.  Kinds whose v and V have closed forms (the stable
-kind, where chi(lam) = lam^(alpha/2)) take them from the kind registry
-instead.  The doubly exponential nodes on (0, 1) of ``_de_rule`` (Takahasi &
-Mori, Publ. RIMS 9, 1974), exact at both ends, serve chi as one fixed rule and
-the half-line convolution as one rule, certified against its every other node
-by the shared driver, :func:`sbmpot.laplace.halving_trapezoid`, on v taken up
-front.  v is completely monotone, so off the diagonal the convolution's head
+(Kwasnicki, Studia Math. 206, 2011), and each atom w/(lam + z) of 1/phi gives
+1/chi the atom chi(sqrt z) w/(2 sqrt z): v and V are the sums of 1/phi's
+measure so weighed (:meth:`sbmpot.bernstein.CompleteBernsteinFunction.sums`).
+Kinds whose v and V have closed forms (the stable kind, where chi(lam) =
+lam^(alpha/2)) take them from the kind registry instead.  The doubly
+exponential nodes on (0, 1) of ``_de_rule`` (Takahasi & Mori, Publ. RIMS 9,
+1974), exact at both ends, serve chi as one fixed rule and the half-line
+convolution as one rule, certified against its every other node by the shared
+driver, :func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.  v is
+completely monotone, so off the diagonal the convolution's head
 int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c) [v(gap+z_c), v(gap)]: with z_c =
 1e-12 min(x^y, gap), v's arguments stay where the real-axis rule certifies at
 its second level, and one chi sweep of its nodes serves v and V(z_c) alike.
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import laplace
-from .bernstein import KINDS, CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
+from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
 from .errors import EvaluationDomainError, NumericAccuracyError
 from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
 
@@ -143,26 +145,21 @@ def _chi_on_cut(phi: CompleteBernsteinFunction, lam):
 
 def _renewal(phi: CompleteBernsteinFunction, names, ts) -> list:
     """The ladder objects ``names`` ("ladder_density" v, "renewal_function" V), each at its own t of ``ts``:
-    closed forms, else sums over the poles z of 1/phi = sum w/(lam + z), else integrals on phi's cut in z = s^2
-    (sqrt z, unlike s, stays in chi's float range), chi taken once per pole or node for all; c_v = lim lam/chi
-    = sqrt(lim lam/phi).  A t whose t^2 the real-axis rule does not reach is refused in t."""
+    closed forms, else the sums of 1/chi's measure in z = s^2 (sqrt z, unlike s, stays in chi's float range),
+    1/phi's atoms and density weighed by chi(sqrt z)/(2 sqrt z), chi taken once per atom or node for all, plus
+    c_v = lim lam/chi = sqrt(lim lam/phi).  A t whose t^2 the real-axis rule does not reach is refused in t."""
     closed = [phi.closed_form(name, t) for name, t in zip(names, ts)]
     if all(value is not None for value in closed):
         return closed
     flat = [np.ravel(np.asarray(t, dtype=float)) for t in ts]
     squares = [laplace.squares(tt, "t of v and V") for tt in flat]
-    entry, kernels = KINDS[phi.kind], [_RENEWAL_KERNELS[name] for name in names]
-    atom = math.sqrt(entry.conjugate_killing(phi))
-    if (poles := entry.poles(phi, 0.0)) is not None:  # the cut's density is point masses pi*c at z
-        w, z = (x[np.isfinite(poles[1])] for x in poles)
-        c = w * _chi_on_cut(phi, np.sqrt(z)) / (2.0 * np.sqrt(z))
-        with np.errstate(over="ignore"):  # a Tz past the float range gives the kernel's 0
-            rows = [k.f(np.multiply.outer(tt2, z)) @ c for k, tt2 in zip(kernels, squares)]
-    else:
+    kernels, m = [_RENEWAL_KERNELS[name] for name in names], phi.stieltjes(0)
+    if m.cut:
         for k, tt in zip(kernels, flat):
-            laplace.check_reach(k, entry.branch_point(phi), tt, "t", 2)
-        rows = phi.cut_integral(lambda v, z: _chi_on_cut(phi, np.sqrt(z)) * -(1.0 / v).imag / (2.0 * np.sqrt(z)),
-                                squares, kernels)
+            laplace.check_reach(k, phi.branch_point, tt, "t", 2)
+    rows = phi.sums([(0, 0)] * len(names), squares, kernels,
+                    weight=lambda z, x: _chi_on_cut(phi, np.sqrt(z)) * x / (2.0 * np.sqrt(z)))
+    atom = math.sqrt(m.c)
     out = [(atom + row if name == "ladder_density" else tt * (atom + row)).reshape(np.shape(t))
            for name, t, tt, row in zip(names, ts, flat, rows)]
     return [x if np.ndim(t) else float(x) for x, t in zip(out, ts)]
@@ -170,13 +167,13 @@ def _renewal(phi: CompleteBernsteinFunction, names, ts) -> list:
 
 def _renewal_reach(phi: CompleteBernsteinFunction) -> tuple[float, float]:
     """The t at which _renewal takes v and V: every positive t for closed forms, else those whose t^2 is a normal
-    float, on the cut only those whose t^2 the real-axis rule reaches too."""
+    float, for a measure with a density only those whose t^2 the real-axis rule reaches too."""
     if all(phi.closed_form(name, 1.0) is not None for name in _RENEWAL_KERNELS):
         return 0.0, math.inf
-    (lo, hi), entry = _NORMAL, KINDS[phi.kind]
-    if entry.poles(phi, 0.0) is None:
+    lo, hi = _NORMAL
+    if phi.stieltjes(0).cut:
         for k in _RENEWAL_KERNELS.values():
-            k_lo, k_hi = laplace.reach(k, entry.branch_point(phi))
+            k_lo, k_hi = laplace.reach(k, phi.branch_point)
             lo, hi = max(lo, k_lo), min(hi, k_hi)
     return math.sqrt(lo), math.sqrt(hi)
 
@@ -200,7 +197,7 @@ def renewal_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarra
 
 # targets of the halfline convolution; its DE rule has step 2^-_HALFLINE_LEVELS over |kh| <= _HALFLINE_REACH on
 # z above z_c, (x^y)*_HALFLINE_Z_FLOOR on the diagonal and _HALFLINE_HEAD*min(x^y, gap) off it, and above
-# _HALFLINE_Z_MIN, where v's t^2 is within the real-axis rule's reach
+# _HALFLINE_Z_MIN and the lowest t of v's reach, where v's t^2 is within the real-axis rule's reach
 _HALFLINE_EPSABS, _HALFLINE_EPSREL = 1e-10, 1e-9
 _HALFLINE_REACH, _HALFLINE_LEVELS, _HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN = 4, 6, 1e-60, 1e-66
 _HALFLINE_HEAD = 1e-12
@@ -211,10 +208,10 @@ def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
 
     With lo = x^y and z = lo*s^p, p the inverse of the integrand's power at z = 0 (2/alpha off the
     diagonal, 1/(alpha-1) on it), the integrand in s is bounded at 0.  A DE rule of step 2^-6 covers (s_c, 1),
-    z(s_c) = z_c above _HALFLINE_Z_MIN and at most lo*1e-5, on v taken once at its nodes, and is certified
-    against the rule of step 2^-5 on every other node.  Off the diagonal z_c = 1e-12*min(lo, gap), and v is
-    completely monotone, so the head int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c)*[v(gap+z_c), v(gap)]: the
-    fine sum closes with the bracket's midpoint, the coarse one with its end, V(z_c) from the same chi values
+    z(s_c) = z_c above _HALFLINE_Z_MIN and v's lowest t and at most lo*1e-5, on v taken once at its nodes, and
+    is certified against the rule of step 2^-5 on every other node.  Off the diagonal z_c = 1e-12*min(lo, gap),
+    and v is completely monotone, so the head int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c)*[v(gap+z_c), v(gap)]:
+    the fine sum closes with the bracket's midpoint, the coarse one with its end, V(z_c) from the same chi values
     as v.  On the diagonal z_c = lo*1e-60, and the power law measured at s_c and sqrt(s_c), half the decades of
     z up to lo apart so that v's round-off stays out of it, closes (0, s_c).  The diagonal with alpha <= 1
     diverges: +inf, not an error.  v's arguments run from at most 1e-5 x^y up to x v y, so x^y under 1e5 times
@@ -226,13 +223,14 @@ def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
         return math.inf
     # arguments the rule chose out of v's reach are a failure of the rule, not of the caller's x and y
     t_lo, t_hi = _renewal_reach(phi)
+    t_lo *= 1.0 + 1e-9  # a margin for the rounding of z = lo*s^p at s_c, below
     refusal = (f"halfline Green reaches x and y in [{1e5 * t_lo:.3g}, {t_hi:.3g}] for {phi.label()}, "
                f"not {x:g} and {y:g}")
     if not (1e5 * t_lo <= lo and gap + lo <= t_hi):
         raise NumericAccuracyError(refusal)
     p = 1.0 / (phi.alpha - 1.0) if gap == 0.0 else 2.0 / phi.alpha
     ratio = _HALFLINE_HEAD * min(1.0, gap / lo) if gap else _HALFLINE_Z_FLOOR  # z_c/lo, before the floor
-    s_c = min(max(ratio, _HALFLINE_Z_MIN / lo), 1e-5) ** (1.0 / p)
+    s_c = min(max(ratio, max(_HALFLINE_Z_MIN, t_lo) / lo), 1e-5) ** (1.0 / p)
     sig, _, w = _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0 - s_c)
     s = s_c + (1.0 - s_c) * sig
     try:  # v's t^2 may still round out of the float range at the reach's very end: converted as in _chi_on_cut

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbmpot import bernstein, kernels, laplace
+from sbmpot import bernstein, densities, kernels, laplace
 from sbmpot.errors import ConstructionError, NumericAccuracyError, UnsupportedKindError
 from sbmpot.montecarlo import _compound_tables
 
@@ -41,6 +41,19 @@ def test_killed_shift_requires_positive_rate():
     assert killed(1.0) == pytest.approx(1.25)
 
 
+def test_bad_mass_or_killing_rate_is_refused():
+    # a mass or rate that is not finite, or a branch point m^(2/alpha) out of the normal float range, is a
+    # construction error, not nan values, an OverflowError or a rule that reaches no t later
+    for m in (math.nan, math.inf, -1.0, 1e300, 1e-200):
+        with pytest.raises(ConstructionError):
+            bernstein.relativistic_stable(1.0, m)
+    with pytest.raises(ConstructionError):
+        bernstein.relativistic_stable(1.5, 1e250)
+    for a in (math.nan, math.inf, 0.0):
+        with pytest.raises(ConstructionError):
+            bernstein.killed_shift(bernstein.stable(1.0), a)
+
+
 def test_concavity_scaling_property(catalog, lam_grid):
     # phi concave with phi(0) >= 0 forces phi(c*lam) <= c*phi(lam) for c >= 1
     for phi in catalog:
@@ -60,20 +73,31 @@ def test_conjugate_involution(catalog):
 
 
 def test_conjugate_killing_default_needs_a_small_exponent_below_one(catalog):
-    # a kind without a closed conjugate killing gets 0, which is the limit
+    # a kind that declares no constant c/lam for 1/phi gets 0, which is the limit
     # of lam/phi(lam) only if phi's small exponent is below 1 or phi is
     # killed: check every catalog entry and its killed form (the conjugate
     # of a conjugate unwraps and reads no killing)
-    default = bernstein._Kind.conjugate_killing
+    default = bernstein._Kind.stieltjes
     for phi in catalog + [bernstein.killed_shift(phi, 0.5) for phi in catalog]:
-        if bernstein.KINDS[phi.kind].conjugate_killing is default:
+        if bernstein.KINDS[phi.kind].stieltjes is default:
             assert phi.small_exponent < 1.0 or phi.killing > 0.0, phi.label()
             assert bernstein.conjugate(phi).killing == 0.0, phi.label()
-    assert bernstein.KINDS["relativistic"].conjugate_killing is not default
+    assert bernstein.KINDS["relativistic"].stieltjes is not default
     # relativistic: 1/phi'(0), here 2 m**(2/alpha - 1) = 2
     rel = bernstein.relativistic_stable(1.0, 1.0)
-    assert bernstein.conjugate(rel).killing == 2.0
+    assert bernstein.conjugate(rel).killing == 2.0 == rel.stieltjes(0).c
     assert 1e-7 / float(rel(1e-7)) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_conjugate_swaps_the_two_measures(catalog):
+    # 1/psi = phi/lam and psi/lam = 1/phi: side s of the conjugate is side 1 - s of phi, constants and atoms too
+    for phi in catalog + [bernstein.killed_shift(bernstein.geometric_like(1.0), 0.5)]:
+        psi = bernstein.conjugate(phi)
+        for side in (0, 1):
+            mine, theirs = psi.stieltjes(side), phi.stieltjes(1 - side)
+            assert (mine.a, mine.c, mine.cut) == (theirs.a, theirs.c, theirs.cut), phi.label()
+            assert np.array_equal(mine.w, theirs.w) and np.array_equal(mine.z, theirs.z), phi.label()
+        assert psi.killing == phi.stieltjes(0).c and psi.drift == phi.stieltjes(0).a
 
 
 def test_conjugate_identity_product():
@@ -220,27 +244,27 @@ def test_conjugate_relativistic_levy_density_is_never_negative():
 
 
 def test_geometric_composites_are_closed_pole_sums():
-    # the cut of these composites carries point masses only, which the
-    # real-axis rule cannot see: 1/(phi + a) = sum w/(lam + z) over the roots of
-    # 1 + a/phi, and psi = lam/phi = sum w lam/(lam + b) has mu = sum w b e^(-bt);
-    # each agrees with the Talbot inversion of its transform
+    # the cut of these composites carries atoms only, which the real-axis rule
+    # cannot see: 1/(phi + a) = sum w/(lam + z) over the roots of 1 + a/phi,
+    # and psi = lam/phi = sum w lam/(lam + b) has mu = sum w b e^(-bt); each agrees
+    # with the Talbot inversion of its transform
     geo = bernstein.geometric_like(1.0)
     lam = np.geomspace(1e-3, 1e9, 25)
     for phi, a in ((geo, 0.5), (geo, 1e-6), (geo, 1e3), (bernstein.killed_shift(geo, 0.25), 0.25)):
-        w, z = bernstein.KINDS[phi.kind].poles(phi, a)
-        np.testing.assert_allclose(np.sum(w / (lam[:, None] + z), axis=-1), 1.0 / (phi(lam) + a), rtol=1e-12)
+        m = bernstein.killed_shift(phi, a).stieltjes(0)
+        assert not m.cut and m.c == 0.0
+        np.testing.assert_allclose(np.sum(m.w / (lam[:, None] + m.z), axis=-1), 1.0 / (phi(lam) + a), rtol=1e-12)
     t = np.array([0.1, 1.0])
     killed, psi = bernstein.killed_shift(geo, 0.5), bernstein.conjugate(geo)
-    np.testing.assert_allclose(killed.closed_form("potential_density", t),
+    np.testing.assert_allclose(densities.potential_density_u(killed, t),
                                laplace.talbot_inversion(lambda s: 1.0 / killed(s), t), rtol=1e-8)
     np.testing.assert_allclose(bernstein.levy_tail(psi, t), laplace.talbot_inversion(lambda s: psi(s) / s, t),
                                rtol=1e-8)
     np.testing.assert_allclose(bernstein.eval_levy_density(psi, t), -laplace.talbot_inversion(psi._eval, t),
                                rtol=1e-8)
-    # an inner kind without a pole form keeps the rule, which refuses a cut of point masses
-    assert bernstein.conjugate(bernstein.stable(1.0)).closed_form("levy_tail", t) is None
-    with pytest.raises(NumericAccuracyError, match="point masses"):
-        bernstein.levy_tail(bernstein.conjugate(bernstein.killed_shift(psi, 0.5)), t)
+    # the conjugate of a kind with a cut keeps it, and swaps the closed forms of the two sides
+    assert bernstein.conjugate(bernstein.stable(1.0)).closed_form("levy_tail", t) is not None
+    assert bernstein.conjugate(bernstein.stable(1.0)).closed_form("levy_density", t) is None
 
 
 @pytest.mark.parametrize("phi", [bernstein.log_perturbed_up(1.0, 0.5), bernstein.log_perturbed_down(1.0, 0.5)],
@@ -310,19 +334,11 @@ def test_levy_shift_bound(catalog):
         if phi.kind == "geometric_example":
             # mu is the exponential sum sum c_k z_k e^(-z_k t), whose ratio
             # rises to e^(z_1) and is there at the last point t = 64
-            z_1 = bernstein._geometric_roots(phi.alpha_param, phi.n_terms)[1][0]
+            z_1 = phi.stieltjes(1).z[0]
             assert rep.max_ratio == pytest.approx(math.exp(z_1), rel=1e-12)
         if phi.kind == "stable":
             # mu(t)/mu(t+1) = ((t+1)/t)^(1+alpha/2), largest at the first point t = 2
             assert rep.max_ratio == pytest.approx(1.5 ** (1.0 + phi.alpha / 2.0), rel=1e-12)
-
-
-def test_reg_var_profile_log_up():
-    phi = bernstein.log_perturbed_up(1.0, 0.5)
-    prof = bernstein.reg_var_profile(phi)
-    lam = 1e8
-    ell_ratio = prof.ell(2.0 * lam) / prof.ell(lam)
-    assert abs(ell_ratio - 1.0) < 1e-2
 
 
 def test_complete_monotonicity_probes():

@@ -625,6 +625,10 @@ def test_ladder_ops_on_wide_grids_and_pole_kinds_pass(capsys, argv):
     *[["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", r]
       for r in ("1e-200", "1e160")],
     ["check", "doubling", "--kind", "stable", "--alpha", "1", "--dim", "1", "--K", "1e160"],
+    # a relativistic mass that is not finite, or whose branch point m^(2/alpha) leaves the normal float range
+    *[["phi", "--kind", "relativistic", "--alpha", "1", "--m", m, "--lmin", "1", "--lmax", "2", "--points", "2"]
+      for m in ("nan", "inf", "1e300")],
+    ["density", "--kind", "relativistic", "--alpha", "1", "--m", "1e-200", "--t", "1"],
     # a point together with either bound of its range
     *[[*cmd, "--kind", "stable", "--alpha", "1", point, "1", bound, "2"]
       for cmd, point, bounds in ((["phi"], "--lambda", ("--lmin", "--lmax")),

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, erfcx
 
 from sbmpot import bernstein, densities, laplace
+from sbmpot.errors import NumericAccuracyError
 
 
 def test_stable_potential_density_closed_form():
@@ -29,13 +30,16 @@ def test_relativistic_potential_density_oracle(m):
 
 
 def test_killed_relativistic_potential_density_past_the_batch_peak():
-    # phi = sqrt(lam + 1): u = exp(-t)/sqrt(pi t), 2.1e-45 at t = 100, where a
-    # contour rule's batch floor wrote 5.2e-13; the nodes dropped next to the
-    # branch point cost 3.8e-7 there
-    phi = bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 1.0)
+    # phi = sqrt(lam + 1) + 1/2: u = e^(-t) (1/sqrt(pi t) - erfcx(sqrt(t)/2)/2), 4.0e-47 at t = 100,
+    # where a contour rule's batch floor wrote 5.2e-13
+    phi = bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 1.5)
     t = np.array([1.0, 10.0, 100.0])
-    np.testing.assert_allclose(densities.potential_density_u(phi, t), np.exp(-t) / np.sqrt(np.pi * t),
-                               rtol=1e-6)
+    exact = np.exp(-t) * (1.0 / np.sqrt(np.pi * t) - 0.5 * erfcx(0.5 * np.sqrt(t)))
+    np.testing.assert_allclose(densities.potential_density_u(phi, t), exact, rtol=1e-9)
+    # at a = m, phi = sqrt(lam + 1), the pole of 1/(phi + a) sits on the branch point, where the
+    # singular density c (s - 1)^(-1/2) loses 3.8e-7 to the nodes dropped next to it at t = 100: refused
+    with pytest.raises(NumericAccuracyError, match="branch point"):
+        densities.potential_density_u(bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 1.0), t)
 
 
 def test_conjugate_potential_density_carries_the_atom():
@@ -45,8 +49,8 @@ def test_conjugate_potential_density_carries_the_atom():
     t = np.geomspace(1e-3, 1e3, 7)
     exact = 1.0 / np.sqrt(np.pi * t) + 0.5
     np.testing.assert_allclose(densities.potential_density_u(psi, t), exact, rtol=1e-12)
-    assert bernstein.KINDS["conjugate"].conjugate_killing(psi) == 0.5
-    rule = 0.5 + psi.cut_integral(lambda v, s: -(1.0 / v).imag, t)
+    assert psi.stieltjes(0).c == 0.5
+    rule = 0.5 + psi.sums([(0, 0)], t)[0]
     np.testing.assert_allclose(rule, exact, rtol=1e-12)
 
 
@@ -77,18 +81,18 @@ KIND_EXAMPLES = {
 @pytest.mark.parametrize("kind", list(bernstein.KINDS))
 def test_closed_mode_raises_exactly_without_a_closed_form(kind):
     # u is the kind's closed form exactly where the registry has one that gives
-    # a value (a composite's may give None, as killed_shift's does for a stable
-    # inner kind), and the atom plus the real-axis integral of -Im 1/phi, same
-    # bits, everywhere else, which the Talbot inversion of 1/phi confirms to its 1e-6
+    # a value (a conjugate's is its inner kind's closed tail, killed_shift's none),
+    # and the sum of 1/phi's measure, same bits, everywhere else, which the Talbot
+    # inversion of 1/phi confirms to its 1e-6; both with 1/phi's constant c/lam
     phi = KIND_EXAMPLES[kind]
     t = np.array([0.1, 1.0])
     closed = phi.closed_form("potential_density", t)
-    assert closed is None or bernstein.KINDS[kind].potential_density is not None
+    assert (closed is None) == (("exp", 0) not in phi.stieltjes(0).closed)
     if closed is None:
-        closed = (bernstein.KINDS[kind].conjugate_killing(phi)
-                  + phi.cut_integral(lambda v, s: -(1.0 / v).imag, t))
-        np.testing.assert_allclose(closed, laplace.talbot_inversion(lambda s: 1.0 / phi(s), t), rtol=1e-6)
-    assert np.array_equal(densities.potential_density_u(phi, t), closed)
+        closed = phi.sums([(0, 0)], t)[0]
+        np.testing.assert_allclose(closed + phi.stieltjes(0).c, laplace.talbot_inversion(lambda s: 1.0 / phi(s), t),
+                                   rtol=1e-6)
+    assert np.array_equal(densities.potential_density_u(phi, t), closed + phi.stieltjes(0).c)
     assert isinstance(densities.potential_density_u(phi, 0.5), float)
 
 
@@ -186,19 +190,33 @@ def _same_bits(a: float, b: float) -> bool:
     return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
 
 
+_SIDES = {"potential_density": (0, 0), "levy_density": (1, 1)}
+
+
+def _registry_form(phi, name, t):
+    # a kind's closed form, or the exact sum of exponentials of a measure with atoms only
+    side, p = _SIDES[name]
+    if (closed := phi.closed_form(name, t)) is not None or phi.stieltjes(side).cut:
+        return closed
+    m = phi.stieltjes(side)
+    return bernstein._exp_sum(m.w, m.z, np.asarray(t, dtype=float), p)
+
+
 @pytest.mark.parametrize("kind, name", [
     (kind, name) for kind in bernstein.KINDS for name in ("potential_density", "levy_density")
-    if KIND_EXAMPLES[kind].closed_form(name, 1.0) is not None])
+    if _registry_form(KIND_EXAMPLES[kind], name, 1.0) is not None])
 def test_closed_form_weight_has_the_registry_bits(kind, name):
-    # the entry points for u and mu return a kind's closed form with its bits
+    # the entry points for u and mu return a kind's closed form, or the sum over the atoms of a measure
+    # that has no density, with its bits (1/phi's constant c, which u adds, is 0 for all of these)
     phi = KIND_EXAMPLES[kind]
     entry = {"potential_density": densities.potential_density_u, "levy_density": bernstein.eval_levy_density}[name]
+    assert name == "levy_density" or phi.stieltjes(0).c == 0.0
 
     def weight(t):
         return entry(phi, t)
 
     ts = np.array(np.geomspace(1e-6, 1e6, 2001).tolist() + [math.pi, 1.0])
     # on an array and on each t alone
-    assert weight(ts).view(np.uint64).tolist() == phi.closed_form(name, ts).view(np.uint64).tolist()
+    assert weight(ts).view(np.uint64).tolist() == _registry_form(phi, name, ts).view(np.uint64).tolist()
     for t in ts.tolist():
-        assert _same_bits(weight(t), phi.closed_form(name, t)), (kind, t)
+        assert _same_bits(weight(t), _registry_form(phi, name, t)), (kind, t)

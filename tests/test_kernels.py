@@ -276,8 +276,9 @@ def test_unresolved_kink_is_refused(monkeypatch, capsys):
     with pytest.raises(NumericAccuracyError, match="step halvings"):
         kernels.subordination_integral(_kinked_density, 3, 1.0)
     # through the CLI the refusal is exit 3, with nothing written
-    rule = kernels.subordination_integral
-    monkeypatch.setattr(kernels, "subordination_integral", lambda rho, d, r, b=1.0: rule(_kinked_density, d, r))
+    rule = laplace.real_axis_integral
+    monkeypatch.setattr(laplace, "real_axis_integral",
+                        lambda rho, t, b=1.0, kernel=None: rule(lambda s: [_kinked_density(s)], t, 1.0, kernel))
     rc = cli.main(["kernel", "--kind", "log_up", "--alpha", "1", "--dim", "3", "--r", "1"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""

@@ -231,14 +231,14 @@ def test_halfline_green_geometric_certified_on_the_finest_level():
 
 @pytest.mark.parametrize("alpha, x, y", [(0.5, 0.2, 3.0), (1.0, 1.0, 2.0), (1.6, 1.0, 1.001), (1.6, 1.0, 1.000001)])
 def test_halfline_green_of_a_pole_sum_is_its_closed_convolution(alpha, x, y):
-    # v = a + sum c_i e^(-r_i t) over the poles z_i = r_i^2 of 1/phi, so
+    # v = a + sum c_i e^(-r_i t) over the atoms z_i = r_i^2 of 1/phi, so
     # int_0^lo v(z) v(gap + z) dz is a closed double sum of exponentials
     phi = bernstein.phi_from_json({"kind": "geometric_example", "alpha": alpha})
-    entry, lo, gap = bernstein.KINDS[phi.kind], min(x, y), abs(y - x)
-    w, z = entry.poles(phi, 0.0)
+    m, lo, gap = phi.stieltjes(0), min(x, y), abs(y - x)
+    w, z = m.w, m.z
     r = np.sqrt(z[np.isfinite(z)])
     c = w[np.isfinite(z)] * ladder.ladder_exponent_chi(phi, r) / (2.0 * r)
-    a = math.sqrt(entry.conjugate_killing(phi))
+    a = math.sqrt(m.c)
     head = -np.expm1(-lo * r) / r
     rs = r[:, None] + r[None, :]
     expect = (a * a * lo + a * (c * head * (1.0 + np.exp(-gap * r))).sum()
@@ -265,6 +265,19 @@ def test_halfline_green_refusals_state_the_reach_in_x_and_y(phi, x, y, reach):
         ladder.halfline_green(phi, x, y)
     # the stable kind's closed v reaches every x
     assert ladder.halfline_green(bernstein.stable(phi.alpha), x, y) > 0.0
+
+
+def test_halfline_green_holds_its_stated_reach_in_x(capsys):
+    # relativistic alpha = 1, m = 1e-10: v reaches t down to 1.1e-59 only, above _HALFLINE_Z_MIN = 1e-66, so
+    # z_c is floored at that reach and every x the refusal states is taken (x = 1e-50 exited 3, as z_c = 1e-62)
+    phi = bernstein.relativistic_stable(1.0, 1e-10)
+    x_lo = 1e5 * ladder._renewal_reach(phi)[0]
+    assert cli.main(["ladder", "halfline", "--kind", "relativistic", "--alpha", "1", "--m", "1e-10",
+                     "--x", "1e-50", "--y", "2"]) == 0
+    assert capsys.readouterr().out.startswith("x,y,G_halfline\n1e-50,2,")
+    assert ladder.halfline_green(phi, x_lo * (1.0 + 1e-6), 2.0) > 0.0
+    with pytest.raises(NumericAccuracyError, match=r"reaches x and y in \[1.1e-54, "):
+        ladder.halfline_green(phi, x_lo * (1.0 - 1e-6), 2.0)
 
 
 def test_halfline_green_converts_a_t_square_out_of_the_float_range(monkeypatch):
