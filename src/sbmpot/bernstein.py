@@ -113,32 +113,37 @@ class CompleteBernsteinFunction:
         """The s where the densities on the cut may be singular."""
         return _entry(self.kind).branch_point(self)
 
-    def sums(self, rows, t, kernel=None, weight: Callable | None = None) -> list:
-        """For each row (side, p), sum w z^p k(t z) over the atoms of the measure ``side`` plus (1/pi) int_0^inf
-        k(t s) s^p rho(s) ds over its density, in the shape of t; a constant's term is the caller's.  ``kernel``
-        is exp(-z) for None, or one per row, and then t is one array per row.  weight(s, x), with a kernel, stands
-        for the atoms' w z^p, finite z only, and rho(s) s^p.  phi is evaluated once per node, on none without rho."""
-        single = kernel is None or isinstance(kernel, laplace.Kernel)
-        kernels, times = ([kernel] * len(rows), [t] * len(rows)) if single else (kernel, t)
-        ms, keys = {side: self.stieltjes(side) for side, _ in rows}, list(dict.fromkeys(rows))
+    def sums(self, rows, ts, kernels=None, weight: Callable | None = None) -> list:
+        """For each row (side, p), at its own t of ``ts`` and with its kernel of ``kernels`` (exp(-z) for None),
+        sum w z^p k(t z) over the atoms of the measure ``side`` plus (1/pi) int_0^inf k(t s) s^p rho(s) ds over its
+        density, in the shape of t; a constant's term is the caller's.  weight(s, x) stands for the atoms' x = w z^p,
+        finite z only, and rho(s) s^p, once per (side, p); phi is evaluated once per node, on none without rho.
+        With a weight (v and V) the atoms sum by a matmul, without one (u, mu, the tail, G and j) in _exp_sum's
+        blocks: one way for both would move the geometric kind's last bits, which the analytic workload's digest
+        and, for u and mu, test_closed_form_weight_has_the_registry_bits pin.  A measure's refusal raises here."""
+        kernels, ms = kernels or [None] * len(rows), {side: self.stieltjes(side) for side, _ in rows}
+        if refusal := next((m.refusal for m in ms.values() if m.refusal), ""):
+            raise NumericAccuracyError(refusal)
+        keys = list(dict.fromkeys(rows))
         atoms = {(q, p): (m.z[live], weight(m.z[live], (m.w * m.z**p)[live])) for q, p in keys if weight
-                 for m, live in [(ms[q], np.isfinite(ms[q].z))] if m.w.size}  # once per (side, p); v's bits
+                 for m, live in [(ms[q], np.isfinite(ms[q].z))] if m.w.size}
         out = []
-        for (q, p), k, tt in zip(rows, kernels, times):
-            f, tt = None if k is None else k.f, np.asarray(tt, dtype=float)
+        for (q, p), k, tt in zip(rows, kernels, ts):
+            f, tt = _neg_exp if k is None else k.f, np.asarray(tt, dtype=float)
             with np.errstate(over="ignore"):  # a t z past the float range gives the kernel's 0
                 out.append((f(np.multiply.outer(np.ravel(tt), atoms[q, p][0])) @ atoms[q, p][1]).reshape(tt.shape)
                            if (q, p) in atoms else _exp_sum(ms[q].w, ms[q].z, tt, p, f))
-        cut = [i for i, (q, _) in enumerate(rows) if ms[q].cut]
-        if dens := list(dict.fromkeys(rows[i] for i in cut)):  # one row of rho per (side, p)
+        if cut := [i for i, (q, _) in enumerate(rows) if ms[q].cut]:
             def rho(s):
                 v = self._eval(-s + 0j)
-                return [x if weight is None else weight(s, x) for x in (_DENSITY[q](v, s, p) for q, p in dens)]
+                x = {(q, p): _DENSITY[q](v, s, p) for q, p in keys if ms[q].cut}
+                x = x if weight is None else {key: weight(s, y) for key, y in x.items()}
+                return [x[rows[i]] for i in cut]
 
-            values = laplace.real_axis_integral(rho, t if single else [np.ravel(times[i]) for i in cut],
-                                                self.branch_point, kernel if single else [kernels[i] for i in cut])
-            for j, i in enumerate(cut):
-                row = np.reshape(values[dens.index(rows[i]) if single else j], np.shape(times[i]))
+            values = laplace.real_axis_integral(rho, [np.ravel(ts[i]) for i in cut], self.branch_point,
+                                                [kernels[i] for i in cut])
+            for i, row in zip(cut, values):
+                row = row.reshape(np.shape(ts[i]))
                 out[i] = out[i] + row if ms[rows[i][0]].w.size else row
         return out
 
@@ -147,7 +152,8 @@ class CompleteBernsteinFunction:
         has them, else :meth:`sums` of phi's measures, u with the constant of 1/phi; a scalar t gives floats."""
         out = {name: self.closed_form(name, t) for name in names}
         todo = [name for name in names if out[name] is None]
-        out.update(zip(todo, (x if np.ndim(t) else float(x) for x in self.sums([_FORMS[n][::2] for n in todo], t))))
+        out.update(zip(todo, (x if np.ndim(t) else float(x) for x in self.sums([_FORMS[n] for n in todo],
+                                                                                [t] * len(todo)))))
         if "potential_density" in out:
             out["potential_density"] = out["potential_density"] + self.stieltjes(0).c
         return [out[name] for name in names]
@@ -160,12 +166,22 @@ class CompleteBernsteinFunction:
         return _entry(self.kind).small_exponent(self)
 
     def closed_form(self, name: str, t):
-        """Closed form ``name`` of _FORMS (u, mu, the tail, v or V) at t, a float for a scalar t, or None where the
-        kind has none; a measure's sum, with no constant."""
-        side, kernel, p = _FORMS[name]
-        form = self.stieltjes(side).closed.get((kernel, p))
+        """Closed form ``name`` of the kind at t, or None when there is none.
+
+        ``name`` is ``potential_density``, ``levy_density`` or ``levy_tail``, a
+        sum of one of phi's measures without its constant, or
+        ``ladder_density`` or ``renewal_function``, which are not sums of a
+        measure but functions of chi, the kind's own.  A scalar t gives a float.
+        """
+        if name in _FORMS:
+            side, p = _FORMS[name]
+            form = self.stieltjes(side).closed.get(("exp", p))
+        else:  # no swap or shift of a measure carries v and V
+            form = _entry(self.kind).ladder(self).get(name)
         vals = None if form is None else form(np.asarray(t, dtype=float))
-        return vals if vals is None or np.ndim(t) else float(vals)
+        if vals is None:
+            return None
+        return float(vals) if np.ndim(t) == 0 else vals
 
     def label(self) -> str:
         entry = _entry(self.kind)
@@ -177,7 +193,8 @@ class CompleteBernsteinFunction:
 
 
 def _stable_levy(alpha: float, t):
-    return (alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0) * t ** (-1.0 - alpha / 2.0)
+    c = (alpha / 2.0) / gamma_fn(1.0 - alpha / 2.0)
+    return c * t ** (-1.0 - alpha / 2.0)
 
 
 def _stable_tail(alpha: float, t):
@@ -187,12 +204,14 @@ def _stable_tail(alpha: float, t):
 def _relativistic_tail(phi, t):
     # (a/Gamma(1-a)) theta**a Gamma(-a, theta*t), a = alpha/2, rewritten by
     # Gamma(-a, x) = (x**(-a) exp(-x) - Gamma(1-a, x))/a
-    a, theta = phi.alpha_param / 2.0, phi.m ** (2.0 / phi.alpha_param)
+    a = phi.alpha_param / 2.0
+    theta = phi.m ** (2.0 / phi.alpha_param)
     return t ** (-a) * np.exp(-theta * t) / gamma_fn(1.0 - a) - theta**a * gammaincc(1.0 - a, theta * t)
 
 
 def _stable_potential(alpha: float, t):
-    # inverse transform of lam**(-alpha/2): u, and v too (chi = lam**(alpha/2))
+    # inverse transform of lam**(-alpha/2): the potential density of the
+    # stable subordinator, and the ladder density too (chi = lam**(alpha/2))
     return t ** (alpha / 2.0 - 1.0) / gamma_fn(alpha / 2.0)
 
 
@@ -201,28 +220,30 @@ def _stable_renewal(alpha: float, t):
 
 
 def _stable_closed(alpha: float) -> tuple[dict, dict]:
-    # the stable kind's closed sums: u, v (chi = phi), V and G of 1/phi; the tail, mu and j of phi/lam
-    u = partial(_stable_potential, alpha)
-    return ({("exp", 0): u, ("ladder_density", 0): u, ("renewal_function", 0): partial(_stable_renewal, alpha),
-             ("resolvent", 0): partial(_riesz_green, alpha)},
+    # the stable kind's closed sums: u and G of 1/phi; the tail, mu and j of phi/lam
+    return ({("exp", 0): partial(_stable_potential, alpha), ("resolvent", 0): partial(_riesz_green, alpha)},
             {("exp", 0): partial(_stable_tail, alpha), ("exp", 1): partial(_stable_levy, alpha),
              ("resolvent", 1): partial(_riesz_jump, alpha)})
 
 
-def _exp_sum(weights, rates, t, power=0, kernel=None):
-    """sum w r^power k(r t), k = exp(-z) for None (the power-th derivative of sum w exp(-r t) up to
+def _neg_exp(z):
+    return np.exp(-z)
+
+
+def _exp_sum(weights, rates, t, power=0, kernel=_neg_exp):
+    """sum w r^power k(r t), k = exp(-z) by default (the power-th derivative of sum w exp(-r t) up to
     sign), in blocks of t."""
     flat, c, out = np.ravel(t), weights * rates ** power, np.empty(np.size(t))
     with np.errstate(over="ignore"):  # an inf r t gives the kernel's 0
         for lo in range(0, flat.size, _GEOM_BLOCK):
             z = np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates)
-            out[lo:lo + _GEOM_BLOCK] = np.sum(c * (np.exp(-z) if kernel is None else kernel(z)), axis=-1)
+            out[lo:lo + _GEOM_BLOCK] = np.sum(c * kernel(z), axis=-1)
     return out.reshape(np.shape(t))[()]
 
 
 def _riesz_green(alpha: float, d: int, r):
-    return math.gamma((d - alpha) / 2.0) / (2.0**alpha * math.pi ** (d / 2.0) * math.gamma(alpha / 2.0)) * r ** (
-        alpha - d)
+    c = math.gamma((d - alpha) / 2.0) / (2.0**alpha * math.pi ** (d / 2.0) * math.gamma(alpha / 2.0))
+    return c * r ** (alpha - d)
 
 
 def _riesz_jump(alpha: float, d: int, r):
@@ -257,16 +278,17 @@ def _geometric_roots(alpha_param: float, n_terms: int):
 @lru_cache(maxsize=64)
 def _shift_roots(phi, a: float):
     """Atoms of 1/(phi + a) = g/(1 + a g), g = 1/phi of atoms only (c/lam one at 0): the roots x of g(-x) = -1/a
-    past each, the last under x = z + a sum w, residue 1/(a^2 sum w/(z - x)^2).  None where g has a density."""
+    past each, the last under x = z + a sum w, residue 1/(a^2 sum w/(z - x)^2).  None where g has a density (whose
+    refusal, if any, is kept)."""
     g = phi.stieltjes(0)
     if g.cut:
-        return _NO_ATOMS
+        return Stieltjes(refusal=g.refusal)
     w, z = g.w[np.isfinite(g.z)], g.z[np.isfinite(g.z)]
     if g.c > 0.0:
         w, z = np.append(g.c, w), np.append(0.0, z)
     d, gap = _roots_past_poles(w, z, -1.0 / a - g.a, np.append(np.diag(z - z[:, None], 1), a * np.sum(w)))
     with np.errstate(over="ignore", divide="ignore"):  # an inf square is a zero term
-        return a ** -2.0 / np.sum(w / (gap - d[:, None]) ** 2, axis=-1), z + d
+        return Stieltjes(w=a ** -2.0 / np.sum(w / (gap - d[:, None]) ** 2, axis=-1), z=z + d)
 
 
 def _log1p(z):
@@ -378,8 +400,14 @@ def geometric_like(alpha: float, n_terms: int | None = None) -> CompleteBernstei
         raise ConstructionError(f"truncation must be at most {GEOMETRIC_MAX_TERMS}, not {n}: "
                                 "2**n overflows past it")
     w, b = _geometric_terms(alpha, n)
-    return CompleteBernsteinFunction(kind="geometric_example", alpha=2.0 - alpha, alpha_param=alpha, n_terms=n,
-                                     killing=1.0 / float(np.sum(w / b)))
+    killing = 1.0 / float(np.sum(w / b))
+    return CompleteBernsteinFunction(
+        kind="geometric_example",
+        alpha=2.0 - alpha,
+        alpha_param=alpha,
+        n_terms=n,
+        killing=killing,
+    )
 
 
 def conjugate(phi: CompleteBernsteinFunction) -> CompleteBernsteinFunction:
@@ -392,16 +420,27 @@ def conjugate(phi: CompleteBernsteinFunction) -> CompleteBernsteinFunction:
     if phi.kind == "conjugate":
         # unwrap: lam / (lam/phi) = phi
         return phi.inner
-    return CompleteBernsteinFunction(kind="conjugate", alpha=2.0 - phi.alpha, alpha_param=2.0 - phi.alpha,
-                                     killing=phi.stieltjes(0).c, inner=phi)
+    return CompleteBernsteinFunction(
+        kind="conjugate",
+        alpha=2.0 - phi.alpha,
+        alpha_param=2.0 - phi.alpha,
+        killing=phi.stieltjes(0).c,
+        inner=phi,
+    )
 
 
 def killed_shift(phi: CompleteBernsteinFunction, a: float) -> CompleteBernsteinFunction:
     """phi(lam) + a: add an independent killing rate a > 0."""
     if not 0.0 < a < math.inf:
         raise ConstructionError(f"killing rate must be positive and finite, not {a:g}")
-    return CompleteBernsteinFunction(kind="killed_shift", alpha=phi.alpha, alpha_param=phi.alpha_param,
-                                     killing=phi.killing + a, shift=a, inner=phi)
+    return CompleteBernsteinFunction(
+        kind="killed_shift",
+        alpha=phi.alpha,
+        alpha_param=phi.alpha_param,
+        killing=phi.killing + a,
+        shift=a,
+        inner=phi,
+    )
 
 
 # ---- kind registry ---------------------------------------------------------
@@ -421,28 +460,25 @@ class _Param:
     optional: bool = False
 
 
-_NO_ATOMS = (np.empty(0), np.empty(0))
-
-
 class Stieltjes(NamedTuple):
     """f(lam) = a + c/lam + sum w/(lam + z) + (1/pi) int_0^inf rho(s)/(lam + s) ds, one of phi's two Stieltjes
     functions: 1/phi (side 0, rho = -Im 1/phi(-s + i0)) or phi/lam (side 1, rho = Im phi(-s + i0)/s).  The atoms
     ascend; rho is 0 where ``cut`` is False.  ``closed`` holds closed forms of the sums over atoms and density by
-    (kernel, p): of t, of (d, r) for "resolvent"."""
+    (kernel, p): of t, of (d, r) for "resolvent".  A ``refusal`` says why the sums cannot be certified."""
 
     a: float = 0.0
     c: float = 0.0
-    w: np.ndarray = _NO_ATOMS[0]
-    z: np.ndarray = _NO_ATOMS[1]
+    w: np.ndarray = np.empty(0)
+    z: np.ndarray = np.empty(0)
     cut: bool = True
     closed: dict = {}
+    refusal: str = ""
 
 
 # rho(v, s) s^p of each side at v = phi(-s + i0); -Im 1/v, not Im v/|v|^2, which underflows
 _DENSITY = (lambda v, s, p: -(1.0 / v).imag * s**p, lambda v, s, p: v.imag / s ** (1 - p))
-# (side, kernel, p) of each named form: v and V are 1/phi's sums weighed by chi (sbmpot.ladder)
-_FORMS = {"potential_density": (0, "exp", 0), "levy_tail": (1, "exp", 0), "levy_density": (1, "exp", 1),
-          "ladder_density": (0, "ladder_density", 0), "renewal_function": (0, "renewal_function", 0)}
+# (side, p) of each form that is a sum of one of phi's measures with the kernel exp(-z)
+_FORMS = {"potential_density": (0, 0), "levy_tail": (1, 0), "levy_density": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -452,7 +488,8 @@ class _Kind:
     evaluate: Callable  # (phi, x) -> phi(x), x real or complex
     small_exponent: Callable  # phi -> power of phi at 0+ (unkilled), or None
     stieltjes: Callable = lambda phi, side: Stieltjes(c=phi.killing if side else 0.0)  # a density only, by default
-    shift_atoms: Callable = _shift_roots  # (phi, a) -> the atoms of 1/(phi + a), a > 0: phi(-z) = -a
+    shift_atoms: Callable = _shift_roots  # (phi, a) -> Stieltjes of the atoms of 1/(phi + a), a > 0: phi(-z) = -a
+    ladder: Callable = lambda phi: {}  # phi -> closed v and V by name, where chi is closed
     # the s where Im phi(-s + i0) may be singular: 1, or a composite's inner kind's
     branch_point: Callable = lambda phi: 1.0 if phi.inner is None else phi.inner.branch_point
     composite: bool = False  # wraps ``inner``; no JSON form
@@ -469,8 +506,9 @@ def _phi_log_up(phi, x):
 
 
 def _phi_log_down(phi, x):
+    lg = _log1p(x)
     with np.errstate(divide="ignore"):
-        return x ** (phi.alpha_param / 2.0) * _log1p(x) ** (-phi.beta / 2.0)
+        return x ** (phi.alpha_param / 2.0) * lg ** (-phi.beta / 2.0)
 
 
 _GEOM_BLOCK = 8192  # arguments per block of the (arguments, terms) temporary
@@ -490,13 +528,15 @@ def _phi_geometric(phi, x):
 def _relativistic_shift_atoms(phi, a: float):
     # phi(-z) = (b - z)^(alpha/2) - m is real on (0, b): -a at z = b - (m - a)^(2/alpha) for a < m, with residue
     # 1/phi'(-z) = (2/alpha) (m - a)^(2/alpha - 1).  Within 1e-6 b of b, the atom (or for a > m the density's
-    # near-singular peak) is under the rule's resolution of b: u is 1e-10 off at 1e-8 b for alpha = 1.9
+    # near-singular peak) is under the rule's resolution of b (u is 1e-10 off at 1e-8 b for alpha = 1.9): the
+    # measure's sums are refused, not the kind
     q, m = 2.0 / phi.alpha_param, phi.m
     if (abs(m - a) / m) ** q < 1e-6:
-        raise NumericAccuracyError(f"1/(phi + {a:g}) of {phi.label()} has a pole within 1e-6 of the branch point")
+        return Stieltjes(refusal=f"1/(phi + {a:g}) of {phi.label()} has a pole within 1e-6 of the branch point")
     if a >= m:
-        return _NO_ATOMS
-    return np.array([q * (m - a) ** (q - 1.0)]), np.array([-(m**q) * math.expm1(q * math.log1p(-a / m))])
+        return Stieltjes()
+    return Stieltjes(w=np.array([q * (m - a) ** (q - 1.0)]),
+                     z=np.array([-(m**q) * math.expm1(q * math.log1p(-a / m))]))
 
 
 def _killed_stieltjes(phi, side: int):
@@ -504,8 +544,8 @@ def _killed_stieltjes(phi, side: int):
     inner = phi.inner.stieltjes(side)
     if side:
         return inner._replace(c=inner.c + phi.shift)
-    return Stieltjes(inner.a / (1.0 + phi.shift * inner.a), 0.0,
-                     *_entry(phi.inner.kind).shift_atoms(phi.inner, phi.shift), inner.cut)
+    return _entry(phi.inner.kind).shift_atoms(phi.inner, phi.shift)._replace(
+        a=inner.a / (1.0 + phi.shift * inner.a), cut=inner.cut)
 
 
 def _conjugate_small_exponent(phi):
@@ -522,6 +562,8 @@ KINDS: dict[str, _Kind] = {
         lambda phi, x: x ** (phi.alpha_param / 2.0),
         lambda phi: phi.alpha_param / 2.0,
         stieltjes=lambda phi, side: Stieltjes(closed=_stable_closed(phi.alpha_param)[side]),
+        ladder=lambda phi: {"ladder_density": partial(_stable_potential, phi.alpha_param),
+                            "renewal_function": partial(_stable_renewal, phi.alpha_param)},
     ),
     "relativistic": _Kind(
         relativistic_stable,
@@ -602,8 +644,16 @@ def _entry(kind: str) -> _Kind:
 
 def default_catalog() -> list[CompleteBernsteinFunction]:
     """The instances exercised by the check suites."""
-    return [stable(0.5), stable(1.0), stable(1.5), relativistic_stable(1.0, 1.0), sum_of_stables(1.0, 0.5),
-            log_perturbed_up(1.0, 0.5), log_perturbed_down(1.0, 0.5), geometric_like(1.0, 64)]
+    return [
+        stable(0.5),
+        stable(1.0),
+        stable(1.5),
+        relativistic_stable(1.0, 1.0),
+        sum_of_stables(1.0, 0.5),
+        log_perturbed_up(1.0, 0.5),
+        log_perturbed_down(1.0, 0.5),
+        geometric_like(1.0, 64),
+    ]
 
 
 # ---- pointwise operations ------------------------------------------------

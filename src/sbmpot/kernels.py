@@ -116,7 +116,7 @@ def _kernel(phi: CompleteBernsteinFunction, d: int, r, side: int, power: int):
         laplace.check_reach(kernel, phi.branch_point, radii, "r", 2)
     with np.errstate(over="ignore"):
         values = closed(d, radii) if closed else (
-            (2.0 * math.pi) ** (-d / 2.0) * radii ** (2.0 - d) * phi.sums([(side, power)], radii**2, kernel)[0])
+            (2.0 * math.pi) ** (-d / 2.0) * radii ** (2.0 - d) * phi.sums([(side, power)], [radii**2], [kernel])[0])
         if m.c > 0.0 and power == 0:
             values = values + m.c * math.gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0)) * radii ** (2.0 - d)
     return _finite(values, np.asarray(r, dtype=float))

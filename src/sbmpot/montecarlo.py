@@ -308,7 +308,7 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     # drift: int_0^eps x mu = (eps/pi) int_0^inf P(2, eps*s)/(eps*s) Im phi(-s + i0)/s ds, the sum of phi/lam;
     # P(2, z)/z is z/2 under z = 1e-17 and 1/z past 746
     kernel = laplace.Kernel(lambda z: gammainc(2.0, z) / z, 1e-17, 746.0)
-    drift = eps * float(phi.sums([(1, 0)], eps, kernel)[0])
+    drift = eps * float(phi.sums([(1, 0)], [eps], [kernel])[0])
     return rate, drift, log_u, log_x
 
 

@@ -11,8 +11,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erfcx
+from scipy.special import erfc, erfcx
 
 from sbmpot import bernstein, densities, kernels, ladder
 from sbmpot.errors import NumericAccuracyError
@@ -69,6 +70,36 @@ def test_killed_relativistic_near_the_branch_point_is_refused():
             densities.potential_density_u(phi, 1.0)
         assert bernstein.eval_levy_density(phi, 1.0) > 0.0  # phi/lam keeps its measure
     assert densities.potential_density_u(bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 0.99), 1.0)
+
+
+def test_conjugate_of_the_shift_onto_the_branch_point_is_built():
+    # psi = lam/(phi + 1) = lam/sqrt(lam + 1) is exact, and so is its u, the inverse transform of
+    # sqrt(lam + 1)/lam: 1 + e^(-t)/sqrt(pi t) - erfc(sqrt t); its mu, a sum of 1/(phi + 1)'s measure, is refused
+    psi = bernstein.conjugate(bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 1.0))
+    assert psi.killing == 0.0 and psi.drift == 0.0 and psi(3.0) == pytest.approx(1.5, rel=1e-15)
+    t = np.geomspace(0.1, 10.0, 7)
+    exact = 1.0 + np.exp(-t) / np.sqrt(np.pi * t) - erfc(np.sqrt(t))
+    np.testing.assert_allclose(densities.potential_density_u(psi, t), exact, rtol=1e-9, atol=0.0)
+    with pytest.raises(NumericAccuracyError, match="branch point"):
+        bernstein.eval_levy_density(psi, 1.0)
+
+
+def test_ladder_of_a_swapped_and_shifted_stable_is_its_cut_integral():
+    # psi = lam/(sqrt(lam) + 1/2) keeps the stable kind's closed sums on its measures, but v and V are functions of
+    # chi, not sums: by the cut, v = 1/sqrt(2) + (1/pi) int_0^inf e^(-ts) chi(s) (-Im 1/psi(-s^2 + i0)) ds with
+    # -Im 1/psi(-s^2 + i0) = 1/s, and V the same with (1 - e^(-ts))/s, taken here by scipy's quad on chi alone
+    psi = bernstein.conjugate(bernstein.killed_shift(bernstein.conjugate(bernstein.stable(1.0)), 0.5))
+    assert psi.closed_form("ladder_density", 1.0) is None and psi.closed_form("renewal_function", 1.0) is None
+
+    def cut(f):
+        return sum(quad(lambda s: f(s) * ladder.ladder_exponent_chi(psi, s) / s, lo, hi, epsabs=0.0, epsrel=1e-12,
+                        limit=200)[0] for lo, hi in ((0.0, 1.0), (1.0, np.inf))) / math.pi
+
+    for t in T:
+        v = 1.0 / math.sqrt(2.0) + cut(lambda s: math.exp(-t * s))
+        V = t / math.sqrt(2.0) + cut(lambda s: -math.expm1(-t * s) / s)
+        assert ladder.ladder_density_v(psi, t) == pytest.approx(v, rel=1e-9)
+        assert ladder.renewal_function_V(psi, t) == pytest.approx(V, rel=1e-9)
 
 
 def test_conjugate_geometric_green_is_its_pole_sum():

@@ -50,7 +50,7 @@ def test_conjugate_potential_density_carries_the_atom():
     exact = 1.0 / np.sqrt(np.pi * t) + 0.5
     np.testing.assert_allclose(densities.potential_density_u(psi, t), exact, rtol=1e-12)
     assert psi.stieltjes(0).c == 0.5
-    rule = 0.5 + psi.sums([(0, 0)], t)[0]
+    rule = 0.5 + psi.sums([(0, 0)], [t])[0]
     np.testing.assert_allclose(rule, exact, rtol=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_closed_mode_raises_exactly_without_a_closed_form(kind):
     closed = phi.closed_form("potential_density", t)
     assert (closed is None) == (("exp", 0) not in phi.stieltjes(0).closed)
     if closed is None:
-        closed = phi.sums([(0, 0)], t)[0]
+        closed = phi.sums([(0, 0)], [t])[0]
         np.testing.assert_allclose(closed + phi.stieltjes(0).c, laplace.talbot_inversion(lambda s: 1.0 / phi(s), t),
                                    rtol=1e-6)
     assert np.array_equal(densities.potential_density_u(phi, t), closed + phi.stieltjes(0).c)
