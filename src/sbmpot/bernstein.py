@@ -232,12 +232,13 @@ def _neg_exp(z):
 
 def _exp_sum(weights, rates, t, power=0, kernel=_neg_exp):
     """sum w r^power k(r t), k = exp(-z) by default (the power-th derivative of sum w exp(-r t) up to
-    sign), in blocks of t."""
-    flat, c, out = np.ravel(t), weights * rates ** power, np.empty(np.size(t))
+    sign), in blocks of t.  A term is exactly 0 where its kernel is, though w r^power may overflow there."""
+    flat, out = np.ravel(t), np.empty(np.size(t))
     with np.errstate(over="ignore"):  # an inf r t gives the kernel's 0
+        c = weights * rates ** power
         for lo in range(0, flat.size, _GEOM_BLOCK):
-            z = np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates)
-            out[lo:lo + _GEOM_BLOCK] = np.sum(c * kernel(z), axis=-1)
+            k = kernel(np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates))
+            out[lo:lo + _GEOM_BLOCK] = np.sum(np.multiply(c, k, out=np.zeros(k.shape), where=k != 0.0), axis=-1)
     return out.reshape(np.shape(t))[()]
 
 

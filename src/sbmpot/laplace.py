@@ -219,12 +219,11 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
     numpy broadcasts them, each pair an integral of its own on the leading axis; with a sequence of kernels, t may
     be a list of one array of times per kernel, and the values are then a list of one array per pair.  A t sums the
     nodes under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t,
-    and drops those past ``far``.  The kernel defaults to exp(-z), whose band is padded to the widest of the
-    call.  Any other :class:`Kernel` with a head has a band as wide as any t's can be, and past the first level
-    sums its new nodes only, onto half the last level's sum; one without a head sums every node.  Either way a t's
-    value depends on it alone, bit for bit.  The rule is split at b, where rho may be singular; the nodes dropped
-    next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative for
-    exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
+    and drops those past ``far``; the kernel defaults to exp(-z).  A band is as wide as any t's can be (every node
+    for a kernel without a head), and past the first level sums its new nodes only, onto half the last level's
+    sum, so a t's value depends on it alone, bit for bit.  The rule is split at b, where rho may be singular;
+    the nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative
+    for exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
     between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term), with
     the Euler-Maclaurin h^2 term of the halved end weight.  Each t is certified to relative _AXIS_EPSREL (absolute
     under the smallest normal float) by :func:`halving_trapezoid`.  The rule reaches the t of
@@ -273,9 +272,8 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
 
 def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.ndarray:
     """:func:`real_axis_integral` at the times tt of one density, taken by level, and one kernel."""
-    head, ends = (k.head, (k.tiny, k.far)) if k.head else (((0.0, 0.0, 0.0),), (0.0, math.inf))
+    head, tiny, span = (k.head, k.tiny, k.far / k.tiny) if k.head else (((0.0, 0.0, 0.0),), 0.0, math.inf)
     log_c = head[0][2]  # the leading term's log, which the left end's rest closes with
-    fixed = k is not _EXP and k.head is not None  # a band of fixed width, new nodes only past level 1
     # d log s/dk at the far ends, and d log(d log s/dk)/dk at the left one
     x1, c1 = math.cosh(_AXIS_FAR / _AXIS_SCALE), math.tanh(_AXIS_FAR / _AXIS_SCALE) / _AXIS_SCALE
     at = {}  # the rests' data, and the last level's fine sums
@@ -301,14 +299,12 @@ def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.nda
             if log_c:  # k = A + B log z at the left end: int_0^1 u^q (1 + B log(u)/k) du, q rho's own power
                 p = at["p1"][:, 0] - np.log(ke[:, 1] / ke[:, 0]) / math.log(s[2] / s[0])
                 at["head"][:, 0] = 1.0 / p - log_c / (ke[:, 0] * p * p)
-        lo, hi = np.searchsorted(s, ends[0] / tk) // 2 * 2, np.searchsorted(s, ends[1] / tk)
+        lo = np.searchsorted(s, tiny / tk) // 2 * 2
         qs = np.array([q, np.where(new, 0.0, 2.0 * q)])  # every node, weighed at steps h and 2h
-        if not fixed:  # as wide as the call's widest band
-            width = -(-int((hi - lo).max()) // 2) * 2
-        else:  # the widest band any t can have; past level 1 the new nodes only, at step h
-            width = -(-int((np.searchsorted(s, s * (k.far / k.tiny)) - np.arange(s.size)).max() + 2) // 2) * 2
-            if level > 1:
-                s, lo, width, qs = s[1::2], lo // 2, width // 2, qs[:1, 1::2]
+        # the widest band any t can have; past level 1 the new nodes only, at step h
+        width = -(-int((np.searchsorted(s, s * span) - np.arange(s.size)).max() + 2) // 2) * 2
+        if level > 1:
+            s, lo, width, qs = s[1::2], lo // 2, width // 2, qs[:1, 1::2]
         # the nodes under each band (which starts on a node of step 2h), in the head's form:
         # sum over its terms of t^a ((A + B log t) sum q s^a + B sum q s^a log s)
         below = 0.0
@@ -326,10 +322,6 @@ def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.nda
             terms = k.f(tk[rows, None] * win_s[lo[rows]]) * win_q[lo[rows]]
             band[:, rows] = [terms.sum(axis=1), 2.0 * terms[:, ::2].sum(axis=1)][:len(qs)]
         rests = [rest(0.5 ** (level + 1), idx), rest(0.5 ** level, idx)]
-        if not fixed:
-            out = below + rests
-            out += band
-            return out[0], out[1]
         # the trapezoid sums; past level 1 the coarse one is the last level's fine one
         prev = at["sum"][np.searchsorted(at["idx"], idx)] if level > 1 else None
         fine, coarse = (0.5 * prev + below[0] + band[0], prev) if level > 1 else below + band

@@ -7,10 +7,11 @@ kind picks a march's increments (_exact_increments):
 * exact, for the stable kind: Kanter's representation of the positive
   stable law (one uniform pair per step);
 * compound, for every other kind: jumps above the truncation level epsilon
-  arrive at rate mu(eps, inf), sizes come from tabulated quantiles of the
-  normalised tail, and the mean of the discarded small jumps is restored as
-  a deterministic drift int_0^eps s mu(s) ds per unit time.  The neglected
-  small-jump variance is the documented bias, checked by epsilon-refinement.
+  arrive at rate mu(eps, inf), of sizes eps + E/S (E ~ Exp(1), S from the
+  Levy measure's exponential mixture), and the mean of the discarded small
+  jumps is restored as a deterministic drift int_0^eps s mu(s) ds per unit
+  time.  The neglected small-jump variance is the documented bias, checked
+  by epsilon-refinement.
 
 Every random draw is addressed by (seed, channel, step, path id) through a
 counter-based generator, so estimates are bit-identical for a given seed and
@@ -63,7 +64,7 @@ from scipy.special import betaincinv, gammainc, ndtri
 
 from . import laplace, rng
 from .bernstein import CompleteBernsteinFunction, levy_tail
-from .errors import ConstructionError, EvaluationDomainError
+from .errors import ConstructionError, EvaluationDomainError, NumericAccuracyError
 from .ladder import renewal_function_V
 
 __all__ = [
@@ -285,43 +286,39 @@ def _kanter(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
-    """Rate, small-jump drift, and tail-quantile table for one (phi, eps).
+    """Rate, small-jump drift, and the CDF and rates of S in a jump J = eps + E/S, E ~ Exp(1), for one (phi, eps).
 
-    The quantile table stores log x against log of the normalised tail
-    u = mu(x, inf)/mu(eps, inf) on 1024 knots over twelve decades; draws
-    deeper than the table continue along the locally measured power slope.
+    mu(x, inf) is sum w e^(-zx) over the atoms of phi/lam plus (1/pi) int e^(-xs) Im phi(-s + i0)/s ds, so given
+    J > eps, S is an atom z, weighted w e^(-eps z), or a node s of the real-axis rule on the cut, weighted by its weight
+    times Im phi(-s + i0) e^(-eps s)/(pi s).  The level is the rule's first whose mixture tail meets the certified
+    mu(x, inf)/mu(eps, inf) to the rule's own target over x in [eps, 1e12 eps]; none does: NumericAccuracyError.
     """
     eps = float(epsilon)
-    x = np.geomspace(eps, eps * 1e12, 1024)
-    tail = np.asarray(levy_tail(phi, x), dtype=float)
-    rate = float(tail[0])
-    # cut at the normalised tail: a subnormal knot can underflow in tail/rate
-    live = tail / rate > 0.0
-    if not np.all(live):
-        cut = int(np.argmin(live))
-        x, tail = x[: max(cut, 8)], tail[: max(cut, 8)]
-    tail = np.minimum.accumulate(tail)
-    keep = np.concatenate([[True], np.diff(tail) < 0.0])
-    log_x = np.log(x[keep])
-    log_u = np.log(tail[keep] / rate)
-
     # drift: int_0^eps x mu = (eps/pi) int_0^inf P(2, eps*s)/(eps*s) Im phi(-s + i0)/s ds, the sum of phi/lam;
     # P(2, z)/z is z/2 under z = 1e-17 and 1/z past 746
     kernel = laplace.Kernel(lambda z: gammainc(2.0, z) / z, 1e-17, 746.0)
     drift = eps * float(phi.sums([(1, 0)], [eps], [kernel])[0])
-    return rate, drift, log_u, log_x
-
-
-def _jump_sizes(tables, u: np.ndarray) -> np.ndarray:
-    _, _, log_u, log_x = tables
-    lu = np.log(u)
-    # knots run from log 1 = 0 downwards; interp wants increasing x
-    out = np.interp(lu, log_u[::-1], log_x[::-1])
-    deep = lu < log_u[-1]
-    if np.any(deep):
-        slope = (log_x[-1] - log_x[-9]) / (log_u[-1] - log_u[-9])
-        out = np.where(deep, log_x[-1] + slope * (lu - log_u[-1]), out)
-    return np.exp(out)
+    x = eps * np.geomspace(1.0, 1e12, 97)
+    tail = np.asarray(levy_tail(phi, x), dtype=float)
+    if not (rate := float(tail[0])):  # no jump above eps (a relativistic branch point past 746/eps): none is drawn
+        return rate, drift, np.empty(0), np.empty(0)
+    m = phi.stieltjes(1)
+    for level in range(1, laplace._AXIS_LEVELS + 1):
+        rates, weights = m.z, m.w * np.exp(-eps * m.z)  # an atom past the float range weighs 0
+        if m.cut:
+            s, h, _ = laplace._axis_nodes(level, phi.branch_point)
+            s, h = s[h > 0.0], h[h > 0.0]
+            rho = h * np.imag(phi(-s + 0j)) / s  # Im phi(-s + i0)/s times the node's weight
+            rates, weights = np.append(rates, s), np.append(weights, rho * np.exp(-eps * s) / math.pi)
+        rates, weights = rates[weights > 0.0], weights[weights > 0.0]
+        cdf = np.cumsum(weights)
+        mix = np.exp(-np.multiply.outer(x - eps, rates)) @ weights / cdf[-1]
+        if np.all(np.abs(mix - tail / rate) <= np.maximum(laplace._AXIS_EPSREL * tail / rate, np.finfo(float).tiny)):
+            break
+    else:
+        raise NumericAccuracyError(f"the jump law of {phi.label()} above {eps:g} is not certified to "
+                                   f"{laplace._AXIS_EPSREL:g} by {laplace._AXIS_LEVELS} levels of the real-axis rule")
+    return rate, drift, cdf / cdf[-1], rates
 
 
 _POISSON_MAX_TERMS = 400
@@ -367,10 +364,11 @@ class _Increments:
             self.rho = phi.alpha_param / 2.0
             self.dt_pow = dt ** (1.0 / self.rho)
         else:
-            self.tables = _compound_tables(phi, cfg.epsilon)
-            self.mean_jumps = self.tables[0] * dt  # rate*dt, jumps per step
+            rate, drift, self.mixture_cdf, self.rates = _compound_tables(phi, cfg.epsilon)
+            self.epsilon = cfg.epsilon
+            self.mean_jumps = rate * dt  # rate*dt, jumps per step
             self.cdf = _poisson_cdf(self.mean_jumps)
-            self.drift = self.tables[1] * dt  # mean of the discarded small jumps
+            self.drift = drift * dt  # mean of the discarded small jumps
 
     def exact(self, step, ids: np.ndarray) -> np.ndarray:
         """Increments of the counters (step, ids); step may be an array, as in
@@ -383,9 +381,10 @@ class _Increments:
         return np.searchsorted(self.cdf, u0)
 
     def jump(self, slots: np.ndarray, step, ids: np.ndarray, d: int):
-        """Sizes of the jumps in slots ``slots`` at (step, ids), one jump per
-        element, and (n, d) normals to spread them.  One Philox call draws
-        the size channel rng.jump_channel(slot, d) and the ceil(d/2)
+        """Sizes eps + E/S of the jumps in slots ``slots`` at (step, ids), one
+        jump per element (S from the mixture by u, E = -log v, of the size
+        channel's pair), and (n, d) normals to spread them.  One Philox call
+        draws the size channel rng.jump_channel(slot, d) and the ceil(d/2)
         direction channels after it for every jump, bit for bit as one call
         per slot and channel would."""
         base = rng.jump_channel(0, d)
@@ -396,7 +395,7 @@ class _Increments:
         z = np.empty((offset.shape[1], d))
         z[:, 0::2] = ndtri(u[1:]).T
         z[:, 1::2] = ndtri(v[1 : 1 + d // 2]).T
-        return _jump_sizes(self.tables, u[0]), z
+        return self.epsilon - np.log(v[0]) / self.rates[np.searchsorted(self.mixture_cdf, u[0])], z
 
 
 def _jump_slots(counts: np.ndarray):

@@ -143,6 +143,19 @@ def test_geometric_bits_below_the_overflow_limit(alpha, n):
     assert phi.n_terms <= bernstein.GEOMETRIC_MAX_TERMS
 
 
+def test_geometric_sums_are_finite_where_weights_overflow():
+    # at N = 1023 some atoms' w z overflows where their e^(-z t) is 0: each
+    # such term is 0, not inf * 0 = nan, with no warning (python -W error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = bernstein.geometric_like(1.0, 1023)
+        mu = bernstein.eval_levy_density(phi, 1.0)
+        j = kernels.jump_kernel(phi, 3, 0.5)
+    # the atoms past N = 64 add nothing at t = 1
+    assert mu == pytest.approx(bernstein.eval_levy_density(bernstein.geometric_like(1.0, 64), 1.0), rel=1e-12)
+    assert np.isfinite(j) and j > 0.0
+
+
 def test_geometric_refuses_overflowing_truncation():
     assert bernstein.GEOMETRIC_MAX_TERMS == 1023
     bernstein.geometric_like(1.0, 1023)

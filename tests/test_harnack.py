@@ -127,7 +127,7 @@ def _report_digest(rep) -> str:
      "217dc68cae591626b570ede2645514a1bfadc8b424c9fdb2e56791ed08611df5"),
     (lambda: mc.exit_time_bounds_check(bernstein.relativistic_stable(1.0, 1.0), 1, [0.5],
                                        60, 13),
-     "54b7151b6c3d57d30a37a5aabf2f20ad997d74834515721bb99b8bcd827a3fe2"),
+     "839341b62ee586224c0cc92172ea552779cc4ea23cbe8fbb48b0ed9b72b2b0ec"),
 ], ids=["harnack-stable-d2-walked", "harnack-relativistic-d1-marched", "bhp-interval",
         "bhp-halfdisk", "carleson-q0", "exit-bounds-stable", "exit-bounds-relativistic"])
 def test_scaled_check_report_bits_pinned(check, digest):

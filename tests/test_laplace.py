@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbmpot import laplace
+from sbmpot import bernstein, densities, ladder, laplace
 from sbmpot.errors import NumericAccuracyError
 
 
@@ -98,3 +98,16 @@ def test_real_axis_coarse_sum_is_the_previous_fine_sum(monkeypatch):
     assert abs(rows[0][0] / rows[0][1] - 1.0).max() > 1e-3  # level 1 is not converged
     for (fine, _), (_, coarse) in zip(rows, rows[1:]):
         np.testing.assert_allclose(coarse, fine, rtol=1e-13)
+
+
+@pytest.mark.parametrize("phi", [bernstein.log_perturbed_up(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0)],
+                         ids=lambda phi: phi.kind)
+def test_each_time_is_its_own_integral(phi):
+    # every kernel's band is as wide as any t's can be, so a value has the
+    # same bits in one call over 25 t as alone: u, mu and the tail (exp(-z),
+    # with a head) and V (without one)
+    t = np.geomspace(1e-6, 1e6, 25)
+    for f in (densities.potential_density_u, bernstein.eval_levy_density, bernstein.levy_tail,
+              ladder.renewal_function_V):
+        together = np.asarray(f(phi, t))
+        assert together.tobytes() == np.array([f(phi, x) for x in t]).tobytes(), f.__name__

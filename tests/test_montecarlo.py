@@ -9,7 +9,7 @@ from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
 
 from sbmpot import bernstein, harnack, montecarlo as mc, rng
-from sbmpot.errors import ConstructionError, EvaluationDomainError
+from sbmpot.errors import ConstructionError, EvaluationDomainError, NumericAccuracyError
 
 
 def _cfg(paths=4000, seed=11, **kw):
@@ -196,13 +196,13 @@ def test_exact_chunk_length_is_invisible(monkeypatch):
     # pairs (rng.jump_channel), so no slot reads another's draws. The drift
     # of the sum kind is a real-axis integral, 2e-16 off its closed form (4e-12 by Talbot)
     (lambda: bernstein.sum_of_stables(1.0, 0.5), (0.2, -0.1, 0.0), 300, 29, 2e-3,
-     "429a3117c8d5aa9ca94ce0f98f8d32b664eb7f3d29b7c8861703ec913a0398b9"),
+     "ab6a7f51172759fbfde64dd4fd59850e20a6e5711edd9b20076d115fec95fff2"),
     # rate*dt about 3.6 and 3.7: steps carry ten jumps and more, so the
     # first chunks of a few hundred paths hold only three to six steps
     (lambda: bernstein.relativistic_stable(1.0, 1.0), (0.1, -0.3), 300, 41, 0.065,
-     "a024a62fd514b97b3695094c4692528ee596455f2d66e86ba0ca47547eb53d76"),
+     "a9f186f416e282f7dbca1875c81bbba0a135332d98014eaee3ac5ace27056d84"),
     (lambda: bernstein.log_perturbed_up(1.0, 0.5), (0.25,), 400, 43, 0.04,
-     "cfca71ef57216524db54bb500203a6dd0b0c99486135883f8131a6b0ed547efb"),
+     "b96ebb33c0cd111de44e3c684e13ee6a73baf75fe6417070f4287977bf8e6228"),
 ], ids=["sum-d3", "relativistic-d2", "log_up-d1"])
 def test_compound_march_bits_pinned(make_phi, x0, paths, seed, step, digest):
     d = len(x0)
@@ -223,13 +223,13 @@ def test_compound_chunk_length_is_invisible(monkeypatch):
                                    _cfg(paths=40, seed=53, step=0.05))
         assert 0.0 < sample.exited_by_jump.mean() < 1.0
         assert _sample_digest(sample) == (
-            "6c0dd381db01cb574894433d0472c44fff83ae0f44ed564f58dd2db4641070e1"), batch_size
+            "b2dace3ab037b24102b838380478adeff5d822044d0800f4e86fe76c3dcf5633"), batch_size
 
 
 def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     # one batch of 400 paths, budget 16384 // 400 = 40 sub-moves per path;
     # at rate*dt = 2.77 the first count draw holds 40 // 3.77 = 10 steps,
-    # where one sub-move per step drew 40 and 32 826 CH_SUB elements in all
+    # where one sub-move per step drew 40
     drawn = []
     pair = rng.PhiloxStream.uniform_pair
 
@@ -245,7 +245,7 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     drawn.clear()
     mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], cfg)
     assert drawn[0] == 10 * 400
-    assert sum(drawn) == 20826
+    assert sum(drawn) == 22396
 
 
 @pytest.mark.parametrize("batch_size, n, steps", [
@@ -293,10 +293,15 @@ def test_row_norm_is_numpy_s_bit_for_bit(d):
     assert (column_order.tobytes() == want.tobytes()) == (d < 8)
 
 
+def _jump_sizes(inc, u, v):
+    # eps + E/S from a size channel's pairs: S from the mixture by u, E = -log v
+    return inc.epsilon - np.log(v) / inc.rates[np.searchsorted(inc.mixture_cdf, u)]
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
 def test_fused_jump_matches_per_slot_draws(d):
     # one call over mixed slots, steps and ids gives each jump the bits of
-    # its slot's own size channel and direction pairs
+    # its slot's own size channel pair and direction pairs
     inc = mc._Increments(bernstein.relativistic_stable(1.0, 1.0), _cfg(seed=61), 0.05)
     slots = np.array([0, 3, 1, 0, 7, 2, 3, 40])
     steps = np.array([0, 4, 4, 2**32 + 1, 9, 0, 4, 2], dtype=np.uint64)
@@ -305,8 +310,8 @@ def test_fused_jump_matches_per_slot_draws(d):
     assert sizes.shape == (slots.size,) and z.shape == (slots.size, d)
     for i, j in enumerate(slots.tolist()):
         channel, at = rng.jump_channel(j, d), ids[i : i + 1]
-        u, _ = inc.stream.uniform_pair(channel, steps[i], at)
-        assert sizes[i] == mc._jump_sizes(inc.tables, u)[0]
+        u, v = inc.stream.uniform_pair(channel, steps[i], at)
+        assert sizes[i] == _jump_sizes(inc, u, v)[0]
         assert np.array_equal(z[i], inc.stream.normals(steps[i], at, d, base_channel=channel + 1)[0])
 
 
@@ -345,8 +350,8 @@ def test_increment_jumps_match_per_slot_draws(monkeypatch):
     want = np.full(cfg.paths, inc.drift)
     for slot in range(int(counts.max())):
         has = counts > slot
-        u, _ = inc.stream.uniform_pair(rng.jump_channel(slot, 0), 5, ids[has])
-        want[has] += mc._jump_sizes(inc.tables, u)
+        u, v = inc.stream.uniform_pair(rng.jump_channel(slot, 0), 5, ids[has])
+        want[has] += _jump_sizes(inc, u, v)
     assert counts.sum() > 15000
     for batch_size in (16384, 1000, 7):
         monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
@@ -479,11 +484,11 @@ def test_hitting_before_exit_bits_pinned():
 
 @pytest.mark.parametrize("target, enclosing, mean, se, n", [
     (mc.Ball(center=(1.0,), radius=0.4), mc.Ball(center=(0.0,), radius=2.0),
-     "0x1.d555555555555p-1", "0x1.5e690615229d8p-6", 168),
+     "0x1.c5bf9de4683d5p-1", "0x1.93ca9a3de40cfp-6", 167),
     # the target straddles the enclosing boundary
     (mc.Interval(0.8, 1.5), mc.Interval(-1.0, 1.0),
-     "0x1.314abba098a56p-1", "0x1.3dc2066d750bap-5", 161),
-])
+     "0x1.2ca6b29aca6b3p-1", "0x1.346d7a5f8efa6p-5", 172),
+], ids=["ball", "interval-straddling"])
 def test_compound_hitting_bits_pinned(target, enclosing, mean, se, n):
     # compound mode with most paths censored: a path counts once it hits the
     # target or leaves the enclosing domain; captured while hits were
@@ -803,12 +808,16 @@ def test_histogram_walks_and_hitting_marches(monkeypatch):
     assert abs(hit.mean - march.mean) < 4.0 * math.hypot(hit.std_error, march.std_error)
 
 
-def test_stable_compound_tables_match_closed_forms():
-    # the stable kind tabulates its closed tail like every other kind: rate
-    # mu(eps, inf) bit for bit, the small-jump drift and jump sizes
-    # eps u^(-2/alpha) (the deep ones continued along the table's end slope)
-    # to 1e-10
-    u = np.geomspace(1e-40, 1.0, 801)
+def _mixture_tail(tables, eps, x):
+    # P(J > x | J > eps) of the sampled law: the mixture's sum of P(E/S > x - eps) = e^(-(x - eps) S)
+    cdf, rates = tables[2:]
+    return np.exp(-np.multiply.outer(x - eps, rates)) @ np.diff(cdf, prepend=0.0)
+
+
+def test_stable_jump_law_is_the_closed_tail():
+    # the stable kind's compound tables (which test_compound_matches_exact_route
+    # marches): rate mu(eps, inf) bit for bit, the small-jump drift to 1e-10,
+    # and a mixture tail of (x/eps)^(-alpha/2) to 1e-9, past the check grid too
     for alpha in (0.5, 1.0, 1.5):
         e = alpha / 2.0
         for eps in (5e-5, 1e-4, 2e-4):
@@ -817,5 +826,82 @@ def test_stable_compound_tables_match_closed_forms():
             assert rate == eps**-e / gamma_fn(1.0 - e), (alpha, eps)
             assert drift == pytest.approx(
                 e / gamma_fn(1.0 - e) * eps ** (1.0 - e) / (1.0 - e), rel=1e-10)
-            np.testing.assert_allclose(mc._jump_sizes(tables, u), eps * u ** (-1.0 / e),
-                                       rtol=1e-10, atol=0.0)
+            x = eps * np.geomspace(1.0, 1e14, 81)
+            np.testing.assert_allclose(_mixture_tail(tables, eps, x), (x / eps) ** -e, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("phi", [
+    bernstein.sum_of_stables(1.0, 0.5), bernstein.log_perturbed_up(1.0, 0.5),
+    bernstein.log_perturbed_down(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0),
+    bernstein.relativistic_stable(1.5, 1.0)], ids=lambda phi: phi.label())
+def test_jump_law_is_the_certified_tail(phi):
+    # off the check grid the mixture tail still meets mu(x, inf)/mu(eps, inf)
+    # to 1e-9 (absolute under the smallest normal float); the relativistic
+    # density vanishes like (s - b)^(1/2) at its branch point b, which
+    # level 1 of the rule resolves only to 3e-3 in the far tail
+    eps = 1e-4
+    x = eps * np.geomspace(1.3, 7e11, 53)
+    tail = bernstein.levy_tail(phi, np.append(eps, x))
+    np.testing.assert_allclose(_mixture_tail(mc._compound_tables(phi, eps), eps, x), tail[1:] / tail[0],
+                               rtol=1e-9, atol=np.finfo(float).tiny)
+
+
+def test_atom_only_jump_law_is_the_atom_sum():
+    # conjugate(geometric_like(1, 64)) is unkilled and its Levy measure is the
+    # atoms w = 2^n at z = 4^n of 1/phi: S is drawn from them alone, weighted
+    # w e^(-eps z), and no node of the cut is evaluated
+    phi, eps = bernstein.conjugate(bernstein.geometric_like(1.0, 64)), 1e-4
+    n = np.arange(1, 65, dtype=float)
+    w, z = 2.0**n, 4.0**n
+    tables = mc._compound_tables(phi, eps)
+    assert set(tables[3]) <= set(z) and tables[3].size == np.count_nonzero(w * np.exp(-eps * z))
+    x = eps * np.geomspace(1.0, 1e12, 61)
+    exact = np.exp(-np.multiply.outer(x, z)) @ w / (np.exp(-eps * z) @ w)
+    np.testing.assert_allclose(_mixture_tail(tables, eps, x), exact, rtol=1e-12, atol=np.finfo(float).tiny)
+    assert tables[0] == pytest.approx(np.exp(-eps * z) @ w, rel=1e-12)
+
+
+def test_uncertified_jump_law_is_refused():
+    # sum(1, 0.1) puts 1.7e-7 of the tail at 1e12 eps on s under the rule's
+    # first node, jumps past e^331 that no node holds: no level certifies it
+    with pytest.raises(NumericAccuracyError, match="not certified"):
+        mc._compound_tables(bernstein.sum_of_stables(1.0, 0.1), 1e-4)
+    # a tail of 0 at eps has no jump to draw, and the march moves by the drift
+    phi = bernstein.relativistic_stable(0.5, 100.0)
+    assert mc._compound_tables(phi, 1e-4)[0] == 0.0
+    sample = mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], _cfg(paths=10, horizon=1e8, step=1e5))
+    assert sample.censored == 0 and not sample.exited_by_jump.any()
+
+
+@pytest.mark.parametrize("phi", [
+    bernstein.relativistic_stable(1.0, 1.0), bernstein.log_perturbed_up(1.0, 0.5),
+    bernstein.conjugate(bernstein.geometric_like(1.0, 64))], ids=lambda phi: phi.label())
+def test_sampled_jumps_follow_the_levy_tail(phi):
+    # 200 000 size draws of slot 0: the share over x at six x within 4 sigma
+    # of mu(x, inf)/mu(eps, inf)
+    cfg = _cfg(paths=200000, seed=73)
+    inc, ids = mc._Increments(phi, cfg, 1e-3), np.arange(cfg.paths, dtype=np.uint64)
+    sizes, _ = inc.jump(np.zeros(cfg.paths, dtype=np.int64), 0, ids, 0)
+    assert sizes.min() > cfg.epsilon
+    x = cfg.epsilon * np.array([1.2, 2.0, 5.0, 30.0, 300.0, 3000.0])
+    tail = bernstein.levy_tail(phi, np.append(cfg.epsilon, x))
+    p = tail[1:] / tail[0]
+    share = (sizes[:, None] > x).mean(axis=0)
+    assert np.all(np.abs(share - p) <= 4.0 * np.sqrt(p * (1.0 - p) / cfg.paths)), (share, p)
+
+
+@pytest.mark.parametrize("phi", [
+    bernstein.relativistic_stable(1.0, 1.0), bernstein.log_perturbed_up(1.0, 0.5),
+    bernstein.conjugate(bernstein.geometric_like(1.0, 64))], ids=lambda phi: phi.label())
+def test_increment_laplace_transform_is_exp_of_phi(phi):
+    # E e^(-lam S_dt) = exp(-dt phi_eps(lam)), where phi_eps restores the jumps
+    # under eps by their mean: 0 <= phi_eps - phi <= lam^2 eps drift/2, which
+    # bounds the bias
+    dt, cfg = 0.05, _cfg(paths=40000, seed=79)
+    inc = mc.sample_subordinator_increment(phi, dt, cfg)
+    drift = mc._compound_tables(phi, cfg.epsilon)[1]
+    for lam in (0.3, 3.0, 30.0):
+        vals, want = np.exp(-lam * inc), math.exp(-dt * phi(lam))
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        bias = want * dt * lam**2 * cfg.epsilon * drift / 2.0
+        assert abs(vals.mean() - want) <= 4.0 * se + bias, (lam, vals.mean(), want, se)
