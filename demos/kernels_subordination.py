@@ -33,7 +33,8 @@ for r in (0.01, 0.1, 1.0):
 print("\njump kernel, d=1: j(1) should equal 1/pi")
 print(f"  j(1) = {jump_kernel(phi, 1, 1.0):.10f}   1/pi = {1.0 / math.pi:.10f}")
 doubling, shift = j_doubling_and_shift(phi, 1, 2.0)
-print(f"  doubling sup j(r)/j(2r) = {doubling:.8f}   unit shift sup = {shift:.4f}")
+print(f"  doubling sup j(r)/j(2r) = {doubling.hi:.8f}   unit shift sup = {shift.hi:.4f}"
+      f"   passed = {doubling.passed}")
 
 print("\ntransience in d=1 depends on the index: alpha < 1 transient")
 for alpha in (0.5, 1.5):

@@ -30,8 +30,8 @@ print("\nsandwich ratios chi/sqrt(phi(lam^2)) across the catalog")
 lo, hi = math.exp(-math.pi / 2.0), math.exp(math.pi / 2.0)
 print(f"  admissible window [{lo:.4f}, {hi:.4f}]")
 for entry in default_catalog():
-    mn, mx = chi_sandwich_check(entry)
-    print(f"  {entry.label():38s} min={mn:.6f} max={mx:.6f}")
+    win = chi_sandwich_check(entry)
+    print(f"  {entry.label():38s} min={win.lo:.6f} max={win.hi:.6f} passed={win.passed}")
 
 print("\nrenewal function V(t) = t^(1/2)/Gamma(3/2) for alpha=1")
 for t in (0.25, 1.0, 4.0):

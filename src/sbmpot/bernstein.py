@@ -48,8 +48,6 @@ __all__ = [
     "killed_shift",
     "eval_levy_density",
     "levy_tail",
-    "check_levy_shift_bound",
-    "ShiftBoundReport",
     "Stieltjes",
     "check_complete_monotonicity",
     "check_bernstein",
@@ -451,13 +449,21 @@ def killed_shift(phi: CompleteBernsteinFunction, a: float) -> CompleteBernsteinF
 # all read it.  A new kind is one constructor plus one entry here.
 
 
+def _integer(x) -> int:
+    """An integer parameter from an int, an integral float or a CLI string of digits; a fraction is refused."""
+    value = int(x)
+    if not isinstance(x, str) and value != x:
+        raise ConstructionError(f"{x!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class _Param:
     """One construction parameter: JSON key (also label name and CLI flag) and field."""
 
     name: str
     field: str
-    coerce: type = float
+    coerce: Callable = float
     optional: bool = False
 
 
@@ -605,7 +611,7 @@ KINDS: dict[str, _Kind] = {
     ),
     "geometric_example": _Kind(
         geometric_like,
-        (_ALPHA, _Param("n", "n_terms", int, optional=True)),
+        (_ALPHA, _Param("n", "n_terms", _integer, optional=True)),
         _phi_geometric,
         lambda phi: 0.0,
         # 1/phi = sum w/(lam + b) and phi/lam = drift + killing/lam + sum over the zeros of 1/phi: atoms only
@@ -670,20 +676,6 @@ def levy_tail(phi: CompleteBernsteinFunction, t):
     """Tail mass mu(t, inf): the closed form where available, else sum w e^(-zt) over the atoms of phi/lam
     plus (1/pi) int_0^inf e^(-ts) Im phi(-s + i0)/s ds, certified as the Levy density is."""
     return phi.forms(("levy_tail",), t)[0]
-
-
-@dataclass(frozen=True)
-class ShiftBoundReport:
-    grid: np.ndarray
-    ratios: np.ndarray
-    max_ratio: float
-
-
-def check_levy_shift_bound(phi: CompleteBernsteinFunction) -> ShiftBoundReport:
-    """Ratios mu(t)/mu(t+1) on a grid in (1, inf); finite sup is the point."""
-    grid = np.geomspace(2.0, 64.0, 12)
-    ratios = np.atleast_1d(eval_levy_density(phi, grid)) / np.atleast_1d(eval_levy_density(phi, grid + 1.0))
-    return ShiftBoundReport(grid=grid, ratios=ratios, max_ratio=float(np.max(ratios)))
 
 
 # ---- complete monotonicity probes -----------------------------------------
@@ -785,6 +777,8 @@ def phi_from_json(spec) -> CompleteBernsteinFunction:
                 for p in params]
     except KeyError as missing:
         raise ConstructionError(f"kind {kind!r} is missing parameter {missing}") from None
+    except ConstructionError as exc:
+        raise ConstructionError(f"kind {kind!r}: {exc}") from None
     except (TypeError, ValueError, OverflowError):
         names = ", ".join(p.name for p in params)
         raise ConstructionError(f"kind {kind!r} takes numbers for {names}, got {spec}") from None

@@ -74,6 +74,7 @@ _USAGE_ERRORS = (
     EvaluationDomainError,
     UndecidableError,
     NotTransientError,
+    OSError,  # an --output that cannot be written
 )
 
 
@@ -217,32 +218,29 @@ def _halfline_rows(phi, args) -> dict:
 
 
 def _sandwich_rows(phi, args) -> dict:
-    mn, mx = chi_sandwich_check(phi)
-    return {"check": ["sandwich"], "min": [mn], "max": [mx],
-            "lo_bound": [SANDWICH_LO], "hi_bound": [SANDWICH_HI],
-            "pass": [SANDWICH_LO - 1e-9 <= mn and mx <= SANDWICH_HI + 1e-9]}
+    win = chi_sandwich_check(phi)
+    return {"check": ["sandwich"], "min": [win.lo], "max": [win.hi],
+            "lo_bound": [SANDWICH_LO], "hi_bound": [SANDWICH_HI], "pass": [win.passed]}
 
 
 def _zahle_rows(phi, args) -> dict:
-    rep = zahle_upper_check(phi)
-    return {"check": ["zahle"], "max_product": [rep.max_product],
-            "min_product": [rep.min_product], "bound": [ZAHLE_BOUND], "pass": [rep.passed]}
+    win = zahle_upper_check(phi)
+    return {"check": ["zahle"], "max_product": [win.hi],
+            "min_product": [win.lo], "bound": [ZAHLE_BOUND], "pass": [win.passed]}
 
 
 def _doubling_rows(phi, args) -> dict:
     doubling, shift = j_doubling_and_shift(phi, args.dim, args.K)
-    passed = bool(np.isfinite(doubling) and np.isfinite(shift) and doubling > 0.0)
     return {"check": ["doubling"], "dim": [args.dim], "K": [args.K],
-            "doubling": [doubling], "shift": [shift], "pass": [passed]}
+            "doubling": [doubling.hi], "shift": [shift.hi], "pass": [doubling.passed]}
 
 
 def _asym_rows(phi, args) -> dict:
     windows = [u_asymptotic_ratio(phi), mu_asymptotic_ratio(phi),
                g_asymptotic_ratio(phi, args.dim), j_asymptotic_ratio(phi, args.dim)]
-    spread = [win.spread for win in windows]
     return {"check": ["asym"] * 4, "quantity": ["u", "mu", "G", "j"],
             "lo": [win.lo for win in windows], "hi": [win.hi for win in windows],
-            "spread": spread, "pass": [bool(np.isfinite(s) and s < 1e3) for s in spread]}
+            "spread": [win.spread for win in windows], "pass": [win.passed for win in windows]}
 
 
 def _harnack_rows(phi, args) -> dict:
@@ -390,8 +388,8 @@ def main(argv=None) -> int:
             with open(argv[1]) as fh:
                 manifest = json.load(fh)
             argv = [str(f) for f in manifest["flags"]]
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"error: cannot replay manifest: {exc}\n")
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            sys.stderr.write(f"error: cannot replay manifest, a JSON object whose flags are a list: {exc}\n")
             return 2
     parser = _build_parser()
     try:
@@ -400,13 +398,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         table = args.build(_phi_from_args(args), args)
+        _emit(table, args, argv)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericAccuracyError as exc:
         sys.stderr.write(f"numeric accuracy failure: {exc}\n")
         return 3
-    _emit(table, args, argv)
     return 0 if all(table.get("pass", ())) else 1
 
 

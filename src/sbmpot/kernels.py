@@ -141,19 +141,19 @@ def _small_radii(r_grid) -> np.ndarray:
 def g_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> RatioWindow:
     """G(r) * r**d * phi(r**-2) over a small-r window; bounded spread is the claim."""
     grid = _small_radii(r_grid)
-    return RatioWindow.of(grid, green_function(phi, d, grid) * grid ** d * phi(grid ** -2.0))
+    return RatioWindow.of(grid, green_function(phi, d, grid) * grid ** d * phi(grid ** -2.0), RatioWindow.bounded)
 
 
 def j_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> RatioWindow:
-    """j(r) * r**d / phi(r**-2) over a small-r window."""
+    """j(r) * r**d / phi(r**-2) over a small-r window; bounded spread is the claim."""
     grid = _small_radii(r_grid)
-    return RatioWindow.of(grid, jump_kernel(phi, d, grid) * grid ** d / phi(grid ** -2.0))
+    return RatioWindow.of(grid, jump_kernel(phi, d, grid) * grid ** d / phi(grid ** -2.0), RatioWindow.bounded)
 
 
-def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tuple[float, float]:
-    """Measured doubling and unit-shift constants of the jump kernel.
-
-    Returns (max of j(r)/j(2r) on (0,K), max of j(r)/j(r+1) on (1, 10K)).
+def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tuple[RatioWindow, RatioWindow]:
+    """Windows of the jump kernel's doubling ratio j(r)/j(2r) on (0, K) and unit-shift ratio j(r)/j(r+1) on
+    (1, 10K), whose sups are its measured constants.  Both carry the pair's verdict: both sups finite, and
+    the doubling one positive.
     """
     if not 0.0 < K < math.inf:
         raise EvaluationDomainError(f"K must lie in (0, inf), got {K:g}")
@@ -161,7 +161,11 @@ def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tu
     r_large = np.geomspace(1.001, 10.0 * K if 10.0 * K > 1.1 else 1.1, 40)
     j_small, j_double, j_large, j_shift = np.split(
         jump_kernel(phi, d, np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])), 4)
-    return float(np.max(j_small / j_double)), float(np.max(j_large / j_shift))
+    with np.errstate(divide="ignore", invalid="ignore"):  # j underflows to 0 far out: the ratio is inf or NaN
+        doubling, shift = j_small / j_double, j_large / j_shift
+    passed = bool(np.isfinite(doubling.max()) and np.isfinite(shift.max()) and doubling.max() > 0.0)
+    return (RatioWindow.of(r_small, doubling, lambda lo, hi: passed),
+            RatioWindow.of(r_large, shift, lambda lo, hi: passed))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from scipy.special import expit
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
+from .densities import RatioWindow
 from .errors import EvaluationDomainError, NumericAccuracyError
 from .laplace import quad  # noqa: F401  unused here; perfbench/tracing.py patches it by name
 
@@ -104,15 +105,15 @@ def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):
     return float(out) if np.ndim(lam) == 0 else out
 
 
-def chi_sandwich_check(phi: CompleteBernsteinFunction, lambda_grid=None) -> tuple[float, float]:
-    """(min, max) of chi(lam)/sqrt(phi(lam^2)) over the grid.
+def chi_sandwich_check(phi: CompleteBernsteinFunction, lambda_grid=None) -> RatioWindow:
+    """chi(lam)/sqrt(phi(lam^2)) over the grid, passed when it lies in [exp(-pi/2), exp(pi/2)] to 1e-9.
 
-    Both ends must land inside [exp(-pi/2), exp(pi/2)] whatever phi is; that
-    window comes with explicit constants, so callers can assert it hard.
+    That window holds whatever phi is and comes with explicit constants, so
+    callers can assert it hard.
     """
     grid = np.asarray(lambda_grid if lambda_grid is not None else np.geomspace(1e-2, 1e4, 40), dtype=float)
     ratio = ladder_exponent_chi(phi, grid) / np.sqrt(np.atleast_1d(phi(grid ** 2)))
-    return float(np.min(ratio)), float(np.max(ratio))
+    return RatioWindow.of(grid, ratio, lambda lo, hi: SANDWICH_LO - 1e-9 <= lo and hi <= SANDWICH_HI + 1e-9)
 
 
 def chi_is_cbf_check(phi: CompleteBernsteinFunction) -> MonotonicityReport:

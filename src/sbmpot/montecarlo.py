@@ -718,6 +718,11 @@ class ExitTimeBoundsReport:
     def window_positive(self) -> bool:
         return math.isfinite(self.window[1]) and self.window[0] > 0.0
 
+    @property
+    def passed(self) -> bool:
+        """The product window is positive and every start's mean is under its renewal bound."""
+        return self.window_positive and bool(np.all(self.bound_ok))
+
 
 # starting offsets beta of exit_time_bounds_check, as fractions of r; 0 gives
 # the centred mean behind the product window

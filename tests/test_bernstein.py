@@ -342,16 +342,16 @@ def test_tail_additivity_for_sum():
 
 def test_levy_shift_bound(catalog):
     for phi in catalog:
-        rep = bernstein.check_levy_shift_bound(phi)
-        assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0, phi.label()
+        rep = densities.check_levy_shift_bound(phi)
+        assert rep.passed and np.isfinite(rep.hi) and rep.hi > 0.0, phi.label()
         if phi.kind == "geometric_example":
             # mu is the exponential sum sum c_k z_k e^(-z_k t), whose ratio
             # rises to e^(z_1) and is there at the last point t = 64
             z_1 = phi.stieltjes(1).z[0]
-            assert rep.max_ratio == pytest.approx(math.exp(z_1), rel=1e-12)
+            assert rep.hi == pytest.approx(math.exp(z_1), rel=1e-12)
         if phi.kind == "stable":
             # mu(t)/mu(t+1) = ((t+1)/t)^(1+alpha/2), largest at the first point t = 2
-            assert rep.max_ratio == pytest.approx(1.5 ** (1.0 + phi.alpha / 2.0), rel=1e-12)
+            assert rep.hi == pytest.approx(1.5 ** (1.0 + phi.alpha / 2.0), rel=1e-12)
 
 
 def test_complete_monotonicity_probes():

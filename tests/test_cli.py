@@ -143,6 +143,38 @@ def test_check_asym_passes(capsys):
     assert all(float(r["spread"]) < 1e3 for r in rows)
 
 
+# each analytic check, its flags besides the exponent flags, and the library
+# calls whose reports give its rows
+ANALYTIC_CHECKS = {
+    "sandwich": ([], ["chi_sandwich_check"]),
+    "zahle": ([], ["zahle_upper_check"]),
+    "doubling": (["--dim", "2"], ["j_doubling_and_shift"]),
+    "asym": (["--dim", "3"], ["u_asymptotic_ratio", "mu_asymptotic_ratio", "g_asymptotic_ratio",
+                              "j_asymptotic_ratio"]),
+}
+
+
+@pytest.mark.parametrize("kind", ["stable", "relativistic", "sum", "log_up", "log_down", "geometric_example"])
+@pytest.mark.parametrize("check", list(ANALYTIC_CHECKS))
+def test_check_pass_cell_is_the_library_verdict(capsys, monkeypatch, check, kind):
+    # the CLI decides no verdict: each pass cell is the passed of the report
+    # the library returned for that row (doubling's pair shares one); the
+    # geometric kind's mu window fails, with a spread of 1.1e4
+    flags, names = ANALYTIC_CHECKS[check]
+    reports = []
+    for name in names:
+        def record(*args, _call=getattr(cli, name)):
+            reports.append(_call(*args))
+            return reports[-1]
+        monkeypatch.setattr(cli, name, record)
+    argv = ["check", check, "--kind", kind, *KIND_FLAGS[kind][0], *flags]
+    rc, out = _run(capsys, argv)
+    verdicts = [rep[0].passed if check == "doubling" else rep.passed for rep in reports]
+    assert [row["pass"] for row in _rows(out)] == [str(v).lower() for v in verdicts]
+    assert rc == (0 if all(verdicts) else 1)
+    assert all(verdicts) is not ((check, kind) == ("asym", "geometric_example"))
+
+
 def test_failed_check_returns_one_with_report(capsys):
     # deliberately underpowered run: the stability gate must reject it
     rc, out = _run(capsys, ["check", "bhp", "--kind", "stable", "--alpha", "1",
@@ -332,6 +364,34 @@ def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
 
 def test_from_manifest_missing_file(capsys):
     assert cli.main(["--from-manifest", "/nonexistent/m.json"]) == 2
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2]", '{"flags": 5}', '{"flags": null}', "{not json"])
+def test_from_manifest_without_a_flag_list_is_usage_error(tmp_path, capsys, manifest):
+    # a manifest that parses but holds no list of flags raised TypeError, exit 1
+    path = tmp_path / "m.json"
+    path.write_text(manifest)
+    assert cli.main(["--from-manifest", str(path)]) == 2
+    assert "cannot replay manifest" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    # a missing directory raised FileNotFoundError, exit 1
+    target = tmp_path / "missing" / "x.csv"
+    assert cli.main(["phi", "--kind", "stable", "--alpha", "1", "--lambda", "2", "--output", str(target)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err and not target.parent.exists()
+
+
+def test_non_integral_n_is_refused(capsys):
+    # a fraction is refused as JSON and as a flag; an integral float is its integer
+    spec = '{"kind": "geometric_example", "alpha": 1.0, "n": %s}'
+    assert cli.main(["phi", "--phi", spec % "64.7", "--lambda", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "64.7 is not an integer" in err
+    assert _run(capsys, ["phi", "--kind", "geometric_example", "--alpha", "1", "--n", "64.7"])[0] == 2
+    assert _run(capsys, ["phi", "--phi", spec % "64.0", "--lambda", "2"]) == _run(
+        capsys, ["phi", "--phi", spec % "64", "--lambda", "2"])
+    assert bernstein.phi_from_json(spec % "64.0").n_terms == 64
 
 
 def test_malformed_phi_json_is_usage_error(capsys):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf, erfcx
 
 from sbmpot import bernstein, densities, laplace
-from sbmpot.errors import NumericAccuracyError
+from sbmpot.errors import EvaluationDomainError, NumericAccuracyError
 
 
 def test_stable_potential_density_closed_form():
@@ -115,16 +115,15 @@ def test_zahle_upper_bound_with_explicit_constant(catalog):
     for phi in catalog:
         rep = densities.zahle_upper_check(phi)
         assert rep.passed, phi.label()
-        assert rep.max_product <= densities.ZAHLE_BOUND + 1e-6, phi.label()
+        assert rep.hi <= densities.ZAHLE_BOUND + 1e-6, phi.label()
 
 
 def test_zahle_lower_bound_via_scaling_witness():
-    # a witness below the lower scaling index verifies; one above it cannot
+    # a delta below the lower scaling index has a constant a >= 1; one above it
+    # has none on the grid
     phi = bernstein.stable(1.0)
-    good = densities.ScalingWitness(delta=0.4, a_const=1.0, s0=1.0)
-    assert densities.verify_scaling_condition(phi, good)
-    bad = densities.ScalingWitness(delta=0.9, a_const=1.0, s0=1.0)
-    assert not densities.verify_scaling_condition(phi, bad)
+    assert densities.find_scaling_constant(phi, 0.4, 1.0) >= 1.0 - 1e-12
+    assert densities.find_scaling_constant(phi, 0.9, 1.0) < 1.0
     t = np.geomspace(1e-3, 0.9, 30)
     u = np.atleast_1d(densities.potential_density_u(phi, t))
     products = u * t * np.atleast_1d(phi(1.0 / t))
@@ -136,6 +135,36 @@ def test_find_scaling_constant_stable():
     phi = bernstein.stable(1.0)
     a = densities.find_scaling_constant(phi, delta=0.4)
     assert np.isfinite(a) and a >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("delta, s0", [(0.4, 0.0), (0.4, math.nan), (0.4, math.inf), (0.0, 1.0),
+                                       (1.0, 1.0), (math.nan, 1.0)])
+def test_scaling_constant_refuses_what_it_cannot_measure(delta, s0):
+    # s0 = 0 divided by zero and s0 = NaN returned NaN
+    with pytest.raises(EvaluationDomainError):
+        densities.find_scaling_constant(bernstein.stable(1.0), delta, s0)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 2.0], [0.0, 0.5], [math.nan, 0.5]])
+def test_zahle_grid_outside_the_unit_interval_is_refused(grid):
+    with pytest.raises(EvaluationDomainError):
+        densities.zahle_upper_check(bernstein.stable(1.0), np.array(grid))
+
+
+def test_zahle_verdict_at_its_bound(monkeypatch):
+    # passed while the largest product is at most ZAHLE_BOUND + 1e-6, exactly
+    edge = densities.ZAHLE_BOUND + 1e-6
+    for hi, passed in ((edge, True), (np.nextafter(edge, math.inf), False)):
+        monkeypatch.setattr(densities, "u_asymptotic_ratio",
+                            lambda phi, grid: densities.RatioWindow.of(grid, [0.5, hi], densities.RatioWindow.bounded))
+        win = densities.zahle_upper_check(bernstein.stable(1.0), np.array([0.1, 1.0]))
+        assert (win.hi, win.passed) == (hi, passed)
+
+
+def test_levy_shift_verdict_on_an_underflowing_density():
+    # relativistic m = 100: mu is 0 on the whole grid, so the ratio is NaN and
+    # the check fails, with no warning
+    assert not densities.check_levy_shift_bound(bernstein.relativistic_stable(1.0, 100.0)).passed
 
 
 def test_tail_vs_conjugate_potential_identity(catalog):
@@ -154,16 +183,21 @@ def test_asymptotic_ratio_windows(catalog):
     for phi in catalog:
         for win in (densities.u_asymptotic_ratio(phi), densities.mu_asymptotic_ratio(phi)):
             assert 0.0 < win.lo <= win.hi, phi.label()
-            assert win.hi / win.lo < 1e3, phi.label()
+            assert win.hi / win.lo < 1e3 and win.passed, phi.label()
 
 
 def test_ratio_window_spread_needs_a_positive_window():
     # a window that reaches zero or dips negative has no finite spread, so
     # a bound such as spread < 1e3 cannot pass it
     grid = np.array([1.0, 2.0])
-    assert densities.RatioWindow.of(grid, [0.5, 2.0]).spread == 4.0
-    assert densities.RatioWindow.of(grid, [-1e-3, 5.0]).spread == math.inf
-    assert densities.RatioWindow.of(grid, [0.0, 5.0]).spread == math.inf
+    bounded = densities.RatioWindow.bounded
+    assert densities.RatioWindow.of(grid, [0.5, 2.0], bounded).spread == 4.0
+    for ratios in ([-1e-3, 5.0], [0.0, 5.0]):
+        win = densities.RatioWindow.of(grid, ratios, bounded)
+        assert win.spread == math.inf and not win.passed
+    # a positive window passes on a spread strictly under 1e3
+    for hi, passed in ((1e3, False), (np.nextafter(1e3, 0.0), True), (math.inf, False), (math.nan, False)):
+        assert densities.RatioWindow.of(grid, [1.0, hi], bounded).passed is passed
 
 
 def test_potential_density_batches_match_scalars():

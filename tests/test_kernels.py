@@ -51,8 +51,38 @@ def test_jump_kernel_general_alpha():
 def test_doubling_constant_stable():
     phi = bernstein.stable(1.0)
     doubling, shift = kernels.j_doubling_and_shift(phi, 1, 2.0)
-    assert doubling == pytest.approx(2.0 ** (1.0 + 1.0), rel=1e-6)
-    assert np.isfinite(shift) and shift > 0.0
+    assert doubling.hi == pytest.approx(2.0 ** (1.0 + 1.0), rel=1e-6)
+    assert np.isfinite(shift.hi) and shift.hi > 0.0 and doubling.passed
+
+
+@pytest.mark.parametrize("quarter, value, passed", [
+    (None, 1.0, True),           # j constant: doubling and shift 1
+    (0, 0.0, False),             # doubling 0
+    (1, 0.0, False),             # doubling inf
+    (3, 0.0, False),             # shift inf
+    (1, math.nan, False),        # doubling NaN
+    (3, math.nan, False),        # shift NaN
+    (2, math.inf, False),        # shift inf from j
+])
+def test_doubling_verdict_on_non_finite_constants(monkeypatch, quarter, value, passed):
+    # j_doubling_and_shift reads j at r, 2r (doubling) and r, r + 1 (shift) in
+    # four quarters of one call; both windows carry the pair's verdict
+    def j(phi, d, r):
+        out = np.ones_like(r)
+        if quarter is not None:
+            out[quarter * 40:(quarter + 1) * 40] = value
+        return out
+    monkeypatch.setattr(kernels, "jump_kernel", j)
+    doubling, shift = kernels.j_doubling_and_shift(bernstein.stable(1.0), 1, 2.0)
+    assert doubling.passed is passed and shift.passed is passed
+
+
+def test_doubling_of_an_underflowing_kernel_fails_without_warning(capsys):
+    # relativistic m = 100: j(r + 1) underflows to 0 past r ~ 7, so the shift
+    # ratio is NaN and the check exits 1, where it leaked a RuntimeWarning
+    rc = cli.main(["check", "doubling", "--kind", "relativistic", "--alpha", "1", "--m", "100",
+                   "--dim", "1", "--K", "3"])
+    assert rc == 1 and capsys.readouterr().out.splitlines()[1].endswith(",nan,false")
 
 
 def test_transience_rules():

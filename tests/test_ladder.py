@@ -29,9 +29,24 @@ def test_chi_vectorized_matches_scalar():
 
 def test_sandwich_all_catalog(catalog, lam_grid):
     for phi in catalog:
-        mn, mx = ladder.chi_sandwich_check(phi, lam_grid)
-        assert mn >= ladder.SANDWICH_LO - 1e-9, phi.label()
-        assert mx <= ladder.SANDWICH_HI + 1e-9, phi.label()
+        win = ladder.chi_sandwich_check(phi, lam_grid)
+        assert win.lo >= ladder.SANDWICH_LO - 1e-9, phi.label()
+        assert win.hi <= ladder.SANDWICH_HI + 1e-9 and win.passed, phi.label()
+
+
+@pytest.mark.parametrize("ratio, passed", [
+    (ladder.SANDWICH_LO - 0.9e-9, True),
+    (ladder.SANDWICH_LO - 1.1e-9, False),
+    (ladder.SANDWICH_HI + 0.9e-9, True),
+    (ladder.SANDWICH_HI + 1.1e-9, False),
+])
+def test_sandwich_verdict_at_its_bounds(monkeypatch, ratio, passed):
+    # chi set to a constant multiple of sqrt(phi(lam^2)): the window is that
+    # multiple to a few ulps, and passes within [LO - 1e-9, HI + 1e-9]
+    phi = bernstein.stable(1.0)
+    monkeypatch.setattr(ladder, "ladder_exponent_chi", lambda phi, lam: ratio * np.sqrt(phi(lam**2)))
+    win = ladder.chi_sandwich_check(phi)
+    assert win.lo == pytest.approx(ratio, rel=1e-14) and win.passed is passed
 
 
 def test_chi_is_complete_bernstein():

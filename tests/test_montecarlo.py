@@ -446,6 +446,11 @@ def test_exit_time_bounds_check_renewal():
     rep = mc.exit_time_bounds_check(phi, 1, [0.5, 1.0], 4000, 11)
     assert rep.window_positive
     assert np.all(rep.bound_ok), rep.offset_means
+    assert rep.passed
+    # the verdict needs both: a positive window and every bound
+    assert not replace(rep, bound_ok=np.array([[True, True, False], [True, True, True]])).passed
+    assert not replace(rep, window=(0.0, rep.window[1])).passed
+    assert not replace(rep, window=(rep.window[0], math.inf)).passed
     v2v1 = 8.0 * math.sqrt(2.0) / math.pi
     assert rep.renewal_bounds[1][0] == pytest.approx(v2v1, rel=1e-9)
 
