@@ -457,6 +457,9 @@ def _integer(x) -> int:
     return value
 
 
+_integer.__name__ = "integer"  # argparse names a refused --n by it: "invalid integer value"
+
+
 @dataclass(frozen=True)
 class _Param:
     """One construction parameter: JSON key (also label name and CLI flag) and field."""

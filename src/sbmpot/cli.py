@@ -362,13 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     modes = {}
     for name, cmd in COMMANDS.items():
         command, _, mode = name.partition(" ")
-        if not mode:
-            p = sub.add_parser(command, help=_HELP[command])
-        else:
-            if command not in modes:
-                modes[command] = sub.add_parser(command, help=_HELP[command]).add_subparsers(
-                    dest="mode", required=True, parser_class=_CommandParser)
-            p = modes[command].add_parser(mode)
+        if mode and command not in modes:
+            modes[command] = sub.add_parser(command, help=_HELP[command]).add_subparsers(
+                dest="mode", required=True, parser_class=_CommandParser)
+        p = modes[command].add_parser(mode) if mode else sub.add_parser(command, help=_HELP[command])
         _add_phi_flags(p)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", default=None)
@@ -387,9 +384,11 @@ def main(argv=None) -> int:
         try:
             with open(argv[1]) as fh:
                 manifest = json.load(fh)
+            if not (isinstance(manifest, dict) and isinstance(manifest.get("flags"), list)):
+                raise ValueError("it is not a JSON object whose flags are a list")
             argv = [str(f) for f in manifest["flags"]]
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            sys.stderr.write(f"error: cannot replay manifest, a JSON object whose flags are a list: {exc}\n")
+        except (OSError, ValueError) as exc:
+            sys.stderr.write(f"error: cannot replay manifest: {exc}\n")
             return 2
     parser = _build_parser()
     try:

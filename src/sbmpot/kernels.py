@@ -21,7 +21,7 @@ independent of its grid bit for bit; :func:`subordination_integral` is that inte
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -162,10 +162,10 @@ def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tu
     j_small, j_double, j_large, j_shift = np.split(
         jump_kernel(phi, d, np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])), 4)
     with np.errstate(divide="ignore", invalid="ignore"):  # j underflows to 0 far out: the ratio is inf or NaN
-        doubling, shift = j_small / j_double, j_large / j_shift
-    passed = bool(np.isfinite(doubling.max()) and np.isfinite(shift.max()) and doubling.max() > 0.0)
-    return (RatioWindow.of(r_small, doubling, lambda lo, hi: passed),
-            RatioWindow.of(r_large, shift, lambda lo, hi: passed))
+        doubling = RatioWindow.of(r_small, j_small / j_double, lambda lo, hi: math.isfinite(hi) and hi > 0.0)
+        shift = RatioWindow.of(r_large, j_large / j_shift, lambda lo, hi: math.isfinite(hi))
+    passed = doubling.passed and shift.passed
+    return replace(doubling, passed=passed), replace(shift, passed=passed)
 
 
 @dataclass(frozen=True)

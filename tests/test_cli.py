@@ -364,15 +364,24 @@ def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
 
 def test_from_manifest_missing_file(capsys):
     assert cli.main(["--from-manifest", "/nonexistent/m.json"]) == 2
+    assert "cannot replay manifest: [Errno 2] No such file or directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("manifest", ["[1, 2]", '{"flags": 5}', '{"flags": null}', "{not json"])
+def test_from_manifest_that_does_not_parse_keeps_the_parser_message(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("{not json")
+    assert cli.main(["--from-manifest", str(path)]) == 2
+    assert "cannot replay manifest: Expecting property name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2]", '{"flags": 5}', '{"flags": null}', '{"flags": "abc"}', "{}"])
 def test_from_manifest_without_a_flag_list_is_usage_error(tmp_path, capsys, manifest):
-    # a manifest that parses but holds no list of flags raised TypeError, exit 1
+    # a manifest that parses but holds no list of flags raised TypeError, exit 1,
+    # or (a string of flags) was split into characters for argparse to refuse
     path = tmp_path / "m.json"
     path.write_text(manifest)
     assert cli.main(["--from-manifest", str(path)]) == 2
-    assert "cannot replay manifest" in capsys.readouterr().err
+    assert "cannot replay manifest: it is not a JSON object whose flags are a list" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
@@ -388,7 +397,8 @@ def test_non_integral_n_is_refused(capsys):
     assert cli.main(["phi", "--phi", spec % "64.7", "--lambda", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "64.7 is not an integer" in err
-    assert _run(capsys, ["phi", "--kind", "geometric_example", "--alpha", "1", "--n", "64.7"])[0] == 2
+    assert cli.main(["phi", "--kind", "geometric_example", "--alpha", "1", "--n", "64.7"]) == 2
+    assert "invalid integer value: '64.7'" in capsys.readouterr().err
     assert _run(capsys, ["phi", "--phi", spec % "64.0", "--lambda", "2"]) == _run(
         capsys, ["phi", "--phi", spec % "64", "--lambda", "2"])
     assert bernstein.phi_from_json(spec % "64.0").n_terms == 64
