@@ -153,15 +153,22 @@ def j_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> R
 def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tuple[RatioWindow, RatioWindow]:
     """Windows of the jump kernel's doubling ratio j(r)/j(2r) on (0, K) and unit-shift ratio j(r)/j(r+1) on
     (1, 10K), whose sups are its measured constants.  Both carry the pair's verdict: both sups finite, and
-    the doubling one positive.
+    the doubling one positive.  A j under the normal float range at a radius of the grid cannot be measured
+    there: NumericAccuracyError, stating the radii where j is a normal float.
     """
     if not 0.0 < K < math.inf:
         raise EvaluationDomainError(f"K must lie in (0, inf), got {K:g}")
     r_small = np.geomspace(K * 1e-3, K * 0.999, 40)
     r_large = np.geomspace(1.001, 10.0 * K if 10.0 * K > 1.1 else 1.1, 40)
-    j_small, j_double, j_large, j_shift = np.split(
-        jump_kernel(phi, d, np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])), 4)
-    with np.errstate(divide="ignore", invalid="ignore"):  # j underflows to 0 far out: the ratio is inf or NaN
+    radii = np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])
+    j = jump_kernel(phi, d, radii)
+    if np.any(low := j < np.finfo(float).tiny):
+        r_low = radii[low].min()
+        raise NumericAccuracyError(
+            f"check doubling: j is under the normal float range at r = {r_low:.3g}; on the grid of K = {K:g} it is a "
+            f"normal float for r in [{radii.min():.3g}, {radii[radii < r_low].max(initial=0.0):.3g}] only")
+    j_small, j_double, j_large, j_shift = np.split(j, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN or inf j makes the ratio NaN
         doubling = RatioWindow.of(r_small, j_small / j_double, lambda lo, hi: math.isfinite(hi) and hi > 0.0)
         shift = RatioWindow.of(r_large, j_large / j_shift, lambda lo, hi: math.isfinite(hi))
     passed = doubling.passed and shift.passed

@@ -10,24 +10,35 @@ The renewal density v and renewal function V have Laplace transforms 1/chi
 and 1/(lam*chi); the half-line Green function is the convolution
 G(x,y) = int_0^(x^y) v(z) v(|y-x|+z) dz.
 
-Numerical notes.  The quadrature pulls the power lam^(alpha/2) out of the
-exponent analytically (using int log(th)/(1+th^2) dth = 0), leaving only the
-slowly varying part under the integral.  It holds for lam > 0 only, but
-Wiener-Hopf for psi(xi) = phi(xi^2) gives chi(lam) chi(-lam) = phi(-lam^2), so
-the Stieltjes function 1/chi has the cut density chi(s) (-Im 1/phi(-s^2 + i0))
-(Kwasnicki, Studia Math. 206, 2011), and each atom w/(lam + z) of 1/phi gives
-1/chi the atom chi(sqrt z) w/(2 sqrt z): v and V are the sums of 1/phi's
-measure so weighed (:meth:`sbmpot.bernstein.CompleteBernsteinFunction.sums`).
-Kinds whose v and V have closed forms (the stable kind, where chi(lam) =
-lam^(alpha/2)) take them from the kind registry instead.  The doubly
-exponential nodes on (0, 1) of ``_de_rule`` (Takahasi & Mori, Publ. RIMS 9,
-1974), exact at both ends, serve chi as one fixed rule and the half-line
-convolution as one rule, certified against its every other node by the shared
+Numerical notes.  With th = e^u the integral is a convolution in log lam,
+log chi(lam) = (alpha/2) log lam + (1/pi) int G(log lam + u) du/(2 cosh u) with
+G(y) = log phi(e^(2y)) - alpha y (the power lam^(alpha/2) comes out since
+int u du/cosh u = 0).  Both factors are analytic in |Im u| < pi/2, so the
+trapezoid rule converges like e^(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56,
+2014).  ``ladder_exponent_chi`` takes G once per point of the lattice
+y_i = i/8, anchored at lam = 1, convolves it with the kernel over |u| <= 46 by
+FFTs of 2 048 nodes in blocks fixed on the lattice, and interpolates to log
+lam on 14 lattice points, so a lam has the same bits in any call.  Each value
+is certified to 1e-12 of log chi by step h against 2h and by 14 points against
+12, else NumericAccuracyError.  Its reach is the float range: the convolution
+needs phi at lam^2 e^(+-92), a node past the range takes phi at its end, and a
+lam whose nodes so moved could change log chi by over 1e-16 is refused
+(EvaluationDomainError for a caller's lam, NumericAccuracyError for one the
+package chose).  Wiener-Hopf for psi(xi) = phi(xi^2) gives chi(lam) chi(-lam)
+= phi(-lam^2), so the Stieltjes function 1/chi has the cut density
+chi(s) (-Im 1/phi(-s^2 + i0)) (Kwasnicki, Studia Math. 206, 2011), and each
+atom w/(lam + z) of 1/phi gives 1/chi the atom chi(sqrt z) w/(2 sqrt z): v and V
+are the sums of 1/phi's measure so weighed
+(:meth:`sbmpot.bernstein.CompleteBernsteinFunction.sums`).  Kinds whose v and V
+have closed forms (the stable kind, where chi(lam) = lam^(alpha/2)) take them
+from the kind registry instead.  The half-line convolution is one doubly
+exponential rule on (0, 1), ``_de_rule`` (Takahasi & Mori, Publ. RIMS 9, 1974),
+exact at both ends and certified against its every other node by the shared
 driver, :func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.  v is
 completely monotone, so off the diagonal the convolution's head
 int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c) [v(gap+z_c), v(gap)]: with z_c =
 1e-12 min(x^y, gap), v's arguments stay where the real-axis rule certifies at
-its second level, and one chi sweep of its nodes serves v and V(z_c) alike.
+its second level, and one chi call at its nodes serves v and V(z_c) alike.
 """
 
 from __future__ import annotations
@@ -61,8 +72,6 @@ __all__ = [
 SANDWICH_LO = math.exp(-math.pi / 2.0)
 SANDWICH_HI = math.exp(math.pi / 2.0)
 
-_CHI_NODES = 128  # half-width of chi's DE rule: about 2*_CHI_NODES nodes per lam
-_BLOCK = 1 << 16  # elements of a (lam, node) block
 _NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # the normal float range
 
 
@@ -75,33 +84,105 @@ def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, n
     return sig, sig_m, (length * math.pi * h) * np.cosh(k * h) * sig * sig_m
 
 
+# chi's lattice: G on y_i = i*_CHI_H, convolved with the sech kernel over |u| <= _CHI_TAPS*_CHI_H = 46 (where
+# sech(u)/2 is under 1e-20) in blocks of _CHI_FFT nodes, each giving log chi at _CHI_OUT points, by steps h and 2h;
+# log chi is interpolated on _CHI_P + 2 lattice points and certified against _CHI_P of them
+_CHI_H, _CHI_TAPS, _CHI_FFT, _CHI_P, _CHI_TOL = 0.125, 368, 2048, 12, 1e-12
+_CHI_OUT = _CHI_FFT - 2 * _CHI_TAPS
+_CHI_RANGE = 1e-16  # the largest error of log chi that nodes out of the float range may make
+_CHI_K = np.arange(-_CHI_TAPS, _CHI_TAPS + 1)
+_CHI_W = (_CHI_H / (2.0 * math.pi)) / np.cosh(_CHI_H * _CHI_K)  # (1/pi) h sech(kh)/2: the kernel's taps
+
+
+def _sech_transform(step: int) -> np.ndarray:
+    """rfft of the kernel of step step*h on a block (a tap every step-th node), wrapped so that its product with
+    rfft(G) convolves."""
+    taps = np.zeros(_CHI_FFT)
+    taps[_CHI_K[::step] % _CHI_FFT] = step * _CHI_W[::step]
+    return np.fft.rfft(taps)
+
+
+_CHI_SECH = _sech_transform(1), _sech_transform(2)
+_GAUSS_NODES = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(_CHI_P + 1)]  # 0, 1, -1, 2, -2, ...
+
+
+def _gauss_forward(f: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss's forward formula on the stencil f (rows: nodes -6, ..., 7) at s in [0, 1) from node 0, summed to all
+    _CHI_P + 2 terms (the interpolant on -6..7) and to _CHI_P (on -5..6): the Newton form on the nodes 0, 1, -1, 2,
+    ...  Elementwise operations only, in one order: each value has its own bits."""
+    diffs, basis, total = f, np.ones_like(s), f[_CHI_P // 2].copy()
+    for k in range(1, _CHI_P + 2):
+        diffs = diffs[1:] - diffs[:-1]
+        basis *= (s - _GAUSS_NODES[k - 1]) / k
+        total += basis * diffs[_CHI_P // 2 - k // 2]
+        if k == _CHI_P - 1:
+            narrow = total.copy()
+    return total, narrow
+
+
+def _chi_block(phi: CompleteBernsteinFunction, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log chi(lam) - (alpha/2) log lam at the lattice points i in [b - 1/2, b + 1/2) * _CHI_OUT by step h, its
+    distance from step 2h's, and the nodes with no finite G, which take G = 0 so that the other values keep their
+    bits.  A node out of the float range takes phi at its end."""
+    j = b * _CHI_OUT - _CHI_FFT // 2 + np.arange(_CHI_FFT)
+    with np.errstate(all="ignore"):
+        z = np.clip(np.exp((2.0 * _CHI_H) * j), *_NORMAL)
+        g = np.log(phi._eval(z)) - (phi.alpha / 2.0) * np.log(z)
+    bad = ~np.isfinite(g)
+    g[bad] = 0.0
+    g_hat = np.fft.rfft(g)
+    fine, coarse = (np.fft.irfft(g_hat * kernel, _CHI_FFT)[_CHI_TAPS:-_CHI_TAPS] for kernel in _CHI_SECH)
+    return fine, np.abs(fine - coarse), j[bad]
+
+
 def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):
     """Laplace exponent chi of the ladder-height subordinator of X, for lam of any shape.
 
-    Each value costs one sweep of about 2*_CHI_NODES nodes, in blocks of _BLOCK elements.  A node whose
-    lam^2 tan^2(theta) leaves the float range takes phi at its end, which moves log(phi(z)/z^(alpha/2)) by
-    at most |log| of the ratio of the two z (phi increases, phi(z)/z decreases): over 1e-16 of chi, refused."""
+    log chi(lam) - (alpha/2) log lam is the convolution (1/pi) int G(log lam + u) du/(2 cosh u) of
+    G(y) = log phi(e^(2y)) - alpha y, taken by the trapezoid rule of step h = 1/8 on the lattice y_i = i h over
+    |u| <= 46, in fixed blocks of FFTs, and interpolated to log lam on 14 lattice points: chi at lam has the same
+    bits whatever other lam share the call.  Each value is certified to 1e-12 of log chi twice, else
+    NumericAccuracyError: step h against 2h on the stencil, and its 14 points against the inner 12.  A node whose
+    lam^2 e^(2u) leaves the float range takes phi at its end, which moves G by at most the distance in log z
+    (phi increases, phi(z)/z decreases): a lam whose such nodes move log chi by over 1e-16 is refused, as is one
+    whose sums reach a node where log phi is not a finite float."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float)).ravel()
-    lam2 = laplace.squares(lam_arr, "chi's lam")
-    sig, sig_m, w = _de_rule(_CHI_NODES, 3.9 / _CHI_NODES, math.pi / 2.0)
-    keep = w > 1e-30
-    # theta and pi/2 - theta; tan^2 is formed on the half away from the
-    # rounding cliff, so both ends stay resolved down to the weight cutoff
-    x, xi = (math.pi / 2.0) * sig[keep], (math.pi / 2.0) * sig_m[keep]
-    tansq, w = np.where(x <= math.pi / 4.0, np.tan(x) ** 2, 1.0 / np.tan(xi) ** 2), w[keep]
-    corr = np.empty(lam_arr.size)
-    rows = max(8, _BLOCK // tansq.size // 8 * 8)  # whole groups of 8 rows, as BLAS takes them
-    for b in range(0, lam_arr.size, rows):
-        with np.errstate(over="ignore", under="ignore"):
-            z = lam2[b:b + rows, None] * tansq[None, :]
-        if not np.all((z >= _NORMAL[0]) & (z <= _NORMAL[1])):  # phi at the range's end, as above
-            log_z, z = np.log(lam2[b:b + rows, None]) + np.log(tansq), np.clip(z, *_NORMAL)
-            if not np.all(np.abs(log_z - np.clip(log_z, *np.log(_NORMAL))) @ w <= 1e-16 * math.pi):
-                raise EvaluationDomainError(f"chi: lam^2 tan^2(theta) leaves the float range at nodes of weight "
-                                            f"over 1e-16, for lam in [{lam_arr.min():g}, {lam_arr.max():g}]")
-        # log(phi(z) / z^(alpha/2)) without forming the ratio
-        corr[b:b + rows] = (np.log(phi._eval(z)) - (phi.alpha / 2.0) * np.log(z)) @ w
-    out = (lam_arr ** (phi.alpha / 2.0) * np.exp(corr / math.pi)).reshape(np.shape(lam))
+    laplace.squares(lam_arr, "chi's lam")
+    if not lam_arr.size:
+        return np.empty(np.shape(lam))
+    x = np.log(lam_arr) / _CHI_H
+    first = np.floor(x).astype(np.int64) - _CHI_P // 2  # the stencil is first, ..., first + _CHI_P + 1
+    lo, hi = int(first.min()), int(first.max()) + _CHI_P + 1
+    for end in (lo, hi):  # log chi's error from the clipped nodes grows towards the stencils' ends
+        log_z = (2.0 * _CHI_H) * (end + _CHI_K)
+        if log_z[0] < math.log(_NORMAL[0]) or log_z[-1] > math.log(_NORMAL[1]):
+            if not np.abs(log_z - np.clip(log_z, *np.log(_NORMAL))) @ _CHI_W <= _CHI_RANGE:
+                raise EvaluationDomainError(f"chi: lam^2 e^(2u) leaves the float range at nodes of weight over "
+                                            f"1e-16, for lam in [{lam_arr.min():g}, {lam_arr.max():g}]")
+    # lattice point i lies in block (i + _CHI_OUT/2) // _CHI_OUT, at i - start in f and err
+    blocks = np.unique((np.concatenate([first, first + _CHI_P + 1]) + _CHI_OUT // 2) // _CHI_OUT)
+    start = blocks[0] * _CHI_OUT - _CHI_OUT // 2
+    f, err = np.empty((2, (blocks[-1] - blocks[0] + 1) * _CHI_OUT))
+    bad = []
+    for b in blocks:
+        at = slice((b - blocks[0]) * _CHI_OUT, (b - blocks[0] + 1) * _CHI_OUT)
+        f[at], err[at], nodes = _chi_block(phi, int(b))
+        bad.append(nodes)
+    if (bad := np.concatenate(bad)).size:
+        reach = np.searchsorted(bad, first - _CHI_TAPS) < np.searchsorted(bad, first + _CHI_P + 1 + _CHI_TAPS, "right")
+        if reach.any():
+            raise EvaluationDomainError(f"chi: log phi(z) leaves the float range at z = e^{2.0 * _CHI_H * bad[0]:g}, "
+                                        f"which chi at lam = {lam_arr[reach][0]:g} takes")
+    stencil = first - start + np.arange(_CHI_P + 2)[:, None]
+    wide, narrow = _gauss_forward(f[stencil], x - (first + _CHI_P // 2))
+    quad_err = np.max(err[stencil], axis=0)
+    residual = np.maximum(quad_err, np.abs(wide - narrow))
+    if not np.all(residual <= _CHI_TOL):
+        k = int(np.flatnonzero(~(residual <= _CHI_TOL))[0])
+        raise NumericAccuracyError(f"chi's lattice misses 1e-12 on log chi at lam = {lam_arr[k]:g}: step h against "
+                                   f"2h {quad_err[k]:.2g}, interpolation {abs(wide[k] - narrow[k]):.2g}",
+                                   residual=float(residual[k]))
+    out = (lam_arr ** (phi.alpha / 2.0) * np.exp(wide)).reshape(np.shape(lam))
     return float(out) if np.ndim(lam) == 0 else out
 
 

@@ -58,35 +58,40 @@ def test_doubling_constant_stable():
 
 @pytest.mark.parametrize("quarter, value, passed", [
     (None, 1.0, True),           # j constant: doubling and shift 1
-    (0, 0.0, False),             # doubling 0
-    (1, 0.0, False),             # doubling inf
-    (3, 0.0, False),             # shift inf
+    (0, 0.0, False),             # j(r) 0: refused
+    (1, 0.0, False),             # j(2r) 0: refused
+    (3, 0.0, False),             # j(r + 1) 0: refused
     (1, math.nan, False),        # doubling NaN
     (3, math.nan, False),        # shift NaN
     (2, math.inf, False),        # shift inf from j
 ])
 def test_doubling_verdict_on_non_finite_constants(monkeypatch, quarter, value, passed):
     # j_doubling_and_shift reads j at r, 2r (doubling) and r, r + 1 (shift) in
-    # four quarters of one call; both windows carry the pair's verdict
+    # four quarters of one call; both windows carry the pair's verdict, and a j
+    # of 0, which no ratio measures, is a refusal
     def j(phi, d, r):
         out = np.ones_like(r)
         if quarter is not None:
             out[quarter * 40:(quarter + 1) * 40] = value
         return out
     monkeypatch.setattr(kernels, "jump_kernel", j)
+    if value == 0.0:
+        with pytest.raises(NumericAccuracyError, match="normal float"):
+            kernels.j_doubling_and_shift(bernstein.stable(1.0), 1, 2.0)
+        return
     doubling, shift = kernels.j_doubling_and_shift(bernstein.stable(1.0), 1, 2.0)
     assert doubling.passed is passed and shift.passed is passed
 
 
 def test_doubling_of_an_underflowing_kernel_fails_without_warning(capsys):
-    # relativistic m = 100: j(r + 1) underflows to 0 past r ~ 7, so the shift
-    # ratio is NaN and the check exits 1, where it leaked a RuntimeWarning.
-    # The shift cell is left unpinned: a kernel that underflows is one the
-    # check cannot measure, which a failed verdict does not yet say.
+    # relativistic m = 100: j(r + 1) underflows to 0 past r ~ 7, which the
+    # check cannot measure: a refusal (exit 3) that states the radii where j
+    # is a normal float, where it printed shift nan and exited 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["check", "doubling", "--kind", "relativistic", "--alpha", "1", "--m", "100",
-                         "--dim", "1", "--K", "3"]) == 1
+                         "--dim", "1", "--K", "3"]) == 3
+    assert "normal float for r in [0.003, 6.81] only" in capsys.readouterr().err
 
 
 def test_transience_rules():

@@ -20,11 +20,60 @@ def test_chi_identity_stable():
 
 
 def test_chi_vectorized_matches_scalar():
+    # the lattice is anchored at y_i = i/8 and convolved in fixed blocks, so a lam has the same bits whatever
+    # other lam share the call; this grid spans three blocks
     phi = bernstein.sum_of_stables(1.0, 0.5)
-    lam = np.geomspace(0.1, 100.0, 9)
+    lam = np.geomspace(1e-70, 1e70, 41)
     batch = np.atleast_1d(ladder.ladder_exponent_chi(phi, lam))
     singles = np.array([float(ladder.ladder_exponent_chi(phi, float(x))) for x in lam])
-    np.testing.assert_allclose(batch, singles, rtol=1e-12)
+    assert np.array_equal(batch, singles)
+
+
+def _de_chi(phi, lam):
+    # the doubly exponential sweep the lattice replaced, kept as a reference: chi(lam) =
+    # exp((1/pi) int_0^(pi/2) log phi(lam^2 tan^2(theta)) dtheta) with the power lam^(alpha/2) taken out
+    lam = np.asarray(lam, dtype=float)
+    sig, sig_m, w = ladder._de_rule(128, 3.9 / 128, math.pi / 2.0)
+    keep = w > 1e-30
+    x, xi = (math.pi / 2.0) * sig[keep], (math.pi / 2.0) * sig_m[keep]
+    tansq, w = np.where(x <= math.pi / 4.0, np.tan(x) ** 2, 1.0 / np.tan(xi) ** 2), w[keep]
+    z = np.clip((lam * lam)[:, None] * tansq, *ladder._NORMAL)
+    corr = (np.log(phi._eval(z)) - (phi.alpha / 2.0) * np.log(z)) @ w
+    return lam ** (phi.alpha / 2.0) * np.exp(corr / math.pi)
+
+
+@pytest.mark.parametrize("phi, lo, hi", [
+    *[(make(alpha), 1e-70, 1e70) for alpha in (1.0, 1.9) for make in (
+        bernstein.stable, lambda a: bernstein.sum_of_stables(a, a / 2.0),
+        lambda a: bernstein.log_perturbed_up(a, (2.0 - a) / 2.0), lambda a: bernstein.log_perturbed_down(a, a / 2.0),
+        lambda a: bernstein.relativistic_stable(a, 1.0))],
+    (bernstein.geometric_like(1.0), 1.0, 1e27),
+    (bernstein.geometric_like(1.9), 1.0, 1e27),
+], ids=lambda p: p.label() if isinstance(p, bernstein.CompleteBernsteinFunction) else f"{p:g}")
+def test_chi_matches_the_de_sweep(phi, lo, hi):
+    lam = np.geomspace(lo, hi, 97)
+    np.testing.assert_allclose(ladder.ladder_exponent_chi(phi, lam), _de_chi(phi, lam), rtol=1e-12, atol=0.0)
+
+
+def test_chi_refuses_a_certificate_miss(monkeypatch):
+    # no lattice value meets 1e-17 on log chi: the step-h and interpolation certificates refuse it
+    monkeypatch.setattr(ladder, "_CHI_TOL", 1e-17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericAccuracyError, match="chi's lattice misses") as info:
+            ladder.ladder_exponent_chi(bernstein.sum_of_stables(1.0, 0.5), np.geomspace(0.1, 10.0, 5))
+    assert info.value.residual > 1e-17
+
+
+def test_chi_refuses_only_the_lam_whose_sums_reach_a_non_finite_phi():
+    # relativistic alpha = 0.1, m = 1e-10 evaluates phi(z) as inf past z ~ 1e108, inside the lattice block of
+    # lam = 1: that node takes G = 0 and refuses the lam whose convolution reaches it, not its block's other lam
+    phi = bernstein.relativistic_stable(0.1, 1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ladder.ladder_exponent_chi(phi, 1.0) == pytest.approx(_de_chi(phi, [1.0])[0], rel=1e-12)
+        with pytest.raises(EvaluationDomainError, match="leaves the float range"):
+            ladder.ladder_exponent_chi(phi, 1e34)
 
 
 def test_sandwich_all_catalog(catalog, lam_grid):
@@ -116,7 +165,7 @@ def test_renewal_table_evaluates_chi_once_for_v_and_V(monkeypatch, phi):
 
 
 def test_chi_takes_phi_at_the_float_range_end_within_rounding():
-    # lam^2 tan^2(theta) overflows at the last nodes for lam = 1e130, whose
+    # lam^2 e^(2u) overflows at the last lattice nodes for lam = 1e130, whose
     # weights make the clamp's error negligible: chi of lam^(1/2) + lam^(1/4)
     # is lam^(1/2) (1 + O(lam^(-1/2))); at lam = 1e150 it would not be
     phi = bernstein.sum_of_stables(1.0, 0.5)
@@ -200,7 +249,7 @@ def test_halfline_green_refuses_an_uncertified_convolution(monkeypatch):
 def test_halfline_green_takes_v_at_the_rule_s_second_level(monkeypatch):
     # off the diagonal the bracketed head keeps v's arguments above
     # 1e-12 min(x, gap), where the real-axis rule certifies at level 2: one
-    # chi sweep of its nodes serves v at the convolution's nodes and V(z_c)
+    # chi call at its nodes serves v at the convolution's nodes and V(z_c)
     taken, chi = [], ladder.ladder_exponent_chi
     monkeypatch.setattr(ladder, "ladder_exponent_chi", lambda phi, lam: taken.append(np.size(lam)) or chi(phi, lam))
     ladder.halfline_green(bernstein.sum_of_stables(1.0, 0.5), 1.0, 2.0)
@@ -312,7 +361,9 @@ def test_halfline_green_converts_a_t_square_out_of_the_float_range(monkeypatch):
     (["ladder", "chi", "--kind", "sum", "--alpha", "1", "--beta", "0.5", "--lambda", "1e150"], 2),
 ], ids=["package_lambda", "caller_lambda"])
 def test_chi_out_of_range_exit_codes(capsys, argv, rc):
-    assert cli.main(argv) == rc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == rc
     assert capsys.readouterr().out == ""
 
 
