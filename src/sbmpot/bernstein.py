@@ -507,8 +507,16 @@ class _Kind:
 
 def _phi_relativistic(phi, x):
     # expm1/log1p keeps precision near 0, where the direct formula cancels
-    # catastrophically (numpy's complex expm1 is accurate there, its log1p is not)
-    return phi.m * np.expm1((phi.alpha_param / 2.0) * _log1p(x / phi.m ** (2.0 / phi.alpha_param)))
+    # catastrophically (numpy's complex expm1 is accurate there, its log1p is not);
+    # where x/b overflows, log1p(x/b) is log x - log b + log1p(b/x)
+    b = phi.m ** (2.0 / phi.alpha_param)  # a normal float, as the constructor requires
+    with np.errstate(over="ignore"):
+        ratio = x / b
+    log = _log1p(ratio)
+    if np.any(far := np.isinf(ratio) & np.isfinite(x)):
+        x_far = np.where(far, x, 1.0)
+        log = np.where(far, np.log(x_far) - math.log(b) + _log1p(b / x_far), log)
+    return phi.m * np.expm1((phi.alpha_param / 2.0) * log)
 
 
 def _phi_log_up(phi, x):

@@ -259,8 +259,8 @@ def _bhp_rows(phi, args) -> dict:
 
 def _exit_rows(phi, args) -> dict:
     d = args.dim
-    try:
-        x0 = [float(s) for s in str(args.x0).split(",")]
+    try:  # the ball's centre, the origin, unless --x0 is given
+        x0 = [0.0] * d if args.x0 is None else [float(s) for s in str(args.x0).split(",")]
     except ValueError:
         raise ConstructionError(f"--x0 takes comma-separated numbers, got {args.x0!r}") from None
     if len(x0) != d:
@@ -293,7 +293,7 @@ _FLAGS = {
     "eps": {"type": float, "default": 1e-4},
     "domain": {"choices": ["interval", "halfdisk"], "default": "interval"},
     "radius": {"type": float, "default": 1.0},
-    "x0": {"default": "0"},
+    "x0": {},
 }
 
 

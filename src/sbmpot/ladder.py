@@ -18,7 +18,10 @@ trapezoid rule converges like e^(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56,
 2014).  ``ladder_exponent_chi`` takes G once per point of the lattice
 y_i = i/8, anchored at lam = 1, convolves it with the kernel over |u| <= 46 by
 FFTs of 2 048 nodes in blocks fixed on the lattice, and interpolates to log
-lam on 14 lattice points, so a lam has the same bits in any call.  Each value
+lam on 14 lattice points, so a lam has the same bits in any call.  A block is
+memoised per (phi, block) in a small bounded cache of read-only arrays, so v,
+V and the half-line rule, which ask chi for the nodes of each level of the
+real-axis rule, build each block once.  Each value
 is certified to 1e-12 of log chi by step h against 2h and by 14 points against
 12, else NumericAccuracyError.  Its reach is the float range: the convolution
 needs phi at lam^2 e^(+-92), a node past the range takes phi at its end, and a
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -103,27 +107,32 @@ def _sech_transform(step: int) -> np.ndarray:
 
 
 _CHI_SECH = _sech_transform(1), _sech_transform(2)
-_GAUSS_NODES = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(_CHI_P + 1)]  # 0, 1, -1, 2, -2, ...
+# Gauss's forward formula: its term k multiplies the k-th difference by prod_(j <= k) (s - node_(j-1))/j, on the
+# nodes 0, 1, -1, 2, -2, ..., the difference taken at row _CHI_P/2 - k/2 of the stencil
+_GAUSS_NODES = np.array([(k + 1) // 2 if k % 2 else -(k // 2) for k in range(_CHI_P + 1)], dtype=float)[:, None]
+_GAUSS_K = np.arange(1.0, _CHI_P + 2)[:, None]
 
 
 def _gauss_forward(f: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss's forward formula on the stencil f (rows: nodes -6, ..., 7) at s in [0, 1) from node 0, summed to all
     _CHI_P + 2 terms (the interpolant on -6..7) and to _CHI_P (on -5..6): the Newton form on the nodes 0, 1, -1, 2,
-    ...  Elementwise operations only, in one order: each value has its own bits."""
-    diffs, basis, total = f, np.ones_like(s), f[_CHI_P // 2].copy()
+    ...  Elementwise operations only, in one order (the bases and the partial sums are running products and sums
+    over the terms): each value has its own bits."""
+    diffs, picked = f, []
     for k in range(1, _CHI_P + 2):
         diffs = diffs[1:] - diffs[:-1]
-        basis *= (s - _GAUSS_NODES[k - 1]) / k
-        total += basis * diffs[_CHI_P // 2 - k // 2]
-        if k == _CHI_P - 1:
-            narrow = total.copy()
-    return total, narrow
+        picked.append(diffs[_CHI_P // 2 - k // 2])
+    basis = np.cumprod((s - _GAUSS_NODES) / _GAUSS_K, axis=0)
+    total = np.cumsum(np.concatenate([f[_CHI_P // 2][None], basis * picked]), axis=0)
+    return total[_CHI_P + 1], total[_CHI_P - 1]
 
 
+@lru_cache(maxsize=16)
 def _chi_block(phi: CompleteBernsteinFunction, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log chi(lam) - (alpha/2) log lam at the lattice points i in [b - 1/2, b + 1/2) * _CHI_OUT by step h, its
     distance from step 2h's, and the nodes with no finite G, which take G = 0 so that the other values keep their
-    bits.  A node out of the float range takes phi at its end."""
+    bits.  A node out of the float range takes phi at its end.  Memoised per (phi, block), read-only: v, V and
+    the half-line rule ask chi for the same blocks at each level of the real-axis rule."""
     j = b * _CHI_OUT - _CHI_FFT // 2 + np.arange(_CHI_FFT)
     with np.errstate(all="ignore"):
         z = np.clip(np.exp((2.0 * _CHI_H) * j), *_NORMAL)
@@ -132,7 +141,10 @@ def _chi_block(phi: CompleteBernsteinFunction, b: int) -> tuple[np.ndarray, np.n
     g[bad] = 0.0
     g_hat = np.fft.rfft(g)
     fine, coarse = (np.fft.irfft(g_hat * kernel, _CHI_FFT)[_CHI_TAPS:-_CHI_TAPS] for kernel in _CHI_SECH)
-    return fine, np.abs(fine - coarse), j[bad]
+    out = fine.copy(), np.abs(fine - coarse), j[bad]
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def ladder_exponent_chi(phi: CompleteBernsteinFunction, lam):

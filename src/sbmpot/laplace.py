@@ -8,7 +8,9 @@ ladder objects v and V, through chi(-s + i0) = phi(-s^2 + i0)/chi(s) (:mod:`sbmp
 :class:`Kernel` carries where it may be closed: its head at 0 and the z past which it is 0 or a power,
 which bound the t the rule reaches (:func:`reach`).  :func:`real_axis_integral` certifies them per t on
 :func:`halving_trapezoid`, the trapezoid driver every integral of the package shares (Takahasi & Mori,
-Publ. RIMS 9, 1974).  Nothing in the package calls fixed-Talbot (Abate & Valko) or Gaver-Stehfest,
+Publ. RIMS 9, 1974): each distinct t once, since a t's value depends on it alone, on nodes and band layouts
+cached per level (:func:`_axis_nodes`, :func:`_band_layout`), so that a call computes only what its density
+and its times change.  Nothing in the package calls fixed-Talbot (Abate & Valko) or Gaver-Stehfest,
 the tests' independent references; a tracer patches both names.  :func:`quad` is scipy's ``quad``,
 which nothing calls: it is the name a tracer patches, and imports ``scipy.integrate`` on its first call.
 """
@@ -149,6 +151,25 @@ def _axis_nodes(level: int, b: float):
     return s, w, np.arange(s.size) % 2 == 1
 
 
+@lru_cache(maxsize=32)
+def _band_layout(level: int, b: float, span: float, powers: tuple[float, ...]):
+    """What :func:`real_axis_integral` sums at a level whatever the density: the nodes it sums (all at level 1,
+    the new ones past it) as an index and their weights; those nodes, the head's s^a for each power a of
+    ``powers`` and log s on them; the widest band a t can have with a kernel of ``span`` = far/tiny (every node
+    for inf), in those nodes; and each node's window of that width, padded past the last node with it."""
+    s, w, new = _axis_nodes(level, b)
+    width = -(-int((np.searchsorted(s, s * span) - np.arange(s.size)).max() + 2) // 2) * 2
+    at = slice(None) if level == 1 else slice(1, None, 2)
+    s, w, width = s[at], w[at], width if level == 1 else width // 2
+    with np.errstate(over="ignore", under="ignore"):  # s^a past every band, where no sum reads it
+        heads = tuple(s**a for a in powers)
+    log_s = np.log(s)
+    for x in (w, log_s, *heads):  # shared by every call that asks for this layout
+        x.flags.writeable = False
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(s, (0, width), "edge"), width)
+    return at, w, heads, log_s, width, windows
+
+
 class Kernel(NamedTuple):
     """A kernel k(z), z > 0, of :func:`real_axis_integral`, and the forms the rule closes it with.
 
@@ -221,7 +242,8 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
     nodes under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t,
     and drops those past ``far``; the kernel defaults to exp(-z).  A band is as wide as any t's can be (every node
     for a kernel without a head), and past the first level sums its new nodes only, onto half the last level's
-    sum, so a t's value depends on it alone, bit for bit.  The rule is split at b, where rho may be singular;
+    sum, so a t's value depends on it alone, bit for bit: the rule takes each distinct t once and gives its value
+    to every place it has in t.  The rule is split at b, where rho may be singular;
     the nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative
     for exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
     between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term), with
@@ -271,9 +293,11 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
 
 
 def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.ndarray:
-    """:func:`real_axis_integral` at the times tt of one density, taken by level, and one kernel."""
-    head, tiny, span = (k.head, k.tiny, k.far / k.tiny) if k.head else (((0.0, 0.0, 0.0),), 0.0, math.inf)
-    log_c = head[0][2]  # the leading term's log, which the left end's rest closes with
+    """:func:`real_axis_integral` at the times tt of one density, taken by level, and one kernel: each distinct t
+    once, its value given to every place it has in tt."""
+    tt, where = np.unique(tt, return_inverse=True)
+    head, tiny, span = (k.head, k.tiny, k.far / k.tiny) if k.head else ((), 0.0, math.inf)
+    log_c = head[0][2] if head else 0.0  # the leading term's log, which the left end's rest closes with
     # d log s/dk at the far ends, and d log(d log s/dk)/dk at the left one
     x1, c1 = math.cosh(_AXIS_FAR / _AXIS_SCALE), math.tanh(_AXIS_FAR / _AXIS_SCALE) / _AXIS_SCALE
     at = {}  # the rests' data, and the last level's fine sums
@@ -283,9 +307,9 @@ def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.nda
         return at["fs"][idx] * (at["head"][idx] + h * h / 12.0 * x1 * (p1 * x1 - [c1, -c1])) @ [1.0, -1.0]
 
     def sums(level, idx):
-        s, w, new = _axis_nodes(level, b)
+        s, _, new = _axis_nodes(level, b)
         vals = density(level)
-        q, tk = w * vals, tt[idx]
+        tk = tt[idx]
         if level == 1:
             ke = k.f(tt[:, None] * s[[0, 2, -3, -1]])
             f = ke * vals[[0, 2, -3, -1]]
@@ -299,28 +323,33 @@ def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.nda
             if log_c:  # k = A + B log z at the left end: int_0^1 u^q (1 + B log(u)/k) du, q rho's own power
                 p = at["p1"][:, 0] - np.log(ke[:, 1] / ke[:, 0]) / math.log(s[2] / s[0])
                 at["head"][:, 0] = 1.0 / p - log_c / (ke[:, 0] * p * p)
+        # each band starts on a node of step 2h; past level 1 the rule sums the new nodes only, at step h
         lo = np.searchsorted(s, tiny / tk) // 2 * 2
-        qs = np.array([q, np.where(new, 0.0, 2.0 * q)])  # every node, weighed at steps h and 2h
-        # the widest band any t can have; past level 1 the new nodes only, at step h
-        width = -(-int((np.searchsorted(s, s * span) - np.arange(s.size)).max() + 2) // 2) * 2
-        if level > 1:
-            s, lo, width, qs = s[1::2], lo // 2, width // 2, qs[:1, 1::2]
-        # the nodes under each band (which starts on a node of step 2h), in the head's form:
-        # sum over its terms of t^a ((A + B log t) sum q s^a + B sum q s^a log s)
-        below = 0.0
-        for a, h0, h1 in head:
+        nodes, w, powers, log_s, width, win_s = _band_layout(level, b, span, tuple(a for a, _, _ in head))
+        q = w * vals[nodes]
+        if level == 1:  # every node, weighed at steps h and 2h
+            qs = np.array([q, np.where(new, 0.0, 2.0 * q)])
+        else:
+            qs, lo = q[None], lo // 2
+        # the nodes under each band, in the head's form: sum over its terms of
+        # t^a ((A + B log t) sum q s^a + B sum q s^a log s)
+        below = np.zeros((len(qs), tk.size))
+        for (a, h0, h1), s_a in zip(head, powers):
             with np.errstate(over="ignore"):  # q s^a may overflow past every band, where no sum is read
-                steps = qs * s**a
+                steps = qs * s_a
                 cum = [np.concatenate([np.zeros((len(qs), 1)), np.cumsum(x, axis=1)], axis=1)[:, lo]
-                       for x in ((steps, steps * np.log(s)) if h1 else (steps,))]
+                       for x in ((steps, steps * log_s) if h1 else (steps,))]
             below = below + tk**a * ((h0 + h1 * np.log(tk)) * cum[0] + (h1 * cum[1] if h1 else 0.0))
         band = np.zeros((len(qs), tk.size))
-        win_s, win_q = (np.lib.stride_tricks.sliding_window_view(np.pad(x, (0, width), mode), width)
-                        for x, mode in ((s, "edge"), (qs[0], "constant")))  # a padded node weighs 0
-        for r in range(0, tk.size, max(1, _BLOCK // width)):  # blocks of _BLOCK (time, node) pairs
-            rows = slice(r, r + max(1, _BLOCK // width))
+        q_pad = np.concatenate([qs[0], np.zeros(width)])  # a node past the last weighs 0
+        win_q = np.ndarray((qs.shape[1] + 1, width), buffer=q_pad, strides=q_pad.strides * 2)  # windows, as win_s
+        step = max(1, _BLOCK // width)
+        for r in range(0, tk.size, step):  # blocks of _BLOCK (time, node) pairs
+            rows = slice(r, r + step)
             terms = k.f(tk[rows, None] * win_s[lo[rows]]) * win_q[lo[rows]]
-            band[:, rows] = [terms.sum(axis=1), 2.0 * terms[:, ::2].sum(axis=1)][:len(qs)]
+            band[0, rows] = terms.sum(axis=1)
+            if level == 1:
+                band[1, rows] = 2.0 * terms[:, ::2].sum(axis=1)
         rests = [rest(0.5 ** (level + 1), idx), rest(0.5 ** level, idx)]
         # the trapezoid sums; past level 1 the coarse one is the last level's fine one
         prev = at["sum"][np.searchsorted(at["idx"], idx)] if level > 1 else None
@@ -328,8 +357,8 @@ def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.nda
         at["sum"], at["idx"] = fine, idx
         return fine + rests[0], coarse + rests[1]
 
-    return halving_trapezoid(sums, tt.size, epsabs=np.finfo(float).tiny, epsrel=_AXIS_EPSREL,
-                             levels=_AXIS_LEVELS, what="real-axis integral") / math.pi
+    return (halving_trapezoid(sums, tt.size, epsabs=np.finfo(float).tiny, epsrel=_AXIS_EPSREL,
+                              levels=_AXIS_LEVELS, what="real-axis integral") / math.pi)[where]
 
 
 def quad(*args, **kwargs):

@@ -26,6 +26,21 @@ def test_relativistic_closed_value():
     assert phi(0.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_relativistic_past_the_overflow_of_x_over_its_branch_point():
+    # alpha = 0.1, m = 1e-10 has its branch point b = m^20 = 1e-200, so x/b overflows past x ~ 1.8e108; there
+    # log1p(x/b) is log x - log b + log1p(b/x), on the real axis and on the cut, and every x with a finite x/b
+    # keeps the bits of the direct form
+    phi = bernstein.relativistic_stable(0.1, 1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(1e110) == pytest.approx(10.0 ** 5.5, rel=1e-13)  # m (x/b)^(alpha/2) = 1e-10 (1e310)^0.05
+        cut = phi._eval(np.array([-1e300 + 0j]))[0]
+        assert cut == pytest.approx(1e15 * np.exp(0.05j * math.pi), rel=1e-13)  # (1e500)^0.05 = 1e25
+        x = np.concatenate([np.geomspace(1e-300, 1e108, 50), -np.geomspace(1e-300, 1e108, 50) + 0j])
+        direct = phi.m * np.expm1(0.05 * bernstein._log1p(x / 1e-10 ** 20))
+        assert phi._eval(x).tobytes() == direct.tobytes()
+
+
 def test_alpha_range_enforced():
     for bad in (0.0, 2.0, -0.3, 2.4):
         with pytest.raises(ConstructionError):

@@ -283,6 +283,24 @@ def test_rendered_bytes_pinned(capsys, line, rc, csv_sha, json_sha):
         assert hashlib.sha256(out.encode()).hexdigest() == sha, (fmt, out)
 
 
+def test_relativistic_phi_past_the_overflow_of_x_over_its_branch_point(capsys):
+    # x/m^(2/alpha) = 1e310 overflows; phi does not: (1e110)^(0.05) * 1e-10 * 1e10 = 3.16e5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = _run(capsys, "phi --kind relativistic --alpha 0.1 --m 1e-10 --lambda 1e110".split())
+    assert rc == 0 and float(_rows(out)[0]["phi"]) == pytest.approx(10**5.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exit_starts_at_the_ball_centre_by_default(capsys, dim):
+    # with no --x0 the paths start at the centre of the ball in every dimension, as with --x0 0,...,0
+    argv = f"simulate exit --kind stable --alpha 1 --paths 16 --seed 3 --dim {dim} --format json".split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = _run(capsys, argv)
+        assert rc == 0 and (rc, out) == _run(capsys, argv + ["--x0", ",".join(["0"] * dim)])
+
+
 def test_empty_table(capsys):
     argv = ["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "5",
             "--seed", "1", "--step", "1e-6", "--horizon", "1e-5"]

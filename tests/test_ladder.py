@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +28,45 @@ def test_chi_vectorized_matches_scalar():
     batch = np.atleast_1d(ladder.ladder_exponent_chi(phi, lam))
     singles = np.array([float(ladder.ladder_exponent_chi(phi, float(x))) for x in lam])
     assert np.array_equal(batch, singles)
+
+
+def _gauss_forward_loop(f, s):
+    # Gauss's forward formula term by term, the reference for ladder._gauss_forward's running products and sums
+    p = ladder._CHI_P
+    nodes = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(p + 1)]
+    diffs, basis, total = f, np.ones_like(s), f[p // 2].copy()
+    for k in range(1, p + 2):
+        diffs = diffs[1:] - diffs[:-1]
+        basis *= (s - nodes[k - 1]) / k
+        total += basis * diffs[p // 2 - k // 2]
+        if k == p - 1:
+            narrow = total.copy()
+    return total, narrow
+
+
+def test_gauss_forward_has_the_bits_of_the_term_by_term_sum():
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 100):
+        f, s = rng.normal(scale=300.0, size=(ladder._CHI_P + 2, n)), rng.random(n)
+        for got, want in zip(ladder._gauss_forward(f, s), _gauss_forward_loop(f, s)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_chi_blocks_are_memoised_with_their_bits():
+    # chi's lattice blocks are memoised per (phi, block): the memo's blocks have
+    # the bits of fresh ones, a second call on the same phi and lam builds none,
+    # and a cached block cannot be written through
+    phi, lam = bernstein.log_perturbed_down(1.37, 0.5), np.geomspace(1e-70, 1e70, 41)
+    ladder._chi_block.cache_clear()
+    fresh = ladder.ladder_exponent_chi(phi, lam)
+    built = ladder._chi_block.cache_info().misses
+    cached = ladder.ladder_exponent_chi(phi, lam)
+    assert built == 3 and ladder._chi_block.cache_info().misses == built
+    assert cached.tobytes() == fresh.tobytes()
+    for b in (-1, 0, 1):
+        block = ladder._chi_block(phi, b)
+        assert all(not x.flags.writeable for x in block)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(block, ladder._chi_block.__wrapped__(phi, b)))
 
 
 def _de_chi(phi, lam):
@@ -65,15 +105,23 @@ def test_chi_refuses_a_certificate_miss(monkeypatch):
     assert info.value.residual > 1e-17
 
 
-def test_chi_refuses_only_the_lam_whose_sums_reach_a_non_finite_phi():
-    # relativistic alpha = 0.1, m = 1e-10 evaluates phi(z) as inf past z ~ 1e108, inside the lattice block of
-    # lam = 1: that node takes G = 0 and refuses the lam whose convolution reaches it, not its block's other lam
-    phi = bernstein.relativistic_stable(0.1, 1e-10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert ladder.ladder_exponent_chi(phi, 1.0) == pytest.approx(_de_chi(phi, [1.0])[0], rel=1e-12)
-        with pytest.raises(EvaluationDomainError, match="leaves the float range"):
-            ladder.ladder_exponent_chi(phi, 1e34)
+def test_chi_refuses_only_the_lam_whose_sums_reach_a_non_finite_phi(monkeypatch):
+    # a phi that is inf past z = 1e108, inside the lattice block of lam = 1, as relativistic alpha = 0.1,
+    # m = 1e-10 was while x/m^(2/alpha) overflowed: that node takes G = 0 and refuses the lam whose
+    # convolution reaches it, not its block's other lam.  chi's blocks are memoised by phi, so the memo is
+    # emptied before the patched kind is evaluated and after
+    phi, entry = bernstein.relativistic_stable(0.1, 1e-10), bernstein.KINDS["relativistic"]
+    monkeypatch.setitem(bernstein.KINDS, "relativistic", dataclasses.replace(
+        entry, evaluate=lambda phi, x: np.where(np.abs(x) > 1e108, np.inf, entry.evaluate(phi, x))))
+    ladder._chi_block.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ladder.ladder_exponent_chi(phi, 1.0) == pytest.approx(_de_chi(phi, [1.0])[0], rel=1e-12)
+            with pytest.raises(EvaluationDomainError, match="leaves the float range"):
+                ladder.ladder_exponent_chi(phi, 1e34)
+    finally:
+        ladder._chi_block.cache_clear()
 
 
 def test_sandwich_all_catalog(catalog, lam_grid):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbmpot import bernstein, densities, ladder, laplace
+from sbmpot import bernstein, densities, kernels, ladder, laplace
 from sbmpot.errors import NumericAccuracyError
 
 
@@ -103,11 +103,44 @@ def test_real_axis_coarse_sum_is_the_previous_fine_sum(monkeypatch):
 @pytest.mark.parametrize("phi", [bernstein.log_perturbed_up(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0)],
                          ids=lambda phi: phi.kind)
 def test_each_time_is_its_own_integral(phi):
-    # every kernel's band is as wide as any t's can be, so a value has the
-    # same bits in one call over 25 t as alone: u, mu and the tail (exp(-z),
-    # with a head) and V (without one)
-    t = np.geomspace(1e-6, 1e6, 25)
-    for f in (densities.potential_density_u, bernstein.eval_levy_density, bernstein.levy_tail,
-              ladder.renewal_function_V):
-        together = np.asarray(f(phi, t))
-        assert together.tobytes() == np.array([f(phi, x) for x in t]).tobytes(), f.__name__
+    # every kernel's band is as wide as any t's can be, and the rule takes each
+    # distinct t once, so a value has the same bits in one call over 25 t, or
+    # over them unsorted with repeats, as alone: u, mu and the tail (exp(-z),
+    # with a head), v (with one) and V (without), and G and j in d = 1, 2, 3
+    # (the resolvent kernels, d = 2's head with a log term)
+    forms = [densities.potential_density_u, bernstein.eval_levy_density, bernstein.levy_tail,
+             ladder.ladder_density_v, ladder.renewal_function_V]
+    radial = [lambda phi, r, d=d, f=f: f(phi, d, r) for d in (1, 2, 3) for f in (kernels.jump_kernel,
+              kernels.green_function) if f is kernels.jump_kernel or kernels.transience_check(phi, d)]
+    for f, t in [(f, np.geomspace(1e-6, 1e6, 25)) for f in forms] + [(f, np.geomspace(1e-3, 1e3, 25)) for f in radial]:
+        # 25 t, then 36 unsorted with 11 repeats
+        for grid in (t, np.random.default_rng(7).permutation(np.concatenate([t, t[::3], t[4:6], t[4:6]]))):
+            together = np.asarray(f(phi, grid))
+            assert together.tobytes() == np.array([f(phi, x) for x in grid]).tobytes(), f
+
+
+def test_each_distinct_time_is_taken_once(monkeypatch):
+    # the kernel sees the rows of distinct t only: a call over t with repeats,
+    # unsorted, evaluates as many kernel rows as one over its distinct t, with
+    # each value that of its t
+    rows = []
+
+    def counted(z):
+        rows.append(z.shape[0])
+        return np.exp(-z)
+
+    t = np.geomspace(1e-3, 1e3, 9)
+    monkeypatch.setattr(laplace, "_EXP", laplace._EXP._replace(f=counted))
+    distinct = laplace.real_axis_integral(lambda s: s**-0.5, t)
+    once, rows[:] = sum(rows), []
+    repeated = np.concatenate([t[::-1], t, t[2:5]])
+    values = laplace.real_axis_integral(lambda s: s**-0.5, repeated)
+    assert sum(rows) == once and rows[0] == t.size
+    assert values.tobytes() == np.concatenate([distinct[::-1], distinct, distinct[2:5]]).tobytes()
+
+
+def test_band_layout_is_read_only():
+    # a level's layout is shared by every call that asks for it
+    nodes, w, powers, log_s, width, windows = laplace._band_layout(2, 1.0, 1e40, (0.0, 1.0))
+    assert windows.shape[1] == width and len(powers) == 2
+    assert not any(x.flags.writeable for x in (w, *powers, log_s, windows))
