@@ -508,15 +508,22 @@ class _Kind:
 def _phi_relativistic(phi, x):
     # expm1/log1p keeps precision near 0, where the direct formula cancels
     # catastrophically (numpy's complex expm1 is accurate there, its log1p is not);
-    # where x/b overflows, log1p(x/b) is log x - log b + log1p(b/x)
+    # where x/b overflows, log1p(x/b) is log x - log b + log1p(b/x); where it
+    # is under the normal range, phi is its first-order term (m (alpha/2)/b) x
     b = phi.m ** (2.0 / phi.alpha_param)  # a normal float, as the constructor requires
     with np.errstate(over="ignore"):
         ratio = x / b
     log = _log1p(ratio)
-    if np.any(far := np.isinf(ratio) & np.isfinite(x)):
+    size, tiny = np.abs(ratio), np.finfo(float).tiny
+    # one test of |x/b| against both ends of the normal range; the masks only where it leaves it
+    inside = tiny <= np.min(size, initial=tiny) and np.max(size, initial=0.0) < np.inf
+    if not inside and np.any(far := np.isinf(ratio) & np.isfinite(x)):
         x_far = np.where(far, x, 1.0)
         log = np.where(far, np.log(x_far) - math.log(b) + _log1p(b / x_far), log)
-    return phi.m * np.expm1((phi.alpha_param / 2.0) * log)
+    out = phi.m * np.expm1((phi.alpha_param / 2.0) * log)
+    if not inside and np.any(near := (size < tiny) & (x != 0)):
+        out = np.where(near, (phi.m * (phi.alpha_param / 2.0) / b) * x, out)
+    return out
 
 
 def _phi_log_up(phi, x):

@@ -290,7 +290,9 @@ _FLAGS = {
     "K": {"type": float, "default": 2.0},
     "paths": {"type": int, "default": 1200},
     "seed": {"type": int, "default": 0},
-    "eps": {"type": float, "default": 1e-4},
+    "eps": {"type": float, "default": 1e-4,
+            "help": "truncation level of compound increments; exact ones (the stable and sum kinds, "
+                    "and relativistic with m*dt <= 1, dt the skeleton step) read none"},
     "domain": {"choices": ["interval", "halfdisk"], "default": "interval"},
     "radius": {"type": float, "default": 1.0},
     "x0": {},

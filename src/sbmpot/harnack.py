@@ -112,16 +112,24 @@ def _family_values(phi, domain, grid, datas, cfg: PathConfig, walk: bool = False
     multiple and direction, but each sphere's radius is that start's own
     gap, so near a boundary, where the gaps of nearby starts differ most,
     the coupling is weak.
+
+    A start that repeats an earlier one bit for bit (the corkscrew point of
+    bhp_ratio_check) is run once: a path's record depends only on its start
+    and its id, so the repeat's values are a copy of the first's.
     """
     grid = _as_points(grid, domain.d)
-    m, n = grid.shape[0], cfg.paths
-    starts = np.repeat(grid, n, axis=0)
-    ids = np.tile(np.arange(n, dtype=np.uint64), m)
+    n = cfg.paths
+    # the distinct starts, by their bytes, and each grid point's among them
+    _, first, row = np.unique(np.ascontiguousarray(grid).view(f"V{grid.itemsize * grid.shape[1]}"),
+                              return_index=True, return_inverse=True)
+    starts = np.repeat(grid[first], n, axis=0)
+    ids = np.tile(np.arange(n, dtype=np.uint64), first.size)
     pos, ok = _exit_positions(phi, domain, starts, cfg, ids, march=_run_batches, walk=walk)
-    vals = np.full((m * n, len(datas)), np.nan)
+    vals = np.full((starts.shape[0], len(datas)), np.nan)
     for k, data in enumerate(datas):
         vals[ok, k] = data(pos[ok])
-    return vals.reshape(m, n, len(datas)), int((~ok).sum())
+    row = row.ravel()
+    return vals.reshape(-1, n, len(datas))[row], int((~ok).reshape(-1, n)[row].sum())
 
 
 def _family_means(vals: np.ndarray, n_use: int):

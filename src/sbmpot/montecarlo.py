@@ -5,8 +5,12 @@ skeleton and move the Brownian scaffold by N(0, 2 dS) per increment.  The
 kind picks a march's increments (_exact_increments):
 
 * exact, for the stable kind: Kanter's representation of the positive
-  stable law (one uniform pair per step);
-* compound, for every other kind: jumps above the truncation level epsilon
+  stable law (one uniform pair per step); for the sum kind, the sum of two
+  such draws; for the relativistic kind with m*dt <= 1, a stable draw
+  tilted by e^(-m^(2/alpha) S) by rejection (Devroye, ACM TOMACS 19(4),
+  2009), which accepts with probability e^(-m dt);
+* compound, for every other kind and the relativistic kind with
+  m*dt > 1: jumps above the truncation level epsilon
   arrive at rate mu(eps, inf), of sizes eps + E/S (E ~ Exp(1), S from the
   Levy measure's exponential mixture), and the mean of the discarded small
   jumps is restored as a deterministic drift int_0^eps s mu(s) ds per unit
@@ -276,8 +280,14 @@ def _start_point(x0, domain) -> np.ndarray:
 
 
 def _kanter(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Positive rho-stable variate with E[exp(-lam S)] = exp(-lam^rho)."""
+    """Positive rho-stable variate with E[exp(-lam S)] = exp(-lam^rho).
+
+    At rho = 1/2 the two sine factors are one float, so one sine and one
+    power give their product q*q, and (a/e)^1 is a/e: the same bits."""
     th = math.pi * u
+    if rho == 0.5:
+        q = np.sin(0.5 * th) ** 0.5
+        return (q * q / np.sin(th)) ** 2.0 / e
     a = (np.sin(rho * th) ** rho * np.sin((1.0 - rho) * th) ** (1.0 - rho) / np.sin(th)) ** (
         1.0 / (1.0 - rho)
     )
@@ -339,30 +349,50 @@ def _poisson_cdf(rate: float) -> np.ndarray:
     return np.cumsum(terms)
 
 
-def _exact_increments(phi: CompleteBernsteinFunction) -> bool:
-    """Whether the kind's increments are exact (stable) or compound (every
-    other kind); a killed exponent is refused."""
+def _exact_increments(phi: CompleteBernsteinFunction, dt: float) -> bool:
+    """Whether steps of length dt draw exact increments or compound ones; a
+    killed exponent is refused.  Exact: the stable and sum kinds, and the
+    relativistic kind while m*dt <= 1, where its rejection accepts a
+    candidate with probability e^(-m dt) >= 1/e.  Compound: every other
+    kind, and the relativistic kind past that tilt."""
     if phi.killing > 0.0:
         raise ConstructionError("path sampling needs an unkilled exponent")
-    return phi.kind == "stable"
+    if phi.kind == "relativistic":
+        return phi.m * dt <= 1.0
+    return phi.kind in ("stable", "sum")
 
 
 class _Increments:
     """Subordinator draws for skeleton steps of length dt, by path id.
 
-    The only reader of the subordinator channels: step k of a path takes its
-    Kanter pair (the stable kind) or its Poisson jump count (``compound``,
-    every other kind) from rng.CH_SUB, and the size and Gaussian direction
-    of its jump in slot j from rng.jump_channel(j, d) and the channels after
-    it, which ``jump`` draws for any set of jumps in one call.
+    The only reader of the subordinator channels.  Step k of a path takes
+    its first Kanter pair (``exact``) or its Poisson jump count
+    (``compound``) from rng.CH_SUB.  A compound jump in slot j takes its
+    size and Gaussian direction from rng.jump_channel(j, d) and the channels
+    after it, which ``jump`` draws for any set of jumps in one call.  The
+    other draws of an exact increment take rng.exact_channel(i, d), in the
+    jump slots' range, which an exact march leaves unread:
+
+    * stable: dt^(2/alpha) K_(alpha/2), K a Kanter variate;
+    * sum: that plus dt^(2/beta) K_(beta/2), whose pair is channel i = 0;
+    * relativistic: the stable draw tilted by e^(-theta S), theta =
+      m^(2/alpha), by rejection.  Round r accepts its candidate where the
+      first uniform of channel i = 2r is under e^(-theta S); a rejected
+      counter draws round r + 1's candidate from channel i = 2r + 1.
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
-        self.compound = not _exact_increments(phi)
+        self.compound = not _exact_increments(phi, dt)
         self.stream = rng.PhiloxStream(cfg.seed)
         if not self.compound:
+            self.kind = phi.kind
             self.rho = phi.alpha_param / 2.0
             self.dt_pow = dt ** (1.0 / self.rho)
+            if self.kind == "sum":
+                self.rho_second = phi.beta / 2.0
+                self.dt_pow_second = dt ** (1.0 / self.rho_second)
+            elif self.kind == "relativistic":
+                self.theta = phi.branch_point
         else:
             rate, drift, self.mixture_cdf, self.rates = _compound_tables(phi, cfg.epsilon)
             self.epsilon = cfg.epsilon
@@ -370,11 +400,28 @@ class _Increments:
             self.cdf = _poisson_cdf(self.mean_jumps)
             self.drift = drift * dt  # mean of the discarded small jumps
 
-    def exact(self, step, ids: np.ndarray) -> np.ndarray:
-        """Increments of the counters (step, ids); step may be an array, as in
-        rng.PhiloxStream.uniform_pair, here and in jump_counts and jump."""
+    def exact(self, step, ids: np.ndarray, d: int) -> np.ndarray:
+        """Increments of the counters (step, ids) of a march in dimension d;
+        step may be an array, as in rng.PhiloxStream.uniform_pair, here and
+        in jump_counts and jump."""
         u, w = self.stream.uniform_pair(rng.CH_SUB, step, ids)
-        return self.dt_pow * _kanter(self.rho, u, -np.log(w))
+        out = self.dt_pow * _kanter(self.rho, u, -np.log(w))
+        if self.kind == "sum":
+            u, w = self.stream.uniform_pair(rng.exact_channel(0, d), step, ids)
+            out += self.dt_pow_second * _kanter(self.rho_second, u, -np.log(w))
+        elif self.kind == "relativistic":
+            # the rejected counters, as flat indices with their steps and ids
+            steps = np.broadcast_to(np.asarray(step, dtype=np.uint64), out.shape).ravel()
+            ids, flat = np.broadcast_to(ids, out.shape).ravel(), out.reshape(-1)
+            todo, channel = np.arange(flat.size), rng.exact_channel(0, d)
+            while todo.size:
+                accept, _ = self.stream.uniform_pair(channel, steps[todo], ids[todo])
+                todo = todo[accept >= np.exp(-self.theta * flat[todo])]
+                if todo.size:
+                    u, w = self.stream.uniform_pair(channel + 1, steps[todo], ids[todo])
+                    flat[todo] = self.dt_pow * _kanter(self.rho, u, -np.log(w))
+                channel += 2
+        return out
 
     def jump_counts(self, step, ids: np.ndarray) -> np.ndarray:
         u0, _ = self.stream.uniform_pair(rng.CH_SUB, step, ids)
@@ -427,12 +474,12 @@ def sample_subordinator_increment(
     if dt < 0.0:
         raise EvaluationDomainError("dt must be nonnegative")
     if dt == 0.0:
-        _exact_increments(phi)
+        _exact_increments(phi, dt)
         return np.zeros(cfg.paths)
     inc = _Increments(phi, cfg, dt)
     ids = np.arange(cfg.paths, dtype=np.uint64)
     if not inc.compound:
-        return inc.exact(step, ids)
+        return inc.exact(step, ids, 0)
     out = np.full(cfg.paths, inc.drift)
     for owner, slots in _jump_slots(inc.jump_counts(step, ids)):
         # add.at adds a path's jumps one after another, in slot order
@@ -532,9 +579,9 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
             m = max(int(np.searchsorted(np.cumsum(counts.max(axis=1) + 1), budget, "right")), 1)
             counts, steps, grid = counts[:m], steps[:m], grid[:m]
             scale = math.sqrt(2.0 * inc.drift)
-        else:  # no jump slots: the one sub-move moves by the Kanter increment
+        else:  # no jump slots: the one sub-move moves by the exact increment
             counts = np.zeros((m, draw_ids.size), dtype=np.intp)
-            scale = np.sqrt(2.0 * inc.exact(steps, grid))[..., None]
+            scale = np.sqrt(2.0 * inc.exact(steps, grid, d))[..., None]
         widths = counts.max(axis=1) + 1
         ends = np.cumsum(widths)
         begin, rows = ends - widths, int(ends[-1])
@@ -687,7 +734,7 @@ def exceedance_probability(phi, d: int, r: float, t: float, cfg: PathConfig) -> 
     underestimate of the true running supremum.
     """
     _check_radius(r)
-    _exact_increments(phi)
+    _exact_increments(phi, cfg.step)
     if t < 0.0:
         raise EvaluationDomainError("t must be nonnegative")
     if t == 0.0:
@@ -862,8 +909,9 @@ def epsilon_refinement_check(phi, domain, x0, cfg: PathConfig) -> dict:
     """Mean exit time at epsilon and epsilon/2; delta must be < 3 combined SE.
 
     Exact increments read no epsilon, so both runs would be one march and
-    pass with delta 0: such a kind (stable) raises ConstructionError."""
-    if _exact_increments(phi):
+    pass with delta 0: a kind that marches cfg.step on them (stable, sum,
+    and relativistic with m*step <= 1) raises ConstructionError."""
+    if _exact_increments(phi, cfg.step):
         raise ConstructionError(f"{phi.label()} has exact increments, which read no epsilon")
     a = simulate_exits(phi, domain, x0, cfg)
     b = simulate_exits(phi, domain, x0, replace(cfg, epsilon=cfg.epsilon / 2.0))

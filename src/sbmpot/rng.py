@@ -8,12 +8,17 @@ yields two 53-bit uniforms.
 
 Channel map used by the samplers in dimension d, disjoint for every d:
 
-* 0: subordinator increment draws (Kanter pair, or the Poisson count),
+* 0: subordinator increment draws (the first Kanter pair, or the Poisson
+  count),
 * 1 .. ceil(d/2): Gaussian pairs for the continuous component (one pair per
   channel; 1..7 stay reserved for them),
 * jump_channel(k, d) and the ceil(d/2) channels after it: size and direction
   draws of the k-th jump inside one skeleton step (compound mode; 8 + 2k
   and 9 + 2k for d <= 2),
+* exact_channel(i, d) = jump_channel(0, d) + i: the other draws of an exact
+  increment (the sum kind's second Kanter pair, the relativistic kind's
+  acceptance uniforms and later candidates).  They share the jump slots'
+  range, which a march on exact increments never reads,
 * CH_WOS = 2**31: the radius draw of a walk-on-spheres sphere, the sphere
   index in the step slot; CH_WOS + 1 .. CH_WOS + ceil(d/2): its direction
   pairs.  The marcher's channels stay far below 2**31.
@@ -34,6 +39,7 @@ __all__ = [
     "CH_GAUSS",
     "CH_WOS",
     "jump_channel",
+    "exact_channel",
     "PhiloxStream",
 ]
 
@@ -48,6 +54,14 @@ def jump_channel(slot: int, d: int) -> int:
     reserved, so size-only draws (d = 0) keep the d <= 2 layout."""
     pairs = max((d + 1) // 2, 1)
     return CH_GAUSS + max(7, pairs) + (1 + pairs) * slot
+
+
+def exact_channel(i: int, d: int) -> int:
+    """Channel i of the draws an exact increment makes past rng.CH_SUB in
+    dimension d: consecutive channels from jump_channel(0, d), past the
+    Gaussian pairs, which only compound steps read otherwise."""
+    return jump_channel(0, d) + i
+
 
 _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)

@@ -41,6 +41,22 @@ def test_relativistic_past_the_overflow_of_x_over_its_branch_point():
         assert phi._eval(x).tobytes() == direct.tobytes()
 
 
+def test_relativistic_under_the_normal_range_of_x_over_its_branch_point():
+    # alpha = 1, m = 1e100 has b = 1e200, so x/b is subnormal or 0 for x under 2.2e-108; there phi is its
+    # first-order term (m (alpha/2)/b) x, on the real axis and on the cut, and every x with a normal x/b keeps
+    # the bits of the direct form
+    phi = bernstein.relativistic_stable(1.0, 1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(1e-120) == pytest.approx(5e-221, rel=1e-15)
+        assert phi(1e-130) == pytest.approx(5e-231, rel=1e-15)
+        assert phi(0.0) == 0.0
+        assert phi._eval(np.array([-1e-130 + 0j]))[0] == pytest.approx(-5e-231, rel=1e-15)
+        x = np.concatenate([np.geomspace(1e-107, 1e300, 50), -np.geomspace(1e-107, 1e300, 50) + 0j])
+        direct = phi.m * np.expm1(0.5 * bernstein._log1p(x / 1e200))
+        assert phi._eval(x).tobytes() == direct.tobytes()
+
+
 def test_alpha_range_enforced():
     for bad in (0.0, 2.0, -0.3, 2.4):
         with pytest.raises(ConstructionError):

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from sbmpot import bernstein, cli
+from sbmpot import bernstein, cli, montecarlo
 
 GOLD_U1 = 0.5641895835477563       # 1/sqrt(pi)
 GOLD_G3 = 0.05066059182116889      # 1/(2 pi^2)
@@ -291,6 +291,16 @@ def test_relativistic_phi_past_the_overflow_of_x_over_its_branch_point(capsys):
     assert rc == 0 and float(_rows(out)[0]["phi"]) == pytest.approx(10**5.5, rel=1e-13)
 
 
+def test_relativistic_chi_under_the_normal_range_of_x_over_its_branch_point(capsys):
+    # b = 1e200: chi at 1e-50 takes phi where x/b is under the normal range, and
+    # chi(lam) is about sqrt(phi(lam^2)) = sqrt(0.5e-200) lam = 7.07e-101
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = _run(capsys, "ladder chi --kind relativistic --alpha 1 --m 1e100 --lambda 1e-50".split())
+    row = _rows(out)[0]
+    assert rc == 0 and float(row["chi"]) == pytest.approx(math.sqrt(0.5e-200) * 1e-50, rel=1e-12)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_exit_starts_at_the_ball_centre_by_default(capsys, dim):
     # with no --x0 the paths start at the centre of the ball in every dimension, as with --x0 0,...,0
@@ -312,10 +322,12 @@ def test_empty_table(capsys):
 
 
 def test_simulate_refuses_truncated_poisson_table(capsys):
-    # rate*dt is about 646 here: past the 400-term table, so exit 2, not
-    # 400 jumps per step for every path
-    rc = cli.main(["simulate", "exit", "--kind", "sum", "--alpha", "1", "--paths", "5",
-                   "--seed", "1", "--step", "10", "--horizon", "20", "--format", "json"])
+    # rate*dt is about 554 here: past the 400-term table, so exit 2, not
+    # 400 jumps per step for every path.  m*dt = 10 > 1, so the relativistic
+    # kind marches compound
+    rc = cli.main(["simulate", "exit", "--kind", "relativistic", "--alpha", "1", "--m", "1",
+                   "--paths", "5", "--seed", "1", "--step", "10", "--horizon", "20",
+                   "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "rate*dt" in captured.err and "--step" in captured.err
@@ -810,13 +822,18 @@ def test_probe_check_with_one_path_leaks_no_warning(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
-def test_subnormal_levy_tail_leaks_no_warning(capsys):
+def test_subnormal_levy_tail_leaks_no_warning(monkeypatch, capsys):
     # the relativistic tail at m = 0.1 reaches subnormal knots that underflow
-    # to 0 once divided by the rate; the quantile table must stop before them
+    # to 0 once divided by the rate; the quantile table must stop before them.
+    # At the default step the kind marches on exact increments, and forced
+    # compound on that table
     argv = ["simulate", "exit", "--kind", "relativistic", "--alpha", "1", "--m", "0.1",
             "--paths", "20", "--seed", "1", "--format", "json"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = cli.main(argv)
-    assert rc == 0
-    assert capsys.readouterr().err == ""
+    for compound in (False, True):
+        if compound:
+            monkeypatch.setattr(montecarlo, "_exact_increments", lambda phi, dt: False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv)
+        assert rc == 0
+        assert capsys.readouterr().err == ""

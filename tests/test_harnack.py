@@ -101,6 +101,29 @@ def test_family_values_wos_bits_pinned():
         "72aee189a5f94837d60c8324735c33182003d03a9f1c04e547753080364e8686")
 
 
+@pytest.mark.parametrize("walk", [False, True])
+def test_repeated_start_is_run_once(monkeypatch, walk):
+    # a start that repeats an earlier one bit for bit is run once and its
+    # values copied: 0.2 repeats, 0.0 and -0.0 are distinct bits; every row
+    # keeps the bits of a run of its start alone, censored paths included
+    phi, dom = bernstein.stable(1.0), mc.Ball(center=(0.0,), radius=1.0)
+    grid = np.array([[0.2], [0.5], [0.2], [0.0], [-0.0], [0.5]])
+    datas, cfg = harnack.shell_probes_1d(1.0), _cfg(40, seed=3, horizon=2e-2, step=1e-2)
+    rows = []
+    run = harnack._exit_positions
+
+    def recording(phi, domain, starts, *args, **kw):
+        rows.append(starts.shape[0])
+        return run(phi, domain, starts, *args, **kw)
+
+    monkeypatch.setattr(harnack, "_exit_positions", recording)
+    vals, censored = harnack._family_values(phi, dom, grid, datas, cfg, walk=walk)
+    assert rows == [4 * 40] and vals.shape == (6, 40, len(datas))
+    alone = [harnack._family_values(phi, dom, x0, datas, cfg, walk=walk) for x0 in grid]
+    assert vals.tobytes() == np.concatenate([v for v, _ in alone]).tobytes()
+    assert censored == sum(c for _, c in alone) > 0
+
+
 def _report_digest(rep) -> str:
     """sha256 of every field of a report as float.hex, arrays flattened."""
     h = hashlib.sha256()
@@ -114,8 +137,10 @@ def _report_digest(rep) -> str:
 @pytest.mark.parametrize("check, digest", [
     (lambda: harnack.harnack_ratio(bernstein.stable(1.0), 2, 0.05, 60, 3),
      "635543d52503850d79b431c4c5e5bd8d3147e78f68700e31bd7e27a3e469db0c"),
+    # re-pinned when the relativistic kind moved to exact increments: the
+    # report went from ratio inf (a probe with no hit) to 1.5
     (lambda: harnack.harnack_ratio(bernstein.relativistic_stable(1.0, 0.01), 1, 0.05, 60, 5),
-     "6ffd736bd72a769005b563835c454e24693dfd41cd1b6a2dcafb494b66697996"),
+     "9da0f68e1527c08b56ce30490fe4b8c0d8e7bc629cb143668445a5ae7f080e7c"),
     (lambda: harnack.bhp_ratio_check(bernstein.stable(1.0), 0.05, 90, 7),
      "9d238aed190a1a50cd3f6e9f5f49266afbc239021e6f5e6a94b69e72a09ed314"),
     (lambda: harnack.bhp_ratio_check(bernstein.stable(1.0), 0.05, 90, 7, domain="halfdisk"),
@@ -126,10 +151,11 @@ def _report_digest(rep) -> str:
     (lambda: mc.exit_time_bounds_check(bernstein.stable(1.0), 1, [0.5], 60, 13),
      "217dc68cae591626b570ede2645514a1bfadc8b424c9fdb2e56791ed08611df5"),
     # its renewal bounds read V, whose chi comes from the log lattice: re-pinned when that replaced
-    # the DE sweep, which moved them by 2e-15 relative and no other field
+    # the DE sweep, which moved them by 2e-15 relative and no other field; its
+    # means re-pinned when the relativistic kind moved to exact increments
     (lambda: mc.exit_time_bounds_check(bernstein.relativistic_stable(1.0, 1.0), 1, [0.5],
                                        60, 13),
-     "4002a37c7aca9e15535ea1860d0bc2a1169fe286d7b9d8f6faad3a6914cbd9cb"),
+     "a322fcca39df72f0e5301cbfdaeed12ac2479c17f8f8888c4eb08bce05fccd75"),
 ], ids=["harnack-stable-d2-walked", "harnack-relativistic-d1-marched", "bhp-interval",
         "bhp-halfdisk", "carleson-q0", "exit-bounds-stable", "exit-bounds-relativistic"])
 def test_scaled_check_report_bits_pinned(check, digest):

@@ -18,6 +18,11 @@ def _cfg(paths=4000, seed=11, **kw):
     return mc.PathConfig(paths=paths, seed=seed, **kw)
 
 
+def _force_compound(monkeypatch):
+    # every kind marches on compound increments, whatever its step
+    monkeypatch.setattr(mc, "_exact_increments", lambda phi, dt: False)
+
+
 def _exact_ball_mean_tau(d, alpha, r, x):
     num = math.gamma(d / 2.0)
     den = 2.0**alpha * math.gamma(1.0 + alpha / 2.0) * math.gamma((d + alpha) / 2.0)
@@ -122,7 +127,7 @@ def test_compound_matches_exact_route(monkeypatch):
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     a = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000))
-    monkeypatch.setattr(mc, "_exact_increments", lambda phi: False)
+    _force_compound(monkeypatch)
     b = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=12000))
     ea, eb = a.mean_tau(), b.mean_tau()
     assert abs(ea.mean - eb.mean) < 4.0 * math.hypot(ea.std_error, eb.std_error)
@@ -139,6 +144,7 @@ def test_determinism_across_batches(monkeypatch):
 
 
 def test_compound_determinism_across_batches(monkeypatch):
+    _force_compound(monkeypatch)
     phi = bernstein.sum_of_stables(1.0, 0.5)
     ball = mc.Ball(center=(0.0,) * 3, radius=1.0)
     base = mc.simulate_exits(phi, ball, [0.0] * 3, _cfg(paths=1500, step=2e-3))
@@ -204,7 +210,9 @@ def test_exact_chunk_length_is_invisible(monkeypatch):
     (lambda: bernstein.log_perturbed_up(1.0, 0.5), (0.25,), 400, 43, 0.04,
      "b96ebb33c0cd111de44e3c684e13ee6a73baf75fe6417070f4287977bf8e6228"),
 ], ids=["sum-d3", "relativistic-d2", "log_up-d1"])
-def test_compound_march_bits_pinned(make_phi, x0, paths, seed, step, digest):
+def test_compound_march_bits_pinned(monkeypatch, make_phi, x0, paths, seed, step, digest):
+    # sum and relativistic march on exact increments unless forced
+    _force_compound(monkeypatch)
     d = len(x0)
     sample = mc.simulate_exits(make_phi(), mc.Ball(center=(0.0,) * d, radius=1.0), list(x0),
                                _cfg(paths=paths, seed=seed, step=step))
@@ -216,6 +224,7 @@ def test_compound_chunk_length_is_invisible(monkeypatch):
     # batches of 1 path march one step per chunk, batches of 7 one to three,
     # one batch of 40 paths dozens up to _MAX_CHUNK_STEPS; paths exit on
     # jumps and on the continuous move
+    _force_compound(monkeypatch)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     for batch_size in (1, 7, 16384):
         monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
@@ -240,6 +249,7 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
         return u, w
 
     monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", counting)
+    _force_compound(monkeypatch)
     phi, cfg = bernstein.relativistic_stable(1.0, 1.0), _cfg(paths=400, seed=53, step=0.05)
     assert mc._Increments(phi, cfg, cfg.step).mean_jumps == pytest.approx(2.77, abs=0.01)
     drawn.clear()
@@ -299,9 +309,10 @@ def _jump_sizes(inc, u, v):
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
-def test_fused_jump_matches_per_slot_draws(d):
+def test_fused_jump_matches_per_slot_draws(monkeypatch, d):
     # one call over mixed slots, steps and ids gives each jump the bits of
     # its slot's own size channel pair and direction pairs
+    _force_compound(monkeypatch)
     inc = mc._Increments(bernstein.relativistic_stable(1.0, 1.0), _cfg(seed=61), 0.05)
     slots = np.array([0, 3, 1, 0, 7, 2, 3, 40])
     steps = np.array([0, 4, 4, 2**32 + 1, 9, 0, 4, 2], dtype=np.uint64)
@@ -318,7 +329,9 @@ def test_fused_jump_matches_per_slot_draws(d):
 def test_each_drawn_counter_is_one_element(monkeypatch):
     # a wrapper with the benchmark tracer's signature counts np.size(path_ids)
     # per call: that is the number of counters the call draws, and no counter
-    # past the count channel is drawn twice (truncated chunks redraw counts)
+    # past the count channel is drawn twice (truncated chunks redraw counts);
+    # exact relativistic increments draw each rejection round's channels for
+    # the counters still rejected, and each of those once
     pair = rng.PhiloxStream.uniform_pair
     seen = []
 
@@ -332,17 +345,28 @@ def test_each_drawn_counter_is_one_element(monkeypatch):
         return u, w
 
     monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", recording)
-    mc.simulate_exits(bernstein.sum_of_stables(1.0, 0.5), mc.Ball(center=(0.0,) * 3, radius=1.0),
-                      [0.2, 0.0, 0.0], _cfg(paths=60, seed=67, step=2e-3))
-    drawn = np.concatenate(seen)
-    drawn = drawn[drawn[:, 0] != rng.CH_SUB]
-    assert np.count_nonzero(drawn[:, 0] >= rng.jump_channel(0, 3)) > 1000
-    assert np.unique(drawn, axis=0).shape == drawn.shape
+    # compound sum, and exact relativistic at m*dt = 0.8, where most
+    # candidates are rejected at least once
+    for phi, step, compound in ((bernstein.sum_of_stables(1.0, 0.5), 2e-3, True),
+                                (bernstein.relativistic_stable(1.0, 20.0), 0.04, False)):
+        seen.clear()
+        with monkeypatch.context() as m:
+            if compound:
+                _force_compound(m)
+            mc.simulate_exits(phi, mc.Ball(center=(0.0,) * 3, radius=1.0), [0.2, 0.0, 0.0],
+                              _cfg(paths=60, seed=67, step=step))
+        drawn = np.concatenate(seen)
+        drawn = drawn[drawn[:, 0] != rng.CH_SUB]
+        assert np.count_nonzero(drawn[:, 0] >= rng.jump_channel(0, 3)) > 1000
+        # a third rejection round was drawn
+        assert compound or np.any(drawn[:, 0] == rng.exact_channel(4, 3))
+        assert np.unique(drawn, axis=0).shape == drawn.shape
 
 
 def test_increment_jumps_match_per_slot_draws(monkeypatch):
     # about 16 000 jumps over 3000 paths, drawn in one call or in pieces that
     # end at a path's last jump, add up in slot order as one call per slot did
+    _force_compound(monkeypatch)
     phi, cfg, dt = bernstein.relativistic_stable(1.0, 1.0), _cfg(paths=3000, seed=71), 0.1
     inc = mc._Increments(phi, cfg, dt)
     ids = np.arange(cfg.paths, dtype=np.uint64)
@@ -387,17 +411,23 @@ def test_domain_monotonicity_matched_seeds():
 
 
 def test_kind_picks_the_increments():
-    # the stable kind marches on exact Kanter increments, every other kind
-    # of the catalog on compound ones; a killed exponent is refused
+    # the stable, sum and relativistic kinds of the catalog march on exact
+    # increments at this step, every other kind on compound ones; a killed
+    # exponent is refused
     cfg = _cfg(paths=10)
     for phi in bernstein.default_catalog():
         if phi.killing > 0.0:
             with pytest.raises(ConstructionError, match="unkilled"):
                 mc._Increments(phi, cfg, cfg.step)
         else:
-            assert mc._Increments(phi, cfg, cfg.step).compound == (phi.kind != "stable"), phi.label()
+            assert mc._Increments(phi, cfg, cfg.step).compound == (
+                phi.kind not in ("stable", "sum", "relativistic")), phi.label()
     with pytest.raises(ConstructionError, match="unkilled"):
         mc._Increments(bernstein.killed_shift(bernstein.stable(1.0), 0.5), cfg, cfg.step)
+    # the relativistic kind is exact up to m*dt = 1 and compound past it
+    phi = bernstein.relativistic_stable(1.0, 2.0)
+    assert not mc._Increments(phi, cfg, 0.5).compound
+    assert mc._Increments(phi, cfg, math.nextafter(0.5, 1.0)).compound
 
 
 def test_killed_phi_rejected():
@@ -413,6 +443,17 @@ def test_relativistic_increment_mean():
     inc = mc.sample_subordinator_increment(phi, 0.5, _cfg(paths=60000, seed=3))
     se = inc.std(ddof=1) / math.sqrt(inc.size)
     assert abs(inc.mean() - 0.25) < 4.0 * se
+
+
+def test_kanter_at_one_half_has_the_bits_of_the_general_form():
+    # at rho = 1/2 one sine and one power stand for two of each: the same bits
+    g = np.random.default_rng(7)
+    u, e = g.uniform(size=200000), g.exponential(size=200000)
+    u[:3] = (0.5**53, 0.5, 1.0 - 0.5**53)
+    th = math.pi * u
+    general = ((np.sin(0.5 * th) ** 0.5 * np.sin((1.0 - 0.5) * th) ** (1.0 - 0.5) / np.sin(th)) ** 2.0
+               / e) ** 1.0
+    assert mc._kanter(0.5, u, e).tobytes() == general.tobytes()
 
 
 def test_stable_increment_median():
@@ -494,10 +535,11 @@ def test_hitting_before_exit_bits_pinned():
     (mc.Interval(0.8, 1.5), mc.Interval(-1.0, 1.0),
      "0x1.2ca6b29aca6b3p-1", "0x1.346d7a5f8efa6p-5", 172),
 ], ids=["ball", "interval-straddling"])
-def test_compound_hitting_bits_pinned(target, enclosing, mean, se, n):
+def test_compound_hitting_bits_pinned(monkeypatch, target, enclosing, mean, se, n):
     # compound mode with most paths censored: a path counts once it hits the
     # target or leaves the enclosing domain; captured while hits were
     # tracked along the whole path to its exit from the enclosing domain
+    _force_compound(monkeypatch)
     cfg = mc.PathConfig(paths=400, seed=5, horizon=1.0, step=1e-2)
     est = mc.hitting_before_exit(bernstein.relativistic_stable(1.0, 1.0), target, [0.0],
                                  enclosing, cfg)
@@ -564,7 +606,7 @@ def test_hitting_refuses_target_of_another_dimension():
 def test_epsilon_refinement(monkeypatch):
     # the compound sampler on the stable kind, whose exact increments have
     # no epsilon
-    monkeypatch.setattr(mc, "_exact_increments", lambda phi: False)
+    _force_compound(monkeypatch)
     phi = bernstein.stable(1.0)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     out = mc.epsilon_refinement_check(phi, ball, [0.0], _cfg(paths=6000, epsilon=2e-4))
@@ -573,10 +615,17 @@ def test_epsilon_refinement(monkeypatch):
 
 
 def test_epsilon_refinement_refuses_exact_increments():
-    # stable increments are exact and read no epsilon: both runs would be one march
+    # exact increments read no epsilon: both runs would be one march.  The
+    # relativistic kind is exact for m*step <= 1 only
     ball = mc.Ball(center=(0.0,), radius=1.0)
-    with pytest.raises(ConstructionError, match="exact increments"):
-        mc.epsilon_refinement_check(bernstein.stable(1.0), ball, [0.0], _cfg(paths=10, epsilon=2e-4))
+    cfg = _cfg(paths=10, horizon=2.0, epsilon=2e-4)
+    for phi in (bernstein.stable(1.0), bernstein.sum_of_stables(1.0, 0.5),
+                bernstein.relativistic_stable(1.0, 1.0)):
+        with pytest.raises(ConstructionError, match="exact increments"):
+            mc.epsilon_refinement_check(phi, ball, [0.0], replace(cfg, step=1.0))
+    out = mc.epsilon_refinement_check(bernstein.relativistic_stable(1.0, 1.0), ball, [0.0],
+                                      replace(cfg, step=2.0, epsilon=1e-2))
+    assert out["mean"] != out["mean_refined"]
 
 
 def test_scaled_config_censoring_small():
@@ -711,15 +760,19 @@ def _partly_shared_ids(n, spread, seed=3):
 
 @pytest.mark.parametrize("spread", [1, 2**20])
 @pytest.mark.parametrize("batch_size", [16384, 70])
-@pytest.mark.parametrize("how", ["exact", "compound", "walk"])
+@pytest.mark.parametrize("how", ["exact", "tilted", "compound", "walk"])
 def test_shared_ids_give_the_records_of_separate_runs(monkeypatch, how, batch_size, spread):
     # a family of starts that share path ids, as _family_values runs it,
     # gives every row the bits of a run of its start alone; the last start
     # lies on the boundary, and batches of 70 rows split the family inside
     # its second start.  Dense ids draw once per id, sparse ones once per row
     phi, d, step = {"exact": (bernstein.stable(1.5), 2, 1e-2),
+                    # m*dt = 0.5: about 40% of the candidates are rejected
+                    "tilted": (bernstein.relativistic_stable(1.0, 25.0), 2, 2e-2),
                     "compound": (bernstein.sum_of_stables(1.0, 0.5), 3, 2e-3),
                     "walk": (bernstein.stable(1.5), 2, 1e-2)}[how]
+    if how == "compound":
+        _force_compound(monkeypatch)
     domain = mc.Ball(center=(0.0,) * d, radius=1.0)
     n, cfg = 40, _cfg(paths=40, seed=19, step=step)
     starts = np.zeros((3, d))
@@ -798,7 +851,7 @@ def test_histogram_walks_and_hitting_marches(monkeypatch):
     assert np.array_equal(auto.prob, np.histogram(np.abs(pos[:, 0]), bins=edges)[0] / 300)
     with monkeypatch.context() as m:
         for exact in (True, False):
-            m.setattr(mc, "_exact_increments", lambda phi, exact=exact: exact)
+            m.setattr(mc, "_exact_increments", lambda phi, dt, exact=exact: exact)
             other = mc.exit_distribution_histogram(phi, ball, [0.2], edges,
                                                    _cfg(paths=300, step=1e-2))
             assert np.array_equal(auto.prob, other.prob) and auto.mass_left == other.mass_left
@@ -881,9 +934,10 @@ def test_uncertified_jump_law_is_refused():
 @pytest.mark.parametrize("phi", [
     bernstein.relativistic_stable(1.0, 1.0), bernstein.log_perturbed_up(1.0, 0.5),
     bernstein.conjugate(bernstein.geometric_like(1.0, 64))], ids=lambda phi: phi.label())
-def test_sampled_jumps_follow_the_levy_tail(phi):
+def test_sampled_jumps_follow_the_levy_tail(monkeypatch, phi):
     # 200 000 size draws of slot 0: the share over x at six x within 4 sigma
     # of mu(x, inf)/mu(eps, inf)
+    _force_compound(monkeypatch)
     cfg = _cfg(paths=200000, seed=73)
     inc, ids = mc._Increments(phi, cfg, 1e-3), np.arange(cfg.paths, dtype=np.uint64)
     sizes, _ = inc.jump(np.zeros(cfg.paths, dtype=np.int64), 0, ids, 0)
@@ -898,10 +952,11 @@ def test_sampled_jumps_follow_the_levy_tail(phi):
 @pytest.mark.parametrize("phi", [
     bernstein.relativistic_stable(1.0, 1.0), bernstein.log_perturbed_up(1.0, 0.5),
     bernstein.conjugate(bernstein.geometric_like(1.0, 64))], ids=lambda phi: phi.label())
-def test_increment_laplace_transform_is_exp_of_phi(phi):
-    # E e^(-lam S_dt) = exp(-dt phi_eps(lam)), where phi_eps restores the jumps
-    # under eps by their mean: 0 <= phi_eps - phi <= lam^2 eps drift/2, which
-    # bounds the bias
+def test_increment_laplace_transform_is_exp_of_phi(monkeypatch, phi):
+    # compound increments: E e^(-lam S_dt) = exp(-dt phi_eps(lam)), where
+    # phi_eps restores the jumps under eps by their mean:
+    # 0 <= phi_eps - phi <= lam^2 eps drift/2, which bounds the bias
+    _force_compound(monkeypatch)
     dt, cfg = 0.05, _cfg(paths=40000, seed=79)
     inc = mc.sample_subordinator_increment(phi, dt, cfg)
     drift = mc._compound_tables(phi, cfg.epsilon)[1]
@@ -910,3 +965,48 @@ def test_increment_laplace_transform_is_exp_of_phi(phi):
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         bias = want * dt * lam**2 * cfg.epsilon * drift / 2.0
         assert abs(vals.mean() - want) <= 4.0 * se + bias, (lam, vals.mean(), want, se)
+
+
+@pytest.mark.parametrize("phi, dt", [
+    (bernstein.sum_of_stables(1.0, 0.5), 0.05), (bernstein.sum_of_stables(1.5, 0.2), 0.05),
+    (bernstein.relativistic_stable(1.0, 1.0), 0.05), (bernstein.relativistic_stable(1.5, 2.0), 0.05),
+    # m*dt = 1: each round accepts a candidate with probability 1/e
+    (bernstein.relativistic_stable(0.5, 10.0), 0.1)], ids=lambda x: getattr(x, "label", lambda: x)())
+def test_exact_increment_laplace_transform_is_exp_of_phi(phi, dt):
+    # exact increments have no truncation bias: E e^(-lam S_dt) meets
+    # exp(-dt phi(lam)) within 4 sigma at each lam
+    cfg = _cfg(paths=100000, seed=83)
+    assert not mc._Increments(phi, cfg, dt).compound
+    inc = mc.sample_subordinator_increment(phi, dt, cfg)
+    for lam in (0.3, 3.0, 30.0, 300.0):
+        vals, want = np.exp(-lam * inc), math.exp(-dt * phi(lam))
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - want) <= 4.0 * se, (lam, vals.mean(), want, se)
+
+
+@pytest.mark.parametrize("m, dt", [(1.0, 0.05), (0.5, 1.0), (4.0, 0.25)])
+def test_relativistic_increment_at_alpha_one_is_inverse_gaussian(m, dt):
+    # at alpha = 1 the tilted stable law is inverse Gaussian with mean
+    # dt/(2m) and shape dt^2/2, a law that does not pass through the tilt:
+    # twenty bins of equal mass under it, each within 4 sigma
+    from scipy.stats import invgauss
+
+    cfg = _cfg(paths=100000, seed=89)
+    inc = mc.sample_subordinator_increment(bernstein.relativistic_stable(1.0, m), dt, cfg)
+    shape = dt * dt / 2.0
+    cdf = invgauss.cdf(inc, (dt / (2.0 * m)) / shape, scale=shape)
+    share = np.histogram(cdf, bins=np.linspace(0.0, 1.0, 21))[0] / cfg.paths
+    assert np.all(np.abs(share - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / cfg.paths)), share
+
+
+@pytest.mark.parametrize("phi", [bernstein.sum_of_stables(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0)],
+                         ids=lambda phi: phi.label())
+def test_exact_exit_time_meets_compound_at_small_eps(monkeypatch, phi):
+    # the same ball and step on exact increments and on compound ones at
+    # eps = 1e-5, on seeds of their own: mean exit times within 4 combined SE
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    exact = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=6000, seed=97, step=1e-2)).mean_tau()
+    _force_compound(monkeypatch)
+    compound = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=6000, seed=101, step=1e-2,
+                                                         epsilon=1e-5)).mean_tau()
+    assert abs(exact.mean - compound.mean) < 4.0 * math.hypot(exact.std_error, compound.std_error)

@@ -69,7 +69,9 @@ def test_channel_layout_disjoint():
     # the subordinator draw, the Gaussian pairs, every jump slot (its size
     # channel, then the (d + 1) // 2 direction pairs normals() reads) and the
     # walk-on-spheres radius and direction pairs take increasing,
-    # non-overlapping channel ranges inside the 32-bit channel word
+    # non-overlapping channel ranges inside the 32-bit channel word.  The
+    # other draws of an exact increment (exact_channel) start where the jump
+    # slots do, past the Gaussian pairs, and stay under the walk's channels
     for d in range(65):
         pairs = (d + 1) // 2
         assert rng.CH_SUB < rng.CH_GAUSS
@@ -78,6 +80,10 @@ def test_channel_layout_disjoint():
             assert rng.jump_channel(k, d) + pairs < rng.jump_channel(k + 1, d)
         assert rng.jump_channel(1000, d) + pairs < rng.CH_WOS
         assert rng.CH_WOS + pairs < 2**32
+        assert rng.exact_channel(0, d) == rng.jump_channel(0, d)
+        assert [rng.exact_channel(i, d) for i in range(3)] == [rng.exact_channel(0, d) + i for i in range(3)]
+        assert rng.exact_channel(2**20, d) < rng.CH_WOS
+    assert [rng.exact_channel(i, 3) for i in range(3)] == [8, 9, 10]
 
 
 def test_low_dimension_channels_unchanged():
