@@ -292,7 +292,8 @@ _FLAGS = {
     "seed": {"type": int, "default": 0},
     "eps": {"type": float, "default": 1e-4,
             "help": "truncation level of compound increments; exact ones (the stable and sum kinds, "
-                    "and relativistic with m*dt <= 1, dt the skeleton step) read none"},
+                    "and relativistic with m*dt <= 1, dt the skeleton step, at an index "
+                    "above about 0.103) read none"},
     "domain": {"choices": ["interval", "halfdisk"], "default": "interval"},
     "radius": {"type": float, "default": 1.0},
     "x0": {},

@@ -9,8 +9,9 @@ kind picks a march's increments (_exact_increments):
   such draws; for the relativistic kind with m*dt <= 1, a stable draw
   tilted by e^(-m^(2/alpha) S) by rejection (Devroye, ACM TOMACS 19(4),
   2009), which accepts with probability e^(-m dt);
-* compound, for every other kind and the relativistic kind with
-  m*dt > 1: jumps above the truncation level epsilon
+* compound, for every other kind, the relativistic kind with m*dt > 1
+  and any step whose Kanter draw would leave the float range (an index
+  under about 0.103 at dt <= 1): jumps above the truncation level epsilon
   arrive at rate mu(eps, inf), of sizes eps + E/S (E ~ Exp(1), S from the
   Levy measure's exponential mixture), and the mean of the discarded small
   jumps is restored as a deterministic drift int_0^eps s mu(s) ds per unit
@@ -280,14 +281,8 @@ def _start_point(x0, domain) -> np.ndarray:
 
 
 def _kanter(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Positive rho-stable variate with E[exp(-lam S)] = exp(-lam^rho).
-
-    At rho = 1/2 the two sine factors are one float, so one sine and one
-    power give their product q*q, and (a/e)^1 is a/e: the same bits."""
+    """Positive rho-stable variate with E[exp(-lam S)] = exp(-lam^rho)."""
     th = math.pi * u
-    if rho == 0.5:
-        q = np.sin(0.5 * th) ** 0.5
-        return (q * q / np.sin(th)) ** 2.0 / e
     a = (np.sin(rho * th) ** rho * np.sin((1.0 - rho) * th) ** (1.0 - rho) / np.sin(th)) ** (
         1.0 / (1.0 - rho)
     )
@@ -349,17 +344,25 @@ def _poisson_cdf(rate: float) -> np.ndarray:
     return np.cumsum(terms)
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 def _exact_increments(phi: CompleteBernsteinFunction, dt: float) -> bool:
     """Whether steps of length dt draw exact increments or compound ones; a
     killed exponent is refused.  Exact: the stable and sum kinds, and the
     relativistic kind while m*dt <= 1, where its rejection accepts a
     candidate with probability e^(-m dt) >= 1/e.  Compound: every other
-    kind, and the relativistic kind past that tilt."""
+    kind, the relativistic kind past that tilt, and any step whose exact
+    draw would leave the float range with a chance over 2^-53: a Kanter
+    variate K_rho passes the largest float M with chance M^(-rho)/Gamma(1 -
+    rho), and dt^(1/rho) K_rho with dt times that where dt > 1 (rho the
+    smallest index/2 of the draw)."""
     if phi.killing > 0.0:
         raise ConstructionError("path sampling needs an unkilled exponent")
-    if phi.kind == "relativistic":
-        return phi.m * dt <= 1.0
-    return phi.kind in ("stable", "sum")
+    if phi.kind not in ("stable", "sum", "relativistic") or phi.kind == "relativistic" and phi.m * dt > 1.0:
+        return False
+    rho = (phi.beta if phi.kind == "sum" else phi.alpha_param) / 2.0
+    return math.log(max(dt, 1.0)) - rho * _LOG_FLOAT_MAX - math.lgamma(1.0 - rho) <= -53.0 * math.log(2.0)
 
 
 class _Increments:

@@ -822,6 +822,21 @@ def test_probe_check_with_one_path_leaks_no_warning(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("kind", [["sum", "--alpha", "1", "--beta", "0.01"], ["sum", "--alpha", "1", "--beta", "0.02"],
+                                  ["stable", "--alpha", "0.05"]])
+def test_kanter_past_the_float_range_is_refused(capsys, kind):
+    # K_(beta/2) passes the largest float in 3% of draws at beta = 0.01 and
+    # in 0.1% at 0.02 (K_0.025 of stable(0.05) in 2e-8), which gave inf and
+    # NaN records: such a kind marches compound, whose jump law is not
+    # certified at these indices (exit 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "exit", "--kind", *kind, "--paths", "200", "--seed", "3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("numeric accuracy failure: the jump law of ")
+
+
 def test_subnormal_levy_tail_leaks_no_warning(monkeypatch, capsys):
     # the relativistic tail at m = 0.1 reaches subnormal knots that underflow
     # to 0 once divided by the rate; the quantile table must stop before them.

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -428,6 +429,25 @@ def test_kind_picks_the_increments():
     phi = bernstein.relativistic_stable(1.0, 2.0)
     assert not mc._Increments(phi, cfg, 0.5).compound
     assert mc._Increments(phi, cfg, math.nextafter(0.5, 1.0)).compound
+    # a step whose Kanter draw passes the largest float with a chance over
+    # 2^-53 is compound: an index under about 0.103 at dt <= 1, and at dt > 1
+    # the tail of dt^(2/alpha) K weighs dt times more
+    for phi, exact in [(bernstein.stable(0.11), True), (bernstein.stable(0.1), False),
+                       (bernstein.sum_of_stables(1.0, 0.11), True), (bernstein.sum_of_stables(1.0, 0.1), False),
+                       (bernstein.relativistic_stable(0.1, 1.0), False)]:
+        assert mc._exact_increments(phi, 1e-3) == exact, phi.label()
+    assert mc._exact_increments(bernstein.stable(1.0), 1e10)
+    assert not mc._exact_increments(bernstein.stable(1.0), 1e200)
+
+
+def test_exact_draws_next_to_the_float_range_are_finite():
+    # sum(1, 0.11) is exact at dt = 1e-3, where K_0.055 passes the largest
+    # float with a chance under 2^-53: every draw is finite, with no warning
+    phi = bernstein.sum_of_stables(1.0, 0.11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inc = mc.sample_subordinator_increment(phi, 1e-3, _cfg(paths=200000, seed=5))
+    assert np.all(np.isfinite(inc)) and np.all(inc >= 0.0)
 
 
 def test_killed_phi_rejected():
@@ -443,17 +463,6 @@ def test_relativistic_increment_mean():
     inc = mc.sample_subordinator_increment(phi, 0.5, _cfg(paths=60000, seed=3))
     se = inc.std(ddof=1) / math.sqrt(inc.size)
     assert abs(inc.mean() - 0.25) < 4.0 * se
-
-
-def test_kanter_at_one_half_has_the_bits_of_the_general_form():
-    # at rho = 1/2 one sine and one power stand for two of each: the same bits
-    g = np.random.default_rng(7)
-    u, e = g.uniform(size=200000), g.exponential(size=200000)
-    u[:3] = (0.5**53, 0.5, 1.0 - 0.5**53)
-    th = math.pi * u
-    general = ((np.sin(0.5 * th) ** 0.5 * np.sin((1.0 - 0.5) * th) ** (1.0 - 0.5) / np.sin(th)) ** 2.0
-               / e) ** 1.0
-    assert mc._kanter(0.5, u, e).tobytes() == general.tobytes()
 
 
 def test_stable_increment_median():
