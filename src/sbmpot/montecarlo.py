@@ -15,32 +15,34 @@ kind picks a march's increments (_exact_increments):
   arrive at rate mu(eps, inf), of sizes eps + E/S (E ~ Exp(1), S from the
   Levy measure's exponential mixture), and the mean of the discarded small
   jumps is restored as a deterministic drift int_0^eps s mu(s) ds per unit
-  time.  The neglected small-jump variance is the documented bias, checked
-  by epsilon-refinement.
+  time; a step's increment is the drift plus its jumps.  The neglected
+  small-jump variance is the documented bias, checked by
+  epsilon-refinement.
 
 Every random draw is addressed by (seed, channel, step, path id) through a
 counter-based generator, so estimates are bit-identical for a given seed and
 config no matter how paths are batched.  Estimators reduce over arrays
 assembled in path order.
 
-Paths march in chunks, one loop for both samplers: one Philox call per
-channel draws m skeleton steps of every live path id, and one call draws
-every jump of the chunk, each with its slot's size and direction channels;
-rows that share a path id (the start points of a probe family) copy its
-draws instead of repeating them.  m times the sub-moves per step is about
-_BATCH_SIZE over the distinct live ids, which sizes the draw, capped by
-_PATH_CAP over the live rows, which bounds the path array however many rows
-share an id, and m is at most _MAX_CHUNK_STEPS.  A compound step's sub-moves
-are its jumps in order, padding of -0.0 (the exact additive identity) up to
-the step's largest jump count, and the drift move; an exact step has one.
-Running sums of the live positions and the sub-moves give every intermediate
-position bit for bit as repeated += would, and the first sub-move outside
-settles each exit; draws past a path's exit within its chunk are discarded.
+Paths march in chunks, one loop and one monitoring rule for both samplers:
+a skeleton step is one move, sqrt(2 S) Z, S the step's subordinator
+increment and Z a standard normal vector, and a path exits at the end of
+its first step outside, at a skeleton epoch.  One Philox call per channel
+draws m skeleton steps of every live path id, and one call draws every jump
+of the chunk; rows that share a path id (the start points of a probe
+family) copy its draws instead of repeating them.  m times the draws per
+step (one, or on average the count and rate*dt jumps of a compound step)
+is about _BATCH_SIZE over the distinct live ids, which sizes the draw,
+capped by _PATH_CAP over the live rows, which bounds the path array however
+many rows share an id, and m is at most _MAX_CHUNK_STEPS.  Running sums of
+the live positions and the moves give every skeleton position bit for bit
+as repeated += would; draws past a path's exit within its chunk are
+discarded.
 
 Every domain answers one geometric question, its signed gap to the
 boundary: gap(x) > 0 strictly inside, <= 0 on the closed complement and < 0
 strictly outside (the sign of an IEEE difference is exact).  A path exits at
-its first position with gap <= 0.
+its first skeleton position with gap <= 0.
 
 Hitting probabilities are exit problems too: P_x(T_A < tau_D) marches to the
 first exit from D minus the closed target A and asks whether the exit
@@ -65,7 +67,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaincinv, gammainc, ndtri
+from scipy.special import betaincinv, gammainc
 
 from . import laplace, rng
 from .bernstein import CompleteBernsteinFunction, levy_tail
@@ -172,11 +174,11 @@ class McEstimate:
 class ExitSample:
     """Batch of first-exit samples (arrays indexed by surviving path).
 
-    ``exited_by_jump`` marks exits at a compound-Poisson jump epoch; the
-    exact sampler cannot split an increment into jump and drift parts, so
-    there the flag is inferred from strict overshoot past the closed
-    boundary.  Censored paths (no exit before the horizon) are excluded
-    from the arrays and only counted.
+    ``exited_by_jump`` marks a strict overshoot past the closed boundary:
+    a step moves once, by its whole increment, so no sampler splits an exit
+    into jump and drift parts and the flag is read from the exit position.
+    Censored paths (no exit before the horizon) are excluded from the
+    arrays and only counted.
     """
 
     tau: np.ndarray
@@ -326,20 +328,22 @@ def _compound_tables(phi: CompleteBernsteinFunction, epsilon: float):
     return rate, drift, cdf / cdf[-1], rates
 
 
-_POISSON_MAX_TERMS = 400
-
-
 def _poisson_cdf(rate: float) -> np.ndarray:
-    """CDF of the Poisson(rate) jump count up to 1 - 1e-15, never truncated:
-    past a truncated table every draw would get the largest count."""
-    terms = [math.exp(-rate)]
-    while sum(terms) < 1.0 - 1e-15:
-        if len(terms) == _POISSON_MAX_TERMS:
-            raise ConstructionError(
-                f"{rate:g} expected jumps per step (rate*dt) exceed the "
-                f"{_POISSON_MAX_TERMS}-term Poisson table; use a smaller --step "
-                "or a larger --eps"
-            )
+    """CDF of the Poisson(rate) jump count, never truncated: past a truncated
+    table every draw would get the largest count.  Terms are added until the
+    count is past the rate and the newest term no longer changes the float
+    sum.  The recurrence starts at e^(-rate), refused where that is not a
+    normal float (rate over about 708): from a subnormal start the table
+    ends far under 1."""
+    terms, total = [math.exp(-rate)], 0.0
+    if terms[0] < np.finfo(float).tiny:
+        raise ConstructionError(
+            f"{rate:g} expected jumps per step (rate*dt) exceed the Poisson "
+            f"table, whose first term e^-{rate:g} is not a normal float; use a "
+            "smaller --step or a larger --eps"
+        )
+    while len(terms) <= rate + 1.0 or total + terms[-1] != total:
+        total += terms[-1]
         terms.append(terms[-1] * rate / len(terms))
     return np.cumsum(terms)
 
@@ -368,20 +372,20 @@ def _exact_increments(phi: CompleteBernsteinFunction, dt: float) -> bool:
 class _Increments:
     """Subordinator draws for skeleton steps of length dt, by path id.
 
-    The only reader of the subordinator channels.  Step k of a path takes
-    its first Kanter pair (``exact``) or its Poisson jump count
-    (``compound``) from rng.CH_SUB.  A compound jump in slot j takes its
-    size and Gaussian direction from rng.jump_channel(j, d) and the channels
-    after it, which ``jump`` draws for any set of jumps in one call.  The
-    other draws of an exact increment take rng.exact_channel(i, d), in the
-    jump slots' range, which an exact march leaves unread:
+    The only reader of the subordinator channels, through ``increments``,
+    which draws the increment S of step k of a path.  The step takes its
+    first Kanter pair (exact) or its Poisson jump count (compound) from
+    rng.CH_SUB, and its other draws from rng.exact_channel(i, d):
 
     * stable: dt^(2/alpha) K_(alpha/2), K a Kanter variate;
     * sum: that plus dt^(2/beta) K_(beta/2), whose pair is channel i = 0;
     * relativistic: the stable draw tilted by e^(-theta S), theta =
       m^(2/alpha), by rejection.  Round r accepts its candidate where the
       first uniform of channel i = 2r is under e^(-theta S); a rejected
-      counter draws round r + 1's candidate from channel i = 2r + 1.
+      counter draws round r + 1's candidate from channel i = 2r + 1;
+    * compound: the drift plus the step's jumps, added in slot order; the
+      jump in slot j takes its size pair from channel i = j, which ``jump``
+      draws for any set of jumps in one call.
     """
 
     def __init__(self, phi: CompleteBernsteinFunction, cfg: PathConfig, dt: float):
@@ -403,10 +407,22 @@ class _Increments:
             self.cdf = _poisson_cdf(self.mean_jumps)
             self.drift = drift * dt  # mean of the discarded small jumps
 
-    def exact(self, step, ids: np.ndarray, d: int) -> np.ndarray:
+    def increments(self, step, ids: np.ndarray, d: int) -> np.ndarray:
         """Increments of the counters (step, ids) of a march in dimension d;
         step may be an array, as in rng.PhiloxStream.uniform_pair, here and
-        in jump_counts and jump."""
+        in exact, jump_counts and jump."""
+        if not self.compound:
+            return self.exact(step, ids, d)
+        counts = self.jump_counts(step, ids)
+        out = np.full(counts.shape, self.drift)
+        steps = np.broadcast_to(np.asarray(step, dtype=np.uint64), counts.shape).ravel()
+        ids = np.broadcast_to(ids, counts.shape).ravel()
+        for owner, slots in _jump_slots(counts):
+            # add.at adds a counter's jumps one after another, in slot order
+            np.add.at(out.reshape(-1), owner, self.jump(slots, steps[owner], ids[owner], d))
+        return out
+
+    def exact(self, step, ids: np.ndarray, d: int) -> np.ndarray:
         u, w = self.stream.uniform_pair(rng.CH_SUB, step, ids)
         out = self.dt_pow * _kanter(self.rho, u, -np.log(w))
         if self.kind == "sum":
@@ -430,22 +446,15 @@ class _Increments:
         u0, _ = self.stream.uniform_pair(rng.CH_SUB, step, ids)
         return np.searchsorted(self.cdf, u0)
 
-    def jump(self, slots: np.ndarray, step, ids: np.ndarray, d: int):
+    def jump(self, slots: np.ndarray, step, ids: np.ndarray, d: int) -> np.ndarray:
         """Sizes eps + E/S of the jumps in slots ``slots`` at (step, ids), one
         jump per element (S from the mixture by u, E = -log v, of the size
-        channel's pair), and (n, d) normals to spread them.  One Philox call
-        draws the size channel rng.jump_channel(slot, d) and the ceil(d/2)
-        direction channels after it for every jump, bit for bit as one call
-        per slot and channel would."""
-        base = rng.jump_channel(0, d)
-        channels = np.arange(1 + (d + 1) // 2, dtype=np.uint64)[:, None]  # size, then pairs
-        offset = (rng.jump_channel(1, d) - base) * np.asarray(slots, dtype=np.uint64) + channels
-        u, v = self.stream.uniform_pair(base, step, np.broadcast_to(ids, offset.shape),
-                                        offset=offset)
-        z = np.empty((offset.shape[1], d))
-        z[:, 0::2] = ndtri(u[1:]).T
-        z[:, 1::2] = ndtri(v[1 : 1 + d // 2]).T
-        return self.epsilon - np.log(v[0]) / self.rates[np.searchsorted(self.mixture_cdf, u[0])], z
+        pair).  One Philox call draws the size channel
+        rng.exact_channel(slot, d) of every jump, bit for bit as one call
+        per slot would."""
+        u, v = self.stream.uniform_pair(rng.exact_channel(0, d), step, ids,
+                                        offset=np.asarray(slots, dtype=np.uint64))
+        return self.epsilon - np.log(v) / self.rates[np.searchsorted(self.mixture_cdf, u)]
 
 
 def _jump_slots(counts: np.ndarray):
@@ -479,27 +488,19 @@ def sample_subordinator_increment(
     if dt == 0.0:
         _exact_increments(phi, dt)
         return np.zeros(cfg.paths)
-    inc = _Increments(phi, cfg, dt)
-    ids = np.arange(cfg.paths, dtype=np.uint64)
-    if not inc.compound:
-        return inc.exact(step, ids, 0)
-    out = np.full(cfg.paths, inc.drift)
-    for owner, slots in _jump_slots(inc.jump_counts(step, ids)):
-        # add.at adds a path's jumps one after another, in slot order
-        np.add.at(out, owner, inc.jump(slots, step, ids[owner], 0)[0])
-    return out
+    return _Increments(phi, cfg, dt).increments(step, np.arange(cfg.paths, dtype=np.uint64), 0)
 
 
 # ---------------------------------------------------------------------------
 # exit simulation engine
 
 
-# Paths a batch marches or walks at once, and sub-moves a chunk draws; records
-# do not depend on it
+# Paths a batch marches or walks at once, and draws (steps, and a compound
+# step's jumps) a chunk makes; records do not depend on it
 _BATCH_SIZE = 16384
 
-# Most sub-moves a chunk's path array holds over all its live rows, however
-# many rows share a drawn id
+# Most moves a chunk's path array holds over all its live rows, however many
+# rows share a drawn id
 _PATH_CAP = 4 * _BATCH_SIZE
 
 # Most skeleton steps a chunk draws for each live path: a path that exits
@@ -546,12 +547,13 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     """March one batch of paths to exit; returns per-path records.
 
     ``starts`` has one row per path.  Returns (tau, exit position, exited by
-    jump), with tau NaN for paths still inside at the horizon.  Each chunk
-    draws the moves of every live path id once and copies them to every
-    live row that carries the id.  Its draw is sized by the distinct ids,
-    about _BATCH_SIZE sub-moves over all of them, and its path array by the
-    live rows, at most _PATH_CAP sub-moves over all of them: the tighter of
-    the two sets the chunk's steps.
+    jump), with tau NaN for paths still inside at the horizon.  A step is
+    one move, and a path exits at the end of its first step outside.  Each
+    chunk draws the moves of every live path id once and copies them to
+    every live row that carries the id.  Its draw is sized by the distinct
+    ids, about _BATCH_SIZE draws over all of them, and its path array by the
+    live rows, at most _PATH_CAP moves over all of them: the tighter of the
+    two sets the chunk's steps.
     """
     d = domain.d
     n = ids.size
@@ -564,68 +566,42 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     tau[~alive] = 0.0
     pos[~alive] = x[~alive]
     n_steps = int(math.ceil(cfg.horizon / cfg.step))
-    compound = inc.compound
-    # chunks of m steps, step s being sub-moves begin[s] .. ends[s] - 1; the
-    # last chunk's mean width sizes the next one's count draw, and the first
-    # one's is the expected width, rate*dt jumps and the drift move
-    k, mean_width = 0, (inc.mean_jumps + 1.0 if compound else 1.0)
+    # draws per step: one, or the count and rate*dt jumps on average
+    per_step = 1.0 + inc.mean_jumps if inc.compound else 1.0
+    k = 0
     while k < n_steps and alive.any():
         live = np.nonzero(alive)[0]
         draw_ids, cols = _live_draws(ids, columns, live)
-        # sub-moves per path: the draw's budget over its ids, the path array's over its rows
+        # draws per path: the draw's budget over its ids, the path array's over its rows
         budget = max(min(_BATCH_SIZE // draw_ids.size, _PATH_CAP // live.size), 1)
-        m = min(max(int(budget / mean_width), 1), _MAX_CHUNK_STEPS, n_steps - k)
+        m = min(max(int(budget / per_step), 1), _MAX_CHUNK_STEPS, n_steps - k)
         steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
         grid = np.broadcast_to(draw_ids, (m, draw_ids.size))
-        if compound:
-            counts = inc.jump_counts(steps, grid)
-            m = max(int(np.searchsorted(np.cumsum(counts.max(axis=1) + 1), budget, "right")), 1)
-            counts, steps, grid = counts[:m], steps[:m], grid[:m]
-            scale = math.sqrt(2.0 * inc.drift)
-        else:  # no jump slots: the one sub-move moves by the exact increment
-            counts = np.zeros((m, draw_ids.size), dtype=np.intp)
-            scale = np.sqrt(2.0 * inc.exact(steps, grid, d))[..., None]
-        widths = counts.max(axis=1) + 1
-        ends = np.cumsum(widths)
-        begin, rows = ends - widths, int(ends[-1])
-        mean_width = rows / m
-        path = np.empty((rows + 1, live.size, d))
+        scale = np.sqrt(2.0 * inc.increments(steps, grid, d))[..., None]
+        z = inc.stream.normals(steps, grid, d)
+        path = np.empty((m + 1, live.size, d))
         path[0] = x[live]
         moves = path[1:]
-        # one column of moves per drawn id, copied below to its rows
-        drawn = moves if cols is None else np.empty((rows, draw_ids.size, d))
-        drawn[:] = -0.0  # padding after a step's last jump: x + -0.0 is x
-        if rows > m:  # some step has a jump (an exact step has none)
-            # a chunk that fits its budget holds fewer than _BATCH_SIZE jumps,
-            # so one draw holds them all
-            for owner, j in _jump_slots(counts):
-                s, p = np.divmod(owner, draw_ids.size)
-                sizes, z = inc.jump(j, steps[s, 0], draw_ids[p], d)
-                drawn[begin[s] + j, p] = np.sqrt(2.0 * sizes)[:, None] * z
-        drawn[ends - 1] = scale * inc.stream.normals(steps, grid, d)
-        if cols is not None:
-            np.take(drawn, cols, axis=1, out=moves, mode="clip")
-            counts = counts[:, cols]
+        # one column of moves per drawn id, copied to its rows
+        if cols is None:
+            np.multiply(scale, z, out=moves)
+        else:
+            np.take(scale * z, cols, axis=1, out=moves, mode="clip")
         if live.size * d < _ROW_ADD_MIN:
             np.cumsum(path, axis=0, out=path)
         else:  # the same sums, in order
-            for i in range(1, rows + 1):
+            for i in range(1, m + 1):
                 path[i] += path[i - 1]
-        out = (domain.gap(moves.reshape(-1, d)) <= 0.0).reshape(rows, live.size)
-        first = np.where(out.any(axis=0), out.argmax(axis=0), rows)
-        x[live] = moves[np.minimum(first, rows - 1), np.arange(live.size)]
-        col = np.nonzero(first < rows)[0]
-        hit, r = live[col], first[col]
-        s = np.searchsorted(ends, r, side="right")  # the step of sub-move r
-        # sub-moves before a step's last are its jumps j = r - begin[s], at
-        # fraction (j + 1)/(count + 1) of the step
-        jump = r + 1 < ends[s]
-        t_jump = (k + s) * cfg.step + cfg.step * ((r - begin[s] + 1.0) / (counts[s, col] + 1.0))
-        tau[hit] = np.where(jump, t_jump, (k + s + 1) * cfg.step)
+        out = (domain.gap(moves.reshape(-1, d)) <= 0.0).reshape(m, live.size)
+        first = np.where(out.any(axis=0), out.argmax(axis=0), m)
+        x[live] = moves[np.minimum(first, m - 1), np.arange(live.size)]
+        col = np.nonzero(first < m)[0]
+        hit = live[col]
+        tau[hit] = (k + first[col] + 1) * cfg.step
         pos[hit] = x[hit]
-        # an exact increment cannot be split into jump and drift, so there a
-        # strict overshoot past the closed boundary marks a jump
-        byj[hit] = jump if compound else domain.gap(x[hit]) < 0.0
+        # a step's increment is one move, so a strict overshoot past the
+        # closed boundary marks a jump
+        byj[hit] = domain.gap(x[hit]) < 0.0
         alive[hit] = False
         k += m
     return tau, pos, byj

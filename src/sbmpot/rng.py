@@ -12,21 +12,20 @@ Channel map used by the samplers in dimension d, disjoint for every d:
   count),
 * 1 .. ceil(d/2): Gaussian pairs for the continuous component (one pair per
   channel; 1..7 stay reserved for them),
-* jump_channel(k, d) and the ceil(d/2) channels after it: size and direction
-  draws of the k-th jump inside one skeleton step (compound mode; 8 + 2k
-  and 9 + 2k for d <= 2),
-* exact_channel(i, d) = jump_channel(0, d) + i: the other draws of an exact
-  increment (the sum kind's second Kanter pair, the relativistic kind's
-  acceptance uniforms and later candidates).  They share the jump slots'
-  range, which a march on exact increments never reads,
+* exact_channel(i, d) = CH_GAUSS + max(7, ceil(d/2)) + i: a step's draws
+  past channel 0, consecutive from just past the Gaussian pairs.  A
+  compound step takes the size pair of its jump in slot i from channel i; an
+  exact increment takes its other draws from them (the sum kind's second
+  Kanter pair, the relativistic kind's acceptance uniforms and later
+  candidates).  Exact and compound draws never share a march,
 * CH_WOS = 2**31: the radius draw of a walk-on-spheres sphere, the sphere
   index in the step slot; CH_WOS + 1 .. CH_WOS + ceil(d/2): its direction
   pairs.  The marcher's channels stay far below 2**31.
 
 A counter's channel is the call's ``channel`` plus an optional per-counter
 ``offset`` (uniform_pair), so one call can draw several channels, such as
-the size and direction channels of every jump of a chunk, bit for bit as one
-call per channel would; a channel word past 32 bits is refused.
+the size pairs of every jump of a chunk, bit for bit as one call per
+channel would; a channel word past 32 bits is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "CH_SUB",
     "CH_GAUSS",
     "CH_WOS",
-    "jump_channel",
     "exact_channel",
     "PhiloxStream",
 ]
@@ -48,19 +46,12 @@ CH_GAUSS = 1
 CH_WOS = 2**31
 
 
-def jump_channel(slot: int, d: int) -> int:
-    """Size channel of jump slot ``slot`` in dimension d; the slot's direction
-    pairs take the ceil(d/2) channels after it.  At least one pair is
-    reserved, so size-only draws (d = 0) keep the d <= 2 layout."""
-    pairs = max((d + 1) // 2, 1)
-    return CH_GAUSS + max(7, pairs) + (1 + pairs) * slot
-
-
 def exact_channel(i: int, d: int) -> int:
-    """Channel i of the draws an exact increment makes past rng.CH_SUB in
-    dimension d: consecutive channels from jump_channel(0, d), past the
-    Gaussian pairs, which only compound steps read otherwise."""
-    return jump_channel(0, d) + i
+    """Channel i of a step's draws past rng.CH_SUB in dimension d:
+    consecutive channels past the Gaussian pairs, of which at least seven are
+    reserved, so dimensions up to 14 (and size-only draws, d = 0) share one
+    layout."""
+    return CH_GAUSS + max(7, (d + 1) // 2) + i
 
 
 _W0 = np.uint64(0x9E3779B9)

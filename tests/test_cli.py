@@ -322,11 +322,11 @@ def test_empty_table(capsys):
 
 
 def test_simulate_refuses_truncated_poisson_table(capsys):
-    # rate*dt is about 554 here: past the 400-term table, so exit 2, not
-    # 400 jumps per step for every path.  m*dt = 10 > 1, so the relativistic
-    # kind marches compound
+    # rate*dt is about 1108 here: past 708, where the table's first term
+    # e^(-rate*dt) is not a normal float, so exit 2, not a table that ends
+    # far from 1.  m*dt = 20 > 1, so the relativistic kind marches compound
     rc = cli.main(["simulate", "exit", "--kind", "relativistic", "--alpha", "1", "--m", "1",
-                   "--paths", "5", "--seed", "1", "--step", "10", "--horizon", "20",
+                   "--paths", "5", "--seed", "1", "--step", "20", "--horizon", "40",
                    "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""

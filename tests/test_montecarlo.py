@@ -24,6 +24,12 @@ def _force_compound(monkeypatch):
     monkeypatch.setattr(mc, "_exact_increments", lambda phi, dt: False)
 
 
+def _assert_jump_flag_is_overshoot(sample, domain):
+    # a step moves once, whatever its sampler: a path exits by a jump where
+    # it lands strictly past the closed boundary
+    assert np.array_equal(sample.exited_by_jump, domain.gap(sample.exit_position) < 0.0)
+
+
 def _exact_ball_mean_tau(d, alpha, r, x):
     num = math.gamma(d / 2.0)
     den = 2.0**alpha * math.gamma(1.0 + alpha / 2.0) * math.gamma((d + alpha) / 2.0)
@@ -154,7 +160,7 @@ def test_compound_determinism_across_batches(monkeypatch):
     assert np.array_equal(base.tau, alt.tau)
     assert np.array_equal(base.exit_position, alt.exit_position)
     assert np.array_equal(base.exited_by_jump, alt.exited_by_jump)
-    assert 0.0 < base.exited_by_jump.mean() < 1.0
+    _assert_jump_flag_is_overshoot(base, ball)
 
 
 def _sample_digest(sample):
@@ -199,47 +205,46 @@ def test_exact_chunk_length_is_invisible(monkeypatch):
 
 
 @pytest.mark.parametrize("make_phi, x0, paths, seed, step, digest", [
-    # at d = 3 a jump slot takes three channels, its size and two direction
-    # pairs (rng.jump_channel), so no slot reads another's draws. The drift
-    # of the sum kind is a real-axis integral, 2e-16 off its closed form (4e-12 by Talbot)
+    # a jump slot takes one size channel (rng.exact_channel) in every d, so no
+    # slot reads another's draws. The drift of the sum kind is a real-axis
+    # integral, 2e-16 off its closed form (4e-12 by Talbot)
     (lambda: bernstein.sum_of_stables(1.0, 0.5), (0.2, -0.1, 0.0), 300, 29, 2e-3,
-     "ab6a7f51172759fbfde64dd4fd59850e20a6e5711edd9b20076d115fec95fff2"),
-    # rate*dt about 3.6 and 3.7: steps carry ten jumps and more, so the
-    # first chunks of a few hundred paths hold only three to six steps
+     "7b5fdd98d3211fe840c9ad0f9cf501f1bf67ecb4406cfada900cf42fa349e87a"),
+    # rate*dt about 3.6 and 3.7: steps carry ten jumps and more, and the
+    # first chunks of a few hundred paths hold about a dozen steps
     (lambda: bernstein.relativistic_stable(1.0, 1.0), (0.1, -0.3), 300, 41, 0.065,
-     "a9f186f416e282f7dbca1875c81bbba0a135332d98014eaee3ac5ace27056d84"),
+     "257c3bf84fd7d122c032aceff6105852e66d0b0ee7e78f0f187a31d0b7e77a06"),
     (lambda: bernstein.log_perturbed_up(1.0, 0.5), (0.25,), 400, 43, 0.04,
-     "b96ebb33c0cd111de44e3c684e13ee6a73baf75fe6417070f4287977bf8e6228"),
+     "07f101e355de4ece25506c795c1436ec78a3348c87f69e17096cd3c54344aac6"),
 ], ids=["sum-d3", "relativistic-d2", "log_up-d1"])
 def test_compound_march_bits_pinned(monkeypatch, make_phi, x0, paths, seed, step, digest):
     # sum and relativistic march on exact increments unless forced
     _force_compound(monkeypatch)
-    d = len(x0)
-    sample = mc.simulate_exits(make_phi(), mc.Ball(center=(0.0,) * d, radius=1.0), list(x0),
-                               _cfg(paths=paths, seed=seed, step=step))
-    assert 0.0 < sample.exited_by_jump.mean() < 1.0
+    ball = mc.Ball(center=(0.0,) * len(x0), radius=1.0)
+    sample = mc.simulate_exits(make_phi(), ball, list(x0), _cfg(paths=paths, seed=seed, step=step))
+    _assert_jump_flag_is_overshoot(sample, ball)
     assert _sample_digest(sample) == digest
 
 
 def test_compound_chunk_length_is_invisible(monkeypatch):
-    # batches of 1 path march one step per chunk, batches of 7 one to three,
-    # one batch of 40 paths dozens up to _MAX_CHUNK_STEPS; paths exit on
-    # jumps and on the continuous move
+    # batches of 1 and of 7 paths march one step per chunk (a budget of 1
+    # to 7 draws per path over 1 + rate*dt = 3.77), one batch of 40 paths
+    # about a hundred up to _MAX_CHUNK_STEPS
     _force_compound(monkeypatch)
     ball = mc.Ball(center=(0.0,), radius=1.0)
     for batch_size in (1, 7, 16384):
         monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
         sample = mc.simulate_exits(bernstein.relativistic_stable(1.0, 1.0), ball, [0.9],
                                    _cfg(paths=40, seed=53, step=0.05))
-        assert 0.0 < sample.exited_by_jump.mean() < 1.0
+        _assert_jump_flag_is_overshoot(sample, ball)
         assert _sample_digest(sample) == (
-            "b2dace3ab037b24102b838380478adeff5d822044d0800f4e86fe76c3dcf5633"), batch_size
+            "fb0e8faccfaaf518b0776f293fb339a9e62765cf56c96ab1db9813314a2a8a4b"), batch_size
 
 
 def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
-    # one batch of 400 paths, budget 16384 // 400 = 40 sub-moves per path;
-    # at rate*dt = 2.77 the first count draw holds 40 // 3.77 = 10 steps,
-    # where one sub-move per step drew 40
+    # one batch of 400 paths, budget 16384 // 400 = 40 draws per path; at
+    # rate*dt = 2.77 a step draws its count and 2.77 jumps on average, so
+    # the first count draw holds int(40 / 3.77) = 10 steps, not 40
     drawn = []
     pair = rng.PhiloxStream.uniform_pair
 
@@ -256,7 +261,7 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     drawn.clear()
     mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], cfg)
     assert drawn[0] == 10 * 400
-    assert sum(drawn) == 22396
+    assert sum(drawn) == 21005
 
 
 @pytest.mark.parametrize("batch_size, n, steps", [
@@ -312,19 +317,17 @@ def _jump_sizes(inc, u, v):
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
 def test_fused_jump_matches_per_slot_draws(monkeypatch, d):
     # one call over mixed slots, steps and ids gives each jump the bits of
-    # its slot's own size channel pair and direction pairs
+    # its slot's own size channel pair
     _force_compound(monkeypatch)
     inc = mc._Increments(bernstein.relativistic_stable(1.0, 1.0), _cfg(seed=61), 0.05)
     slots = np.array([0, 3, 1, 0, 7, 2, 3, 40])
     steps = np.array([0, 4, 4, 2**32 + 1, 9, 0, 4, 2], dtype=np.uint64)
     ids = np.array([5, 5, 0, 2**40, 3, 2**64 - 1, 1, 8], dtype=np.uint64)
-    sizes, z = inc.jump(slots, steps, ids, d)
-    assert sizes.shape == (slots.size,) and z.shape == (slots.size, d)
+    sizes = inc.jump(slots, steps, ids, d)
+    assert sizes.shape == (slots.size,)
     for i, j in enumerate(slots.tolist()):
-        channel, at = rng.jump_channel(j, d), ids[i : i + 1]
-        u, v = inc.stream.uniform_pair(channel, steps[i], at)
+        u, v = inc.stream.uniform_pair(rng.exact_channel(j, d), steps[i], ids[i : i + 1])
         assert sizes[i] == _jump_sizes(inc, u, v)[0]
-        assert np.array_equal(z[i], inc.stream.normals(steps[i], at, d, base_channel=channel + 1)[0])
 
 
 def test_each_drawn_counter_is_one_element(monkeypatch):
@@ -358,7 +361,7 @@ def test_each_drawn_counter_is_one_element(monkeypatch):
                               _cfg(paths=60, seed=67, step=step))
         drawn = np.concatenate(seen)
         drawn = drawn[drawn[:, 0] != rng.CH_SUB]
-        assert np.count_nonzero(drawn[:, 0] >= rng.jump_channel(0, 3)) > 1000
+        assert np.count_nonzero(drawn[:, 0] >= rng.exact_channel(0, 3)) > 1000
         # a third rejection round was drawn
         assert compound or np.any(drawn[:, 0] == rng.exact_channel(4, 3))
         assert np.unique(drawn, axis=0).shape == drawn.shape
@@ -375,7 +378,7 @@ def test_increment_jumps_match_per_slot_draws(monkeypatch):
     want = np.full(cfg.paths, inc.drift)
     for slot in range(int(counts.max())):
         has = counts > slot
-        u, v = inc.stream.uniform_pair(rng.jump_channel(slot, 0), 5, ids[has])
+        u, v = inc.stream.uniform_pair(rng.exact_channel(slot, 0), 5, ids[has])
         want[has] += _jump_sizes(inc, u, v)
     assert counts.sum() > 15000
     for batch_size in (16384, 1000, 7):
@@ -384,11 +387,56 @@ def test_increment_jumps_match_per_slot_draws(monkeypatch):
         assert np.array_equal(got, want), batch_size
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("compound", [False, True], ids=["exact", "compound"])
+def test_march_moves_by_the_sampled_increments(monkeypatch, compound, d):
+    # step k of path i moves by sqrt(2 S) Z, S the increment that
+    # sample_subordinator_increment(step=k) draws for path i and Z the
+    # normals of (step k, id i): positions rebuilt step by step from them
+    # give the march's exit times, positions and flags bit for bit
+    if compound:
+        _force_compound(monkeypatch)
+    phi, cfg = bernstein.relativistic_stable(1.0, 1.0), _cfg(paths=30, seed=107, horizon=5.0, step=0.05)
+    assert mc._Increments(phi, cfg, cfg.step).compound == compound
+    ball, x0 = mc.Ball(center=(0.0,) * d, radius=1.0), np.zeros(d)
+    x0[0] = 0.3
+    got = map(np.concatenate, zip(*mc._run_batches(phi, ball, np.tile(x0, (cfg.paths, 1)), cfg)))
+    ids, stream = np.arange(cfg.paths, dtype=np.uint64), rng.PhiloxStream(cfg.seed)
+    x, tau, pos = np.tile(x0, (cfg.paths, 1)), np.full(cfg.paths, np.nan), np.full((cfg.paths, d), np.nan)
+    for k in range(100):
+        s = mc.sample_subordinator_increment(phi, cfg.step, cfg, step=k)
+        x += np.sqrt(2.0 * s)[:, None] * stream.normals(k, ids, d)
+        out = np.isnan(tau) & (ball.gap(x) <= 0.0)
+        tau[out], pos[out] = (k + 1) * cfg.step, x[out]
+    assert np.unique(tau[~np.isnan(tau)]).size > 10
+    for field, want in zip(got, (tau, pos, ball.gap(pos) < 0.0)):
+        assert field.tobytes() == want.tobytes()
+
+
 def test_poisson_table_refuses_truncation():
-    cdf = mc._poisson_cdf(250.0)
-    assert cdf.size == 385 and cdf[-1] >= 1.0 - 1e-15
-    with pytest.raises(ConstructionError, match="rate\\*dt"):
-        mc._poisson_cdf(600.0)
+    # terms run until the count is past the rate and the newest term no
+    # longer changes the float sum, with no cap on their number.  A table
+    # cut where the sum reaches 1 - 1e-15, refused past 400 terms (as at
+    # rate 53.52, whose sum settles a few ulps under that), is a prefix of
+    # the table, so no count drawn from a cut table moves; past rate 708,
+    # where the first term e^-rate is not a normal float, it is refused
+    for rate in (0.0, 1e-3, 0.7, 3.7, 53.519591882535906, 250.0, 500.0, 700.0, 708.39):
+        cdf = mc._poisson_cdf(rate)
+        terms = [math.exp(-rate)]
+        while sum(terms) < 1.0 - 1e-15 and len(terms) < 400:
+            terms.append(terms[-1] * rate / len(terms))
+        cut, refused = np.cumsum(terms), sum(terms) < 1.0 - 1e-15
+        assert np.array_equal(cdf[: cut.size], cut[: cdf.size]) and (cdf.size > cut.size or refused), rate
+        assert abs(cdf[-1] - 1.0) < 1e-12 and cdf.size > rate, rate
+    for rate in (708.4, 745.0, 1e6, math.inf):
+        with pytest.raises(ConstructionError, match="rate\\*dt"):
+            mc._poisson_cdf(rate)
+    # rate*dt = 53.52, whose cut table's sum settles a few ulps under 1 - 1e-15
+    phi, cfg = bernstein.relativistic_stable(1.5, 10.0), _cfg(paths=200, seed=3, step=0.2)
+    inc = mc._Increments(phi, cfg, cfg.step)
+    assert inc.compound and inc.mean_jumps == 53.519591882535906
+    sample = mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], cfg)
+    assert sample.censored == 0 and np.all(sample.tau > 0.0)
 
 
 def test_seed_changes_sample():
@@ -539,15 +587,15 @@ def test_hitting_before_exit_bits_pinned():
 
 @pytest.mark.parametrize("target, enclosing, mean, se, n", [
     (mc.Ball(center=(1.0,), radius=0.4), mc.Ball(center=(0.0,), radius=2.0),
-     "0x1.c5bf9de4683d5p-1", "0x1.93ca9a3de40cfp-6", 167),
+     "0x1.a6a86036fad88p-1", "0x1.ff247ebefbc23p-6", 149),
     # the target straddles the enclosing boundary
     (mc.Interval(0.8, 1.5), mc.Interval(-1.0, 1.0),
-     "0x1.2ca6b29aca6b3p-1", "0x1.346d7a5f8efa6p-5", 172),
+     "0x1.d4d1bc2503159p-2", "0x1.3dbcb2eb26852p-5", 166),
 ], ids=["ball", "interval-straddling"])
 def test_compound_hitting_bits_pinned(monkeypatch, target, enclosing, mean, se, n):
     # compound mode with most paths censored: a path counts once it hits the
-    # target or leaves the enclosing domain; captured while hits were
-    # tracked along the whole path to its exit from the enclosing domain
+    # target or leaves the enclosing domain at a step end, as on exact
+    # increments
     _force_compound(monkeypatch)
     cfg = mc.PathConfig(paths=400, seed=5, horizon=1.0, step=1e-2)
     est = mc.hitting_before_exit(bernstein.relativistic_stable(1.0, 1.0), target, [0.0],
@@ -632,8 +680,10 @@ def test_epsilon_refinement_refuses_exact_increments():
                 bernstein.relativistic_stable(1.0, 1.0)):
         with pytest.raises(ConstructionError, match="exact increments"):
             mc.epsilon_refinement_check(phi, ball, [0.0], replace(cfg, step=1.0))
-    out = mc.epsilon_refinement_check(bernstein.relativistic_stable(1.0, 1.0), ball, [0.0],
-                                      replace(cfg, step=2.0, epsilon=1e-2))
+    # m*step = 1.5: compound steps, of which paths in a ball of radius 4
+    # take a dozen on average, so the two levels' jumps give two means
+    out = mc.epsilon_refinement_check(bernstein.relativistic_stable(1.0, 1.0), mc.Ball(center=(0.0,), radius=4.0),
+                                      [0.0], replace(cfg, step=1.5, horizon=50.0, epsilon=1e-2))
     assert out["mean"] != out["mean_refined"]
 
 
@@ -936,8 +986,10 @@ def test_uncertified_jump_law_is_refused():
     # a tail of 0 at eps has no jump to draw, and the march moves by the drift
     phi = bernstein.relativistic_stable(0.5, 100.0)
     assert mc._compound_tables(phi, 1e-4)[0] == 0.0
-    sample = mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], _cfg(paths=10, horizon=1e8, step=1e5))
-    assert sample.censored == 0 and not sample.exited_by_jump.any()
+    ball = mc.Ball(center=(0.0,), radius=1.0)
+    sample = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=10, horizon=1e8, step=1e5))
+    assert sample.censored == 0
+    _assert_jump_flag_is_overshoot(sample, ball)
 
 
 @pytest.mark.parametrize("phi", [
@@ -949,7 +1001,7 @@ def test_sampled_jumps_follow_the_levy_tail(monkeypatch, phi):
     _force_compound(monkeypatch)
     cfg = _cfg(paths=200000, seed=73)
     inc, ids = mc._Increments(phi, cfg, 1e-3), np.arange(cfg.paths, dtype=np.uint64)
-    sizes, _ = inc.jump(np.zeros(cfg.paths, dtype=np.int64), 0, ids, 0)
+    sizes = inc.jump(np.zeros(cfg.paths, dtype=np.int64), 0, ids, 0)
     assert sizes.min() > cfg.epsilon
     x = cfg.epsilon * np.array([1.2, 2.0, 5.0, 30.0, 300.0, 3000.0])
     tail = bernstein.levy_tail(phi, np.append(cfg.epsilon, x))
@@ -1008,14 +1060,21 @@ def test_relativistic_increment_at_alpha_one_is_inverse_gaussian(m, dt):
     assert np.all(np.abs(share - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / cfg.paths)), share
 
 
-@pytest.mark.parametrize("phi", [bernstein.sum_of_stables(1.0, 0.5), bernstein.relativistic_stable(1.0, 1.0)],
-                         ids=lambda phi: phi.label())
-def test_exact_exit_time_meets_compound_at_small_eps(monkeypatch, phi):
+@pytest.mark.parametrize("phi, ball, kw", [
+    pytest.param(bernstein.sum_of_stables(1.0, 0.5), mc.Ball(center=(0.0,), radius=1.0),
+                 {"paths": 6000, "step": 1e-2}, id="sum(alpha=1, beta=0.5)"),
+    pytest.param(bernstein.relativistic_stable(1.0, 1.0), mc.Ball(center=(0.0,), radius=1.0),
+                 {"paths": 6000, "step": 1e-2}, id="relativistic(alpha=1, m=1)"),
+    # m*dt = 1, about a dozen steps per path: the means were 25 SE apart
+    # while a compound step checked its position after every jump
+    pytest.param(bernstein.relativistic_stable(1.0, 1.0), mc.Ball(center=(0.0, 0.0), radius=4.0),
+                 {"paths": 20000, "step": 1.0, "horizon": 500.0}, id="relativistic(alpha=1, m=1)-d2-step1"),
+])
+def test_exact_exit_time_meets_compound_at_small_eps(monkeypatch, phi, ball, kw):
     # the same ball and step on exact increments and on compound ones at
     # eps = 1e-5, on seeds of their own: mean exit times within 4 combined SE
-    ball = mc.Ball(center=(0.0,), radius=1.0)
-    exact = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=6000, seed=97, step=1e-2)).mean_tau()
+    x0 = [0.0] * ball.d
+    exact = mc.simulate_exits(phi, ball, x0, _cfg(seed=97, **kw)).mean_tau()
     _force_compound(monkeypatch)
-    compound = mc.simulate_exits(phi, ball, [0.0], _cfg(paths=6000, seed=101, step=1e-2,
-                                                         epsilon=1e-5)).mean_tau()
+    compound = mc.simulate_exits(phi, ball, x0, _cfg(seed=101, epsilon=1e-5, **kw)).mean_tau()
     assert abs(exact.mean - compound.mean) < 4.0 * math.hypot(exact.std_error, compound.std_error)

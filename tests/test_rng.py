@@ -60,36 +60,25 @@ def test_channel_independence():
     st = rng.PhiloxStream(5)
     ids = np.arange(100_000, dtype=np.uint64)
     a = st.normals(0, ids, 1, base_channel=rng.CH_GAUSS)[:, 0]
-    b = st.normals(0, ids, 1, base_channel=rng.jump_channel(0, 1))[:, 0]
+    b = st.normals(0, ids, 1, base_channel=rng.exact_channel(0, 1))[:, 0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
 
 
 def test_channel_layout_disjoint():
-    # the subordinator draw, the Gaussian pairs, every jump slot (its size
-    # channel, then the (d + 1) // 2 direction pairs normals() reads) and the
-    # walk-on-spheres radius and direction pairs take increasing,
-    # non-overlapping channel ranges inside the 32-bit channel word.  The
-    # other draws of an exact increment (exact_channel) start where the jump
-    # slots do, past the Gaussian pairs, and stay under the walk's channels
+    # the subordinator draw, the Gaussian pairs (the (d + 1) // 2 that
+    # normals() reads), a step's other draws (exact_channel: an exact
+    # increment's, or a compound step's jump sizes) and the walk-on-spheres
+    # radius and direction pairs take increasing, non-overlapping channel
+    # ranges inside the 32-bit channel word
     for d in range(65):
         pairs = (d + 1) // 2
         assert rng.CH_SUB < rng.CH_GAUSS
-        assert rng.jump_channel(0, d) > rng.CH_GAUSS + pairs - 1
-        for k in range(1000):
-            assert rng.jump_channel(k, d) + pairs < rng.jump_channel(k + 1, d)
-        assert rng.jump_channel(1000, d) + pairs < rng.CH_WOS
-        assert rng.CH_WOS + pairs < 2**32
-        assert rng.exact_channel(0, d) == rng.jump_channel(0, d)
+        assert rng.exact_channel(0, d) > rng.CH_GAUSS + pairs - 1
         assert [rng.exact_channel(i, d) for i in range(3)] == [rng.exact_channel(0, d) + i for i in range(3)]
         assert rng.exact_channel(2**20, d) < rng.CH_WOS
+        assert rng.CH_WOS + pairs < 2**32
     assert [rng.exact_channel(i, 3) for i in range(3)] == [8, 9, 10]
-
-
-def test_low_dimension_channels_unchanged():
-    # d <= 2 (and size-only draws, d = 0) keep slot k on channels 8 + 2k, 9 + 2k
-    for d in (0, 1, 2):
-        assert [rng.jump_channel(k, d) for k in range(4)] == [8, 10, 12, 14]
 
 
 def test_step_grid_matches_scalar_steps():
