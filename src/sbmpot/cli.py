@@ -78,15 +78,6 @@ _USAGE_ERRORS = (
 )
 
 
-def _cells(col: np.ndarray) -> list[str]:
-    """One column's CSV cells, its format picked once from its dtype."""
-    if col.dtype.kind == "f":
-        return [format(x, ".17g") for x in col.tolist()]
-    if col.dtype.kind == "b":
-        return ["true" if x else "false" for x in col.tolist()]
-    return list(map(str, col.tolist()))
-
-
 def _render(table: dict, fmt: str) -> str:
     """A table of equal-length columns as CSV (a header plus one line per
     row; an empty table is one newline) or as a JSON list of row objects."""
@@ -96,7 +87,10 @@ def _render(table: dict, fmt: str) -> str:
         return json.dumps([dict(zip(table, row)) for row in rows], indent=2) + "\n"
     if not cols[0].size:
         return "\n"
-    return "\n".join([",".join(table), *map(",".join, zip(*map(_cells, cols)))]) + "\n"
+    # one format per row, its cells picked once per column from the dtype
+    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in cols)
+    cells = [np.where(col, "true", "false") if col.dtype.kind == "b" else col for col in cols]
+    return "\n".join([",".join(table), *map(line.__mod__, zip(*(c.tolist() for c in cells)))]) + "\n"
 
 
 def _emit(table: dict, args, argv: list[str]) -> None:

@@ -30,14 +30,17 @@ increment and Z a standard normal vector, and a path exits at the end of
 its first step outside, at a skeleton epoch.  One Philox call per channel
 draws m skeleton steps of every live path id, and one call draws every jump
 of the chunk; rows that share a path id (the start points of a probe
-family) copy its draws instead of repeating them.  m times the draws per
-step (one, or on average the count and rate*dt jumps of a compound step)
-is about _BATCH_SIZE over the distinct live ids, which sizes the draw,
-capped by _PATH_CAP over the live rows, which bounds the path array however
-many rows share an id, and m is at most _MAX_CHUNK_STEPS.  Running sums of
-the live positions and the moves give every skeleton position bit for bit
-as repeated += would; draws past a path's exit within its chunk are
-discarded.
+family) copy its draws instead of repeating them.  Draws past a path's
+exit within its chunk are discarded, so m follows the exit rate the march
+has just measured: it starts at 1, and after a chunk in which some ids
+left, it balances the draws the next chunk expects to waste against a
+chunk's fixed cost, _CHUNK_DRAWS (see _simulate_batch).  m times the draws
+per step (one, or on average the count and rate*dt jumps of a compound
+step) is at most about _BATCH_SIZE over the distinct live ids, which sizes
+the draw, and _PATH_CAP over the live rows, which bounds the path array
+however many rows share an id.  Running sums of the live positions and the
+moves give every skeleton position bit for bit as repeated += would, so no
+record depends on m.
 
 Every domain answers one geometric question, its signed gap to the
 boundary: gap(x) > 0 strictly inside, <= 0 on the closed complement and < 0
@@ -432,13 +435,16 @@ class _Increments:
             # the rejected counters, as flat indices with their steps and ids
             steps = np.broadcast_to(np.asarray(step, dtype=np.uint64), out.shape).ravel()
             ids, flat = np.broadcast_to(ids, out.shape).ravel(), out.reshape(-1)
-            todo, channel = np.arange(flat.size), rng.exact_channel(0, d)
+            channel = rng.exact_channel(0, d)
+            accept, _ = self.stream.uniform_pair(channel, steps, ids)
+            todo = np.flatnonzero(accept >= np.exp(-self.theta * flat))
             while todo.size:
-                accept, _ = self.stream.uniform_pair(channel, steps[todo], ids[todo])
-                todo = todo[accept >= np.exp(-self.theta * flat[todo])]
-                if todo.size:
-                    u, w = self.stream.uniform_pair(channel + 1, steps[todo], ids[todo])
-                    flat[todo] = self.dt_pow * _kanter(self.rho, u, -np.log(w))
+                # one call draws the next candidate and its acceptance uniform
+                u, w = self.stream.uniform_pair(channel + 1, steps[todo, None],
+                                                np.broadcast_to(ids[todo, None], (todo.size, 2)),
+                                                offset=np.arange(2, dtype=np.uint64))
+                flat[todo] = self.dt_pow * _kanter(self.rho, u[:, 0], -np.log(w[:, 0]))
+                todo = todo[u[:, 1] >= np.exp(-self.theta * flat[todo])]
                 channel += 2
         return out
 
@@ -503,9 +509,11 @@ _BATCH_SIZE = 16384
 # rows share a drawn id
 _PATH_CAP = 4 * _BATCH_SIZE
 
-# Most skeleton steps a chunk draws for each live path: a path that exits
-# early in a chunk wastes the draws of the steps after its exit.
-_MAX_CHUNK_STEPS = 256
+# A chunk's fixed cost, its Philox calls and array set-up (about 150-300 us
+# on a 2-core x86 box), in drawn steps of one path (about 150-250 ns each):
+# the draws a chunk may expect to waste after its paths' exits.  Records do
+# not depend on it
+_CHUNK_DRAWS = 1000
 
 # Row length (live paths times d) from which adding a chunk's rows one by one
 # beats np.cumsum, whose axis-0 accumulate loops over the columns
@@ -550,37 +558,51 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     jump), with tau NaN for paths still inside at the horizon.  A step is
     one move, and a path exits at the end of its first step outside.  Each
     chunk draws the moves of every live path id once and copies them to
-    every live row that carries the id.  Its draw is sized by the distinct
-    ids, about _BATCH_SIZE draws over all of them, and its path array by the
-    live rows, at most _PATH_CAP moves over all of them: the tighter of the
-    two sets the chunk's steps.
+    every live row that carries the id.
+
+    A batch starts with a chunk of one step.  Where ``left`` ids exited over
+    a chunk of m steps, about left/m exit per step, and the next chunk of m'
+    steps wastes the draws of about left/m * m'^2/2 steps after their exits.
+    That waste plus the chunk's fixed cost, F = _CHUNK_DRAWS draws, per step
+    marched is least at m' = sqrt(2 F m / (left * draws per step)); the next
+    chunk takes that, at most 2m, and 2m where no id left.  Its draw is
+    also capped by the distinct ids, about _BATCH_SIZE draws over all of
+    them, its path array by the live rows, at most _PATH_CAP moves over all
+    of them, and the horizon.  The lengths follow from the records, which
+    do not depend on them.
     """
     d = domain.d
+    starts = np.asarray(starts, dtype=float)
     n = ids.size
     columns = _id_columns(ids)
-    x = np.array(starts, dtype=float, copy=True)
     tau = np.full(n, np.nan)
     pos = np.full((n, d), np.nan)
     byj = np.zeros(n, dtype=bool)
-    alive = domain.gap(x) > 0.0
-    tau[~alive] = 0.0
-    pos[~alive] = x[~alive]
+    inside = domain.gap(starts) > 0.0
+    tau[~inside] = 0.0
+    pos[~inside] = starts[~inside]
+    live = np.flatnonzero(inside)  # the rows still inside, and where they are
+    x = starts[live]
     n_steps = int(math.ceil(cfg.horizon / cfg.step))
     # draws per step: one, or the count and rate*dt jumps on average
     per_step = 1.0 + inc.mean_jumps if inc.compound else 1.0
-    k = 0
-    while k < n_steps and alive.any():
-        live = np.nonzero(alive)[0]
+    k, m, drawn = 0, 1, 0
+    while k < n_steps and live.size:
         draw_ids, cols = _live_draws(ids, columns, live)
+        if k:  # sized by the ids that left over the last chunk's m steps
+            left = drawn - draw_ids.size
+            best = math.sqrt(2.0 * _CHUNK_DRAWS * m / (left * per_step)) if left else 2 * m
+            m = max(min(2 * m, int(best)), 1)
+        drawn = draw_ids.size
         # draws per path: the draw's budget over its ids, the path array's over its rows
         budget = max(min(_BATCH_SIZE // draw_ids.size, _PATH_CAP // live.size), 1)
-        m = min(max(int(budget / per_step), 1), _MAX_CHUNK_STEPS, n_steps - k)
+        m = min(m, max(int(budget / per_step), 1), n_steps - k)
         steps = np.arange(k, k + m, dtype=np.uint64)[:, None]
         grid = np.broadcast_to(draw_ids, (m, draw_ids.size))
         scale = np.sqrt(2.0 * inc.increments(steps, grid, d))[..., None]
         z = inc.stream.normals(steps, grid, d)
         path = np.empty((m + 1, live.size, d))
-        path[0] = x[live]
+        path[0] = x
         moves = path[1:]
         # one column of moves per drawn id, copied to its rows
         if cols is None:
@@ -592,17 +614,18 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
         else:  # the same sums, in order
             for i in range(1, m + 1):
                 path[i] += path[i - 1]
-        out = (domain.gap(moves.reshape(-1, d)) <= 0.0).reshape(m, live.size)
+        gap = domain.gap(moves.reshape(-1, d)).reshape(m, live.size)
+        out = gap <= 0.0
         first = np.where(out.any(axis=0), out.argmax(axis=0), m)
-        x[live] = moves[np.minimum(first, m - 1), np.arange(live.size)]
-        col = np.nonzero(first < m)[0]
-        hit = live[col]
-        tau[hit] = (k + first[col] + 1) * cfg.step
-        pos[hit] = x[hit]
+        col = np.flatnonzero(first < m)
+        hit, step_out = live[col], first[col]
+        tau[hit] = (k + step_out + 1) * cfg.step
+        pos[hit] = moves[step_out, col]
         # a step's increment is one move, so a strict overshoot past the
         # closed boundary marks a jump
-        byj[hit] = domain.gap(x[hit]) < 0.0
-        alive[hit] = False
+        byj[hit] = gap[step_out, col] < 0.0
+        stay = first == m
+        live, x = live[stay], moves[m - 1, stay]
         k += m
     return tau, pos, byj
 

@@ -24,8 +24,9 @@ Channel map used by the samplers in dimension d, disjoint for every d:
 
 A counter's channel is the call's ``channel`` plus an optional per-counter
 ``offset`` (uniform_pair), so one call can draw several channels, such as
-the size pairs of every jump of a chunk, bit for bit as one call per
-channel would; a channel word past 32 bits is refused.
+the size pairs of every jump of a chunk or the Gaussian pairs of every
+coordinate, bit for bit as one call per channel would; a channel word past
+32 bits is refused.
 """
 
 from __future__ import annotations
@@ -153,12 +154,18 @@ class PhiloxStream:
 
     def normals(self, step, path_ids, d: int, base_channel: int = CH_GAUSS) -> np.ndarray:
         """(*path_ids.shape, d) standard normals from consecutive channels
-        starting at base; ``step`` broadcasts as in uniform_pair."""
+        starting at base, coordinates 2j and 2j + 1 from the pair of channel
+        base + j; ``step`` broadcasts as in uniform_pair.  Several pairs take
+        one call, by offset."""
         ids = np.atleast_1d(path_ids)
+        pairs = (d + 1) // 2
+        if pairs == 1:
+            u0, u1 = (u[..., None] for u in self.uniform_pair(base_channel, step, ids))
+        else:
+            u0, u1 = self.uniform_pair(base_channel, np.asarray(step)[..., None] if np.ndim(step) else step,
+                                       np.broadcast_to(ids[..., None], ids.shape + (pairs,)),
+                                       offset=np.arange(pairs, dtype=np.uint64))
         out = np.empty(ids.shape + (d,))
-        for j in range((d + 1) // 2):
-            u0, u1 = self.uniform_pair(base_channel + j, step, ids)
-            out[..., 2 * j] = ndtri(u0)
-            if 2 * j + 1 < d:
-                out[..., 2 * j + 1] = ndtri(u1)
+        out[..., 0::2] = ndtri(u0)
+        out[..., 1::2] = ndtri(u1[..., : d // 2])
         return out

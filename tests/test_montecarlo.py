@@ -194,7 +194,7 @@ def test_exact_chunked_march_bits_pinned(alpha, x0, paths, seed, digest):
 
 def test_exact_chunk_length_is_invisible(monkeypatch):
     # a batch of 1 path draws one step per Philox call, batches of 7 draw 1
-    # to 7 steps, and one batch of 40 paths draws up to _MAX_CHUNK_STEPS
+    # to 7 steps, and one batch of 40 paths as many as the exit rate allows
     ball = mc.Ball(center=(0.0,), radius=1.0)
     for batch_size in (1, 7, 16384):
         monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
@@ -226,42 +226,98 @@ def test_compound_march_bits_pinned(monkeypatch, make_phi, x0, paths, seed, step
     assert _sample_digest(sample) == digest
 
 
+def _sub_draws(monkeypatch):
+    # the (steps, ids) shape of every subordinator draw (rng.CH_SUB) a march makes
+    drawn = []
+    pair = rng.PhiloxStream.uniform_pair
+
+    def recording(self, channel, step, path_ids, **kw):
+        if channel == rng.CH_SUB:
+            drawn.append(np.shape(path_ids))
+        return pair(self, channel, step, path_ids, **kw)
+
+    monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", recording)
+    return drawn
+
+
 def test_compound_chunk_length_is_invisible(monkeypatch):
     # batches of 1 and of 7 paths march one step per chunk (a budget of 1
-    # to 7 draws per path over 1 + rate*dt = 3.77), one batch of 40 paths
-    # about a hundred up to _MAX_CHUNK_STEPS
+    # to 7 draws per path over 1 + rate*dt = 3.77); a batch of 100 marches
+    # every chunk at its budget, 100 // live paths over 3.77, from 1 step to
+    # 26 as the paths exit; one batch of 40 paths marches chunks that the
+    # exit rate sizes, under that budget
     _force_compound(monkeypatch)
+    drawn = _sub_draws(monkeypatch)
     ball = mc.Ball(center=(0.0,), radius=1.0)
-    for batch_size in (1, 7, 16384):
+    for batch_size in (1, 7, 100, 16384):
         monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
+        drawn.clear()
         sample = mc.simulate_exits(bernstein.relativistic_stable(1.0, 1.0), ball, [0.9],
                                    _cfg(paths=40, seed=53, step=0.05))
         _assert_jump_flag_is_overshoot(sample, ball)
         assert _sample_digest(sample) == (
             "fb0e8faccfaaf518b0776f293fb339a9e62765cf56c96ab1db9813314a2a8a4b"), batch_size
+        budget = [max(int(batch_size // ids / 3.77), 1) for _, ids in drawn]
+        steps = [m for m, _ in drawn]
+        if batch_size < 16384:
+            assert steps == budget and max(steps) == {1: 1, 7: 1, 100: 26}[batch_size], drawn
+        else:
+            assert all(m < cap for m, cap in zip(steps, budget)) and max(steps) > 26, drawn
 
 
-def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
+def _family(n, d):
+    # 7 starts sharing the ids 0..n-1, as _family_values marches them
+    starts = np.zeros((7, d))
+    starts[:, 0] = np.linspace(-0.6, 0.6, 7)
+    return np.repeat(starts, n, axis=0), np.tile(np.arange(n, dtype=np.uint64), 7)
+
+
+@pytest.mark.parametrize("how", ["exact", "compound", "shared"])
+def test_chunk_rule_is_invisible(monkeypatch, how):
+    # records under the exit-rate rule equal a march of one step per chunk
+    # (a path array capped at one move per row), in the same batches
+    phi, d, step = {"exact": (bernstein.relativistic_stable(1.0, 1.0), 2, 0.05),
+                    "compound": (bernstein.relativistic_stable(1.0, 1.0), 2, 0.05),
+                    "shared": (bernstein.stable(1.5), 2, 1e-2)}[how]
+    if how == "compound":
+        _force_compound(monkeypatch)
+    assert mc._Increments(phi, _cfg(), step).compound == (how == "compound")
+    n, cfg = 300, _cfg(paths=300, seed=59, step=step)
+    starts, ids = _family(n, d) if how == "shared" else (np.tile([0.3] + [0.0] * (d - 1), (n, 1)), None)
+    domain = mc.Ball(center=(0.0,) * d, radius=1.0)
+    drawn = _sub_draws(monkeypatch)
+
+    def records():
+        drawn.clear()
+        return [f.tobytes() for f in map(np.concatenate, zip(*mc._run_batches(phi, domain, starts, cfg, ids)))]
+
+    adaptive = records()
+    assert max(m for m, _ in drawn) > 8
+    monkeypatch.setattr(mc, "_PATH_CAP", 1)
+    assert records() == adaptive
+    assert max(m for m, _ in drawn) == 1
+
+
+def test_compound_draws_are_sized_by_rate(monkeypatch):
     # one batch of 400 paths, budget 16384 // 400 = 40 draws per path; at
-    # rate*dt = 2.77 a step draws its count and 2.77 jumps on average, so
-    # the first count draw holds int(40 / 3.77) = 10 steps, not 40
-    drawn = []
-    pair = rng.PhiloxStream.uniform_pair
-
-    def counting(self, channel, step, path_ids, **kw):
-        u, w = pair(self, channel, step, path_ids, **kw)
-        if channel == rng.CH_SUB:
-            drawn.append(u.size)
-        return u, w
-
-    monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", counting)
+    # rate*dt = 2.77 a step draws its count and 2.77 jumps on average, so no
+    # count draw holds more than int(40 / 3.77) = 10 steps of the live
+    # paths, not 40.  In a ball the paths rarely leave, the chunk doubles
+    # until the cap holds it
+    drawn = _sub_draws(monkeypatch)
     _force_compound(monkeypatch)
     phi, cfg = bernstein.relativistic_stable(1.0, 1.0), _cfg(paths=400, seed=53, step=0.05)
     assert mc._Increments(phi, cfg, cfg.step).mean_jumps == pytest.approx(2.77, abs=0.01)
-    drawn.clear()
+
+    def cap(ids):
+        return max(int((16384 // ids) / 3.77), 1)
+
     mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1.0), [0.0], cfg)
-    assert drawn[0] == 10 * 400
-    assert sum(drawn) == 21005
+    assert drawn[0] == (1, 400) and len(drawn) > 5
+    assert all(m <= cap(ids) for m, ids in drawn), drawn
+    drawn.clear()
+    mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=1e6), [0.0], replace(cfg, horizon=2.0))
+    assert drawn == [(1, 400), (2, 400), (4, 400), (8, 400), (10, 400), (10, 400), (5, 400)]
 
 
 @pytest.mark.parametrize("batch_size, n, steps", [
@@ -269,28 +325,44 @@ def test_first_compound_count_draw_is_sized_by_rate(monkeypatch):
     # the path array's cap, 4 * 16384 // 350 = 187
     (1024, 50, 20),
     # 700 rows: the cap, 4 * 16384 // 700 = 93 steps, is under the draw's
-    # 16384 // 100 = 163; sizing by rows drew 16384 // 700 = 23
+    # 16384 // 100 = 163; sizing by rows would draw 16384 // 700 = 23
     (16384, 100, 93),
 ])
 def test_shared_id_chunk_is_sized_by_its_distinct_ids(monkeypatch, batch_size, n, steps):
-    # a family of 7 starts sharing the ids 0..n-1, as _family_values marches it
-    drawn = []
-    pair = rng.PhiloxStream.uniform_pair
-
-    def recording(self, channel, step, path_ids, **kw):
-        if channel == rng.CH_SUB:
-            drawn.append(np.asarray(path_ids).shape)
-        return pair(self, channel, step, path_ids, **kw)
-
-    monkeypatch.setattr(rng.PhiloxStream, "uniform_pair", recording)
+    # a family of 7 starts sharing the ids 0..n-1, as _family_values marches
+    # it: every draw is of its distinct live ids, and no draw holds more
+    # steps than the tighter of the two budgets; in a ball no path leaves,
+    # the chunk doubles until that budget holds it
+    drawn = _sub_draws(monkeypatch)
     monkeypatch.setattr(mc, "_BATCH_SIZE", batch_size)
     assert mc._PATH_CAP == 4 * 16384
-    starts = np.zeros((7, 2))
-    starts[:, 0] = np.linspace(-0.6, 0.6, 7)
-    mc._run_batches(bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1.0),
-                    np.repeat(starts, n, axis=0), _cfg(paths=n, seed=29, step=1e-2),
-                    ids_all=np.tile(np.arange(n, dtype=np.uint64), 7))
-    assert drawn[0] == (steps, n)
+    starts, ids = _family(n, 2)
+    cfg = _cfg(paths=n, seed=29, step=1e-2)
+    mc._run_batches(bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1.0), starts, cfg, ids_all=ids)
+    assert drawn[0] == (1, n) and len(drawn) > 5
+    assert all(m * live_ids <= batch_size and live_ids <= n for m, live_ids in drawn), drawn
+    drawn.clear()
+    mc._run_batches(bernstein.stable(1.5), mc.Ball(center=(0.0, 0.0), radius=1e6), starts,
+                    replace(cfg, horizon=3.0), ids_all=ids)
+    assert all(shape[1] == n and shape[0] <= steps for shape in drawn), drawn
+    assert max(m for m, _ in drawn) == steps
+
+
+def test_small_march_draws_few_steps_past_its_exits(monkeypatch):
+    # shaped like the smallest op of the compound exit benchmark
+    # (relativistic alpha = 1, d = 1, 239 paths, exact increments): its
+    # paths exit within a few dozen steps, most of them inside the chunks
+    # that grow to meet them.  The subordinator draws stay within 1.3 times
+    # the path-steps, where chunks sized by the batch alone drew 2.6 times
+    drawn = _sub_draws(monkeypatch)
+    phi, step = bernstein.relativistic_stable(1.0, 1.0), 0.01888349400121852
+    cfg = _cfg(paths=239, seed=1457543038, horizon=50 * step / 0.02, step=step)
+    sample = mc.simulate_exits(phi, mc.Ball(center=(0.0,), radius=0.5555555555555556),
+                               [0.027777777777777776], cfg)
+    assert sample.censored == 0 and not mc._Increments(phi, cfg, step).compound
+    path_steps = int(np.round(sample.tau / step).sum())
+    assert path_steps > 10000
+    assert sum(m * ids for m, ids in drawn) <= 1.3 * path_steps
 
 
 @pytest.mark.parametrize("d", range(1, 10))

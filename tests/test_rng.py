@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from sbmpot import rng
 
@@ -116,6 +117,25 @@ def test_channel_offset_matches_shifted_channel():
         for j, k in enumerate(offset[i].tolist()):
             v0, v1 = st.uniform_pair(rng.CH_GAUSS + k, step, ids[j : j + 1])
             assert u0[i, j] == v0[0] and u1[i, j] == v1[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_normals_take_coordinate_pairs_from_consecutive_channels(d):
+    # coordinates 2j and 2j + 1 are ndtri of the pair of channel base + j,
+    # for scalar and (K, 1) steps and both bases, however many pairs one
+    # call draws
+    st = rng.PhiloxStream(23)
+    ids = np.array([0, 4, 2**35 + 1, 2**64 - 1], dtype=np.uint64)
+    steps = np.array([0, 7, 2**32 + 2], dtype=np.uint64)[:, None]
+    grid = np.broadcast_to(ids, (steps.shape[0], ids.size))
+    for base in (rng.CH_GAUSS, rng.CH_WOS + 1):
+        for step, path_ids in ((5, ids), (steps, grid)):
+            z = st.normals(step, path_ids, d, base_channel=base)
+            assert z.shape == path_ids.shape + (d,)
+            for j in range((d + 1) // 2):
+                u0, u1 = st.uniform_pair(base + j, step, path_ids)
+                assert np.array_equal(z[..., 2 * j], ndtri(u0))
+                assert 2 * j + 1 == d or np.array_equal(z[..., 2 * j + 1], ndtri(u1))
 
 
 def test_channel_word_past_32_bits_is_refused():
