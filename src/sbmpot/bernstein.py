@@ -116,21 +116,17 @@ class CompleteBernsteinFunction:
         sum w z^p k(t z) over the atoms of the measure ``side`` plus (1/pi) int_0^inf k(t s) s^p rho(s) ds over its
         density, in the shape of t; a constant's term is the caller's.  weight(s, x) stands for the atoms' x = w z^p,
         finite z only, and rho(s) s^p, once per (side, p); phi is evaluated once per node, on none without rho.
-        With a weight (v and V) the atoms sum by a matmul, without one (u, mu, the tail, G and j) in _exp_sum's
-        blocks: one way for both would move the geometric kind's last bits, which the analytic workload's digest
-        and, for u and mu, test_closed_form_weight_has_the_registry_bits pin.  A measure's refusal raises here."""
+        The atoms sum in _exp_sum's blocks, weighed or not.  A measure's refusal raises here."""
         kernels, ms = kernels or [None] * len(rows), {side: self.stieltjes(side) for side, _ in rows}
         if refusal := next((m.refusal for m in ms.values() if m.refusal), ""):
             raise NumericAccuracyError(refusal)
         keys = list(dict.fromkeys(rows))
-        atoms = {(q, p): (m.z[live], weight(m.z[live], (m.w * m.z**p)[live])) for q, p in keys if weight
-                 for m, live in [(ms[q], np.isfinite(ms[q].z))] if m.w.size}
-        out = []
-        for (q, p), k, tt in zip(rows, kernels, ts):
-            f, tt = _neg_exp if k is None else k.f, np.asarray(tt, dtype=float)
-            with np.errstate(over="ignore"):  # a t z past the float range gives the kernel's 0
-                out.append((f(np.multiply.outer(np.ravel(tt), atoms[q, p][0])) @ atoms[q, p][1]).reshape(tt.shape)
-                           if (q, p) in atoms else _exp_sum(ms[q].w, ms[q].z, tt, p, f))
+        atoms = {}  # _exp_sum's weights, rates and power of each (side, p); weighed, at finite rates only
+        for q, p in keys:
+            m, live = ms[q], np.isfinite(ms[q].z)
+            atoms[q, p] = (m.w, m.z, p) if weight is None else (weight(m.z[live], (m.w * m.z**p)[live]), m.z[live], 0)
+        out = [_exp_sum(w, z, tt, p, _neg_exp if k is None else k.f)
+               for (w, z, p), k, tt in zip((atoms[row] for row in rows), kernels, ts)]
         if cut := [i for i, (q, _) in enumerate(rows) if ms[q].cut]:
             def rho(s):
                 v = self._eval(-s + 0j)
@@ -138,23 +134,22 @@ class CompleteBernsteinFunction:
                 x = x if weight is None else {key: weight(s, y) for key, y in x.items()}
                 return [x[rows[i]] for i in cut]
 
-            values = laplace.real_axis_integral(rho, [np.ravel(ts[i]) for i in cut], self.branch_point,
+            values = laplace.real_axis_integral(rho, [ts[i] for i in cut], self.branch_point,
                                                 [kernels[i] for i in cut])
             for i, row in zip(cut, values):
-                row = row.reshape(np.shape(ts[i]))
-                out[i] = out[i] + row if ms[rows[i][0]].w.size else row
+                out[i] = out[i] + row.reshape(np.shape(ts[i]))
         return out
 
     def forms(self, names, t) -> list:
         """The forms ``names`` ("potential_density" u, "levy_density" mu, "levy_tail") at t: closed where the kind
-        has them, else :meth:`sums` of phi's measures, u with the constant of 1/phi; a scalar t gives floats."""
+        has them, else :meth:`sums` of phi's measures, u with the constant of 1/phi; a scalar t gives floats.  Each
+        leaves through :func:`sbmpot.laplace.finite`: one past the float range is an EvaluationDomainError."""
         out = {name: self.closed_form(name, t) for name in names}
         todo = [name for name in names if out[name] is None]
-        out.update(zip(todo, (x if np.ndim(t) else float(x) for x in self.sums([_FORMS[n] for n in todo],
-                                                                                [t] * len(todo)))))
+        out.update(zip(todo, self.sums([_FORMS[n] for n in todo], [t] * len(todo))))
         if "potential_density" in out:
             out["potential_density"] = out["potential_density"] + self.stieltjes(0).c
-        return [out[name] for name in names]
+        return [laplace.finite(out[name], t, f"{name} at t") for name in names]
 
     @property
     def small_exponent(self) -> float | None:
@@ -176,9 +171,10 @@ class CompleteBernsteinFunction:
             form = self.stieltjes(side).closed.get(("exp", p))
         else:  # no swap or shift of a measure carries v and V
             form = _entry(self.kind).ladder(self).get(name)
-        vals = None if form is None else form(np.asarray(t, dtype=float))
-        if vals is None:
+        if form is None:
             return None
+        with np.errstate(all="ignore"):  # a value past the float range is its caller's to refuse
+            vals = form(np.asarray(t, dtype=float))
         return float(vals) if np.ndim(t) == 0 else vals
 
     def label(self) -> str:

@@ -66,6 +66,7 @@ from .ladder import (
     renewal_table,
 )
 from .ladder import ladder_density_v, renewal_function_V  # noqa: F401  unused here; names a tracer patches
+from .laplace import finite
 from .montecarlo import Ball, scaled_config, simulate_exits
 
 _USAGE_ERRORS = (
@@ -173,9 +174,12 @@ def _grid(args, point, lo_name, hi_name, default_lo=None, default_hi=None):
 def _phi_rows(phi, args) -> dict:
     grid = _grid(args, "lambda", "lmin", "lmax", 1e-2, 1e2)
     vals = np.atleast_1d(phi(grid))
-    # ell stays scalar: an array power may round differently from pow
-    ell = [v / lam ** (phi.alpha / 2.0) for lam, v in zip(grid, vals)]
-    return {"lambda": grid, "phi": vals, "psi": grid / vals, "ell": ell}
+    with np.errstate(all="ignore"):  # a column past the float range is refused below
+        # ell stays scalar: an array power may round differently from pow
+        ell = [v / lam ** (phi.alpha / 2.0) for lam, v in zip(grid, vals)]
+        psi = grid / vals
+    return {"lambda": grid, "phi": vals,
+            **{name: finite(x, grid, f"{name} at lambda") for name, x in (("psi", psi), ("ell", ell))}}
 
 
 def _density_rows(phi, args) -> dict:
@@ -188,10 +192,12 @@ def _kernel_rows(phi, args) -> dict:
         r_min = 1e-2 if args.rmin is None else args.rmin
         r_max = 1.0 if args.rmax is None else args.rmax
         return build_kernel_table(phi, d, r_min, r_max, args.points).columns(phi)
-    g = green_function(phi, d, r)
-    j = jump_kernel(phi, d, r)
-    pr = float(phi(r**-2.0))
-    return {"r": [r], "G": [g], "J": [j], "g_ratio": [g * r**d * pr], "j_ratio": [j * r**d / pr]}
+    g, j, r = green_function(phi, d, r), jump_kernel(phi, d, r), np.float64(r)
+    with np.errstate(all="ignore"):  # a ratio past the float range is refused below
+        pr = float(phi(r**-2.0))
+        ratios = g * r**d * pr, j * r**d / pr
+    return {"r": [r], "G": [g], "J": [j],
+            **{name: [finite(x, r, f"{name} at r")] for name, x in zip(("g_ratio", "j_ratio"), ratios)}}
 
 
 def _chi_rows(phi, args) -> dict:

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import laplace
 from .bernstein import CompleteBernsteinFunction, eval_levy_density
 from .bernstein import levy_tail  # noqa: F401  unused here; perfbench/tracing.py patches it by name
 from .errors import EvaluationDomainError
@@ -135,15 +136,12 @@ def check_levy_shift_bound(phi: CompleteBernsteinFunction) -> RatioWindow:
 
 
 def density_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarray]:
-    """Columns (t, u, mu, tail, u_ratio, mu_ratio) for CSV export."""
+    """Columns (t, u, mu, tail, u_ratio, mu_ratio) for CSV export; a ratio past the float range (1/t, say) is
+    refused by :func:`sbmpot.laplace.finite`, as u, mu and the tail are."""
     grid = np.asarray(t_grid, dtype=float)
     u, mu, tail = (np.atleast_1d(x) for x in phi.forms(("potential_density", "levy_density", "levy_tail"), grid))
-    phi_inv_t = np.atleast_1d(phi(1.0 / grid))
-    return {
-        "t": grid,
-        "u": u,
-        "mu": mu,
-        "tail": tail,
-        "u_ratio": u * grid * phi_inv_t,
-        "mu_ratio": mu * grid / phi_inv_t,
-    }
+    with np.errstate(all="ignore"):
+        phi_inv_t = np.atleast_1d(phi(1.0 / grid))
+        ratios = u * grid * phi_inv_t, mu * grid / phi_inv_t
+    return {"t": grid, "u": u, "mu": mu, "tail": tail,
+            **{name: laplace.finite(x, grid, f"{name} at t") for name, x in zip(("u_ratio", "mu_ratio"), ratios)}}

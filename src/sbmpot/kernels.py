@@ -85,14 +85,6 @@ def _radii(d: int, r) -> np.ndarray:
     return np.asarray(r, dtype=float)
 
 
-def _finite(values, radii):
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise EvaluationDomainError(f"the kernel at radius {radii.flat[np.argmax(bad)]:g} leaves the float range")
-    values = values.reshape(radii.shape)
-    return float(values) if radii.ndim == 0 else values
-
-
 def subordination_integral(rho: Callable, d: int, r, b: float = 1.0):
     """(2 pi)^(-d/2) r^(2-d) (1/pi) int_0^inf k_d(r^2 s) rho(s) ds at each radius r, for a density rho >= 0.
 
@@ -103,9 +95,9 @@ def subordination_integral(rho: Callable, d: int, r, b: float = 1.0):
     """
     radii, kernel = _radii(d, r), laplace.resolvent_kernel(d)
     laplace.check_reach(kernel, b, radii, "r", 2)
-    values = laplace.real_axis_integral(rho, np.ravel(radii) ** 2, b, kernel)
+    values = laplace.real_axis_integral(rho, radii**2, b, kernel)
     with np.errstate(over="ignore"):
-        return _finite((2.0 * math.pi) ** (-d / 2.0) * np.ravel(radii) ** (2.0 - d) * values, radii)
+        return laplace.finite((2.0 * math.pi) ** (-d / 2.0) * radii ** (2.0 - d) * values, r, "the kernel at r")
 
 
 def _kernel(phi: CompleteBernsteinFunction, d: int, r, side: int, power: int):
@@ -119,7 +111,7 @@ def _kernel(phi: CompleteBernsteinFunction, d: int, r, side: int, power: int):
             (2.0 * math.pi) ** (-d / 2.0) * radii ** (2.0 - d) * phi.sums([(side, power)], [radii**2], [kernel])[0])
         if m.c > 0.0 and power == 0:
             values = values + m.c * math.gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0)) * radii ** (2.0 - d)
-    return _finite(values, np.asarray(r, dtype=float))
+    return laplace.finite(values, r, "the kernel at r")
 
 
 def green_function(phi: CompleteBernsteinFunction, d: int, r):
@@ -153,11 +145,11 @@ def j_asymptotic_ratio(phi: CompleteBernsteinFunction, d: int, r_grid=None) -> R
 def j_doubling_and_shift(phi: CompleteBernsteinFunction, d: int, K: float) -> tuple[RatioWindow, RatioWindow]:
     """Windows of the jump kernel's doubling ratio j(r)/j(2r) on (0, K) and unit-shift ratio j(r)/j(r+1) on
     (1, 10K), whose sups are its measured constants.  Both carry the pair's verdict: both sups finite, and
-    the doubling one positive.  A j under the normal float range at a radius of the grid cannot be measured
+    the doubling one positive.  A K whose grid has a radius with a square out of the float range is refused up
+    front (EvaluationDomainError).  A j under the normal float range at a radius of the grid cannot be measured
     there: NumericAccuracyError, stating the radii where j is a normal float.
     """
-    if not 0.0 < K < math.inf:
-        raise EvaluationDomainError(f"K must lie in (0, inf), got {K:g}")
+    laplace.squares(np.array([K * 1e-3, 10.0 * K + 1.0]), f"the radii of K = {K:g}, from K/1000 to 10K + 1,")
     r_small = np.geomspace(K * 1e-3, K * 0.999, 40)
     r_large = np.geomspace(1.001, 10.0 * K if 10.0 * K > 1.1 else 1.1, 40)
     radii = np.concatenate([r_small, 2.0 * r_small, r_large, r_large + 1.0])
@@ -190,14 +182,12 @@ class RadialKernelTable:
                 raise NumericAccuracyError(f"{name} must be strictly decreasing in r")
 
     def columns(self, phi: CompleteBernsteinFunction) -> dict[str, np.ndarray]:
-        phi_r = np.atleast_1d(phi(self.radii ** -2.0))
-        return {
-            "r": self.radii,
-            "G": self.g_values,
-            "J": self.j_values,
-            "g_ratio": self.g_values * self.radii ** self.d * phi_r,
-            "j_ratio": self.j_values * self.radii ** self.d / phi_r,
-        }
+        """The table's columns, each ratio refused by :func:`sbmpot.laplace.finite` past the float range."""
+        with np.errstate(all="ignore"):
+            phi_r = np.atleast_1d(phi(self.radii ** -2.0))
+            ratios = self.g_values * self.radii ** self.d * phi_r, self.j_values * self.radii ** self.d / phi_r
+        return {"r": self.radii, "G": self.g_values, "J": self.j_values, **{
+            name: laplace.finite(x, self.radii, f"{name} at r") for name, x in zip(("g_ratio", "j_ratio"), ratios)}}
 
 
 def build_kernel_table(

@@ -241,22 +241,22 @@ def _renewal(phi: CompleteBernsteinFunction, names, ts) -> list:
     """The ladder objects ``names`` ("ladder_density" v, "renewal_function" V), each at its own t of ``ts``:
     closed forms, else the sums of 1/chi's measure in z = s^2 (sqrt z, unlike s, stays in chi's float range),
     1/phi's atoms and density weighed by chi(sqrt z)/(2 sqrt z), chi taken once per atom or node for all, plus
-    c_v = lim lam/chi = sqrt(lim lam/phi).  A t whose t^2 the real-axis rule does not reach is refused in t."""
-    closed = [phi.closed_form(name, t) for name, t in zip(names, ts)]
-    if all(value is not None for value in closed):
-        return closed
-    flat = [np.ravel(np.asarray(t, dtype=float)) for t in ts]
-    squares = [laplace.squares(tt, "t of v and V") for tt in flat]
-    kernels, m = [_RENEWAL_KERNELS[name] for name in names], phi.stieltjes(0)
-    if m.cut:
-        for k, tt in zip(kernels, flat):
-            laplace.check_reach(k, phi.branch_point, tt, "t", 2)
-    rows = phi.sums([(0, 0)] * len(names), squares, kernels,
-                    weight=lambda z, x: _chi_on_cut(phi, np.sqrt(z)) * x / (2.0 * np.sqrt(z)))
-    atom = math.sqrt(m.c)
-    out = [(atom + row if name == "ladder_density" else tt * (atom + row)).reshape(np.shape(t))
-           for name, t, tt, row in zip(names, ts, flat, rows)]
-    return [x if np.ndim(t) else float(x) for x, t in zip(out, ts)]
+    c_v = lim lam/chi = sqrt(lim lam/phi).  A t whose t^2 the real-axis rule does not reach is refused in t, and
+    a value past the float range by :func:`sbmpot.laplace.finite`."""
+    out = [phi.closed_form(name, t) for name, t in zip(names, ts)]
+    if any(value is None for value in out):
+        flat = [np.ravel(np.asarray(t, dtype=float)) for t in ts]
+        squares = [laplace.squares(tt, "t of v and V") for tt in flat]
+        kernels, m = [_RENEWAL_KERNELS[name] for name in names], phi.stieltjes(0)
+        if m.cut:
+            for k, tt in zip(kernels, flat):
+                laplace.check_reach(k, phi.branch_point, tt, "t", 2)
+        rows = phi.sums([(0, 0)] * len(names), squares, kernels,
+                        weight=lambda z, x: _chi_on_cut(phi, np.sqrt(z)) * x / (2.0 * np.sqrt(z)))
+        atom = math.sqrt(m.c)
+        out = [atom + row if name == "ladder_density" else tt * (atom + row)
+               for name, tt, row in zip(names, flat, rows)]
+    return [laplace.finite(x, t, f"{name} at t") for name, x, t in zip(names, out, ts)]
 
 
 def _renewal_reach(phi: CompleteBernsteinFunction) -> tuple[float, float]:

@@ -36,6 +36,7 @@ __all__ = [
     "gaver_stehfest",
     "halving_trapezoid",
     "squares",
+    "finite",
     "quad",
 ]
 
@@ -95,6 +96,16 @@ def squares(x, what: str) -> np.ndarray:
     if not np.all(ok := (x > 0.0) & (sq >= _NORMAL[0]) & (sq <= _NORMAL[1])):
         raise EvaluationDomainError(f"{what} must lie in (0, inf), its square in the float range; not {x[~ok][0]:g}")
     return sq
+
+
+def finite(values, at, what: str):
+    """``values``, one per argument of ``at`` and in its shape (a float for a scalar), once each is a finite float:
+    the one exit of u, mu, the tail, G, j, v and V, closed or summed, and of the columns derived from them.  A value
+    past the float range raises EvaluationDomainError naming ``what`` at its argument: "levy_density at t = 1e-300"."""
+    values = np.asarray(values, dtype=float).reshape(np.shape(at))
+    if not (ok := np.isfinite(values)).all():
+        raise EvaluationDomainError(f"{what} = {np.ravel(at)[np.argmin(ok)]:g} leaves the float range")
+    return values if values.ndim else float(values)
 
 
 def halving_trapezoid(sums: Callable, n: int, *, epsabs: float, epsrel: float, levels: int,
@@ -233,17 +244,17 @@ def check_reach(kernel: Kernel | None, b: float, x, name: str = "t", power: int 
                                    f"{hi ** (1.0 / power):.3g}], not {x.min():g} to {x.max():g}")
 
 
-def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequence[Kernel] | None = None):
+def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequence[Kernel | None] | None = None):
     """(1/pi) int_0^inf k(t*s) rho(s) ds at each t, for a density rho >= 0 with a branch point b.
 
-    ``rho`` takes an array of s, evaluated once per node for all t.  Rows of rho and a sequence of kernels pair as
-    numpy broadcasts them, each pair an integral of its own on the leading axis; with a sequence of kernels, t may
-    be a list of one array of times per kernel, and the values are then a list of one array per pair.  A t sums the
-    nodes under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once for all t,
-    and drops those past ``far``; the kernel defaults to exp(-z).  A band is as wide as any t's can be (every node
-    for a kernel without a head), and past the first level sums its new nodes only, onto half the last level's
-    sum, so a t's value depends on it alone, bit for bit: the rule takes each distinct t once and gives its value
-    to every place it has in t.  The rule is split at b, where rho may be singular;
+    ``rho`` takes an array of s, evaluated once per node for all t.  With one kernel (exp(-z) for None) it gives
+    one density, and the values come in the shape of t; with a sequence of kernels it gives one density per
+    kernel, t is a sequence of one array of times per kernel, and the values are a list of one array per kernel.
+    A t sums the nodes under its band (t*s under the kernel's ``tiny``) in the head's closed form, from sums once
+    for all t, and drops those past ``far``.  A band is as wide as any t's can be (every node for a kernel
+    without a head), and past the first level sums its new nodes only, onto half the last level's sum, so a t's
+    value depends on it alone, bit for bit: the rule takes each distinct t once and gives its value to every place
+    it has in t.  The rule is split at b, where rho may be singular;
     the nodes dropped next to b cost about 4*c*sqrt(ulp(b)) of a singularity c*|s - b|^(-1/2): 3.8e-7 relative
     for exp(-t)/sqrt(pi*t) at t = 100, b = 1.  Past the far ends the integrand is closed by the power it follows
     between the end node and the next one of step 1 (at the left end, rho's power and the kernel's log term), with
@@ -252,44 +263,37 @@ def real_axis_integral(rho: Callable, t, b: float = 1.0, kernel: Kernel | Sequen
     :func:`reach`.  A rho not finite or 0 at every node (a cut with point masses only), an end not integrable
     as a power, a t out of reach or a value past the float range raises NumericAccuracyError.
     """
-    single = kernel is None or isinstance(kernel, Kernel)
-    kernels = [_EXP if k is None else k for k in ([kernel] if single else kernel)]
-    per_kernel = not single and isinstance(t, list)
-    times = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (t if per_kernel else [t] * len(kernels))]
+    paired = not (kernel is None or isinstance(kernel, Kernel))
+    kernels = [_EXP if k is None else k for k in (kernel if paired else [kernel])]
+    times = [np.ravel(np.asarray(x, dtype=float)) for x in (t if paired else [t])]
     for k, tt in zip(kernels, times, strict=True):
         if not np.all(tt > 0.0):
             raise EvaluationDomainError("times must be positive")
         check_reach(k, b, tt)
-    dens = {}  # rho at each level's nodes, (rows, nodes)
+    dens = {}  # each kernel's density at each level's nodes, (kernels, nodes)
 
     def density(level):
         if level not in dens:
             s, w, new = _axis_nodes(level, b)
             todo = (w > 0.0) & (new | (level == 1))
-            part = np.asarray(rho(s[todo]), dtype=float)
-            vals = np.zeros((len(part) if part.ndim == 2 else 1, s.size))
-            vals[:, todo] = part
+            vals = np.zeros((len(kernels), s.size))
+            vals[:, todo] = rho(s[todo])
             if level > 1:
                 vals[:, ~new] = dens[level - 1]
             if not np.all(finite := np.isfinite(vals)):
                 raise NumericAccuracyError(f"density on the cut is not finite at s = {s[~finite.all(axis=0)][0]:.6g}")
             if level == 1 and not np.all(np.any(vals > 0.0, axis=1)):
                 raise NumericAccuracyError("density on the cut is 0 at every node: the cut has point masses")
-            dens[level], dens["rows"] = vals, part.ndim == 2
+            dens[level] = vals
         return dens[level]
 
-    rows = len(density(1))
-    pairs = np.broadcast_shapes((rows,), (len(kernels),))[0]
-    values = [_certified(lambda level, i=i: density(level)[i % rows], times[i % len(kernels)], b,
-                         kernels[i % len(kernels)]) for i in range(pairs)]
+    values = [_certified(lambda level, i=i: density(level)[i], tt, b, k)
+              for i, (k, tt) in enumerate(zip(kernels, times))]
     if not all(np.all(np.isfinite(x)) for x in values):
         raise NumericAccuracyError("a real-axis integral leaves the float range")
-    if per_kernel:
+    if paired:
         return values
-    values = np.array(values)
-    if dens["rows"] or not single:
-        return values if np.ndim(t) else values[:, 0]
-    return values[0] if np.ndim(t) else float(values[0, 0])
+    return values[0].reshape(np.shape(t)) if np.ndim(t) else float(values[0][0])
 
 
 def _certified(density: Callable, tt: np.ndarray, b: float, k: Kernel) -> np.ndarray:

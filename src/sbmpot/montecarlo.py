@@ -149,10 +149,13 @@ def scaled_config(
 
     The skeleton step is step_frac of the target tau scale and the horizon
     _HORIZON_MULT times it, keeping the censoring rate far below 1%;
-    epsilon is the compound sampler's truncation level.
+    epsilon is the compound sampler's truncation level.  A radius whose r^-2 or scale is not a positive
+    finite float is refused: r^2 must be a normal float, as :func:`sbmpot.laplace.squares` has it for the kernels.
     """
-    _check_radius(r)
-    scale = 1.0 / float(phi(r**-2))
+    laplace.squares(r, "the radius of an exit-time scale")
+    scale = 1.0 / rate if (rate := float(phi(r**-2))) > 0.0 else math.inf
+    if not scale < math.inf:
+        raise EvaluationDomainError(f"the exit-time scale 1/phi(r^-2) at radius {r:g} leaves the float range")
     return PathConfig(paths=paths, seed=seed, horizon=_HORIZON_MULT * scale,
                       step=step_frac * scale, epsilon=epsilon)
 

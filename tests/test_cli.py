@@ -738,6 +738,22 @@ def test_ladder_ops_on_wide_grids_and_pole_kinds_pass(capsys, argv):
                                  (["kernel", "--dim", "3"], "--r", ("--rmin", "--rmax")),
                                  (["ladder", "halfline", "--x", "1"], "--y", ("--ymin", "--ymax")))
       for bound in bounds],
+    # an exit-time scale whose r^-2 or 1/phi(r^-2) is not a positive finite float
+    *[["simulate", "exit", "--kind", "stable", "--alpha", "1", "--paths", "10", "--radius", r]
+      for r in ("1e-300", "1e300")],
+    ["check", "harnack", "--kind", "stable", "--alpha", "1", "--paths", "4", "--r", "1e-300"],
+    ["check", "bhp", "--kind", "stable", "--alpha", "1", "--paths", "3", "--r", "1e-300"],
+    ["simulate", "exit", "--kind", "relativistic", "--alpha", "1", "--m", "1e100", "--paths", "10", "--radius", "1e154"],
+    # a value or a derived column past the float range, closed or summed
+    ["density", "--kind", "stable", "--alpha", "1", "--t", "1e-300"],
+    ["ladder", "v", "--kind", "stable", "--alpha", "0.02", "--t", "1e-320"],
+    ["phi", "--kind", "sum", "--alpha", "1.98", "--beta", "0.01", "--lambda", "1e-320"],
+    ["density", "--kind", "geometric_example", "--alpha", "1", "--t", "1e-320"],
+    ["density", "--kind", "geometric_example", "--alpha", "0.02", "--t", "1e-300"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--r", "1e150"],
+    ["kernel", "--kind", "stable", "--alpha", "1", "--dim", "3", "--rmin", "1", "--rmax", "1e150", "--points", "2"],
+    # a K whose grid of radii leaves the float range
+    ["check", "doubling", "--kind", "stable", "--alpha", "1", "--K", "1.7e308"],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     # exit 2 with a one-line message: no traceback, and no warning on the way
@@ -758,6 +774,51 @@ def test_non_finite_inversion_is_numeric_failure(capsys):
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert captured.err.startswith("numeric accuracy failure: ") and captured.err.count("\n") == 1
+
+
+def test_summed_density_out_of_reach_is_numeric_failure(capsys):
+    # the sum kind's u is summed, and 1e-300 is past the rule's reach: exit 3,
+    # though its closed mu there is past the float range too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["density", "--kind", "sum", "--alpha", "1", "--t", "1e-300"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("numeric accuracy failure: ")
+
+
+_SWEEP_COMMANDS = (("phi", "--lambda"), ("density", "--t"), ("kernel", "--dim", "1", "--r"),
+                   ("kernel", "--dim", "3", "--r"), ("ladder", "chi", "--lambda"), ("ladder", "v", "--t"),
+                   ("ladder", "halfline", "--y", "1", "--x"), ("ladder", "halfline", "--x", "1", "--y"),
+                   ("check", "doubling", "--K"))
+
+
+def test_extreme_arguments_exit_cleanly_with_finite_cells(capsys):
+    # every command that takes one value, on every JSON kind and on alpha at
+    # both ends of its range, at values from a subnormal to the float range's
+    # end: an exit code of 0 to 3 with no exception and no warning, and on
+    # exit 0 every float cell finite (a value past the float range is exit 2)
+    alphas = {kind: ("0.02", "1") if kind == "geometric_example" else ("0.02", "1", "1.98")
+              for kind in bernstein.JSON_KINDS}
+    broken = []
+    for kind, kind_alphas in alphas.items():
+        for alpha in kind_alphas:
+            for command in _SWEEP_COMMANDS:
+                for value in ("1e-320", "1e-300", "1e-150", "1e150", "1e300", "1.7e308"):
+                    argv = [*command, value, "--kind", kind, "--alpha", alpha, "--m", "1", "--beta", "0.01",
+                            "--gamma", "0.01", "--format", "json"]
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            rc = cli.main(argv)
+                    except Exception as exc:  # noqa: BLE001  every escape is a failure to report
+                        broken.append((argv, repr(exc)))
+                        continue
+                    out = capsys.readouterr().out
+                    cells = [x for row in json.loads(out) for x in row.values()] if rc == 0 else []
+                    if rc not in (0, 1, 2, 3) or not all(math.isfinite(x) for x in cells if isinstance(x, float)):
+                        broken.append((argv, rc, out))
+    assert not broken, broken
 
 
 @pytest.mark.parametrize("x", ["1e-300", "1e-100"])

@@ -212,6 +212,29 @@ def test_renewal_table_evaluates_chi_once_for_v_and_V(monkeypatch, phi):
     assert np.array_equal(table["V"], ladder.renewal_function_V(phi, t))
 
 
+@pytest.mark.parametrize("phi", [bernstein.geometric_like(1.0, 64), bernstein.geometric_like(0.5)],
+                         ids=["n64", "default_n"])
+@pytest.mark.parametrize("name", ["ladder_density", "renewal_function"])
+def test_atoms_only_v_and_V_have_the_exp_sum_bits(phi, name):
+    # the sibling of u's and mu's registry-bits test: where 1/phi has atoms
+    # only, v and V are _exp_sum over its atoms weighed by chi(sqrt z)/(2 sqrt z),
+    # with their kernels at t^2 z (V's times t), bit for bit, the one way the
+    # sums add a measure's atoms (c_v = 0 for these)
+    m = phi.stieltjes(0)
+    assert not m.cut and m.c == 0.0
+    live = np.isfinite(m.z)
+    z, w = m.z[live], m.w[live]
+    x = ladder.ladder_exponent_chi(phi, np.sqrt(z)) * w / (2.0 * np.sqrt(z))
+    ts = np.array(np.geomspace(1e-3, 1e3, 201).tolist() + [math.pi, 1.0])
+    expect = bernstein._exp_sum(x, z, ts * ts, 0, ladder._RENEWAL_KERNELS[name].f)
+    expect = expect if name == "ladder_density" else ts * expect
+    entry = {"ladder_density": ladder.ladder_density_v, "renewal_function": ladder.renewal_function_V}[name]
+    # on an array and on each t alone
+    assert entry(phi, ts).view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+    for t, want in zip(ts.tolist(), expect.tolist()):
+        assert np.float64(entry(phi, t)).view(np.uint64) == np.float64(want).view(np.uint64), t
+
+
 def test_chi_takes_phi_at_the_float_range_end_within_rounding():
     # lam^2 e^(2u) overflows at the last lattice nodes for lam = 1e130, whose
     # weights make the clamp's error negligible: chi of lam^(1/2) + lam^(1/4)

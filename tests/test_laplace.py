@@ -27,39 +27,38 @@ def test_gaver_stehfest_exponential():
     np.testing.assert_allclose(vals, np.exp(-t), rtol=1e-4)
 
 
-@pytest.mark.parametrize("transform", [
-    lambda s: np.full(np.shape(s), math.nan),
-    lambda s: np.full(np.shape(s), math.inf),
-    lambda s: [s**0.5, np.where(s > 2.0, math.nan, s**0.5)],  # one row of a shared density
+@pytest.mark.parametrize("transform, kernels", [
+    (lambda s: np.full(np.shape(s), math.nan), None),
+    (lambda s: np.full(np.shape(s), math.inf), None),
+    (lambda s: [s**0.5, np.where(s > 2.0, math.nan, s**0.5)], [None, None]),  # one density of a pair
 ], ids=["nan", "inf", "nan_in_one_row"])
-def test_non_finite_inversion_is_refused(transform):
-    # no certificate covers a NaN or inf, in any row of a density that several
-    # integrals share: the rule refuses, and without a warning on the way
+def test_non_finite_inversion_is_refused(transform, kernels):
+    # no certificate covers a NaN or inf, in any density of a call that pairs
+    # one with each kernel: the rule refuses, and without a warning on the way
+    t = np.array([0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericAccuracyError, match="not finite"):
-            laplace.real_axis_integral(transform, np.array([0.5, 1.0]))
+            laplace.real_axis_integral(transform, t if kernels is None else [t] * len(kernels), 1.0, kernels)
 
 
 def test_shared_density_keeps_each_integral_bits():
-    # rows of densities and a sequence of kernels, paired as numpy broadcasts
-    # them: each integral keeps the bits of its own call, and the shared
-    # density is evaluated once per node
+    # one density per kernel, each with its own times: the densities are
+    # evaluated once per node for every integral of the call, and each
+    # integral keeps the bits of its own call
     t, calls = np.geomspace(1e-3, 1e3, 7), []
 
-    def rows(s):
+    def pair(s):
         calls.append(s.size)
         return [s**0.5, s**-0.5]
 
     k3 = laplace.resolvent_kernel(3)
-    both = laplace.real_axis_integral(rows, t)
+    both = laplace.real_axis_integral(pair, [t, t[::2]], 1.0, [None, k3])
     assert sum(calls) <= laplace._axis_nodes(laplace._AXIS_LEVELS, 1.0)[0].size
-    for row, got in zip((lambda s: s**0.5, lambda s: s**-0.5), both):
-        assert np.array_equal(got, laplace.real_axis_integral(row, t))
-    pair = laplace.real_axis_integral(lambda s: s**-0.5, t, 1.0, [k3, None])
-    assert np.array_equal(pair[0], laplace.real_axis_integral(lambda s: s**-0.5, t, 1.0, k3))
-    assert np.array_equal(pair[1], both[1])
-    assert laplace.real_axis_integral(rows, 1.0).shape == (2,)
+    assert [x.shape for x in both] == [t.shape, t[::2].shape]
+    assert np.array_equal(both[0], laplace.real_axis_integral(lambda s: s**0.5, t))
+    assert np.array_equal(both[1], laplace.real_axis_integral(lambda s: s**-0.5, t[::2], 1.0, k3))
+    assert isinstance(laplace.real_axis_integral(lambda s: s**0.5, 1.0), float)
 
 
 @pytest.mark.parametrize("alpha, rtol", [(0.5, 1e-12), (1.0, 1e-12), (1.5, 1e-12), (1.95, 1e-10)])
