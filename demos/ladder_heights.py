@@ -3,7 +3,8 @@
 The ladder exponent chi satisfies chi(lam) = lam^(alpha/2) exactly in the
 stable case and is sandwiched between e^(-pi/2) and e^(pi/2) multiples of
 sqrt(phi(lam^2)) in general.  Its renewal function V gives exit-time bounds,
-and the half-line Green function comes from a renewal-density convolution.
+and the half-line Green function, the renewal-density convolution, is a double
+sum over the renewal density's own measure.
 """
 
 import math

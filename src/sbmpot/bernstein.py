@@ -226,13 +226,16 @@ def _neg_exp(z):
 
 def _exp_sum(weights, rates, t, power=0, kernel=_neg_exp):
     """sum w r^power k(r t), k = exp(-z) by default (the power-th derivative of sum w exp(-r t) up to
-    sign), in blocks of t.  A term is exactly 0 where its kernel is, though w r^power may overflow there."""
+    sign), in blocks of t.  A term is exactly 0 where its kernel is, though w r^power may overflow there: the
+    product is masked only where some w r^power does (never for the weighted atoms of v and V, finite rates)."""
     flat, out = np.ravel(t), np.empty(np.size(t))
     with np.errstate(over="ignore"):  # an inf r t gives the kernel's 0
         c = weights * rates ** power
+        finite = np.all(np.isfinite(c))
         for lo in range(0, flat.size, _GEOM_BLOCK):
             k = kernel(np.multiply.outer(flat[lo:lo + _GEOM_BLOCK], rates))
-            out[lo:lo + _GEOM_BLOCK] = np.sum(np.multiply(c, k, out=np.zeros(k.shape), where=k != 0.0), axis=-1)
+            terms = c * k if finite else np.multiply(c, k, out=np.zeros(k.shape), where=k != 0.0)
+            out[lo:lo + _GEOM_BLOCK] = np.sum(terms, axis=-1)
     return out.reshape(np.shape(t))[()]
 
 

@@ -8,7 +8,7 @@ exponent has the explicit log-integral representation
 and chi is sandwiched between exp(-pi/2) and exp(pi/2) times sqrt(phi(lam^2)).
 The renewal density v and renewal function V have Laplace transforms 1/chi
 and 1/(lam*chi); the half-line Green function is the convolution
-G(x,y) = int_0^(x^y) v(z) v(|y-x|+z) dz.
+G(x,y) = int_0^(x^y) v(z) v(|y-x|+z) dz, a double sum over v's own measure.
 
 Numerical notes.  With th = e^u the integral is a convolution in log lam,
 log chi(lam) = (alpha/2) log lam + (1/pi) int G(log lam + u) du/(2 cosh u) with
@@ -20,7 +20,7 @@ y_i = i/8, anchored at lam = 1, convolves it with the kernel over |u| <= 46 by
 FFTs of 2 048 nodes in blocks fixed on the lattice, and interpolates to log
 lam on 14 lattice points, so a lam has the same bits in any call.  A block is
 memoised per (phi, block) in a small bounded cache of read-only arrays, so v,
-V and the half-line rule, which ask chi for the nodes of each level of the
+V and the half-line sum, which ask chi for the nodes of each level of the
 real-axis rule, build each block once.  Each value
 is certified to 1e-12 of log chi by step h against 2h and by 14 points against
 12, else NumericAccuracyError.  Its reach is the float range: the convolution
@@ -34,14 +34,10 @@ atom w/(lam + z) of 1/phi gives 1/chi the atom chi(sqrt z) w/(2 sqrt z): v and V
 are the sums of 1/phi's measure so weighed
 (:meth:`sbmpot.bernstein.CompleteBernsteinFunction.sums`).  Kinds whose v and V
 have closed forms (the stable kind, where chi(lam) = lam^(alpha/2)) take them
-from the kind registry instead.  The half-line convolution is one doubly
-exponential rule on (0, 1), ``_de_rule`` (Takahasi & Mori, Publ. RIMS 9, 1974),
-exact at both ends and certified against its every other node by the shared
-driver, :func:`sbmpot.laplace.halving_trapezoid`, on v taken up front.  v is
-completely monotone, so off the diagonal the convolution's head
-int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c) [v(gap+z_c), v(gap)]: with z_c =
-1e-12 min(x^y, gap), v's arguments stay where the real-axis rule certifies at
-its second level, and one chi call at its nodes serves v and V(z_c) alike.
+from the kind registry instead.  v = c + int e^(-t sig) nu(d sig) is
+completely monotone, so ``halfline_green`` is a positive double sum over nu
+(Silverstein, Ann. Probab. 8, 1980), certified per level by the shared driver,
+:func:`sbmpot.laplace.halving_trapezoid`; it takes no v at all.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from . import laplace
 from .bernstein import CompleteBernsteinFunction, MonotonicityReport, check_complete_monotonicity
@@ -77,15 +72,6 @@ SANDWICH_LO = math.exp(-math.pi / 2.0)
 SANDWICH_HI = math.exp(math.pi / 2.0)
 
 _NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # the normal float range
-
-
-def _de_rule(n: int, h: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DE rule for int_0^length: node fractions s_k = sigmoid(pi*sinh(kh)), |k| <= n, and
-    1 - s_k, each exact at its end, and weights h*g(kh), so step 2h has every other node."""
-    k = np.arange(-n, n + 1, dtype=float)
-    t = math.pi * np.sinh(k * h)
-    sig, sig_m = expit(t), expit(-t)
-    return sig, sig_m, (length * math.pi * h) * np.cosh(k * h) * sig * sig_m
 
 
 # chi's lattice: G on y_i = i*_CHI_H, convolved with the sech kernel over |u| <= _CHI_TAPS*_CHI_H = 46 (where
@@ -259,19 +245,6 @@ def _renewal(phi: CompleteBernsteinFunction, names, ts) -> list:
     return [laplace.finite(x, t, f"{name} at t") for name, x, t in zip(names, out, ts)]
 
 
-def _renewal_reach(phi: CompleteBernsteinFunction) -> tuple[float, float]:
-    """The t at which _renewal takes v and V: every positive t for closed forms, else those whose t^2 is a normal
-    float, for a measure with a density only those whose t^2 the real-axis rule reaches too."""
-    if all(phi.closed_form(name, 1.0) is not None for name in _RENEWAL_KERNELS):
-        return 0.0, math.inf
-    lo, hi = _NORMAL
-    if phi.stieltjes(0).cut:
-        for k in _RENEWAL_KERNELS.values():
-            k_lo, k_hi = laplace.reach(k, phi.branch_point)
-            lo, hi = max(lo, k_lo), min(hi, k_hi)
-    return math.sqrt(lo), math.sqrt(hi)
-
-
 def ladder_density_v(phi: CompleteBernsteinFunction, t):
     """Renewal (ladder potential) density v(t), the inverse transform of 1/chi, certified to relative 1e-9."""
     return _renewal(phi, ("ladder_density",), (t,))[0]
@@ -289,72 +262,117 @@ def renewal_table(phi: CompleteBernsteinFunction, t_grid) -> dict[str, np.ndarra
     return {"t": grid, "v_ladder": np.atleast_1d(v), "V": np.atleast_1d(V)}
 
 
-# targets of the halfline convolution; its DE rule has step 2^-_HALFLINE_LEVELS over |kh| <= _HALFLINE_REACH on
-# z above z_c, (x^y)*_HALFLINE_Z_FLOOR on the diagonal and _HALFLINE_HEAD*min(x^y, gap) off it, and above
-# _HALFLINE_Z_MIN and the lowest t of v's reach, where v's t^2 is within the real-axis rule's reach
-_HALFLINE_EPSABS, _HALFLINE_EPSREL = 1e-10, 1e-9
-_HALFLINE_REACH, _HALFLINE_LEVELS, _HALFLINE_Z_FLOOR, _HALFLINE_Z_MIN = 4, 6, 1e-60, 1e-66
-_HALFLINE_HEAD = 1e-12
+_HALFLINE_EPSABS, _HALFLINE_EPSREL, _HALFLINE_BLOCK = 1e-10, 1e-9, 1 << 15  # half-line targets; entries of a block
+
+
+def _pair_sums(sig, nu, lo: float, gap: float, c: float) -> np.ndarray:
+    """c^2 lo + sum c a (1 + F)/sig + a'Kb + e'Kd per measure nu (row of ``nu``) on the ascending sig, all terms
+    positive: E, F = e^(-lo sig), e^(-gap sig), a, e = nu (1 - E), nu E, b, d = nu F, nu F (1 - E), K_ij = 1/(sig_i
+    + sig_j).  K is formed in row blocks of at most _HALFLINE_BLOCK entries (sig_i + sig_j an exact rank-2 product)
+    within a factor 1e8 of a block's rows; past that, K_ij = (1/sig_i)(1 - sig_j/sig_i) or its mirror to 1e-16."""
+    with np.errstate(all="ignore"):  # lo sig past the float range gives E = 0; a sum past it is refused
+        one_e, f_gap = -np.expm1(-lo * sig), np.exp(-gap * sig)
+        a, e, b, n = nu * one_e, nu * np.exp(-lo * sig), nu * f_gap, len(nu)
+        sc, bd = sig[np.any(b > 0.0, axis=0)], np.concatenate([b, b * one_e])[:, np.any(b > 0.0, axis=0)]
+        under = [np.cumsum(np.pad(bd * x, ((0, 0), (1, 0))), axis=1) for x in (1.0, sc)]
+        over = [np.cumsum(np.pad(bd / x, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1] for x in (sc, sc * sc)]
+        j0, j1 = np.searchsorted(sc, 1e-8 * sig), np.searchsorted(sc, 1e8 * sig, "right")
+        rows, buf = np.zeros((2 * n, sig.size)), np.empty(max(_HALFLINE_BLOCK, int(np.max(j1 - j0, initial=0))))
+        left, right = np.stack([sig, np.ones(sig.size)]), np.stack([np.ones(sc.size), sc], 1)
+        count, r = np.arange(1, sig.size + 1), 0
+        while r < sig.size:  # the longest run of rows from r whose columns fit in a block takes its first and last's
+            end = r + max(1, int(np.searchsorted(count[:sig.size - r] * (j1[r:] - j0[r]), _HALFLINE_BLOCK, "right")))
+            j0[r:end], j1[r:end], k = j0[r], j1[end - 1], buf[:(end - r) * (j1[end - 1] - j0[r])].reshape(-1, end - r)
+            if k.size:
+                k = np.divide(1.0, np.matmul(right[j0[r]:j1[r]], left[:, r:end], out=k), out=k)
+                rows[:, r:end] = bd[:, j0[r]:j1[r]] @ k
+            r = end
+        rows += (under[0][:, j0] - under[1][:, j0] / sig) / sig + over[0][:, j1] - sig * over[1][:, j1]
+        return c * c * lo + np.sum(c * a / sig * (1.0 + f_gap) + a * rows[:n] + e * rows[n:], axis=1)
+
+
+def _end_mass(fs: float, q: float, h: float, sign: float) -> float:
+    """The mass past an end node (sign 1 the left, -1 the right) of a density with f z = fs there, going like
+    z^(q-1), with the Euler-Maclaurin h^2 and h^4 terms of its halved weight: log s ~ sign a sinh(k/a) there, so the
+    integrand's log has derivatives l1 = q x - sign c (as in :func:`sbmpot.laplace.real_axis_integral`), l2, l3."""
+    a = laplace._AXIS_SCALE
+    x, s = math.cosh(laplace._AXIS_FAR / a), math.sinh(laplace._AXIS_FAR / a)
+    l1, l2, l3 = q * x - sign * s / (a * x), (a * x) ** -2 - sign * q * s / a, q * x / a**2 + 2 * sign * s / (a * x)**3
+    return sign * fs * (1.0 / q + x * (h * h / 12.0 * l1 - h**4 / 720.0 * (l3 + 3.0 * l1 * l2 + l1**3)))
 
 
 def halfline_green(phi: CompleteBernsteinFunction, x: float, y: float) -> float:
-    """Green function of (0, inf) at (x, y) via the renewal-density convolution.
+    """Green function of (0, inf) at (x, y): G = int_0^lo v(z) v(gap + z) dz, lo = x^y, gap = |y - x|.
 
-    With lo = x^y and z = lo*s^p, p the inverse of the integrand's power at z = 0 (2/alpha off the
-    diagonal, 1/(alpha-1) on it), the integrand in s is bounded at 0.  A DE rule of step 2^-6 covers (s_c, 1),
-    z(s_c) = z_c above _HALFLINE_Z_MIN and v's lowest t and at most lo*1e-5, on v taken once at its nodes, and
-    is certified against the rule of step 2^-5 on every other node.  Off the diagonal z_c = 1e-12*min(lo, gap),
-    and v is completely monotone, so the head int_0^(z_c) v(z) v(gap+z) dz lies in V(z_c)*[v(gap+z_c), v(gap)]:
-    the fine sum closes with the bracket's midpoint, the coarse one with its end, V(z_c) from the same chi values
-    as v.  On the diagonal z_c = lo*1e-60, and the power law measured at s_c and sqrt(s_c), half the decades of
-    z up to lo apart so that v's round-off stays out of it, closes (0, s_c).  The diagonal with alpha <= 1
-    diverges: +inf, not an error.  v's arguments run from at most 1e-5 x^y up to x v y, so x^y under 1e5 times
-    the lowest t v reaches, or x v y past its highest, raises NumericAccuracyError stating that reach in x and y."""
+    v = c + int e^(-t sig) nu(d sig) is completely monotone: G is :func:`_pair_sums` over nu at sqrt of the real-axis
+    rule's nodes with v's weights, at 1/phi's atoms, and at the cut's mass past both end nodes (off the diagonal
+    only past the last), closed by nu's power measured from the next node of step 1.  Each level is certified by
+    :func:`sbmpot.laplace.halving_trapezoid` against its even nodes and the sum closed by the kind's powers.  On the
+    diagonal, e^(-delta sig), delta = 1e-60 lo (or v's lowest t), damps nu for int_delta^lo v^2, and v's power from
+    v(delta) to v(sqrt(delta lo)), or alpha/2 - 1, closes int_0^delta v^2: +inf for alpha <= 1.  A cut reaches the
+    x, y of v's real-axis rule, and |y - x| = 0 or over 1e16 times its lowest t: NumericAccuracyError past that."""
     if not (1e-300 <= x < math.inf and 1e-300 <= y < math.inf):
         raise EvaluationDomainError(f"halfline Green needs x, y in [1e-300, inf), got {x:g} and {y:g}")
-    lo, gap = (x, y - x) if x <= y else (y, x - y)
+    (lo, gap), m, b = (x, y - x) if x <= y else (y, x - y), phi.stieltjes(0), phi.branch_point
     if gap == 0.0 and phi.alpha <= 1.0:
         return math.inf
-    # arguments the rule chose out of v's reach are a failure of the rule, not of the caller's x and y
-    t_lo, t_hi = _renewal_reach(phi)
-    t_lo *= 1.0 + 1e-9  # a margin for the rounding of z = lo*s^p at s_c, below
-    refusal = (f"halfline Green reaches x and y in [{1e5 * t_lo:.3g}, {t_hi:.3g}] for {phi.label()}, "
-               f"not {x:g} and {y:g}")
-    if not (1e5 * t_lo <= lo and gap + lo <= t_hi):
-        raise NumericAccuracyError(refusal)
-    p = 1.0 / (phi.alpha - 1.0) if gap == 0.0 else 2.0 / phi.alpha
-    ratio = _HALFLINE_HEAD * min(1.0, gap / lo) if gap else _HALFLINE_Z_FLOOR  # z_c/lo, before the floor
-    s_c = min(max(ratio, max(_HALFLINE_Z_MIN, t_lo) / lo), 1e-5) ** (1.0 / p)
-    sig, _, w = _de_rule(_HALFLINE_REACH << _HALFLINE_LEVELS, 2.0 ** -_HALFLINE_LEVELS, 1.0 - s_c)
-    s = s_c + (1.0 - s_c) * sig
-    try:  # v's t^2 may still round out of the float range at the reach's very end: converted as in _chi_on_cut
-        if gap:
-            z, z_c = lo * s**p, lo * s_c**p
-            v, V_c = _renewal(phi, ("ladder_density", "renewal_function"),
-                              (np.concatenate([z, gap + z, [gap, gap + z_c]]), z_c))
-        else:
-            r = s_c**-0.5
-            s = np.concatenate([[s_c, r * s_c], s])
-            v = v_far = _renewal(phi, ("ladder_density",), (lo * s**p,))[0]
-    except EvaluationDomainError as exc:
-        raise NumericAccuracyError(refusal) from exc
-    if gap:
-        v, v_far, (v_gap, v_end) = v[:s.size], v[s.size:-2], v[-2:]
-        if not v_gap >= v_end > 0.0:
-            raise NumericAccuracyError(f"halfline Green: the renewal density does not decrease at {gap:g}")
-        rest, rest_alt = V_c * (v_gap + v_end) / 2.0, V_c * v_gap  # the head's bracket: midpoint and end
-    f = v * (lo * p) * s ** (p - 1.0) * v_far  # the integrand, every product in floats
-    if not gap:
-        (f_c, f_r), f = f[:2], f[2:]
-        if not (f_c > 0.0 and r * f_r > f_c):  # a measured power above -1
-            raise NumericAccuracyError(
-                f"halfline Green integrand is not integrable as a power law at s = {s_c:.3g}")
-        # the fine sums close with the measured power, the coarse ones with the limit power 0
-        rest, rest_alt = f_c * s_c / (1.0 + math.log(f_r / f_c, r)), f_c * s_c
-    # the rule of step 2^-5 halved once, so the driver's error covers the rests' gap too
-    sums = np.array([w @ f + rest]), np.array([2.0 * (w[::2] @ f[::2]) + rest_alt])
-    return float(laplace.halving_trapezoid(lambda level, idx: sums, 1, epsabs=_HALFLINE_EPSABS,
-                                           epsrel=_HALFLINE_EPSREL, levels=1, what="halfline Green quadrature")[0])
+    if m.refusal:
+        raise NumericAccuracyError(m.refusal)
+    t_lo, t_hi = np.sqrt(laplace.reach(_RENEWAL_KERNELS["ladder_density"], b)) if m.cut else (0.0, math.inf)
+    if not (t_lo <= lo and lo + gap <= t_hi and (gap == 0.0 or gap >= 1e16 * t_lo)):
+        raise NumericAccuracyError(f"halfline Green reaches x and y in [{t_lo:.3g}, {t_hi:.3g}], with |y - x| 0 or "
+                                   f"over {1e16 * t_lo:.3g}, for {phi.label()}, not {x:g} and {y:g}")
+    r, c, dens, found, ends = np.sqrt(m.z[np.isfinite(m.z)]), math.sqrt(m.c), {}, {}, []
+    atoms, delta = (r, _chi_on_cut(phi, r) * m.w[np.isfinite(m.z)] / (2.0 * r)), max(1e-60 * lo, t_lo) * (gap == 0)
+
+    def density(level):  # nu's density in z at the level's nodes, 0 where a node weighs 0
+        s, w, new = laplace._axis_nodes(level, b)
+        if level not in dens:
+            dens[level] = f = np.zeros(s.size)
+            f[~new] = dens[level - 1] if level - 1 in dens else 0.0
+            todo = (w > 0.0) & (new | (level - 1 not in dens))
+            f[todo] = -(1.0 / phi._eval(-s[todo] + 0j)).imag * _chi_on_cut(phi, np.sqrt(s[todo])) / (
+                2.0 * math.pi * np.sqrt(s[todo]))
+            if not np.all(ok := np.isfinite(f) & (f >= 0.0)):  # v completely monotone: a positive measure
+                raise NumericAccuracyError(f"halfline Green: v is not completely monotone at s = {s[~ok][0]:.6g}")
+        return s, w, dens[level]
+
+    if m.cut:  # each end's node, f z there and f's power, measured and as the kind states (f/sqrt z past the last)
+        (s, _, f), q0 = density(1), phi.small_exponent
+        for i, j, g, sign in ((0, 2, f, 1.0), (-1, -3, f / np.sqrt(s), -1.0)):
+            if g[i] > 0.0 and (sign > 0.0 or gap > 0.0):
+                powers = (math.log(g[j] / g[i]) / math.log(s[j] / s[i]) + 1.0, -phi.alpha / 4.0 if sign < 0.0 else (
+                    (1.0 - q0) / 2.0 if q0 is not None else math.log(f[4] / f[2]) / math.log(s[4] / s[2]) + 1.0))
+                if not min(sign * q for q in powers) > 0.0:
+                    raise NumericAccuracyError("halfline Green: the cut's density is not integrable past an end")
+                ends.append((math.sqrt(s[i]), g[i] * s[i], powers, sign))
+
+    def totals(levels):  # in one pass, G at each level (0: every other node of level 1), closed by the measured
+        s, w, f = density(levels[0]) if m.cut else (np.empty(0),) * 3  # powers and, at the first, the kind's (k = 1)
+        on, runs, nu = w * f > 0.0, [(level, k) for level in levels for k in range(2 - (level < levels[0]))], []
+        for level, k in runs:
+            step = 2 ** (levels[0] - level)
+            nu.append(np.concatenate([np.where(np.arange(w.size) % step == 0, step * w, 0.0)[on] * f[on], atoms[1], [
+                _end_mass(fs, p[k], 0.5 ** (level + 1), sign) * root ** (sign < 0.0) for root, fs, p, sign in ends]]))
+        order = np.argsort(sig := np.concatenate([np.sqrt(s[on]), atoms[0], [e[0] for e in ends]]), kind="stable")
+        sig, nu = sig[order], np.array(nu)[:, order]
+        value = _pair_sums(sig, nu * np.exp(-delta * sig), lo - delta, gap, c)
+        if delta:  # int_0^delta v^2, with v's power from v(delta) to v(sqrt(delta lo)), or with alpha/2 - 1
+            with np.errstate(over="ignore"):
+                v_0, v_1 = c + np.exp(-np.outer([delta, math.sqrt(delta * lo)], sig)) @ nu.T
+            p = np.where([k for _, k in runs], phi.alpha / 2.0 - 1.0, 2.0 * np.log(v_1 / v_0) / math.log(lo / delta))
+            if not np.all(2.0 * p + 1.0 > 0.0):
+                raise NumericAccuracyError(f"halfline Green: v^2 is not integrable as a power under z = {delta:.3g}")
+            value = value + delta * v_0 * v_0 / (2.0 * p + 1.0)
+        found.update(zip(runs, value))
+
+    def sums(level, _):  # G, and G plus its gaps to its even nodes' G and to G closed by the kind's powers
+        totals([1, 0] if level == 1 else [level])
+        fine = found[level, 0]
+        return np.array([fine]), np.array([fine + abs(fine - found[level - 1, 0]) + abs(fine - found[level, 1])])
+
+    return laplace.finite(laplace.halving_trapezoid(sums, 1, epsabs=_HALFLINE_EPSABS, epsrel=_HALFLINE_EPSREL, levels=(
+        laplace._AXIS_LEVELS if m.cut else 1), what="halfline Green quadrature")[0], x, "halfline Green at x")
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,8 @@ RENDER_PINS = {
         "5da21729310a024c5b54a87c462d614afcef6b787bf5beb8a86524a3c882597b"),
     "ladder-halfline": (
         "ladder halfline --kind stable --alpha 1 --x 1 --y 2", 0,
-        "cbc5195c4d961357a9042a3f81e501b00ef50b138fe23fa5f5933f3a848f3748",
-        "0862fcf2a6613ea6da48c4b891924132e7e1ad95b22a7a434740c4c7893e0899"),
+        "b21e1e44d9e8510c8f84573d8fee9d2644ac138f71a2e06b6f1cf228a4200bae",
+        "5989142df9bd9075325b232ae4becaae008dea0e1130d564c60922a135d0bae4"),
     "check-sandwich": (
         "check sandwich --kind stable --alpha 1", 0,
         "0767d2bd7c252b1ae5d354c1547d5203ae279463becebdb24a206a695d296619",
@@ -823,16 +823,16 @@ def test_extreme_arguments_exit_cleanly_with_finite_cells(capsys):
 
 @pytest.mark.parametrize("x", ["1e-300", "1e-100"])
 def test_halfline_out_of_reach_is_numeric_failure(capsys, x):
-    # the rule takes v down to 1e-5 x: at 1e-100 past the real-axis rule's
-    # reach, at 1e-300 past the float range of its t^2; either is a failure
-    # of the rule (exit 3), stated in x, not a usage error of the x given
+    # the double sum's e^(-x sig) is not 0 past the last node of the real-axis
+    # rule for x under 1.1e-69: a failure of the rule (exit 3), stated in x,
+    # not a usage error of the x given
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(["ladder", "halfline", "--kind", "sum", "--alpha", "1", "--x", x, "--y", "1"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
-    assert captured.err == ("numeric accuracy failure: halfline Green reaches x and y in [1.1e-64, 6.79e+55] "
-                            f"for sum(alpha=1, beta=0.5), not {x} and 1\n")
+    assert captured.err == ("numeric accuracy failure: halfline Green reaches x and y in [1.1e-69, 6.79e+55], with "
+                            f"|y - x| 0 or over 1.1e-53, for sum(alpha=1, beta=0.5), not {x} and 1\n")
 
 
 @pytest.mark.parametrize("r", ["1e-110", "1e-80", "1e-78"])

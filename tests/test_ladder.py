@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn, hyp2f1
+from scipy.special import expit, gamma as gamma_fn, hyp2f1
 
-from sbmpot import bernstein, cli, ladder
+from sbmpot import bernstein, cli, ladder, laplace
 from sbmpot.errors import EvaluationDomainError, NumericAccuracyError
 
 
@@ -72,8 +72,10 @@ def test_chi_blocks_are_memoised_with_their_bits():
 def _de_chi(phi, lam):
     # the doubly exponential sweep the lattice replaced, kept as a reference: chi(lam) =
     # exp((1/pi) int_0^(pi/2) log phi(lam^2 tan^2(theta)) dtheta) with the power lam^(alpha/2) taken out
-    lam = np.asarray(lam, dtype=float)
-    sig, sig_m, w = ladder._de_rule(128, 3.9 / 128, math.pi / 2.0)
+    # on Takahasi & Mori's rule for (0, pi/2): nodes sigmoid(pi sinh(kh)) and 1 minus them, |k| <= 128
+    lam, kh = np.asarray(lam, dtype=float), np.arange(-128.0, 129.0) * (3.9 / 128)
+    sig, sig_m = expit(math.pi * np.sinh(kh)), expit(-math.pi * np.sinh(kh))
+    w = (math.pi / 2.0 * math.pi * (3.9 / 128)) * np.cosh(kh) * sig * sig_m
     keep = w > 1e-30
     x, xi = (math.pi / 2.0) * sig[keep], (math.pi / 2.0) * sig_m[keep]
     tansq, w = np.where(x <= math.pi / 4.0, np.tan(x) ** 2, 1.0 / np.tan(xi) ** 2), w[keep]
@@ -268,18 +270,19 @@ def test_halfline_green_stable_oracle(alpha, x, y):
 
 
 def test_halfline_green_refuses_a_drifting_rest():
-    # on the diagonal at alpha = 1.01 the rest under z = 1e-60 x covers s <
-    # 0.25, and the log factor keeps v off a power law there: closed with the
-    # measured power it is 1.60, with the limit power 2.01, so the gap between
-    # the two must refuse it
+    # on the diagonal at alpha = 1.01, int_0^delta v^2 with delta = 1e-60 x is
+    # about a quarter of G, and the log factor keeps v off a power law there:
+    # closed with v's measured power and with the power alpha/2 - 1 it differs
+    # by 0.41 of G, at every level, so the gap between the two must refuse it
     with pytest.raises(NumericAccuracyError, match="halfline Green quadrature"):
         ladder.halfline_green(bernstein.log_perturbed_up(1.01, 0.5), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("x", [1e-12, 1e-40, 1e-62])
 def test_halfline_green_near_the_boundary_is_V_times_v(x):
-    # G(x, y) = int_0^x v(z) v(y - x + z) dz -> V(x) v(y) as x -> 0; the rule's
-    # floor z >= 1e-66 keeps v's t^2 within the real-axis rule's reach there
+    # G(x, y) = int_0^x v(z) v(y - x + z) dz -> V(x) v(y) as x -> 0; the double
+    # sum's e^(-x sig) turns at sig = 1/x, where its nodes are sparse, so the
+    # two smaller x take level 3
     phi = bernstein.sum_of_stables(1.0, 0.5)
     expect = ladder.renewal_function_V(phi, x) * ladder.ladder_density_v(phi, 1.0)
     assert ladder.halfline_green(phi, x, 1.0) == pytest.approx(expect, rel=1e-9)
@@ -307,9 +310,10 @@ def test_halfline_green_leaks_no_integration_warning(capsys):
 
 
 def test_halfline_green_refuses_an_uncertified_convolution(monkeypatch):
-    # a renewal density too rough for the rule's last step halving, which
-    # still decreases across the head's bracket, with V(z) = z there
-    monkeypatch.setattr(ladder, "_renewal", lambda phi, names, ts: [1.0 + 1e-3 * np.sin(1e7 * ts[0] * ts[0]), ts[1]])
+    # a measure of v too rough for the rule's last step halving (two levels here, so the test is quick)
+    chi = ladder._chi_on_cut
+    monkeypatch.setattr(ladder, "_chi_on_cut", lambda phi, lam: chi(phi, lam) * (1.0 + 1e-3 * np.sin(1e7 * lam * lam)))
+    monkeypatch.setattr(laplace, "_AXIS_LEVELS", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericAccuracyError, match="halfline Green quadrature") as info:
@@ -318,9 +322,8 @@ def test_halfline_green_refuses_an_uncertified_convolution(monkeypatch):
 
 
 def test_halfline_green_takes_v_at_the_rule_s_second_level(monkeypatch):
-    # off the diagonal the bracketed head keeps v's arguments above
-    # 1e-12 min(x, gap), where the real-axis rule certifies at level 2: one
-    # chi call at its nodes serves v at the convolution's nodes and V(z_c)
+    # the double sum certifies at the real-axis rule's level 2 here, and takes
+    # chi once per node of it (1 608 with weight), once for all its pairs
     taken, chi = [], ladder.ladder_exponent_chi
     monkeypatch.setattr(ladder, "ladder_exponent_chi", lambda phi, lam: taken.append(np.size(lam)) or chi(phi, lam))
     ladder.halfline_green(bernstein.sum_of_stables(1.0, 0.5), 1.0, 2.0)
@@ -329,18 +332,19 @@ def test_halfline_green_takes_v_at_the_rule_s_second_level(monkeypatch):
 
 @pytest.mark.parametrize("phi", [bernstein.sum_of_stables(1.0, 0.5), bernstein.log_perturbed_down(1.0, 0.5)],
                          ids=["sum", "log_down"])
-def test_halfline_green_head_bracket_does_not_move_g(monkeypatch, phi):
-    # the bracket V(z_c) [v(gap + z_c), v(gap)] is about 1e-12 of G wide:
-    # moving z_c down by 1e-8 moves G by rounding only
-    head = ladder.halfline_green(phi, 1.03, 2.1)
-    monkeypatch.setattr(ladder, "_HALFLINE_HEAD", ladder._HALFLINE_HEAD * 1e-8)
-    assert ladder.halfline_green(phi, 1.03, 2.1) == pytest.approx(head, rel=1e-12)
+def test_halfline_green_block_budget_does_not_move_g(monkeypatch, phi):
+    # K's row blocks set only the order of the sums: 64 times smaller blocks move G by rounding only
+    blocks = ladder.halfline_green(phi, 1.03, 2.1)
+    monkeypatch.setattr(ladder, "_HALFLINE_BLOCK", ladder._HALFLINE_BLOCK // 64)
+    assert ladder.halfline_green(phi, 1.03, 2.1) == pytest.approx(blocks, rel=1e-12)
 
 
 def test_halfline_green_refuses_a_renewal_density_that_rises(monkeypatch):
-    # the head's bracket holds for a decreasing v only
-    monkeypatch.setattr(ladder, "_renewal", lambda phi, names, ts: [np.exp(ts[0]), ts[1]])
-    with pytest.raises(NumericAccuracyError, match="does not decrease"):
+    # the double sum is positive only for a completely monotone v, whose measure is positive: a negative
+    # measure makes v rise
+    chi = ladder._chi_on_cut
+    monkeypatch.setattr(ladder, "_chi_on_cut", lambda phi, lam: -chi(phi, lam))
+    with pytest.raises(NumericAccuracyError, match="not completely monotone"):
         ladder.halfline_green(bernstein.sum_of_stables(1.0, 0.5), 1.0, 2.0)
 
 
@@ -351,14 +355,53 @@ def test_halfline_green_refuses_a_renewal_density_that_rises(monkeypatch):
     (bernstein.relativistic_stable(1.0, 1.0), 2.7009305899009584),
 ], ids=["sum", "log_up", "log_down", "relativistic"])
 def test_halfline_green_keeps_the_power_law_head_s_values(phi, expect):
-    # the values of the rule that closed (0, 1e-60 x) with a measured power
+    # the values of the doubly exponential rule that closed (0, 1e-60 x) with a measured power
     assert ladder.halfline_green(phi, 1.03, 2.1) == pytest.approx(expect, rel=1e-11)
 
 
+# the 12 ``ladder halfline`` ops of the analytic benchmark at seed 1, with the values the doubly exponential
+# rule gave them
+_BENCHMARK_HALFLINE = [
+    ({"kind": "stable", "alpha": 1.0}, 1.0, 2.0, 0.5610998523391802),
+    ({"kind": "relativistic", "alpha": 1.1926906820496677, "m": 1.0}, 0.8369575651287303, 1.772053973621707,
+     1.835604832342617),
+    ({"kind": "sum", "alpha": 0.8131811097866876, "beta": 0.5}, 1.1314327871583412, 2.1586934098025248,
+     0.17826273606034487),
+    ({"kind": "log_up", "alpha": 1.377062801200676, "gamma": 0.5}, 0.9359898800534798, 1.8182142405971922,
+     1.0456399607854698),
+    ({"kind": "log_down", "alpha": 1.378149235368366, "beta": 0.5}, 0.9107129898623748, 1.940253070863435,
+     0.4541573709472291),
+    ({"kind": "geometric_example", "alpha": 1.2301984485165318, "n": 67}, 0.8471688511771176, 2.033449289837643,
+     0.08791953439451172),
+    ({"kind": "stable", "alpha": 1.0}, 1.0, 2.0, 0.5610998523391802),
+    ({"kind": "relativistic", "alpha": 0.993305135546581, "m": 1.0}, 1.0929629109525598, 2.10680744737005,
+     2.8579382738837302),
+    ({"kind": "sum", "alpha": 1.2716100277330473, "beta": 0.5}, 1.0048332321387292, 2.189657135619515,
+     0.19590435530794742),
+    ({"kind": "log_up", "alpha": 0.7768968895983306, "gamma": 0.5}, 1.0527374917845083, 2.0255034912326306,
+     0.7842928289496711),
+    ({"kind": "log_down", "alpha": 1.2061206949416272, "beta": 0.5}, 1.0599879708457443, 2.2522109653968467,
+     0.3630920370434105),
+    ({"kind": "geometric_example", "alpha": 0.7202691650936953, "n": 64}, 0.8298737001329015, 1.8680849129554078,
+     0.02531312725985723),
+]
+
+
+@pytest.mark.parametrize("spec, x, y, expect", _BENCHMARK_HALFLINE, ids=[f"op{i}" for i in range(12)])
+def test_halfline_green_keeps_the_benchmark_s_values(spec, x, y, expect):
+    # log_up at alpha = 1.377 keeps 7e-5 of G under the first node of the real-axis rule (its v's measure goes
+    # like sig^(-0.94) there): the doubly exponential rule took v from that rule's level 1, whose end closes
+    # with the Euler-Maclaurin h^2 term only, and is 1.97e-12 high; the double sum's levels 1 to 4 agree with
+    # one another to 1e-15 with the h^4 term, and converge to the same value without it
+    rel = 2.5e-12 if spec["kind"] == "log_up" and spec["alpha"] > 1.0 else 1e-12
+    assert ladder.halfline_green(bernstein.phi_from_json(spec), x, y) == pytest.approx(expect, rel=rel)
+
+
 def test_halfline_green_geometric_certified_on_the_finest_level():
-    # levels 3 and 4 of the rule agree to 5.4e-10 here but are both 4e-8 low;
-    # the reference is the pole-sum v's convolution by two independent scipy
-    # quadratures, which agree to 1e-16
+    # levels 3 and 4 of the doubly exponential rule agreed to 5.4e-10 here but
+    # were both 4e-8 low; the double sum over the atoms is exact; the reference
+    # is the pole-sum v's convolution by two independent scipy quadratures,
+    # which agree to 1e-16
     phi = bernstein.phi_from_json({"kind": "geometric_example", "alpha": 0.7202691650936953})
     got = ladder.halfline_green(phi, 0.8298737001329015, 1.8680849129554078)
     assert got == pytest.approx(0.0253131272598574, rel=1e-9)
@@ -390,39 +433,40 @@ def test_ladder_refusals_state_the_reach_in_t():
 
 
 @pytest.mark.parametrize("phi, x, y, reach", [
-    # v is taken up to x v y, past the real-axis rule's reach in t
-    (bernstein.sum_of_stables(1.0, 0.5), 1.0, 7e55, r"\[1.1e-64, 6.79e\+55\]"),
-    # and down to 1e-5 x, whose square is under the float range
-    (bernstein.geometric_like(1.0), 1e-300, 1.0, r"\[1.49e-149, 1.34e\+154\]"),
+    # the cut's nodes s reach t with e^(-t sqrt s) 1 to rounding under the first: up to 6.79e55
+    (bernstein.sum_of_stables(1.0, 0.5), 1.0, 7e55, r"\[1.1e-69, 6.79e\+55\]"),
+    # and 0 past the last: down to 1.1e-69, for a kind with a pole of 1/phi too
+    (bernstein.killed_shift(bernstein.relativistic_stable(1.0, 1.0), 0.5), 1e-100, 1.0, r"\[1.1e-69, 6.79e\+55\]"),
 ], ids=["cut_far", "poles_near"])
 def test_halfline_green_refusals_state_the_reach_in_x_and_y(phi, x, y, reach):
     with pytest.raises(NumericAccuracyError, match=rf"halfline Green reaches x and y in {reach}"):
         ladder.halfline_green(phi, x, y)
-    # the stable kind's closed v reaches every x
-    assert ladder.halfline_green(bernstein.stable(phi.alpha), x, y) > 0.0
+    # the stable kind sums its measure on the same nodes, so it has the same reach
+    with pytest.raises(NumericAccuracyError, match=rf"halfline Green reaches x and y in {reach}"):
+        ladder.halfline_green(bernstein.stable(phi.alpha), x, y)
 
 
 def test_halfline_green_holds_its_stated_reach_in_x(capsys):
-    # relativistic alpha = 1, m = 1e-10: v reaches t down to 1.1e-59 only, above _HALFLINE_Z_MIN = 1e-66, so
-    # z_c is floored at that reach and every x the refusal states is taken (x = 1e-50 exited 3, as z_c = 1e-62)
+    # relativistic alpha = 1, m = 1e-10: the branch point 1e-20 moves the cut's nodes, which reach t down to
+    # 1.1e-59 only; every x the refusal states is taken (x = 1e-50 exited 3 while z_c was 1e-62)
     phi = bernstein.relativistic_stable(1.0, 1e-10)
-    x_lo = 1e5 * ladder._renewal_reach(phi)[0]
+    x_lo = math.sqrt(laplace.reach(ladder._RENEWAL_KERNELS["ladder_density"], phi.branch_point)[0])
     assert cli.main(["ladder", "halfline", "--kind", "relativistic", "--alpha", "1", "--m", "1e-10",
                      "--x", "1e-50", "--y", "2"]) == 0
     assert capsys.readouterr().out.startswith("x,y,G_halfline\n1e-50,2,")
     assert ladder.halfline_green(phi, x_lo * (1.0 + 1e-6), 2.0) > 0.0
-    with pytest.raises(NumericAccuracyError, match=r"reaches x and y in \[1.1e-54, "):
+    with pytest.raises(NumericAccuracyError, match=r"reaches x and y in \[1.1e-59, "):
         ladder.halfline_green(phi, x_lo * (1.0 - 1e-6), 2.0)
 
 
-def test_halfline_green_converts_a_t_square_out_of_the_float_range(monkeypatch):
-    # at the reach's very end 1e-5 x can still round to a t whose square leaves
-    # the float range (geometric_example alpha = 0.8 at x = 1.4916681462400413e-149);
-    # with the reach widened, x = 1e-300 takes that path: laplace.squares' refusal, converted
-    monkeypatch.setattr(ladder, "_renewal_reach", lambda phi: (0.0, math.inf))
-    with pytest.raises(NumericAccuracyError, match="halfline Green reaches x and y") as info:
-        ladder.halfline_green(bernstein.geometric_like(1.0), 1e-300, 1.0)
-    assert isinstance(info.value.__cause__, EvaluationDomainError)
+def test_halfline_green_of_atoms_reaches_x_whose_square_leaves_the_float_range():
+    # a kind with atoms only sums no cut, so it has no reach: at x = 1e-300 (where v's t^2 would leave the
+    # float range) G is the closed convolution of the pole sums, V(x) v(1) to O(x)
+    phi = bernstein.geometric_like(1.0)
+    m, x = phi.stieltjes(0), 1e-300
+    r = np.sqrt(m.z[np.isfinite(m.z)])
+    c = m.w[np.isfinite(m.z)] * ladder.ladder_exponent_chi(phi, r) / (2.0 * r)
+    assert ladder.halfline_green(phi, x, 1.0) == pytest.approx(x * c.sum() * (c @ np.exp(-(1.0 - x) * r)), rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, rc", [
