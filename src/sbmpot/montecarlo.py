@@ -24,6 +24,17 @@ counter-based generator, so estimates are bit-identical for a given seed and
 config no matter how paths are batched.  Estimators reduce over arrays
 assembled in path order.
 
+A march or a walk runs in parts, one per CPU the process may run on, by path
+id: row i goes to part ids[i] % parts, so the rows of an id that several
+starts share stay together and each id is still drawn once.  The parent
+forks one child per part after the first, each child writes its rows'
+records into an anonymous shared mapping, and the parent marches the first
+part and then joins the children.  A record depends only on its start and
+its id, so the records are bit for bit those of one process.  Each part
+holds at least _PART_ROWS rows, which pays for a fork and a join; with one
+CPU (``taskset -c 0``), fewer rows, no os.fork, or a second Python thread,
+the one part runs in-process.
+
 Paths march in chunks, one loop and one monitoring rule for both samplers:
 a skeleton step is one move, sqrt(2 S) Z, S the step's subordinator
 increment and Z a standard normal vector, and a path exits at the end of
@@ -66,8 +77,13 @@ path still inside after ceil(horizon/step) spheres is censored.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import betaincinv, gammainc
@@ -291,9 +307,10 @@ def _start_point(x0, domain) -> np.ndarray:
 def _kanter(rho: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Positive rho-stable variate with E[exp(-lam S)] = exp(-lam^rho)."""
     th = math.pi * u
-    a = (np.sin(rho * th) ** rho * np.sin((1.0 - rho) * th) ** (1.0 - rho) / np.sin(th)) ** (
-        1.0 / (1.0 - rho)
-    )
+    first = np.sin(rho * th) ** rho
+    # at rho = 1/2, (1 - rho) th is rho th exactly: both factors are one float
+    second = first if rho == 0.5 else np.sin((1.0 - rho) * th) ** (1.0 - rho)
+    a = (first * second / np.sin(th)) ** (1.0 / (1.0 - rho))
     return (a / e) ** ((1.0 - rho) / rho)
 
 
@@ -633,64 +650,185 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     return tau, pos, byj
 
 
+# Fewest rows a part of a march or a walk holds.  A fork and a join cost
+# about 2.5-4 ms on a 2-core x86 box; 2048 rows march for tens of ms and walk
+# for about 3-12 ms (1.5-6 us a row), so a part repays its fork
+_PART_ROWS = 2048
+
+_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
+
+
+def _part_count(rows: int) -> int:
+    """How many parts a march or walk of ``rows`` rows runs in: one per CPU
+    of the process's affinity set, each of at least _PART_ROWS rows, and one
+    where the process cannot fork or runs a second Python thread (a fork
+    copies only the calling thread, whose peers may hold locks)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _PART_ROWS))
+
+
+@cache
+def _prctl():
+    """libc's prctl, or None where there is none."""
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (AttributeError, OSError):
+        return None
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+def _fork_part(run, rows: np.ndarray, outs: list, parent: int):
+    """Fork a child that runs ``run(rows, outs)`` and exits; returns its pid
+    and the read end of a pipe (a binary file) that carries its exception,
+    pickled, if it raised one.  The child dies with its parent and never
+    returns."""
+    prctl = _prctl()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            if prctl is not None:
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+            if os.getppid() == parent:  # else the parent died before prctl
+                run(rows, outs)
+                status = 0
+        except BaseException as exc:  # every failure, KeyboardInterrupt too, goes to the parent
+            try:
+                report = pickle.dumps(exc)
+                pickle.loads(report)
+            except Exception:  # an exception that pickle cannot carry
+                report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(report)
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _in_parts(run, ids: np.ndarray, fields: list) -> list:
+    """The records of every row, one array per (dtype, row shape) of
+    ``fields``, from ``run(rows, outs)``, which writes the records of the
+    rows ``rows`` (indices in row order) into the arrays ``outs``.
+
+    Row i runs in part ids[i] % parts (see _part_count).  The parent forks a
+    child for each part after the first, runs the first itself and then
+    joins every child; the children write into one anonymous shared
+    mapping, so no array is copied between processes.  The first exception,
+    the parent's or else a child's in part order, is raised with its type
+    and message once every child has been reaped."""
+    n = ids.size
+    parts = _part_count(n)
+    if parts == 1:
+        outs = [np.empty((n, *shape), dtype) for dtype, shape in fields]
+        run(np.arange(n), outs)
+        return outs
+    sizes = [n * math.prod(shape) * np.dtype(dtype).itemsize for dtype, shape in fields]
+    shared = mmap.mmap(-1, sum(sizes))
+    outs = [np.frombuffer(shared, dtype, n * math.prod(shape), offset).reshape(n, *shape)
+            for (dtype, shape), offset in zip(fields, np.cumsum([0, *sizes[:-1]]).tolist())]
+    rows = [np.flatnonzero(ids % parts == p) for p in range(parts)]
+    children, reports, codes = [], [], []
+    try:
+        for part in rows[1:]:
+            if part.size:
+                children.append(_fork_part(run, part, outs, os.getpid()))
+        run(rows[0], outs)
+        reports = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for report, code in zip(reports, codes):
+        if report:
+            raise pickle.loads(report)
+        if code:
+            raise RuntimeError(f"a forked part ended with exit code {code}")
+    return [out.copy() for out in outs]
+
+
 def _run_batches(phi, domain, starts_all, cfg, ids_all=None):
-    """March every row of ``starts_all`` to exit, _BATCH_SIZE rows at a time.
+    """March every row of ``starts_all`` to exit, in parts (_in_parts) of
+    _BATCH_SIZE-row batches.
 
     Row i draws its noise from path id ``ids_all[i]`` (default i); a path's
-    record depends only on its start and its id, never on the batching.
-    Rows that share an id share every draw, and a chunk makes each draw
-    once, for the id, not once per row.  Returns one _simulate_batch record
-    per batch.
+    record depends only on its start and its id, never on the batching or
+    the parts.  Rows that share an id share every draw, and a chunk makes
+    each draw once, for the id, not once per row.  Returns one
+    _simulate_batch record for each _BATCH_SIZE rows, in row order.
     """
     inc = _Increments(phi, cfg, cfg.step)
     n = starts_all.shape[0]
     if ids_all is None:
         ids_all = np.arange(n, dtype=np.uint64)
-    results = []
-    for lo in range(0, n, _BATCH_SIZE):
-        ids, starts = ids_all[lo : lo + _BATCH_SIZE], starts_all[lo : lo + _BATCH_SIZE]
-        results.append(_simulate_batch(inc, domain, starts, ids, cfg))
-    return results
+
+    def march(rows, outs):
+        for lo in range(0, rows.size, _BATCH_SIZE):
+            batch = rows[lo : lo + _BATCH_SIZE]
+            for out, record in zip(outs, _simulate_batch(inc, domain, starts_all[batch], ids_all[batch], cfg)):
+                out[batch] = record
+
+    records = _in_parts(march, ids_all, [(float, ()), (float, starts_all.shape[1:]), (bool, ())])
+    return [tuple(r[lo : lo + _BATCH_SIZE] for r in records) for lo in range(0, n, _BATCH_SIZE)]
 
 
 def _walk_on_spheres(phi, domain, starts_all, cfg, ids_all=None):
-    """Walk every row of ``starts_all`` on spheres to its exit position,
-    _BATCH_SIZE rows at a time; ids as in _run_batches, so rows that share
-    an id share every sphere's draws, and each sphere's radius multiple and
-    direction are drawn once per id.
+    """Walk every row of ``starts_all`` on spheres to its exit position, in
+    parts of _BATCH_SIZE-row batches as _run_batches marches; rows that
+    share an id share every sphere's draws, and each sphere's radius
+    multiple and direction are drawn once per id.
 
     Returns (positions, stopped); a row not stopped was censored after
     ceil(cfg.horizon/cfg.step) spheres.
     """
     a = phi.alpha_param / 2.0
     stream = rng.PhiloxStream(cfg.seed)
-    x = np.array(starts_all, dtype=float, copy=True)
-    n = x.shape[0]
+    starts_all = np.asarray(starts_all, dtype=float)
     if ids_all is None:
-        ids_all = np.arange(n, dtype=np.uint64)
-    gap = domain.gap(x)
-    stopped = gap <= 0.0
+        ids_all = np.arange(starts_all.shape[0], dtype=np.uint64)
     n_spheres = int(math.ceil(cfg.horizon / cfg.step))
-    for lo in range(0, n, _BATCH_SIZE):
-        ids = ids_all[lo : lo + _BATCH_SIZE]
-        columns = _id_columns(ids)
-        live = np.arange(lo, lo + ids.size)
-        live = live[~stopped[live]]
-        for k in range(n_spheres):
-            if live.size == 0:
-                break
-            draw_ids, cols = _live_draws(ids, columns, live - lo)
-            u, _ = stream.uniform_pair(rng.CH_WOS, k, draw_ids)
-            z = stream.normals(k, draw_ids, domain.d, base_channel=rng.CH_WOS + 1)
-            root = np.sqrt(betaincinv(a, 1.0 - a, u))
-            if cols is not None:
-                root, z = root[cols], z[cols]
-            reach = gap[live] / root
-            x[live] += (reach / _row_norm(z))[:, None] * z
-            gap[live] = domain.gap(x[live])
-            stopped[live] = gap[live] <= 0.0
-            live = live[~stopped[live]]
-    return x, stopped
+
+    def walk(rows, outs):
+        for lo in range(0, rows.size, _BATCH_SIZE):
+            batch = rows[lo : lo + _BATCH_SIZE]
+            ids, x = ids_all[batch], starts_all[batch]
+            columns = _id_columns(ids)
+            gap = domain.gap(x)
+            stopped = gap <= 0.0
+            live = np.flatnonzero(~stopped)
+            for k in range(n_spheres):
+                if live.size == 0:
+                    break
+                draw_ids, cols = _live_draws(ids, columns, live)
+                u, _ = stream.uniform_pair(rng.CH_WOS, k, draw_ids)
+                z = stream.normals(k, draw_ids, domain.d, base_channel=rng.CH_WOS + 1)
+                root = np.sqrt(betaincinv(a, 1.0 - a, u))
+                if cols is not None:
+                    root, z = root[cols], z[cols]
+                reach = gap[live] / root
+                x[live] += (reach / _row_norm(z))[:, None] * z
+                gap[live] = domain.gap(x[live])
+                stopped[live] = gap[live] <= 0.0
+                live = live[~stopped[live]]
+            outs[0][batch], outs[1][batch] = x, stopped
+
+    return tuple(_in_parts(walk, ids_all, [(float, starts_all.shape[1:]), (bool, ())]))
 
 
 def _exit_positions(phi, domain, starts_all, cfg, ids_all=None, march=None, walk=False):
@@ -702,8 +840,8 @@ def _exit_positions(phi, domain, starts_all, cfg, ids_all=None, march=None, walk
     imported."""
     if walk and phi.kind == "stable":
         return _walk_on_spheres(phi, domain, starts_all, cfg, ids_all)
-    parts = (march or _run_batches)(phi, domain, starts_all, cfg, ids_all=ids_all)
-    tau, pos, _ = map(np.concatenate, zip(*parts))
+    records = (march or _run_batches)(phi, domain, starts_all, cfg, ids_all=ids_all)
+    tau, pos, _ = map(np.concatenate, zip(*records))
     return pos, ~np.isnan(tau)
 
 

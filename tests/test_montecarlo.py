@@ -570,6 +570,23 @@ def test_exact_draws_next_to_the_float_range_are_finite():
     assert np.all(np.isfinite(inc)) and np.all(inc >= 0.0)
 
 
+def test_kanter_at_one_half_takes_one_sine(monkeypatch):
+    # at rho = 1/2, (1 - rho) theta is rho theta exactly, so one sine serves
+    # both factors and every bit of the two-sine formula stays
+    gen = np.random.default_rng(7)
+    u, e = gen.random(16384), -np.log(gen.random(16384))
+    sines = []
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sines.append(1) or sin(x))
+    for rho in (0.5, 0.25, 0.75):
+        th = math.pi * u
+        two_sines = ((sin(rho * th) ** rho * sin((1.0 - rho) * th) ** (1.0 - rho) / sin(th))
+                     ** (1.0 / (1.0 - rho)) / e) ** ((1.0 - rho) / rho)
+        sines.clear()
+        assert np.array_equal(mc._kanter(rho, u, e), two_sines), rho
+        assert len(sines) == (2 if rho == 0.5 else 3)
+
+
 def test_killed_phi_rejected():
     phi = bernstein.killed_shift(bernstein.stable(1.0), 0.5)
     ball = mc.Ball(center=(0.0,), radius=1.0)
