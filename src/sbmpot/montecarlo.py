@@ -31,9 +31,10 @@ forks one child per part after the first, each child writes its rows'
 records into an anonymous shared mapping, and the parent marches the first
 part and then joins the children.  A record depends only on its start and
 its id, so the records are bit for bit those of one process.  Each part
-holds at least _PART_ROWS rows, which pays for a fork and a join; with one
-CPU (``taskset -c 0``), fewer rows, no os.fork, or a second Python thread,
-the one part runs in-process.
+holds at least _PART_IDS distinct path ids, which pays for a fork and a
+join; with one CPU (``taskset -c 0``), fewer ids, no os.fork, or a second
+Python thread, the one part runs in-process.  A Harnack or boundary Harnack
+family, a few hundred ids shared by many starts, so marches in-process.
 
 Paths march in chunks, one loop and one monitoring rule for both samplers:
 a skeleton step is one move, sqrt(2 S) Z, S the step's subordinator
@@ -650,22 +651,26 @@ def _simulate_batch(inc: _Increments, domain, starts, ids, cfg):
     return tau, pos, byj
 
 
-# Fewest rows a part of a march or a walk holds.  A fork and a join cost
-# about 2.5-4 ms on a 2-core x86 box; 2048 rows march for tens of ms and walk
-# for about 3-12 ms (1.5-6 us a row), so a part repays its fork
-_PART_ROWS = 2048
+# Fewest distinct path ids a part of a march or a walk holds.  A fork and a
+# join cost about 2.5-4 ms on a 2-core x86 box; 2048 paths march for tens of
+# ms and walk for about 3-12 ms (1.5-6 us a path), so a part repays its
+# fork.  Ids, not rows, since rows that share an id share its draws: in
+# two parts, 800-id families of 4800 and 10 400 rows (a boundary Harnack and
+# a Harnack check, tens of ms each) ran 15-25% faster and 15-45% slower
+_PART_IDS = 2048
 
 _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 
-def _part_count(rows: int) -> int:
-    """How many parts a march or walk of ``rows`` rows runs in: one per CPU
-    of the process's affinity set, each of at least _PART_ROWS rows, and one
-    where the process cannot fork or runs a second Python thread (a fork
-    copies only the calling thread, whose peers may hold locks)."""
+def _part_count(ids: int) -> int:
+    """How many parts a march or walk over ``ids`` distinct path ids runs
+    in: one per CPU of the process's affinity set, each of at least
+    _PART_IDS ids, and one where the process cannot fork or runs a second
+    Python thread (a fork copies only the calling thread, whose peers may
+    hold locks)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _PART_ROWS))
+    return max(1, min(len(os.sched_getaffinity(0)), ids // _PART_IDS))
 
 
 @cache
@@ -730,7 +735,9 @@ def _in_parts(run, ids: np.ndarray, fields: list) -> list:
     the parent's or else a child's in part order, is raised with its type
     and message once every child has been reaped."""
     n = ids.size
-    parts = _part_count(n)
+    # every caller's ids run from 0 (plain) or repeat 0..m-1 (a family), so
+    # their span, capped at the row count, is the number of distinct ids
+    parts = _part_count(min(n, int(ids.max()) - int(ids.min()) + 1) if n else 0)
     if parts == 1:
         outs = [np.empty((n, *shape), dtype) for dtype, shape in fields]
         run(np.arange(n), outs)

@@ -84,13 +84,14 @@ def _records(phi, domain, starts, ids, cfg, walk):
                                  "family", "walk"])
 def test_forked_parts_are_bit_identical(monkeypatch, how, parts):
     # 300 rows in batches of 64: every part runs several batches, and the
-    # pieces come back one per 64 rows in row order, as in one process
+    # pieces come back one per 64 rows in row order, as in one process; the
+    # 43 ids of the family and the walk make 3 parts of at least 8
     if how == "compound":
         monkeypatch.setattr(mc, "_exact_increments", lambda phi, dt: False)
     case = _case(how)
     assert mc._Increments(case[0], case[4], case[4].step).compound == (how == "compound")
     monkeypatch.setattr(mc, "_BATCH_SIZE", 64)
-    monkeypatch.setattr(mc, "_PART_ROWS", 16)
+    monkeypatch.setattr(mc, "_PART_IDS", 8)
     made = _forks(monkeypatch)
     _cpus(monkeypatch, 1)
     alone = _records(*case)
@@ -105,17 +106,31 @@ def test_forked_parts_are_bit_identical(monkeypatch, how, parts):
 
 def test_parts_hold_at_least_the_floor(monkeypatch):
     _cpus(monkeypatch, 4)
-    monkeypatch.setattr(mc, "_PART_ROWS", 100)
+    monkeypatch.setattr(mc, "_PART_IDS", 100)
     assert [mc._part_count(n) for n in (0, 199, 200, 399, 400, 10**6)] == [1, 1, 2, 3, 4, 4]
+
+
+def test_parts_count_distinct_ids_not_rows(monkeypatch):
+    # the family's 301 rows share 43 ids: fewer than two parts of 32 ids
+    case = _case("family")
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(mc, "_PART_IDS", 32)
+    made = _forks(monkeypatch)
+    _records(*case)
+    assert made == []
+    monkeypatch.setattr(mc, "_PART_IDS", 21)
+    _records(*case)
+    assert len(made) == 1
+    _assert_no_child_left()
 
 
 def test_one_cpu_or_a_second_thread_marches_in_process(monkeypatch):
     case = _case("family")
-    monkeypatch.setattr(mc, "_PART_ROWS", 16)
+    monkeypatch.setattr(mc, "_PART_IDS", 16)
     cpus = os.sched_getaffinity(0)
     made = _forks(monkeypatch)
     free = _records(*case)
-    assert len(made) == min(len(cpus), 301 // 16) - 1
+    assert len(made) == min(len(cpus), 43 // 16) - 1
     made.clear()
     os.sched_setaffinity(0, {min(cpus)})
     try:
@@ -161,7 +176,7 @@ def test_child_failure_reaches_the_parent(monkeypatch, capsys, error, code):
 
     _failing_children(monkeypatch, fail)
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(mc, "_PART_ROWS", 16)
+    monkeypatch.setattr(mc, "_PART_IDS", 16)
     made = _forks(monkeypatch)
     with pytest.raises(type(error), match="a forked part failed") as raised:
         _forked_march()
@@ -179,7 +194,7 @@ def test_child_failure_reaches_the_parent(monkeypatch, capsys, error, code):
 def test_killed_child_fails_the_march(monkeypatch):
     _failing_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(mc, "_PART_ROWS", 16)
+    monkeypatch.setattr(mc, "_PART_IDS", 16)
     with pytest.raises(RuntimeError, match=f"exit code {-signal.SIGKILL}"):
         _forked_march()
     _assert_no_child_left()
@@ -200,7 +215,7 @@ def test_parent_failure_kills_its_children(monkeypatch):
 
     monkeypatch.setattr(mc, "_simulate_batch", slow_children)
     _cpus(monkeypatch, 3)
-    monkeypatch.setattr(mc, "_PART_ROWS", 16)
+    monkeypatch.setattr(mc, "_PART_IDS", 16)
     made = _forks(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(NumericAccuracyError, match="the parent's part failed"):
@@ -225,7 +240,7 @@ def test_killed_parent_takes_its_children_with_it():
         import os, sys, time
         import numpy as np
         from sbmpot import bernstein, montecarlo as mc
-        mc._PART_ROWS = 16
+        mc._PART_IDS = 16
         os.sched_getaffinity = lambda pid: {0, 1}
         parent, batch = os.getpid(), mc._simulate_batch
         def stalled(*args):
@@ -268,7 +283,7 @@ def test_blas_pool_does_not_block_the_fork(monkeypatch):
     counts = []
     _forks(monkeypatch, before=lambda: counts.append(threads()), after=lambda: counts.append(threads()))
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(mc, "_PART_ROWS", 16)
+    monkeypatch.setattr(mc, "_PART_IDS", 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _forked_march()
